@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bitio"
 	"repro/internal/blockfinder"
@@ -26,8 +27,7 @@ type spanMeta struct {
 	endIsEOF          bool
 	// members records every gzip member end inside (or at the end of)
 	// this entry, captured when the entry was confirmed. Re-decodes of
-	// the entry — in particular the stdlib-delegated fast path, whose
-	// results carry no footer events — verify against these marks.
+	// the entry verify against these marks.
 	members []memberMark
 }
 
@@ -164,11 +164,9 @@ func (c *gzipCodec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]
 		c.metas[i].members = members
 		c.mu.Unlock()
 	}
-	segs, err := res.Resolved(nil)
-	if err != nil {
-		return nil, err
-	}
-	return flattenRange(segs, 0, m.size), nil
+	// Single-stage output is all raw and becomes the span's content as
+	// it is; a same-block overshoot past the index size is cut off.
+	return res.Raw[:m.size:m.size], nil
 }
 
 // decodeMeta decodes one confirmed entry over a single bounded read of
@@ -190,10 +188,11 @@ func (c *gzipCodec) decodeMeta(m spanMeta, window []byte) (res *deflate.ChunkRes
 	if m.endIsEOF || byteEnd > fileSize {
 		byteEnd = fileSize
 	}
-	buf := make([]byte, byteEnd-byteStart)
-	if n, rerr := c.src.ReadAt(buf, byteStart); rerr != nil && n < len(buf) {
-		return nil, rerr
+	buf, release, err := filereader.Extent(c.src, byteStart, byteEnd)
+	if err != nil {
+		return nil, err
 	}
+	defer release()
 	relStart := m.startBit - uint64(byteStart)*8
 	relEnd := m.endBit - uint64(byteStart)*8
 
@@ -274,30 +273,40 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	}
 
 	// Record the unit, splitting oversized outputs into multiple index
-	// entries so decompressed chunk sizes stay comparable (§1.4).
+	// entries so decompressed chunk sizes stay comparable (§1.4). Every
+	// entry's window is resolved before any entry is recorded: a split
+	// point whose window does not resolve fails the unit as a whole.
 	unitStart := len(c.metas)
 	splits := c.splitPoints(res)
+	unit := make([]spanMeta, len(splits))
+	windows := make([][]byte, len(splits))
 	startBit := E
 	startDecomp := c.frontierDecomp
-	for _, sp := range splits {
-		m := spanMeta{
+	for i, sp := range splits {
+		unit[i] = spanMeta{
 			startBit:      startBit,
 			endBit:        sp.endBit,
 			startDecomp:   startDecomp,
 			size:          c.frontierDecomp + sp.endDecomp - startDecomp,
 			atMemberStart: unitStart == 0 && startBit == 0,
 		}
+		if windows[i], err = c.windowForLocked(unit[i], res, window); err != nil {
+			c.mu.Unlock()
+			return false, err
+		}
+		startBit = sp.endBit
+		startDecomp = c.frontierDecomp + sp.endDecomp
+	}
+	for i, m := range unit {
 		if err := c.index.Add(gzindex.SeekPoint{
 			CompressedBitOffset: m.startBit,
 			UncompressedOffset:  m.startDecomp,
 			AtMemberStart:       m.atMemberStart,
-		}, c.windowForLocked(m, res, window)); err != nil {
+		}, windows[i]); err != nil {
 			c.mu.Unlock()
 			return false, err
 		}
 		c.metas = append(c.metas, m)
-		startBit = sp.endBit
-		startDecomp = c.frontierDecomp + sp.endDecomp
 	}
 	c.metas[len(c.metas)-1].endIsEOF = res.EndIsEOF
 	c.recordMemberMarksLocked(unitStart, res)
@@ -337,31 +346,29 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 		c.index.Finalized = true
 		c.index.UncompressedSize = c.frontierDecomp
 	}
-	var markWindow []byte
-	if len(res.Marked) > 0 {
-		markWindow = window
-	}
 	c.mu.Unlock()
 
 	base := e.AppendSpans(spans...)
 	// Dispatch this unit's full marker replacement to the pool right
 	// away (paper Figure 4, step 5) — confirmation of the next unit
-	// does not wait for it, so replacements overlap. Every entry of the
-	// unit shares the one resolution.
-	shared := pool.Go(e.Pool(), func() ([][]byte, error) {
-		return res.Resolved(markWindow)
-	})
-	rel := uint64(0)
+	// does not wait for it, so replacements overlap. Each span is its
+	// own task, writing its share of the unit straight into a buffer of
+	// the span's exact size; whichever finishes last owns the unit's
+	// scratch and releases it (see the package doc).
+	pending := new(atomic.Int32)
+	pending.Store(int32(len(spans)))
+	next := uint64(0)
 	for j, s := range spans {
-		lo, hi := rel, rel+uint64(s.DecompSize)
+		lo := next
+		next += uint64(s.DecompSize)
 		e.Prime(base+j, func() ([]byte, error) {
-			segs, err := shared.Wait()
-			if err != nil {
-				return nil, err
+			data := make([]byte, s.DecompSize)
+			err := res.ResolveRange(data, lo, window)
+			if pending.Add(-1) == 0 {
+				res.Release()
 			}
-			return flattenRange(segs, lo, hi), nil
+			return data, err
 		})
-		rel = hi
 	}
 	if eof {
 		c.drainGuesses()
@@ -498,50 +505,78 @@ func (c *gzipCodec) drainGuesses() {
 	}
 }
 
+// guessSlack is how far past its cell a guess task reads: the decode
+// runs on to the first block header at or after the cell's end, so the
+// buffer has to hold the block straddling that boundary and the header
+// behind it. 64 KiB holds a stored block, the largest a compressor
+// emits without choosing to; a block that still runs off is decoded
+// again from the file.
+const guessSlack = 64 << 10
+
 // guessTask searches cell g for a block start and decodes from it with
-// markers (paper Figure 4, steps 4-5). It runs on a worker goroutine
-// and touches no mutable codec state.
+// markers (paper Figure 4, steps 4-5). The cell is read once: the
+// decoder works on the bytes the finder scanned. It runs on a worker
+// goroutine and touches no mutable codec state.
 func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 	cb := c.chunkBits()
-	B := g * cb
-	stop := B + cb
-	end := stop
-	if end > c.fileBits {
-		end = c.fileBits
-	}
-	// Search buffer: the cell plus margin so headers that spill past the
-	// boundary can still be validated.
-	bufStart := int64(B / 8)
-	bufEnd := int64((end+7)/8) + 512
-	if bufEnd > int64(c.fileBits/8) {
-		bufEnd = int64(c.fileBits / 8)
-	}
-	buf := make([]byte, bufEnd-bufStart)
-	if n, err := c.src.ReadAt(buf, bufStart); err != nil && n < len(buf) {
+	base := g * cb
+	stop := base + cb
+	end := min(stop, c.fileBits)
+	fileSize := int64(c.fileBits / 8)
+	bufEnd := min(int64((end+7)/8)+guessSlack, fileSize)
+	buf, release, err := filereader.Extent(c.src, int64(base/8), bufEnd)
+	if err != nil {
 		return nil, err
 	}
+	defer release()
 	finder := blockfinder.NewCombinedFinder()
-	br := bitio.NewBitReader(c.src, int64(c.fileBits/8))
 	var dec deflate.Decoder
-	searchFrom := B - uint64(bufStart)*8
-	for {
+	cfg := deflate.ChunkConfig{
+		TwoStage:        true,
+		MaxDecompressed: uint64(c.cfg.GuessedRatioLimit) * uint64(c.cfg.ChunkSize),
+		SizeHint:        2 * c.cfg.ChunkSize,
+	}
+	for searchFrom := uint64(0); ; {
 		c.cnt.finderProbes.Add(1)
 		cand, ok := finder.Next(buf, searchFrom)
-		abs := uint64(bufStart)*8 + cand
-		if !ok || abs >= end {
+		if !ok || base+cand >= end {
 			return nil, errNoBlock
 		}
-		res, err := dec.DecodeChunk(br, deflate.ChunkConfig{
-			Start:           abs,
-			Stop:            stop,
-			TwoStage:        true,
-			MaxDecompressed: uint64(c.cfg.GuessedRatioLimit) * uint64(c.cfg.ChunkSize),
-			SizeHint:        2 * c.cfg.ChunkSize,
-		})
+		// While decoding from buf, bit offsets are relative to it.
+		br := bitio.NewBitReaderBytes(buf)
+		cfg.Start, cfg.Stop = cand, stop-base
+		res, err := dec.DecodeChunk(br, cfg)
+		if bufEnd < fileSize && (err != nil && br.RemainingBits() < 64 || err == nil && res.EndIsEOF) {
+			// The decode ran off the slack: a failed read leaves less than
+			// one refill unread, and a footer at the end of buf looks like
+			// the end of the file. Decode this candidate from the file.
+			if err == nil {
+				res.Release()
+			}
+			cfg.Start, cfg.Stop = base+cand, stop
+			res, err = dec.DecodeChunk(bitio.NewBitReader(c.src, fileSize), cfg)
+		} else if err == nil {
+			rebase(res, base)
+		}
 		if err == nil {
 			return res, nil
 		}
 		searchFrom = cand + 1
+	}
+}
+
+// rebase moves every bit offset of a result decoded from a buffer that
+// starts at bit base of the file into file coordinates.
+func rebase(res *deflate.ChunkResult, base uint64) {
+	res.StartBit += base
+	res.EndBit += base
+	for i := range res.BlockStarts {
+		res.BlockStarts[i].Bit += base
+	}
+	for i := range res.Members {
+		if !res.Members[i].AtEOF {
+			res.Members[i].HeaderEndBit += base
+		}
 	}
 }
 
@@ -578,20 +613,22 @@ func (c *gzipCodec) splitPoints(res *deflate.ChunkResult) []splitPoint {
 // windowForLocked computes the stored window for an index entry of the
 // unit currently being confirmed. unitWindow is the frontier window at
 // the unit start. Caller holds c.mu.
-func (c *gzipCodec) windowForLocked(m spanMeta, res *deflate.ChunkResult, unitWindow []byte) []byte {
+func (c *gzipCodec) windowForLocked(m spanMeta, res *deflate.ChunkResult, unitWindow []byte) ([]byte, error) {
 	if m.atMemberStart {
-		return nil
+		return nil, nil
 	}
 	if m.startDecomp == c.frontierDecomp {
 		w := make([]byte, len(unitWindow))
 		copy(w, unitWindow)
-		return w
+		return w, nil
 	}
 	w, err := res.WindowAt(m.startDecomp-c.frontierDecomp, unitWindow)
 	if err != nil {
-		return nil
+		// A window-less seek point would only fail much later, as "no
+		// window for chunk" on random access or after an index export.
+		return nil, fmt.Errorf("core: window at split point %d: %w", m.startDecomp, err)
 	}
-	return w
+	return w, nil
 }
 
 // recordMemberMarksLocked distributes the footer events of a freshly
@@ -714,45 +751,4 @@ func (c *gzipCodec) crcStatus() (bool, uint64) {
 	c.crcMu.Lock()
 	defer c.crcMu.Unlock()
 	return !c.crcBroken, c.cnt.crcFailures.Load()
-}
-
-// flattenRange copies bytes [relStart, relEnd) of the segment list into
-// one contiguous slice. A single segment covering the range exactly is
-// returned without copying.
-func flattenRange(segs [][]byte, relStart, relEnd uint64) []byte {
-	if relEnd <= relStart {
-		return nil
-	}
-	pos := uint64(0)
-	for _, seg := range segs {
-		segEnd := pos + uint64(len(seg))
-		if pos == relStart && segEnd == relEnd {
-			return seg
-		}
-		if segEnd > relStart {
-			break
-		}
-		pos = segEnd
-	}
-	out := make([]byte, 0, relEnd-relStart)
-	pos = 0
-	for _, seg := range segs {
-		segEnd := pos + uint64(len(seg))
-		if segEnd > relStart && pos < relEnd {
-			lo := uint64(0)
-			if relStart > pos {
-				lo = relStart - pos
-			}
-			hi := uint64(len(seg))
-			if relEnd < segEnd {
-				hi = relEnd - pos
-			}
-			out = append(out, seg[lo:hi]...)
-		}
-		pos = segEnd
-		if pos >= relEnd {
-			break
-		}
-	}
-	return out
 }

@@ -157,3 +157,75 @@ func TestSequentialReadAfterRandomAccess(t *testing.T) {
 		t.Fatalf("sequential pass after random access: %v", err)
 	}
 }
+
+func TestGuessRunsOffItsSlack(t *testing.T) {
+	// Blocks of ~190 KiB compressed against 64 KiB cells: a guess that
+	// finds a block start decodes far past the slack read with its cell
+	// and has to go back to the file for the rest.
+	const chunk = 64 << 10
+	data := mkBase64(33, 1_500_000)
+	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 256 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := open(t, comp, Config{Parallelism: 3, ChunkSize: chunk, VerifyChecksums: true})
+	ranOff := 0
+	for g := uint64(1); g < uint64(len(comp))/chunk; g++ {
+		reads := r.f.file.Reads()
+		res, err := r.f.codec.guessTask(g)
+		if err != nil {
+			continue // most cells hold no block start
+		}
+		if res.StartBit < g*chunk*8 || res.StartBit >= (g+1)*chunk*8 || res.EndBit < (g+1)*chunk*8 {
+			t.Fatalf("cell %d: result spans bits [%d,%d)", g, res.StartBit, res.EndBit)
+		}
+		if res.EndBit/8 > (g+1)*chunk+guessSlack {
+			ranOff++
+			if r.f.file.Reads()-reads < 2 {
+				t.Fatalf("cell %d: decoded to byte %d from a buffer ending at byte %d", g, res.EndBit/8, (g+1)*chunk+guessSlack)
+			}
+		}
+	}
+	if ranOff == 0 {
+		t.Fatal("no guess ran off its slack")
+	}
+	// And the reader puts such results together to the right bytes.
+	if got := readAll(t, r); !bytes.Equal(got, data) {
+		t.Fatal("output differs from the plaintext")
+	}
+}
+
+func TestGuessMeetsMemberEndAtItsBufferEnd(t *testing.T) {
+	// A member whose footer ends exactly where the buffer of cell 2's
+	// guess ends: decoded from that buffer alone, the stream seems to end
+	// there. The member behind it must still be decoded.
+	const chunk = 8 << 10
+	const bufEnd = 3*chunk + guessSlack
+	c := newCraft()
+	c.stored(false, noisy(1, 8000-15))
+	c.stored(false, noisy(2, 8000-5))
+	c.stored(false, noisy(3, 8460-5)) // unit 1, ending late in cell 2
+	start := c.pos()
+	c.stored(false, noisy(4, 100)) // the only block start the finder meets in cell 2
+	c.stored(true, noisy(5, bufEnd-8-c.pos()-5))
+	c.footer()
+	if start < 2*chunk || start >= 3*chunk || c.pos() != bufEnd {
+		t.Fatalf("unit 2 starts at byte %d, the first member ends at byte %d (want %d)", start, c.pos(), bufEnd)
+	}
+	c.header()
+	c.stored(true, noisy(6, 3000))
+	stream := c.finish(t)
+
+	r := open(t, stream, Config{Parallelism: 2, ChunkSize: chunk})
+	res, err := r.f.codec.guessTask(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StartBit/8 != uint64(start) || !res.EndIsEOF || res.EndBit != uint64(len(stream))*8 || len(res.Members) != 2 {
+		t.Fatalf("guess for cell 2 spans bits [%d,%d) with %d member ends, EOF %v; want both members, from byte %d to byte %d",
+			res.StartBit, res.EndBit, len(res.Members), res.EndIsEOF, start, len(stream))
+	}
+	if got := readAll(t, r); !bytes.Equal(got, c.plain) {
+		t.Fatalf("read %d bytes, want the %d of both members", len(got), len(c.plain))
+	}
+}

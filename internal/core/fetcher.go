@@ -13,6 +13,20 @@
 // a requested key and ages out of the pool (§3: "Robustness against
 // false positives results from the cache acting as an intermediary with
 // the offset as key").
+//
+// Buffer ownership. A chunk result's Marked and Raw are scratch from
+// deflate's free lists, and a result has one owner at a time: the guess
+// task that decodes it, then the tentative pool it is parked in, then
+// the GrowNext call that takes it for the frontier. GrowNext reads it
+// serially (window propagation and split-point windows, which are
+// copies) and passes it to the unit's resolution tasks, one per span;
+// each writes its span into a buffer of its own, and the task that
+// finishes last calls Release — the only call there is. Whatever
+// outlives that point (span contents, index windows, the frontier
+// window) is therefore a copy, never a slice of the result. A result
+// that is never confirmed — evicted from the tentative pool, started at
+// a block the frontier never asks for, still parked at Close — is never
+// released either and falls to the collector.
 package core
 
 import (

@@ -59,7 +59,8 @@ type ChunkConfig struct {
 	// stop-eligible (a shard boundary can open with a final or Fixed
 	// block). The caller truncates the possible overshoot.
 	StopAtOutput uint64
-	// SizeHint pre-allocates output capacity.
+	// SizeHint is the expected output size in symbols; output buffers
+	// start at this capacity.
 	SizeHint int
 }
 
@@ -122,14 +123,13 @@ func (cr *ChunkResult) TotalOut() uint64 {
 
 // chunkState is the mutable decode state shared by the block loops.
 type chunkState struct {
-	out16      []uint16
-	out8       []byte
-	window     []byte
-	marked     bool
-	lastMarker int64 // index in out16 of the newest marker; -1 = virtual initial window
-	histStart  int64 // lowest valid history position (negative reaches into the window)
-	maxOut     int
-	scratch    []byte
+	out16     []uint16
+	out8      []byte
+	window    []byte
+	marked    bool
+	histStart int64 // lowest valid history position (negative reaches into the window)
+	maxOut    int
+	scratch   []byte
 }
 
 func (st *chunkState) total() uint64 {
@@ -138,8 +138,13 @@ func (st *chunkState) total() uint64 {
 
 // canFallback reports whether the last WindowSize outputs contain no
 // marker, enabling the switch to single-stage decoding (paper §3.3).
+// The virtual initial window is all markers, so at least WindowSize
+// symbols must exist. It runs once per block: while markers survive the
+// scan meets one early, and the one full 32 Ki scan that finds none ends
+// marked mode for good.
 func (st *chunkState) canFallback() bool {
-	return st.marked && int64(len(st.out16))-st.lastMarker > WindowSize
+	n := len(st.out16)
+	return st.marked && n >= WindowSize && !HasMarkers(st.out16[n-WindowSize:])
 }
 
 // DecodeChunk decodes Deflate data according to cfg, reading from br.
@@ -152,25 +157,46 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 	d.br = br
 	cr := &ChunkResult{StartBit: cfg.Start}
 	st := &chunkState{
-		marked:     cfg.TwoStage,
-		window:     cfg.Window,
-		lastMarker: -1,
-		maxOut:     math.MaxInt,
+		marked: cfg.TwoStage,
+		window: cfg.Window,
+		maxOut: math.MaxInt,
 	}
 	if cfg.MaxDecompressed > 0 && cfg.MaxDecompressed < math.MaxInt {
 		st.maxOut = int(cfg.MaxDecompressed)
 	}
 	if cfg.TwoStage {
+		// Marked output is never a caller's final buffer (it has to be
+		// resolved into bytes), and neither is the raw tail behind it:
+		// both are scratch, drawn from the free lists. Single-stage output
+		// is allocated at the size asked for, because indexed decodes keep
+		// it as the span's content.
 		st.histStart = -WindowSize
-		st.out16 = make([]uint16, 0, max(cfg.SizeHint, 64*1024))
+		st.out16 = scratch16.get(cfg.SizeHint)
 	} else {
 		st.histStart = -int64(len(cfg.Window))
 		st.out8 = make([]byte, 0, max(cfg.SizeHint, 64*1024))
 	}
+	err := d.decodeBlocks(cfg, cr, st)
+	cr.Marked, cr.Raw = st.out16, st.out8
+	if err != nil {
+		if cfg.TwoStage {
+			// Block-finder false positives end here; their scratch goes
+			// straight back.
+			cr.Release()
+		}
+		return nil, err
+	}
+	return cr, nil
+}
+
+// decodeBlocks runs the block loop of DecodeChunk until a stop condition
+// of cfg holds, filling cr's positions and events; the output stays in st.
+func (d *Decoder) decodeBlocks(cfg ChunkConfig, cr *ChunkResult, st *chunkState) error {
+	br := d.br
 	if cfg.StartsAtGzipHeader {
 		hdr, err := gzformat.ParseHeader(br)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		cr.FirstHeader = hdr
 	}
@@ -178,77 +204,71 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 	for {
 		if cfg.StopAtOutput > 0 && st.total() >= cfg.StopAtOutput {
 			cr.EndBit = br.BitPos()
-			d.finish(cr, st)
-			return cr, nil
+			return nil
 		}
 		if st.canFallback() {
 			st.marked = false
+			st.out8 = scratch8.get(cfg.SizeHint)
 		}
 		headerPos := br.BitPos()
 		final, typ, err := ParseBlockHeader(br)
 		if err != nil {
-			return nil, err
+			return err
 		}
 
 		switch typ {
 		case BlockStored:
 			length, lenPos, err := ParseStoredHeader(br)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			canonical := headerPos
 			if !final {
 				canonical = lenPos - 3
 				if !cfg.StopOnlyAtDynamic && canonical >= cfg.Stop {
 					cr.EndBit = canonical
-					d.finish(cr, st)
-					return cr, nil
+					return nil
 				}
 			}
 			cr.BlockStarts = append(cr.BlockStarts, BlockStart{canonical, st.total(), typ, final})
 			if err := d.copyStored(st, length); err != nil {
-				return nil, err
+				return err
 			}
 
 		case BlockFixed:
 			cr.BlockStarts = append(cr.BlockStarts, BlockStart{headerPos, st.total(), typ, final})
 			if err := d.initFixed(); err != nil {
-				return nil, err
+				return err
 			}
 			if err := d.decodeHuffBlock(st); err != nil {
-				return nil, err
+				return err
 			}
 
 		case BlockDynamic:
 			if !final && headerPos >= cfg.Stop {
 				cr.EndBit = headerPos
-				d.finish(cr, st)
-				return cr, nil
+				return nil
 			}
 			cr.BlockStarts = append(cr.BlockStarts, BlockStart{headerPos, st.total(), typ, final})
 			if r := d.ParseDynamicHeader(); r != RejectNone {
-				return nil, headerErrors[r]
+				return headerErrors[r]
 			}
 			if err := d.decodeHuffBlock(st); err != nil {
-				return nil, err
+				return err
 			}
 
 		default:
-			return nil, ErrCorrupt
+			return ErrCorrupt
 		}
 
-		if uint64(len(st.out16))+uint64(len(st.out8)) > uint64(st.maxOut) {
-			return nil, ErrOutputLimit
+		if st.total() > uint64(st.maxOut) {
+			return ErrOutputLimit
 		}
 
 		if final {
 			stop, err := d.memberEnd(cr, st, cfg.StopBeforeMember)
-			if err != nil {
-				return nil, err
-			}
-			if stop {
-				d.finish(cr, st)
-				return cr, nil
+			if err != nil || stop {
+				return err
 			}
 		}
 	}
@@ -295,11 +315,6 @@ func (d *Decoder) memberEnd(cr *ChunkResult, st *chunkState, stopBeforeMember ui
 	// The back-reference window does not cross member boundaries.
 	st.histStart = int64(st.total())
 	return false, nil
-}
-
-func (d *Decoder) finish(cr *ChunkResult, st *chunkState) {
-	cr.Marked = st.out16
-	cr.Raw = st.out8
 }
 
 // copyStored implements the Non-Compressed Block fast path (§3.3): the
@@ -362,11 +377,7 @@ const fastElementBits = 48
 func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 	br := d.br
 	out := st.out16
-	lastMarker := st.lastMarker
-	defer func() {
-		st.out16 = out
-		st.lastMarker = lastMarker
-	}()
+	defer func() { st.out16 = out }()
 
 	lt, ltShift := d.lit.Table(), d.lit.RootBits()
 	ltMask := uint64(1)<<ltShift - 1
@@ -384,7 +395,7 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 			br.Commit(pos, bits, nbits)
 			var done bool
 			var err error
-			out, lastMarker, done, err = d.markedSlowElement(st, out, lastMarker)
+			out, done, err = d.markedSlowElement(st, out)
 			if done || err != nil {
 				return err
 			}
@@ -457,7 +468,7 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 				nbits -= uint(x)
 			}
 			var err error
-			out, lastMarker, err = emitMarkedMatch(st, out, lastMarker, dist, length)
+			out, err = emitMarkedMatch(st, out, dist, length)
 			if err != nil {
 				br.Commit(pos, bits, nbits)
 				return err
@@ -468,68 +479,52 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 }
 
 // emitMarkedMatch bounds-checks and appends one back-reference in
-// marked mode, tracking the newest copied or generated marker.
-func emitMarkedMatch(st *chunkState, out []uint16, lastMarker int64, dist, length int) ([]uint16, int64, error) {
+// marked mode. The part of the match that reaches before the chunk
+// start comes out as consecutive markers into the virtual window; the
+// rest is an ordinary copy within out, markers included.
+func emitMarkedMatch(st *chunkState, out []uint16, dist, length int) ([]uint16, error) {
 	p := len(out)
 	if int64(p)-int64(dist) < st.histStart {
-		return out, lastMarker, ErrCorrupt
+		return out, ErrCorrupt
 	}
 	if p+length > st.maxOut {
-		return out, lastMarker, ErrOutputLimit
+		return out, ErrOutputLimit
 	}
-	if dist <= p {
-		src := p - dist
-		out = growU16(out, length)
-		dst := out[p : p+length]
-		// Forward element order keeps the self-overlapping (dist <
-		// length) case correct: later reads see earlier writes.
-		for i := range dst {
-			v := out[src+i]
-			if v >= MarkerBase {
-				lastMarker = int64(p + i)
-			}
-			dst[i] = v
+	if dist > p {
+		n := min(dist-p, length)
+		out = growU16(out, n)
+		m := uint16(MarkerBase + WindowSize - (dist - p))
+		for i := range out[p:] {
+			out[p+i] = m + uint16(i)
 		}
-		return out, lastMarker, nil
-	}
-	for k := 0; k < length; k++ {
-		pp := len(out)
-		if dist <= pp {
-			v := out[pp-dist]
-			if v >= MarkerBase {
-				lastMarker = int64(pp)
-			}
-			out = append(out, v)
-		} else {
-			off := WindowSize - (dist - pp)
-			lastMarker = int64(pp)
-			out = append(out, uint16(MarkerBase+off))
+		if length -= n; length == 0 {
+			return out, nil
 		}
 	}
-	return out, lastMarker, nil
+	return appendCopyWithin16(out, dist, length), nil
 }
 
 // markedSlowElement decodes one element through the checked BitReader
 // path; used near buffered-window edges and at end of input. It
 // reports done when the block's end-of-block symbol was consumed.
-func (d *Decoder) markedSlowElement(st *chunkState, out []uint16, lastMarker int64) ([]uint16, int64, bool, error) {
+func (d *Decoder) markedSlowElement(st *chunkState, out []uint16) ([]uint16, bool, error) {
 	br := d.br
 	sym, err := d.lit.Decode(br)
 	if err != nil {
-		return out, lastMarker, false, err
+		return out, false, err
 	}
 	if sym < 256 {
-		return append(out, sym), lastMarker, false, nil
+		return append(out, sym), false, nil
 	}
 	if sym == EndOfBlock {
-		return out, lastMarker, true, nil
+		return out, true, nil
 	}
 	dist, length, err := d.slowMatchTail(sym)
 	if err != nil {
-		return out, lastMarker, false, err
+		return out, false, err
 	}
-	out, lastMarker, err = emitMarkedMatch(st, out, lastMarker, dist, length)
-	return out, lastMarker, false, err
+	out, err = emitMarkedMatch(st, out, dist, length)
+	return out, false, err
 }
 
 // decodeHuffBlockRaw is the conventional single-stage decode loop used
@@ -767,36 +762,43 @@ func appendCopyWithin(out []byte, dist, length int) []byte {
 	return out
 }
 
+// appendCopyWithin16 is appendCopyWithin for marked output.
+func appendCopyWithin16(out []uint16, dist, length int) []uint16 {
+	p := len(out)
+	out = growU16(out, length)
+	dst := out[p : p+length]
+	src := p - dist
+	if dist >= length {
+		copy(dst, out[src:src+length])
+		return out
+	}
+	n := copy(dst, out[src:p])
+	for n < length {
+		n += copy(dst[n:], dst[:n])
+	}
+	return out
+}
+
+// growBytes and growU16 extend an output buffer by n elements. The
+// capacity check inlines into the copy loops; the rare regrowth is kept
+// out of line, and behind a non-generic name because a dictionary
+// argument alone would push the callers past the inlining budget.
 func growBytes(s []byte, n int) []byte {
-	need := len(s) + n
-	if need <= cap(s) {
+	if need := len(s) + n; need <= cap(s) {
 		return s[:need]
 	}
-	c := 2 * cap(s)
-	if c < need {
-		c = need
-	}
-	if c < 1024 {
-		c = 1024
-	}
-	ns := make([]byte, need, c)
-	copy(ns, s)
-	return ns
+	return regrowBytes(s, n)
 }
 
 func growU16(s []uint16, n int) []uint16 {
-	need := len(s) + n
-	if need <= cap(s) {
+	if need := len(s) + n; need <= cap(s) {
 		return s[:need]
 	}
-	c := 2 * cap(s)
-	if c < need {
-		c = need
-	}
-	if c < 1024 {
-		c = 1024
-	}
-	ns := make([]uint16, need, c)
-	copy(ns, s)
-	return ns
+	return regrowU16(s, n)
 }
+
+//go:noinline
+func regrowBytes(s []byte, n int) []byte { return scratch8.regrow(s, n) }
+
+//go:noinline
+func regrowU16(s []uint16, n int) []uint16 { return scratch16.regrow(s, n) }

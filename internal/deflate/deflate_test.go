@@ -308,41 +308,41 @@ func TestResolveMarkers(t *testing.T) {
 	}
 }
 
-func TestTailSymbolsAndWindowAt(t *testing.T) {
+func TestWindowAt(t *testing.T) {
 	cr := &ChunkResult{
 		Marked: []uint16{10, 11, MarkerBase + 5, 13},
 		Raw:    []byte{20, 21, 22},
 	}
-	tail := cr.TailSymbols(cr.TotalOut(), 5)
-	want := []uint16{MarkerBase + 5, 13, 20, 21, 22}
-	for i := range want {
-		if tail[i] != want[i] {
-			t.Fatalf("tail = %v want %v", tail, want)
-		}
-	}
-	tail = cr.TailSymbols(3, 2)
-	if tail[0] != 11 || tail[1] != MarkerBase+5 {
-		t.Fatalf("tail(3,2) = %v", tail)
-	}
-
 	window := make([]byte, WindowSize)
 	window[WindowSize-1] = 99
 	window[5] = 55
-	win, err := cr.WindowAt(cr.TotalOut(), window)
-	if err != nil {
-		t.Fatal(err)
+	// Every end: inside the marked part, on the seam, inside the raw part.
+	resolved := []byte{10, 11, 55, 13, 20, 21, 22}
+	for end := 0; end <= len(resolved); end++ {
+		win, err := cr.WindowAt(uint64(end), window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(win) != WindowSize {
+			t.Fatalf("end %d: window length %d", end, len(win))
+		}
+		// The tail is the resolved chunk output, what precedes it comes
+		// from the previous window.
+		if !bytes.Equal(win[WindowSize-end:], resolved[:end]) {
+			t.Fatalf("end %d: window tail = %v want %v", end, win[WindowSize-end:], resolved[:end])
+		}
+		if win[WindowSize-end-1] != 99 {
+			t.Fatalf("end %d: window prefix not taken from previous window", end)
+		}
 	}
-	if len(win) != WindowSize {
-		t.Fatalf("window length %d", len(win))
+	// A short previous window yields a short window, never padding.
+	win, err := cr.WindowAt(2, window[WindowSize-3:])
+	if err != nil || !bytes.Equal(win, []byte{0, 0, 99, 10, 11}) {
+		t.Fatalf("short window = %v, %v", win, err)
 	}
-	// Last 7 bytes: resolved chunk output.
-	wantTail := []byte{10, 11, 55, 13, 20, 21, 22}
-	if !bytes.Equal(win[WindowSize-7:], wantTail) {
-		t.Fatalf("window tail = %v want %v", win[WindowSize-7:], wantTail)
-	}
-	// Preceding bytes come from the previous window.
-	if win[WindowSize-8] != 99 {
-		t.Fatal("window prefix not taken from previous window")
+	// A marker the previous window does not cover fails the propagation.
+	if _, err := cr.WindowAt(3, window[WindowSize-3:]); err != ErrBadMarker {
+		t.Fatalf("marker before a short window: got %v", err)
 	}
 }
 

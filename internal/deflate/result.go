@@ -15,62 +15,50 @@ var ErrBadMarker = errors.New("deflate: marker outside window")
 // dst must have length len(src). A window shorter than 32 KiB (chunk
 // near the start of the stream) is aligned to the *end* of the virtual
 // 32 KiB window, matching how markers were assigned.
+//
+// The whole symbol space goes through one translation table — identity
+// for literals, the window behind them — so the loop has no branch on
+// whether a symbol is a marker and runs at the same rate at any marker
+// density (pugz resolves its chunks the same way).
 func ResolveMarkers(dst []byte, src []uint16, window []byte) error {
+	if len(window) > WindowSize {
+		window = window[len(window)-WindowSize:]
+	}
 	shift := WindowSize - len(window)
-	// Literal runs dominate (markers can only reference the first
-	// 32 KiB of the chunk), so resolve four symbols per iteration:
-	// MarkerBase is a power of two, making one OR-compare a "no marker
-	// among these four" test.
-	i := 0
-	for ; i+4 <= len(src) && i+4 <= len(dst); i += 4 {
-		v0, v1, v2, v3 := src[i], src[i+1], src[i+2], src[i+3]
-		if v0|v1|v2|v3 < MarkerBase {
-			dst[i] = byte(v0)
-			dst[i+1] = byte(v1)
-			dst[i+2] = byte(v2)
-			dst[i+3] = byte(v3)
-			continue
-		}
-		for k, v := range [4]uint16{v0, v1, v2, v3} {
-			if v < MarkerBase {
-				dst[i+k] = byte(v)
-				continue
-			}
-			idx := int(v-MarkerBase) - shift
-			if idx < 0 || idx >= len(window) {
+	if shift > 0 {
+		// Slots before a short window translate to nothing; a marker
+		// into them is an error, never a zero byte.
+		for _, v := range src {
+			if v-MarkerBase < uint16(shift) {
 				return ErrBadMarker
 			}
-			dst[i+k] = window[idx]
 		}
 	}
-	for ; i < len(src); i++ {
-		v := src[i]
-		if v < MarkerBase {
-			dst[i] = byte(v)
-			continue
-		}
-		idx := int(v-MarkerBase) - shift
-		if idx < 0 || idx >= len(window) {
+	var lut [MarkerBase + WindowSize]byte
+	for i := 0; i < MarkerBase; i++ {
+		lut[i] = byte(i)
+	}
+	copy(lut[MarkerBase+shift:], window)
+	dst = dst[:len(src)]
+	for i, v := range src {
+		if int(v) >= len(lut) {
 			return ErrBadMarker
 		}
-		dst[i] = window[idx]
+		dst[i] = lut[v]
 	}
 	return nil
 }
 
-// ResolveSymbols resolves a []uint16 tail in place against window,
-// producing bytes. Used for the cheap serial window propagation between
-// chunks (paper §2.2: only the last 32 KiB must be propagated serially).
-func ResolveSymbols(src []uint16, window []byte) ([]byte, error) {
-	dst := make([]byte, len(src))
-	if err := ResolveMarkers(dst, src, window); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // HasMarkers reports whether any symbol in src is a marker.
 func HasMarkers(src []uint16) bool {
+	// MarkerBase is a power of two, so OR-ing symbols preserves "one of
+	// them is a marker"; eight at a time keeps the marker-free scan, the
+	// one that runs to the end, at load speed.
+	for ; len(src) >= 8; src = src[8:] {
+		if src[0]|src[1]|src[2]|src[3]|src[4]|src[5]|src[6]|src[7] >= MarkerBase {
+			return true
+		}
+	}
 	for _, v := range src {
 		if v >= MarkerBase {
 			return true
@@ -79,38 +67,19 @@ func HasMarkers(src []uint16) bool {
 	return false
 }
 
-// TailSymbols returns the last n output symbols of the chunk ending at
-// decompressed offset end (end <= TotalOut). Raw bytes are widened to
-// uint16. It allocates at most n entries.
-func (cr *ChunkResult) TailSymbols(end uint64, n int) []uint16 {
-	if end > cr.TotalOut() {
-		end = cr.TotalOut()
-	}
-	if uint64(n) > end {
-		n = int(end)
-	}
-	out := make([]uint16, n)
-	pos := n
-	// Fill from the raw segment first (it is the later segment).
-	rawEnd := int64(end) - int64(len(cr.Marked))
-	if rawEnd > 0 {
-		take := int64(pos)
-		if take > rawEnd {
-			take = rawEnd
+// ResolveRange writes the chunk's output bytes [lo, lo+len(dst)) into
+// dst: the marked part through ResolveMarkers against window (only
+// needed when the range touches it), the raw part with one copy.
+func (cr *ChunkResult) ResolveRange(dst []byte, lo uint64, window []byte) error {
+	if m := uint64(len(cr.Marked)); lo < m {
+		n := min(uint64(len(dst)), m-lo)
+		if err := ResolveMarkers(dst[:n], cr.Marked[lo:lo+n], window); err != nil {
+			return err
 		}
-		for i := int64(0); i < take; i++ {
-			pos--
-			out[pos] = uint16(cr.Raw[rawEnd-1-i])
-		}
+		dst, lo = dst[n:], m
 	}
-	mEnd := int64(end)
-	if m := int64(len(cr.Marked)); mEnd > m {
-		mEnd = m
-	}
-	for i := int64(0); i < int64(pos); i++ {
-		out[int64(pos)-1-i] = cr.Marked[mEnd-1-i]
-	}
-	return out
+	copy(dst, cr.Raw[lo-uint64(len(cr.Marked)):])
+	return nil
 }
 
 // WindowAt computes the resolved 32 KiB window for the position end
@@ -118,23 +87,16 @@ func (cr *ChunkResult) TailSymbols(end uint64, n int) []uint16 {
 // It resolves at most 32 Ki symbols, so it is cheap enough to run
 // serially while full marker replacement happens in parallel.
 func (cr *ChunkResult) WindowAt(end uint64, prevWindow []byte) ([]byte, error) {
-	tail := cr.TailSymbols(end, WindowSize)
-	resolved, err := ResolveSymbols(tail, prevWindow)
-	if err != nil {
+	end = min(end, cr.TotalOut())
+	n := int(min(end, WindowSize))
+	// A chunk that produced fewer than 32 KiB up to end keeps the tail of
+	// the previous window in front.
+	keep := min(WindowSize-n, len(prevWindow))
+	win := make([]byte, keep+n)
+	copy(win, prevWindow[len(prevWindow)-keep:])
+	if err := cr.ResolveRange(win[keep:], end-uint64(n), prevWindow); err != nil {
 		return nil, err
 	}
-	if len(resolved) >= WindowSize {
-		return resolved, nil
-	}
-	// The chunk produced fewer than 32 KiB up to end; prepend from the
-	// previous window.
-	need := WindowSize - len(resolved)
-	if need > len(prevWindow) {
-		need = len(prevWindow)
-	}
-	win := make([]byte, 0, need+len(resolved))
-	win = append(win, prevWindow[len(prevWindow)-need:]...)
-	win = append(win, resolved...)
 	return win, nil
 }
 

@@ -101,6 +101,10 @@ type Future[T any] struct {
 	done chan struct{}
 	val  T
 	err  error
+	// start runs the task exactly once, on whichever goroutine gets to
+	// it first: a worker, or a caller of Join.
+	start sync.Once
+	run   func()
 }
 
 // Go submits fn to p at high priority and returns a Future.
@@ -115,10 +119,12 @@ func GoLow[T any](p *Pool, fn func() (T, error)) *Future[T] {
 
 func submitFuture[T any](p *Pool, fn func() (T, error), high bool) *Future[T] {
 	f := &Future[T]{done: make(chan struct{})}
-	p.submit(func() {
+	f.run = func() {
 		f.val, f.err = fn()
+		fn = nil // the future may outlive the task; what fn captured need not
 		close(f.done)
-	}, high)
+	}
+	p.submit(func() { f.start.Do(f.run) }, high)
 	return f
 }
 
@@ -133,6 +139,18 @@ func Resolved[T any](val T) *Future[T] {
 func (f *Future[T]) Wait() (T, error) {
 	<-f.done
 	return f.val, f.err
+}
+
+// Join is Wait for a caller that has nothing else to do: a task no
+// worker has started yet runs on the caller's goroutine instead of
+// waiting its turn behind tasks that are already running. Workers never
+// preempt, so without this a reader blocked on a queued high-priority
+// task idles for as long as the speculative tasks ahead of it take.
+func (f *Future[T]) Join() (T, error) {
+	if f.run != nil {
+		f.start.Do(f.run)
+	}
+	return f.Wait()
 }
 
 // Done returns a channel closed when the result is available, for use

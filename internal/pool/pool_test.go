@@ -103,3 +103,42 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Close()
 	p.Close() // must not panic
 }
+
+func TestJoinRunsQueuedTaskOnCaller(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	// The only worker is held, so the second task cannot start there.
+	started, release := make(chan struct{}), make(chan struct{})
+	blocker := GoLow(p, func() (int, error) { close(started); <-release; return 0, nil })
+	<-started
+	var runs atomic.Int64
+	f := Go(p, func() (int, error) { runs.Add(1); return 7, nil })
+	if v, err := f.Join(); v != 7 || err != nil {
+		t.Fatalf("Join = %d, %v", v, err)
+	}
+	close(release)
+	blocker.Wait()
+	// The worker finds the task done when it gets to it.
+	if v, _ := f.Wait(); v != 7 || runs.Load() != 1 {
+		t.Fatalf("task ran %d times", runs.Load())
+	}
+	if v, _ := Resolved(3).Join(); v != 3 {
+		t.Fatal("Join on a resolved future")
+	}
+}
+
+func TestJoinRacesWorkers(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	for i := 0; i < 200; i++ {
+		var runs atomic.Int64
+		f := Go(p, func() (int, error) { runs.Add(1); return i, nil })
+		done := make(chan int)
+		for j := 0; j < 2; j++ {
+			go func() { v, _ := f.Join(); done <- v }()
+		}
+		if a, b := <-done, <-done; a != i || b != i || runs.Load() != 1 {
+			t.Fatalf("task %d: joined %d and %d after %d runs", i, a, b, runs.Load())
+		}
+	}
+}

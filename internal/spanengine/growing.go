@@ -209,7 +209,7 @@ func (e *Engine) ensureCovered(off int64) error {
 			return err
 		}
 	}
-	for e.growReady() {
+	for e.growReady(off) {
 		if err := e.growStep(); err != nil {
 			return err
 		}
@@ -218,10 +218,16 @@ func (e *Engine) ensureCovered(off int64) error {
 }
 
 // growReady reports whether the next growth step would complete
-// without blocking (a tentative result is parked at the frontier key).
-func (e *Engine) growReady() bool {
+// without blocking (a tentative result is parked at the frontier key)
+// and a reader at off is within a quarter of the cache of the frontier.
+// Primed spans share the LRU with the spans the reader touches on its
+// way to them, so confirming further ahead pushes out the very spans
+// needed next; each then decodes a second time on the reader's
+// goroutine while the workers run further ahead still.
+func (e *Engine) growReady(off int64) bool {
 	e.mu.Lock()
-	pending := e.grower != nil && !e.complete && !e.closed
+	pending := e.grower != nil && !e.complete && !e.closed &&
+		len(e.spans)-e.findSpanLocked(off) <= e.cfg.CacheSize/4
 	e.mu.Unlock()
 	if !pending {
 		return false

@@ -402,9 +402,10 @@ func (e *Engine) SpanContent(i int) ([]byte, error) {
 	e.mu.Unlock()
 
 	if fut != nil {
-		// The span is already decoding on a worker; join it. The worker
-		// moves the result into the cache itself.
-		data, err := fut.Wait()
+		// The span is queued or decoding on a worker; join it (a queued
+		// decode runs right here). The task moves the result into the
+		// cache itself.
+		data, err := fut.Join()
 		if err == nil {
 			e.noteAccess(i, data)
 		}
