@@ -36,7 +36,9 @@ func main() {
 		member = os.Args[2]
 	}
 
-	r, err := rapidgzip.Open(path, rapidgzip.WithStrategy("multistream")) // random access pattern
+	// The default strategy fits: it prefetches for the sequential pass
+	// below and for nothing when the member reads jump around.
+	r, err := rapidgzip.Open(path)
 	if err != nil {
 		log.Fatal(err)
 	}

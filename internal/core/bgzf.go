@@ -20,8 +20,9 @@ import (
 // hundred bytes per member) rather than a file-wide reader, so the
 // sizing pass over a larger-than-RAM file touches only metadata bytes.
 //
-// Members are grouped into spans of about ChunkSize compressed bytes
-// so the per-task overhead stays comparable to the generic path.
+// Members are grouped into spans of about ChunkSize decompressed bytes,
+// the size the generic path cuts its spans to (splitPoints), so a BGZF
+// file of a given length is as many tasks as a gzip file of that length.
 func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 	fileSize := int64(c.fileBits / 8)
 
@@ -91,7 +92,7 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 			crc:    binary.LittleEndian.Uint32(footerRaw[:4]),
 		})
 		pos = memberEnd
-		if pos-groupStart >= int64(c.cfg.ChunkSize) || pos >= fileSize {
+		if decomp-groupDecomp >= uint64(c.cfg.ChunkSize) || pos >= fileSize {
 			if err := flush(pos, decomp, pos >= fileSize); err != nil {
 				return spanengine.ScanResult{}, err
 			}

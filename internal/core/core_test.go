@@ -186,7 +186,7 @@ func TestReadAtConcurrent(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 	r := open(t, comp, Config{
 		Parallelism: 4, ChunkSize: 32 << 10,
-		Strategy: prefetch.NewMultiStream(), AccessCacheSize: 8,
+		Strategy: prefetch.NewAdaptive(), AccessCacheSize: 8,
 	})
 	errs := make(chan error, 2)
 	for g := 0; g < 2; g++ {
@@ -350,6 +350,46 @@ func TestBGZFFastPath(t *testing.T) {
 	}
 }
 
+// TestBGZFSpansFollowOutputSize: the metadata scan groups members by
+// ChunkSize of output, as the generic path cuts its spans, not of
+// compressed input — text that compresses fourfold used to come out as
+// a quarter of the spans, too few to keep the workers busy. An index
+// holds whatever grouping it was exported with and imports regardless:
+// one exported at four times the chunk size stands in for one written
+// under the old rule.
+func TestBGZFSpansFollowOutputSize(t *testing.T) {
+	const chunk = 128 << 10
+	data := mkText(13, 5*chunk)
+	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BGZF: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(comp) > len(data)/2 {
+		t.Fatalf("corpus compresses to %d of %d bytes, too little to tell the two rules apart", len(comp), len(data))
+	}
+	r := open(t, comp, Config{Parallelism: 2, ChunkSize: chunk})
+	// Members hold 64 KiB, so a span ends within one member of the mark;
+	// the empty EOF member may add a span of its own.
+	if n := r.f.Chunks(); n < 4 || n > 6 {
+		t.Fatalf("%d bytes of output at ChunkSize %d scanned into %d spans, want about 5", len(data), chunk, n)
+	}
+	if got := readAll(t, r); !bytes.Equal(got, data) {
+		t.Fatal("decode mismatch")
+	}
+
+	old := exportIndex(t, comp, 4*chunk)
+	r = open(t, comp, Config{Parallelism: 2, ChunkSize: chunk, SkipMetadataScan: true})
+	if err := r.ImportIndex(bytes.NewReader(old)); err != nil {
+		t.Fatalf("importing an index with coarser spans: %v", err)
+	}
+	if n := r.f.Chunks(); n > 3 {
+		t.Fatalf("imported table has %d spans, want the exported two or three", n)
+	}
+	if got := readAll(t, r); !bytes.Equal(got, data) {
+		t.Fatal("decode through the imported index mismatch")
+	}
+}
+
 func TestSingleBlockFileDegradesGracefully(t *testing.T) {
 	// igzip -0 structure: one huge dynamic block; parallelization is
 	// impossible (§4.8) but decoding must stay correct.
@@ -473,9 +513,8 @@ func TestPrefetchStrategies(t *testing.T) {
 	data := mkText(18, 500_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 	for name, s := range map[string]prefetch.Strategy{
-		"fixed":       prefetch.NewFixed(),
-		"adaptive":    prefetch.NewAdaptive(),
-		"multistream": prefetch.NewMultiStream(),
+		"fixed":    prefetch.NewFixed(),
+		"adaptive": prefetch.NewAdaptive(),
 	} {
 		r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10, Strategy: s})
 		if got := readAll(t, r); !bytes.Equal(got, data) {

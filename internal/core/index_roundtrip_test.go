@@ -109,7 +109,7 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 
 	r := open(t, comp, Config{
 		Parallelism: 4, ChunkSize: 64 << 10,
-		Strategy: prefetch.NewMultiStream(), AccessCacheSize: 16,
+		Strategy: prefetch.NewAdaptive(), AccessCacheSize: 16,
 	})
 	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
 		t.Fatal(err)

@@ -118,13 +118,22 @@ func GoLow[T any](p *Pool, fn func() (T, error)) *Future[T] {
 }
 
 func submitFuture[T any](p *Pool, fn func() (T, error), high bool) *Future[T] {
+	f := Lazy(fn)
+	p.submit(func() { f.start.Do(f.run) }, high)
+	return f
+}
+
+// Lazy returns a Future for a task no worker will pick up: fn runs on
+// the first goroutine to call Join. It gives work a caller is about to
+// do itself the same result slot a submitted task has, so others who
+// want the result can Join it instead of repeating the work.
+func Lazy[T any](fn func() (T, error)) *Future[T] {
 	f := &Future[T]{done: make(chan struct{})}
 	f.run = func() {
 		f.val, f.err = fn()
 		fn = nil // the future may outlive the task; what fn captured need not
 		close(f.done)
 	}
-	p.submit(func() { f.start.Do(f.run) }, high)
 	return f
 }
 

@@ -142,3 +142,25 @@ func TestJoinRacesWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestLazyRunsOnceOnAJoiner: a Lazy task waits for a Join, runs on the
+// goroutine that joins first and hands every joiner the one result.
+func TestLazyRunsOnceOnAJoiner(t *testing.T) {
+	var runs atomic.Int64
+	f := Lazy(func() (int, error) { runs.Add(1); return 9, nil })
+	if f.Ready() || runs.Load() != 0 {
+		t.Fatal("a Lazy task ran before anyone joined it")
+	}
+	done := make(chan int)
+	for j := 0; j < 4; j++ {
+		go func() { v, _ := f.Join(); done <- v }()
+	}
+	for j := 0; j < 4; j++ {
+		if v := <-done; v != 9 {
+			t.Fatalf("joined %d", v)
+		}
+	}
+	if v, err := f.Wait(); v != 9 || err != nil || runs.Load() != 1 {
+		t.Fatalf("Wait = %d, %v after %d runs", v, err, runs.Load())
+	}
+}

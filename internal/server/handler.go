@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log"
 	"mime"
 	"net/http"
 	"os"
@@ -192,7 +193,17 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	}
 	written, err := io.Copy(w, io.NewSectionReader(h.a, off, n))
 	s.bytesServed.Add(uint64(written))
-	_ = err // headers are gone; a decode or client failure just truncates
+	// The status line is gone, so a failure can only cut the body short
+	// (the client sees fewer bytes than Content-Length). A client that
+	// went away is its own business; anything else is the archive's.
+	switch {
+	case err == nil:
+	case r.Context().Err() != nil:
+		s.bodyAborts.Add(1)
+	default:
+		s.bodyErrors.Add(1)
+		log.Printf("rgzserve: %s: body [%d,%d) cut short after %d bytes: %v", name, off, off+n, written, err)
+	}
 }
 
 // handleList serves GET /archives/: the servable names under root.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -515,4 +516,74 @@ func TestHeavyOpenClassification(t *testing.T) {
 	if m := s2.Metrics(); m.HeavyOpens != 0 {
 		t.Fatalf("indexed archive classified heavy: %+v", m)
 	}
+}
+
+// TestBodyErrorsCounted: once the status line is out, a decode failure
+// can only cut the body short, and it must not pass unseen. The source
+// is truncated after the archive was opened, so the spans behind the
+// cut can no longer be read; the pool is too small to have kept them.
+func TestBodyErrorsCounted(t *testing.T) {
+	dir := t.TempDir()
+	content := workloads.Base64(2_000_000, 61)
+	path := writeGzipFile(t, dir, "data.gz", content)
+	s, ts := newTestServer(t, Config{
+		Root: dir, PoolBudget: 128 << 10, WarmupWorkers: -1,
+		Options: []rapidgzip.Option{rapidgzip.WithChunkSize(64 << 10), rapidgzip.WithParallelism(1)},
+	})
+	url := ts.URL + "/archives/data.gz"
+
+	resp := get(t, url, map[string]string{"Range": "bytes=0-999"})
+	if got := body(t, resp); resp.StatusCode != http.StatusPartialContent || !bytes.Equal(got, content[:1000]) {
+		t.Fatalf("first range: status %d, %d bytes", resp.StatusCode, len(got))
+	}
+	if m := s.Metrics(); m.BodyErrors != 0 || m.BodyAborts != 0 {
+		t.Fatalf("a served body counted as failed: %+v", m)
+	}
+
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	resp = get(t, url, map[string]string{"Range": "bytes=1900000-1999999"})
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusPartialContent {
+		t.Fatalf("status %d, want the 206 committed before the decode", resp.StatusCode)
+	}
+	if err == nil || len(got) >= 100_000 {
+		t.Fatalf("read %d of 100000 bytes from a truncated source, err %v", len(got), err)
+	}
+	if m := s.Metrics(); m.BodyErrors != 1 || m.BodyAborts != 0 {
+		t.Fatalf("BodyErrors = %d, BodyAborts = %d, want 1 and 0", m.BodyErrors, m.BodyAborts)
+	}
+}
+
+// TestBodyAbortsCounted: a body cut short because the client is gone is
+// counted apart from the archive's own failures.
+func TestBodyAbortsCounted(t *testing.T) {
+	dir := t.TempDir()
+	content := workloads.Base64(300_000, 67)
+	writeGzipFile(t, dir, "data.gz", content)
+	s, _ := newTestServer(t, Config{Root: dir, WarmupWorkers: -1})
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/archives/data.gz", nil).WithContext(ctx)
+	s.handleArchive(&goneWriter{ResponseRecorder: httptest.NewRecorder(), gone: cancel}, req)
+	if m := s.Metrics(); m.BodyAborts != 1 || m.BodyErrors != 0 {
+		t.Fatalf("BodyAborts = %d, BodyErrors = %d, want 1 and 0", m.BodyAborts, m.BodyErrors)
+	}
+}
+
+// goneWriter is a client that disconnects at the first body byte: the
+// request context is canceled and the write fails, as net/http has it.
+type goneWriter struct {
+	*httptest.ResponseRecorder
+	gone context.CancelFunc
+}
+
+func (w *goneWriter) Write([]byte) (int, error) {
+	w.gone()
+	return 0, errors.New("write: broken pipe")
 }

@@ -99,7 +99,12 @@ type Metrics struct {
 	BytesServed uint64 `json:"bytes_served"`
 	// BodyDecodes counts responses that acquired a read slot and
 	// decoded body bytes; 304s and HEADs never move it.
-	BodyDecodes     uint64 `json:"body_decodes"`
+	BodyDecodes uint64 `json:"body_decodes"`
+	// BodyErrors counts bodies cut short after the status line by a
+	// decode or source-read failure (each is logged); BodyAborts those
+	// cut short because the client went away.
+	BodyErrors      uint64 `json:"body_errors"`
+	BodyAborts      uint64 `json:"body_aborts"`
 	HandleHits      uint64 `json:"handle_hits"`
 	HandleMisses    uint64 `json:"handle_misses"`
 	HandleEvictions uint64 `json:"handle_evictions"`
@@ -144,6 +149,8 @@ type Server struct {
 	notModified     atomic.Uint64
 	bytesServed     atomic.Uint64
 	bodyDecodes     atomic.Uint64
+	bodyErrors      atomic.Uint64
+	bodyAborts      atomic.Uint64
 	handleHits      atomic.Uint64
 	handleMisses    atomic.Uint64
 	handleEvictions atomic.Uint64
@@ -277,6 +284,8 @@ func (s *Server) Metrics() Metrics {
 		NotModified:     s.notModified.Load(),
 		BytesServed:     s.bytesServed.Load(),
 		BodyDecodes:     s.bodyDecodes.Load(),
+		BodyErrors:      s.bodyErrors.Load(),
+		BodyAborts:      s.bodyAborts.Load(),
 		HandleHits:      s.handleHits.Load(),
 		HandleMisses:    s.handleMisses.Load(),
 		HandleEvictions: s.handleEvictions.Load(),

@@ -112,10 +112,10 @@ func (e *Engine) AppendSpans(spans ...Span) int {
 func (e *Engine) Prime(i int, decode func() ([]byte, error)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed || e.cache.Contains(i) || e.inflight[i] != nil {
+	if _, flying := e.inflight[i]; flying || e.closed || e.cache.Contains(i) {
 		return
 	}
-	e.inflight[i] = pool.Go(e.pool, func() ([]byte, error) {
+	e.inflight[i] = flight{fut: pool.Go(e.pool, func() ([]byte, error) {
 		data, err := decode()
 		e.mu.Lock()
 		delete(e.inflight, i)
@@ -124,7 +124,7 @@ func (e *Engine) Prime(i int, decode func() ([]byte, error)) {
 		}
 		e.mu.Unlock()
 		return data, err
-	})
+	})}
 }
 
 // PutTentative parks a speculative decode result under its exact start
@@ -160,10 +160,12 @@ func (e *Engine) HasTentative(key uint64) bool {
 	return e.tent != nil && e.tent.Contains(key)
 }
 
-// growStep runs one serialised growth iteration: feed the strategy the
-// next span index and start speculation before the (possibly blocking)
-// frontier confirmation — paper §3.2, prefetching starts before the
-// blocking fetch.
+// growStep runs one serialised growth iteration: report to the strategy
+// the request for the frontier span — an access that began where the
+// previous step's did and crossed the spans it confirmed, which makes
+// the frontier a stream however many spans a unit yields — and start
+// speculation before the (possibly blocking) confirmation: paper §3.2,
+// prefetching starts before the blocking fetch.
 func (e *Engine) growStep() error {
 	e.growMu.Lock()
 	defer e.growMu.Unlock()
@@ -176,7 +178,8 @@ func (e *Engine) growStep() error {
 		e.mu.Unlock()
 		return nil
 	}
-	e.strategy.Access(uint64(len(e.spans)))
+	e.strategy.Access(uint64(e.grown), uint64(len(e.spans)))
+	e.grown = len(e.spans)
 	e.issuePrefetches()
 	e.mu.Unlock()
 	done, err := e.grower.GrowNext(e)

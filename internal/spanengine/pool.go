@@ -117,6 +117,7 @@ func (p *CachePool) evictOneLocked() bool {
 	if owner := p.views[k.view]; owner != nil {
 		delete(owner.keys, k.span)
 		owner.evictions++
+		ent.dropped(&owner.unused)
 	} else {
 		p.evictions++
 	}
@@ -133,6 +134,7 @@ type poolView struct {
 	// guarded by pool.mu:
 	keys                              map[int]struct{}
 	hits, misses, evictions, rejected uint64
+	unused                            uint64 // entries dropped with entry.unused set
 	closed                            bool
 }
 
@@ -148,6 +150,7 @@ func (v *poolView) Get(i int) (*entry, bool) {
 	if ok {
 		p.lru.Touch(k)
 		v.hits++
+		ent.unused = false
 	} else {
 		v.misses++
 	}
@@ -166,12 +169,14 @@ func (v *poolView) Put(i int, ent *entry) {
 		// Caching this span alone would break the budget invariant;
 		// serve it uncached instead (the caller already has the bytes).
 		v.rejected++
+		ent.dropped(&v.unused)
 		return
 	}
 	k := poolKey{view: v.id, span: i}
 	if old, ok := p.items[k]; ok {
 		p.used -= int64(len(old.data))
 		p.lru.Remove(k)
+		old.dropped(&v.unused)
 	}
 	for p.used+cost > p.budget {
 		if !p.evictOneLocked() {
@@ -198,11 +203,11 @@ func (v *poolView) Contains(i int) bool {
 	return ok
 }
 
-func (v *poolView) Stats() cache.Stats {
+func (v *poolView) Stats() storeStats {
 	p := v.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return cache.Stats{Hits: v.hits, Misses: v.misses, Evictions: v.evictions}
+	return storeStats{cache.Stats{Hits: v.hits, Misses: v.misses, Evictions: v.evictions}, v.unused}
 }
 
 // Close deregisters the view: its entries are dropped, their bytes
@@ -222,6 +227,7 @@ func (v *poolView) Close() {
 			p.used -= int64(len(ent.data))
 			delete(p.items, k)
 			p.lru.Remove(k)
+			ent.dropped(&v.unused)
 		}
 	}
 	v.keys = nil
@@ -235,22 +241,58 @@ func (v *poolView) Close() {
 // localStore is the classic per-engine span cache (capacity in spans,
 // private LRU) behind the same spanStore interface pool mode uses.
 type localStore struct {
-	c *cache.Cache[int, *entry]
+	c      *cache.Cache[int, *entry]
+	unused uint64 // entries dropped with entry.unused set
 }
 
-func (l *localStore) Get(i int) (*entry, bool) { return l.c.Get(i) }
-func (l *localStore) Put(i int, ent *entry)    { l.c.Put(i, ent) }
-func (l *localStore) Contains(i int) bool      { return l.c.Contains(i) }
-func (l *localStore) Stats() cache.Stats       { return l.c.Stats() }
-func (l *localStore) Close()                   {}
+func newLocalStore(capacity int) *localStore {
+	l := &localStore{c: cache.NewLRUCache[int, *entry](capacity)}
+	l.c.OnEvict = func(_ int, ent *entry) { ent.dropped(&l.unused) }
+	return l
+}
+
+func (l *localStore) Get(i int) (*entry, bool) {
+	ent, ok := l.c.Get(i)
+	if ok {
+		ent.unused = false
+	}
+	return ent, ok
+}
+
+func (l *localStore) Put(i int, ent *entry) {
+	if old, ok := l.c.Peek(i); ok {
+		old.dropped(&l.unused)
+	}
+	l.c.Put(i, ent)
+}
+
+func (l *localStore) Contains(i int) bool { return l.c.Contains(i) }
+func (l *localStore) Stats() storeStats   { return storeStats{l.c.Stats(), l.unused} }
+
+// Close counts what is left as dropped; the cache is not used again.
+func (l *localStore) Close() {
+	for _, i := range l.c.Keys() {
+		ent, _ := l.c.Peek(i)
+		ent.dropped(&l.unused)
+	}
+}
+
+// storeStats is what a spanStore reports: the cache counters, and how
+// many entries left it (evicted, overwritten, dropped at Close or
+// refused) that a prefetch had decoded and no reader had got.
+type storeStats struct {
+	cache.Stats
+	unused uint64
+}
 
 // spanStore is the engine's cache seam: either a private LRU
 // (localStore) or a view into a shared cross-engine CachePool.
-// Methods are called with the engine mutex held.
+// Methods are called with the engine mutex held. Get marks the entry it
+// returns as read (entry.unused).
 type spanStore interface {
 	Get(i int) (*entry, bool)
 	Put(i int, ent *entry)
 	Contains(i int) bool
-	Stats() cache.Stats
+	Stats() storeStats
 	Close()
 }

@@ -1,8 +1,8 @@
 // Package spanengine is the shared random-access core behind every
-// non-gzip backend: one engine owning the checkpoint table ("spans"),
-// the LRU span cache and the prefetcher, parameterised by a small
-// per-format Codec that only knows how to split a file into spans (the
-// sizing pass) and how to decode one span.
+// backend, gzip included: one engine owning the checkpoint table
+// ("spans"), the LRU span cache and the prefetcher, parameterised by a
+// small per-format Codec that only knows how to split a file into spans
+// (the sizing pass) and how to decode one span.
 //
 // This is the paper's cache-plus-prefetch chunk-fetcher architecture
 // (§3.2, Figure 5), serving two kinds of codecs. Formats whose metadata
@@ -151,6 +151,15 @@ type Stats struct {
 	// PrefetchJoined counts accesses that found their span already in
 	// flight and waited for the prefetch instead of decoding.
 	PrefetchJoined uint64
+	// DemandJoined counts accesses that found another reader's on-demand
+	// decode of their span in flight and waited for it instead of
+	// decoding the span a second time.
+	DemandJoined uint64
+	// PrefetchUnused counts spans a prefetch decoded that no reader ever
+	// got: evicted, overwritten or still cached at Close without having
+	// been returned once. PrefetchUnused over PrefetchIssued is the share
+	// of speculation that was wasted.
+	PrefetchUnused uint64
 	// CacheHits / CacheMisses / Evictions mirror the span cache.
 	CacheHits, CacheMisses, Evictions uint64
 	// SourceReads counts positional reads issued against the compressed
@@ -169,13 +178,38 @@ var ErrClosed = errors.New("spanengine: engine is closed")
 // entry is one cached decompressed span.
 type entry struct {
 	data []byte
+	// unused marks a span a prefetch decoded that no reader has got yet.
+	// The store owns the flag once the entry is in it: Get clears it,
+	// and an entry that leaves the store with it set is counted.
+	unused bool
+}
+
+// dropped accounts for an entry that leaves its store, or is refused
+// by it, in the store's count of unused ones.
+func (ent *entry) dropped(unused *uint64) {
+	if ent.unused {
+		*unused++
+	}
+}
+
+// flight is one span decode in progress, joinable by whoever wants the
+// span meanwhile.
+type flight struct {
+	fut *pool.Future[[]byte]
+	// demand marks a decode a reader asked for; the others (prefetches,
+	// primed resolutions) count against MaxPrefetch.
+	demand bool
+	// unused is entry.unused in the making: set for a prefetch until a
+	// reader joins it.
+	unused bool
 }
 
 // Engine serves concurrent random access over the decompressed stream
 // of one compressed source: ReadAt locates the spans covering a
-// request, serves them from the LRU cache when possible, and feeds the
-// prefetch strategy with every span access so upcoming spans decode on
-// the worker pool while the caller consumes the current one. The
+// request, serves them from the LRU cache when possible, and reports
+// the request to the prefetch strategy, so the spans a sequential
+// reader will want next decode on the worker pool while it consumes the
+// current one and a reader that jumps decodes what it asked for. The
 // source is positional — a file on disk works exactly like a resident
 // buffer, each decode preading only its own compressed extent.
 //
@@ -194,14 +228,18 @@ type Engine struct {
 	size     int64
 	complete bool
 	cache    spanStore
-	inflight map[int]*pool.Future[[]byte]
+	inflight map[int]flight
+	demand   int // flights in inflight that a reader asked for
 	strategy prefetch.Strategy
+	cands    []uint64 // the strategy's proposals, reused across calls
+	lastFed  int      // last span of the latest request fed to the strategy
 	pool     *pool.Pool
 	stats    Stats
 	closed   bool
 
 	// Growing-mode state (nil/unused for complete-table engines).
 	grower   Grower
+	grown    int // table length at the latest growth step; guarded by mu
 	observer AccessObserver
 	growMu   sync.Mutex // serialises GrowNext calls
 	tentMu   sync.Mutex
@@ -277,7 +315,7 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 	if cfg.Pool != nil {
 		store = cfg.Pool.register()
 	} else {
-		store = &localStore{c: cache.NewLRUCache[int, *entry](cfg.CacheSize)}
+		store = newLocalStore(cfg.CacheSize)
 	}
 	e := &Engine{
 		src:      src,
@@ -287,8 +325,9 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 		cfg:      cfg,
 		complete: true,
 		cache:    store,
-		inflight: map[int]*pool.Future[[]byte]{},
+		inflight: map[int]flight{},
 		strategy: cfg.Strategy,
+		lastFed:  -1,
 		pool:     pool.New(cfg.Threads),
 	}
 	if o, ok := codec.(AccessObserver); ok {
@@ -300,9 +339,9 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 	return e, nil
 }
 
-// Close shuts the prefetch worker pool down. In-flight decodes finish
-// (their results are discarded); subsequent accesses fail with
-// ErrClosed.
+// Close shuts the prefetch worker pool down. Decodes that are running
+// finish (their results are discarded), queued ones return without
+// decoding; subsequent accesses fail with ErrClosed.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -364,14 +403,32 @@ func (e *Engine) Stats() Stats {
 	s := e.stats
 	cs := e.cache.Stats()
 	s.CacheHits, s.CacheMisses, s.Evictions = cs.Hits, cs.Misses, cs.Evictions
+	s.PrefetchUnused += cs.unused
 	s.SourceReads = uint64(e.src.Reads())
 	s.SourceBytesRead = uint64(e.src.BytesRead())
 	return s
 }
 
-// SpanContent returns the decompressed content of span i, records the
-// access with the prefetch strategy, and issues follow-up prefetches.
-// The returned slice is shared with the cache and must not be modified.
+// want is one span of a request: its table entry and where its content
+// comes from.
+type want struct {
+	i    int
+	s    Span
+	data []byte               // set on a cache hit
+	fut  *pool.Future[[]byte] // else the decode to join
+}
+
+// content waits for the span's content.
+func (w *want) content() ([]byte, error) {
+	if w.fut != nil {
+		return w.fut.Join()
+	}
+	return w.data, nil
+}
+
+// SpanContent returns the decompressed content of span i. The call is
+// one request to the prefetch strategy. The returned slice is shared
+// with the cache and must not be modified.
 func (e *Engine) SpanContent(i int) ([]byte, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -383,53 +440,102 @@ func (e *Engine) SpanContent(i int) ([]byte, error) {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("spanengine: span %d out of range [0,%d)", i, n)
 	}
-	s := e.spans[i]
-	// Feed the strategy first so the prefetches issued below already
-	// reflect this access (paper §3.2: prefetching starts before the
-	// blocking fetch of the requested chunk).
-	e.strategy.Access(uint64(i))
-	if ent, ok := e.cache.Get(i); ok {
-		e.issuePrefetches()
-		e.mu.Unlock()
-		e.noteAccess(i, ent.data)
-		return ent.data, nil
-	}
-	fut := e.inflight[i]
-	if fut != nil {
-		e.stats.PrefetchJoined++
-	}
-	e.issuePrefetches()
+	ws := [1]want{{i: i, s: e.spans[i]}}
+	e.claimLocked(ws[:])
 	e.mu.Unlock()
+	data, err := ws[0].content()
+	if err == nil {
+		e.noteAccess(i, data)
+	}
+	return data, err
+}
 
-	if fut != nil {
-		// The span is queued or decoding on a worker; join it (a queued
-		// decode runs right here). The task moves the result into the
-		// cache itself.
-		data, err := fut.Join()
-		if err == nil {
-			e.noteAccess(i, data)
+// claimLocked settles where each span of one request comes from: the
+// cache, a decode already in flight (joined, whoever started it), or a
+// decode started here and registered in flight for others to join. The
+// first decode started is left to the caller, who runs it by joining
+// it; further ones go to the pool ahead of any speculation, so the
+// spans of a read that crosses a boundary decode side by side. The
+// request is then reported to the strategy as one access and the
+// prefetches that follow from it are issued — before the caller blocks
+// on its spans (paper §3.2). A read inside the span the previous
+// request ended in, served from the cache, tells the strategy nothing
+// it has not seen and skips it. Caller holds e.mu.
+func (e *Engine) claimLocked(ws []want) {
+	hit, mine := true, false
+	for k := range ws {
+		w := &ws[k]
+		if ent, ok := e.cache.Get(w.i); ok {
+			w.data = ent.data
+			continue
 		}
+		hit = false
+		fl, ok := e.inflight[w.i]
+		switch {
+		case !ok:
+			fl.demand = true
+			if task := e.decodeTask(w.i, w.s); mine {
+				fl.fut = pool.Go(e.pool, task)
+			} else {
+				fl.fut = pool.Lazy(task)
+			}
+			mine = true
+			e.demand++
+			e.inflight[w.i] = fl
+		case fl.demand:
+			e.stats.DemandJoined++
+		default:
+			e.stats.PrefetchJoined++
+			if fl.unused {
+				fl.unused = false
+				e.inflight[w.i] = fl
+			}
+		}
+		w.fut = fl.fut
+	}
+	first, last := ws[0].i, ws[len(ws)-1].i
+	if hit && len(ws) == 1 && last == e.lastFed {
+		return
+	}
+	e.lastFed = last
+	e.strategy.Access(uint64(first), uint64(last))
+	e.issuePrefetches()
+}
+
+// decodeTask returns the task behind the flight registered for span i:
+// decode, move the result into the cache, retire the flight. A task
+// that finds the engine closed does not decode: nobody is left to read
+// what Close found still queued.
+func (e *Engine) decodeTask(i int, s Span) func() ([]byte, error) {
+	return func() ([]byte, error) {
+		e.mu.Lock()
+		closed := e.closed
+		e.mu.Unlock()
+		var data []byte
+		err := ErrClosed
+		if !closed {
+			data, err = e.codec.DecodeSpan(e.src, s)
+			if err == nil && int64(len(data)) != s.DecompSize {
+				data, err = nil, fmt.Errorf("spanengine: span %d decoded %d bytes, table says %d", i, len(data), s.DecompSize)
+			}
+		}
+		e.mu.Lock()
+		fl := e.inflight[i]
+		delete(e.inflight, i)
+		if fl.demand {
+			e.demand--
+		}
+		if err == nil {
+			e.stats.SpanDecodes++
+			if !e.closed {
+				e.cache.Put(i, &entry{data: data, unused: fl.unused})
+			} else if fl.unused {
+				e.stats.PrefetchUnused++
+			}
+		}
+		e.mu.Unlock()
 		return data, err
 	}
-
-	// On-demand decode on the caller's goroutine (concurrent callers
-	// racing on the same span duplicate work, not results).
-	data, err := e.codec.DecodeSpan(e.src, s)
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) != s.DecompSize {
-		return nil, fmt.Errorf("spanengine: span %d decoded %d bytes, table says %d",
-			i, len(data), s.DecompSize)
-	}
-	e.mu.Lock()
-	e.stats.SpanDecodes++
-	if !e.closed {
-		e.cache.Put(i, &entry{data: data})
-	}
-	e.mu.Unlock()
-	e.noteAccess(i, data)
-	return data, nil
 }
 
 // noteAccess reports a span consumption to the codec's observer (if
@@ -442,15 +548,16 @@ func (e *Engine) noteAccess(i int, data []byte) {
 
 // issuePrefetches asks the strategy for span candidates and dispatches
 // decodes for the ones neither cached nor in flight, bounded by
-// MaxPrefetch. Caller holds e.mu.
+// MaxPrefetch (decodes a reader asked for do not count against it).
+// Caller holds e.mu.
 func (e *Engine) issuePrefetches() {
 	if e.closed {
 		return
 	}
-	cands := e.strategy.Prefetch(e.cfg.MaxPrefetch)
-	e.stats.PrefetchProposed += uint64(len(cands))
-	for _, cand := range cands {
-		if len(e.inflight) >= e.cfg.MaxPrefetch {
+	e.cands = e.strategy.Prefetch(e.cands[:0], e.cfg.MaxPrefetch)
+	e.stats.PrefetchProposed += uint64(len(e.cands))
+	for _, cand := range e.cands {
+		if len(e.inflight)-e.demand >= e.cfg.MaxPrefetch {
 			return
 		}
 		if cand >= uint64(len(e.spans)) {
@@ -463,27 +570,11 @@ func (e *Engine) issuePrefetches() {
 			continue
 		}
 		i := int(cand)
-		if e.cache.Contains(i) || e.inflight[i] != nil {
+		if _, flying := e.inflight[i]; flying || e.cache.Contains(i) {
 			continue
 		}
-		s := e.spans[i]
 		e.stats.PrefetchIssued++
-		e.inflight[i] = pool.GoLow(e.pool, func() ([]byte, error) {
-			data, err := e.codec.DecodeSpan(e.src, s)
-			if err == nil && int64(len(data)) != s.DecompSize {
-				err = fmt.Errorf("spanengine: span %d decoded %d bytes, table says %d", i, len(data), s.DecompSize)
-			}
-			e.mu.Lock()
-			delete(e.inflight, i)
-			if err == nil {
-				e.stats.SpanDecodes++
-				if !e.closed {
-					e.cache.Put(i, &entry{data: data})
-				}
-			}
-			e.mu.Unlock()
-			return data, err
-		})
+		e.inflight[i] = flight{fut: pool.GoLow(e.pool, e.decodeTask(i, e.spans[i])), unused: true}
 	}
 }
 
@@ -500,37 +591,70 @@ func (e *Engine) findSpanLocked(off int64) int {
 	return i
 }
 
-// ReadAt implements io.ReaderAt over the decompressed stream. On a
-// growing engine it extends the confirmed table as far as the request
-// needs; io.EOF is only reported once the table is complete.
+// claimRange resolves the spans covering [off, off+length) of the
+// decompressed stream, as far as the table reaches, and claims them as
+// one request. It takes at most one span per decoder — the caller and
+// each worker — so a read of any length holds no more decoded spans
+// than a prefetching reader does; ReadAt asks again for the rest.
+func (e *Engine) claimRange(ws []want, off, length int64) ([]want, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return nil, ErrClosed
+	}
+	i := e.findSpanLocked(off)
+	if off >= e.size || i < 0 || i >= len(e.spans) {
+		return nil, io.EOF
+	}
+	for end := off + length; i < len(e.spans) && e.spans[i].DecompOff < end && len(ws) <= e.cfg.Threads; i++ {
+		if s := e.spans[i]; s.DecompSize > 0 {
+			ws = append(ws, want{i: i, s: s})
+		}
+	}
+	e.claimLocked(ws)
+	return ws, nil
+}
+
+// ReadAt implements io.ReaderAt over the decompressed stream. The spans
+// a request covers are resolved once and the missing ones decode
+// concurrently (see claimLocked). On a growing engine it extends the
+// confirmed table as far as the request needs; io.EOF is only reported
+// once the table is complete.
 func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("spanengine: negative offset %d", off)
 	}
+	var buf [4]want // enough for most requests without allocating
 	n := 0
 	for n < len(p) {
-		if err := e.ensureCovered(off); err != nil {
-			return n, err
+		if e.grower != nil {
+			if err := e.ensureCovered(off); err != nil {
+				return n, err
+			}
 		}
-		e.mu.Lock()
-		i := e.findSpanLocked(off)
-		ok := off < e.size && i >= 0 && i < len(e.spans)
-		var s Span
-		if ok {
-			s = e.spans[i]
-		}
-		e.mu.Unlock()
-		if !ok {
-			return n, io.EOF
-		}
-		out, err := e.SpanContent(i)
+		ws, err := e.claimRange(buf[:0], off, int64(len(p)-n))
 		if err != nil {
 			return n, err
 		}
-		within := off - s.DecompOff
-		c := copy(p[n:], out[within:])
-		n += c
-		off += int64(c)
+		// Every decode is joined, even past a failure: the one left to
+		// this caller runs nowhere else.
+		var failed error
+		for k := range ws {
+			data, err := ws[k].content()
+			if failed == nil {
+				failed = err
+			}
+			if failed != nil {
+				continue
+			}
+			e.noteAccess(ws[k].i, data)
+			c := copy(p[n:], data[off-ws[k].s.DecompOff:])
+			n += c
+			off += int64(c)
+		}
+		if failed != nil {
+			return n, failed
+		}
 	}
 	return n, nil
 }

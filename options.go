@@ -36,24 +36,22 @@ type Options struct {
 	// cache. It only matters for concurrent random access; sequential
 	// decompression needs a single slot.
 	AccessCacheSize int
-	// Strategy selects the prefetch strategy: "adaptive" (default),
-	// "fixed", or "multistream" (for concurrent access at several
-	// offsets, e.g. serving a mounted TAR). Unknown names are rejected
-	// when the reader is constructed.
+	// Strategy selects the prefetch strategy: "adaptive" (default) or
+	// "fixed"; see WithStrategy. Unknown names are rejected when the
+	// reader is constructed.
 	Strategy string
 }
 
 // strategyFor maps a strategy name to a fresh prefetch.Strategy
 // instance (strategies are stateful, so every reader needs its own).
-// nil means "the backend's default" (adaptive).
+// nil means "the backend's default" (adaptive, which "multistream" has
+// become another name for).
 func strategyFor(name string) (prefetch.Strategy, error) {
 	switch name {
-	case "", "adaptive":
+	case "", "adaptive", "multistream":
 		return nil, nil
 	case "fixed":
 		return prefetch.NewFixed(), nil
-	case "multistream":
-		return prefetch.NewMultiStream(), nil
 	}
 	return nil, fmt.Errorf("rapidgzip: unknown prefetch strategy %q (want adaptive, fixed or multistream)", name)
 }
@@ -246,11 +244,22 @@ func WithInMemory() Option {
 	}
 }
 
-// WithStrategy selects the prefetch strategy by name: "adaptive" (the
-// default), "fixed", or "multistream". It applies to every format —
-// the gzip/BGZF chunk fetcher and the span engine behind bzip2/LZ4/
-// zstd consult the same strategy interface. Unknown names fail here,
-// at option time — not silently at some later decode.
+// WithStrategy selects the prefetch strategy by name, for every format
+// (they share one engine). "adaptive", the default, follows streams: a
+// stream is a run of reads in which each begins in the span where the
+// previous one ended or in the next, and every stream on the archive —
+// one sequential reader, or several interleaved at different offsets —
+// has its prefetch depth doubled with each span it advances, up to
+// MaxPrefetch shared among the streams that are advancing. A read
+// elsewhere is a jump and prefetches nothing, so a random access costs
+// the spans it covers and no more; a reader that goes on sequentially
+// from there is prefetched for again after two further spans. Only the
+// first read of an archive, when it is at offset 0, gets the full depth
+// at once: whole-file decompression starts fully parallel.
+// "multistream" is an older name for the same strategy. "fixed" always
+// proposes the MaxPrefetch spans after the last read, whatever the
+// pattern. Unknown names fail here, at option time — not silently at
+// some later decode.
 func WithStrategy(name string) Option {
 	return func(c *config) error {
 		probe := Options{Strategy: name}

@@ -95,6 +95,13 @@ type Stats struct {
 	// speculative span decodes actually dispatched; PrefetchJoined
 	// counts accesses that joined one instead of decoding.
 	PrefetchProposed, PrefetchIssued, PrefetchJoined uint64
+	// PrefetchUnused counts prefetched spans that left the cache
+	// (evicted, overwritten, or dropped at Close) without any reader
+	// having got them: against PrefetchIssued, the speculation wasted.
+	PrefetchUnused uint64
+	// DemandJoined counts accesses that joined another reader's
+	// on-demand decode of the same span instead of decoding it again.
+	DemandJoined uint64
 	// SpanCacheHits / SpanCacheMisses / SpanCacheEvictions mirror the
 	// engine's span cache.
 	SpanCacheHits, SpanCacheMisses, SpanCacheEvictions uint64
@@ -124,21 +131,28 @@ func coreStats(s core.FetcherStats) Stats {
 	}
 }
 
+// setEngine fills in the span-engine half of s.
+func (s *Stats) setEngine(e spanengine.Stats) {
+	s.SizingPasses = e.SizingPasses
+	s.SizingDecodes = e.SizingDecodes
+	s.SpanDecodes = e.SpanDecodes
+	s.PrefetchProposed = e.PrefetchProposed
+	s.PrefetchIssued = e.PrefetchIssued
+	s.PrefetchJoined = e.PrefetchJoined
+	s.PrefetchUnused = e.PrefetchUnused
+	s.DemandJoined = e.DemandJoined
+	s.SpanCacheHits = e.CacheHits
+	s.SpanCacheMisses = e.CacheMisses
+	s.SpanCacheEvictions = e.Evictions
+	s.SourceReads = e.SourceReads
+	s.SourceBytesRead = e.SourceBytesRead
+}
+
 // engineStats maps a span engine's counters into the public Stats.
-func engineStats(s spanengine.Stats) Stats {
-	return Stats{
-		SizingPasses:       s.SizingPasses,
-		SizingDecodes:      s.SizingDecodes,
-		SpanDecodes:        s.SpanDecodes,
-		PrefetchProposed:   s.PrefetchProposed,
-		PrefetchIssued:     s.PrefetchIssued,
-		PrefetchJoined:     s.PrefetchJoined,
-		SpanCacheHits:      s.CacheHits,
-		SpanCacheMisses:    s.CacheMisses,
-		SpanCacheEvictions: s.Evictions,
-		SourceReads:        s.SourceReads,
-		SourceBytesRead:    s.SourceBytesRead,
-	}
+func engineStats(e spanengine.Stats) Stats {
+	var s Stats
+	s.setEngine(e)
+	return s
 }
 
 // Reader decompresses a gzip (or BGZF) file in parallel. It implements
@@ -359,18 +373,7 @@ func (r *Reader) ImportIndex(rd io.Reader) error { return r.pr.ImportIndex(rd) }
 // source-read counters from the engine underneath it.
 func (r *Reader) Stats() Stats {
 	s := coreStats(r.pr.FetcherStats())
-	e := engineStats(r.pr.EngineStats())
-	s.SizingPasses = e.SizingPasses
-	s.SizingDecodes = e.SizingDecodes
-	s.SpanDecodes = e.SpanDecodes
-	s.PrefetchProposed = e.PrefetchProposed
-	s.PrefetchIssued = e.PrefetchIssued
-	s.PrefetchJoined = e.PrefetchJoined
-	s.SpanCacheHits = e.SpanCacheHits
-	s.SpanCacheMisses = e.SpanCacheMisses
-	s.SpanCacheEvictions = e.SpanCacheEvictions
-	s.SourceReads = e.SourceReads
-	s.SourceBytesRead = e.SourceBytesRead
+	s.setEngine(r.pr.EngineStats())
 	return s
 }
 
