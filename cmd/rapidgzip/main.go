@@ -202,12 +202,12 @@ func run() error {
 		// served file-backed) are meaningful for all of them; gzip/BGZF
 		// add a second line for their speculative chunk pipeline.
 		s := r.Stats()
-		fmt.Fprintf(os.Stderr, "decompressed %d bytes (%s); sizingPasses=%d sizingDecodes=%d spanDecodes=%d prefetchIssued=%d prefetchJoined=%d prefetchUnused=%d demandJoined=%d cacheHits=%d cacheMisses=%d evictions=%d preads=%d preadBytes=%d\n",
-			n, r.Format(), s.SizingPasses, s.SizingDecodes, s.SpanDecodes, s.PrefetchIssued, s.PrefetchJoined, s.PrefetchUnused, s.DemandJoined, s.SpanCacheHits, s.SpanCacheMisses, s.SpanCacheEvictions, s.SourceReads, s.SourceBytesRead)
+		fmt.Fprintf(os.Stderr, "decompressed %d bytes (%s); sizingPasses=%d sizingDecodes=%d spanDecodes=%d spanResumes=%d decodedBytes=%d prefetchIssued=%d prefetchJoined=%d prefetchUnused=%d demandJoined=%d cacheHits=%d cacheMisses=%d evictions=%d preads=%d preadBytes=%d\n",
+			n, r.Format(), s.SizingPasses, s.SizingDecodes, s.SpanDecodes, s.SpanResumes, s.DecodedBytes, s.PrefetchIssued, s.PrefetchJoined, s.PrefetchUnused, s.DemandJoined, s.SpanCacheHits, s.SpanCacheMisses, s.SpanCacheEvictions, s.SourceReads, s.SourceBytesRead)
 		switch r.Format() {
 		case rapidgzip.FormatGzip, rapidgzip.FormatBGZF:
-			fmt.Fprintf(os.Stderr, "gzip pipeline: chunks=%d speculative=%d finderProbes=%d noBlock=%d falseStarts=%d onDemand=%d indexed=%d delegated=%d\n",
-				s.ChunksConsumed, s.GuessTasks, s.FinderProbes, s.GuessNoBlock, s.GuessFalseStarts, s.OnDemandDecodes, s.IndexedDecodes, s.DelegatedDecodes)
+			fmt.Fprintf(os.Stderr, "gzip pipeline: chunks=%d speculative=%d finderProbes=%d noBlock=%d falseStarts=%d onDemand=%d indexed=%d\n",
+				s.ChunksConsumed, s.GuessTasks, s.FinderProbes, s.GuessNoBlock, s.GuessFalseStarts, s.OnDemandDecodes, s.IndexedDecodes)
 		}
 	}
 	return nil

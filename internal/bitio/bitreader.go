@@ -53,7 +53,14 @@ type BitReader struct {
 // therefore never mutates shared state in src, so many BitReaders may
 // share one src concurrently.
 func NewBitReader(src io.ReaderAt, size int64) *BitReader {
-	return &BitReader{src: src, size: size, buf: make([]byte, 0, defaultBufSize)}
+	return NewBitReaderSize(src, size, defaultBufSize)
+}
+
+// NewBitReaderSize is NewBitReader with a refill window of the caller's
+// choosing, for readers that stop long before size and should not have
+// read far past where they stopped.
+func NewBitReaderSize(src io.ReaderAt, size int64, window int) *BitReader {
+	return &BitReader{src: src, size: size, buf: make([]byte, 0, window)}
 }
 
 // NewBitReaderBytes returns a BitReader over data without copying it.
@@ -90,10 +97,7 @@ func (r *BitReader) refillBuf() bool {
 	if next >= r.size {
 		return false
 	}
-	n := r.size - next
-	if n > defaultBufSize {
-		n = defaultBufSize
-	}
+	n := min(r.size-next, int64(cap(r.buf)))
 	r.buf = r.buf[:n]
 	read, err := r.src.ReadAt(r.buf, next)
 	if read == 0 && err != nil {

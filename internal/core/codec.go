@@ -122,37 +122,73 @@ func (c *gzipCodec) Scan(src filereader.FileReader) (spanengine.ScanResult, erro
 	return spanengine.ScanResult{}, errors.New("core: gzip has no metadata sizing pass (growing mode only)")
 }
 
-// DecodeSpan decodes one confirmed span with its stored window — the
-// fast path used for prefetches and random access once the entry exists
-// (§3.3, §4.4: "the output buffer can be allocated beforehand ...
-// marker replacement can be skipped"). The compressed bytes are read
-// once, bounded to the span's extent, so source traffic stays
-// proportional to what is actually decoded.
+// DecodeSpan decodes one confirmed span whole. The engine asks through
+// DecodeSpanPrefix, which this is the whole-span case of.
 func (c *gzipCodec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
+	data, _, err := c.DecodeSpanPrefix(src, s, nil, s.DecompSize)
+	return data, err
+}
+
+// prefixWindow is how much of the file a decode that stops short of its
+// span reads at a time, and so how far past its stopping point it may
+// have read. What a 64 KiB request needs of a span compresses to one or
+// a few of these; a whole extent is five to forty.
+const prefixWindow = 32 << 10
+
+// DecodeSpanPrefix decodes one confirmed span with its stored window —
+// the fast path used for prefetches and random access once the entry
+// exists (§3.3, §4.4: "the output buffer can be allocated beforehand ...
+// marker replacement can be skipped") — as far as upTo, or continues the
+// decode that stopped short of that: parked is its *deflate.Decoder,
+// which is the state (see Decoder.Resume), positioned in a reader over
+// the file that has read as far as the decode went. It runs the custom
+// single-stage decoder: the paper delegates indexed decodes to zlib
+// (§3.3) because its marker decoder lost to zlib's inner loops, but the
+// wide-refill kernels outrun compress/flate, handle every chunk shape —
+// member boundaries included — and stop at any element, which is what
+// lets a seek cost the bytes it asked for. A whole span from its seek
+// point reads its compressed extent in one bounded read; a prefix reads
+// as far as it decodes, a window at a time. Whatever needs the whole
+// result — the IndexedDecodes count, member marks for a legacy index —
+// happens when the span completes. Safe for concurrent calls on
+// different spans.
+func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Span, parked any, upTo int64) ([]byte, any, error) {
 	c.mu.Lock()
 	i, ok := c.byOff[s.CompOff]
 	if !ok || int64(c.metas[i].startDecomp) != s.DecompOff {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("core: no chunk metadata for span at byte %d", s.CompOff)
+		return nil, nil, fmt.Errorf("core: no chunk metadata for span at byte %d", s.CompOff)
 	}
 	m := c.metas[i]
-	window, hasWin := c.index.Window(m.startBit)
 	marksKnown := c.marksKnown
 	c.mu.Unlock()
 
-	if !hasWin && !m.atMemberStart {
-		return nil, fmt.Errorf("core: no window for chunk at bit %d", m.startBit)
+	var res *deflate.ChunkResult
+	var err error
+	dec, _ := parked.(*deflate.Decoder)
+	if dec != nil {
+		res, err = dec.Resume(uint64(upTo))
+	} else {
+		dec = new(deflate.Decoder)
+		res, err = c.startSpan(dec, m, upTo)
 	}
-	res, err := c.decodeMeta(m, window)
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d: %w", m.startBit, err)
 	}
+	if n := res.TotalOut(); n < uint64(upTo) || n > m.size {
+		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d decoded %d bytes, index says %d",
+			m.startBit, n, m.size)
+	}
+	if res.TotalOut() < m.size {
+		return res.Raw, dec, nil
+	}
+
 	c.cnt.indexed.Add(1)
 	if !marksKnown {
 		// Legacy index import (no persisted member marks): learn the
 		// marks from the decode result's own footer events so the CRC
 		// chain can verify this span. Assignment (not append) keeps a
-		// racing duplicate decode idempotent.
+		// repeated decode idempotent.
 		var members []memberMark
 		for j := range res.Members {
 			members = append(members, memberMark{
@@ -165,19 +201,28 @@ func (c *gzipCodec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]
 		c.mu.Unlock()
 	}
 	// Single-stage output is all raw and becomes the span's content as
-	// it is; a same-block overshoot past the index size is cut off.
-	return res.Raw[:m.size:m.size], nil
+	// it is: the decode stopped at exactly the index size.
+	return res.Raw, nil, nil
 }
 
-// decodeMeta decodes one confirmed entry over a single bounded read of
-// its compressed extent, using the custom single-stage decoder. The
-// paper delegates indexed decodes to zlib (§3.3) because its marker
-// decoder lost to zlib's inner loops; with the wide-refill kernels the
-// single-stage decoder outruns compress/flate delegation (see
-// BenchmarkChunkDecode* in internal/deflate), and it handles every
-// chunk shape — member boundaries included — so no fallback chain is
-// needed. Safe for concurrent calls: it touches no mutable codec state.
-func (c *gzipCodec) decodeMeta(m spanMeta, window []byte) (res *deflate.ChunkResult, err error) {
+// startSpan begins the decode of one confirmed entry at its seek point,
+// bounded by upTo bytes of output.
+func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*deflate.ChunkResult, error) {
+	c.mu.Lock()
+	win, hasWin := c.index.Window(m.startBit)
+	c.mu.Unlock()
+	if !hasWin && !m.atMemberStart {
+		return nil, errors.New("no window for chunk")
+	}
+	var window []byte
+	if hasWin {
+		// An imported window is inflated here, the first time its span is
+		// decoded, outside the codec's lock, and stays inflated.
+		var err error
+		if window, err = win.Bytes(); err != nil {
+			return nil, err
+		}
+	}
 	fileSize := int64(c.fileBits / 8)
 	byteStart := int64(m.startBit / 8)
 	// The decoder reads the next block's header fields before checking
@@ -188,22 +233,26 @@ func (c *gzipCodec) decodeMeta(m spanMeta, window []byte) (res *deflate.ChunkRes
 	if m.endIsEOF || byteEnd > fileSize {
 		byteEnd = fileSize
 	}
-	buf, release, err := filereader.Extent(c.src, byteStart, byteEnd)
-	if err != nil {
-		return nil, err
+	// Bit offsets are relative to what the reader is over: the extent's
+	// buffer for a whole span, the file for a prefix.
+	var br *bitio.BitReader
+	base := uint64(0)
+	if uint64(upTo) == m.size {
+		buf, release, err := filereader.Extent(c.src, byteStart, byteEnd)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		br, base = bitio.NewBitReaderBytes(buf), uint64(byteStart)*8
+	} else {
+		br = bitio.NewBitReaderSize(c.src, byteEnd, prefixWindow)
 	}
-	defer release()
-	relStart := m.startBit - uint64(byteStart)*8
-	relEnd := m.endBit - uint64(byteStart)*8
-
-	br := bitio.NewBitReaderBytes(buf)
-	var dec deflate.Decoder
-	stop := relEnd
+	stop := m.endBit - base
 	if m.endIsEOF {
 		stop = deflate.StopAtEOF
 	}
-	out, err := dec.DecodeChunk(br, deflate.ChunkConfig{
-		Start:              relStart,
+	return dec.DecodeChunk(br, deflate.ChunkConfig{
+		Start:              m.startBit - base,
 		Stop:               stop,
 		StopBeforeMember:   stop,
 		Window:             window,
@@ -211,18 +260,9 @@ func (c *gzipCodec) decodeMeta(m spanMeta, window []byte) (res *deflate.ChunkRes
 		SizeHint:           int(m.size),
 		// The block at the entry's end bit need not be stop-eligible
 		// (sharded writers can open the next shard with a final or
-		// Fixed block); the index size bounds the decode instead, and
-		// the caller trims any same-block overshoot with flattenRange.
-		StopAtOutput: m.size,
+		// Fixed block); the index size bounds the decode instead.
+		StopAtOutput: uint64(upTo),
 	})
-	if err != nil {
-		return nil, fmt.Errorf("core: indexed chunk at bit %d: %w", m.startBit, err)
-	}
-	if out.TotalOut() < m.size {
-		return nil, fmt.Errorf("core: indexed chunk at bit %d decoded %d bytes, index says %d",
-			m.startBit, out.TotalOut(), m.size)
-	}
-	return out, nil
 }
 
 // --- growing mode --------------------------------------------------------

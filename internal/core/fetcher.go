@@ -123,7 +123,6 @@ type counters struct {
 	finderProbes     atomic.Uint64
 	onDemand         atomic.Uint64
 	indexed          atomic.Uint64
-	delegated        atomic.Uint64
 	consumed         atomic.Uint64
 	crcFailures      atomic.Uint64
 }
@@ -139,14 +138,8 @@ type FetcherStats struct {
 	FinderProbes    uint64
 	OnDemandDecodes uint64
 	IndexedDecodes  uint64
-	// DelegatedDecodes counts indexed chunk decodes served by stdlib
-	// delegation (§3.3 "delegate decompression to zlib"). The indexed
-	// path now always runs the custom single-stage decoder — its
-	// wide-refill kernels outrun compress/flate — so this stays zero;
-	// the field remains for dashboard compatibility.
-	DelegatedDecodes uint64
-	ChunksConsumed   uint64
-	CRCFailures      uint64
+	ChunksConsumed  uint64
+	CRCFailures     uint64
 }
 
 // Fetcher is the GzipChunkFetcher: a span engine driven by the gzip
@@ -259,7 +252,6 @@ func (f *Fetcher) StatsSnapshot() FetcherStats {
 		FinderProbes:     f.cnt.finderProbes.Load(),
 		OnDemandDecodes:  f.cnt.onDemand.Load(),
 		IndexedDecodes:   f.cnt.indexed.Load(),
-		DelegatedDecodes: f.cnt.delegated.Load(),
 		ChunksConsumed:   f.cnt.consumed.Load(),
 		CRCFailures:      f.cnt.crcFailures.Load(),
 	}

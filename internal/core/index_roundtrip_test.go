@@ -183,8 +183,7 @@ func TestImportRejectsCorruptIndex(t *testing.T) {
 
 // TestSequentialAfterImportVerifiesMemberCRCs: the exported index
 // persists the member marks, so an import restores the full member-CRC
-// verification chain even though delegated chunk decodes carry no
-// footer events of their own.
+// verification chain.
 func TestSequentialAfterImportVerifiesMemberCRCs(t *testing.T) {
 	data := mkText(48, 800_000)
 	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10, MemberSize: 200 << 10})

@@ -4,8 +4,8 @@ package deflate_test
 // decompression delegated to zlib "is more than twice as fast as the
 // two-stage decompression": the same chunk of a real gzip file is
 // decoded (a) two-stage with markers, (b) single-stage with the known
-// window on the custom decoder, (c) delegated to stdlib flate via
-// Realign.
+// window on the custom decoder. (Delegation itself is gone: the custom
+// single-stage loop outran compress/flate, which cannot pause or resume.)
 
 import (
 	"testing"
@@ -74,21 +74,6 @@ func BenchmarkChunkDecodeSingleStage(b *testing.B) {
 		}
 		if cr.TotalOut() != uint64(size) {
 			b.Fatalf("decoded %d, want %d", cr.TotalOut(), size)
-		}
-	}
-}
-
-func BenchmarkChunkDecodeDelegated(b *testing.B) {
-	comp, start, end, window, size := chunkFixture(b)
-	b.SetBytes(int64(size))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := deflate.DelegateWindow(comp, start.Bit, end.Bit, window, size)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) != size {
-			b.Fatal("size mismatch")
 		}
 	}
 }

@@ -52,12 +52,18 @@ type ChunkConfig struct {
 	// MaxDecompressed aborts the decode when the output exceeds this
 	// many symbols (0 = no limit).
 	MaxDecompressed uint64
-	// StopAtOutput, when nonzero, ends the chunk cleanly at the first
-	// block boundary where at least this many symbols have been
-	// produced. Indexed decodes use it: the index records the chunk's
-	// exact size, and the block at its end bit need not be
-	// stop-eligible (a shard boundary can open with a final or Fixed
-	// block). The caller truncates the possible overshoot.
+	// StopAtOutput, when nonzero, is the one stop rule on output: the
+	// decode returns, with ChunkResult.Paused set, once at least this many
+	// symbols exist. Single-stage decodes check it after every element —
+	// a literal, a match, a byte of a stored block — so they stop inside
+	// a block too, at most MaxMatchLen-1 symbols late; an end-of-block
+	// symbol right behind the limit is consumed with it, so a limit on a
+	// block's last byte ends at the block boundary, past the footer of a
+	// member that ends there. Two-stage decodes check it between blocks
+	// only. Resume continues a paused decode. Indexed decodes bound
+	// themselves this way: the index records the chunk's exact size, and
+	// the block at its end bit need not be stop-eligible (a shard boundary
+	// can open with a final or Fixed block).
 	StopAtOutput uint64
 	// SizeHint is the expected output size in symbols; output buffers
 	// start at this capacity.
@@ -104,6 +110,11 @@ type ChunkResult struct {
 	// TrailingData is set when bytes that are not a gzip member follow
 	// the final footer.
 	TrailingData bool
+	// Paused is set when the decode stopped on StopAtOutput rather than
+	// on a stop condition of the stream. EndBit is then the position of
+	// the next element, in the middle of a block or at a block header,
+	// and Decoder.Resume continues from it.
+	Paused bool
 
 	Marked []uint16
 	Raw    []byte
@@ -129,7 +140,10 @@ type chunkState struct {
 	marked    bool
 	histStart int64 // lowest valid history position (negative reaches into the window)
 	maxOut    int
-	scratch   []byte
+	// limit is StopAtOutput for the single-stage loops, which pause once
+	// len(out8) reaches it; math.MaxInt when there is none to check.
+	limit   int
+	scratch []byte
 }
 
 func (st *chunkState) total() uint64 {
@@ -149,18 +163,32 @@ func (st *chunkState) canFallback() bool {
 
 // DecodeChunk decodes Deflate data according to cfg, reading from br.
 // It is the single entry point used by sequential decompression, by
-// speculative (two-stage) chunk workers and by index-based decoding.
+// speculative (two-stage) chunk workers and by index-based decoding. A
+// result that comes back Paused is continued with Resume; until then the
+// Decoder is the parked state — the reader and its position, the open
+// block's Huffman tables and flags, the output so far and the window it
+// started from.
 func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResult, error) {
 	if err := br.SeekBits(cfg.Start); err != nil {
 		return nil, err
 	}
-	d.br = br
-	cr := &ChunkResult{StartBit: cfg.Start}
-	st := &chunkState{
+	d.br, d.cfg, d.open = br, cfg, false
+	d.pausable = !cfg.TwoStage && cfg.StopAtOutput > 0
+	d.cr = &ChunkResult{StartBit: cfg.Start}
+	if cfg.StartsAtGzipHeader {
+		hdr, err := gzformat.ParseHeader(br)
+		if err != nil {
+			d.cr = nil
+			return nil, err
+		}
+		d.cr.FirstHeader = hdr
+	}
+	d.st = chunkState{
 		marked: cfg.TwoStage,
 		window: cfg.Window,
 		maxOut: math.MaxInt,
 	}
+	st := &d.st
 	if cfg.MaxDecompressed > 0 && cfg.MaxDecompressed < math.MaxInt {
 		st.maxOut = int(cfg.MaxDecompressed)
 	}
@@ -174,12 +202,40 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 		st.out16 = scratch16.get(cfg.SizeHint)
 	} else {
 		st.histStart = -int64(len(cfg.Window))
-		st.out8 = make([]byte, 0, max(cfg.SizeHint, 64*1024))
+		if cfg.StopAtOutput == 0 {
+			st.out8 = make([]byte, 0, max(cfg.SizeHint, 64*1024))
+		}
 	}
-	err := d.decodeBlocks(cfg, cr, st)
+	return d.run()
+}
+
+// Resume continues the decode this Decoder paused on StopAtOutput, up to
+// a new limit (zero for none): together the calls produce byte for byte,
+// position for position and event for event what one unpaused
+// DecodeChunk would have. The result is the one DecodeChunk returned,
+// grown; output an earlier call handed out stays valid and unchanged,
+// though Raw itself may have moved to a larger buffer.
+func (d *Decoder) Resume(stopAtOutput uint64) (*ChunkResult, error) {
+	if d.cr == nil || !d.cr.Paused {
+		return nil, errors.New("deflate: no paused decode to resume")
+	}
+	d.cfg.StopAtOutput = stopAtOutput
+	return d.run()
+}
+
+// run decodes until a stop condition of d.cfg holds and hands the result
+// out. A decode that ended for good, or failed, leaves no parked state.
+func (d *Decoder) run() (*ChunkResult, error) {
+	cr, st := d.cr, &d.st
+	cr.Paused = false
+	d.reserve()
+	err := d.decodeBlocks()
 	cr.Marked, cr.Raw = st.out16, st.out8
+	if !cr.Paused || err != nil {
+		d.cr, d.st = nil, chunkState{}
+	}
 	if err != nil {
-		if cfg.TwoStage {
+		if d.cfg.TwoStage {
 			// Block-finder false positives end here; their scratch goes
 			// straight back.
 			cr.Release()
@@ -189,83 +245,120 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 	return cr, nil
 }
 
-// decodeBlocks runs the block loop of DecodeChunk until a stop condition
-// of cfg holds, filling cr's positions and events; the output stays in st.
-func (d *Decoder) decodeBlocks(cfg ChunkConfig, cr *ChunkResult, st *chunkState) error {
-	br := d.br
-	if cfg.StartsAtGzipHeader {
-		hdr, err := gzformat.ParseHeader(br)
-		if err != nil {
-			return err
-		}
-		cr.FirstHeader = hdr
+// reserve sets the limit the single-stage loops run to. A decode that
+// may pause never lets them regrow its output — regrowing files the old
+// buffer for reuse, and what a pause handed out may be in a reader's
+// hands — so the loops stop a match short of the capacity at the latest,
+// and growth happens here, by copying, the old buffer left to the
+// collector. The new capacity is what the output limit asks for while
+// the size hint makes that plausible, twice the old one otherwise.
+func (d *Decoder) reserve() {
+	st := &d.st
+	st.limit = math.MaxInt
+	if !d.pausable {
+		return
 	}
+	hard := math.MaxInt - MaxMatchLen
+	if lim := d.cfg.StopAtOutput; lim > 0 && lim < uint64(hard) {
+		hard = int(lim)
+	}
+	if need := hard + MaxMatchLen; cap(st.out8) < need {
+		n := 2 * cap(st.out8)
+		if hint := d.cfg.SizeHint + MaxMatchLen; need <= hint {
+			n = max(need, min(n, hint))
+		} else {
+			n = min(max(n, 64<<10), need)
+		}
+		st.out8 = append(make([]byte, 0, n), st.out8...)
+	}
+	st.limit = min(hard, cap(st.out8)-MaxMatchLen)
+}
 
+// decodeBlocks runs the block loop of DecodeChunk until a stop condition
+// of d.cfg holds, filling the result's positions and events; the output
+// stays in d.st.
+func (d *Decoder) decodeBlocks() error {
+	br, cfg, cr, st := d.br, &d.cfg, d.cr, &d.st
 	for {
-		if cfg.StopAtOutput > 0 && st.total() >= cfg.StopAtOutput {
-			cr.EndBit = br.BitPos()
-			return nil
-		}
-		if st.canFallback() {
-			st.marked = false
-			st.out8 = scratch8.get(cfg.SizeHint)
-		}
-		headerPos := br.BitPos()
-		final, typ, err := ParseBlockHeader(br)
-		if err != nil {
-			return err
-		}
-
-		switch typ {
-		case BlockStored:
-			length, lenPos, err := ParseStoredHeader(br)
+		if !d.open {
+			if cfg.StopAtOutput > 0 && st.total() >= cfg.StopAtOutput {
+				cr.EndBit, cr.Paused = br.BitPos(), true
+				return nil
+			}
+			if st.canFallback() {
+				st.marked = false
+				st.out8 = scratch8.get(cfg.SizeHint)
+			}
+			headerPos := br.BitPos()
+			final, typ, err := ParseBlockHeader(br)
 			if err != nil {
 				return err
 			}
-			canonical := headerPos
-			if !final {
-				canonical = lenPos - 3
-				if !cfg.StopOnlyAtDynamic && canonical >= cfg.Stop {
-					cr.EndBit = canonical
+
+			switch typ {
+			case BlockStored:
+				length, lenPos, err := ParseStoredHeader(br)
+				if err != nil {
+					return err
+				}
+				canonical := headerPos
+				if !final {
+					canonical = lenPos - 3
+					if !cfg.StopOnlyAtDynamic && canonical >= cfg.Stop {
+						cr.EndBit = canonical
+						return nil
+					}
+				}
+				cr.BlockStarts = append(cr.BlockStarts, BlockStart{canonical, st.total(), typ, final})
+				d.stored = length
+
+			case BlockFixed:
+				cr.BlockStarts = append(cr.BlockStarts, BlockStart{headerPos, st.total(), typ, final})
+				if err := d.initFixed(); err != nil {
+					return err
+				}
+
+			case BlockDynamic:
+				if !final && headerPos >= cfg.Stop {
+					cr.EndBit = headerPos
 					return nil
 				}
-			}
-			cr.BlockStarts = append(cr.BlockStarts, BlockStart{canonical, st.total(), typ, final})
-			if err := d.copyStored(st, length); err != nil {
-				return err
-			}
+				cr.BlockStarts = append(cr.BlockStarts, BlockStart{headerPos, st.total(), typ, final})
+				if r := d.ParseDynamicHeader(); r != RejectNone {
+					return headerErrors[r]
+				}
 
-		case BlockFixed:
-			cr.BlockStarts = append(cr.BlockStarts, BlockStart{headerPos, st.total(), typ, final})
-			if err := d.initFixed(); err != nil {
-				return err
+			default:
+				return ErrCorrupt
 			}
-			if err := d.decodeHuffBlock(st); err != nil {
-				return err
-			}
-
-		case BlockDynamic:
-			if !final && headerPos >= cfg.Stop {
-				cr.EndBit = headerPos
-				return nil
-			}
-			cr.BlockStarts = append(cr.BlockStarts, BlockStart{headerPos, st.total(), typ, final})
-			if r := d.ParseDynamicHeader(); r != RejectNone {
-				return headerErrors[r]
-			}
-			if err := d.decodeHuffBlock(st); err != nil {
-				return err
-			}
-
-		default:
-			return ErrCorrupt
+			d.open, d.final, d.isStored = true, final, typ == BlockStored
 		}
+
+		var paused bool
+		var err error
+		if d.isStored {
+			paused, err = d.copyStored(st)
+		} else {
+			paused, err = d.decodeHuffBlock(st)
+		}
+		if err != nil {
+			return err
+		}
+		if paused {
+			if cfg.StopAtOutput == 0 || st.total() < cfg.StopAtOutput {
+				d.reserve() // out of room, not at the limit
+				continue
+			}
+			cr.EndBit, cr.Paused = br.BitPos(), true
+			return nil
+		}
+		d.open = false
 
 		if st.total() > uint64(st.maxOut) {
 			return ErrOutputLimit
 		}
 
-		if final {
+		if d.final {
 			stop, err := d.memberEnd(cr, st, cfg.StopBeforeMember)
 			if err != nil || stop {
 				return err
@@ -318,23 +411,28 @@ func (d *Decoder) memberEnd(cr *ChunkResult, st *chunkState, stopBeforeMember ui
 }
 
 // copyStored implements the Non-Compressed Block fast path (§3.3): the
-// raw data is copied straight into the result buffer.
-func (d *Decoder) copyStored(st *chunkState, length int) error {
-	if length == 0 {
-		return nil
-	}
+// raw data is copied straight into the result buffer, in single-stage
+// mode as far as the output limit allows. It reports whether bytes of
+// the block are left for a resumed decode.
+func (d *Decoder) copyStored(st *chunkState) (paused bool, err error) {
 	br := d.br
 	if !st.marked {
 		p := len(st.out8)
-		st.out8 = growBytes(st.out8, length)
-		return br.ReadFull(st.out8[p : p+length])
+		n := max(min(d.stored, st.limit-p), 0)
+		st.out8 = growBytes(st.out8, n)
+		d.stored -= n
+		return d.stored > 0, br.ReadFull(st.out8[p : p+n])
+	}
+	length := d.stored
+	if length == 0 {
+		return false, nil
 	}
 	if cap(st.scratch) < 65536 {
 		st.scratch = make([]byte, 65536)
 	}
 	buf := st.scratch[:length]
 	if err := br.ReadFull(buf); err != nil {
-		return err
+		return false, err
 	}
 	p := len(st.out16)
 	st.out16 = growU16(st.out16, length)
@@ -342,16 +440,31 @@ func (d *Decoder) copyStored(st *chunkState, length int) error {
 	for i, b := range buf {
 		out[i] = uint16(b)
 	}
-	return nil
+	return false, nil
 }
 
 // decodeHuffBlock decodes one Huffman-compressed block body in the
-// current mode. d.lit/d.dist must be initialised.
-func (d *Decoder) decodeHuffBlock(st *chunkState) error {
+// current mode, or the rest of one a paused decode left open.
+// d.lit/d.dist must be initialised. It reports whether the output limit
+// ended it before the block did.
+func (d *Decoder) decodeHuffBlock(st *chunkState) (paused bool, err error) {
 	if st.marked {
-		return d.decodeHuffBlockMarked(st)
+		return false, d.decodeHuffBlockMarked(st)
 	}
-	return d.decodeHuffBlockRaw(st)
+	paused, err = d.decodeHuffBlockRaw(st)
+	if paused {
+		// The end-of-block symbol produces nothing, so one right behind
+		// the limit belongs to what was asked for: a decode bounded by
+		// its chunk's size ends at the block boundary, having seen the
+		// footer if a member ends there.
+		br := d.br
+		pos := br.BitPos()
+		if sym, err := d.lit.Decode(br); err == nil && sym == EndOfBlock {
+			return false, nil
+		}
+		err = br.SeekBits(pos)
+	}
+	return paused, err
 }
 
 // The block loops below decode on a local copy of the BitReader's
@@ -528,10 +641,12 @@ func (d *Decoder) markedSlowElement(st *chunkState, out []uint16) ([]uint16, boo
 }
 
 // decodeHuffBlockRaw is the conventional single-stage decode loop used
-// when the window is known or after the marker-free fallback.
-func (d *Decoder) decodeHuffBlockRaw(st *chunkState) error {
+// when the window is known or after the marker-free fallback. It returns
+// at the end of the block, or paused at the first element boundary where
+// the output has reached st.limit.
+func (d *Decoder) decodeHuffBlockRaw(st *chunkState) (bool, error) {
 	br := d.br
-	out := st.out8
+	out, limit := st.out8, st.limit
 	defer func() { st.out8 = out }()
 
 	lt, ltShift := d.lit.Table(), d.lit.RootBits()
@@ -546,13 +661,17 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) error {
 
 	buf, pos, bits, nbits := br.View()
 	for {
+		if len(out) >= limit {
+			br.Commit(pos, bits, nbits)
+			return true, nil
+		}
 		if pos+8 > len(buf) {
 			br.Commit(pos, bits, nbits)
 			var done bool
 			var err error
 			out, done, err = d.rawSlowElement(st, out)
 			if done || err != nil {
-				return err
+				return false, err
 			}
 			buf, pos, bits, nbits = br.View()
 			continue
@@ -569,25 +688,25 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) error {
 			n := e.Bits()
 			if n == 0 {
 				br.Commit(pos, bits, nbits)
-				return huffman.ErrBadSymbol
+				return false, huffman.ErrBadSymbol
 			}
 			bits >>= n
 			nbits -= n
 			sym := e.Val()
 			if sym < 256 {
 				out = append(out, byte(sym))
-				if nbits >= fastElementBits {
+				if nbits >= fastElementBits && len(out) < limit {
 					continue
 				}
 				break
 			}
 			if sym == EndOfBlock {
 				br.Commit(pos, bits, nbits)
-				return nil
+				return false, nil
 			}
 			if sym > 285 {
 				br.Commit(pos, bits, nbits)
-				return ErrCorrupt
+				return false, ErrCorrupt
 			}
 			li := sym - 257
 			length := int(lengthBase[li])
@@ -598,7 +717,7 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) error {
 			}
 			if !d.hasDist {
 				br.Commit(pos, bits, nbits)
-				return ErrNoDistanceCode
+				return false, ErrNoDistanceCode
 			}
 			de := dt[bits&dtMask]
 			if sb := de.SubBits(); sb != 0 {
@@ -607,14 +726,14 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) error {
 			dn := de.Bits()
 			if dn == 0 {
 				br.Commit(pos, bits, nbits)
-				return huffman.ErrBadSymbol
+				return false, huffman.ErrBadSymbol
 			}
 			bits >>= dn
 			nbits -= dn
 			dsym := de.Val()
 			if dsym > 29 {
 				br.Commit(pos, bits, nbits)
-				return ErrCorrupt
+				return false, ErrCorrupt
 			}
 			dist := int(distBase[dsym])
 			if x := distExtra[dsym]; x > 0 {
@@ -626,7 +745,7 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) error {
 			out, err = d.emitRawMatch(st, out, dist, length)
 			if err != nil {
 				br.Commit(pos, bits, nbits)
-				return err
+				return false, err
 			}
 			break
 		}

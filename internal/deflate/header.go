@@ -104,6 +104,20 @@ type Decoder struct {
 
 	clens       [MaxLitSymbols + 32]uint8
 	precodeLens [NumPrecodeSymbols]uint8
+
+	// The chunk decode in progress, kept between a DecodeChunk that
+	// paused on its output limit and the Resume that continues it.
+	cfg ChunkConfig
+	cr  *ChunkResult
+	st  chunkState
+	// open is set between a block's header and its end: a decode paused
+	// in there resumes in the block's body, with lit and dist loaded or
+	// stored bytes left to copy.
+	open, final, isStored bool
+	stored                int
+	// pausable marks a single-stage decode that was given an output
+	// limit, now or before a Resume: see reserve.
+	pausable bool
 }
 
 // Reset points the decoder at a bit reader.

@@ -7,6 +7,17 @@
 // decoding when a window is given, the fast path for Non-Compressed
 // Blocks, and the fallback from two-stage to single-stage decoding once
 // the sliding window no longer contains markers (paper §3.3).
+//
+// A decode has one stop rule on its output, ChunkConfig.StopAtOutput:
+// it returns once that many bytes exist. Single-stage decodes check it
+// at every element — literal, match, stored byte — so they stop in the
+// middle of a block, less than one match past the limit, and the Decoder
+// stays behind as the state to continue from: the reader's bit position,
+// the open block's Huffman tables and final flag, the output so far and
+// the window it began with. Decoder.Resume picks up there, and the
+// pieces add up to exactly what one unpaused decode produces. That is
+// what lets a seek through an index cost the bytes it asks for when the
+// file's blocks are larger than its reads.
 package deflate
 
 // Deflate format constants.

@@ -50,9 +50,9 @@ func assertEqualIndex(t *testing.T, got, want *Index) {
 		if got.Point(i) != want.Point(i) {
 			t.Fatalf("point %d: got %+v want %+v", i, got.Point(i), want.Point(i))
 		}
-		w1, ok1 := want.Window(want.Point(i).CompressedBitOffset)
-		w2, ok2 := got.Window(want.Point(i).CompressedBitOffset)
-		if ok1 != ok2 || !bytes.Equal(w1, w2) {
+		w1, ok1, err1 := windowBytes(want, want.Point(i).CompressedBitOffset)
+		w2, ok2, err2 := windowBytes(got, want.Point(i).CompressedBitOffset)
+		if err1 != nil || err2 != nil || ok1 != ok2 || !bytes.Equal(w1, w2) {
 			t.Fatalf("window %d mismatch (ok %v/%v)", i, ok1, ok2)
 		}
 	}

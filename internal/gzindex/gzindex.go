@@ -6,6 +6,16 @@
 // later runs skip the initial decompression pass, like indexed_gzip's
 // .gzi files; the on-disk format here is this package's own versioned
 // binary layout with flate-compressed windows.
+//
+// Windows are lazy on the way in. An import checks each window's
+// declared lengths and keeps the flate bytes the file holds;
+// Window.Bytes inflates one the first time it is asked for and keeps the
+// result, so opening an archive through its index inflates nothing, a
+// long-lived archive pays once per seek point it decodes from, and a
+// handle that touches three spans holds three windows. A window that
+// does not inflate to its declared length is reported as ErrCorrupt by
+// Bytes. Writing an imported index back out copies the stored bytes
+// unchanged.
 package gzindex
 
 import (
@@ -17,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"sort"
+	"sync"
 )
 
 // SeekPoint marks a position where decompression can resume.
@@ -36,9 +47,8 @@ type SeekPoint struct {
 // MemberEnd marks a gzip member ending inside the span of a seek
 // point: the decompressed offset relative to the point and the CRC32
 // the member's footer declares. Persisting these with the index keeps
-// full member-checksum verification available after an import, when the
-// fast stdlib-delegated chunk decodes carry no footer events of their
-// own.
+// full member-checksum verification available after an import without
+// waiting for each span's decode to reach its footers.
 type MemberEnd struct {
 	RelEnd uint64
 	CRC32  uint32
@@ -117,7 +127,7 @@ type CheckpointTable struct {
 // fetcher serialises access.
 type Index struct {
 	points     []SeekPoint
-	windows    map[uint64][]byte      // keyed by CompressedBitOffset
+	windows    map[uint64]*Window     // keyed by CompressedBitOffset
 	memberEnds map[uint64][]MemberEnd // keyed by CompressedBitOffset
 
 	// Checkpoints is the optional per-format checkpoint-table section
@@ -139,19 +149,46 @@ type Index struct {
 	SourceFP *Fingerprint
 }
 
+// Window is one seek point's window: the bytes Add was given, or the
+// flate bytes an imported index file holds for it, inflated (to rawLen
+// bytes) by the first call of Bytes. Unlike the Index it came from, a
+// Window is safe for concurrent use, so a decoder can inflate one
+// without holding up the others.
+type Window struct {
+	once   sync.Once
+	raw    []byte
+	err    error
+	comp   []byte
+	rawLen int
+}
+
+// Bytes returns the window. For an imported point the first call
+// inflates it; one that does not inflate to its declared length is an
+// error wrapping ErrCorrupt, on that call and every later one.
+func (w *Window) Bytes() ([]byte, error) {
+	w.once.Do(func() {
+		if w.raw == nil {
+			if w.raw, w.err = flateDecompress(w.comp, w.rawLen); w.err != nil {
+				w.err = fmt.Errorf("%w: seek point window: %v", ErrCorrupt, w.err)
+			}
+		}
+	})
+	return w.raw, w.err
+}
+
 // New returns an empty index.
 func New(chunkSize int) *Index {
 	return &Index{
-		windows:    map[uint64][]byte{},
+		windows:    map[uint64]*Window{},
 		memberEnds: map[uint64][]MemberEnd{},
 		ChunkSize:  chunkSize,
 	}
 }
 
-// Add appends a seek point; points must be added in stream order.
-// window is the decompressed data preceding the point (nil for member
-// starts, up to 32 KiB otherwise).
-func (ix *Index) Add(p SeekPoint, window []byte) error {
+// Add appends a seek point; points must be added in stream order. win
+// is the decompressed data preceding the point (nil for member starts,
+// up to 32 KiB otherwise).
+func (ix *Index) Add(p SeekPoint, win []byte) error {
 	if n := len(ix.points); n > 0 {
 		last := ix.points[n-1]
 		if p.UncompressedOffset < last.UncompressedOffset ||
@@ -160,8 +197,8 @@ func (ix *Index) Add(p SeekPoint, window []byte) error {
 		}
 	}
 	ix.points = append(ix.points, p)
-	if window != nil {
-		ix.windows[p.CompressedBitOffset] = window
+	if win != nil {
+		ix.windows[p.CompressedBitOffset] = &Window{raw: win}
 	}
 	return nil
 }
@@ -172,8 +209,9 @@ func (ix *Index) Len() int { return len(ix.points) }
 // Point returns the i-th seek point.
 func (ix *Index) Point(i int) SeekPoint { return ix.points[i] }
 
-// Window returns the stored window for a compressed offset.
-func (ix *Index) Window(compressedBitOffset uint64) ([]byte, bool) {
+// Window returns the stored window for a compressed offset, if there is
+// one.
+func (ix *Index) Window(compressedBitOffset uint64) (*Window, bool) {
 	w, ok := ix.windows[compressedBitOffset]
 	return w, ok
 }
@@ -345,11 +383,15 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		}
 		buf.WriteByte(pflags)
 		if hasWin {
-			comp, err := flateCompress(win)
-			if err != nil {
-				return 0, err
+			comp, rawLen := win.comp, win.rawLen
+			if comp == nil {
+				var err error
+				if comp, err = flateCompress(win.raw); err != nil {
+					return 0, err
+				}
+				rawLen = len(win.raw)
 			}
-			writeUvarint(&buf, uint64(len(win)))
+			writeUvarint(&buf, uint64(rawLen))
 			writeUvarint(&buf, uint64(len(comp)))
 			buf.Write(comp)
 		}
@@ -462,7 +504,7 @@ func readV234(r io.Reader, magic string) (*Index, error) {
 		p.UncompressedOffset = prev.UncompressedOffset + cr.uvarint()
 		pflags, _ := cr.ReadByte()
 		p.AtMemberStart = pflags&1 != 0
-		var win []byte
+		var win *Window
 		if pflags&2 != 0 {
 			rawLen := cr.uvarint()
 			compLen := cr.uvarint()
@@ -686,7 +728,7 @@ func readV1(r io.Reader) (*Index, error) {
 		if br.err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCorrupt, br.err)
 		}
-		var win []byte
+		var win *Window
 		if rawLen != 0xFFFFFFFF {
 			compLen := br.u32()
 			if br.err != nil {
@@ -708,12 +750,14 @@ func readV1(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// readWindow bound-checks the declared window lengths and then reads
-// and inflates the window through full — the single validation path
-// shared by both format readers, so the amplification cap cannot
-// silently diverge between them. Lengths must already be known-good
-// reads (no pending reader error).
-func readWindow(full func([]byte) error, rawLen, compLen, point uint64) ([]byte, error) {
+// readWindow bound-checks the declared window lengths and then reads the
+// window's flate bytes through full — the single validation path shared
+// by both format readers, so the amplification cap cannot silently
+// diverge between them. Nothing is inflated here: Window.Bytes does
+// that, for the windows a reader gets to, within the rawLen accepted
+// here. Lengths
+// must already be known-good reads (no pending reader error).
+func readWindow(full func([]byte) error, rawLen, compLen, point uint64) (*Window, error) {
 	if rawLen > maxWindowRaw || compLen > rawLen+rawLen/255+64 {
 		return nil, fmt.Errorf("%w: window %d/%d bytes at point %d", ErrCorrupt, compLen, rawLen, point)
 	}
@@ -721,11 +765,7 @@ func readWindow(full func([]byte) error, rawLen, compLen, point uint64) ([]byte,
 	if err := full(comp); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
-	win, err := flateDecompress(comp, int(rawLen))
-	if err != nil {
-		return nil, fmt.Errorf("%w: window at point %d: %v", ErrCorrupt, point, err)
-	}
-	return win, nil
+	return &Window{comp: comp, rawLen: int(rawLen)}, nil
 }
 
 func flateCompress(data []byte) ([]byte, error) {

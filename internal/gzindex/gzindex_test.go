@@ -38,8 +38,8 @@ func TestAddAndLookup(t *testing.T) {
 	if p := ix.Point(1); p.CompressedBitOffset != 1001 || p.UncompressedOffset != 4096 {
 		t.Fatalf("point 1: %+v", p)
 	}
-	w, ok := ix.Window(1001)
-	if !ok || len(w) != 32768 {
+	w, ok, err := windowBytes(ix, 1001)
+	if err != nil || !ok || len(w) != 32768 {
 		t.Fatalf("window 1001: ok=%v len=%d", ok, len(w))
 	}
 	if _, ok := ix.Window(999); ok {
@@ -107,9 +107,9 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if got.Point(i) != ix.Point(i) {
 			t.Fatalf("point %d: %+v vs %+v", i, got.Point(i), ix.Point(i))
 		}
-		w1, ok1 := ix.Window(ix.Point(i).CompressedBitOffset)
-		w2, ok2 := got.Window(ix.Point(i).CompressedBitOffset)
-		if ok1 != ok2 || !bytes.Equal(w1, w2) {
+		w1, ok1, err1 := windowBytes(ix, ix.Point(i).CompressedBitOffset)
+		w2, ok2, err2 := windowBytes(got, ix.Point(i).CompressedBitOffset)
+		if err1 != nil || err2 != nil || ok1 != ok2 || !bytes.Equal(w1, w2) {
 			t.Fatalf("window %d mismatch (ok %v/%v, %d vs %d bytes)", i, ok1, ok2, len(w1), len(w2))
 		}
 	}
@@ -186,9 +186,9 @@ func TestRoundTripProperty(t *testing.T) {
 			if got.Point(i) != ix.Point(i) {
 				return false
 			}
-			w1, ok1 := ix.Window(ix.Point(i).CompressedBitOffset)
-			w2, ok2 := got.Window(got.Point(i).CompressedBitOffset)
-			if ok1 != ok2 || !bytes.Equal(w1, w2) {
+			w1, ok1, err1 := windowBytes(ix, ix.Point(i).CompressedBitOffset)
+			w2, ok2, err2 := windowBytes(got, got.Point(i).CompressedBitOffset)
+			if err1 != nil || err2 != nil || ok1 != ok2 || !bytes.Equal(w1, w2) {
 				return false
 			}
 		}

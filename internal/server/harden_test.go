@@ -201,6 +201,10 @@ func TestWarmupRoundTrip(t *testing.T) {
 	if !bytes.Equal(body(t, resp), content) {
 		t.Fatal("warmed body mismatch")
 	}
+	// The decode counters come through /stats: one span, decoded once.
+	if st := statsFor(ts2).Stats; st.DecodedBytes != uint64(len(content)) || st.SpanDecodes+st.SpanResumes == 0 {
+		t.Fatalf("after a whole-body GET of %d bytes: %+v", len(content), st)
+	}
 	if got := resp.Header.Get("ETag"); got != etag {
 		t.Fatalf("etag changed across restart: %q → %q", etag, got)
 	}
@@ -521,7 +525,8 @@ func TestHeavyOpenClassification(t *testing.T) {
 // TestBodyErrorsCounted: once the status line is out, a decode failure
 // can only cut the body short, and it must not pass unseen. The source
 // is truncated after the archive was opened, so the spans behind the
-// cut can no longer be read; the pool is too small to have kept them.
+// cut can no longer be read; the pool is too small to have kept them
+// once a read elsewhere has gone through it.
 func TestBodyErrorsCounted(t *testing.T) {
 	dir := t.TempDir()
 	content := workloads.Base64(2_000_000, 61)
@@ -535,6 +540,14 @@ func TestBodyErrorsCounted(t *testing.T) {
 	resp := get(t, url, map[string]string{"Range": "bytes=0-999"})
 	if got := body(t, resp); resp.StatusCode != http.StatusPartialContent || !bytes.Equal(got, content[:1000]) {
 		t.Fatalf("first range: status %d, %d bytes", resp.StatusCode, len(got))
+	}
+	// The open sized the file by decoding all of it, and the spans
+	// decoded last, the tail asked for below, may still be in the pool:
+	// the first range costs it 1000 bytes, not a span. 200 KB from the
+	// middle take the pool's 128 KiB for themselves.
+	resp = get(t, url, map[string]string{"Range": "bytes=600000-799999"})
+	if got := body(t, resp); !bytes.Equal(got, content[600_000:800_000]) {
+		t.Fatalf("second range: status %d, %d bytes", resp.StatusCode, len(got))
 	}
 	if m := s.Metrics(); m.BodyErrors != 0 || m.BodyAborts != 0 {
 		t.Fatalf("a served body counted as failed: %+v", m)

@@ -112,13 +112,16 @@ func (e *Engine) AppendSpans(spans ...Span) int {
 func (e *Engine) Prime(i int, decode func() ([]byte, error)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, flying := e.inflight[i]; flying || e.closed || e.cache.Contains(i) {
+	if _, flying := e.inflight[i]; flying || e.closed || e.cache.Peek(i) != nil {
 		return
 	}
 	e.inflight[i] = flight{fut: pool.Go(e.pool, func() ([]byte, error) {
 		data, err := decode()
 		e.mu.Lock()
 		delete(e.inflight, i)
+		if err == nil {
+			e.stats.DecodedBytes += uint64(len(data))
+		}
 		if err == nil && !e.closed {
 			e.cache.Put(i, &entry{data: data})
 		}
@@ -180,6 +183,7 @@ func (e *Engine) growStep() error {
 	}
 	e.strategy.Access(uint64(e.grown), uint64(len(e.spans)))
 	e.grown = len(e.spans)
+	e.proposePrefetches()
 	e.issuePrefetches()
 	e.mu.Unlock()
 	done, err := e.grower.GrowNext(e)

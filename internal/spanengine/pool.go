@@ -113,7 +113,7 @@ func (p *CachePool) evictOneLocked() bool {
 	}
 	ent := p.items[k]
 	delete(p.items, k)
-	p.used -= int64(len(ent.data))
+	p.used -= ent.cost()
 	if owner := p.views[k.view]; owner != nil {
 		delete(owner.keys, k.span)
 		owner.evictions++
@@ -138,7 +138,7 @@ type poolView struct {
 	closed                            bool
 }
 
-func (v *poolView) Get(i int) (*entry, bool) {
+func (v *poolView) Get(i int, need int64) (*entry, bool) {
 	p := v.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -146,25 +146,26 @@ func (v *poolView) Get(i int) (*entry, bool) {
 		return nil, false
 	}
 	k := poolKey{view: v.id, span: i}
-	ent, ok := p.items[k]
-	if ok {
-		p.lru.Touch(k)
-		v.hits++
-		ent.unused = false
-	} else {
+	ent := p.items[k]
+	if ent == nil || !ent.covers(need) {
 		v.misses++
+		return ent, false
 	}
-	return ent, ok
+	p.lru.Touch(k)
+	v.hits++
+	ent.unused = false
+	return ent, true
 }
 
 func (v *poolView) Put(i int, ent *entry) {
-	cost := int64(len(ent.data))
+	cost := ent.cost()
 	p := v.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if v.closed {
 		return
 	}
+	v.removeLocked(i)
 	if cost > p.budget {
 		// Caching this span alone would break the budget invariant;
 		// serve it uncached instead (the caller already has the bytes).
@@ -172,17 +173,12 @@ func (v *poolView) Put(i int, ent *entry) {
 		ent.dropped(&v.unused)
 		return
 	}
-	k := poolKey{view: v.id, span: i}
-	if old, ok := p.items[k]; ok {
-		p.used -= int64(len(old.data))
-		p.lru.Remove(k)
-		old.dropped(&v.unused)
-	}
 	for p.used+cost > p.budget {
 		if !p.evictOneLocked() {
 			return // nothing left to evict; should be unreachable
 		}
 	}
+	k := poolKey{view: v.id, span: i}
 	p.items[k] = ent
 	p.lru.Insert(k)
 	v.keys[i] = struct{}{}
@@ -192,15 +188,36 @@ func (v *poolView) Put(i int, ent *entry) {
 	}
 }
 
-func (v *poolView) Contains(i int) bool {
+// removeLocked drops the view's entry for span i, if any, and credits
+// its bytes back. Caller holds pool.mu.
+func (v *poolView) removeLocked(i int) {
+	p := v.pool
+	k := poolKey{view: v.id, span: i}
+	if old, ok := p.items[k]; ok {
+		p.used -= old.cost()
+		delete(p.items, k)
+		delete(v.keys, i)
+		p.lru.Remove(k)
+		old.dropped(&v.unused)
+	}
+}
+
+func (v *poolView) Delete(i int) {
+	v.pool.mu.Lock()
+	defer v.pool.mu.Unlock()
+	if !v.closed {
+		v.removeLocked(i)
+	}
+}
+
+func (v *poolView) Peek(i int) *entry {
 	p := v.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if v.closed {
-		return false
+		return nil
 	}
-	_, ok := p.items[poolKey{view: v.id, span: i}]
-	return ok
+	return p.items[poolKey{view: v.id, span: i}]
 }
 
 func (v *poolView) Stats() storeStats {
@@ -222,13 +239,7 @@ func (v *poolView) Close() {
 	}
 	v.closed = true
 	for span := range v.keys {
-		k := poolKey{view: v.id, span: span}
-		if ent, ok := p.items[k]; ok {
-			p.used -= int64(len(ent.data))
-			delete(p.items, k)
-			p.lru.Remove(k)
-			ent.dropped(&v.unused)
-		}
+		v.removeLocked(span)
 	}
 	v.keys = nil
 	p.hits += v.hits
@@ -242,6 +253,7 @@ func (v *poolView) Close() {
 // private LRU) behind the same spanStore interface pool mode uses.
 type localStore struct {
 	c      *cache.Cache[int, *entry]
+	misses uint64 // spans absent, or cached short of what was asked for
 	unused uint64 // entries dropped with entry.unused set
 }
 
@@ -251,12 +263,15 @@ func newLocalStore(capacity int) *localStore {
 	return l
 }
 
-func (l *localStore) Get(i int) (*entry, bool) {
-	ent, ok := l.c.Get(i)
-	if ok {
-		ent.unused = false
+func (l *localStore) Get(i int, need int64) (*entry, bool) {
+	ent, _ := l.c.Peek(i)
+	if ent == nil || !ent.covers(need) {
+		l.misses++
+		return ent, false
 	}
-	return ent, ok
+	l.c.Get(i) // counts the hit and marks the entry recently used
+	ent.unused = false
+	return ent, true
 }
 
 func (l *localStore) Put(i int, ent *entry) {
@@ -266,14 +281,26 @@ func (l *localStore) Put(i int, ent *entry) {
 	l.c.Put(i, ent)
 }
 
-func (l *localStore) Contains(i int) bool { return l.c.Contains(i) }
-func (l *localStore) Stats() storeStats   { return storeStats{l.c.Stats(), l.unused} }
+func (l *localStore) Delete(i int) { l.c.Delete(i) }
 
-// Close counts what is left as dropped; the cache is not used again.
+func (l *localStore) Peek(i int) *entry {
+	ent, _ := l.c.Peek(i)
+	return ent
+}
+
+func (l *localStore) Stats() storeStats {
+	s := l.c.Stats()
+	s.Misses = l.misses
+	return storeStats{s, l.unused}
+}
+
+// Close counts what is left as dropped and lets go of the parked
+// decodes; the cache is not used again.
 func (l *localStore) Close() {
 	for _, i := range l.c.Keys() {
 		ent, _ := l.c.Peek(i)
 		ent.dropped(&l.unused)
+		ent.parked = nil
 	}
 }
 
@@ -287,12 +314,16 @@ type storeStats struct {
 
 // spanStore is the engine's cache seam: either a private LRU
 // (localStore) or a view into a shared cross-engine CachePool.
-// Methods are called with the engine mutex held. Get marks the entry it
-// returns as read (entry.unused).
+// Methods are called with the engine mutex held. Get reports a hit when
+// the span is cached as far as need reaches, and marks the entry it
+// then returns as read (entry.unused); on a miss it still returns the
+// entry, if there is one, as the prefix to continue from. Peek looks
+// without counting or touching recency.
 type spanStore interface {
-	Get(i int) (*entry, bool)
+	Get(i int, need int64) (ent *entry, hit bool)
 	Put(i int, ent *entry)
-	Contains(i int) bool
+	Delete(i int)
+	Peek(i int) *entry
 	Stats() storeStats
 	Close()
 }

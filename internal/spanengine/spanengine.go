@@ -17,6 +17,22 @@
 // tentative — until a clean upstream decode confirms where the next
 // span really starts.
 //
+// A cache entry is a span's content or, for a codec that can stop short
+// of a span's end and continue (PrefixDecoder; gzip is one), the front of
+// it together with the decode's parked state. A read that jumps decodes
+// from the seek point to its own last byte and caches that prefix; a
+// request is a hit when the prefix covers it, and otherwise one joinable
+// decode continues the parked one to the request's last byte in the
+// span, so a seek costs the bytes between the seek point and what was
+// asked for, not the span. Prefetches, whole-span requests, primed
+// resolutions and the reads of a reader the strategy is prefetching for
+// decode to the span's end. What holds throughout: bytes once handed to
+// a reader never change; the stores charge the bytes an entry holds; a
+// reader that joined a decode bound for less than it needs claims again;
+// the codec's access observer hears of whole spans only; a continuing
+// decode that fails takes its prefix with it; Close drops what is
+// parked.
+//
 // The engine operates over a positional reader (filereader.FileReader),
 // never a resident buffer: codecs size the file with bounded windowed
 // reads and decode each span from its own compressed extent, so a
@@ -90,6 +106,23 @@ type Codec interface {
 	DecodeSpan(src filereader.FileReader, s Span) ([]byte, error)
 }
 
+// PrefixDecoder is implemented by codecs that can decode a span up to an
+// offset and continue later (gzip: the deflate loop pauses at any
+// element). The engine detects it like AccessObserver and then decodes
+// through it alone: a read decodes as far as it reaches into the span,
+// speculation and whole-span requests decode to the end.
+type PrefixDecoder interface {
+	// DecodeSpanPrefix decodes span s until at least upTo bytes of its
+	// output exist (0 < upTo <= s.DecompSize): from the seek point when
+	// parked is nil, else continuing the call that returned parked. It
+	// returns the output so far — what earlier calls returned comes
+	// first, unchanged, though maybe in a larger array — and, while that
+	// is short of the span, the state to continue from; next is nil once
+	// the span is complete. The engine hands a parked state to one call
+	// at a time and never again after a call that failed.
+	DecodeSpanPrefix(src filereader.FileReader, s Span, parked any, upTo int64) (data []byte, next any, err error)
+}
+
 // Config tunes an Engine. The zero value selects defaults.
 type Config struct {
 	// Threads is the prefetch worker count (min 1).
@@ -136,9 +169,15 @@ type Stats struct {
 	SizingPasses uint64
 	// SizingDecodes counts full span decodes the sizing pass needed.
 	SizingDecodes uint64
-	// SpanDecodes counts span decodes after construction (on-demand
-	// and prefetch alike; sizing decodes are not included).
-	SpanDecodes uint64
+	// SpanDecodes counts span decodes started from a seek point after
+	// construction (on-demand and prefetch alike, to the span's end or
+	// short of it; sizing decodes are not included). SpanResumes counts
+	// the decodes that continued a parked one instead.
+	SpanDecodes, SpanResumes uint64
+	// DecodedBytes counts the bytes those decodes, and the resolutions of
+	// a growing codec's primed spans, wrote. Over the bytes delivered it
+	// is what a read costs in decoding.
+	DecodedBytes uint64
 	// PrefetchProposed counts the span candidates the strategy proposed
 	// across all accesses, before filtering against the cache, the
 	// in-flight set and the MaxPrefetch bound. Unlike PrefetchIssued it
@@ -175,13 +214,33 @@ type Stats struct {
 // ErrClosed is returned by operations on a closed engine.
 var ErrClosed = errors.New("spanengine: engine is closed")
 
-// entry is one cached decompressed span.
+// entry is one cached span: its content, or while parked is set the
+// front of it — what a reader's decode produced before it stopped at the
+// end of its request — with the codec's state to continue from. Neither
+// field changes once the entry is in a store; a longer prefix is a new
+// entry, and bytes a reader was handed are never written again.
 type entry struct {
-	data []byte
+	data   []byte
+	parked any
 	// unused marks a span a prefetch decoded that no reader has got yet.
 	// The store owns the flag once the entry is in it: Get clears it,
 	// and an entry that leaves the store with it set is counted.
 	unused bool
+}
+
+// covers reports whether the entry holds the first need bytes of its
+// span.
+func (ent *entry) covers(need int64) bool {
+	return ent.parked == nil || int64(len(ent.data)) >= need
+}
+
+// cost is what a byte-budgeted store charges for the entry: the bytes it
+// holds, which for a prefix is the buffer the decode will continue in.
+func (ent *entry) cost() int64 {
+	if ent.parked != nil {
+		return int64(cap(ent.data))
+	}
+	return int64(len(ent.data))
 }
 
 // dropped accounts for an entry that leaves its store, or is refused
@@ -241,7 +300,8 @@ type Engine struct {
 	grower   Grower
 	grown    int // table length at the latest growth step; guarded by mu
 	observer AccessObserver
-	growMu   sync.Mutex // serialises GrowNext calls
+	prefix   PrefixDecoder // the codec, if it can stop short of a span's end
+	growMu   sync.Mutex    // serialises GrowNext calls
 	tentMu   sync.Mutex
 	tent     *cache.Cache[uint64, any]
 }
@@ -333,6 +393,9 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 	if o, ok := codec.(AccessObserver); ok {
 		e.observer = o
 	}
+	if d, ok := codec.(PrefixDecoder); ok {
+		e.prefix = d
+	}
 	for _, s := range spans {
 		e.size += s.DecompSize
 	}
@@ -354,8 +417,8 @@ func (e *Engine) Close() error {
 	// the lock briefly to record their results.
 	e.pool.Close()
 	// With the workers drained and e.closed set, nothing touches the
-	// store any more; in pool mode this releases the engine's cached
-	// bytes back to the shared budget.
+	// store any more; this drops the parked decodes and, in pool mode,
+	// releases the engine's cached bytes back to the shared budget.
 	e.cache.Close()
 	return nil
 }
@@ -409,72 +472,109 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// want is one span of a request: its table entry and where its content
-// comes from.
+// want is one span of a request: its table entry, how far into it the
+// request reaches, and where its content comes from.
 type want struct {
 	i    int
 	s    Span
-	data []byte               // set on a cache hit
-	fut  *pool.Future[[]byte] // else the decode to join
+	need int64                // the request's last byte in the span, as a length from the span's start
+	ent  *entry               // what the cache holds of the span, if anything
+	hit  bool                 // ent covers need
+	fut  *pool.Future[[]byte] // on a miss, the decode to join
 }
 
-// content waits for the span's content.
+// content waits for the span's content: all of it, or a prefix. A prefix
+// taken from the cache covers need; one from a decode joined in flight,
+// started for somebody else's request, may not.
 func (w *want) content() ([]byte, error) {
-	if w.fut != nil {
-		return w.fut.Join()
+	if w.hit {
+		return w.ent.data, nil
 	}
-	return w.data, nil
+	return w.fut.Join()
 }
 
 // SpanContent returns the decompressed content of span i. The call is
 // one request to the prefetch strategy. The returned slice is shared
 // with the cache and must not be modified.
 func (e *Engine) SpanContent(i int) ([]byte, error) {
-	e.mu.Lock()
-	if e.closed {
+	for {
+		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			return nil, ErrClosed
+		}
+		if i < 0 || i >= len(e.spans) {
+			n := len(e.spans)
+			e.mu.Unlock()
+			return nil, fmt.Errorf("spanengine: span %d out of range [0,%d)", i, n)
+		}
+		ws := [1]want{{i: i, s: e.spans[i], need: e.spans[i].DecompSize}}
+		e.claimLocked(ws[:])
 		e.mu.Unlock()
-		return nil, ErrClosed
+		data, err := ws[0].content()
+		if err != nil {
+			return nil, err
+		}
+		// A decode joined in flight may have been a reader's, bound for
+		// less than the whole span: then claim again, for the rest.
+		if int64(len(data)) == ws[0].s.DecompSize {
+			e.noteAccess(i, data)
+			return data, nil
+		}
 	}
-	if i < 0 || i >= len(e.spans) {
-		n := len(e.spans)
-		e.mu.Unlock()
-		return nil, fmt.Errorf("spanengine: span %d out of range [0,%d)", i, n)
-	}
-	ws := [1]want{{i: i, s: e.spans[i]}}
-	e.claimLocked(ws[:])
-	e.mu.Unlock()
-	data, err := ws[0].content()
-	if err == nil {
-		e.noteAccess(i, data)
-	}
-	return data, err
 }
 
 // claimLocked settles where each span of one request comes from: the
-// cache, a decode already in flight (joined, whoever started it), or a
-// decode started here and registered in flight for others to join. The
+// cache, if it holds the span as far as the request reaches; a decode
+// already in flight (joined, whoever started it and however far it
+// goes); or a decode started here, from the seek point or from where a
+// cached prefix parked, and registered in flight for others to join. The
 // first decode started is left to the caller, who runs it by joining
 // it; further ones go to the pool ahead of any speculation, so the
 // spans of a read that crosses a boundary decode side by side. The
-// request is then reported to the strategy as one access and the
-// prefetches that follow from it are issued — before the caller blocks
-// on its spans (paper §3.2). A read inside the span the previous
-// request ended in, served from the cache, tells the strategy nothing
-// it has not seen and skips it. Caller holds e.mu.
+// request is reported to the strategy as one access and the prefetches
+// that follow from it are issued — before the caller blocks on its spans
+// (paper §3.2). A read inside the span the previous request ended in,
+// served from the cache, tells the strategy nothing it has not seen and
+// skips it.
+//
+// How far a decode started here goes is the strategy's call too, and the
+// only policy there is: a reader it proposes nothing for has jumped, and
+// its decode stops at the request's last byte; a reader it prefetches for
+// is a stream, the rest of the span is what it asks for next, and the
+// decode runs to the span's end like the prefetches beside it. Caller
+// holds e.mu.
 func (e *Engine) claimLocked(ws []want) {
-	hit, mine := true, false
+	hit := true
 	for k := range ws {
 		w := &ws[k]
-		if ent, ok := e.cache.Get(w.i); ok {
-			w.data = ent.data
+		if w.ent, w.hit = e.cache.Get(w.i, w.need); !w.hit {
+			hit = false
+		}
+	}
+	first, last := ws[0].i, ws[len(ws)-1].i
+	fed := !hit || len(ws) > 1 || last != e.lastFed
+	if fed {
+		e.lastFed = last
+		e.strategy.Access(uint64(first), uint64(last))
+		e.proposePrefetches()
+	}
+	stream := fed && len(e.cands) > 0
+	mine := false
+	for k := range ws {
+		w := &ws[k]
+		if w.hit {
 			continue
 		}
-		hit = false
 		fl, ok := e.inflight[w.i]
 		switch {
 		case !ok:
+			upTo := w.need
+			if stream {
+				upTo = w.s.DecompSize
+			}
 			fl.demand = true
-			if task := e.decodeTask(w.i, w.s); mine {
+			if task := e.decodeTask(w.i, w.s, w.ent, upTo); mine {
 				fl.fut = pool.Go(e.pool, task)
 			} else {
 				fl.fut = pool.Lazy(task)
@@ -493,20 +593,24 @@ func (e *Engine) claimLocked(ws []want) {
 		}
 		w.fut = fl.fut
 	}
-	first, last := ws[0].i, ws[len(ws)-1].i
-	if hit && len(ws) == 1 && last == e.lastFed {
-		return
+	if fed {
+		e.issuePrefetches()
 	}
-	e.lastFed = last
-	e.strategy.Access(uint64(first), uint64(last))
-	e.issuePrefetches()
 }
 
 // decodeTask returns the task behind the flight registered for span i:
-// decode, move the result into the cache, retire the flight. A task
-// that finds the engine closed does not decode: nobody is left to read
-// what Close found still queued.
-func (e *Engine) decodeTask(i int, s Span) func() ([]byte, error) {
+// decode until upTo bytes of the span exist, continuing from a cached
+// prefix if there is one, move the result into the cache, retire the
+// flight. Only a PrefixDecoder stops short of the span; every other
+// codec decodes it whole whatever upTo says. A task that finds the
+// engine closed does not decode: nobody is left to read what Close
+// found still queued. Caller holds e.mu.
+func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64) func() ([]byte, error) {
+	var parked any
+	have := 0
+	if from != nil {
+		parked, have = from.parked, len(from.data)
+	}
 	return func() ([]byte, error) {
 		e.mu.Lock()
 		closed := e.closed
@@ -514,27 +618,41 @@ func (e *Engine) decodeTask(i int, s Span) func() ([]byte, error) {
 		var data []byte
 		err := ErrClosed
 		if !closed {
-			data, err = e.codec.DecodeSpan(e.src, s)
-			if err == nil && int64(len(data)) != s.DecompSize {
-				data, err = nil, fmt.Errorf("spanengine: span %d decoded %d bytes, table says %d", i, len(data), s.DecompSize)
+			if e.prefix == nil {
+				data, err = e.codec.DecodeSpan(e.src, s)
+			} else {
+				data, parked, err = e.prefix.DecodeSpanPrefix(e.src, s, parked, upTo)
+			}
+			if n := int64(len(data)); err == nil && (parked == nil && n != s.DecompSize || parked != nil && (n < upTo || n >= s.DecompSize)) {
+				data, err = nil, fmt.Errorf("spanengine: span %d decoded %d bytes, table says %d", i, n, s.DecompSize)
 			}
 		}
 		e.mu.Lock()
+		defer e.mu.Unlock()
 		fl := e.inflight[i]
 		delete(e.inflight, i)
 		if fl.demand {
 			e.demand--
 		}
-		if err == nil {
-			e.stats.SpanDecodes++
-			if !e.closed {
-				e.cache.Put(i, &entry{data: data, unused: fl.unused})
-			} else if fl.unused {
-				e.stats.PrefetchUnused++
+		if err != nil {
+			if from != nil && !e.closed {
+				// The parked state is spent; the next reader starts over.
+				e.cache.Delete(i)
 			}
+			return nil, err
 		}
-		e.mu.Unlock()
-		return data, err
+		if from != nil {
+			e.stats.SpanResumes++
+		} else {
+			e.stats.SpanDecodes++
+		}
+		e.stats.DecodedBytes += uint64(len(data) - have)
+		if !e.closed {
+			e.cache.Put(i, &entry{data: data, parked: parked, unused: fl.unused})
+		} else if fl.unused {
+			e.stats.PrefetchUnused++
+		}
+		return data, nil
 	}
 }
 
@@ -546,16 +664,22 @@ func (e *Engine) noteAccess(i int, data []byte) {
 	}
 }
 
-// issuePrefetches asks the strategy for span candidates and dispatches
-// decodes for the ones neither cached nor in flight, bounded by
-// MaxPrefetch (decodes a reader asked for do not count against it).
-// Caller holds e.mu.
-func (e *Engine) issuePrefetches() {
-	if e.closed {
-		return
+// proposePrefetches asks the strategy which spans the latest access
+// makes worth decoding ahead; issuePrefetches dispatches them. Caller
+// holds e.mu.
+func (e *Engine) proposePrefetches() {
+	e.cands = e.cands[:0]
+	if !e.closed {
+		e.cands = e.strategy.Prefetch(e.cands, e.cfg.MaxPrefetch)
+		e.stats.PrefetchProposed += uint64(len(e.cands))
 	}
-	e.cands = e.strategy.Prefetch(e.cands[:0], e.cfg.MaxPrefetch)
-	e.stats.PrefetchProposed += uint64(len(e.cands))
+}
+
+// issuePrefetches dispatches decodes for the proposed spans that are
+// neither cached whole nor in flight, bounded by MaxPrefetch (decodes a
+// reader asked for do not count against it). A candidate cached as a
+// prefix is continued to its end. Caller holds e.mu.
+func (e *Engine) issuePrefetches() {
 	for _, cand := range e.cands {
 		if len(e.inflight)-e.demand >= e.cfg.MaxPrefetch {
 			return
@@ -570,11 +694,13 @@ func (e *Engine) issuePrefetches() {
 			continue
 		}
 		i := int(cand)
-		if _, flying := e.inflight[i]; flying || e.cache.Contains(i) {
+		ent := e.cache.Peek(i)
+		if _, flying := e.inflight[i]; flying || ent != nil && ent.parked == nil {
 			continue
 		}
 		e.stats.PrefetchIssued++
-		e.inflight[i] = flight{fut: pool.GoLow(e.pool, e.decodeTask(i, e.spans[i])), unused: true}
+		s := e.spans[i]
+		e.inflight[i] = flight{fut: pool.GoLow(e.pool, e.decodeTask(i, s, ent, s.DecompSize)), unused: true}
 	}
 }
 
@@ -608,7 +734,7 @@ func (e *Engine) claimRange(ws []want, off, length int64) ([]want, error) {
 	}
 	for end := off + length; i < len(e.spans) && e.spans[i].DecompOff < end && len(ws) <= e.cfg.Threads; i++ {
 		if s := e.spans[i]; s.DecompSize > 0 {
-			ws = append(ws, want{i: i, s: s})
+			ws = append(ws, want{i: i, s: s, need: min(end-s.DecompOff, s.DecompSize)})
 		}
 	}
 	e.claimLocked(ws)
@@ -637,20 +763,29 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 			return n, err
 		}
 		// Every decode is joined, even past a failure: the one left to
-		// this caller runs nowhere else.
+		// this caller runs nowhere else. A decode joined in flight that
+		// was bound for less of its span than this request needs ends the
+		// round short, and the loop claims again from where it got to.
 		var failed error
+		short := false
 		for k := range ws {
-			data, err := ws[k].content()
+			w := &ws[k]
+			data, err := w.content()
 			if failed == nil {
 				failed = err
 			}
-			if failed != nil {
+			if failed != nil || short {
 				continue
 			}
-			e.noteAccess(ws[k].i, data)
-			c := copy(p[n:], data[off-ws[k].s.DecompOff:])
-			n += c
-			off += int64(c)
+			if int64(len(data)) == w.s.DecompSize {
+				e.noteAccess(w.i, data)
+			}
+			if rel := off - w.s.DecompOff; rel < int64(len(data)) {
+				c := copy(p[n:], data[rel:])
+				n += c
+				off += int64(c)
+			}
+			short = int64(len(data)) < w.need
 		}
 		if failed != nil {
 			return n, failed

@@ -2,6 +2,7 @@ package rapidgzip
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -52,10 +53,17 @@ func TestRandomReadAtDecodesWhatItTouches(t *testing.T) {
 		return sort.Search(len(starts), func(i int) bool { return starts[i] > off }) - 1
 	}
 
+	spanSize := func(i int) int64 {
+		if i+1 < len(starts) {
+			return starts[i+1] - starts[i]
+		}
+		return int64(len(plain)) - starts[i]
+	}
+
 	const reads = 200
 	rnd := rand.New(rand.NewSource(1))
 	buf := make([]byte, 64<<10)
-	touched := 0
+	touched, touchedBytes := 0, int64(0)
 	for i := 0; i < reads; i++ {
 		off := rnd.Int63n(int64(len(plain) - len(buf)))
 		if _, err := a.ReadAt(buf, off); err != nil {
@@ -64,16 +72,91 @@ func TestRandomReadAtDecodesWhatItTouches(t *testing.T) {
 		if !bytes.Equal(buf, plain[off:off+int64(len(buf))]) {
 			t.Fatalf("ReadAt(%d): wrong bytes", off)
 		}
-		touched += spanOf(off+int64(len(buf))-1) - spanOf(off) + 1
+		for sp := spanOf(off); sp <= spanOf(off+int64(len(buf))-1); sp++ {
+			touched++
+			touchedBytes += spanSize(sp)
+		}
 	}
 	s := a.Stats()
-	t.Logf("%d spans; %d reads touched %d: %d decodes, %d prefetches issued, %d of them unused so far",
-		len(starts), reads, touched, s.SpanDecodes, s.PrefetchIssued, s.PrefetchUnused)
+	t.Logf("%d spans; %d reads touched %d (%d bytes): %d decodes, %d resumes, %d bytes decoded (%.2f of the touched spans, %.1f per byte delivered), %d prefetches issued, %d of them unused so far",
+		len(starts), reads, touched, touchedBytes, s.SpanDecodes, s.SpanResumes, s.DecodedBytes,
+		float64(s.DecodedBytes)/float64(touchedBytes), float64(s.DecodedBytes)/float64(reads*len(buf)), s.PrefetchIssued, s.PrefetchUnused)
 	if limit := uint64(touched + touched/10); s.SpanDecodes > limit {
 		t.Errorf("%d span decodes for reads touching %d spans, want <= %d", s.SpanDecodes, touched, limit)
 	}
 	if s.PrefetchIssued > reads/10 {
 		t.Errorf("%d prefetches issued for %d random reads, want <= %d", s.PrefetchIssued, reads, reads/10)
+	}
+	// A read costs the bytes from its seek point to its own end, not its
+	// spans: over uniform offsets that is about half of them, plus the
+	// read itself.
+	if limit := uint64(0.65 * float64(touchedBytes)); s.DecodedBytes > limit {
+		t.Errorf("%d bytes decoded for reads touching spans of %d bytes, want <= %d", s.DecodedBytes, touchedBytes, limit)
+	}
+}
+
+// TestSequentialReadAtFromSeekPointDecodesWhatItReads: 32 KiB ReadAts in
+// sequence from a seek point decode the bytes they read and no more —
+// each continues where the one before parked, and a pause overshoots by
+// less than one match.
+func TestSequentialReadAtFromSeekPointDecodesWhatItReads(t *testing.T) {
+	plain, gzPath, idxPath := indexedGzip(t, 4<<20, 256<<10)
+	rnd := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 8; trial++ {
+		a, err := Open(gzPath, WithIndexFile(idxPath), WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := a.(*Reader).pr.Index()
+		// Not the first: a reader that starts at offset 0 is taken for a
+		// whole-file pass at once.
+		start := int64(ix.Point(1 + rnd.Intn(ix.Len()-3)).UncompressedOffset)
+		buf := make([]byte, 32<<10)
+		const reads = 5 // short of a third span, where a stream would be prefetched for
+		for i := int64(0); i < reads; i++ {
+			off := start + i*int64(len(buf))
+			if _, err := a.ReadAt(buf, off); err != nil {
+				t.Fatalf("ReadAt(%d): %v", off, err)
+			}
+			if !bytes.Equal(buf, plain[off:off+int64(len(buf))]) {
+				t.Fatalf("ReadAt(%d): wrong bytes", off)
+			}
+		}
+		s := a.Stats()
+		a.Close()
+		if read := uint64(reads * len(buf)); s.PrefetchIssued != 0 || s.SpanResumes < reads-2 || s.DecodedBytes < read || s.DecodedBytes > read+258*s.SpanResumes {
+			t.Fatalf("from seek point %d: %d bytes read, %d decoded, %d decodes, %d resumes, %d prefetches",
+				start, read, s.DecodedBytes, s.SpanDecodes, s.SpanResumes, s.PrefetchIssued)
+		}
+	}
+}
+
+// TestSmallVerifiedReadsThroughIndex: WithVerify and Read with a 4 KiB
+// buffer from offset 0 is a stream from its first read: every span
+// decodes whole and once, as it did before reads could stop short, and
+// the member checksums verify.
+func TestSmallVerifiedReadsThroughIndex(t *testing.T) {
+	plain, gzPath, idxPath := indexedGzip(t, 2<<20, 128<<10)
+	// The cache holds the file, so the counts below are exact.
+	a, err := Open(gzPath, WithIndexFile(idxPath), WithParallelism(2), WithVerify(true), WithAccessCacheSize(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var got bytes.Buffer
+	if _, err := io.CopyBuffer(struct{ io.Writer }{&got}, struct{ io.Reader }{a}, make([]byte, 4<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), plain) {
+		t.Fatal("wrong bytes")
+	}
+	r := a.(*Reader)
+	if ok, fails := r.CRCVerified(); !ok || fails != 0 {
+		t.Fatalf("CRCVerified: ok=%v fails=%d", ok, fails)
+	}
+	s := a.Stats()
+	if spans := uint64(r.pr.Index().Len()); s.ChunksConsumed != spans || s.SpanDecodes != spans || s.SpanResumes != 0 || s.DecodedBytes != uint64(len(plain)) {
+		t.Fatalf("%d spans: %+v", spans, s)
 	}
 }
 

@@ -72,12 +72,8 @@ type Stats struct {
 	FinderProbes    uint64
 	OnDemandDecodes uint64
 	IndexedDecodes  uint64
-	// DelegatedDecodes counts indexed chunk decodes served by stdlib
-	// delegation (§3.3). Always zero since the indexed path switched to
-	// the custom single-stage decoder; kept for compatibility.
-	DelegatedDecodes uint64
-	ChunksConsumed   uint64
-	CRCFailures      uint64
+	ChunksConsumed  uint64
+	CRCFailures     uint64
 
 	// --- span engine (all formats) -----------------------------------
 	// SizingPasses counts codec sizing scans (0 after an index import,
@@ -87,9 +83,17 @@ type Stats struct {
 	// SizingDecodes counts full span decodes the sizing pass needed
 	// (bzip2 decodes everything once; LZ4 and sized zstd need none).
 	SizingDecodes uint64
-	// SpanDecodes counts span decodes after construction, on-demand
-	// and prefetched alike.
-	SpanDecodes uint64
+	// SpanDecodes counts span decodes started from a seek point after
+	// construction, on-demand and prefetched alike. A read through a
+	// gzip index decodes as far into the span as it reaches and parks
+	// the rest; SpanResumes counts the decodes that continued a parked
+	// one.
+	SpanDecodes, SpanResumes uint64
+	// DecodedBytes counts the bytes span decodes wrote — from a seek
+	// point, resumed, prefetched, or resolving a freshly confirmed gzip
+	// chunk. Over the bytes a workload was delivered it is the decoding
+	// a read costs.
+	DecodedBytes uint64
 	// PrefetchProposed counts strategy proposals before filtering
 	// (deterministic per access sequence); PrefetchIssued counts
 	// speculative span decodes actually dispatched; PrefetchJoined
@@ -125,7 +129,6 @@ func coreStats(s core.FetcherStats) Stats {
 		FinderProbes:     s.FinderProbes,
 		OnDemandDecodes:  s.OnDemandDecodes,
 		IndexedDecodes:   s.IndexedDecodes,
-		DelegatedDecodes: s.DelegatedDecodes,
 		ChunksConsumed:   s.ChunksConsumed,
 		CRCFailures:      s.CRCFailures,
 	}
@@ -136,6 +139,8 @@ func (s *Stats) setEngine(e spanengine.Stats) {
 	s.SizingPasses = e.SizingPasses
 	s.SizingDecodes = e.SizingDecodes
 	s.SpanDecodes = e.SpanDecodes
+	s.SpanResumes = e.SpanResumes
+	s.DecodedBytes = e.DecodedBytes
 	s.PrefetchProposed = e.PrefetchProposed
 	s.PrefetchIssued = e.PrefetchIssued
 	s.PrefetchJoined = e.PrefetchJoined
