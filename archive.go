@@ -37,12 +37,12 @@ type Archive interface {
 	// backend needs first.
 	Size() (int64, error)
 	// DecompressedSize reports the decompressed size when it is already
-	// known without any decoding — always for bzip2/LZ4/zstd (the sizing
-	// pass ran at open) and for gzip/BGZF once the chunk table is
-	// complete (index imported, BGZF metadata scan, or a finished first
-	// pass). ok=false means answering would cost a decode; callers that
-	// must stay cheap (a server emitting Content-Length) branch on it
-	// instead of calling Size.
+	// known without any decoding — when metadata declares it (LZ4, zstd
+	// frames with content sizes, BGZF), when an index was imported, and
+	// for gzip, bzip2 and unsized zstd once a first pass or a Size call
+	// has completed the span table. ok=false means answering would cost a
+	// decode; callers that must stay cheap (a server emitting
+	// Content-Length) branch on it instead of calling Size.
 	DecompressedSize() (size int64, ok bool)
 	// BuildIndex completes the backend's seek checkpoints for the whole
 	// file, making every subsequent Seek/ReadAt constant-time where the
@@ -83,7 +83,8 @@ const IndexSuffix = ".rgzidx"
 // automatically when present and valid (disable with
 // WithoutIndexDiscovery, force a specific file with WithIndexFile).
 // For gzip/BGZF the import skips the initial decompression pass; for
-// bzip2/LZ4/zstd it skips the sizing pass.
+// bzip2/LZ4/zstd it skips the scan, and for bzip2 and unsized zstd the
+// decodes that would size the table.
 func Open(path string, opts ...Option) (Archive, error) {
 	cfg, err := resolve(opts)
 	if err != nil {
@@ -264,16 +265,12 @@ func importIndexReader(src filereader.FileReader, coreCfg core.Config, indexPath
 
 // spanBackend is the contract of the span-engine-backed readers
 // (bzip2x.Reader, lz4x.Reader, zstdx.Reader): concurrent positional
-// reads over the decompressed stream, a size known after construction,
-// the checkpoint table exposed as ordered chunks, and access to the
-// engine for stats and checkpoint export.
+// reads over the decompressed stream, and the engine itself for the span
+// table — which bzip2 and unsized zstd grow as they are read — stats and
+// checkpoint export.
 type spanBackend interface {
 	io.ReaderAt
 	io.Closer
-	Size() int64
-	NumChunks() int
-	ChunkExtent(i int) (off, size int64)
-	ChunkContent(i int) ([]byte, error)
 	Engine() *spanengine.Engine
 }
 
@@ -347,7 +344,7 @@ func finishSpanArchive(src filereader.FileReader, format Format, cfg config, bac
 }
 
 // spanArchiveFromIndexFile opens the index at indexPath and builds the
-// backend from its checkpoint table — zero sizing-pass decodes, and
+// backend from its checkpoint table — no scan, nothing decoded, and
 // for a file-backed source zero reads of the compressed file beyond
 // the fingerprint probe.
 func spanArchiveFromIndexFile(src filereader.FileReader, format Format, cfg config, indexPath string) (Archive, error) {
@@ -371,8 +368,8 @@ func spanArchiveFromIndexFile(src filereader.FileReader, format Format, cfg conf
 	return finishSpanArchive(src, format, cfg, back, caps), nil
 }
 
-// scanSpanBackend runs the format's sizing pass and reports the
-// archive's truthful capabilities.
+// scanSpanBackend runs the format's scan (headers and magics; nothing
+// is decoded) and reports the archive's truthful capabilities.
 func scanSpanBackend(src filereader.FileReader, format Format, engCfg spanengine.Config) (spanBackend, Capabilities, error) {
 	switch format {
 	case FormatBzip2:
@@ -396,9 +393,9 @@ func scanSpanBackend(src filereader.FileReader, format Format, engCfg spanengine
 		}
 		// Parallelism and metadata-only random access need the frame
 		// table complete without decodes: multiple frames, each
-		// declaring its content size. Unsized files were sized by a
-		// sequential decode on open and stay honest about it (an index
-		// import lifts the demotion — the table is metadata then).
+		// declaring its content size. Unsized files size themselves as
+		// they are read and stay honest about it (an index import lifts
+		// the demotion — the table is metadata then).
 		return zr, memCaps(zr.NumFrames() > 1 && zr.Sized(), zr.Checksummed()), nil
 	}
 	return nil, Capabilities{}, fmt.Errorf("%w: %v has no span-engine backend", ErrUnsupportedFormat, format)
@@ -406,7 +403,7 @@ func scanSpanBackend(src filereader.FileReader, format Format, engCfg spanengine
 
 // spanBackendFromIndex validates an imported index against the open
 // source and builds the backend from its checkpoint table, skipping
-// the sizing pass entirely.
+// the scan entirely.
 func spanBackendFromIndex(src filereader.FileReader, format Format, ix *gzindex.Index, engCfg spanengine.Config) (spanBackend, Capabilities, error) {
 	if !ix.Finalized {
 		return nil, Capabilities{}, errors.New("rapidgzip: can only import finalized indexes")
@@ -472,6 +469,14 @@ func memCaps(multi, verify bool) Capabilities {
 	return Capabilities{Seek: true, Index: true, RandomAccess: multi, Parallel: multi, Prefetch: multi, Verify: verify}
 }
 
+// engine returns the current backend's engine (ImportIndex swaps
+// backends).
+func (a *spanArchive) engine() *spanengine.Engine {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.back.Engine()
+}
+
 func (a *spanArchive) Read(p []byte) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -490,7 +495,12 @@ func (a *spanArchive) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		base = a.pos
 	case io.SeekEnd:
-		base = a.back.Size()
+		// The size is only known once the span table is complete.
+		size, err := a.back.Engine().TotalSize()
+		if err != nil {
+			return 0, closedErr(err)
+		}
+		base = size
 	default:
 		return 0, fmt.Errorf("rapidgzip: bad whence %d", whence)
 	}
@@ -511,8 +521,9 @@ func (a *spanArchive) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // WriteTo streams the remaining decompressed bytes in span order — the
-// sequential fast path io.Copy hits. Parallelism comes from the span
-// engine itself: each ChunkContent access feeds the prefetch strategy,
+// sequential fast path io.Copy hits — growing the span table as it goes
+// where the format left sizes to the first decode. Parallelism comes from
+// the span engine itself: each span access feeds the prefetch strategy,
 // so upcoming spans decode on the worker pool while earlier ones are
 // written.
 func (a *spanArchive) WriteTo(w io.Writer) (int64, error) {
@@ -523,14 +534,19 @@ func (a *spanArchive) WriteTo(w io.Writer) (int64, error) {
 		// span order; tell the kernel so readahead widens.
 		filereader.AdviseSequential(a.src, 0, a.src.Size())
 	}
-	n := a.back.NumChunks()
+	eng := a.back.Engine()
 	var written int64
-	for i := 0; i < n; i++ {
-		off, size := a.back.ChunkExtent(i)
+	for i := 0; ; i++ {
+		if ok, err := eng.GrowTo(i); err != nil {
+			return written, closedErr(err)
+		} else if !ok {
+			return written, nil
+		}
+		off, size := eng.SpanExtent(i)
 		if size <= 0 || off+size <= a.pos {
 			continue
 		}
-		seg, err := a.back.ChunkContent(i)
+		seg, err := eng.SpanContent(i)
 		if err != nil {
 			return written, closedErr(err)
 		}
@@ -544,22 +560,24 @@ func (a *spanArchive) WriteTo(w io.Writer) (int64, error) {
 			return written, err
 		}
 	}
-	return written, nil
 }
 
-// Size returns the decompressed size, known since construction.
+// Size returns the decompressed size, completing the span table first
+// where sizes were left to decoding (bzip2, unsized zstd).
 func (a *spanArchive) Size() (int64, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.back.Size(), nil
+	size, err := a.engine().TotalSize()
+	return size, closedErr(err)
 }
 
-// DecompressedSize implements Archive; span backends size the stream
-// at construction, so the answer is always free.
+// DecompressedSize implements Archive: the size is free once the span
+// table is complete — from construction for formats whose metadata
+// declares it and for any imported index.
 func (a *spanArchive) DecompressedSize() (int64, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.back.Size(), true
+	eng := a.engine()
+	if !eng.Complete() {
+		return 0, false
+	}
+	return eng.Size(), true
 }
 
 // AdviseSequentialRead hints the OS that the compressed file is about
@@ -571,17 +589,21 @@ func (a *spanArchive) AdviseSequentialRead() {
 	}
 }
 
-// BuildIndex is a no-op: the checkpoint table (stream spans, frame
-// table) is fully built at construction for these backends.
-func (a *spanArchive) BuildIndex() error { return nil }
+// BuildIndex completes the checkpoint table (stream spans, frame table):
+// a no-op where metadata or an index supplied it, a decode of whatever no
+// read has reached yet for bzip2 and unsized zstd.
+func (a *spanArchive) BuildIndex() error {
+	return closedErr(a.engine().EnsureComplete())
+}
 
-// ExportIndex serialises the checkpoint table as an RGZIDX04 index. A
-// later Open of the same file with the index (explicit, or discovered
-// as a sibling) skips the sizing pass entirely.
+// ExportIndex serialises the checkpoint table, completed first, as an
+// RGZIDX04 index. A later Open of the same file with the index (explicit,
+// or discovered as a sibling) skips the scan and every sizing decode.
 func (a *spanArchive) ExportIndex(w io.Writer) error {
-	a.mu.Lock()
-	eng := a.back.Engine()
-	a.mu.Unlock()
+	eng := a.engine()
+	if err := eng.EnsureComplete(); err != nil {
+		return closedErr(err)
+	}
 	fp, err := gzindex.ComputeFingerprint(a.src, a.src.Size())
 	if err != nil {
 		return sourceErr(err)
@@ -629,10 +651,7 @@ func (a *spanArchive) ImportIndex(rd io.Reader) error {
 
 // Stats reports the span engine's counters.
 func (a *spanArchive) Stats() Stats {
-	a.mu.Lock()
-	eng := a.back.Engine()
-	a.mu.Unlock()
-	return engineStats(eng.Stats())
+	return engineStats(a.engine().Stats())
 }
 
 func (a *spanArchive) Close() error {

@@ -202,8 +202,8 @@ func run() error {
 		// served file-backed) are meaningful for all of them; gzip/BGZF
 		// add a second line for their speculative chunk pipeline.
 		s := r.Stats()
-		fmt.Fprintf(os.Stderr, "decompressed %d bytes (%s); sizingPasses=%d sizingDecodes=%d spanDecodes=%d spanResumes=%d decodedBytes=%d prefetchIssued=%d prefetchJoined=%d prefetchUnused=%d demandJoined=%d cacheHits=%d cacheMisses=%d evictions=%d preads=%d preadBytes=%d\n",
-			n, r.Format(), s.SizingPasses, s.SizingDecodes, s.SpanDecodes, s.SpanResumes, s.DecodedBytes, s.PrefetchIssued, s.PrefetchJoined, s.PrefetchUnused, s.DemandJoined, s.SpanCacheHits, s.SpanCacheMisses, s.SpanCacheEvictions, s.SourceReads, s.SourceBytesRead)
+		fmt.Fprintf(os.Stderr, "decompressed %d bytes (%s); sizingPasses=%d spanDecodes=%d spanResumes=%d decodedBytes=%d prefetchIssued=%d prefetchJoined=%d prefetchUnused=%d demandJoined=%d cacheHits=%d cacheMisses=%d evictions=%d preads=%d preadBytes=%d\n",
+			n, r.Format(), s.SizingPasses, s.SpanDecodes, s.SpanResumes, s.DecodedBytes, s.PrefetchIssued, s.PrefetchJoined, s.PrefetchUnused, s.DemandJoined, s.SpanCacheHits, s.SpanCacheMisses, s.SpanCacheEvictions, s.SourceReads, s.SourceBytesRead)
 		switch r.Format() {
 		case rapidgzip.FormatGzip, rapidgzip.FormatBGZF:
 			fmt.Fprintf(os.Stderr, "gzip pipeline: chunks=%d speculative=%d finderProbes=%d noBlock=%d falseStarts=%d onDemand=%d indexed=%d\n",

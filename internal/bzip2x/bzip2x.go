@@ -11,6 +11,12 @@
 // than gzip: blocks are self-contained (no LZ window crosses a block
 // boundary), so no two-stage decoding or marker replacement is needed —
 // which is precisely why the gzip problem required the paper.
+//
+// Random access (Reader) runs on the shared span engine in its growing
+// mode: opening a file scans it for stream magics and decodes nothing,
+// the span table grows as streams are first decoded — a false-positive
+// magic is merged away when the stream it cut short fails to decode — and
+// a first pass over the file therefore decodes it exactly once.
 package bzip2x
 
 import (

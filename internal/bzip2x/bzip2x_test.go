@@ -2,12 +2,16 @@ package bzip2x
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filereader"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 )
 
@@ -261,10 +265,17 @@ func TestReaderReadAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Size() != int64(len(data)) {
-		t.Fatalf("Size = %d, want %d", r.Size(), len(data))
+	defer r.Close()
+	// Nothing is decoded to open a file: the scan counts candidates, and
+	// the table is there once something has asked for the size.
+	if st := r.Engine().Stats(); st.DecodedBytes != 0 || r.NumChunks() != 0 || r.NumStreams() != 5 {
+		t.Fatalf("after open: %d chunks, %d streams, %+v", r.NumChunks(), r.NumStreams(), st)
 	}
-	if r.NumStreams() != 5 {
+	size, err := r.Size()
+	if err != nil || size != int64(len(data)) {
+		t.Fatalf("Size = %d, %v, want %d", size, err, len(data))
+	}
+	if r.NumStreams() != 5 || r.NumChunks() != 5 {
 		t.Fatalf("NumStreams = %d, want 5", r.NumStreams())
 	}
 	offs := []int64{0, 1, 99_999, 100_000, 100_001, 333_333, int64(len(data)) - 1}
@@ -282,7 +293,7 @@ func TestReaderReadAt(t *testing.T) {
 			t.Fatalf("ReadAt(%d): content mismatch", off)
 		}
 	}
-	if _, err := r.ReadAt(make([]byte, 1), r.Size()); err != io.EOF {
+	if _, err := r.ReadAt(make([]byte, 1), size); err != io.EOF {
 		t.Fatalf("ReadAt(EOF) err = %v, want io.EOF", err)
 	}
 }
@@ -297,6 +308,7 @@ func TestReaderSingleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	if r.NumStreams() != 1 {
 		t.Fatalf("NumStreams = %d, want 1", r.NumStreams())
 	}
@@ -350,7 +362,76 @@ func TestReaderRejectsCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp[len(comp)/2] ^= 0xFF
-	if _, err := NewReader(comp, 2); err == nil {
-		t.Fatal("corrupt file accepted")
+	// Opening decodes nothing, so the damage is the first reader's to find.
+	r, err := NewReader(comp, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer r.Close()
+	if _, err := r.ReadAt(make([]byte, 100), 0); !errors.Is(err, spanengine.ErrCorrupt) {
+		t.Fatalf("ReadAt of a corrupt file = %v, want ErrCorrupt", err)
+	}
+	if _, err := r.Size(); !errors.Is(err, spanengine.ErrCorrupt) {
+		t.Fatalf("Size of a corrupt file = %v, want ErrCorrupt", err)
+	}
+}
+
+// opaque hides a buffer's bytes from filereader.Bytes, so a scan over it
+// reads windows as it does from a file.
+type opaque struct{ filereader.MemoryReader }
+
+// TestFindStreamsWindows: the windowed scan finds what the whole-buffer
+// scan finds whatever the window size, and so wherever a window boundary
+// falls inside a magic; a read that fails is an ErrIO.
+func TestFindStreamsWindows(t *testing.T) {
+	magic := append([]byte("BZh9"), 0x31, 0x41, 0x59, 0x26, 0x53, 0x59)
+	footer := append([]byte("BZh1"), 0x17, 0x72, 0x45, 0x38, 0x50, 0x90)
+	var data []byte
+	for i, gap := range []int{0, 3, 17, 1, 40, 9, 10, 11, 25} {
+		data = append(data, bytes.Repeat([]byte("BZ"), gap)...) // near misses between the magics
+		data = append(data, "BZh0BZhx"...)
+		if i%2 == 0 {
+			data = append(data, magic...)
+		} else {
+			data = append(data, footer...)
+		}
+	}
+	data = append(data, magic[:9]...) // cut short by the end of the file
+	want := []int64{0}
+	for i := 1; i+streamMagicLen <= len(data); i++ {
+		if streamMagicAt(data[i:]) {
+			want = append(want, int64(i))
+		}
+	}
+	if len(want) != 10 { // offset 0 and nine magics
+		t.Fatalf("fixture holds %d magics", len(want))
+	}
+	var asInts []int64
+	for _, v := range FindStreams(data) {
+		asInts = append(asInts, int64(v))
+	}
+	if !slices.Equal(asInts, want) {
+		t.Fatalf("FindStreams = %v, want %v", asInts, want)
+	}
+	// Every window size from the smallest that holds a magic up: between
+	// them the boundaries fall at every offset into every magic.
+	for w := int64(streamMagicLen); w <= int64(len(data))+1; w++ {
+		got, err := findStreams(opaque{data}, w)
+		if err != nil || !slices.Equal(got, want) {
+			t.Fatalf("window %d: %v, %v; want %v", w, got, err, want)
+		}
+	}
+	if _, err := findStreams(shortReader{opaque{data}}, 64); !errors.Is(err, filereader.ErrIO) {
+		t.Fatalf("scan over a failing source = %v, want ErrIO", err)
+	}
+}
+
+// shortReader fails every read past the first 100 bytes.
+type shortReader struct{ opaque }
+
+func (r shortReader) ReadAt(p []byte, off int64) (int, error) {
+	if off+int64(len(p)) > 100 {
+		return 0, errors.New("disk on fire")
+	}
+	return r.opaque.ReadAt(p, off)
 }

@@ -3,7 +3,6 @@ package bzip2x
 import (
 	"bytes"
 	"compress/bzip2"
-	"errors"
 	"fmt"
 	"io"
 
@@ -19,6 +18,8 @@ const FormatTag = "bz2 "
 // digit, and the first block's 48-bit magic (or the footer magic of an
 // empty stream).
 const streamMagicLen = 10
+
+var streamPrefix = []byte("BZh")
 
 // streamMagicAt reports whether b (at least streamMagicLen bytes)
 // spells a bzip2 stream header followed by a block or footer magic.
@@ -42,13 +43,12 @@ func streamMagicAt(b []byte) bool {
 // positives — compressed payload bytes can spell the magic — so the
 // caller must be ready to fall back (§3: trial and error).
 func FindStreams(data []byte) []int {
-	offs := []int{0}
-	for i := 1; i+streamMagicLen <= len(data); i++ {
-		if streamMagicAt(data[i:]) {
-			offs = append(offs, i)
-		}
+	offs := scanWindow(nil, data, 0)
+	ints := make([]int, len(offs)+1)
+	for i, v := range offs {
+		ints[i+1] = int(v)
 	}
-	return offs
+	return ints
 }
 
 // findWindow is the chunk size FindStreamsReader scans at a time.
@@ -60,48 +60,53 @@ const findWindow = 1 << 20
 // FindStreamsReader is FindStreams over a positional reader: the file
 // is scanned in findWindow-sized chunks overlapping by
 // streamMagicLen-1 bytes, so peak resident source stays one window
-// regardless of file size. Memory-backed sources take the zero-copy
-// whole-buffer path.
+// regardless of file size. Memory-backed sources are one window, their
+// whole buffer.
 func FindStreamsReader(src filereader.FileReader) ([]int64, error) {
-	if data, ok := filereader.Bytes(src); ok {
-		ints := FindStreams(data)
-		offs := make([]int64, len(ints))
-		for i, v := range ints {
-			offs[i] = int64(v)
-		}
-		return offs, nil
-	}
+	return findStreams(src, findWindow)
+}
+
+// findStreams is FindStreamsReader with the window size as a parameter.
+func findStreams(src filereader.FileReader, window int64) ([]int64, error) {
 	offs := []int64{0}
+	if data, ok := filereader.Bytes(src); ok {
+		return scanWindow(offs, data, 0), nil
+	}
 	size := src.Size()
-	buf := make([]byte, findWindow)
+	buf := make([]byte, min(window, size))
 	for base := int64(0); base+streamMagicLen <= size; {
-		n := int64(len(buf))
-		if base+n > size {
-			n = size - base
-		}
-		chunk := buf[:n]
-		if rn, err := src.ReadAt(chunk, base); int64(rn) < n {
+		chunk := buf[:min(window, size-base)]
+		if rn, err := src.ReadAt(chunk, base); rn < len(chunk) {
 			if err == nil {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, fmt.Errorf("%w: bzip2 magic scan at offset %d: %w", filereader.ErrIO, base, err)
 		}
-		for p := 0; p+streamMagicLen <= len(chunk); p++ {
-			if base+int64(p) == 0 {
-				continue
-			}
-			if streamMagicAt(chunk[p:]) {
-				offs = append(offs, base+int64(p))
-			}
-		}
-		if base+n == size {
+		offs = scanWindow(offs, chunk, base)
+		if base+int64(len(chunk)) == size {
 			break
 		}
 		// Overlap by streamMagicLen-1 so a magic straddling the window
 		// boundary is still seen exactly once.
-		base += n - (streamMagicLen - 1)
+		base += int64(len(chunk)) - (streamMagicLen - 1)
 	}
 	return offs, nil
+}
+
+// scanWindow appends to offs the file offset of every stream magic that
+// lies whole inside win, the bytes of the file from offset base on, bar
+// one at offset 0 of the file. bytes.Index finds the "BZh" candidates;
+// nearly every byte of a file is not one.
+func scanWindow(offs []int64, win []byte, base int64) []int64 {
+	for p := 0; ; p++ {
+		i := bytes.Index(win[p:], streamPrefix)
+		if i < 0 || p+i+streamMagicLen > len(win) {
+			return offs
+		}
+		if p += i; base+int64(p) != 0 && streamMagicAt(win[p:]) {
+			offs = append(offs, base+int64(p))
+		}
+	}
 }
 
 // Decompress inflates a bzip2 file serially (any block/stream layout),
@@ -155,106 +160,37 @@ func DecompressParallel(data []byte, threads int) ([]byte, error) {
 	return out, nil
 }
 
-// Codec is the bzip2 half of the shared span engine: the sizing pass
-// (bzip2 declares no sizes anywhere, so Scan decompresses the whole
-// file once, in parallel, merging spans cut short by false-positive
-// magics) and the per-span decode.
+// Codec is the bzip2 half of the shared span engine: the magic scan and
+// the per-span decode. bzip2 declares no sizes anywhere, so the scan
+// leaves them all open and the engine grows its table from the first
+// decode of each stream (spanengine's deferred sizes).
 type Codec struct {
-	// Threads parallelizes the sizing pass; values < 1 mean 1.
-	Threads int
+	// Candidates is set by Scan: how many stream starts the magic scan
+	// proposed, offset 0 included.
+	Candidates int
 }
 
 // FormatTag implements spanengine.Codec.
-func (Codec) FormatTag() string { return FormatTag }
-
-// sizeSpan decodes the candidate span [start, stop) of src and returns
-// only its decompressed length: the compressed extent is read once
-// (pooled), the output streamed through io.Copy and never materialized
-// — the sizing pass of a file larger than RAM keeps peak memory at
-// threads × compressed span size.
-func sizeSpan(src filereader.FileReader, start, stop int64) (int64, error) {
-	ext, release, err := filereader.Extent(src, start, stop)
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	n, err := io.Copy(io.Discard, bzip2.NewReader(bytes.NewReader(ext)))
-	if err != nil {
-		return 0, fmt.Errorf("bzip2x: %w", err)
-	}
-	return n, nil
-}
+func (*Codec) FormatTag() string { return FormatTag }
 
 // Scan implements spanengine.Codec: candidate stream boundaries come
-// from FindStreamsReader (a bounded windowed magic scan), the spans
-// between them size-decode in parallel, and any span that fails (a
-// false-positive magic splitting a real stream) is merged with its
-// successor and retried, which converges on the true stream layout.
-// Peak memory stays bounded by the scan window plus threads × span
-// extent — only the span sizes are recorded, never the outputs.
-func (c Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
-	threads := c.Threads
-	if threads < 1 {
-		threads = 1
-	}
+// from FindStreamsReader (a bounded windowed magic scan) and nothing is
+// decoded. The spans between consecutive candidates are what the engine
+// decodes, merging one that a false-positive magic cut short with its
+// successor, which converges on the true stream layout.
+func (c *Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 	cands, err := FindStreamsReader(src)
 	if err != nil {
 		return spanengine.ScanResult{}, err
 	}
-	end := func(i int) int64 {
+	c.Candidates = len(cands)
+	res := spanengine.ScanResult{Candidates: true, Spans: make([]spanengine.Span, len(cands))}
+	for i, off := range cands {
+		end := src.Size()
 		if i+1 < len(cands) {
-			return cands[i+1]
+			end = cands[i+1]
 		}
-		return src.Size()
-	}
-
-	// First guess: every candidate starts a stream. Size all spans
-	// concurrently; failures are resolved by merging below.
-	p := pool.New(threads)
-	defer p.Close()
-	futs := make([]*pool.Future[int64], len(cands))
-	for i := range cands {
-		start, stop := cands[i], end(i)
-		futs[i] = pool.Go(p, func() (int64, error) {
-			return sizeSpan(src, start, stop)
-		})
-	}
-	firstLen := make([]int64, len(cands))
-	firstErr := make([]error, len(cands))
-	for i, fut := range futs {
-		firstLen[i], firstErr[i] = fut.Wait()
-	}
-
-	res := spanengine.ScanResult{SizingDecodes: uint64(len(cands))}
-	var decomp int64
-	for i := 0; i < len(cands); {
-		start := cands[i]
-		j := i
-		size, err := firstLen[i], firstErr[i]
-		for err != nil {
-			// Merging only resolves format errors (a false-positive
-			// candidate cut a real stream short). A read failure would
-			// just recur over ever-larger extents — fail fast instead.
-			if errors.Is(err, filereader.ErrIO) {
-				return spanengine.ScanResult{}, fmt.Errorf("bzip2x: sizing stream at offset %d: %w", start, err)
-			}
-			// The span was cut short by a false-positive candidate:
-			// extend it over the next candidate and retry.
-			j++
-			if j >= len(cands) {
-				return spanengine.ScanResult{}, fmt.Errorf("bzip2x: stream at offset %d: %w", start, err)
-			}
-			size, err = sizeSpan(src, start, end(j))
-			res.SizingDecodes++
-		}
-		res.Spans = append(res.Spans, spanengine.Span{
-			CompOff:    start,
-			CompEnd:    end(j),
-			DecompOff:  decomp,
-			DecompSize: size,
-		})
-		decomp += size
-		i = j + 1
+		res.Spans[i] = spanengine.Span{CompOff: off, CompEnd: end, DecompSize: -1}
 	}
 	return res, nil
 }
@@ -262,7 +198,7 @@ func (c Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 // DecodeSpan implements spanengine.Codec: one pread of the span's
 // compressed extent, decompressed with the stdlib decoder (which
 // verifies block CRCs, so span decodes always verify integrity).
-func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
+func (*Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
 	ext, release, err := filereader.Extent(src, s.CompOff, s.CompEnd)
 	if err != nil {
 		return nil, err
@@ -270,8 +206,6 @@ func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, e
 	defer release()
 	out, err := Decompress(ext)
 	if err != nil {
-		// The span decoded during the sizing pass (or was persisted by
-		// one); only data corruption since then can get here.
 		return nil, fmt.Errorf("bzip2x: span at offset %d: %w", s.CompOff, err)
 	}
 	return out, nil
@@ -279,19 +213,22 @@ func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, e
 
 // Reader provides checkpointed random access into a bzip2 file — the
 // Bzip2BlockFetcher instantiation the paper mentions under Figure 5,
-// served by the shared span engine: the checkpoint table comes from
-// Codec.Scan (one sizing pass over the whole file) or from a persisted
-// index via NewReaderFromCheckpoints (no sizing pass at all), and
-// ReadAt re-decodes only the stream spans touched by the request, with
+// served by the shared span engine. Opening one costs the magic scan and
+// decodes nothing: the checkpoint table grows as streams are first
+// decoded, each decode sizing its stream and serving it, so a first pass
+// over the file decodes it once and a ReadAt ahead of the table decodes up
+// to where it lands (Size decodes to the end). A table persisted by
+// ExportIndex comes back through NewReaderFromCheckpoints with no scan at
+// all, and ReadAt then decodes only the streams a request touches, with
 // the engine's LRU cache and prefetcher around it.
 //
 // All methods are safe for concurrent use.
 type Reader struct {
-	eng *spanengine.Engine
+	eng        *spanengine.Engine
+	candidates int
 }
 
-// NewReader validates data and builds the checkpoint table with one
-// parallel sizing pass.
+// NewReader scans data for stream magics and returns a reader over it.
 func NewReader(data []byte, threads int) (*Reader, error) {
 	return NewReaderConfig(filereader.MemoryReader(data), spanengine.Config{Threads: threads})
 }
@@ -301,17 +238,18 @@ func NewReader(data []byte, threads int) (*Reader, error) {
 // serves random access without the compressed bytes ever being
 // resident as a whole.
 func NewReaderConfig(src filereader.FileReader, cfg spanengine.Config) (*Reader, error) {
-	eng, err := spanengine.New(src, Codec{Threads: cfg.Threads}, cfg)
+	codec := &Codec{}
+	eng, err := spanengine.New(src, codec, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{eng: eng}, nil
+	return &Reader{eng: eng, candidates: codec.Candidates}, nil
 }
 
 // NewReaderFromCheckpoints builds a reader from a persisted checkpoint
-// table, skipping the sizing pass entirely.
+// table, skipping the scan entirely.
 func NewReaderFromCheckpoints(src filereader.FileReader, spans []spanengine.Span, cfg spanengine.Config) (*Reader, error) {
-	eng, err := spanengine.NewFromCheckpoints(src, Codec{Threads: cfg.Threads}, spans, 0, cfg)
+	eng, err := spanengine.NewFromCheckpoints(src, &Codec{}, spans, 0, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -324,19 +262,25 @@ func (r *Reader) Engine() *spanengine.Engine { return r.eng }
 // Close releases the engine's prefetch workers.
 func (r *Reader) Close() error { return r.eng.Close() }
 
-// Size returns the total decompressed size (established by the sizing
-// pass or the imported table, so this never scans again).
-func (r *Reader) Size() int64 { return r.eng.Size() }
+// Size returns the total decompressed size, decoding whatever part of
+// the file no read has reached yet.
+func (r *Reader) Size() (int64, error) { return r.eng.TotalSize() }
 
-// NumStreams returns the number of checkpoints (validated stream
-// spans). Files written by pbzip2/lbzip2 — or Compress with a
-// StreamSize — have many; single-stream files have one, making every
-// ReadAt a whole-file decode.
-func (r *Reader) NumStreams() int { return r.eng.NumSpans() }
+// NumStreams returns the number of checkpoints (validated stream spans)
+// once the table is complete, and until then the number of candidates the
+// magic scan found, which a false positive makes one too many. Files
+// written by pbzip2/lbzip2 — or Compress with a StreamSize — have many;
+// single-stream files have one, making every ReadAt a whole-file decode.
+func (r *Reader) NumStreams() int {
+	if r.eng.Complete() {
+		return r.eng.NumSpans()
+	}
+	return r.candidates
+}
 
 // NumChunks, ChunkExtent and ChunkContent expose the checkpoint table
-// generically (one chunk = one validated stream span), so a consumer
-// can pipeline ordered sequential reads with parallel decodes.
+// as far as it has grown (one chunk = one validated stream span), so a
+// consumer can pipeline ordered sequential reads with parallel decodes.
 func (r *Reader) NumChunks() int { return r.eng.NumSpans() }
 
 // ChunkExtent returns the decompressed offset and size of chunk i.

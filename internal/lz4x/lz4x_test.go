@@ -3,12 +3,16 @@ package lz4x
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/filereader"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 	"repro/internal/xxhash"
 )
@@ -317,5 +321,44 @@ func TestLinkedBlockFrameDecodes(t *testing.T) {
 	}
 	if string(buf) != "ABCD" {
 		t.Fatalf("ReadAt tail = %q", buf)
+	}
+}
+
+// TestForgedTableSizeIsNotAllocated: a checkpoint table is outside input
+// (an index file whose CRC an attacker can compute). One that names 1 TiB
+// for a 4 KiB frame must fail the read as corrupt, without the decoder
+// allocating what it names.
+func TestForgedTableSizeIsNotAllocated(t *testing.T) {
+	data := workloads.Base64(4<<10, 5)
+	comp := CompressFrames(data, FrameOptions{})
+	src := filereader.MemoryReader(comp)
+	for _, size := range []int64{1 << 40, maxExpansion*int64(len(comp)) + 1} {
+		forged := []spanengine.Span{{CompOff: 0, CompEnd: int64(len(comp)), DecompSize: size}}
+		r, err := NewReaderFromCheckpoints(src, forged, 0, spanengine.Config{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = r.ReadAt(make([]byte, 100), 0)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("table naming %d bytes for a %d-byte frame: ReadAt = %v, want ErrCorrupt", size, len(comp), err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("refusing the forged size allocated %d bytes", grew)
+		}
+		r.Close()
+	}
+	// A true table still reads.
+	honest := []spanengine.Span{{CompOff: 0, CompEnd: int64(len(comp)), DecompSize: int64(len(data))}}
+	r, err := NewReaderFromCheckpoints(src, honest, 0, spanengine.Config{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, 100)
+	if _, err := r.ReadAt(buf, 1000); err != nil || !bytes.Equal(buf, data[1000:1100]) {
+		t.Fatalf("ReadAt through an honest table: %v", err)
 	}
 }

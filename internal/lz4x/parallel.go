@@ -93,11 +93,21 @@ func (Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 	return res, nil
 }
 
+// maxExpansion bounds what LZ4 can make of its input: a match costs at
+// least one length byte per 255 bytes it copies.
+const maxExpansion = 255
+
 // DecodeSpan implements spanengine.Codec: one span is one frame, read
 // with one pread of its compressed extent and inflated as a unit
 // (dependent blocks decode fine — the frame is the smallest seekable
-// grain either way).
+// grain either way). The output is allocated from the table's size, and
+// the table may come from an index file: a size no frame of that length
+// can reach is refused before it is allocated.
 func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
+	if s.DecompSize > maxExpansion*(s.CompEnd-s.CompOff) {
+		return nil, fmt.Errorf("lz4x: frame at offset %d: %w: %d bytes declared for %d compressed",
+			s.CompOff, ErrCorrupt, s.DecompSize, s.CompEnd-s.CompOff)
+	}
 	ext, release, err := filereader.Extent(src, s.CompOff, s.CompEnd)
 	if err != nil {
 		return nil, err

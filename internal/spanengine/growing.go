@@ -1,6 +1,5 @@
 // Growing mode: the engine extension for formats that cannot enumerate
-// their span table from metadata and must discover it by decoding —
-// gzip, whose deflate blocks start at arbitrary bit offsets. The table
+// their span table from metadata and must find it by decoding. The table
 // starts empty and grows one confirmed decode unit at a time, driven by
 // the codec's Grower half; everything a speculative worker produces is
 // parked in the engine's tentative pool, keyed by the exact offset
@@ -8,6 +7,14 @@
 // upstream decode confirms the frontier reaches exactly that offset
 // (the paper's §3 robustness argument: a block-finder false positive
 // simply never matches a requested key and ages out of the pool).
+//
+// It has two kinds of user. Bit-offset discovery: gzip, whose deflate
+// blocks start at arbitrary bit offsets, so that even where a span begins
+// is a guess until the decode before it ends there (internal/core
+// implements Grower). Deferred sizes: bzip2 and Zstandard frames without a
+// content size, whose compressed extents a scan finds without decoding and
+// whose decompressed sizes the first decode supplies (deferred.go, one
+// Grower for both).
 
 package spanengine
 
@@ -64,8 +71,8 @@ type AccessObserver interface {
 
 // NewGrowing returns an engine in growing mode: the span table starts
 // empty and extends on demand (ReadAt, EnsureComplete, GrowTo), one
-// GrowNext unit at a time. The discovery scan counts as the engine's
-// sizing pass; an engine rebuilt from checkpoints instead reports
+// GrowNext unit at a time. The discovery counts as the engine's sizing
+// pass; an engine rebuilt from checkpoints instead reports
 // SizingPasses == 0, exactly like the complete-table formats.
 func NewGrowing(src filereader.FileReader, codec GrowingCodec, flags uint8, cfg Config) (*Engine, error) {
 	e, err := newEngine(share(src), codec, nil, flags, cfg)

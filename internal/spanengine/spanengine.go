@@ -6,16 +6,21 @@
 //
 // This is the paper's cache-plus-prefetch chunk-fetcher architecture
 // (§3.2, Figure 5), serving two kinds of codecs. Formats whose metadata
-// declares boundaries (bzip2, LZ4, Zstandard, BGZF) hand the engine a
-// complete span table up front — either from the codec's sizing pass or
-// from a persisted checkpoint table (an RGZIDX04 index), in which case
-// the sizing pass is skipped entirely. Formats that must discover
-// boundaries by decoding (gzip) implement Grower on top of Codec and
-// run the engine in growing mode (see growing.go): the span table
-// starts empty and extends one confirmed decode unit at a time, while
-// speculative results parked in the tentative pool stay exactly that —
-// tentative — until a clean upstream decode confirms where the next
-// span really starts.
+// declares every boundary and size (LZ4, Zstandard frames with content
+// sizes, BGZF) hand the engine a complete span table up front — either
+// from the codec's sizing pass, which decodes nothing, or from a persisted
+// checkpoint table (an RGZIDX04 index), in which case the sizing pass is
+// skipped entirely. The others run the engine in growing mode (see
+// growing.go): the span table starts empty and extends one confirmed
+// decode unit at a time, while speculative results parked in the tentative
+// pool stay exactly that — tentative — until the frontier reaches the
+// offset they started at. Growing mode has two kinds of user. gzip must
+// discover even where its spans begin, at bit offsets, by decoding, and
+// implements Grower itself. bzip2 and Zstandard frames that omit their
+// content size know their compressed extents from a scan and defer only
+// the sizes to the first decode; they share one Grower (deferred.go).
+// Either way the first pass over a file is the pass that sizes it, and
+// nothing is decoded before somebody reads.
 //
 // A cache entry is a span's content or, for a codec that can stop short
 // of a span's end and continue (PrefixDecoder; gzip is one), the front of
@@ -46,6 +51,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -67,24 +73,25 @@ type Span struct {
 	DecompOff, DecompSize int64
 }
 
-// ScanResult is the outcome of a codec's sizing pass.
+// ScanResult is the outcome of a codec's sizing pass, which reads headers
+// and magics and decodes nothing.
 type ScanResult struct {
-	// Spans is the complete checkpoint table, in stream order.
+	// Spans is the checkpoint table, in stream order. A span whose format
+	// does not declare its decompressed size carries a negative DecompSize:
+	// its first decode supplies it, and with it the DecompOff of every span
+	// after (which the scan leaves unset). One such span puts the engine in
+	// growing mode over the scan's extents (deferred.go).
 	Spans []Span
-	// SizingDecodes counts the full span decodes the pass needed to
-	// establish decompressed extents. Formats whose metadata declares
-	// sizes (LZ4, sized zstd) report zero; bzip2 decodes everything
-	// once.
-	SizingDecodes uint64
+	// Candidates marks span starts that are likely, not certain (bzip2's
+	// stream magics, which payload bytes can spell). The spans must then
+	// be contiguous and unsized; one that fails to decode is extended over
+	// its successor and tried again, so a false start is never asked for.
+	Candidates bool
 	// Flags carries codec-specific capability bits (checksummed, block
 	// independence, metadata-sized, ...). They are persisted alongside
 	// the span table so a reopen-from-index reader can report
 	// capabilities without re-parsing headers.
 	Flags uint8
-	// Primed optionally carries decompressed span contents the sizing
-	// pass produced anyway (keyed by span index); the engine seeds its
-	// cache with them so small unsized files do not decode twice.
-	Primed map[int][]byte
 }
 
 // Codec is the per-format half of the engine: how to split a file into
@@ -102,7 +109,8 @@ type Codec interface {
 	Scan(src filereader.FileReader) (ScanResult, error)
 	// DecodeSpan decodes the compressed bytes of one span (reading only
 	// [s.CompOff, s.CompEnd) of src), returning exactly s.DecompSize
-	// bytes.
+	// bytes — or, for an extent of its scan whose size is still open
+	// (s.DecompSize negative), all it holds.
 	DecodeSpan(src filereader.FileReader, s Span) ([]byte, error)
 }
 
@@ -162,17 +170,17 @@ func (c Config) withDefaults() Config {
 }
 
 // Stats counts engine activity. The zero-sizing-pass property of an
-// index import is observable here: SizingPasses and SizingDecodes stay
-// exactly zero when the engine was built from checkpoints.
+// index import is observable here: SizingPasses stays exactly zero when
+// the engine was built from checkpoints.
 type Stats struct {
-	// SizingPasses counts codec Scan invocations (0 or 1).
+	// SizingPasses counts the scans that established the span table: a
+	// codec's Scan, or the discovery a growing engine starts with (0 or 1).
 	SizingPasses uint64
-	// SizingDecodes counts full span decodes the sizing pass needed.
-	SizingDecodes uint64
 	// SpanDecodes counts span decodes started from a seek point after
 	// construction (on-demand and prefetch alike, to the span's end or
-	// short of it; sizing decodes are not included). SpanResumes counts
-	// the decodes that continued a parked one instead.
+	// short of it, and the decodes that size a deferred-size engine's
+	// extents). SpanResumes counts the decodes that continued a parked one
+	// instead.
 	SpanDecodes, SpanResumes uint64
 	// DecodedBytes counts the bytes those decodes, and the resolutions of
 	// a growing codec's primed spans, wrote. Over the bytes delivered it
@@ -317,26 +325,24 @@ func share(src filereader.FileReader) *filereader.SharedFileReader {
 }
 
 // New runs the codec's sizing pass over src and returns an engine over
-// the resulting span table. All source traffic — the sizing pass
-// included — is routed through one SharedFileReader and shows up in
-// Stats.
+// the resulting span table: complete if the pass sized every span, and
+// otherwise growing, each extent sized by its first decode. All source
+// traffic — the sizing pass included — is routed through one
+// SharedFileReader and shows up in Stats.
 func New(src filereader.FileReader, codec Codec, cfg Config) (*Engine, error) {
 	shared := share(src)
 	scan, err := codec.Scan(shared)
 	if err != nil {
 		return nil, err
 	}
+	if slices.ContainsFunc(scan.Spans, func(s Span) bool { return s.DecompSize < 0 }) {
+		return newDeferred(shared, codec, scan, cfg)
+	}
 	e, err := newEngine(shared, codec, scan.Spans, scan.Flags, cfg)
 	if err != nil {
 		return nil, err
 	}
 	e.stats.SizingPasses = 1
-	e.stats.SizingDecodes = scan.SizingDecodes
-	for i, content := range scan.Primed {
-		if i >= 0 && i < len(e.spans) && int64(len(content)) == e.spans[i].DecompSize {
-			e.cache.Put(i, &entry{data: content})
-		}
-	}
 	return e, nil
 }
 

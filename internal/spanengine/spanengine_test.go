@@ -15,11 +15,11 @@ import (
 )
 
 // fakeCodec splits src into fixed-size spans; DecodeSpan "decodes" by
-// reading the span extent. decodes counts DecodeSpan calls; sizingCost
-// simulates a sizing pass that must decode everything (bzip2-style).
+// reading the span extent. decodes counts DecodeSpan calls; unsized
+// makes the scan leave every size to the first decode (bzip2-style).
 type fakeCodec struct {
 	spanSize    int64
-	sizingCost  bool
+	unsized     bool
 	decodes     atomic.Uint64
 	decodeDelay chan struct{} // when non-nil, DecodeSpan blocks until it can receive
 }
@@ -30,13 +30,11 @@ func (c *fakeCodec) Scan(src filereader.FileReader) (ScanResult, error) {
 	var res ScanResult
 	for off := int64(0); off < src.Size(); off += c.spanSize {
 		end := min(off+c.spanSize, src.Size())
-		res.Spans = append(res.Spans, Span{
-			CompOff: off, CompEnd: end,
-			DecompOff: off, DecompSize: end - off,
-		})
-		if c.sizingCost {
-			res.SizingDecodes++
+		s := Span{CompOff: off, CompEnd: end, DecompOff: off, DecompSize: end - off}
+		if c.unsized {
+			s.DecompOff, s.DecompSize = 0, -1
 		}
+		res.Spans = append(res.Spans, s)
 	}
 	res.Flags = 0x5A
 	return res, nil
@@ -127,25 +125,40 @@ func TestSequentialReadPrefetches(t *testing.T) {
 
 func TestCheckpointRoundTripSkipsSizing(t *testing.T) {
 	src := testSrc(32 << 10)
-	codec := &fakeCodec{spanSize: 1 << 10, sizingCost: true}
+	codec := &fakeCodec{spanSize: 1 << 10, unsized: true}
 	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The scan left every size open: nothing is decoded, or read, until
+	// somebody asks, and one pass over the file decodes it once.
+	if s := e.Stats(); s.SizingPasses != 1 || s.DecodedBytes != 0 || s.SourceBytesRead != 0 || e.Complete() {
+		t.Fatalf("a cold scan decoded or read: %+v", s)
+	}
+	for i := 0; ; i++ {
+		if ok, err := e.GrowTo(i); err != nil {
+			t.Fatal(err)
+		} else if !ok {
+			break
+		}
+		if _, err := e.SpanContent(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := e.Stats(); s.DecodedBytes != uint64(len(src)) || e.Size() != int64(len(src)) {
+		t.Fatalf("one pass decoded %d bytes of %d: %+v", s.DecodedBytes, len(src), s)
+	}
 	spans := e.Checkpoints()
 	flags := e.Flags()
-	if s := e.Stats(); s.SizingDecodes == 0 {
-		t.Fatal("fixture should report sizing decodes on a cold scan")
-	}
 	e.Close()
 
-	codec2 := &fakeCodec{spanSize: 1 << 10, sizingCost: true}
+	codec2 := &fakeCodec{spanSize: 1 << 10, unsized: true}
 	e2, err := NewFromCheckpoints(filereader.MemoryReader(src), codec2, spans, flags, Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if s := e2.Stats(); s.SizingPasses != 0 || s.SizingDecodes != 0 {
+	if s := e2.Stats(); s.SizingPasses != 0 || s.DecodedBytes != 0 {
 		t.Fatalf("checkpoint import ran a sizing pass: %+v", s)
 	}
 	if e2.Flags() != flags {

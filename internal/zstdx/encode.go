@@ -24,8 +24,8 @@ type FrameOptions struct {
 	// ContentChecksum appends the xxHash64 content checksum per frame.
 	ContentChecksum bool
 	// OmitContentSize drops Frame_Content_Size from headers, producing
-	// the streamed-output shape that forces consumers into a sequential
-	// sizing pass (for testing capability degradation).
+	// the streamed-output shape whose sizes only decoding tells (for
+	// testing capability degradation).
 	OmitContentSize bool
 }
 

@@ -62,29 +62,29 @@ func DecompressParallel(data []byte, threads int) ([]byte, error) {
 	return out, nil
 }
 
-// Codec is the Zstandard half of the shared span engine. When every
-// frame declares its content size, Scan is a pure header-and-block
-// walk (zero sizing decodes — the §4.9 metadata fast path); frames
-// without one force a sequential sizing decode, whose outputs prime
-// the engine cache so small files do not pay twice.
+// Codec is the Zstandard half of the shared span engine. Scan is a pure
+// header-and-block walk that decodes nothing. When every frame declares
+// its content size the table it returns is complete (the §4.9 metadata
+// fast path); a frame without one leaves its size open, and the engine
+// grows the table from the first decode of each such frame (spanengine's
+// deferred sizes).
 type Codec struct {
-	// Skippable is set by Scan: the count of skippable frames the scan
-	// ignored (they carry no content).
-	Skippable int
+	// Frames and Skippable are set by Scan: the data frames it found, and
+	// the skippable frames it ignored (they carry no content).
+	Frames, Skippable int
 }
 
 // FormatTag implements spanengine.Codec.
 func (*Codec) FormatTag() string { return FormatTag }
 
 // Scan implements spanengine.Codec via ScanFramesReader (a windowed
-// header walk that never reads block payloads) plus a sizing decode
-// for every frame that omits its content size.
+// header walk that never reads block payloads).
 func (c *Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 	scan, err := ScanFramesReader(src)
 	if err != nil {
 		return spanengine.ScanResult{}, err
 	}
-	c.Skippable = scan.Skippable
+	c.Frames, c.Skippable = len(scan.Frames), scan.Skippable
 	res := spanengine.ScanResult{}
 	if scan.Sized {
 		res.Flags |= FlagMetadataSized
@@ -96,37 +96,12 @@ func (c *Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 		if !f.HasChecksum {
 			res.Flags &^= FlagChecksummed
 		}
-	}
-	var decomp int64
-	for i, f := range scan.Frames {
-		size := f.ContentSize
-		if f.ContentSize < 0 {
-			// Sizing pass: decode the unsized frame once to pin down its
-			// decompressed extent, handing the content to the engine so
-			// it lands in the span cache.
-			ext, release, err := filereader.Extent(src, f.Offset, f.End)
-			if err != nil {
-				return spanengine.ScanResult{}, err
-			}
-			content, err := decodeFrame(ext)
-			release()
-			if err != nil {
-				return spanengine.ScanResult{}, fmt.Errorf("zstdx: sizing frame %d: %w", i, err)
-			}
-			size = int64(len(content))
-			res.SizingDecodes++
-			if res.Primed == nil {
-				res.Primed = map[int][]byte{}
-			}
-			res.Primed[i] = content
-		}
 		res.Spans = append(res.Spans, spanengine.Span{
 			CompOff:    f.Offset,
 			CompEnd:    f.End,
-			DecompOff:  decomp,
-			DecompSize: size,
+			DecompOff:  f.ContentStart,
+			DecompSize: f.ContentSize,
 		})
-		decomp += size
 	}
 	return res, nil
 }
@@ -152,47 +127,51 @@ func (*Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, 
 // multi-frame) Zstandard file, served by the shared span engine. The
 // frame table from ScanFrames is the checkpoint database; when every
 // frame declares its content size the table is complete without
-// decoding anything — the metadata fast path of §4.9 — and otherwise a
-// sequential sizing pass decodes each unsized frame once on open
-// (their contents prime the cache). A reader built from a persisted
-// checkpoint table skips even that: the index already carries every
-// extent, so unsized files become seekable and parallel on reopen.
+// decoding anything — the metadata fast path of §4.9. Otherwise opening
+// still decodes nothing: the table grows as frames are first decoded, a
+// frame without a content size being sized by the decode that serves it,
+// so a first pass decodes the file once and a ReadAt ahead of the table
+// decodes up to where it lands (Size decodes to the end). A reader built
+// from a persisted checkpoint table skips even that: the index already
+// carries every extent, so unsized files become seekable at no cost on
+// reopen.
 //
 // All methods are safe for concurrent use.
 type Reader struct {
 	eng       *spanengine.Engine
+	frames    int
 	skippable int
 	fromIndex bool
 }
 
 // NewReader scans data and returns a random-access reader. Frames
-// without a content size force a sequential sizing decode here, and
-// demote the Sized (parallel-plannable) capability.
+// without a content size demote the Sized (parallel-plannable)
+// capability.
 func NewReader(data []byte, threads int) (*Reader, error) {
 	return NewReaderConfig(filereader.MemoryReader(data), spanengine.Config{Threads: threads})
 }
 
 // NewReaderConfig is NewReader with full engine tuning (cache size,
 // prefetch depth, strategy), over any positional source — an open file
-// serves random access with only headers read at open (plus sizing
-// decodes for unsized frames) and one frame extent per decode.
+// serves random access with only headers read at open and one frame
+// extent per decode.
 func NewReaderConfig(src filereader.FileReader, cfg spanengine.Config) (*Reader, error) {
 	codec := &Codec{}
 	eng, err := spanengine.New(src, codec, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{eng: eng, skippable: codec.Skippable}, nil
+	return &Reader{eng: eng, frames: codec.Frames, skippable: codec.Skippable}, nil
 }
 
 // NewReaderFromCheckpoints builds a reader from a persisted checkpoint
-// table, skipping the scan (and any sizing decodes) entirely.
+// table, skipping the scan entirely.
 func NewReaderFromCheckpoints(src filereader.FileReader, spans []spanengine.Span, flags uint8, cfg spanengine.Config) (*Reader, error) {
 	eng, err := spanengine.NewFromCheckpoints(src, &Codec{}, spans, flags, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{eng: eng, fromIndex: true}, nil
+	return &Reader{eng: eng, frames: len(spans), fromIndex: true}, nil
 }
 
 // Engine exposes the underlying span engine (stats, checkpoint export).
@@ -201,11 +180,13 @@ func (r *Reader) Engine() *spanengine.Engine { return r.eng }
 // Close releases the engine's prefetch workers.
 func (r *Reader) Close() error { return r.eng.Close() }
 
-// Size returns the total decompressed size.
-func (r *Reader) Size() int64 { return r.eng.Size() }
+// Size returns the total decompressed size, decoding whatever unsized
+// frames no read has reached yet.
+func (r *Reader) Size() (int64, error) { return r.eng.TotalSize() }
 
-// NumFrames returns the number of checkpoints (data frames).
-func (r *Reader) NumFrames() int { return r.eng.NumSpans() }
+// NumFrames returns the number of data frames (the checkpoints of the
+// complete table).
+func (r *Reader) NumFrames() int { return r.frames }
 
 // NumSkippable returns the count of skippable frames the scan ignored.
 // Readers built from a persisted checkpoint table never scanned and
@@ -215,8 +196,9 @@ func (r *Reader) NumSkippable() int { return r.skippable }
 // Sized reports whether the checkpoint table is complete metadata: every
 // frame header declared its content size, or the table was imported
 // from an index (which stores every extent). Files that are not Sized
-// still read correctly but cost a sequential decode on open, so
-// consumers should not advertise them as parallel or random-access.
+// still read correctly, but a read costs the decode of every frame
+// before it that nothing has decoded yet, so consumers should not
+// advertise them as random-access.
 func (r *Reader) Sized() bool { return r.fromIndex || r.eng.Flags()&FlagMetadataSized != 0 }
 
 // Checksummed reports whether every data frame carries an xxHash64
@@ -224,8 +206,8 @@ func (r *Reader) Sized() bool { return r.fromIndex || r.eng.Flags()&FlagMetadata
 func (r *Reader) Checksummed() bool { return r.eng.Flags()&FlagChecksummed != 0 }
 
 // NumChunks, ChunkExtent and ChunkContent expose the checkpoint table
-// generically (one chunk = one frame), so a consumer can pipeline
-// ordered sequential reads with parallel decodes.
+// as far as it has grown (one chunk = one frame), so a consumer can
+// pipeline ordered sequential reads with parallel decodes.
 func (r *Reader) NumChunks() int { return r.eng.NumSpans() }
 
 // ChunkExtent returns the decompressed offset and size of chunk i.

@@ -72,7 +72,7 @@ type Checkpoint struct {
 // and the frames concatenated in submit order — pzstd's structure,
 // which §4.9 of the paper calls trivially parallelizable precisely
 // because the frame headers alone describe the decode plan. ScanFrames
-// over the output therefore reports Sized (zero sizing decodes), and
+// over the output therefore reports Sized (every size declared), and
 // the checkpoint table recorded here while encoding matches what a
 // scan would recover.
 //

@@ -3,7 +3,10 @@
 // format, and the paper's §4.9 best case: pzstd-style multi-frame
 // files carry their decompressed extents in frame metadata, so the
 // planning pass that gzip needs speculative block finding for is a
-// header walk here, exactly as in the LZ4 backend.
+// header walk here, exactly as in the LZ4 backend. Frames that omit
+// their content size are found by the same walk and sized by their first
+// decode: the span engine grows their table as a first pass decodes it
+// (spanengine's deferred sizes), so opening a file never decodes.
 //
 // The decoder is self-contained (FSE, Huffman, sequence execution,
 // xxHash64) and handles the full single-pass format: raw/RLE/
@@ -153,7 +156,7 @@ type FrameInfo struct {
 	// the frame (including any content checksum).
 	Offset, End int64
 	// ContentSize is the declared decompressed size, or -1 when the
-	// frame header omits it (sized on open by a sequential decode).
+	// frame header omits it (the frame's first decode sizes it).
 	ContentSize int64
 	// ContentStart is the decompressed offset of this frame's content.
 	ContentStart int64

@@ -189,8 +189,12 @@ func TestReaderRandomAccess(t *testing.T) {
 	if !r.Sized() || !r.Checksummed() {
 		t.Fatalf("Sized=%v Checksummed=%v; want both", r.Sized(), r.Checksummed())
 	}
-	if r.Size() != int64(len(data)) {
-		t.Fatalf("Size = %d, want %d", r.Size(), len(data))
+	size, err := r.Size()
+	if err != nil || size != int64(len(data)) {
+		t.Fatalf("Size = %d, %v, want %d", size, err, len(data))
+	}
+	if st := r.Engine().Stats(); st.DecodedBytes != 0 {
+		t.Fatalf("the size of a sized file cost %d decoded bytes", st.DecodedBytes)
 	}
 	if r.NumFrames() != 16 {
 		t.Fatalf("NumFrames = %d, want 16", r.NumFrames())
@@ -223,8 +227,8 @@ func TestReaderRandomAccess(t *testing.T) {
 		}
 		pos += size
 	}
-	if pos != r.Size() {
-		t.Fatalf("chunks cover %d bytes, size is %d", pos, r.Size())
+	if pos != size {
+		t.Fatalf("chunks cover %d bytes, size is %d", pos, size)
 	}
 }
 
@@ -265,11 +269,14 @@ func TestReaderUnsizedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	if r.Sized() {
 		t.Fatal("OmitContentSize frames reported as sized")
 	}
-	if r.Size() != int64(len(data)) {
-		t.Fatalf("Size = %d after sizing pass, want %d", r.Size(), len(data))
+	// The scan finds the frames and decodes none; a read ahead of the
+	// table decodes up to where it lands, each frame once.
+	if st := r.Engine().Stats(); st.DecodedBytes != 0 || r.NumFrames() != 3 || r.NumChunks() != 0 {
+		t.Fatalf("after open: %d frames, %d chunks, %+v", r.NumFrames(), r.NumChunks(), st)
 	}
 	buf := make([]byte, 4096)
 	off := int64(250 << 10)
@@ -278,6 +285,13 @@ func TestReaderUnsizedFrames(t *testing.T) {
 	}
 	if !bytes.Equal(buf, data[off:off+4096]) {
 		t.Fatal("ReadAt mismatch on unsized file")
+	}
+	size, err := r.Size()
+	if err != nil || size != int64(len(data)) {
+		t.Fatalf("Size = %d, %v, want %d", size, err, len(data))
+	}
+	if st := r.Engine().Stats(); st.DecodedBytes != uint64(len(data)) || st.SpanDecodes != 3 {
+		t.Fatalf("sizing and reading three frames: %+v", st)
 	}
 }
 

@@ -127,10 +127,11 @@ func TestWithSharedPoolNil(t *testing.T) {
 	}
 }
 
-// TestDecompressedSize pins the no-decode size contract: span formats
-// know the size from construction; plain gzip only after its table is
-// complete (scan or index), BGZF immediately via the metadata scan —
-// and the answer always matches Size().
+// TestDecompressedSize pins the no-decode size contract: formats whose
+// metadata declares sizes (LZ4, sized zstd, BGZF) know the size from
+// construction; plain gzip and bzip2 only after their table is complete
+// (a pass, BuildIndex or an index) — and the answer always matches
+// Size().
 func TestDecompressedSize(t *testing.T) {
 	data := workloads.Base64(150_000, 3)
 	for format, comp := range spanFixtures(t, data) {
@@ -141,11 +142,11 @@ func TestDecompressedSize(t *testing.T) {
 			}
 			defer a.Close()
 			size, ok := a.DecompressedSize()
-			if format == FormatGzip {
-				// A cold plain-gzip open has not scanned yet; the cheap
+			if format == FormatGzip || format == FormatBzip2 {
+				// A cold open of either has decoded nothing yet; the cheap
 				// answer must refuse rather than trigger a decode.
 				if ok {
-					t.Fatal("plain gzip reports a size before any scan")
+					t.Fatalf("%v reports a size before any decode", format)
 				}
 				if err := a.BuildIndex(); err != nil {
 					t.Fatal(err)

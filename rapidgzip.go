@@ -77,17 +77,16 @@ type Stats struct {
 
 	// --- span engine (all formats) -----------------------------------
 	// SizingPasses counts codec sizing scans (0 after an index import,
-	// 1 after a cold open — for gzip the "pass" is the growing span
-	// table itself, for BGZF the member-metadata scan).
+	// 1 after a cold open — a header or magic scan that decodes nothing;
+	// for gzip, bzip2 and unsized zstd the span table then grows as the
+	// file is first read, for BGZF it is the member-metadata scan).
 	SizingPasses uint64
-	// SizingDecodes counts full span decodes the sizing pass needed
-	// (bzip2 decodes everything once; LZ4 and sized zstd need none).
-	SizingDecodes uint64
 	// SpanDecodes counts span decodes started from a seek point after
-	// construction, on-demand and prefetched alike. A read through a
-	// gzip index decodes as far into the span as it reaches and parks
-	// the rest; SpanResumes counts the decodes that continued a parked
-	// one.
+	// construction, on-demand and prefetched alike, including the first
+	// decode of a bzip2 stream or unsized zstd frame, which also sizes
+	// it. A read through a gzip index decodes as far into the span as it
+	// reaches and parks the rest; SpanResumes counts the decodes that
+	// continued a parked one.
 	SpanDecodes, SpanResumes uint64
 	// DecodedBytes counts the bytes span decodes wrote — from a seek
 	// point, resumed, prefetched, or resolving a freshly confirmed gzip
@@ -137,7 +136,6 @@ func coreStats(s core.FetcherStats) Stats {
 // setEngine fills in the span-engine half of s.
 func (s *Stats) setEngine(e spanengine.Stats) {
 	s.SizingPasses = e.SizingPasses
-	s.SizingDecodes = e.SizingDecodes
 	s.SpanDecodes = e.SpanDecodes
 	s.SpanResumes = e.SpanResumes
 	s.DecodedBytes = e.DecodedBytes

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/bzip2x"
+	"repro/internal/gzindex"
 	"repro/internal/gzipw"
 	"repro/internal/lz4x"
 	"repro/internal/workloads"
@@ -180,10 +182,11 @@ func TestEvictionPressureThroughArchive(t *testing.T) {
 // TestReopenWithIndexSkipsSizingPass is the acceptance check of the
 // span-engine PR (the analogue of PR 1's zero-finder-probes test):
 // exporting an RGZIDX04 index and reopening the file with it must
-// perform zero sizing passes and zero sizing-pass decodes — for bzip2
-// (whose cold open decodes the whole file), for LZ4, and for zstd both
-// sized and unsized (the latter is the strongest case: without the
-// index, open costs a sequential decode of every frame).
+// perform zero sizing passes — for bzip2, for LZ4, and for zstd both
+// sized and unsized. A cold open decodes nothing either, whatever the
+// format: it reads the file at most once (the bzip2 magic scan) and the
+// first sequential pass decodes every byte exactly once, sizing bzip2
+// streams and unsized zstd frames as it serves them.
 func TestReopenWithIndexSkipsSizingPass(t *testing.T) {
 	data := workloads.Base64(400_000, 37)
 	bz, err := bzip2x.Compress(data, bzip2x.WriterOptions{Level: 1, StreamSize: 64 << 10})
@@ -204,7 +207,7 @@ func TestReopenWithIndexSkipsSizingPass(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Cold open: scans (and for bzip2/unsized-zstd, decodes).
+			// Cold open: a scan, and no decode.
 			a, err := Open(path, WithParallelism(2))
 			if err != nil {
 				t.Fatal(err)
@@ -213,9 +216,24 @@ func TestReopenWithIndexSkipsSizingPass(t *testing.T) {
 			if cold.SizingPasses != 1 {
 				t.Fatalf("cold open ran %d sizing passes, want 1", cold.SizingPasses)
 			}
-			wantSizingDecodes := name == "data.bz2" || name == "data-unsized.zst"
-			if (cold.SizingDecodes > 0) != wantSizingDecodes {
-				t.Fatalf("cold open sizing decodes = %d, expected >0 == %v", cold.SizingDecodes, wantSizingDecodes)
+			if cold.DecodedBytes != 0 || cold.SourceBytesRead > uint64(len(comp))+4<<10 {
+				t.Fatalf("cold open decoded %d bytes and read %d of a %d-byte file; want a scan only",
+					cold.DecodedBytes, cold.SourceBytesRead, len(comp))
+			}
+			deferred := name == "data.bz2" || name == "data-unsized.zst"
+			if _, sized := a.DecompressedSize(); sized == deferred {
+				t.Fatalf("DecompressedSize known after open = %v", sized)
+			}
+			if n, err := a.WriteTo(io.Discard); err != nil || n != int64(len(data)) {
+				t.Fatalf("WriteTo = %d, %v", n, err)
+			}
+			// The pass that sizes a table decodes each span once; a
+			// prefetcher over a complete one may lose a span to eviction.
+			if s := a.Stats(); s.DecodedBytes < uint64(len(data)) || deferred && s.DecodedBytes != uint64(len(data)) {
+				t.Fatalf("one sequential pass decoded %d bytes of %d", s.DecodedBytes, len(data))
+			}
+			if size, ok := a.DecompressedSize(); !ok || size != int64(len(data)) {
+				t.Fatalf("DecompressedSize after a full pass = %d, %v", size, ok)
 			}
 			ixf, err := os.Create(path + IndexSuffix)
 			if err != nil {
@@ -234,8 +252,8 @@ func TestReopenWithIndexSkipsSizingPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer b.Close()
-			if s := b.Stats(); s.SizingPasses != 0 || s.SizingDecodes != 0 {
-				t.Fatalf("reopen with index still sized: passes=%d decodes=%d", s.SizingPasses, s.SizingDecodes)
+			if s := b.Stats(); s.SizingPasses != 0 || s.DecodedBytes != 0 {
+				t.Fatalf("reopen with index still sized: passes=%d decoded=%d", s.SizingPasses, s.DecodedBytes)
 			}
 			var out bytes.Buffer
 			if _, err := io.Copy(&out, b); err != nil {
@@ -263,5 +281,79 @@ func TestReopenWithIndexSkipsSizingPass(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBzip2GrownTableIsTheSizingPassTable: the table a bzip2 archive grows
+// by reading is the one a pass that decodes every stream to size it finds
+// — built here that way, from the stream magics and compress/bzip2 — so
+// its index is what the commit before the growing table exported for the
+// same file, and imports. The file is multiformat-seq's corpus.bz2 of the
+// repo benchmark (seed 1).
+func TestBzip2GrownTableIsTheSizingPassTable(t *testing.T) {
+	plain := workloads.SilesiaLike(1<<20, 1)
+	comp, err := bzip2x.Compress(plain, bzip2x.WriterOptions{Level: 1, StreamSize: 1 << 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []gzindex.Checkpoint
+	starts := bzip2x.FindStreams(comp)
+	for i, off := range starts {
+		end := len(comp)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		out, err := bzip2x.Decompress(comp[off:end])
+		if err != nil {
+			t.Fatalf("fixture has a false-positive magic at %d: %v", off, err)
+		}
+		c := gzindex.Checkpoint{CompOff: int64(off), CompEnd: int64(end), DecompSize: int64(len(out))}
+		if i > 0 {
+			c.DecompOff = want[i-1].DecompOff + want[i-1].DecompSize
+		}
+		want = append(want, c)
+	}
+
+	path := writeTempFile(t, t.TempDir(), "corpus.bz2", comp)
+	a, err := Open(path, WithParallelism(2), WithoutIndexDiscovery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	// Read out of order first: the table must not depend on who grew it.
+	buf := make([]byte, 1000)
+	if _, err := a.ReadAt(buf, 700_000); err != nil || !bytes.Equal(buf, plain[700_000:701_000]) {
+		t.Fatalf("ReadAt ahead of the table: %v", err)
+	}
+	var ixBytes bytes.Buffer
+	if err := a.ExportIndex(&ixBytes); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := gzindex.Read(bytes.NewReader(ixBytes.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := ix.Checkpoints; ct == nil || ct.Format != bzip2x.FormatTag || ct.Flags != 0 || !slices.Equal(ct.Spans, want) ||
+		ix.UncompressedSize != uint64(len(plain)) || ix.CompressedSize != uint64(len(comp)) {
+		t.Fatalf("exported table %+v, want spans %+v", ix.Checkpoints, want)
+	}
+
+	b, err := Open(path, WithParallelism(2), WithoutIndexDiscovery())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.ImportIndex(&ixBytes); err != nil {
+		t.Fatal(err)
+	}
+	if size, ok := b.DecompressedSize(); !ok || size != int64(len(plain)) {
+		t.Fatalf("DecompressedSize through the index = %d, %v", size, ok)
+	}
+	var out bytes.Buffer
+	if _, err := b.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), plain) {
+		t.Fatalf("WriteTo through the index: %d bytes, %v", out.Len(), err)
+	}
+	if s := b.Stats(); s.SizingPasses != 0 || s.DecodedBytes != uint64(len(plain)) {
+		t.Fatalf("through the index: %+v", s)
 	}
 }
