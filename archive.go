@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/bzip2x"
 	"repro/internal/core"
@@ -20,12 +21,36 @@ import (
 
 // Archive is the format-agnostic face of the package: one interface
 // over the decompressed stream of a gzip, BGZF, bzip2, LZ4 or zstd
-// file, served by whichever backend Open dispatched to. All methods
-// are safe for concurrent use.
+// file. All methods are safe for concurrent use, ImportIndex and Close
+// included: a read that runs while an index is imported finishes on the
+// table it started on and returns correct bytes, and a read that runs
+// while the archive is closed returns its bytes or ErrClosed.
 //
 // Every format persists an index: gzip/BGZF export seek points with
 // windows, bzip2/LZ4/zstd export their checkpoint tables — either way,
 // reopening with the index skips the initial scan or sizing pass.
+//
+// There is one cursor, moved by Read, Seek and WriteTo, which exclude
+// each other; ReadAt neither moves nor waits for it. What it answers is
+// the same for every format and backing:
+//
+//   - Read returns io.EOF only together with zero bytes: the call that
+//     delivers the last bytes of the stream returns them with a nil
+//     error, the next one 0, io.EOF.
+//   - Seek accepts any position that is not negative, past the end
+//     included (Read then returns 0, io.EOF); io.SeekEnd first completes
+//     the span table of a format whose size is found by decoding.
+//   - ReadAt follows io.ReaderAt: a negative offset is an error, a read
+//     that reaches the end returns what there was and io.EOF.
+//   - After Close every method that can fail — Read, Seek, ReadAt,
+//     WriteTo, Size, BuildIndex, ExportIndex, ImportIndex — fails with
+//     ErrClosed; Stats, Format, Capabilities and DecompressedSize keep
+//     answering from the final state. A second Close returns nil.
+//
+// Archives returned by Open and OpenBytes have two more methods, which
+// callers reach by asserting them: CRCVerified() (bool, uint64), the
+// state of checksum verification, and AdviseSequentialRead(), a hint
+// ahead of a front-to-back read.
 type Archive interface {
 	io.Reader
 	io.Seeker
@@ -48,9 +73,18 @@ type Archive interface {
 	// file, making every subsequent Seek/ReadAt constant-time where the
 	// format allows it.
 	BuildIndex() error
-	// ExportIndex serialises the seek-point index or checkpoint table.
+	// ExportIndex serialises the seek-point index or checkpoint table,
+	// completing it first (for gzip, bzip2 and unsized zstd one pass over
+	// whatever no read has reached yet). A later run that imports it skips
+	// that pass and every scan — the paper's "(index)" mode.
 	ExportIndex(w io.Writer) error
-	// ImportIndex installs a previously exported index.
+	// ImportIndex installs a previously exported index: codec, prefetch
+	// strategy and engine are built anew from it and replace the current
+	// ones, whose counters Stats no longer reports. The index must belong
+	// to the same compressed file (format tag, compressed size and source
+	// fingerprint are all enforced); on an error the archive is unchanged.
+	// Exactly the index bytes are consumed from rd, a varint at a time:
+	// pass a buffered reader if rd holds nothing else.
 	ImportIndex(rd io.Reader) error
 	// Stats returns a snapshot of backend activity counters.
 	Stats() Stats
@@ -99,21 +133,10 @@ func Open(path string, opts ...Option) (Archive, error) {
 		src.Close()
 		return nil, err
 	}
-	switch t := a.(type) {
-	case *Reader:
-		if t.fileBacked {
-			t.owned = src
-		} else {
-			// WithInMemory copied the data out; the file is done.
-			src.Close()
-		}
-	case *spanArchive:
-		if t.fileBacked {
-			t.owned = src
-		} else {
-			src.Close()
-		}
-	default:
+	if a.fileBacked {
+		a.owned = src
+	} else {
+		// WithInMemory copied the data out; the file is done.
 		src.Close()
 	}
 	return a, nil
@@ -127,12 +150,17 @@ func OpenBytes(data []byte, opts ...Option) (Archive, error) {
 	if err != nil {
 		return nil, err
 	}
-	return openArchive(filereader.MemoryReader(data), "", cfg)
+	a, err := openArchive(filereader.MemoryReader(data), "", cfg)
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
-// openArchive dispatches src to a backend by sniffed or forced format.
-// path is only used to locate a sibling index ("" disables discovery).
-func openArchive(src filereader.FileReader, path string, cfg config) (Archive, error) {
+// openArchive sniffs (or is told) the format of src and builds the
+// archive over it. path is only used to locate a sibling index (""
+// disables discovery).
+func openArchive(src filereader.FileReader, path string, cfg config) (*archive, error) {
 	format := cfg.format
 	if format == FormatUnknown {
 		prefix := make([]byte, SniffLen)
@@ -156,24 +184,49 @@ func openArchive(src filereader.FileReader, path string, cfg config) (Archive, e
 			return nil, fmt.Errorf("%w: %d-byte prefix matches no supported magic", ErrUnsupportedFormat, n)
 		}
 	}
-	if cfg.inMemory {
+	_, mem := filereader.Bytes(src)
+	if cfg.inMemory && !mem {
 		// Opt-in legacy behavior, same for every format: load everything
 		// once, then serve decodes zero-copy from the resident buffer.
-		if _, mem := filereader.Bytes(src); !mem {
-			data, err := filereader.ReadAll(src)
-			if err != nil {
-				return nil, sourceErr(err)
+		data, err := filereader.ReadAll(src)
+		if err != nil {
+			return nil, sourceErr(err)
+		}
+		src, mem = filereader.MemoryReader(data), true
+	}
+	be, ok := backends[format]
+	if !ok {
+		return nil, fmt.Errorf("%w: no backend for %v", ErrUnsupportedFormat, format)
+	}
+	a := &archive{src: src, fileBacked: !mem, format: format, cfg: cfg, backend: be}
+	st, err := a.first(path)
+	if err != nil {
+		// Backends tag what they could not read (a directory opened as a
+		// file, a file that shrank) with filereader.ErrIO; that is the
+		// typed ErrSourceRead here, whatever the format.
+		return nil, sourceErr(err)
+	}
+	a.cur.Store(st)
+	return a, nil
+}
+
+// first builds the state an archive opens with.
+func (a *archive) first(path string) (*state, error) {
+	if a.cfg.indexFile != "" {
+		// An explicit index must work; failure is the caller's answer.
+		return a.fromIndexFile(a.cfg.indexFile)
+	}
+	if !a.cfg.noDiscovery && path != "" {
+		// A sibling index is an optimisation: import it when valid, fall
+		// back to a normal scan when stale, corrupt, or built for a
+		// different file.
+		if _, err := os.Stat(path + IndexSuffix); err == nil {
+			if st, err := a.fromIndexFile(path + IndexSuffix); err == nil {
+				return st, nil
 			}
-			src = filereader.MemoryReader(data)
 		}
 	}
-	switch format {
-	case FormatGzip, FormatBGZF:
-		return openIndexed(src, path, cfg, format)
-	case FormatBzip2, FormatLZ4, FormatZstd:
-		return newSpanArchive(src, format, cfg, path)
-	}
-	return nil, fmt.Errorf("%w: content matches no supported magic", ErrUnsupportedFormat)
+	return a.cold(a.src, a.cfg)
 }
 
 // sourceErr maps a filereader I/O failure to the public typed error.
@@ -188,485 +241,412 @@ func sourceErr(err error) error {
 }
 
 // closedErr maps the internal closed-state errors a read can surface —
-// the engine's own gate, the core's, or a pread on a file descriptor
-// that Close won the race for — onto the public ErrClosed, so a caller
-// racing Close against ReadAt gets one typed answer regardless of
-// which layer noticed first. Other errors pass through untouched.
+// the engine's own gate, or a pread on a file descriptor that Close won
+// the race for — onto the public ErrClosed, so a caller racing Close
+// against ReadAt gets one typed answer regardless of which layer noticed
+// first. Other errors pass through untouched.
 func closedErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, spanengine.ErrClosed) || errors.Is(err, core.ErrClosed) || errors.Is(err, fs.ErrClosed) {
+	if errors.Is(err, spanengine.ErrClosed) || errors.Is(err, fs.ErrClosed) {
 		return fmt.Errorf("%w: %w", ErrClosed, err)
 	}
 	return err
 }
 
-// openIndexed builds the gzip/BGZF backend, importing an explicit or
-// discovered index when available.
-func openIndexed(src filereader.FileReader, path string, cfg config, format Format) (*Reader, error) {
-	coreCfg, err := cfg.coreConfig()
+// --- the per-format part -------------------------------------------------
+
+// state is one generation of an archive's decoding state: a span engine
+// over a codec built cold or from an index. ImportIndex replaces it whole.
+type state struct {
+	eng *spanengine.Engine
+	// gz is the gzip/BGZF codec's owner, nil for the other formats: the
+	// window index, the CRC chain and the speculation counters are what
+	// gzip has beyond a span table.
+	gz   *core.Reader
+	caps Capabilities
+}
+
+// backend is what a format contributes to the stack, chosen from
+// backends by Format: how a state is built cold — a scan that decodes
+// nothing — and how straight from a parsed index, with no scan at all.
+type backend struct {
+	cold    func(src filereader.FileReader, cfg config) (*state, error)
+	indexed func(src filereader.FileReader, ix *gzindex.Index, cfg config) (*state, error)
+}
+
+var backends = map[Format]backend{
+	FormatGzip: gzipBackend,
+	FormatBGZF: gzipBackend,
+	// The stdlib bzip2 decoder verifies block CRCs on every decode, so
+	// Verify holds unconditionally.
+	FormatBzip2: codecBackend(bzip2x.Codec{}, func(_ uint8, spans int, _ bool) Capabilities {
+		return spanCaps(spans > 1, true)
+	}),
+	FormatLZ4: codecBackend(lz4x.Codec{}, func(flags uint8, spans int, _ bool) Capabilities {
+		return spanCaps(spans > 1, flags&lz4x.FlagChecksummed != 0)
+	}),
+	// Parallelism and metadata-only random access need the frame table
+	// complete without decodes: multiple frames, each declaring its
+	// content size. Unsized files size themselves as they are read and
+	// stay honest about it; an index lifts the demotion — it carries
+	// every extent, so the table is metadata then.
+	FormatZstd: codecBackend(zstdx.Codec{}, func(flags uint8, spans int, indexed bool) Capabilities {
+		return spanCaps(spans > 1 && (indexed || flags&zstdx.FlagMetadataSized != 0), flags&zstdx.FlagChecksummed != 0)
+	}),
+}
+
+// gzipBackend: seekable, constant-time random access once indexed,
+// parallel decompression with strategy-driven prefetching, index export
+// and import, and opt-in CRC verification — whatever the file looks like.
+var gzipBackend = backend{
+	cold: func(src filereader.FileReader, cfg config) (*state, error) {
+		return gzipState(core.NewReader(src, cfg.core()))
+	},
+	indexed: func(src filereader.FileReader, ix *gzindex.Index, cfg config) (*state, error) {
+		return gzipState(core.NewReaderFromIndex(src, ix, cfg.core()))
+	},
+}
+
+func gzipState(gz *core.Reader, err error) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.indexFile != "" {
-		// An explicit index must work; failure is the caller's answer.
-		return importIndexReader(src, coreCfg, cfg.indexFile, format)
-	}
-	if !cfg.noDiscovery && path != "" {
-		if _, err := os.Stat(path + IndexSuffix); err == nil {
-			// A sibling index is an optimisation: import it when valid,
-			// fall back to a normal scan when stale, corrupt, or built
-			// for a different file.
-			if r, err := importIndexReader(src, coreCfg, path+IndexSuffix, format); err == nil {
-				return r, nil
+	return &state{eng: gz.Engine(), gz: gz, caps: Capabilities{
+		Seek: true, RandomAccess: true, Parallel: true, Index: true, Verify: true, Prefetch: true,
+	}}, nil
+}
+
+// codecBackend is the backend of a format that is a spanengine.Codec and
+// nothing more. caps is its capability rule: from the table's flags, the
+// spans it lists, and whether it came from an index.
+func codecBackend(codec spanengine.Codec, caps func(flags uint8, spans int, indexed bool) Capabilities) backend {
+	return backend{
+		cold: func(src filereader.FileReader, cfg config) (*state, error) {
+			eng, err := spanengine.New(src, codec, cfg.engine())
+			if err != nil {
+				return nil, err
 			}
-		}
-	}
-	pr, err := core.NewReader(src, coreCfg)
-	if err != nil {
-		// The core tags open-time read failures (fingerprint probe on a
-		// directory, a shrinking file) with filereader.ErrIO; surface
-		// those as the typed ErrSourceRead, like every other backend.
-		return nil, sourceErr(err)
-	}
-	_, mem := filereader.Bytes(src)
-	return &Reader{pr: pr, format: format, fileBacked: !mem}, nil
-}
-
-// importIndexReader constructs a reader destined for an immediate index
-// import: the eager BGZF member-metadata scan is skipped, because the
-// imported table would replace its result anyway — for a BGZF file
-// with millions of members that scan is the exact startup cost
-// importing an index exists to avoid.
-func importIndexReader(src filereader.FileReader, coreCfg core.Config, indexPath string, format Format) (*Reader, error) {
-	ixf, err := os.Open(indexPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ixf.Close()
-	coreCfg.SkipMetadataScan = true
-	pr, err := core.NewReader(src, coreCfg)
-	if err != nil {
-		return nil, sourceErr(err)
-	}
-	_, mem := filereader.Bytes(src)
-	r := &Reader{pr: pr, format: format, fileBacked: !mem}
-	// The file holds nothing but the index, so buffering is safe and
-	// spares the varint-level deserializer per-byte file reads.
-	if err := r.ImportIndex(bufio.NewReader(ixf)); err != nil {
-		pr.Close()
-		return nil, err
-	}
-	return r, nil
-}
-
-// --- span-engine backends (bzip2, LZ4, zstd) -----------------------------
-
-// spanBackend is the contract of the span-engine-backed readers
-// (bzip2x.Reader, lz4x.Reader, zstdx.Reader): concurrent positional
-// reads over the decompressed stream, and the engine itself for the span
-// table — which bzip2 and unsized zstd grow as they are read — stats and
-// checkpoint export.
-type spanBackend interface {
-	io.ReaderAt
-	io.Closer
-	Engine() *spanengine.Engine
-}
-
-// spanArchive adapts a spanBackend to the Archive interface: it adds
-// the sequential cursor (Read/Seek/WriteTo) and the checkpoint-table
-// index methods (ExportIndex/ImportIndex over the RGZIDX04 container).
-// One archive serves either backing — a resident buffer (OpenBytes,
-// WithInMemory) or an open file, in which case the compressed bytes
-// are never whole in memory: every decode preads only its span's
-// extent.
-type spanArchive struct {
-	src        filereader.FileReader // compressed source (file- or memory-backed)
-	fileBacked bool
-	owned      io.Closer // underlying file, closed with the archive (Open only)
-	format     Format
-	cfg        config // retained to rebuild the backend on ImportIndex (keeps the shared pool)
-
-	mu   sync.Mutex
-	back spanBackend
-	// retired holds backends replaced by ImportIndex. They stay open
-	// until Close so a concurrent ReadAt that snapshotted one mid-swap
-	// finishes against it instead of hitting a closed engine.
-	retired []spanBackend
-	caps    Capabilities
-	pos     int64
-}
-
-// formatTag returns the checkpoint-table tag of a span-engine format.
-func formatTag(format Format) string {
-	switch format {
-	case FormatBzip2:
-		return bzip2x.FormatTag
-	case FormatLZ4:
-		return lz4x.FormatTag
-	case FormatZstd:
-		return zstdx.FormatTag
-	}
-	return ""
-}
-
-// newSpanArchive constructs the backend over src (file- or memory-
-// backed), importing an explicit or discovered checkpoint-table index
-// when available (mirroring openIndexed's behavior for gzip: an
-// explicit index must work, a discovered one falls back to a scan).
-func newSpanArchive(src filereader.FileReader, format Format, cfg config, path string) (Archive, error) {
-	if cfg.indexFile != "" {
-		return spanArchiveFromIndexFile(src, format, cfg, cfg.indexFile)
-	}
-	if !cfg.noDiscovery && path != "" {
-		if _, err := os.Stat(path + IndexSuffix); err == nil {
-			if a, err := spanArchiveFromIndexFile(src, format, cfg, path+IndexSuffix); err == nil {
-				return a, nil
+			return &state{eng: eng, caps: caps(eng.Flags(), eng.ScanSpans(), false)}, nil
+		},
+		// Nothing is scanned or decoded, and of a file-backed source
+		// nothing is read beyond the fingerprint probe, 4 KiB at each end.
+		indexed: func(src filereader.FileReader, ix *gzindex.Index, cfg config) (*state, error) {
+			ct := ix.Checkpoints
+			if ct == nil {
+				return nil, fmt.Errorf("%w: index carries no checkpoint table for %q", ErrNoIndexSupport, codec.FormatTag())
 			}
-		}
+			fp, err := gzindex.ComputeFingerprint(src, src.Size())
+			if err != nil {
+				return nil, fmt.Errorf("%w: %w", filereader.ErrIO, err)
+			}
+			if err := ix.CheckSource(src.Size(), fp, codec.FormatTag()); err != nil {
+				return nil, err
+			}
+			spans := make([]spanengine.Span, len(ct.Spans))
+			for i, s := range ct.Spans {
+				spans[i] = spanengine.Span(s)
+			}
+			eng, err := spanengine.NewFromCheckpoints(src, codec, spans, ct.Flags, cfg.engine())
+			if err != nil {
+				return nil, err
+			}
+			return &state{eng: eng, caps: caps(ct.Flags, len(spans), true)}, nil
+		},
 	}
-	engCfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	back, caps, err := scanSpanBackend(src, format, engCfg)
-	if err != nil {
-		return nil, sourceErr(err)
-	}
-	return finishSpanArchive(src, format, cfg, back, caps), nil
 }
 
-// finishSpanArchive wraps a constructed backend in the Archive shell.
-func finishSpanArchive(src filereader.FileReader, format Format, cfg config, back spanBackend, caps Capabilities) *spanArchive {
-	_, mem := filereader.Bytes(src)
-	return &spanArchive{src: src, fileBacked: !mem, format: format, cfg: cfg, back: back, caps: caps}
-}
-
-// spanArchiveFromIndexFile opens the index at indexPath and builds the
-// backend from its checkpoint table — no scan, nothing decoded, and
-// for a file-backed source zero reads of the compressed file beyond
-// the fingerprint probe.
-func spanArchiveFromIndexFile(src filereader.FileReader, format Format, cfg config, indexPath string) (Archive, error) {
-	ixf, err := os.Open(indexPath)
-	if err != nil {
-		return nil, err
-	}
-	defer ixf.Close()
-	ix, err := gzindex.Read(bufio.NewReader(ixf))
-	if err != nil {
-		return nil, err
-	}
-	engCfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	back, caps, err := spanBackendFromIndex(src, format, ix, engCfg)
-	if err != nil {
-		return nil, sourceErr(err)
-	}
-	return finishSpanArchive(src, format, cfg, back, caps), nil
-}
-
-// scanSpanBackend runs the format's scan (headers and magics; nothing
-// is decoded) and reports the archive's truthful capabilities.
-func scanSpanBackend(src filereader.FileReader, format Format, engCfg spanengine.Config) (spanBackend, Capabilities, error) {
-	switch format {
-	case FormatBzip2:
-		br, err := bzip2x.NewReaderConfig(src, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		// The stdlib bzip2 decoder verifies block CRCs on every decode,
-		// so Verify holds unconditionally.
-		return br, memCaps(br.NumStreams() > 1, true), nil
-	case FormatLZ4:
-		lr, err := lz4x.NewReaderConfig(src, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		return lr, memCaps(lr.NumFrames() > 1, lr.Checksummed()), nil
-	case FormatZstd:
-		zr, err := zstdx.NewReaderConfig(src, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		// Parallelism and metadata-only random access need the frame
-		// table complete without decodes: multiple frames, each
-		// declaring its content size. Unsized files size themselves as
-		// they are read and stay honest about it (an index import lifts
-		// the demotion — the table is metadata then).
-		return zr, memCaps(zr.NumFrames() > 1 && zr.Sized(), zr.Checksummed()), nil
-	}
-	return nil, Capabilities{}, fmt.Errorf("%w: %v has no span-engine backend", ErrUnsupportedFormat, format)
-}
-
-// spanBackendFromIndex validates an imported index against the open
-// source and builds the backend from its checkpoint table, skipping
-// the scan entirely.
-func spanBackendFromIndex(src filereader.FileReader, format Format, ix *gzindex.Index, engCfg spanengine.Config) (spanBackend, Capabilities, error) {
-	if !ix.Finalized {
-		return nil, Capabilities{}, errors.New("rapidgzip: can only import finalized indexes")
-	}
-	ct := ix.Checkpoints
-	if ct == nil {
-		return nil, Capabilities{}, fmt.Errorf("%w: index carries no checkpoint table for %v", ErrNoIndexSupport, format)
-	}
-	if want := formatTag(format); ct.Format != want {
-		return nil, Capabilities{}, fmt.Errorf("rapidgzip: index checkpoint table is for format %q, want %q", ct.Format, want)
-	}
-	if ix.CompressedSize != uint64(src.Size()) {
-		return nil, Capabilities{}, fmt.Errorf("rapidgzip: index is for a %d-byte file, have %d bytes",
-			ix.CompressedSize, src.Size())
-	}
-	if ix.SourceFP != nil {
-		// The probe reads 4 KiB at each end of the file — the whole
-		// point of the import is that nothing else is read.
-		fp, err := gzindex.ComputeFingerprint(src, src.Size())
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		if *ix.SourceFP != fp {
-			return nil, Capabilities{}, fmt.Errorf("rapidgzip: index fingerprint %08x/%08x does not match the open file's %08x/%08x (index built for a different file of the same size)",
-				ix.SourceFP.Head, ix.SourceFP.Tail, fp.Head, fp.Tail)
-		}
-	}
-	spans := make([]spanengine.Span, len(ct.Spans))
-	for i, s := range ct.Spans {
-		spans[i] = spanengine.Span{CompOff: s.CompOff, CompEnd: s.CompEnd, DecompOff: s.DecompOff, DecompSize: s.DecompSize}
-	}
-	multi := len(spans) > 1
-	switch format {
-	case FormatBzip2:
-		br, err := bzip2x.NewReaderFromCheckpoints(src, spans, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		return br, memCaps(multi, true), nil
-	case FormatLZ4:
-		lr, err := lz4x.NewReaderFromCheckpoints(src, spans, ct.Flags, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		return lr, memCaps(multi, lr.Checksummed()), nil
-	case FormatZstd:
-		zr, err := zstdx.NewReaderFromCheckpoints(src, spans, ct.Flags, engCfg)
-		if err != nil {
-			return nil, Capabilities{}, err
-		}
-		// The imported table carries every extent, so even a file whose
-		// frame headers omitted content sizes is parallel and randomly
-		// accessible now.
-		return zr, memCaps(multi, zr.Checksummed()), nil
-	}
-	return nil, Capabilities{}, fmt.Errorf("%w: %v has no span-engine backend", ErrUnsupportedFormat, format)
-}
-
-// memCaps is the capability profile of a span-engine archive: Seek and
-// Index always work; random access, parallel decode and prefetching
-// need more than one span.
-func memCaps(multi, verify bool) Capabilities {
+// spanCaps is the capability profile of a bzip2, LZ4 or zstd archive:
+// Seek and Index always work; random access, parallel decode and
+// prefetching need more than one span.
+func spanCaps(multi, verify bool) Capabilities {
 	return Capabilities{Seek: true, Index: true, RandomAccess: multi, Parallel: multi, Prefetch: multi, Verify: verify}
 }
 
-// engine returns the current backend's engine (ImportIndex swaps
-// backends).
-func (a *spanArchive) engine() *spanengine.Engine {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.back.Engine()
+// stats fills the public Stats: the engine's counters, and for gzip/BGZF
+// the chunk pipeline's.
+func (st *state) stats() Stats {
+	e := st.eng.Stats()
+	s := Stats{
+		SizingPasses:       e.SizingPasses,
+		SpanDecodes:        e.SpanDecodes,
+		SpanResumes:        e.SpanResumes,
+		DecodedBytes:       e.DecodedBytes,
+		PrefetchProposed:   e.PrefetchProposed,
+		PrefetchIssued:     e.PrefetchIssued,
+		PrefetchJoined:     e.PrefetchJoined,
+		PrefetchUnused:     e.PrefetchUnused,
+		DemandJoined:       e.DemandJoined,
+		SpanCacheHits:      e.CacheHits,
+		SpanCacheMisses:    e.CacheMisses,
+		SpanCacheEvictions: e.Evictions,
+		SourceReads:        e.SourceReads,
+		SourceBytesRead:    e.SourceBytesRead,
+	}
+	if st.gz != nil {
+		g := st.gz.Stats()
+		s.GuessTasks = g.GuessTasks
+		s.GuessNoBlock = g.GuessNoBlock
+		s.GuessFalseStarts = g.GuessFalseStarts
+		s.FinderProbes = g.FinderProbes
+		s.OnDemandDecodes = g.OnDemandDecodes
+		s.IndexedDecodes = g.IndexedDecodes
+		s.ChunksConsumed = g.ChunksConsumed
+		s.CRCFailures = g.CRCFailures
+	}
+	return s
 }
 
-func (a *spanArchive) Read(p []byte) (int, error) {
+// --- the archive ---------------------------------------------------------
+
+// archive is the one Archive implementation: the compressed source (a
+// resident buffer for OpenBytes and WithInMemory, else an open file of
+// which every decode preads only its span's extent), the sequential
+// cursor, and the current state.
+type archive struct {
+	src        filereader.FileReader
+	fileBacked bool
+	owned      io.Closer // the file under src, closed with the archive (Open only)
+	format     Format
+	cfg        config // kept to build the next state on ImportIndex (same shared pool)
+	backend
+
+	// cur is the state reads go to. Every method loads it once and
+	// finishes on what it loaded, whatever ImportIndex does meanwhile.
+	cur atomic.Pointer[state]
+
+	mu  sync.Mutex // the cursor: Read, Seek and WriteTo exclude each other
+	pos int64
+
+	swap sync.Mutex // ImportIndex and Close exclude each other
+	// retired holds the states ImportIndex replaced. They stay open until
+	// Close, so a read that loaded one finishes against a live engine.
+	retired []*state
+	closed  atomic.Bool // set under swap
+}
+
+var _ Archive = (*archive)(nil)
+
+// live returns the current state, or ErrClosed after Close.
+func (a *archive) live() (*state, error) {
+	if a.closed.Load() {
+		return nil, ErrClosed
+	}
+	return a.cur.Load(), nil
+}
+
+// fromIndexFile builds a state from the index file at path.
+func (a *archive) fromIndexFile(path string) (*state, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	// The file holds nothing but the index, so buffering is safe and
+	// spares the varint-level deserializer per-byte file reads.
+	return a.fromIndex(bufio.NewReader(f))
+}
+
+func (a *archive) fromIndex(rd io.Reader) (*state, error) {
+	ix, err := gzindex.Read(rd)
+	if err != nil {
+		return nil, err
+	}
+	return a.indexed(a.src, ix, a.cfg)
+}
+
+func (a *archive) Read(p []byte) (int, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n, err := a.back.ReadAt(p, a.pos)
+	st, err := a.live()
+	if err != nil {
+		return 0, err
+	}
+	n, err := st.eng.ReadAt(p, a.pos)
 	a.pos += int64(n)
+	if n > 0 && err == io.EOF {
+		err = nil
+	}
 	return n, closedErr(err)
 }
 
-func (a *spanArchive) Seek(offset int64, whence int) (int64, error) {
+// Seek only moves the cursor (§3.1: "A seek only updates the internal
+// position"); decompression happens on the next Read.
+func (a *archive) Seek(offset int64, whence int) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	st, err := a.live()
+	if err != nil {
+		return 0, err
+	}
 	var base int64
 	switch whence {
 	case io.SeekStart:
-		base = 0
 	case io.SeekCurrent:
 		base = a.pos
 	case io.SeekEnd:
-		// The size is only known once the span table is complete.
-		size, err := a.back.Engine().TotalSize()
-		if err != nil {
+		if base, err = st.eng.TotalSize(); err != nil {
 			return 0, closedErr(err)
 		}
-		base = size
 	default:
 		return 0, fmt.Errorf("rapidgzip: bad whence %d", whence)
 	}
-	target := base + offset
-	if target < 0 {
-		return 0, fmt.Errorf("rapidgzip: negative seek position %d", target)
+	if base+offset < 0 {
+		return 0, fmt.Errorf("rapidgzip: negative seek position %d", base+offset)
 	}
-	a.pos = target
-	return target, nil
+	a.pos = base + offset
+	return a.pos, nil
 }
 
-func (a *spanArchive) ReadAt(p []byte, off int64) (int, error) {
-	a.mu.Lock()
-	back := a.back
-	a.mu.Unlock()
-	n, err := back.ReadAt(p, off)
+// ReadAt does not take the cursor's lock: the engine is concurrent-safe,
+// and parallel callers at different offsets share its span cache — the
+// access pattern of a mounted compressed TAR (§3).
+func (a *archive) ReadAt(p []byte, off int64) (int, error) {
+	st, err := a.live()
+	if err != nil {
+		return 0, err
+	}
+	n, err := st.eng.ReadAt(p, off)
 	return n, closedErr(err)
 }
 
-// WriteTo streams the remaining decompressed bytes in span order — the
-// sequential fast path io.Copy hits — growing the span table as it goes
-// where the format left sizes to the first decode. Parallelism comes from
-// the span engine itself: each span access feeds the prefetch strategy,
-// so upcoming spans decode on the worker pool while earlier ones are
-// written.
-func (a *spanArchive) WriteTo(w io.Writer) (int64, error) {
+// WriteTo streams what lies between the cursor and the end — the fast
+// path io.Copy takes for whole-file decompression. Parallelism comes from
+// the engine: each span written feeds the prefetch strategy, so the spans
+// ahead decode on the worker pool meanwhile.
+func (a *archive) WriteTo(w io.Writer) (int64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.fileBacked {
-		// The whole remaining compressed tail is about to be preaded in
-		// span order; tell the kernel so readahead widens.
-		filereader.AdviseSequential(a.src, 0, a.src.Size())
+	st, err := a.live()
+	if err != nil {
+		return 0, err
 	}
-	eng := a.back.Engine()
-	var written int64
-	for i := 0; ; i++ {
-		if ok, err := eng.GrowTo(i); err != nil {
-			return written, closedErr(err)
-		} else if !ok {
-			return written, nil
-		}
-		off, size := eng.SpanExtent(i)
-		if size <= 0 || off+size <= a.pos {
-			continue
-		}
-		seg, err := eng.SpanContent(i)
-		if err != nil {
-			return written, closedErr(err)
-		}
-		if skip := a.pos - off; skip > 0 {
-			seg = seg[skip:]
-		}
-		m, err := w.Write(seg)
-		written += int64(m)
-		a.pos += int64(m)
-		if err != nil {
-			return written, err
-		}
+	a.AdviseSequentialRead()
+	n, err := st.eng.WriteTo(w, a.pos)
+	a.pos += n
+	return n, closedErr(err)
+}
+
+// AdviseSequentialRead hints the OS that the compressed file is about
+// to be read front to back, so readahead widens. No-op for memory-backed
+// archives and platforms without posix_fadvise.
+func (a *archive) AdviseSequentialRead() {
+	if a.fileBacked {
+		filereader.AdviseSequential(a.src, 0, a.src.Size())
 	}
 }
 
-// Size returns the decompressed size, completing the span table first
-// where sizes were left to decoding (bzip2, unsized zstd).
-func (a *spanArchive) Size() (int64, error) {
-	size, err := a.engine().TotalSize()
+func (a *archive) Size() (int64, error) {
+	st, err := a.live()
+	if err != nil {
+		return 0, err
+	}
+	size, err := st.eng.TotalSize()
 	return size, closedErr(err)
 }
 
-// DecompressedSize implements Archive: the size is free once the span
-// table is complete — from construction for formats whose metadata
-// declares it and for any imported index.
-func (a *spanArchive) DecompressedSize() (int64, bool) {
-	eng := a.engine()
+func (a *archive) DecompressedSize() (int64, bool) {
+	eng := a.cur.Load().eng
 	if !eng.Complete() {
 		return 0, false
 	}
 	return eng.Size(), true
 }
 
-// AdviseSequentialRead hints the OS that the compressed file is about
-// to be read front to back (a whole-archive streaming GET). No-op for
-// memory-backed archives and platforms without posix_fadvise.
-func (a *spanArchive) AdviseSequentialRead() {
-	if a.fileBacked {
-		filereader.AdviseSequential(a.src, 0, a.src.Size())
+func (a *archive) BuildIndex() error {
+	st, err := a.live()
+	if err != nil {
+		return err
 	}
+	return closedErr(st.eng.EnsureComplete())
 }
 
-// BuildIndex completes the checkpoint table (stream spans, frame table):
-// a no-op where metadata or an index supplied it, a decode of whatever no
-// read has reached yet for bzip2 and unsized zstd.
-func (a *spanArchive) BuildIndex() error {
-	return closedErr(a.engine().EnsureComplete())
-}
-
-// ExportIndex serialises the checkpoint table, completed first, as an
-// RGZIDX04 index. A later Open of the same file with the index (explicit,
-// or discovered as a sibling) skips the scan and every sizing decode.
-func (a *spanArchive) ExportIndex(w io.Writer) error {
-	eng := a.engine()
-	if err := eng.EnsureComplete(); err != nil {
+func (a *archive) ExportIndex(w io.Writer) error {
+	st, err := a.live()
+	if err != nil {
+		return err
+	}
+	if st.gz != nil {
+		return closedErr(st.gz.ExportIndex(w))
+	}
+	if err := st.eng.EnsureComplete(); err != nil {
 		return closedErr(err)
 	}
 	fp, err := gzindex.ComputeFingerprint(a.src, a.src.Size())
 	if err != nil {
-		return sourceErr(err)
+		return closedErr(fmt.Errorf("%w: %w", ErrSourceRead, err))
 	}
 	ix := gzindex.New(0)
 	ix.Finalized = true
 	ix.CompressedSize = uint64(a.src.Size())
-	ix.UncompressedSize = uint64(eng.Size())
+	ix.UncompressedSize = uint64(st.eng.Size())
 	ix.SourceFP = &fp
-	spans := eng.Checkpoints()
-	ct := &gzindex.CheckpointTable{Format: formatTag(a.format), Flags: eng.Flags()}
-	ct.Spans = make([]gzindex.Checkpoint, len(spans))
-	for i, s := range spans {
-		ct.Spans[i] = gzindex.Checkpoint{CompOff: s.CompOff, CompEnd: s.CompEnd, DecompOff: s.DecompOff, DecompSize: s.DecompSize}
-	}
-	ix.Checkpoints = ct
+	ix.Checkpoints = st.eng.CheckpointTable()
 	_, err = ix.WriteTo(w)
 	return err
 }
 
-// ImportIndex installs a previously exported checkpoint-table index,
-// replacing the backend with one built from the persisted spans. The
-// index must belong to the same compressed data (format tag,
-// compressed size and source fingerprint are all enforced).
-func (a *spanArchive) ImportIndex(rd io.Reader) error {
-	ix, err := gzindex.Read(rd)
-	if err != nil {
+func (a *archive) ImportIndex(rd io.Reader) error {
+	if _, err := a.live(); err != nil {
 		return err
 	}
-	engCfg, err := a.cfg.engineConfig()
-	if err != nil {
-		return err
-	}
-	back, caps, err := spanBackendFromIndex(a.src, a.format, ix, engCfg)
+	st, err := a.fromIndex(rd)
 	if err != nil {
 		return sourceErr(err)
 	}
-	a.mu.Lock()
-	a.retired = append(a.retired, a.back)
-	a.back = back
-	a.caps = caps
-	a.mu.Unlock()
+	a.swap.Lock()
+	defer a.swap.Unlock()
+	if a.closed.Load() {
+		st.eng.Close()
+		return ErrClosed
+	}
+	a.retired = append(a.retired, a.cur.Swap(st))
 	return nil
 }
 
-// Stats reports the span engine's counters.
-func (a *spanArchive) Stats() Stats {
-	return engineStats(a.engine().Stats())
+func (a *archive) Stats() Stats { return a.cur.Load().stats() }
+
+func (a *archive) Format() Format { return a.format }
+
+func (a *archive) Capabilities() Capabilities { return a.cur.Load().caps }
+
+// CRCVerified reports whether checksum verification is intact and how
+// many mismatches were seen. For gzip/BGZF opened WithVerify that is the
+// member-CRC chain of sequential consumption: (false, 0) once reads leave
+// stream order (verification is then skipped, not failed), and a mismatch
+// seen before an ImportIndex still counts after it. bzip2, LZ4 and zstd
+// verify inside every decode and fail the read on a mismatch, so for them
+// the answer is whether the file carries checksums at all.
+func (a *archive) CRCVerified() (bool, uint64) {
+	a.swap.Lock()
+	defer a.swap.Unlock()
+	st := a.cur.Load()
+	if st.gz == nil {
+		return st.caps.Verify, 0
+	}
+	ok, fails := st.gz.CRCStatus()
+	for _, old := range a.retired {
+		_, f := old.gz.CRCStatus()
+		fails += f
+	}
+	return ok && fails == 0, fails
 }
 
-func (a *spanArchive) Close() error {
-	a.mu.Lock()
-	backs := append([]spanBackend{a.back}, a.retired...)
-	a.retired = nil
-	a.mu.Unlock()
-	var err error
-	for _, b := range backs {
-		if cerr := b.Close(); err == nil {
+// Close releases every engine the archive built and then the file.
+// Reads still running return their bytes or ErrClosed.
+func (a *archive) Close() error {
+	a.swap.Lock()
+	defer a.swap.Unlock()
+	if a.closed.Swap(true) {
+		return nil
+	}
+	err := a.cur.Load().eng.Close()
+	for _, st := range a.retired {
+		if cerr := st.eng.Close(); err == nil {
 			err = cerr
 		}
 	}
-	// The compressed file outlives every backend engine (in-flight
-	// decodes finished above), so it closes last.
+	a.retired = nil
+	// The compressed file outlives every engine (Close waited for their
+	// decodes), so it closes last.
 	if a.owned != nil {
 		if cerr := a.owned.Close(); err == nil {
 			err = cerr
@@ -674,16 +654,3 @@ func (a *spanArchive) Close() error {
 	}
 	return err
 }
-
-func (a *spanArchive) Format() Format { return a.format }
-
-func (a *spanArchive) Capabilities() Capabilities {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.caps
-}
-
-var (
-	_ Archive = (*Reader)(nil)
-	_ Archive = (*spanArchive)(nil)
-)

@@ -227,11 +227,8 @@ func TestStrategyValidation(t *testing.T) {
 	if _, err := OpenBytes(data, WithStrategy("multistrem")); err == nil {
 		t.Fatal("WithStrategy accepted a typo")
 	}
-	if _, err := NewBytesReader(data, Options{Strategy: "multistrem"}); err == nil {
-		t.Fatal("legacy Options accepted a typo strategy")
-	}
 	for _, ok := range []string{"", "adaptive", "fixed", "multistream"} {
-		r, err := NewBytesReader(data, Options{Strategy: ok})
+		r, err := OpenBytes(data, WithStrategy(ok))
 		if err != nil {
 			t.Fatalf("strategy %q rejected: %v", ok, err)
 		}
@@ -541,3 +538,129 @@ func TestTarFSOverNonGzipArchive(t *testing.T) {
 		t.Fatal("no entries in tar.bz2 filesystem")
 	}
 }
+
+// TestCursorSemantics pins, for every format and backing, what the one
+// cursor answers in the places where the gzip and the span readers used
+// to differ (the Archive doc states the same).
+func TestCursorSemantics(t *testing.T) {
+	data := workloads.Base64(300_000, 71)
+	size := int64(len(data))
+	for format, comp := range fixtureSet(t, data) {
+		path := writeTempFile(t, t.TempDir(), "cursor."+format.String(), comp)
+		for backing, open := range map[string]func() (Archive, error){
+			"file":     func() (Archive, error) { return Open(path, WithParallelism(2)) },
+			"bytes":    func() (Archive, error) { return OpenBytes(comp, WithParallelism(2)) },
+			"inmemory": func() (Archive, error) { return Open(path, WithParallelism(2), WithInMemory()) },
+		} {
+			t.Run(format.String()+"/"+backing, func(t *testing.T) {
+				a, err := open()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer a.Close()
+
+				// SeekEnd is the first thing asked of a table that, for
+				// gzip and bzip2, has not begun to grow.
+				if end, err := a.Seek(0, io.SeekEnd); err != nil || end != size {
+					t.Fatalf("Seek(0, SeekEnd) = %d, %v; want %d", end, err, size)
+				}
+				if n, err := a.Read(make([]byte, 10)); n != 0 || err != io.EOF {
+					t.Fatalf("Read at the end = %d, %v; want 0, io.EOF", n, err)
+				}
+
+				// The Read that delivers the last bytes returns them with
+				// nil; io.EOF comes alone.
+				if _, err := a.Seek(-1000, io.SeekEnd); err != nil {
+					t.Fatal(err)
+				}
+				buf := make([]byte, 700)
+				pos := size - 1000
+				for _, want := range []int{700, 300} {
+					n, err := a.Read(buf)
+					if n != want || err != nil || !bytes.Equal(buf[:n], data[pos:pos+int64(n)]) {
+						t.Fatalf("Read near the end = %d, %v; want %d right bytes, nil", n, err, want)
+					}
+					pos += int64(n)
+				}
+				if n, err := a.Read(buf); n != 0 || err != io.EOF {
+					t.Fatalf("Read after the last bytes = %d, %v; want 0, io.EOF", n, err)
+				}
+
+				// Seeking past the end is allowed and reads nothing; a
+				// negative position is refused and moves nothing.
+				if pos, err := a.Seek(size+1000, io.SeekStart); err != nil || pos != size+1000 {
+					t.Fatalf("Seek past the end = %d, %v", pos, err)
+				}
+				if n, err := a.Read(buf); n != 0 || err != io.EOF {
+					t.Fatalf("Read past the end = %d, %v; want 0, io.EOF", n, err)
+				}
+				if _, err := a.Seek(-1, io.SeekStart); err == nil {
+					t.Fatal("Seek to a negative position accepted")
+				}
+				if _, err := a.Seek(0, 42); err == nil {
+					t.Fatal("Seek with a bad whence accepted")
+				}
+				if pos, _ := a.Seek(0, io.SeekCurrent); pos != size+1000 {
+					t.Fatalf("a refused Seek moved the cursor to %d", pos)
+				}
+
+				// ReadAt is io.ReaderAt's.
+				if n, err := a.ReadAt(buf, -1); n != 0 || err == nil || err == io.EOF {
+					t.Fatalf("ReadAt(-1) = %d, %v; want 0 and an error", n, err)
+				}
+				if n, err := a.ReadAt(buf, size-4); n != 4 || err != io.EOF || !bytes.Equal(buf[:4], data[size-4:]) {
+					t.Fatalf("ReadAt across the end = %d, %v; want 4, io.EOF", n, err)
+				}
+				if n, err := a.ReadAt(buf, size); n != 0 || err != io.EOF {
+					t.Fatalf("ReadAt at the end = %d, %v; want 0, io.EOF", n, err)
+				}
+
+				// WriteTo takes the cursor from where it is to the end.
+				if _, err := a.Seek(size-5000, io.SeekStart); err != nil {
+					t.Fatal(err)
+				}
+				var tail bytes.Buffer
+				if n, err := a.WriteTo(&tail); n != 5000 || err != nil || !bytes.Equal(tail.Bytes(), data[size-5000:]) {
+					t.Fatalf("WriteTo of the tail = %d, %v", n, err)
+				}
+				if n, err := a.WriteTo(&tail); n != 0 || err != nil {
+					t.Fatalf("WriteTo at the end = %d, %v; want 0, nil", n, err)
+				}
+
+				// After Close: ErrClosed from everything that can fail, the
+				// rest keeps answering, and Close again is nil.
+				before := a.Stats()
+				if err := a.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for name, err := range map[string]error{
+					"Read":        second(a.Read(buf)),
+					"ReadAt":      second(a.ReadAt(buf, 0)),
+					"Seek":        second(a.Seek(0, io.SeekStart)),
+					"SeekEnd":     second(a.Seek(0, io.SeekEnd)),
+					"WriteTo":     second(a.WriteTo(io.Discard)),
+					"Size":        second(a.Size()),
+					"BuildIndex":  a.BuildIndex(),
+					"ExportIndex": a.ExportIndex(io.Discard),
+					"ImportIndex": a.ImportIndex(bytes.NewReader(nil)),
+				} {
+					if !errors.Is(err, ErrClosed) {
+						t.Errorf("%s after Close = %v, want ErrClosed", name, err)
+					}
+				}
+				if err := a.Close(); err != nil {
+					t.Errorf("second Close = %v, want nil", err)
+				}
+				if got, ok := a.DecompressedSize(); !ok || got != size {
+					t.Errorf("DecompressedSize after Close = %d, %v", got, ok)
+				}
+				if after := a.Stats(); after.DecodedBytes != before.DecodedBytes || a.Format() != format {
+					t.Errorf("Stats or Format changed across Close: %+v", after)
+				}
+			})
+		}
+	}
+}
+
+// second drops the first of a call's two results.
+func second[T any](_ T, err error) error { return err }

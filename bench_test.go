@@ -1,9 +1,9 @@
 package rapidgzip
 
 // One testing.B benchmark per table and figure of the paper's
-// evaluation (§4). These are the quick, `go test -bench` views; the
-// full sweeps with paper-style output come from cmd/benchsuite (see
-// EXPERIMENTS.md).
+// evaluation (§4): the `go test -bench` views of single layers and
+// scaling shapes. The repo's benchmark — end-to-end workloads, judged by
+// paired runs — is bench/ (BENCHMARK.json).
 //
 // Throughput (`B/s` via b.SetBytes) is always measured in decompressed
 // bytes, like the paper's bandwidth axes.
@@ -22,7 +22,6 @@ import (
 	"repro/internal/filereader"
 	"repro/internal/gzipw"
 	"repro/internal/lz4x"
-	"repro/internal/pugz"
 	"repro/internal/workloads"
 )
 
@@ -70,7 +69,7 @@ func (f *fixture) indexFor(b *testing.B, p int) []byte {
 	if idx, ok := f.idx[p]; ok {
 		return idx
 	}
-	r, err := NewBytesReader(f.comp, Options{ChunkSize: scaledChunk(len(f.comp), p)})
+	r, err := OpenBytes(f.comp, WithChunkSize(scaledChunk(len(f.comp), p)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -97,22 +96,21 @@ func scaledChunk(compLen, p int) int {
 	return cs
 }
 
-func benchDecompress(b *testing.B, f *fixture, opts Options, withIndex bool) {
+// benchDecompress decodes f at parallelism p in chunks of chunk
+// compressed bytes (0: scaled to the file, see scaledChunk).
+func benchDecompress(b *testing.B, f *fixture, p, chunk int, withIndex bool) {
 	b.Helper()
-	if opts.Parallelism == 0 {
-		opts.Parallelism = runtime.NumCPU()
-	}
-	if opts.ChunkSize == 0 {
-		opts.ChunkSize = scaledChunk(len(f.comp), opts.Parallelism)
+	if chunk == 0 {
+		chunk = scaledChunk(len(f.comp), p)
 	}
 	var idx []byte
 	if withIndex {
-		idx = f.indexFor(b, opts.Parallelism)
+		idx = f.indexFor(b, p)
 	}
 	b.SetBytes(int64(len(f.raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := NewBytesReader(f.comp, opts)
+		r, err := OpenBytes(f.comp, WithParallelism(p), WithChunkSize(chunk))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -239,27 +237,15 @@ func BenchmarkTable2Finders(b *testing.B) {
 
 // --- Figures 9-11: weak-scaling decompression ----------------------------
 
-func benchScaling(b *testing.B, name string, gen func(int, uint64) []byte, pugzOK bool) {
+func benchScaling(b *testing.B, name string, gen func(int, uint64) []byte) {
 	for _, p := range corePoints() {
 		f := getFixture(b, name, gen, 32<<20, "pigz -6")
 		b.Run(byName("rapidgzip/P", p), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p}, false)
+			benchDecompress(b, f, p, 0, false)
 		})
 		b.Run(byName("rapidgzip-index/P", p), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p}, true)
+			benchDecompress(b, f, p, 0, true)
 		})
-		if pugzOK {
-			b.Run(byName("pugz-sync/P", p), func(b *testing.B) {
-				b.SetBytes(int64(len(f.raw)))
-				for i := 0; i < b.N; i++ {
-					if err := pugz.Decompress(f.comp, io.Discard, pugz.Options{
-						Threads: p, Sync: true, ChunkSize: 4 * scaledChunk(len(f.comp), p), CheckPrintable: true,
-					}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 	// Single-threaded baselines: stdlib flate stands in for igzip.
 	f := getFixture(b, name, gen, 32<<20, "pigz -6")
@@ -277,9 +263,9 @@ func benchScaling(b *testing.B, name string, gen func(int, uint64) []byte, pugzO
 	})
 }
 
-func BenchmarkFig9Base64(b *testing.B)   { benchScaling(b, "fig9-b64", workloads.Base64, true) }
-func BenchmarkFig10Silesia(b *testing.B) { benchScaling(b, "fig10-sil", workloads.SilesiaLike, false) }
-func BenchmarkFig11FASTQ(b *testing.B)   { benchScaling(b, "fig11-fq", workloads.FASTQ, true) }
+func BenchmarkFig9Base64(b *testing.B)   { benchScaling(b, "fig9-b64", workloads.Base64) }
+func BenchmarkFig10Silesia(b *testing.B) { benchScaling(b, "fig10-sil", workloads.SilesiaLike) }
+func BenchmarkFig11FASTQ(b *testing.B)   { benchScaling(b, "fig11-fq", workloads.FASTQ) }
 
 // --- Figure 12: chunk-size sweep ------------------------------------------
 
@@ -291,7 +277,7 @@ func BenchmarkFig12ChunkSize(b *testing.B) {
 	}
 	for _, cs := range []int{256 << 10, 1 << 20, 4 << 20, 16 << 20} {
 		b.Run(fmtChunk(cs), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p, ChunkSize: cs}, false)
+			benchDecompress(b, f, p, cs, false)
 		})
 	}
 }
@@ -303,7 +289,7 @@ func BenchmarkTable3Compressors(b *testing.B) {
 	for _, preset := range []string{"gzip -6", "pigz -6", "bgzip -l 6", "bgzip -l 0", "igzip -1", "igzip -0"} {
 		f := getFixture(b, "t3-"+preset, workloads.SilesiaLike, 24<<20, preset)
 		b.Run(sanitize(preset), func(b *testing.B) {
-			benchDecompress(b, f, Options{Parallelism: p}, false)
+			benchDecompress(b, f, p, 0, false)
 		})
 	}
 }
@@ -315,36 +301,38 @@ func BenchmarkTable4Formats(b *testing.B) {
 	p := runtime.NumCPU()
 
 	gz := getFixture(b, "t4-gzip", workloads.SilesiaLike, 24<<20, "gzip -6")
-	b.Run("gzip-rapidgzip", func(b *testing.B) { benchDecompress(b, gz, Options{Parallelism: p}, false) })
-	b.Run("gzip-rapidgzip-index", func(b *testing.B) { benchDecompress(b, gz, Options{Parallelism: p}, true) })
+	b.Run("gzip-rapidgzip", func(b *testing.B) { benchDecompress(b, gz, p, 0, false) })
+	b.Run("gzip-rapidgzip-index", func(b *testing.B) { benchDecompress(b, gz, p, 0, true) })
 
 	bgzf := getFixture(b, "t4-bgzf", workloads.SilesiaLike, 24<<20, "bgzip -l 6")
-	b.Run("bgzf-rapidgzip", func(b *testing.B) { benchDecompress(b, bgzf, Options{Parallelism: p}, false) })
+	b.Run("bgzf-rapidgzip", func(b *testing.B) { benchDecompress(b, bgzf, p, 0, false) })
 
 	bz, err := bzip2x.Compress(data, bzip2x.WriterOptions{Level: 9, StreamSize: 900_000})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("bzip2-lbzip2x", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			out, err := bzip2x.DecompressParallel(bz, p)
-			if err != nil || len(out) != len(data) {
-				b.Fatalf("%d bytes, %v", len(out), err)
+	// The other formats' parallel rows run on the same engine: one span
+	// per bzip2 stream (the lbzip2 scheme), one per LZ4 frame (pzstd's).
+	openCopy := func(comp []byte) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			for i := 0; i < b.N; i++ {
+				r, err := OpenBytes(comp, WithParallelism(p))
+				if err != nil {
+					b.Fatal(err)
+				}
+				n, err := io.Copy(io.Discard, r)
+				r.Close()
+				if err != nil || n != int64(len(data)) {
+					b.Fatalf("%d bytes, %v", n, err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("bzip2-lbzip2x", openCopy(bz))
 
 	pz := lz4x.CompressFrames(data, lz4x.FrameOptions{FrameSize: 1 << 20, BlockSize: 256 << 10})
-	b.Run("pzstd-analog-lz4frames", func(b *testing.B) {
-		b.SetBytes(int64(len(data)))
-		for i := 0; i < b.N; i++ {
-			out, err := lz4x.DecompressParallel(pz, p)
-			if err != nil || len(out) != len(data) {
-				b.Fatalf("%d bytes, %v", len(out), err)
-			}
-		}
-	})
+	b.Run("pzstd-analog-lz4frames", openCopy(pz))
 
 	lz := lz4x.CompressFrames(data, lz4x.FrameOptions{BlockSize: 256 << 10})
 	b.Run("lz4-serial", func(b *testing.B) {

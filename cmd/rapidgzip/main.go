@@ -170,17 +170,16 @@ func run() error {
 		fmt.Println(lines)
 	}
 	if *verify {
-		if gz, ok := r.(*rapidgzip.Reader); ok {
-			if ok, fails := gz.CRCVerified(); !ok || fails > 0 {
-				return fmt.Errorf("CRC verification failed (%d mismatches)", fails)
-			}
-			fmt.Fprintln(os.Stderr, "rapidgzip: checksums OK")
-		} else if r.Capabilities().Verify {
-			// bzip2/LZ4/zstd verify inline during decode: reaching here
-			// means every checksum already passed.
-			fmt.Fprintln(os.Stderr, "rapidgzip: checksums OK")
-		} else {
+		// gzip/BGZF verify the member CRCs as the stream is consumed in
+		// order; bzip2/LZ4/zstd verify inside every decode, so having got
+		// here means every checksum they carry already passed.
+		v, has := r.(interface{ CRCVerified() (bool, uint64) })
+		if !has || !r.Capabilities().Verify {
 			fmt.Fprintf(os.Stderr, "rapidgzip: %v input carries no checksums; nothing verified\n", r.Format())
+		} else if ok, fails := v.CRCVerified(); !ok || fails > 0 {
+			return fmt.Errorf("CRC verification failed (%d mismatches)", fails)
+		} else {
+			fmt.Fprintln(os.Stderr, "rapidgzip: checksums OK")
 		}
 	}
 	if *exportIndex != "" {

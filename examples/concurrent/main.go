@@ -1,8 +1,8 @@
 // concurrent demonstrates the paper's "fast concurrent access at two
 // different offsets" design goal (§3): several goroutines read disjoint
-// regions of the decompressed stream through one shared Reader, the
+// regions of the decompressed stream through one shared Archive, the
 // access pattern a user-space filesystem like ratarmount generates.
-// The multi-stream prefetcher keeps both access streams ahead.
+// The adaptive prefetcher keeps every access stream ahead.
 //
 //	go run ./examples/concurrent [file.gz]
 package main
@@ -29,10 +29,7 @@ func main() {
 		fmt.Printf("no input given; demo file: %s\n", path)
 	}
 
-	r, err := rapidgzip.OpenOptions(path, rapidgzip.Options{
-		Strategy:        "multistream",
-		AccessCacheSize: 16,
-	})
+	r, err := rapidgzip.Open(path, rapidgzip.WithFormat(rapidgzip.FormatGzip), rapidgzip.WithAccessCacheSize(16))
 	if err != nil {
 		log.Fatal(err)
 	}

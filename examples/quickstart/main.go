@@ -49,8 +49,8 @@ func main() {
 		float64(n)/1e6/elapsed.Seconds())
 	fmt.Printf("chunks consumed: %d, speculative decodes: %d, on-demand decodes: %d\n",
 		st.ChunksConsumed, st.GuessTasks, st.OnDemandDecodes)
-	if gz, isGzip := r.(*rapidgzip.Reader); isGzip {
-		ok, fails := gz.CRCVerified()
+	if v, has := r.(interface{ CRCVerified() (bool, uint64) }); has {
+		ok, fails := v.CRCVerified()
 		fmt.Printf("checksums verified: %v (%d failures)\n", ok, fails)
 	}
 }

@@ -1,8 +1,10 @@
 // Package bzip2x is the bzip2 leg of the reproduction: a from-scratch
 // bzip2 compressor (RLE1 → BWT → MTF/RLE2 → Huffman, validated against
-// the standard library's decompressor) and an lbzip2-style parallel
-// decompressor that splits multi-stream files at stream magics and
-// inflates the streams concurrently.
+// the standard library's decompressor), a serial Decompress that is the
+// reference, and Codec, which splits multi-stream files at stream magics
+// so that the shared span engine inflates the streams concurrently — the
+// lbzip2 scheme. The package has no reader of its own: the root package
+// opens a bzip2 file as spanengine.New(src, Codec{}, cfg).
 //
 // The paper's Figure 5 notes that the rapidgzip chunk-fetcher
 // architecture had already been instantiated for bzip2
@@ -12,8 +14,8 @@
 // boundary), so no two-stage decoding or marker replacement is needed —
 // which is precisely why the gzip problem required the paper.
 //
-// Random access (Reader) runs on the shared span engine in its growing
-// mode: opening a file scans it for stream magics and decodes nothing,
+// Random access runs on the shared span engine in its growing mode:
+// opening a file scans it for stream magics and decodes nothing,
 // the span table grows as streams are first decoded — a false-positive
 // magic is merged away when the stream it cut short fails to decode — and
 // a first pass over the file therefore decodes it exactly once.

@@ -100,7 +100,7 @@ func TestDecompressParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{1, 2, 8} {
-		got, err := DecompressParallel(comp, threads)
+		got, err := decodeAll(openEngine(t, comp, threads))
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -108,6 +108,26 @@ func TestDecompressParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("threads=%d: mismatch", threads)
 		}
 	}
+}
+
+// openEngine opens comp the way the root package does: the codec's scan
+// under a span engine.
+func openEngine(t *testing.T, comp []byte, threads int) *spanengine.Engine {
+	t.Helper()
+	e, err := spanengine.New(filereader.MemoryReader(comp), Codec{}, spanengine.Config{Threads: threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// decodeAll streams the whole file out of the engine, streams decoding
+// in parallel.
+func decodeAll(e *spanengine.Engine) ([]byte, error) {
+	var out bytes.Buffer
+	_, err := e.WriteTo(&out, 0)
+	return out.Bytes(), err
 }
 
 func TestParallelFallbackOnFalsePositive(t *testing.T) {
@@ -124,7 +144,7 @@ func TestParallelFallbackOnFalsePositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecompressParallel(comp, 4)
+	got, err := decodeAll(openEngine(t, comp, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,22 +281,18 @@ func TestReaderReadAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(comp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openEngine(t, comp, 4)
 	// Nothing is decoded to open a file: the scan counts candidates, and
 	// the table is there once something has asked for the size.
-	if st := r.Engine().Stats(); st.DecodedBytes != 0 || r.NumChunks() != 0 || r.NumStreams() != 5 {
-		t.Fatalf("after open: %d chunks, %d streams, %+v", r.NumChunks(), r.NumStreams(), st)
+	if st := r.Stats(); st.DecodedBytes != 0 || r.NumSpans() != 0 || r.ScanSpans() != 5 {
+		t.Fatalf("after open: %d spans, %d candidates, %+v", r.NumSpans(), r.ScanSpans(), st)
 	}
-	size, err := r.Size()
+	size, err := r.TotalSize()
 	if err != nil || size != int64(len(data)) {
-		t.Fatalf("Size = %d, %v, want %d", size, err, len(data))
+		t.Fatalf("TotalSize = %d, %v, want %d", size, err, len(data))
 	}
-	if r.NumStreams() != 5 || r.NumChunks() != 5 {
-		t.Fatalf("NumStreams = %d, want 5", r.NumStreams())
+	if r.NumSpans() != 5 {
+		t.Fatalf("NumSpans = %d, want 5", r.NumSpans())
 	}
 	offs := []int64{0, 1, 99_999, 100_000, 100_001, 333_333, int64(len(data)) - 1}
 	for _, off := range offs {
@@ -304,13 +320,9 @@ func TestReaderSingleStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(comp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.NumStreams() != 1 {
-		t.Fatalf("NumStreams = %d, want 1", r.NumStreams())
+	r := openEngine(t, comp, 4)
+	if r.ScanSpans() != 1 {
+		t.Fatalf("ScanSpans = %d, want 1", r.ScanSpans())
 	}
 	buf := make([]byte, 1000)
 	if _, err := r.ReadAt(buf, 150_000); err != nil && err != io.EOF {
@@ -327,10 +339,7 @@ func TestReaderConcurrentReadAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(comp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openEngine(t, comp, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -363,16 +372,12 @@ func TestReaderRejectsCorrupt(t *testing.T) {
 	}
 	comp[len(comp)/2] ^= 0xFF
 	// Opening decodes nothing, so the damage is the first reader's to find.
-	r, err := NewReader(comp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
+	r := openEngine(t, comp, 2)
 	if _, err := r.ReadAt(make([]byte, 100), 0); !errors.Is(err, spanengine.ErrCorrupt) {
 		t.Fatalf("ReadAt of a corrupt file = %v, want ErrCorrupt", err)
 	}
-	if _, err := r.Size(); !errors.Is(err, spanengine.ErrCorrupt) {
-		t.Fatalf("Size of a corrupt file = %v, want ErrCorrupt", err)
+	if _, err := r.TotalSize(); !errors.Is(err, spanengine.ErrCorrupt) {
+		t.Fatalf("TotalSize of a corrupt file = %v, want ErrCorrupt", err)
 	}
 }
 

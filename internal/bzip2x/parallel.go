@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/filereader"
-	"repro/internal/pool"
 	"repro/internal/spanengine"
 )
 
@@ -119,71 +118,25 @@ func Decompress(data []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecompressParallel inflates a multi-stream bzip2 file with
-// stream-level parallelism, the lbzip2 scheme of Table 4: candidate
-// stream boundaries come from FindStreams, the spans between
-// consecutive candidates decode concurrently on the worker pool, and
-// any failure (for example a false-positive boundary splitting a real
-// stream) falls back to the serial whole-file path, which is always
-// correct.
-func DecompressParallel(data []byte, threads int) ([]byte, error) {
-	if threads < 1 {
-		threads = 1
-	}
-	offs := FindStreams(data)
-	if len(offs) == 1 || threads == 1 {
-		return Decompress(data)
-	}
-	p := pool.New(threads)
-	defer p.Close()
-	futs := make([]*pool.Future[[]byte], len(offs))
-	for i := range offs {
-		start := offs[i]
-		end := len(data)
-		if i+1 < len(offs) {
-			end = offs[i+1]
-		}
-		futs[i] = pool.Go(p, func() ([]byte, error) {
-			return Decompress(data[start:end])
-		})
-	}
-	var out []byte
-	for _, fut := range futs {
-		part, err := fut.Wait()
-		if err != nil {
-			// A span failed: at least one candidate was a false
-			// positive. Serial decoding resolves the layout exactly.
-			return Decompress(data)
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}
-
 // Codec is the bzip2 half of the shared span engine: the magic scan and
 // the per-span decode. bzip2 declares no sizes anywhere, so the scan
 // leaves them all open and the engine grows its table from the first
 // decode of each stream (spanengine's deferred sizes).
-type Codec struct {
-	// Candidates is set by Scan: how many stream starts the magic scan
-	// proposed, offset 0 included.
-	Candidates int
-}
+type Codec struct{}
 
 // FormatTag implements spanengine.Codec.
-func (*Codec) FormatTag() string { return FormatTag }
+func (Codec) FormatTag() string { return FormatTag }
 
 // Scan implements spanengine.Codec: candidate stream boundaries come
 // from FindStreamsReader (a bounded windowed magic scan) and nothing is
 // decoded. The spans between consecutive candidates are what the engine
 // decodes, merging one that a false-positive magic cut short with its
 // successor, which converges on the true stream layout.
-func (c *Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
+func (Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 	cands, err := FindStreamsReader(src)
 	if err != nil {
 		return spanengine.ScanResult{}, err
 	}
-	c.Candidates = len(cands)
 	res := spanengine.ScanResult{Candidates: true, Spans: make([]spanengine.Span, len(cands))}
 	for i, off := range cands {
 		end := src.Size()
@@ -198,7 +151,7 @@ func (c *Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 // DecodeSpan implements spanengine.Codec: one pread of the span's
 // compressed extent, decompressed with the stdlib decoder (which
 // verifies block CRCs, so span decodes always verify integrity).
-func (*Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
+func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
 	ext, release, err := filereader.Extent(src, s.CompOff, s.CompEnd)
 	if err != nil {
 		return nil, err
@@ -210,86 +163,3 @@ func (*Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, 
 	}
 	return out, nil
 }
-
-// Reader provides checkpointed random access into a bzip2 file — the
-// Bzip2BlockFetcher instantiation the paper mentions under Figure 5,
-// served by the shared span engine. Opening one costs the magic scan and
-// decodes nothing: the checkpoint table grows as streams are first
-// decoded, each decode sizing its stream and serving it, so a first pass
-// over the file decodes it once and a ReadAt ahead of the table decodes up
-// to where it lands (Size decodes to the end). A table persisted by
-// ExportIndex comes back through NewReaderFromCheckpoints with no scan at
-// all, and ReadAt then decodes only the streams a request touches, with
-// the engine's LRU cache and prefetcher around it.
-//
-// All methods are safe for concurrent use.
-type Reader struct {
-	eng        *spanengine.Engine
-	candidates int
-}
-
-// NewReader scans data for stream magics and returns a reader over it.
-func NewReader(data []byte, threads int) (*Reader, error) {
-	return NewReaderConfig(filereader.MemoryReader(data), spanengine.Config{Threads: threads})
-}
-
-// NewReaderConfig is NewReader with full engine tuning (cache size,
-// prefetch depth, strategy), over any positional source — an open file
-// serves random access without the compressed bytes ever being
-// resident as a whole.
-func NewReaderConfig(src filereader.FileReader, cfg spanengine.Config) (*Reader, error) {
-	codec := &Codec{}
-	eng, err := spanengine.New(src, codec, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{eng: eng, candidates: codec.Candidates}, nil
-}
-
-// NewReaderFromCheckpoints builds a reader from a persisted checkpoint
-// table, skipping the scan entirely.
-func NewReaderFromCheckpoints(src filereader.FileReader, spans []spanengine.Span, cfg spanengine.Config) (*Reader, error) {
-	eng, err := spanengine.NewFromCheckpoints(src, &Codec{}, spans, 0, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{eng: eng}, nil
-}
-
-// Engine exposes the underlying span engine (stats, checkpoint export).
-func (r *Reader) Engine() *spanengine.Engine { return r.eng }
-
-// Close releases the engine's prefetch workers.
-func (r *Reader) Close() error { return r.eng.Close() }
-
-// Size returns the total decompressed size, decoding whatever part of
-// the file no read has reached yet.
-func (r *Reader) Size() (int64, error) { return r.eng.TotalSize() }
-
-// NumStreams returns the number of checkpoints (validated stream spans)
-// once the table is complete, and until then the number of candidates the
-// magic scan found, which a false positive makes one too many. Files
-// written by pbzip2/lbzip2 — or Compress with a StreamSize — have many;
-// single-stream files have one, making every ReadAt a whole-file decode.
-func (r *Reader) NumStreams() int {
-	if r.eng.Complete() {
-		return r.eng.NumSpans()
-	}
-	return r.candidates
-}
-
-// NumChunks, ChunkExtent and ChunkContent expose the checkpoint table
-// as far as it has grown (one chunk = one validated stream span), so a
-// consumer can pipeline ordered sequential reads with parallel decodes.
-func (r *Reader) NumChunks() int { return r.eng.NumSpans() }
-
-// ChunkExtent returns the decompressed offset and size of chunk i.
-func (r *Reader) ChunkExtent(i int) (off, size int64) { return r.eng.SpanExtent(i) }
-
-// ChunkContent returns the decompressed output of chunk i. The
-// returned slice is shared with the engine's cache and must not be
-// modified.
-func (r *Reader) ChunkContent(i int) ([]byte, error) { return r.eng.SpanContent(i) }
-
-// ReadAt implements io.ReaderAt over the decompressed stream.
-func (r *Reader) ReadAt(p []byte, off int64) (int, error) { return r.eng.ReadAt(p, off) }

@@ -86,11 +86,12 @@ type gzipCodec struct {
 	consumed  map[int]bool
 }
 
-func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters) *gzipCodec {
+func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, bgzf bool) *gzipCodec {
 	return &gzipCodec{
 		cfg:           cfg,
 		src:           src,
 		fileBits:      uint64(src.Size()) * 8,
+		bgzf:          bgzf,
 		cnt:           cnt,
 		byOff:         map[int64]int{},
 		index:         gzindex.New(cfg.ChunkSize),

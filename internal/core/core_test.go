@@ -49,17 +49,52 @@ func mkRandom(seed int64, n int) []byte {
 	return out
 }
 
-func open(t testing.TB, comp []byte, cfg Config) *ParallelGzipReader {
+// seqReader gives a Reader, for these tests, the cursor the root
+// package's archive keeps over Engine().ReadAt.
+type seqReader struct {
+	*Reader
+	pos int64
+}
+
+func (r *seqReader) ReadAt(p []byte, off int64) (int, error) { return r.Engine().ReadAt(p, off) }
+
+func (r *seqReader) Read(p []byte) (int, error) {
+	n, err := r.Engine().ReadAt(p, r.pos)
+	r.pos += int64(n)
+	if n > 0 && err == io.EOF {
+		err = nil
+	}
+	return n, err
+}
+
+func (r *seqReader) Seek(off int64, whence int) (int64, error) {
+	switch whence {
+	case io.SeekCurrent:
+		off += r.pos
+	case io.SeekEnd:
+		size, err := r.Engine().TotalSize()
+		if err != nil {
+			return 0, err
+		}
+		off += size
+	}
+	r.pos = off
+	return off, nil
+}
+
+func newAdaptive() prefetch.Strategy { return prefetch.NewAdaptive() }
+
+func open(t testing.TB, comp []byte, cfg Config) *seqReader {
 	t.Helper()
 	r, err := NewReader(filereader.MemoryReader(comp), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.Close() })
-	return r
+	return &seqReader{Reader: r}
 }
 
-func readAll(t testing.TB, r *ParallelGzipReader) []byte {
+func readAll(t testing.TB, r *seqReader) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err != nil {
@@ -120,7 +155,7 @@ func TestStdlibCompressedInput(t *testing.T) {
 		if got := readAll(t, r); !bytes.Equal(got, data) {
 			t.Fatalf("level %d: mismatch", level)
 		}
-		stats := r.FetcherStats()
+		stats := r.Stats()
 		if stats.GuessTasks == 0 {
 			t.Fatalf("level %d: no speculative decodes happened (chunking broken)", level)
 		}
@@ -186,7 +221,7 @@ func TestReadAtConcurrent(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 	r := open(t, comp, Config{
 		Parallelism: 4, ChunkSize: 32 << 10,
-		Strategy: prefetch.NewAdaptive(), AccessCacheSize: 8,
+		Strategy: newAdaptive, AccessCacheSize: 8,
 	})
 	errs := make(chan error, 2)
 	for g := 0; g < 2; g++ {
@@ -230,7 +265,7 @@ func TestIndexExportImport(t *testing.T) {
 	if got := readAll(t, r2); !bytes.Equal(got, data) {
 		t.Fatal("decode with imported index mismatch")
 	}
-	stats := r2.FetcherStats()
+	stats := r2.Stats()
 	if stats.GuessTasks != 0 {
 		t.Fatalf("index-primed decode ran %d speculative tasks", stats.GuessTasks)
 	}
@@ -335,13 +370,13 @@ func TestBGZFFastPath(t *testing.T) {
 	}
 	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 128 << 10, VerifyChecksums: true})
 	// The index must be complete before any read: BGZF needs no scan.
-	if r.f.EOF() != true {
+	if r.Engine().Complete() != true {
 		t.Fatal("BGZF file not recognised by the fast path")
 	}
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("BGZF decode mismatch")
 	}
-	stats := r.FetcherStats()
+	stats := r.Stats()
 	if stats.GuessTasks != 0 {
 		t.Fatalf("BGZF path ran %d speculative tasks", stats.GuessTasks)
 	}
@@ -370,7 +405,7 @@ func TestBGZFSpansFollowOutputSize(t *testing.T) {
 	r := open(t, comp, Config{Parallelism: 2, ChunkSize: chunk})
 	// Members hold 64 KiB, so a span ends within one member of the mark;
 	// the empty EOF member may add a span of its own.
-	if n := r.f.Chunks(); n < 4 || n > 6 {
+	if n := r.Engine().NumSpans(); n < 4 || n > 6 {
 		t.Fatalf("%d bytes of output at ChunkSize %d scanned into %d spans, want about 5", len(data), chunk, n)
 	}
 	if got := readAll(t, r); !bytes.Equal(got, data) {
@@ -382,7 +417,7 @@ func TestBGZFSpansFollowOutputSize(t *testing.T) {
 	if err := r.ImportIndex(bytes.NewReader(old)); err != nil {
 		t.Fatalf("importing an index with coarser spans: %v", err)
 	}
-	if n := r.f.Chunks(); n > 3 {
+	if n := r.Engine().NumSpans(); n > 3 {
 		t.Fatalf("imported table has %d spans, want the exported two or three", n)
 	}
 	if got := readAll(t, r); !bytes.Equal(got, data) {
@@ -399,7 +434,7 @@ func TestSingleBlockFileDegradesGracefully(t *testing.T) {
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("single-block decode mismatch")
 	}
-	stats := r.FetcherStats()
+	stats := r.Stats()
 	if stats.GuessNoBlock == 0 {
 		t.Fatal("expected no-block speculative results for a single-block file")
 	}
@@ -426,7 +461,7 @@ func TestChunkSplitting(t *testing.T) {
 	data := bytes.Repeat(mkText(14, 1000), 3000) // ~3 MB, very repetitive
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 9, BlockSize: 8 << 10})
 	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 16 << 10})
-	if err := r.BuildIndex(); err != nil {
+	if err := r.Engine().EnsureComplete(); err != nil {
 		t.Fatal(err)
 	}
 	ix := r.Index()
@@ -487,7 +522,7 @@ func TestEmptyFile(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("got %d bytes", len(got))
 	}
-	size, err := r.Size()
+	size, err := r.Engine().TotalSize()
 	if err != nil || size != 0 {
 		t.Fatalf("size %d err %v", size, err)
 	}
@@ -503,7 +538,7 @@ func TestSizeWithoutReading(t *testing.T) {
 	data := mkText(17, 300_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
 	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
-	size, err := r.Size()
+	size, err := r.Engine().TotalSize()
 	if err != nil || size != int64(len(data)) {
 		t.Fatalf("size %d err %v want %d", size, err, len(data))
 	}
@@ -512,9 +547,9 @@ func TestSizeWithoutReading(t *testing.T) {
 func TestPrefetchStrategies(t *testing.T) {
 	data := mkText(18, 500_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	for name, s := range map[string]prefetch.Strategy{
-		"fixed":    prefetch.NewFixed(),
-		"adaptive": prefetch.NewAdaptive(),
+	for name, s := range map[string]func() prefetch.Strategy{
+		"fixed":    func() prefetch.Strategy { return prefetch.NewFixed() },
+		"adaptive": newAdaptive,
 	} {
 		r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10, Strategy: s})
 		if got := readAll(t, r); !bytes.Equal(got, data) {

@@ -127,7 +127,7 @@ func TestStatsIndexedDecodes(t *testing.T) {
 	if got := readAll(t, r2); !bytes.Equal(got, data) {
 		t.Fatal("mismatch")
 	}
-	s := r2.FetcherStats()
+	s := r2.Stats()
 	if s.IndexedDecodes == 0 {
 		t.Fatalf("no indexed decodes (onDemand=%d)", s.OnDemandDecodes)
 	}
@@ -167,8 +167,8 @@ func TestGuessRunsOffItsSlack(t *testing.T) {
 	r := open(t, comp, Config{Parallelism: 3, ChunkSize: chunk, VerifyChecksums: true})
 	ranOff := 0
 	for g := uint64(1); g < uint64(len(comp))/chunk; g++ {
-		reads := r.f.file.Reads()
-		res, err := r.f.codec.guessTask(g)
+		reads := r.file.Reads()
+		res, err := r.codec.guessTask(g)
 		if err != nil {
 			continue // most cells hold no block start
 		}
@@ -177,7 +177,7 @@ func TestGuessRunsOffItsSlack(t *testing.T) {
 		}
 		if res.EndBit/8 > (g+1)*chunk+guessSlack {
 			ranOff++
-			if r.f.file.Reads()-reads < 2 {
+			if r.file.Reads()-reads < 2 {
 				t.Fatalf("cell %d: decoded to byte %d from a buffer ending at byte %d", g, res.EndBit/8, (g+1)*chunk+guessSlack)
 			}
 		}
@@ -213,7 +213,7 @@ func TestGuessMeetsMemberEndAtItsBufferEnd(t *testing.T) {
 	stream := c.finish(t)
 
 	r := open(t, stream, Config{Parallelism: 2, ChunkSize: chunk})
-	res, err := r.f.codec.guessTask(2)
+	res, err := r.codec.guessTask(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func TestIndexRoundTripMatrix(t *testing.T) {
 					t.Fatalf("ReadAt(%d) mismatch", off)
 				}
 			}
-			s := r.FetcherStats()
+			s := r.Stats()
 			if s.FinderProbes != 0 {
 				t.Fatalf("import path probed the block finder %d times", s.FinderProbes)
 			}
@@ -109,7 +109,7 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 
 	r := open(t, comp, Config{
 		Parallelism: 4, ChunkSize: 64 << 10,
-		Strategy: prefetch.NewAdaptive(), AccessCacheSize: 16,
+		Strategy: newAdaptive, AccessCacheSize: 16,
 	})
 	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s := r.FetcherStats(); s.FinderProbes != 0 {
+	if s := r.Stats(); s.FinderProbes != 0 {
 		t.Fatalf("concurrent import-path reads probed the finder %d times", s.FinderProbes)
 	}
 }
@@ -260,10 +260,10 @@ func TestImportPreservesDetectedCRCFailures(t *testing.T) {
 
 	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 32 << 10, VerifyChecksums: true})
 	// Simulate a detected mismatch from earlier consumption.
-	r.f.codec.crcMu.Lock()
-	r.f.codec.crcBroken = true
-	r.f.codec.crcMu.Unlock()
-	r.f.cnt.crcFailures.Store(1)
+	r.codec.crcMu.Lock()
+	r.codec.crcBroken = true
+	r.codec.crcMu.Unlock()
+	r.cnt.crcFailures.Store(1)
 	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
 		t.Fatal(err)
 	}
@@ -301,5 +301,25 @@ func TestImportThenVerifyCatchesPayloadCorruption(t *testing.T) {
 	ok, fails := r.CRCStatus()
 	if readErr == nil && ok && fails == 0 && bytes.Equal(buf.Bytes(), data) {
 		t.Fatal("payload corruption slipped through an index-primed verified read")
+	}
+}
+
+// TestImportBuildsItsOwnStrategy: strategies carry state under their
+// engine's lock, so the engine an import builds gets an instance of its
+// own, never the one the replaced engine still calls.
+func TestImportBuildsItsOwnStrategy(t *testing.T) {
+	data := mkText(53, 200_000)
+	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
+	ixRaw := exportIndex(t, comp, 32<<10)
+	var built []prefetch.Strategy
+	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 32 << 10, Strategy: func() prefetch.Strategy {
+		built = append(built, prefetch.NewFixed())
+		return built[len(built)-1]
+	}})
+	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != 2 || built[0] == built[1] {
+		t.Fatalf("%d strategies built for two engines", len(built))
 	}
 }

@@ -45,7 +45,7 @@ func TestScratchOwnership(t *testing.T) {
 			if ok, fails := r.CRCStatus(); !ok || fails > 0 {
 				t.Fatalf("pass %d: CRC %v %d", pass, ok, fails)
 			}
-			if st := r.FetcherStats(); st.GuessTasks == 0 {
+			if st := r.Stats(); st.GuessTasks == 0 {
 				t.Fatalf("pass %d did not speculate: %+v", pass, st)
 			}
 		}
@@ -117,7 +117,7 @@ func TestScratchOwnership(t *testing.T) {
 		if got := readAll(t, r); !bytes.Equal(got, c.plain) {
 			t.Fatal("output differs from the stored payloads")
 		}
-		st := r.FetcherStats()
+		st := r.Stats()
 		if st.OnDemandDecodes < 2+fakes {
 			t.Fatalf("every falsely started cell must fall back to an on-demand decode: %+v", st)
 		}

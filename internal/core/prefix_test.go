@@ -10,18 +10,24 @@ import (
 	"testing"
 
 	"repro/internal/deflate"
+	"repro/internal/filereader"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
 )
 
-// importedReader opens comp and installs ixRaw.
-func importedReader(t *testing.T, comp, ixRaw []byte, cfg Config) *ParallelGzipReader {
+// importedReader opens comp through ixRaw, as the root package does.
+func importedReader(t *testing.T, comp, ixRaw []byte, cfg Config) *seqReader {
 	t.Helper()
-	r := open(t, comp, cfg)
-	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
+	ix, err := gzindex.Read(bytes.NewReader(ixRaw))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return r
+	r, err := NewReaderFromIndex(filereader.MemoryReader(comp), ix, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return &seqReader{Reader: r}
 }
 
 // TestReadThroughIndexDecodesAsFarAsItReaches: a read into a cold span
@@ -48,7 +54,7 @@ func TestReadThroughIndexDecodesAsFarAsItReaches(t *testing.T) {
 	if _, err := r.ReadAt(buf, off); err != nil || !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
 		t.Fatalf("ReadAt: err %v", err)
 	}
-	es, fs := r.EngineStats(), r.FetcherStats()
+	es, fs := r.Engine().Stats(), r.Stats()
 	if es.SpanDecodes != 1 || es.SpanResumes != 0 || fs.IndexedDecodes != 0 {
 		t.Fatalf("after a read of the span's front: %+v %+v", es, fs)
 	}
@@ -65,7 +71,7 @@ func TestReadThroughIndexDecodesAsFarAsItReaches(t *testing.T) {
 	if _, err := r.ReadAt(buf, end-int64(len(buf))); err != nil || !bytes.Equal(buf, data[end-int64(len(buf)):end]) {
 		t.Fatalf("ReadAt at the span's end: err %v", err)
 	}
-	es, fs = r.EngineStats(), r.FetcherStats()
+	es, fs = r.Engine().Stats(), r.Stats()
 	if es.SpanDecodes != 1 || es.SpanResumes != 1 || fs.IndexedDecodes != 1 || es.DecodedBytes != uint64(size) {
 		t.Fatalf("after the span was completed: %+v %+v (span of %d)", es, fs, size)
 	}
@@ -99,7 +105,7 @@ func TestSmallSequentialReadsStillVerify(t *testing.T) {
 		ix := r.Index()
 		first, _ := ix.Find(uint64(from))
 		spans := ix.Len() - first
-		es := r.EngineStats()
+		es := r.Engine().Stats()
 		if es.SpanDecodes != uint64(spans) || es.DecodedBytes != uint64(len(data))-ix.Point(first).UncompressedOffset || (es.SpanResumes > 0) != (from > 0) {
 			t.Fatalf("from %d: %d spans read: %+v", from, spans, es)
 		}
@@ -109,9 +115,9 @@ func TestSmallSequentialReadsStillVerify(t *testing.T) {
 		if ok, fails := r.CRCStatus(); !ok || fails > 0 {
 			t.Fatalf("CRC: ok=%v fails=%d", ok, fails)
 		}
-		r.f.codec.crcMu.Lock()
-		verified := r.f.codec.crcNext
-		r.f.codec.crcMu.Unlock()
+		r.codec.crcMu.Lock()
+		verified := r.codec.crcNext
+		r.codec.crcMu.Unlock()
 		if verified != spans {
 			t.Fatalf("%d of %d spans verified", verified, spans)
 		}
@@ -179,7 +185,7 @@ func TestLegacyIndexLearnsMarksWhenSpansComplete(t *testing.T) {
 				t.Fatalf("%s: ReadAt(%d): err %v", name, off, err)
 			}
 		}
-		if es := r.EngineStats(); r.FetcherStats().IndexedDecodes != 0 || es.SpanDecodes == 0 {
+		if es := r.Engine().Stats(); r.Stats().IndexedDecodes != 0 || es.SpanDecodes == 0 {
 			t.Fatalf("%s: reads of span fronts completed spans: %+v", name, es)
 		}
 		if got := readAll(t, r); !bytes.Equal(got, data) {
@@ -189,7 +195,7 @@ func TestLegacyIndexLearnsMarksWhenSpansComplete(t *testing.T) {
 		if tc.fails != (fails > 0) || ok == tc.fails {
 			t.Fatalf("%s: CRC after the sequential pass: ok=%v fails=%d", name, ok, fails)
 		}
-		if es := r.EngineStats(); es.SpanResumes == 0 || es.DecodedBytes != uint64(len(data)) {
+		if es := r.Engine().Stats(); es.SpanResumes == 0 || es.DecodedBytes != uint64(len(data)) {
 			t.Fatalf("%s: %+v", name, es)
 		}
 	}

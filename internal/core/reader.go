@@ -1,205 +1,394 @@
+// Package core implements the paper's primary contribution: parallel
+// decompression of, and constant-time seeking in, arbitrary gzip files
+// via a cache-and-parallel-prefetch chunk architecture (paper §3,
+// Figures 4 and 5).
+//
+// The chunk table, the caches and the prefetch pipeline live in
+// internal/spanengine — the same engine that serves bzip2, LZ4 and
+// zstd. This package contributes what is gzip's alone: the codec
+// (codec.go) — speculative block-finder decodes parked as tentative
+// results, confirmed one decode unit at a time at the exact frontier
+// offset, which makes the whole design robust against block-finder
+// false positives: a misguided speculative result simply never matches
+// a requested key and ages out of the pool (§3: "Robustness against
+// false positives results from the cache acting as an intermediary with
+// the offset as key") — and Reader, which owns one codec, the window
+// index it builds or was given, and the engine over them. A Reader has
+// no cursor and no Read: positions are the caller's (the root package's
+// archive keeps the one there is), reads go to Engine().
+//
+// Buffer ownership. A chunk result's Marked and Raw are scratch from
+// deflate's free lists, and a result has one owner at a time: the guess
+// task that decodes it, then the tentative pool it is parked in, then
+// the GrowNext call that takes it for the frontier. GrowNext reads it
+// serially (window propagation and split-point windows, which are
+// copies) and passes it to the unit's resolution tasks, one per span;
+// each writes its span into a buffer of its own, and the task that
+// finishes last calls Release — the only call there is. Whatever
+// outlives that point (span contents, index windows, the frontier
+// window) is therefore a copy, never a slice of the result. A result
+// that is never confirmed — evicted from the tentative pool, started at
+// a block the frontier never asks for, still parked at Close — is never
+// released either and falls to the collector.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 
+	"repro/internal/bitio"
 	"repro/internal/filereader"
+	"repro/internal/gzformat"
 	"repro/internal/gzindex"
+	"repro/internal/prefetch"
 	"repro/internal/spanengine"
 )
 
-// ParallelGzipReader is the public face of the architecture (§3.1): an
-// io.Reader/Seeker/ReaderAt/WriterTo over the decompressed stream of a
-// gzip file, decompressing in parallel and building a seek-point index
-// on the fly.
-//
-// All methods are safe for concurrent use; concurrent ReadAt calls at
-// different offsets share the span caches, the scenario §3 describes
-// for ratarmount-style filesystem access.
-type ParallelGzipReader struct {
-	mu  sync.Mutex // guards pos and index import/export ordering
-	f   *Fetcher
-	pos uint64
+// Config tunes a Reader.
+type Config struct {
+	// Parallelism is the worker count (values < 1 are clamped to 1).
+	Parallelism int
+	// ChunkSize is the compressed bytes per work unit (paper default
+	// 4 MiB; Figure 12 sweeps this parameter).
+	ChunkSize int
+	// MaxPrefetch bounds in-flight speculative chunks (paper §1.4: the
+	// prefetch cache holds twice the parallelism).
+	MaxPrefetch int
+	// AccessCacheSize is the accessed-chunk cache capacity (paper §3.2:
+	// a size of one suffices for sequential decompression).
+	AccessCacheSize int
+	// Strategy makes the prefetch strategy of each engine the reader
+	// builds; nil = prefetch.NewAdaptive. A constructor, not an instance:
+	// strategies carry state, and the engine an index import builds must
+	// not share it with the one it replaces.
+	Strategy func() prefetch.Strategy
+	// VerifyChecksums enables gzip CRC32 verification during sequential
+	// consumption, combined across chunks with crc32x — the checksum
+	// support the paper lists as future work (§6).
+	VerifyChecksums bool
+	// GuessedRatioLimit aborts a speculative chunk decode whose output
+	// exceeds this multiple of the chunk size; the on-demand exact
+	// decode (unlimited) remains correct. This is the §1.4 mitigation
+	// for worst-case memory usage.
+	GuessedRatioLimit int
+	// SkipMetadataScan suppresses the eager BGZF member-metadata scan
+	// in NewReader, for a caller about to ImportIndex in place (which
+	// replaces the table anyway); without an import the file is simply
+	// handled by the generic, slower path. NewReaderFromIndex never
+	// scans.
+	SkipMetadataScan bool
+	// Pool, when non-nil, places the chunk cache in a shared
+	// cross-engine pool: cached decompressed bytes are bounded
+	// pool-wide instead of AccessCacheSize chunks per reader.
+	Pool *spanengine.CachePool
 }
 
-// NewReader opens src for parallel decompression.
-func NewReader(src filereader.FileReader, cfg Config) (*ParallelGzipReader, error) {
-	f, err := NewFetcher(src, cfg)
+func (c Config) withDefaults() Config {
+	if c.Parallelism < 1 {
+		c.Parallelism = 1
+	}
+	if c.ChunkSize <= 0 {
+		c.ChunkSize = 4 << 20
+	}
+	if c.MaxPrefetch <= 0 {
+		// The paper holds 2x parallelism; this implementation defaults
+		// to 4x because its consumer does more per-chunk work (window
+		// copies into the index, CRC bookkeeping) and a deeper pipeline
+		// hides the resulting bubbles. Memory stays bounded by
+		// MaxPrefetch * chunk output.
+		c.MaxPrefetch = 4 * c.Parallelism
+	}
+	if c.AccessCacheSize <= 0 {
+		// Eagerly resolved chunks wait here until consumption; size it
+		// like the prefetch window so none are evicted in flight.
+		c.AccessCacheSize = 2*c.Parallelism + 4
+	}
+	if c.GuessedRatioLimit <= 0 {
+		c.GuessedRatioLimit = 256
+	}
+	return c
+}
+
+// engine is the configuration of one engine under this reader, with a
+// strategy of its own.
+func (c Config) engine() spanengine.Config {
+	ec := spanengine.Config{
+		Threads:     c.Parallelism,
+		CacheSize:   c.AccessCacheSize,
+		MaxPrefetch: c.MaxPrefetch,
+		Pool:        c.Pool,
+	}
+	if c.Strategy != nil {
+		ec.Strategy = c.Strategy()
+	}
+	return ec
+}
+
+// errNoBlock marks a grid cell that contains no usable block start.
+var errNoBlock = errors.New("core: no deflate block found in chunk")
+
+// counters holds the gzip activity counters. They are bumped from
+// worker goroutines and the consumer alike, so every field is atomic;
+// the struct is owned by the Reader and outlives an in-place index
+// import, which replaces codec and engine, not the statistics.
+type counters struct {
+	guessTasks       atomic.Uint64
+	guessNoBlock     atomic.Uint64
+	guessFalseStarts atomic.Uint64
+	finderProbes     atomic.Uint64
+	onDemand         atomic.Uint64
+	indexed          atomic.Uint64
+	consumed         atomic.Uint64
+	crcFailures      atomic.Uint64
+}
+
+// Stats counts the chunk pipeline's activity — what the engine's own
+// counters (Engine().Stats()) do not know about.
+type Stats struct {
+	GuessTasks       uint64
+	GuessNoBlock     uint64
+	GuessFalseStarts uint64 // speculative results that never matched
+	// FinderProbes counts block-finder candidate probes across all
+	// speculative tasks. It stays exactly zero when a complete index
+	// was imported: known chunk offsets make the finder unnecessary.
+	FinderProbes    uint64
+	OnDemandDecodes uint64
+	IndexedDecodes  uint64
+	ChunksConsumed  uint64
+	CRCFailures     uint64
+}
+
+// Reader is the GzipChunkFetcher: the gzip codec, the seek-point index
+// with its windows, and the span engine they drive. All methods but
+// ImportIndex are safe for concurrent use — the engine serialises its
+// own state, the codec its own.
+type Reader struct {
+	cfg  Config
+	file *filereader.SharedFileReader
+	bgzf bool
+	cnt  counters
+	// sourceFP is the fingerprint of the open file, computed once at
+	// construction; exported indexes carry it and imports are checked
+	// against it.
+	sourceFP gzindex.Fingerprint
+	codec    *gzipCodec
+	eng      *spanengine.Engine
+}
+
+// newReader is what both constructors start with: the fingerprint and
+// the first gzip header, validated eagerly.
+func newReader(src filereader.FileReader, cfg Config) (*Reader, error) {
+	size := src.Size()
+	// Open-time setup reads the raw source before the counting wrapper
+	// goes on: SourceReads then reports decode traffic only, so a reopen
+	// from a persisted index performs zero counted reads before the
+	// first access.
+	fp, err := gzindex.ComputeFingerprint(src, size)
+	if err != nil {
+		// Fingerprinting only reads bytes, so any failure here is a
+		// source I/O problem (a directory opened as a file, a file that
+		// shrank under us) — never a format verdict. Tagging it ErrIO
+		// lets the public layer classify it as ErrSourceRead.
+		return nil, fmt.Errorf("core: %w: %w", filereader.ErrIO, err)
+	}
+	hdr, err := gzformat.ParseHeader(bitio.NewBitReader(src, size))
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	r := &Reader{cfg: cfg.withDefaults(), sourceFP: fp, bgzf: hdr.BGZFBlockSize > 0}
+	if shared, ok := src.(*filereader.SharedFileReader); ok {
+		r.file = shared
+	} else {
+		r.file = filereader.NewShared(src)
+	}
+	return r, nil
+}
+
+// NewReader opens a gzip file cold. BGZF files take the metadata fast
+// path of §3.4.4 (a complete-table engine); everything else runs the
+// growing engine, whose span table extends one confirmed decode unit at
+// a time.
+func NewReader(src filereader.FileReader, cfg Config) (*Reader, error) {
+	r, err := newReader(src, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &ParallelGzipReader{f: f}, nil
+	r.codec = newGzipCodec(r.cfg, r.file, &r.cnt, r.bgzf)
+	r.codec.index.CompressedSize = uint64(src.Size())
+	r.codec.index.SourceFP = &r.sourceFP
+	// First-pass confirmation observes every footer, so the index it
+	// builds carries the complete set of member marks.
+	r.codec.index.MemberMarksComplete = true
+	if r.bgzf && !cfg.SkipMetadataScan {
+		r.eng, err = spanengine.New(r.file, r.codec, r.cfg.engine())
+	} else {
+		r.eng, err = spanengine.NewGrowing(r.file, r.codec, 0, r.cfg.engine())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// Close releases the worker pool. Outstanding calls must have returned.
-func (r *ParallelGzipReader) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.f.Close()
+// NewReaderFromIndex opens a gzip file through a finalized index of it,
+// skipping the initial decompression pass entirely (§1.3: "The seek
+// point index can be exported and imported ... to avoid the
+// decompression time for the initial decompression pass"): nothing is
+// scanned, the block finder never runs, and every span decodes from its
+// recorded offset and window. The reader keeps ix.
+func NewReaderFromIndex(src filereader.FileReader, ix *gzindex.Index, cfg Config) (*Reader, error) {
+	r, err := newReader(src, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.install(ix); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// install builds a codec and an engine from ix and makes them r's. On
+// an error r is as it was.
+func (r *Reader) install(ix *gzindex.Index) error {
+	if ix.Len() == 0 {
+		return errors.New("core: empty index")
+	}
+	if err := ix.CheckSource(r.file.Size(), r.sourceFP, "gzip", "bgzf"); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	c := newGzipCodec(r.cfg, r.file, &r.cnt, r.bgzf)
+	c.index = ix
+	// Indexes exported by this implementation persist the member marks,
+	// restoring full member verification; legacy (v1) indexes do not,
+	// and verification then has to lean on the decode results instead.
+	c.marksKnown = ix.MemberMarksComplete
+	c.eof = true
+	c.frontierBit = ix.CompressedSize * 8
+	c.frontierDecomp = ix.UncompressedSize
+	// Sequential verification starts over under the new table — unless a
+	// mismatch was already detected: an import must not launder a stream
+	// that has failed verification.
+	c.crcBroken = r.cnt.crcFailures.Load() > 0
+
+	n := ix.Len()
+	c.metas = make([]spanMeta, n)
+	spans := make([]spanengine.Span, n)
+	for i := range c.metas {
+		p := ix.Point(i)
+		m := spanMeta{
+			startBit:      p.CompressedBitOffset,
+			startDecomp:   p.UncompressedOffset,
+			atMemberStart: p.AtMemberStart,
+		}
+		if i+1 < n {
+			next := ix.Point(i + 1)
+			m.endBit = next.CompressedBitOffset
+			m.size = next.UncompressedOffset - p.UncompressedOffset
+		} else {
+			m.endBit = ix.CompressedSize * 8
+			m.size = ix.UncompressedSize - p.UncompressedOffset
+			m.endIsEOF = true
+		}
+		for _, me := range ix.MemberEnds(p.CompressedBitOffset) {
+			m.members = append(m.members,
+				memberMark{absEnd: p.UncompressedOffset + me.RelEnd, crc: me.CRC32})
+		}
+		c.metas[i] = m
+		s := spanengine.Span{
+			CompOff:    int64(m.startBit / 8),
+			CompEnd:    int64(m.endBit / 8),
+			DecompOff:  int64(m.startDecomp),
+			DecompSize: int64(m.size),
+		}
+		if m.endIsEOF {
+			s.CompEnd = int64(ix.CompressedSize)
+		}
+		if _, dup := c.byOff[s.CompOff]; dup {
+			return fmt.Errorf("core: index entries share start byte %d", s.CompOff)
+		}
+		c.byOff[s.CompOff] = i
+		spans[i] = s
+	}
+	eng, err := spanengine.NewFromCheckpoints(r.file, c, spans, 0, r.cfg.engine())
+	if err != nil {
+		return err
+	}
+	// Adopt the file's own fingerprint so a re-export of an index
+	// imported from the fingerprint-less v2 format gains one.
+	ix.SourceFP = &r.sourceFP
+	r.codec, r.eng = c, eng
 	return nil
 }
 
-// Read implements io.Reader. A seek only updates the position; all work
-// happens here (§3.1: "A seek only updates the internal position").
-func (r *ParallelGzipReader) Read(p []byte) (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, err := r.f.eng.ReadAt(p, int64(r.pos))
-	r.pos += uint64(n)
-	if n > 0 && err == io.EOF {
-		err = nil
-	}
-	return n, err
-}
+// Engine returns the span engine: ReadAt, WriteTo, the table and its
+// growth, the cache and prefetch counters.
+func (r *Reader) Engine() *spanengine.Engine { return r.eng }
 
-// Seek implements io.Seeker. SeekEnd completes the initial scan first
-// because the decompressed size is only known afterwards.
-func (r *ParallelGzipReader) Seek(offset int64, whence int) (int64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var base int64
-	switch whence {
-	case io.SeekStart:
-		base = 0
-	case io.SeekCurrent:
-		base = int64(r.pos)
-	case io.SeekEnd:
-		size, err := r.f.TotalSize()
-		if err != nil {
-			return 0, err
-		}
-		base = int64(size)
-	default:
-		return 0, fmt.Errorf("core: bad whence %d", whence)
-	}
-	target := base + offset
-	if target < 0 {
-		return 0, fmt.Errorf("core: negative seek position %d", target)
-	}
-	r.pos = uint64(target)
-	return target, nil
-}
+// Close shuts the engine's worker pool down.
+func (r *Reader) Close() error { return r.eng.Close() }
 
-// ReadAt implements io.ReaderAt without disturbing the Read cursor. It
-// deliberately bypasses the reader mutex: the engine is concurrent-safe
-// and parallel ReadAt callers share its span cache (§3's ratarmount
-// scenario).
-func (r *ParallelGzipReader) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("core: negative offset %d", off)
-	}
-	return r.f.eng.ReadAt(p, off)
-}
+// WriteTo streams the whole decompressed file, from its first byte,
+// into w.
+func (r *Reader) WriteTo(w io.Writer) (int64, error) { return r.eng.WriteTo(w, 0) }
 
-// WriteTo implements io.WriterTo: the fast path for full-file
-// decompression, streaming span contents in order without the copy
-// into a caller buffer.
-func (r *ParallelGzipReader) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	eng := r.f.eng
-	var written int64
-	for {
-		i, err := eng.SpanAt(int64(r.pos))
-		if err == io.EOF {
-			return written, nil
-		}
-		if err != nil {
-			return written, err
-		}
-		data, err := eng.SpanContent(i)
-		if err != nil {
-			return written, err
-		}
-		off, _ := eng.SpanExtent(i)
-		n, err := w.Write(data[r.pos-uint64(off):])
-		written += int64(n)
-		r.pos += uint64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-}
-
-// Size returns the decompressed size, scanning the remainder of the
-// file if it has not been fully indexed yet.
-func (r *ParallelGzipReader) Size() (int64, error) {
-	size, err := r.f.TotalSize()
-	return int64(size), err
-}
-
-// KnownSize returns the decompressed size if it is already known
-// without further decoding: immediately for BGZF (whose metadata scan
-// enumerates every member up front) and for plain gzip once the
-// initial scan completed or an index was imported.
-func (r *ParallelGzipReader) KnownSize() (int64, bool) {
-	if !r.f.eng.Complete() {
-		return 0, false
-	}
-	return r.f.eng.Size(), true
-}
-
-// AdviseSequential hints the OS that the compressed backing file is
-// about to be read front to back (no-op for memory-backed sources and
-// on platforms without posix_fadvise).
-func (r *ParallelGzipReader) AdviseSequential() {
-	filereader.AdviseSequential(r.f.file, 0, r.f.file.Size())
-}
-
-// BuildIndex completes the seek-point index for the whole file.
-func (r *ParallelGzipReader) BuildIndex() error {
-	return r.f.EnsureAll()
-}
-
-// ExportIndex serialises the (completed) index to w, including the
-// engine's span table as a persistable checkpoint section — the part a
-// reopen uses to skip the sizing pass entirely.
-func (r *ParallelGzipReader) ExportIndex(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.f.EnsureAll(); err != nil {
+// ExportIndex serialises the index, completed first, to w, including
+// the engine's span table as a persistable checkpoint section.
+func (r *Reader) ExportIndex(w io.Writer) error {
+	if err := r.eng.EnsureComplete(); err != nil {
 		return err
 	}
-	ix := r.f.Index()
-	ix.Checkpoints = r.f.checkpointTable()
+	// The table goes into a copy of the header: concurrent exports share
+	// the index itself, which nothing writes once it is complete.
+	ix := *r.Index()
+	ix.Checkpoints = r.eng.CheckpointTable()
 	_, err := ix.WriteTo(w)
 	return err
 }
 
-// ImportIndex installs a previously exported index, skipping the
-// initial decompression pass. The deserializer reads varint-by-varint
-// and consumes exactly the index bytes; callers whose rd holds nothing
-// but the index (an index file, in particular) should pass a buffered
-// reader to avoid per-byte reads of the underlying source.
-func (r *ParallelGzipReader) ImportIndex(rd io.Reader) error {
+// ImportIndex is NewReaderFromIndex in place: r's codec and engine are
+// replaced by ones built from the index read from rd, the old engine is
+// closed, the activity counters carry on. It must not run concurrently
+// with any other method — the root package never calls it; an archive
+// there builds a second Reader and retires the first, so that reads in
+// flight finish on the engine they started on. It survives for callers
+// that hold a Reader directly and import once before reading
+// (bench/layers.go). The deserializer consumes exactly the index bytes,
+// a varint at a time: pass a buffered reader if rd holds nothing else.
+func (r *Reader) ImportIndex(rd io.Reader) error {
 	ix, err := gzindex.Read(rd)
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.f.ImportIndex(ix)
+	old := r.eng
+	if err := r.install(ix); err != nil {
+		return err
+	}
+	return old.Close()
 }
 
 // Index exposes the index built so far (read-only use).
-func (r *ParallelGzipReader) Index() *gzindex.Index {
-	return r.f.Index()
+func (r *Reader) Index() *gzindex.Index {
+	r.codec.mu.Lock()
+	defer r.codec.mu.Unlock()
+	return r.codec.index
 }
 
-// FetcherStats returns a snapshot of fetcher activity counters.
-func (r *ParallelGzipReader) FetcherStats() FetcherStats {
-	return r.f.StatsSnapshot()
-}
+// CRCStatus reports (verifiedSoFar, failures). verifiedSoFar is false
+// once consumption left sequential order or a mismatch occurred.
+func (r *Reader) CRCStatus() (bool, uint64) { return r.codec.crcStatus() }
 
-// EngineStats returns the span-engine counters (cache, prefetch,
-// source-read activity).
-func (r *ParallelGzipReader) EngineStats() spanengine.Stats {
-	return r.f.EngineStats()
-}
-
-// CRCStatus reports checksum verification state (see Fetcher.CRCStatus).
-func (r *ParallelGzipReader) CRCStatus() (bool, uint64) {
-	return r.f.CRCStatus()
+// Stats returns the chunk pipeline's activity counters.
+func (r *Reader) Stats() Stats {
+	return Stats{
+		GuessTasks:       r.cnt.guessTasks.Load(),
+		GuessNoBlock:     r.cnt.guessNoBlock.Load(),
+		GuessFalseStarts: r.cnt.guessFalseStarts.Load(),
+		FinderProbes:     r.cnt.finderProbes.Load(),
+		OnDemandDecodes:  r.cnt.onDemand.Load(),
+		IndexedDecodes:   r.cnt.indexed.Load(),
+		ChunksConsumed:   r.cnt.consumed.Load(),
+		CRCFailures:      r.cnt.crcFailures.Load(),
+	}
 }

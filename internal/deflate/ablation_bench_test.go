@@ -54,7 +54,7 @@ func BenchmarkChunkDecodeTwoStage(b *testing.B) {
 			b.Fatal(err)
 		}
 		// Include marker replacement: that is the full two-stage cost.
-		if _, err := cr.Resolved(window); err != nil {
+		if err := cr.ResolveRange(make([]byte, cr.TotalOut()), 0, window); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -44,11 +44,6 @@ type ChunkConfig struct {
 	// offset. This is how BGZF chunk boundaries stop (paper §3.4.4):
 	// they sit on member boundaries, not Deflate block boundaries.
 	StopBeforeMember uint64
-	// StopOnlyAtDynamic restricts the stop condition to Dynamic blocks.
-	// The pugz emulation uses this: its block finder searches only for
-	// Dynamic blocks, and §3.3 requires the stop condition to match the
-	// finder's search conditions for chunk boundaries to line up.
-	StopOnlyAtDynamic bool
 	// MaxDecompressed aborts the decode when the output exceeds this
 	// many symbols (0 = no limit).
 	MaxDecompressed uint64
@@ -304,7 +299,7 @@ func (d *Decoder) decodeBlocks() error {
 				canonical := headerPos
 				if !final {
 					canonical = lenPos - 3
-					if !cfg.StopOnlyAtDynamic && canonical >= cfg.Stop {
+					if canonical >= cfg.Stop {
 						cr.EndBit = canonical
 						return nil
 					}

@@ -176,13 +176,9 @@ func TestTwoStageEquivalence(t *testing.T) {
 				wstart = start - WindowSize
 			}
 			window := want[wstart:start]
-			segs, err := two.Resolved(window)
-			if err != nil {
+			got := make([]byte, two.TotalOut())
+			if err := two.ResolveRange(got, 0, window); err != nil {
 				t.Fatalf("%s block %d: resolve: %v", name, pick, err)
-			}
-			var got []byte
-			for _, s := range segs {
-				got = append(got, s...)
 			}
 			if !bytes.Equal(got, want[start:]) {
 				t.Fatalf("%s block %d: two-stage mismatch (%d vs %d bytes)",

@@ -25,13 +25,9 @@ func decodeGzip(t *testing.T, comp []byte, twoStage bool) []byte {
 	if err != nil {
 		t.Fatalf("decode (twoStage=%v): %v", twoStage, err)
 	}
-	segs, err := cr.Resolved(nil)
-	if err != nil {
+	out := make([]byte, cr.TotalOut())
+	if err := cr.ResolveRange(out, 0, nil); err != nil {
 		t.Fatalf("resolve (twoStage=%v): %v", twoStage, err)
-	}
-	var out []byte
-	for _, s := range segs {
-		out = append(out, s...)
 	}
 	return out
 }

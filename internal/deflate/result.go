@@ -99,21 +99,3 @@ func (cr *ChunkResult) WindowAt(end uint64, prevWindow []byte) ([]byte, error) {
 	}
 	return win, nil
 }
-
-// Resolved returns the chunk's decompressed bytes as up to two segments
-// (resolved-marked, raw), avoiding a copy of the raw segment. window is
-// only needed when a marked segment exists.
-func (cr *ChunkResult) Resolved(window []byte) ([][]byte, error) {
-	var segs [][]byte
-	if len(cr.Marked) > 0 {
-		dst := make([]byte, len(cr.Marked))
-		if err := ResolveMarkers(dst, cr.Marked, window); err != nil {
-			return nil, err
-		}
-		segs = append(segs, dst)
-	}
-	if len(cr.Raw) > 0 {
-		segs = append(segs, cr.Raw)
-	}
-	return segs, nil
-}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -97,6 +98,28 @@ func ComputeFingerprint(r io.ReaderAt, size int64) (Fingerprint, error) {
 		return Fingerprint{}, err
 	}
 	return Fingerprint{Head: head, Tail: tail}, nil
+}
+
+// CheckSource reports why ix cannot be installed over an open source:
+// it must be finalized, recorded for a file of this size and — where it
+// carries one — this fingerprint, and a checkpoint table in it must have
+// been written by a codec that answers to one of tags. It is the one
+// identity check every format's import goes through.
+func (ix *Index) CheckSource(size int64, fp Fingerprint, tags ...string) error {
+	if !ix.Finalized {
+		return errors.New("gzindex: can only import finalized indexes")
+	}
+	if ct := ix.Checkpoints; ct != nil && !slices.Contains(tags, ct.Format) {
+		return fmt.Errorf("gzindex: index checkpoint table is for format %q, want one of %q", ct.Format, tags)
+	}
+	if ix.CompressedSize != uint64(size) {
+		return fmt.Errorf("gzindex: index is for a %d-byte file, have %d bytes", ix.CompressedSize, size)
+	}
+	if ix.SourceFP != nil && *ix.SourceFP != fp {
+		return fmt.Errorf("gzindex: index fingerprint %08x/%08x does not match the open file's %08x/%08x (index built for a different file of the same size)",
+			ix.SourceFP.Head, ix.SourceFP.Tail, fp.Head, fp.Tail)
+	}
+	return nil
 }
 
 // Checkpoint is one span of a per-format checkpoint table (the

@@ -1,7 +1,11 @@
 // Package lz4x implements the LZ4 block and frame formats from
 // scratch: a hash-table LZ77 compressor, a bounds-checked block
-// decompressor, the frame container with xxHash32 checksums, and a
-// frame-parallel decompressor.
+// decompressor, the frame container with xxHash32 checksums, a serial
+// Decompress that is the reference, and Codec: the header walk and the
+// one-frame decode under which the shared span engine decompresses
+// frames in parallel and serves random access. The package has no reader
+// of its own: the root package opens an LZ4 file as
+// spanengine.New(src, Codec{}, cfg).
 //
 // In the reproduction, lz4x plays two roles from the paper's Table 4:
 // the serial "lz4" row (fast LZ with modest ratio), and — via files

@@ -164,14 +164,26 @@ func TestDecompressParallelMatchesSerial(t *testing.T) {
 	data := workloads.SilesiaLike(2_000_000, 7)
 	comp := CompressFrames(data, FrameOptions{FrameSize: 128 << 10, BlockSize: 32 << 10, ContentChecksum: true})
 	for _, threads := range []int{1, 2, 8} {
-		got, err := DecompressParallel(comp, threads)
-		if err != nil {
+		var got bytes.Buffer
+		if _, err := openEngine(t, comp, threads).WriteTo(&got, 0); err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
-		if !bytes.Equal(got, data) {
+		if !bytes.Equal(got.Bytes(), data) {
 			t.Fatalf("threads=%d: mismatch", threads)
 		}
 	}
+}
+
+// openEngine opens comp the way the root package does: the codec's scan
+// under a span engine.
+func openEngine(t *testing.T, comp []byte, threads int) *spanengine.Engine {
+	t.Helper()
+	e, err := spanengine.New(filereader.MemoryReader(comp), Codec{}, spanengine.Config{Threads: threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
 }
 
 func TestChecksumsCatchCorruption(t *testing.T) {
@@ -208,17 +220,14 @@ func TestTruncatedFrame(t *testing.T) {
 func TestReaderReadAt(t *testing.T) {
 	data := workloads.Base64(600_000, 11)
 	comp := CompressFrames(data, FrameOptions{FrameSize: 100_000, BlockSize: 16 << 10})
-	r, err := NewReader(comp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openEngine(t, comp, 4)
 	if r.Size() != int64(len(data)) {
 		t.Fatalf("Size = %d, want %d", r.Size(), len(data))
 	}
-	if r.NumFrames() != 6 {
-		t.Fatalf("NumFrames = %d, want 6", r.NumFrames())
+	if r.NumSpans() != 6 {
+		t.Fatalf("NumSpans = %d, want 6", r.NumSpans())
 	}
-	if !r.BlockIndependent() {
+	if r.Flags()&FlagBlockIndep == 0 {
 		t.Fatal("CompressFrames output should be block-independent")
 	}
 	// Arbitrary offsets, including frame-straddling and tail reads.
@@ -245,12 +254,9 @@ func TestReaderReadAt(t *testing.T) {
 func TestReaderConcurrentReadAt(t *testing.T) {
 	data := workloads.FASTQ(300_000, 3)
 	comp := CompressFrames(data, FrameOptions{FrameSize: 50_000, ContentChecksum: true})
-	r, err := NewReader(comp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Checksummed() {
-		t.Fatal("expected Checksummed")
+	r := openEngine(t, comp, 4)
+	if r.Flags()&FlagChecksummed == 0 {
+		t.Fatal("expected FlagChecksummed")
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -308,11 +314,8 @@ func TestLinkedBlockFrameDecodes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %q, want %q", got, want)
 	}
-	r, err := NewReader(comp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.BlockIndependent() {
+	r := openEngine(t, comp, 2)
+	if r.Flags()&FlagBlockIndep != 0 {
 		t.Fatal("linked frame reported as block-independent")
 	}
 	buf := make([]byte, 4)
@@ -334,7 +337,7 @@ func TestForgedTableSizeIsNotAllocated(t *testing.T) {
 	src := filereader.MemoryReader(comp)
 	for _, size := range []int64{1 << 40, maxExpansion*int64(len(comp)) + 1} {
 		forged := []spanengine.Span{{CompOff: 0, CompEnd: int64(len(comp)), DecompSize: size}}
-		r, err := NewReaderFromCheckpoints(src, forged, 0, spanengine.Config{Threads: 1})
+		r, err := spanengine.NewFromCheckpoints(src, Codec{}, forged, 0, spanengine.Config{Threads: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +355,7 @@ func TestForgedTableSizeIsNotAllocated(t *testing.T) {
 	}
 	// A true table still reads.
 	honest := []spanengine.Span{{CompOff: 0, CompEnd: int64(len(comp)), DecompSize: int64(len(data))}}
-	r, err := NewReaderFromCheckpoints(src, honest, 0, spanengine.Config{Threads: 1})
+	r, err := spanengine.NewFromCheckpoints(src, Codec{}, honest, 0, spanengine.Config{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,17 @@ var ErrCorrupt = errors.New("spanengine: corrupt compressed data")
 // newDeferred returns a growing engine over the extents of a scan that
 // left sizes open (see ScanResult).
 func newDeferred(src *filereader.SharedFileReader, codec Codec, scan ScanResult, cfg Config) (*Engine, error) {
-	return NewGrowing(src, &deferred{
+	e, err := NewGrowing(src, &deferred{
 		Codec:  codec,
 		exts:   scan.Spans,
 		merge:  scan.Candidates,
 		issued: map[int64]bool{},
 		flying: map[int64]*pool.Future[[]byte]{},
 	}, scan.Flags, cfg)
+	if err == nil {
+		e.scanned = len(scan.Spans)
+	}
+	return e, err
 }
 
 // sized is a speculative decode of one extent, parked in the tentative

@@ -139,20 +139,11 @@ func (c *streamCodec) total() (n int) {
 	return n
 }
 
-// readAll walks the table as a sequential WriteTo does: grow to span i,
-// take its content.
+// readAll streams the whole file out of the engine.
 func readAll(e *Engine) ([]byte, error) {
-	var out []byte
-	for i := 0; ; i++ {
-		if ok, err := e.GrowTo(i); err != nil || !ok {
-			return out, err
-		}
-		data, err := e.SpanContent(i)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, data...)
-	}
+	var out bytes.Buffer
+	_, err := e.WriteTo(&out, 0)
+	return out.Bytes(), err
 }
 
 // noPrefetch proposes nothing: what gets decoded is what was asked for.

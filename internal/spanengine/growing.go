@@ -70,7 +70,7 @@ type AccessObserver interface {
 }
 
 // NewGrowing returns an engine in growing mode: the span table starts
-// empty and extends on demand (ReadAt, EnsureComplete, GrowTo), one
+// empty and extends on demand (ReadAt, WriteTo, EnsureComplete), one
 // GrowNext unit at a time. The discovery counts as the engine's sizing
 // pass; an engine rebuilt from checkpoints instead reports
 // SizingPasses == 0, exactly like the complete-table formats.
@@ -294,23 +294,4 @@ func (e *Engine) TotalSize() (int64, error) {
 		return 0, err
 	}
 	return e.Size(), nil
-}
-
-// GrowTo ensures span i exists, growing as needed; it reports whether
-// the (now possibly complete) table contains it.
-func (e *Engine) GrowTo(i int) (bool, error) {
-	for {
-		e.mu.Lock()
-		n, done := len(e.spans), e.complete || e.grower == nil
-		e.mu.Unlock()
-		if i < n {
-			return true, nil
-		}
-		if done {
-			return false, nil
-		}
-		if err := e.growStep(); err != nil {
-			return false, err
-		}
-	}
 }

@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/filereader"
+	"repro/internal/gzindex"
 	"repro/internal/pool"
 	"repro/internal/prefetch"
 )
@@ -294,6 +295,7 @@ type Engine struct {
 	spans    []Span
 	size     int64
 	complete bool
+	scanned  int // spans the scan or the checkpoint table listed; see ScanSpans
 	cache    spanStore
 	inflight map[int]flight
 	demand   int // flights in inflight that a reader asked for
@@ -387,6 +389,7 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 		src:      src,
 		codec:    codec,
 		spans:    spans,
+		scanned:  len(spans),
 		flags:    flags,
 		cfg:      cfg,
 		complete: true,
@@ -445,17 +448,37 @@ func (e *Engine) NumSpans() int {
 	return len(e.spans)
 }
 
+// ScanSpans returns how many spans the codec's scan, or the checkpoint
+// table the engine was built from, listed: the table's length when it is
+// complete, and while it still grows from a scan's extents the length it
+// reaches unless candidate starts merge. Zero for a codec that finds its
+// spans by decoding (gzip).
+func (e *Engine) ScanSpans() int { return e.scanned }
+
 // Flags returns the codec capability bits recorded at scan (or import)
 // time.
 func (e *Engine) Flags() uint8 { return e.flags }
 
-// Checkpoints returns a copy of the span table, for persisting.
+// Checkpoints returns a copy of the span table.
 func (e *Engine) Checkpoints() []Span {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make([]Span, len(e.spans))
 	copy(out, e.spans)
 	return out
+}
+
+// CheckpointTable returns the span table as an index file persists it:
+// under the codec's tag, with the capability flags. NewFromCheckpoints
+// takes it back.
+func (e *Engine) CheckpointTable() *gzindex.CheckpointTable {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t := &gzindex.CheckpointTable{Format: e.codec.FormatTag(), Flags: e.flags, Spans: make([]gzindex.Checkpoint, len(e.spans))}
+	for i, s := range e.spans {
+		t.Spans[i] = gzindex.Checkpoint(s)
+	}
+	return t
 }
 
 // SpanExtent returns the decompressed offset and size of span i.
@@ -798,4 +821,34 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 		}
 	}
 	return n, nil
+}
+
+// WriteTo streams the decompressed bytes from offset off to the end into
+// w, a span at a time and without the copy into a caller's buffer — what
+// io.Copy of a whole archive runs on. Each span is one request to the
+// prefetch strategy, so the spans ahead decode on the worker pool while
+// this one is written; a growing table grows as the walk reaches its
+// frontier. It returns the number of bytes written.
+func (e *Engine) WriteTo(w io.Writer, off int64) (int64, error) {
+	var written int64
+	for {
+		i, err := e.SpanAt(off)
+		if err == io.EOF {
+			return written, nil
+		}
+		if err != nil {
+			return written, err
+		}
+		data, err := e.SpanContent(i)
+		if err != nil {
+			return written, err
+		}
+		start, _ := e.SpanExtent(i)
+		n, err := w.Write(data[off-start:])
+		written += int64(n)
+		off += int64(n)
+		if err != nil {
+			return written, err
+		}
+	}
 }

@@ -24,9 +24,9 @@ type entry struct {
 }
 
 // FS is a read-only filesystem view of a TAR archive stored in an
-// io.ReaderAt (typically a *rapidgzip.Reader). It implements fs.FS,
+// io.ReaderAt (typically a rapidgzip.Archive). It implements fs.FS,
 // fs.ReadDirFS and fs.StatFS. Safe for concurrent use if the underlying
-// reader is (rapidgzip readers are).
+// reader is (archives are).
 type FS struct {
 	r       io.ReaderAt
 	files   map[string]*entry

@@ -126,11 +126,11 @@ func TestOverIndexedGzip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	size, err := r.Size()
+	size, err := r.Engine().TotalSize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := New(r, size)
+	fsys, err := New(r.Engine(), size)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,11 @@
 // header walk here, exactly as in the LZ4 backend. Frames that omit
 // their content size are found by the same walk and sized by their first
 // decode: the span engine grows their table as a first pass decodes it
-// (spanengine's deferred sizes), so opening a file never decodes.
+// (spanengine's deferred sizes), so opening a file never decodes. Both
+// run on the shared span engine through Codec (a header walk and a
+// one-frame decode); the package has no reader of its own — the root
+// package opens a zstd file as spanengine.New(src, Codec{}, cfg) — and
+// the serial Decompress is the reference.
 //
 // The decoder is self-contained (FSE, Huffman, sequence execution,
 // xxHash64) and handles the full single-pass format: raw/RLE/

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/filereader"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 )
 
@@ -34,13 +36,33 @@ func TestDecodeRealMultiFrame(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("serial decode mismatch")
 	}
-	got, err = DecompressParallel(comp, 4)
+	got, err = decodeAll(openEngine(t, comp, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("parallel decode mismatch")
 	}
+}
+
+// openEngine opens comp the way the root package does: the codec's scan
+// under a span engine.
+func openEngine(t *testing.T, comp []byte, threads int) *spanengine.Engine {
+	t.Helper()
+	e, err := spanengine.New(filereader.MemoryReader(comp), Codec{}, spanengine.Config{Threads: threads})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	return e
+}
+
+// decodeAll streams the whole file out of the engine, frames decoding in
+// parallel.
+func decodeAll(e *spanengine.Engine) ([]byte, error) {
+	var out bytes.Buffer
+	_, err := e.WriteTo(&out, 0)
+	return out.Bytes(), err
 }
 
 func TestDecodeRealNoContentSize(t *testing.T) {
@@ -170,34 +192,27 @@ func TestSkippableFrames(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("decode mismatch around skippable frames")
 	}
-	r, err := NewReader(comp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumSkippable() != 2 {
-		t.Fatalf("NumSkippable = %d", r.NumSkippable())
+	if got, err = decodeAll(openEngine(t, comp, 2)); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("engine decode around skippable frames: %v", err)
 	}
 }
 
 func TestReaderRandomAccess(t *testing.T) {
 	data := workloads.FASTQ(1<<20, 21)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 64 << 10, ContentChecksum: true})
-	r, err := NewReader(comp, 4)
-	if err != nil {
-		t.Fatal(err)
+	r := openEngine(t, comp, 4)
+	if f := r.Flags(); f&FlagMetadataSized == 0 || f&FlagChecksummed == 0 {
+		t.Fatalf("flags %#x; want metadata-sized and checksummed", f)
 	}
-	if !r.Sized() || !r.Checksummed() {
-		t.Fatalf("Sized=%v Checksummed=%v; want both", r.Sized(), r.Checksummed())
-	}
-	size, err := r.Size()
+	size, err := r.TotalSize()
 	if err != nil || size != int64(len(data)) {
-		t.Fatalf("Size = %d, %v, want %d", size, err, len(data))
+		t.Fatalf("TotalSize = %d, %v, want %d", size, err, len(data))
 	}
-	if st := r.Engine().Stats(); st.DecodedBytes != 0 {
+	if st := r.Stats(); st.DecodedBytes != 0 {
 		t.Fatalf("the size of a sized file cost %d decoded bytes", st.DecodedBytes)
 	}
-	if r.NumFrames() != 16 {
-		t.Fatalf("NumFrames = %d, want 16", r.NumFrames())
+	if r.NumSpans() != 16 {
+		t.Fatalf("NumSpans = %d, want 16", r.NumSpans())
 	}
 	offsets := []int64{0, 1, 65535, 65536, 65537, 500000, int64(len(data)) - 100}
 	for _, off := range offsets {
@@ -213,12 +228,12 @@ func TestReaderRandomAccess(t *testing.T) {
 	}
 	// chunk table covers the stream contiguously
 	var pos int64
-	for i := 0; i < r.NumChunks(); i++ {
-		off, size := r.ChunkExtent(i)
+	for i := 0; i < r.NumSpans(); i++ {
+		off, size := r.SpanExtent(i)
 		if off != pos {
 			t.Fatalf("chunk %d starts at %d, want %d", i, off, pos)
 		}
-		content, err := r.ChunkContent(i)
+		content, err := r.SpanContent(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,10 +250,7 @@ func TestReaderRandomAccess(t *testing.T) {
 func TestReaderConcurrentReadAt(t *testing.T) {
 	data := workloads.Base64(512<<10, 13)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 32 << 10})
-	r, err := NewReader(comp, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := openEngine(t, comp, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -265,18 +277,14 @@ func TestReaderConcurrentReadAt(t *testing.T) {
 func TestReaderUnsizedFrames(t *testing.T) {
 	data := workloads.Base64(300<<10, 19)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 100 << 10, OmitContentSize: true})
-	r, err := NewReader(comp, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Sized() {
+	r := openEngine(t, comp, 2)
+	if r.Flags()&FlagMetadataSized != 0 {
 		t.Fatal("OmitContentSize frames reported as sized")
 	}
 	// The scan finds the frames and decodes none; a read ahead of the
 	// table decodes up to where it lands, each frame once.
-	if st := r.Engine().Stats(); st.DecodedBytes != 0 || r.NumFrames() != 3 || r.NumChunks() != 0 {
-		t.Fatalf("after open: %d frames, %d chunks, %+v", r.NumFrames(), r.NumChunks(), st)
+	if st := r.Stats(); st.DecodedBytes != 0 || r.ScanSpans() != 3 || r.NumSpans() != 0 {
+		t.Fatalf("after open: %d frames, %d spans, %+v", r.ScanSpans(), r.NumSpans(), st)
 	}
 	buf := make([]byte, 4096)
 	off := int64(250 << 10)
@@ -286,11 +294,11 @@ func TestReaderUnsizedFrames(t *testing.T) {
 	if !bytes.Equal(buf, data[off:off+4096]) {
 		t.Fatal("ReadAt mismatch on unsized file")
 	}
-	size, err := r.Size()
+	size, err := r.TotalSize()
 	if err != nil || size != int64(len(data)) {
-		t.Fatalf("Size = %d, %v, want %d", size, err, len(data))
+		t.Fatalf("TotalSize = %d, %v, want %d", size, err, len(data))
 	}
-	if st := r.Engine().Stats(); st.DecodedBytes != uint64(len(data)) || st.SpanDecodes != 3 {
+	if st := r.Stats(); st.DecodedBytes != uint64(len(data)) || st.SpanDecodes != 3 {
 		t.Fatalf("sizing and reading three frames: %+v", st)
 	}
 }
@@ -299,7 +307,7 @@ func TestDecompressParallelMatchesSerial(t *testing.T) {
 	data := workloads.FASTQ(2<<20, 3)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 128 << 10, ContentChecksum: true})
 	for _, threads := range []int{1, 2, 4, 8} {
-		got, err := DecompressParallel(comp, threads)
+		got, err := decodeAll(openEngine(t, comp, threads))
 		if err != nil {
 			t.Fatalf("threads=%d: %v", threads, err)
 		}
@@ -366,7 +374,13 @@ func BenchmarkDecompressParallelBase64(b *testing.B) {
 		b.Run(fmt.Sprintf("P%d", threads), func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			for i := 0; i < b.N; i++ {
-				if _, err := DecompressParallel(comp, threads); err != nil {
+				e, err := spanengine.New(filereader.MemoryReader(comp), Codec{}, spanengine.Config{Threads: threads})
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, err = e.WriteTo(io.Discard, 0)
+				e.Close()
+				if err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,137 +9,68 @@ import (
 	"repro/internal/spanengine"
 )
 
-// Options tunes a Reader. The zero value is ready to use.
-//
-// Deprecated: Options is the legacy flat configuration struct, kept so
-// existing call sites compile and behave identically. New code should
-// pass functional options (WithParallelism, WithChunkSize, ...) to Open
-// or OpenBytes.
-type Options struct {
-	// Parallelism is the number of decompression workers. Zero selects
-	// runtime.NumCPU(); the paper's -P flag.
-	Parallelism int
-	// ChunkSize is the compressed bytes handed to one worker task.
-	// Zero selects the paper's 4 MiB default. Figure 12 of the paper
-	// sweeps this parameter: too small wastes time in the block finder,
-	// too large starves workers near the end of the file.
-	ChunkSize int
-	// VerifyChecksums enables CRC32 verification of every gzip member
-	// against its footer while the stream is consumed sequentially.
-	// Chunk checksums are combined with a GF(2) CRC-combine, so
-	// verification is parallel too.
-	VerifyChecksums bool
-	// MaxPrefetch bounds the number of speculative chunk decodes in
-	// flight. Zero selects twice the parallelism (the paper's default).
-	MaxPrefetch int
-	// AccessCacheSize is the capacity (in chunks) of the accessed-chunk
-	// cache. It only matters for concurrent random access; sequential
-	// decompression needs a single slot.
-	AccessCacheSize int
-	// Strategy selects the prefetch strategy: "adaptive" (default) or
-	// "fixed"; see WithStrategy. Unknown names are rejected when the
-	// reader is constructed.
-	Strategy string
-}
-
-// strategyFor maps a strategy name to a fresh prefetch.Strategy
-// instance (strategies are stateful, so every reader needs its own).
-// nil means "the backend's default" (adaptive, which "multistream" has
-// become another name for).
-func strategyFor(name string) (prefetch.Strategy, error) {
+// strategyFor maps a strategy name to a constructor (strategies are
+// stateful, so every engine needs an instance of its own). nil means "the
+// engine's default": adaptive, which "multistream" has become another
+// name for.
+func strategyFor(name string) (func() prefetch.Strategy, error) {
 	switch name {
 	case "", "adaptive", "multistream":
 		return nil, nil
 	case "fixed":
-		return prefetch.NewFixed(), nil
+		return func() prefetch.Strategy { return prefetch.NewFixed() }, nil
 	}
 	return nil, fmt.Errorf("rapidgzip: unknown prefetch strategy %q (want adaptive, fixed or multistream)", name)
 }
 
-func (o Options) toCore() (core.Config, error) {
-	cfg := core.Config{
-		Parallelism:     o.Parallelism,
-		ChunkSize:       o.ChunkSize,
-		MaxPrefetch:     o.MaxPrefetch,
-		AccessCacheSize: o.AccessCacheSize,
-		VerifyChecksums: o.VerifyChecksums,
-	}
-	if cfg.Parallelism == 0 {
-		cfg.Parallelism = runtime.NumCPU()
-	}
-	strat, err := strategyFor(o.Strategy)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Strategy = strat // nil = core defaults to adaptive
-	return cfg, nil
-}
-
-// toEngine builds the span-engine configuration the bzip2/LZ4/zstd
-// backends run with — the same knobs as the gzip core, applied to the
-// shared engine: Parallelism sizes the worker pool, MaxPrefetch bounds
-// in-flight speculative span decodes, AccessCacheSize caps the span
-// cache, Strategy picks the prefetcher.
-func (o Options) toEngine() (spanengine.Config, error) {
-	strat, err := strategyFor(o.Strategy)
-	if err != nil {
-		return spanengine.Config{}, err
-	}
-	threads := o.Parallelism
-	if threads == 0 {
-		threads = runtime.NumCPU()
-	}
-	return spanengine.Config{
-		Threads:     threads,
-		CacheSize:   o.AccessCacheSize,
-		MaxPrefetch: o.MaxPrefetch,
-		Strategy:    strat,
-	}, nil
-}
-
-// config is the resolved configuration an Open call operates with.
+// config is the resolved configuration an Open call operates with. Zero
+// fields select defaults, which for the prefetch depth and the cache size
+// are the backend's own (gzip/BGZF keep a deeper pipeline than the
+// formats whose spans need no confirming).
 type config struct {
-	opts        Options
-	format      Format // FormatUnknown means sniff the content
-	indexFile   string // explicit index to import; implies no discovery
+	parallelism int // resolve turns 0 into runtime.NumCPU()
+	chunkSize   int
+	maxPrefetch int
+	cacheSize   int
+	verify      bool
+	strategy    func() prefetch.Strategy // nil = adaptive
+	format      Format                   // FormatUnknown means sniff the content
+	indexFile   string                   // explicit index to import; implies no discovery
 	noDiscovery bool
-	inMemory    bool       // load the whole file instead of serving it file-backed
-	pool        *CachePool // shared span-cache pool (WithSharedPool); nil = private cache
+	inMemory    bool                  // load the whole file instead of serving it file-backed
+	pool        *spanengine.CachePool // shared span-cache pool (WithSharedPool); nil = private cache
 }
 
-// coreConfig resolves the gzip/BGZF core configuration, applying the
-// shared pool when one was requested.
-func (c config) coreConfig() (core.Config, error) {
-	cfg, err := c.opts.toCore()
-	if err != nil {
-		return core.Config{}, err
+// engine is the configuration of one span engine — bzip2, LZ4 and zstd
+// are built with it as it is — with a strategy instance of its own.
+func (c config) engine() spanengine.Config {
+	ec := spanengine.Config{Threads: c.parallelism, CacheSize: c.cacheSize, MaxPrefetch: c.maxPrefetch, Pool: c.pool}
+	if c.strategy != nil {
+		ec.Strategy = c.strategy()
 	}
-	if c.pool != nil {
-		cfg.Pool = c.pool.p
-	}
-	return cfg, nil
+	return ec
 }
 
-// engineConfig resolves the span-engine configuration for bzip2/LZ4/
-// zstd, applying the shared pool when one was requested.
-func (c config) engineConfig() (spanengine.Config, error) {
-	cfg, err := c.opts.toEngine()
-	if err != nil {
-		return spanengine.Config{}, err
+// core is the same configuration for gzip/BGZF: core adds the codec's
+// knobs and its own defaults and builds its engines from that.
+func (c config) core() core.Config {
+	return core.Config{
+		Parallelism:     c.parallelism,
+		ChunkSize:       c.chunkSize,
+		MaxPrefetch:     c.maxPrefetch,
+		AccessCacheSize: c.cacheSize,
+		Strategy:        c.strategy,
+		VerifyChecksums: c.verify,
+		Pool:            c.pool,
 	}
-	if c.pool != nil {
-		cfg.Pool = c.pool.p
-	}
-	return cfg, nil
 }
 
 // errOptNilPool is WithSharedPool's eager validation failure.
 var errOptNilPool = fmt.Errorf("rapidgzip: WithSharedPool(nil)")
 
-// An Option configures Open, OpenBytes or any of the constructors that
-// accept functional options. Invalid settings (an unknown strategy, a
-// non-positive chunk size, ...) are reported by the constructor — each
-// With* function validates eagerly and the first error wins.
+// An Option configures Open or OpenBytes. Invalid settings (an unknown
+// strategy, a negative chunk size, ...) are reported by the constructor —
+// each With* function validates eagerly and the first error wins.
 type Option func(*config) error
 
 func resolve(opts []Option) (config, error) {
@@ -151,8 +82,11 @@ func resolve(opts []Option) (config, error) {
 	}
 	// Cross-option conflicts are checked after the loop — they depend on
 	// the combination, not any single call, so order cannot matter.
-	if cfg.pool != nil && cfg.opts.AccessCacheSize != 0 {
+	if cfg.pool != nil && cfg.cacheSize != 0 {
 		return config{}, fmt.Errorf("%w: WithAccessCacheSize has no effect under WithSharedPool (the pool's byte budget replaces the per-archive span count)", ErrConflictingOptions)
+	}
+	if cfg.parallelism == 0 {
+		cfg.parallelism = runtime.NumCPU()
 	}
 	return cfg, nil
 }
@@ -164,7 +98,7 @@ func WithParallelism(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("rapidgzip: negative parallelism %d", n)
 		}
-		c.opts.Parallelism = n
+		c.parallelism = n
 		return nil
 	}
 }
@@ -176,7 +110,7 @@ func WithChunkSize(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("rapidgzip: negative chunk size %d", n)
 		}
-		c.opts.ChunkSize = n
+		c.chunkSize = n
 		return nil
 	}
 }
@@ -187,7 +121,7 @@ func WithChunkSize(n int) Option {
 // carries checksums, regardless of this option.
 func WithVerify(v bool) Option {
 	return func(c *config) error {
-		c.opts.VerifyChecksums = v
+		c.verify = v
 		return nil
 	}
 }
@@ -199,7 +133,7 @@ func WithMaxPrefetch(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("rapidgzip: negative prefetch bound %d", n)
 		}
-		c.opts.MaxPrefetch = n
+		c.maxPrefetch = n
 		return nil
 	}
 }
@@ -224,7 +158,7 @@ func WithAccessCacheSize(n int) Option {
 		if n < 0 {
 			return fmt.Errorf("rapidgzip: negative cache size %d", n)
 		}
-		c.opts.AccessCacheSize = n
+		c.cacheSize = n
 		return nil
 	}
 }
@@ -262,11 +196,11 @@ func WithInMemory() Option {
 // some later decode.
 func WithStrategy(name string) Option {
 	return func(c *config) error {
-		probe := Options{Strategy: name}
-		if _, err := probe.toCore(); err != nil {
+		strat, err := strategyFor(name)
+		if err != nil {
 			return err
 		}
-		c.opts.Strategy = name
+		c.strategy = strat
 		return nil
 	}
 }
@@ -310,23 +244,6 @@ func WithIndexFile(path string) Option {
 func WithoutIndexDiscovery() Option {
 	return func(c *config) error {
 		c.noDiscovery = true
-		return nil
-	}
-}
-
-// WithOptions applies a legacy Options struct wholesale — the bridge
-// for call sites migrating to functional options one knob at a time.
-//
-// Deprecated: pass the individual functional options instead —
-// WithParallelism, WithChunkSize, WithVerify, WithMaxPrefetch,
-// WithAccessCacheSize and WithStrategy cover every Options field, and
-// validate eagerly where the struct could smuggle invalid values in.
-func WithOptions(o Options) Option {
-	return func(c *config) error {
-		if _, err := o.toCore(); err != nil {
-			return err
-		}
-		c.opts = o
 		return nil
 	}
 }

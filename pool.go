@@ -76,7 +76,7 @@ func WithSharedPool(p *CachePool) Option {
 		if p == nil {
 			return errOptNilPool
 		}
-		c.pool = p
+		c.pool = p.p
 		return nil
 	}
 }

@@ -3,10 +3,13 @@ package rapidgzip
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/workloads"
@@ -164,58 +167,181 @@ func TestDecompressedSize(t *testing.T) {
 	}
 }
 
-// TestCloseVsReadAtRace closes file-backed archives while readers are
-// mid-flight: every reader must finish with either valid data or the
-// typed ErrClosed — never a raw pread-on-closed-fd error, and never a
-// race-detector report (this test is the -race workload).
+// TestCloseVsReadAtRace runs readers against what replaces or removes the
+// engine under them, for every format, file-backed and OpenBytes (this
+// test is the -race workload). The plain rows close the archive while
+// ReadAts are mid-flight: every reader must finish with either valid data
+// or the typed ErrClosed — never a raw pread-on-closed-fd error. The
+// -import rows import an index, repeatedly, under ReadAt, Read and
+// WriteTo: every read finishes on the engine it started on, with the
+// right bytes and no error at all. The -export rows export concurrently:
+// the files are identical.
 func TestCloseVsReadAtRace(t *testing.T) {
 	data := workloads.Base64(400_000, 17)
 	for format, comp := range spanFixtures(t, data) {
-		t.Run(format.String(), func(t *testing.T) {
-			dir := t.TempDir()
-			full := filepath.Join(dir, "race."+format.String())
-			if err := os.WriteFile(full, comp, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			a, err := Open(full, WithParallelism(2))
-			if err != nil {
-				t.Fatal(err)
-			}
+		full := filepath.Join(t.TempDir(), "race."+format.String())
+		if err := os.WriteFile(full, comp, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for backing, open := range map[string]func() (Archive, error){
+			"":       func() (Archive, error) { return Open(full, WithParallelism(2)) },
+			"-bytes": func() (Archive, error) { return OpenBytes(comp, WithParallelism(2)) },
+		} {
+			t.Run(format.String()+backing, func(t *testing.T) { closeUnderReaders(t, open, data) })
+			t.Run(format.String()+backing+"-import", func(t *testing.T) { importUnderReaders(t, open, data) })
+			t.Run(format.String()+backing+"-export", func(t *testing.T) { exportConcurrently(t, open) })
+		}
+	}
+}
 
-			const readers = 8
-			var wg sync.WaitGroup
-			errC := make(chan error, readers)
-			start := make(chan struct{})
-			for r := 0; r < readers; r++ {
-				wg.Add(1)
-				go func(r int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(r)))
-					buf := make([]byte, 1024)
-					<-start
-					for {
-						off := rng.Int63n(int64(len(data) - len(buf)))
-						if _, err := a.ReadAt(buf, off); err != nil {
-							errC <- err
-							return
-						}
-					}
-				}(r)
-			}
-			close(start)
-			// Let the readers actually get in flight before closing.
-			probe := make([]byte, 64)
-			a.ReadAt(probe, 0)
-			if err := a.Close(); err != nil {
-				t.Errorf("Close: %v", err)
-			}
-			wg.Wait()
-			close(errC)
-			for err := range errC {
-				if !errors.Is(err, ErrClosed) {
-					t.Errorf("reader error not ErrClosed: %v", err)
+func closeUnderReaders(t *testing.T, open func() (Archive, error), data []byte) {
+	a, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 8
+	var wg sync.WaitGroup
+	errC := make(chan error, readers)
+	start := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			buf := make([]byte, 1024)
+			<-start
+			for {
+				off := rng.Int63n(int64(len(data) - len(buf)))
+				if _, err := a.ReadAt(buf, off); err != nil {
+					errC <- err
+					return
 				}
 			}
+		}(r)
+	}
+	close(start)
+	// Let the readers actually get in flight before closing.
+	probe := make([]byte, 64)
+	a.ReadAt(probe, 0)
+	if err := a.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	wg.Wait()
+	close(errC)
+	for err := range errC {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("reader error not ErrClosed: %v", err)
+		}
+	}
+}
+
+// exportedIndex opens an archive, exports its index and closes it.
+func exportedIndex(t *testing.T, open func() (Archive, error)) []byte {
+	t.Helper()
+	a, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var ix bytes.Buffer
+	if err := a.ExportIndex(&ix); err != nil {
+		t.Fatal(err)
+	}
+	return ix.Bytes()
+}
+
+func importUnderReaders(t *testing.T, open func() (Archive, error), data []byte) {
+	ix := exportedIndex(t, open)
+	a, err := open() // cold: the first import replaces a table still growing
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	reader := func(read func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if err := read(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 0; r < 4; r++ {
+		rng := rand.New(rand.NewSource(int64(r)))
+		buf := make([]byte, 1024)
+		reader(func() error {
+			off := rng.Int63n(int64(len(data) - len(buf)))
+			if _, err := a.ReadAt(buf, off); err != nil {
+				return fmt.Errorf("ReadAt(%d): %w", off, err)
+			}
+			if !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
+				return fmt.Errorf("ReadAt(%d): wrong bytes", off)
+			}
+			return nil
 		})
 	}
+	// The cursor's two users take turns at it: a pass of Reads from an
+	// offset, then a WriteTo of the rest.
+	var pos int64
+	buf := make([]byte, 4096)
+	reader(func() error {
+		if pos >= int64(len(data)/2) {
+			var rest bytes.Buffer
+			if _, err := a.WriteTo(&rest); err != nil {
+				return fmt.Errorf("WriteTo from %d: %w", pos, err)
+			}
+			if !bytes.Equal(rest.Bytes(), data[pos:]) {
+				return fmt.Errorf("WriteTo from %d: wrong bytes", pos)
+			}
+			pos = 0
+			_, err := a.Seek(0, io.SeekStart)
+			return err
+		}
+		n, err := a.Read(buf)
+		if err != nil || !bytes.Equal(buf[:n], data[pos:pos+int64(n)]) {
+			return fmt.Errorf("Read at %d: %d bytes, %v", pos, n, err)
+		}
+		pos += int64(n)
+		return nil
+	})
+	for i := 0; i < 6; i++ {
+		if err := a.ImportIndex(bytes.NewReader(ix)); err != nil {
+			t.Errorf("ImportIndex: %v", err)
+		}
+		// One read on the new engine before the next import retires it.
+		if _, err := a.ReadAt(make([]byte, 64), int64(i)*50_000); err != nil {
+			t.Errorf("ReadAt after import %d: %v", i, err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+func exportConcurrently(t *testing.T, open func() (Archive, error)) {
+	want := exportedIndex(t, open)
+	a, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ix bytes.Buffer
+			if err := a.ExportIndex(&ix); err != nil {
+				t.Error(err)
+			} else if !bytes.Equal(ix.Bytes(), want) {
+				t.Error("concurrent exports differ")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -7,8 +7,12 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/gzindex"
 	"repro/internal/workloads"
 )
+
+// seekPoints returns the seek-point index of an open gzip archive.
+func seekPoints(a Archive) *gzindex.Index { return a.(*archive).cur.Load().gz.Index() }
 
 // indexedGzip compresses a SilesiaLike corpus with the standard library
 // and exports its index at the given chunk size; it returns the corpus,
@@ -44,7 +48,7 @@ func TestRandomReadAtDecodesWhatItTouches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	ix := a.(*Reader).pr.Index()
+	ix := seekPoints(a)
 	starts := make([]int64, ix.Len())
 	for i := range starts {
 		starts[i] = int64(ix.Point(i).UncompressedOffset)
@@ -107,7 +111,7 @@ func TestSequentialReadAtFromSeekPointDecodesWhatItReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ix := a.(*Reader).pr.Index()
+		ix := seekPoints(a)
 		// Not the first: a reader that starts at offset 0 is taken for a
 		// whole-file pass at once.
 		start := int64(ix.Point(1 + rnd.Intn(ix.Len()-3)).UncompressedOffset)
@@ -150,12 +154,11 @@ func TestSmallVerifiedReadsThroughIndex(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), plain) {
 		t.Fatal("wrong bytes")
 	}
-	r := a.(*Reader)
-	if ok, fails := r.CRCVerified(); !ok || fails != 0 {
+	if ok, fails := crcVerified(a); !ok || fails != 0 {
 		t.Fatalf("CRCVerified: ok=%v fails=%d", ok, fails)
 	}
 	s := a.Stats()
-	if spans := uint64(r.pr.Index().Len()); s.ChunksConsumed != spans || s.SpanDecodes != spans || s.SpanResumes != 0 || s.DecodedBytes != uint64(len(plain)) {
+	if spans := uint64(seekPoints(a).Len()); s.ChunksConsumed != spans || s.SpanDecodes != spans || s.SpanResumes != 0 || s.DecodedBytes != uint64(len(plain)) {
 		t.Fatalf("%d spans: %+v", spans, s)
 	}
 }
@@ -172,7 +175,7 @@ func TestAlternatingCursorsThroughIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	spans := a.(*Reader).pr.Index().Len()
+	spans := seekPoints(a).Len()
 	half := int64(len(plain) / 2)
 	buf := make([]byte, 32<<10)
 	for pos := int64(0); pos < half; pos += int64(len(buf)) {

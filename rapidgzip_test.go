@@ -24,13 +24,19 @@ func gzipBytes(t *testing.T, data []byte) []byte {
 	return buf.Bytes()
 }
 
+// crcVerified asserts the method the archives of Open and OpenBytes
+// carry beyond the Archive interface.
+func crcVerified(a Archive) (bool, uint64) {
+	return a.(interface{ CRCVerified() (bool, uint64) }).CRCVerified()
+}
+
 func TestOpenAndCopy(t *testing.T) {
 	data := workloads.Base64(1_000_000, 1)
 	path := filepath.Join(t.TempDir(), "data.gz")
 	if err := os.WriteFile(path, gzipBytes(t, data), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenOptions(path, Options{Parallelism: 4, ChunkSize: 64 << 10, VerifyChecksums: true})
+	r, err := Open(path, WithParallelism(4), WithChunkSize(64<<10), WithVerify(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +48,7 @@ func TestOpenAndCopy(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), data) {
 		t.Fatalf("mismatch: %d vs %d bytes", out.Len(), len(data))
 	}
-	if ok, fails := r.CRCVerified(); !ok || fails > 0 {
+	if ok, fails := crcVerified(r); !ok || fails > 0 {
 		t.Fatalf("CRC: ok=%v fails=%d", ok, fails)
 	}
 	if s := r.Stats(); s.ChunksConsumed == 0 {
@@ -54,12 +60,7 @@ func TestNewReaderFromFile(t *testing.T) {
 	data := workloads.FASTQ(400_000, 2)
 	path := filepath.Join(t.TempDir(), "reads.fastq.gz")
 	os.WriteFile(path, gzipBytes(t, data), 0o644)
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r, err := NewReader(f, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	r, err := Open(path, WithFormat(FormatGzip), WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestNewReaderFromFile(t *testing.T) {
 
 func TestSeekReadAt(t *testing.T) {
 	data := workloads.SilesiaLike(800_000, 3)
-	r, err := NewBytesReader(gzipBytes(t, data), Options{Parallelism: 3, ChunkSize: 32 << 10})
+	r, err := OpenBytes(gzipBytes(t, data), WithParallelism(3), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestIndexRoundTripPublicAPI(t *testing.T) {
 	data := workloads.Base64(600_000, 4)
 	comp := gzipBytes(t, data)
 
-	r1, err := NewBytesReader(comp, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	r1, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestIndexRoundTripPublicAPI(t *testing.T) {
 	}
 	r1.Close()
 
-	r2, err := NewBytesReader(comp, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	r2, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestOpenWithIndex(t *testing.T) {
 	}
 
 	// First run: decompress once, save the index.
-	r1, err := OpenOptions(path, Options{Parallelism: 4, ChunkSize: 64 << 10})
+	r1, err := Open(path, WithParallelism(4), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestOpenWithIndex(t *testing.T) {
 
 	// Second run: reopen with the saved index; no block-finder probes,
 	// no speculative decodes, byte-identical output.
-	r2, err := OpenWithIndex(path, ixPath, Options{Parallelism: 4, ChunkSize: 64 << 10})
+	r2, err := Open(path, WithIndexFile(ixPath), WithParallelism(4), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestOpenWithIndex(t *testing.T) {
 	}
 
 	// ReadAt without any prior sequential read, straight off the index.
-	r3, err := OpenWithIndex(path, ixPath, Options{Parallelism: 2, ChunkSize: 64 << 10})
+	r3, err := Open(path, WithIndexFile(ixPath), WithParallelism(2), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,13 @@ func TestOpenWithIndex(t *testing.T) {
 	// A wrong index file must be rejected at open time.
 	other := filepath.Join(dir, "other.gz")
 	os.WriteFile(other, gzipBytes(t, workloads.Base64(100_000, 42)), 0o644)
-	if _, err := OpenWithIndex(other, ixPath, Options{}); err == nil {
+	if _, err := Open(other, WithIndexFile(ixPath)); err == nil {
 		t.Fatal("index for a different file accepted")
 	}
-	if _, err := OpenWithIndex(path, other, Options{}); err == nil {
+	if _, err := Open(path, WithIndexFile(other)); err == nil {
 		t.Fatal("gzip file accepted as an index")
 	}
-	if _, err := OpenWithIndex(path, filepath.Join(dir, "missing"), Options{}); err == nil {
+	if _, err := Open(path, WithIndexFile(filepath.Join(dir, "missing"))); err == nil {
 		t.Fatal("missing index file accepted")
 	}
 }
@@ -214,12 +215,7 @@ func TestNewReaderWithIndex(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "reads.fastq.gz")
 	os.WriteFile(path, gzipBytes(t, data), 0o644)
 
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	r1, err := NewReader(f, Options{Parallelism: 2, ChunkSize: 32 << 10})
+	r1, err := Open(path, WithParallelism(2), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +225,15 @@ func TestNewReaderWithIndex(t *testing.T) {
 	}
 	r1.Close()
 
-	r2, err := NewReaderWithIndex(f, bytes.NewReader(ix.Bytes()), Options{Parallelism: 3, ChunkSize: 32 << 10})
+	// An index handed over as a stream, after Open.
+	r2, err := Open(path, WithParallelism(3), WithChunkSize(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r2.Close()
+	if err := r2.ImportIndex(bytes.NewReader(ix.Bytes())); err != nil {
+		t.Fatal(err)
+	}
 	got, err := io.ReadAll(r2)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("mismatch (err=%v)", err)
@@ -242,20 +242,27 @@ func TestNewReaderWithIndex(t *testing.T) {
 		t.Fatalf("import path probed the block finder %d times", s.FinderProbes)
 	}
 
-	// Truncated index bytes must fail the constructor, not poison reads.
-	if _, err := NewReaderWithIndex(f, bytes.NewReader(ix.Bytes()[:ix.Len()/2]), Options{}); err == nil {
+	// Truncated index bytes must fail the import, not poison reads.
+	r3, err := Open(path, WithParallelism(2), WithChunkSize(32<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Close()
+	if err := r3.ImportIndex(bytes.NewReader(ix.Bytes()[:ix.Len()/2])); err == nil {
 		t.Fatal("truncated index accepted")
+	}
+	buf := make([]byte, 4096)
+	if _, err := r3.ReadAt(buf, 300_000); err != nil || !bytes.Equal(buf, data[300_000:300_000+len(buf)]) {
+		t.Fatalf("read after a refused import: %v", err)
 	}
 
 	// The import must consume exactly the index bytes: an index
 	// embedded in a larger stream leaves the following data unread.
 	stream := append(bytes.Clone(ix.Bytes()), []byte("TRAILER AFTER THE INDEX")...)
 	sr := bytes.NewReader(stream)
-	r3, err := NewReaderWithIndex(f, sr, Options{Parallelism: 2, ChunkSize: 32 << 10})
-	if err != nil {
+	if err := r3.ImportIndex(sr); err != nil {
 		t.Fatal(err)
 	}
-	defer r3.Close()
 	rest, err := io.ReadAll(sr)
 	if err != nil || string(rest) != "TRAILER AFTER THE INDEX" {
 		t.Fatalf("import over-consumed the stream: %d bytes left (%q)", len(rest), rest)
@@ -266,7 +273,7 @@ func TestStrategyNames(t *testing.T) {
 	data := workloads.Base64(300_000, 5)
 	comp := gzipBytes(t, data)
 	for _, s := range []string{"", "adaptive", "fixed", "multistream"} {
-		r, err := NewBytesReader(comp, Options{Parallelism: 2, ChunkSize: 32 << 10, Strategy: s})
+		r, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10), WithStrategy(s))
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)
 		}
@@ -293,12 +300,12 @@ func TestTarFS(t *testing.T) {
 	// The ratarmount scenario through the public API: list and read
 	// members of a .tar.gz via io/fs.
 	tarball := workloads.SilesiaLike(2<<20, 6) // a real TAR by construction
-	r, err := NewBytesReader(gzipBytes(t, tarball), Options{Parallelism: 3, ChunkSize: 64 << 10})
+	r, err := OpenBytes(gzipBytes(t, tarball), WithParallelism(3), WithChunkSize(64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	fsys, err := r.TarFS()
+	fsys, err := TarFS(r)
 	if err != nil {
 		t.Fatal(err)
 	}
