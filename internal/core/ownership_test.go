@@ -83,6 +83,40 @@ func TestScratchOwnership(t *testing.T) {
 		wg.Wait()
 	})
 
+	t.Run("paused decodes through the index", func(t *testing.T) {
+		// Reads that walk up a cold span in small steps pause its decode
+		// and resume it, each piece handed to the reader while the decoder
+		// keeps the buffer: its word copies reach a few bytes past the end
+		// of what exists, into room later elements fill, and none of that
+		// may ever show — in the piece just read, or in an earlier one
+		// read again — while a cold pass beside it releases scratch.
+		r := importedReader(t, comp, exportIndex(t, comp, 512<<10), Config{Parallelism: 2, AccessCacheSize: 2})
+		cold := open(t, comp, Config{Parallelism: 2, ChunkSize: 128 << 10})
+		done := make(chan []byte)
+		go func() {
+			var out bytes.Buffer
+			if _, err := cold.WriteTo(&out); err != nil {
+				t.Errorf("cold pass: %v", err)
+			}
+			done <- out.Bytes()
+		}()
+		rng := rand.New(rand.NewSource(5))
+		buf := make([]byte, 3000)
+		for off := 0; off+len(buf) <= len(data); off += 1 + rng.Intn(40_000) {
+			for _, at := range []int{off, rng.Intn(off + 1)} {
+				if _, err := r.ReadAt(buf, int64(at)); err != nil || !bytes.Equal(buf, data[at:at+len(buf)]) {
+					t.Fatalf("ReadAt %d: wrong bytes (err %v)", at, err)
+				}
+			}
+		}
+		if st := r.Engine().Stats(); st.SpanResumes == 0 {
+			t.Fatalf("no decode was paused and resumed: %+v", st)
+		}
+		if got := <-done; !bytes.Equal(got, data) {
+			t.Fatal("cold pass beside the paused decodes: output differs from the plaintext")
+		}
+	})
+
 	t.Run("tentative eviction and false starts", func(t *testing.T) {
 		// Every stored block below begins 100 bytes before a cell boundary
 		// and, in the cells marked fake, carries a stored-block header 50

@@ -309,9 +309,7 @@ func (d *Decoder) decodeBlocks() error {
 
 			case BlockFixed:
 				cr.BlockStarts = append(cr.BlockStarts, BlockStart{headerPos, st.total(), typ, final})
-				if err := d.initFixed(); err != nil {
-					return err
-				}
+				d.fixed, d.hasDist = true, true
 
 			case BlockDynamic:
 				if !final && headerPos >= cfg.Stop {
@@ -439,9 +437,9 @@ func (d *Decoder) copyStored(st *chunkState) (paused bool, err error) {
 }
 
 // decodeHuffBlock decodes one Huffman-compressed block body in the
-// current mode, or the rest of one a paused decode left open.
-// d.lit/d.dist must be initialised. It reports whether the output limit
-// ended it before the block did.
+// current mode, or the rest of one a paused decode left open. The block's
+// codes must be built. It reports whether the output limit ended it
+// before the block did.
 func (d *Decoder) decodeHuffBlock(st *chunkState) (paused bool, err error) {
 	if st.marked {
 		return false, d.decodeHuffBlockMarked(st)
@@ -454,7 +452,8 @@ func (d *Decoder) decodeHuffBlock(st *chunkState) (paused bool, err error) {
 		// footer if a member ends there.
 		br := d.br
 		pos := br.BitPos()
-		if sym, err := d.lit.Decode(br); err == nil && sym == EndOfBlock {
+		lit, _ := d.codes()
+		if e, err := lit.DecodeEntry(br); err == nil && e&huffman.EndOfBlock != 0 {
 			return false, nil
 		}
 		err = br.SeekBits(pos)
@@ -462,22 +461,110 @@ func (d *Decoder) decodeHuffBlock(st *chunkState) (paused bool, err error) {
 	return paused, err
 }
 
-// The block loops below decode on a local copy of the BitReader's
-// accumulator (bitio.View/Commit), refilled with one 8-byte load per
-// element — the wide-refill discipline that makes pure-Go decoders
-// hardware-limited. After a refill the accumulator holds 56..63 valid
-// bits, which covers a worst-case element in one go: litlen code (15)
-// + length extra (5) + distance code (15) + distance extra (13) = 48
-// bits. Literals consume at most 15 bits, so several decode per
-// refill; the inner loop re-enters without refilling while at least
-// 48 bits remain. Within 8 bytes of the buffered window's edge the
-// loops fall back to the checked per-symbol path (which also refills
-// ReaderAt-backed windows), so the fast path never needs bounds or
-// end-of-stream checks on the bit source.
+// The two block loops below have one shape. Each decodes on a local copy
+// of the BitReader's accumulator (bitio.View/Commit) and writes by index
+// into room it made sure of beforehand, in fast stretches that check
+// input and room once per iteration and nothing per symbol:
+//
+//   - Bits. An iteration starts with at least fastInput bytes of input
+//     buffered and refills the accumulator with one 8-byte load to 56..63
+//     bits. Literals then decode from it while at least 15 bits remain,
+//     the longest literal/length code, so one refill serves five or six
+//     of them. The first entry that is no literal gets a second refill
+//     before any of it is consumed, and its 56 bits cover the rest of the
+//     element: length code and extra bits (15 + 5), distance code and
+//     extra bits (15 + 13). The second load ends at most 15 bytes past
+//     where the iteration found the input.
+//   - Room. An iteration starts with at least fastRoom symbols of room
+//     below the bound — the buffer's capacity, MaxDecompressed and,
+//     single-stage, the output limit — and stores at most 49 literals
+//     (1-bit codes, from 63 bits down to 14) and one match of MaxMatchLen.
+//     A match whose source lies in the output, inside the history and at
+//     least 8 bytes back is copied 8 bytes at a time (4 symbols in marked
+//     mode), the first 16 without asking for its length, so the copy
+//     reaches up to 13 bytes past the match's end: 49 + 258 + 13 symbols
+//     at most. What lies past the output's length is never handed out,
+//     and the next element overwrites it. Every other match — closer
+//     than 8 bytes, out of the window or the marked segment, past the
+//     history — goes through emitRawMatch/emitMarkedMatch, which check
+//     and copy as they always did, in the same room.
+//   - Entries. The table entry says what to do (huffman.Entry): store
+//     this byte, add that many extra bits to this base, end the block, or
+//     fail. The root lookup indexes a fixed-size array, without a bounds
+//     check; a link costs one checked lookup more.
+//
+// Where either guarantee is missing — within fastInput bytes of the
+// buffered window's edge or of the end of input, within fastRoom symbols
+// of the bound — the loops decode one element at a time through the
+// checked BitReader path (rawSlowElement, markedSlowElement), which
+// refills ReaderAt-backed windows and grows the output as it appends.
+// That path owns the limits: the single-stage loop looks at the output
+// limit before every such element and pauses there, a fast stretch
+// having stopped well short of it; a match that would cross
+// MaxDecompressed fails in emitRawMatch/emitMarkedMatch; and output
+// buffers regrow there only, never inside a fast stretch (those of a
+// decode that may pause not even there: see reserve).
+//
+// After an error the reader stands somewhere inside the element that
+// failed, not at a defined bit of it: a fast stretch has consumed a
+// link's root bits, or the length in front of a bad distance, where the
+// per-element path has not. Callers reposition the reader; the one that
+// looks first (core's candidate decode, whether fewer than 64 bits are
+// left) only picks between two ways of decoding the same thing.
+const (
+	fastInput = 16
+	fastRoom  = MaxMatchLen + 8 + 64
+	rootMask  = huffman.RootSize - 1
+)
 
-// fastElementBits is the worst-case bit cost of one decoded element;
-// the fast loops refill whenever fewer bits remain.
-const fastElementBits = 48
+// load64 returns the 8 bytes at b[i:] as the accumulator takes them;
+// copy8 and copy4 copy 8 bytes of output from dist symbols back, which
+// must not be closer than the copy is wide. The full slice expressions
+// spare the compiler the slices it would otherwise form, empty-tail
+// pointer fix-up included: one load and one store each.
+func load64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i : i+8 : i+8]) }
+
+func copy8(o []byte, p, dist int) { copy(o[p:p+8:p+8], o[p-dist:p-dist+8:p-dist+8]) }
+
+func copy4(o []uint16, p, dist int) { copy(o[p:p+4:p+4], o[p-dist:p-dist+4:p-dist+4]) }
+
+// noDistRoot stands in for the distance table of a block that declared
+// no distance code: every lookup finds an unused prefix.
+var noDistRoot [huffman.RootSize]huffman.Entry
+
+// tables returns the open block's tables for the block loops: the roots
+// as arrays, and the whole tables for the sub-table lookups.
+func (d *Decoder) tables() (lt, dt *[huffman.RootSize]huffman.Entry, ltab, dtab []huffman.Entry) {
+	lit, dist := d.codes()
+	lt, ltab, dt = lit.Root(), lit.Table(), &noDistRoot
+	if d.hasDist {
+		dt, dtab = dist.Root(), dist.Table()
+	}
+	return lt, dt, ltab, dtab
+}
+
+// litlenStop is what a literal/length entry that is neither a literal
+// nor a length means: nil at the end of the block, else the error.
+func litlenStop(e huffman.Entry) error {
+	switch {
+	case e&huffman.EndOfBlock != 0:
+		return nil
+	case e == 0:
+		return huffman.ErrBadSymbol
+	}
+	return ErrCorrupt // symbols 286 and 287
+}
+
+// distStop is the error behind a distance entry that is no distance.
+func (d *Decoder) distStop(e huffman.Entry) error {
+	switch {
+	case !d.hasDist:
+		return ErrNoDistanceCode
+	case e == 0:
+		return huffman.ErrBadSymbol
+	}
+	return ErrCorrupt // symbols 30 and 31
+}
 
 // decodeHuffBlockMarked is the two-stage (first stage) decode loop:
 // output symbols are 16-bit; back-references into the unknown initial
@@ -487,19 +574,14 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 	out := st.out16
 	defer func() { st.out16 = out }()
 
-	lt, ltShift := d.lit.Table(), d.lit.RootBits()
-	ltMask := uint64(1)<<ltShift - 1
-	var dt []huffman.Entry
-	var dtShift uint
-	var dtMask uint64
-	if d.hasDist {
-		dt, dtShift = d.dist.Table(), d.dist.RootBits()
-		dtMask = uint64(1)<<dtShift - 1
-	}
-
+	lt, dt, ltab, dtab := d.tables()
+	// Matches from floor on up lie in the output and inside the history.
+	floor := int(max(st.histStart, 0))
 	buf, pos, bits, nbits := br.View()
 	for {
-		if pos+8 > len(buf) {
+		p := len(out)
+		roomEnd := min(st.maxOut, cap(out)) - fastRoom
+		if pos+fastInput > len(buf) || p > roomEnd {
 			br.Commit(pos, bits, nbits)
 			var done bool
 			var err error
@@ -510,78 +592,84 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 			buf, pos, bits, nbits = br.View()
 			continue
 		}
-		bits |= binary.LittleEndian.Uint64(buf[pos:]) << nbits
-		pos += int((63 - nbits) >> 3)
-		nbits |= 56
-
-		for {
-			e := lt[bits&ltMask]
-			if sb := e.SubBits(); sb != 0 {
-				e = lt[uint64(e.Val())+bits>>ltShift&(1<<sb-1)]
+		o, inputEnd := out[:cap(out)], len(buf)-fastInput
+		var stop bool
+		var err error
+	fast:
+		for p <= roomEnd && pos <= inputEnd {
+			bits |= load64(buf, pos) << (nbits & 63)
+			pos += int(63-nbits) >> 3
+			nbits |= 56
+			e := lt[bits&rootMask]
+			for e&huffman.Literal != 0 {
+				bits >>= e & 63
+				nbits -= uint(e & 63)
+				o[p] = uint16(e >> 16)
+				p++
+				if nbits < huffman.MaxBits {
+					continue fast
+				}
+				e = lt[bits&rootMask]
 			}
-			n := e.Bits()
-			if n == 0 {
-				br.Commit(pos, bits, nbits)
-				return huffman.ErrBadSymbol
-			}
-			bits >>= n
-			nbits -= n
-			sym := e.Val()
-			if sym < 256 {
-				out = append(out, sym)
-				if nbits >= fastElementBits {
+			bits |= load64(buf, pos) << (nbits & 63)
+			pos += int(63-nbits) >> 3
+			nbits |= 56
+			if e&huffman.Link != 0 {
+				bits >>= huffman.RootBits
+				nbits -= huffman.RootBits
+				e = ltab[uint(e>>16)+uint(bits)&(1<<(e>>8&15)-1)]
+				if e&huffman.Literal != 0 {
+					bits >>= e & 63
+					nbits -= uint(e & 63)
+					o[p] = uint16(e >> 16)
+					p++
 					continue
 				}
+			}
+			if e&huffman.Base == 0 {
+				bits >>= e & 63
+				nbits -= uint(e & 63)
+				stop, err = true, litlenStop(e)
 				break
 			}
-			if sym == EndOfBlock {
-				br.Commit(pos, bits, nbits)
-				return nil
+			code := bits
+			bits >>= e & 63
+			nbits -= uint(e & 63)
+			length := int(e>>16) + int(code&(1<<(e&63)-1)>>(e>>8&15))
+			de := dt[bits&rootMask]
+			if de&huffman.Link != 0 {
+				bits >>= huffman.RootBits
+				nbits -= huffman.RootBits
+				de = dtab[uint(de>>16)+uint(bits)&(1<<(de>>8&15)-1)]
 			}
-			if sym > 285 {
-				br.Commit(pos, bits, nbits)
-				return ErrCorrupt
+			if de&huffman.Base == 0 {
+				stop, err = true, d.distStop(de)
+				break
 			}
-			li := sym - 257
-			length := int(lengthBase[li])
-			if x := lengthExtra[li]; x > 0 {
-				length += int(bits & (1<<x - 1))
-				bits >>= x
-				nbits -= uint(x)
+			code = bits
+			bits >>= de & 63
+			nbits -= uint(de & 63)
+			dist := int(de>>16) + int(code&(1<<(de&63)-1)>>(de>>8&15))
+			if p-dist < floor || dist < 4 {
+				if _, err = emitMarkedMatch(st, o[:p], dist, length); err != nil {
+					stop = true
+					break
+				}
+				p += length
+				continue
 			}
-			if !d.hasDist {
-				br.Commit(pos, bits, nbits)
-				return ErrNoDistanceCode
+			q := p + length
+			copy4(o, p, dist)
+			copy4(o, p+4, dist)
+			for p += 8; p < q; p += 4 {
+				copy4(o, p, dist)
 			}
-			de := dt[bits&dtMask]
-			if sb := de.SubBits(); sb != 0 {
-				de = dt[uint64(de.Val())+bits>>dtShift&(1<<sb-1)]
-			}
-			dn := de.Bits()
-			if dn == 0 {
-				br.Commit(pos, bits, nbits)
-				return huffman.ErrBadSymbol
-			}
-			bits >>= dn
-			nbits -= dn
-			dsym := de.Val()
-			if dsym > 29 {
-				br.Commit(pos, bits, nbits)
-				return ErrCorrupt
-			}
-			dist := int(distBase[dsym])
-			if x := distExtra[dsym]; x > 0 {
-				dist += int(bits & (1<<x - 1))
-				bits >>= x
-				nbits -= uint(x)
-			}
-			var err error
-			out, err = emitMarkedMatch(st, out, dist, length)
-			if err != nil {
-				br.Commit(pos, bits, nbits)
-				return err
-			}
-			break
+			p = q
+		}
+		out = o[:p]
+		if stop {
+			br.Commit(pos, bits, nbits)
+			return err
 		}
 	}
 }
@@ -613,21 +701,22 @@ func emitMarkedMatch(st *chunkState, out []uint16, dist, length int) ([]uint16, 
 }
 
 // markedSlowElement decodes one element through the checked BitReader
-// path; used near buffered-window edges and at end of input. It
-// reports done when the block's end-of-block symbol was consumed.
+// path; used near buffered-window edges, at end of input and near the
+// output bound. It reports done when the block's end-of-block symbol was
+// consumed.
 func (d *Decoder) markedSlowElement(st *chunkState, out []uint16) ([]uint16, bool, error) {
-	br := d.br
-	sym, err := d.lit.Decode(br)
+	lit, _ := d.codes()
+	e, err := lit.DecodeEntry(d.br)
 	if err != nil {
 		return out, false, err
 	}
-	if sym < 256 {
-		return append(out, sym), false, nil
+	if e&huffman.Literal != 0 {
+		return append(out, e.Val()), false, nil
 	}
-	if sym == EndOfBlock {
+	if e&huffman.EndOfBlock != 0 {
 		return out, true, nil
 	}
-	dist, length, err := d.slowMatchTail(sym)
+	dist, length, err := d.slowMatchTail(e)
 	if err != nil {
 		return out, false, err
 	}
@@ -641,27 +730,22 @@ func (d *Decoder) markedSlowElement(st *chunkState, out []uint16) ([]uint16, boo
 // the output has reached st.limit.
 func (d *Decoder) decodeHuffBlockRaw(st *chunkState) (bool, error) {
 	br := d.br
-	out, limit := st.out8, st.limit
+	out := st.out8
 	defer func() { st.out8 = out }()
 
-	lt, ltShift := d.lit.Table(), d.lit.RootBits()
-	ltMask := uint64(1)<<ltShift - 1
-	var dt []huffman.Entry
-	var dtShift uint
-	var dtMask uint64
-	if d.hasDist {
-		dt, dtShift = d.dist.Table(), d.dist.RootBits()
-		dtMask = uint64(1)<<dtShift - 1
-	}
-
+	lt, dt, ltab, dtab := d.tables()
+	bound := min(st.limit, st.maxOut)
+	// Matches from floor on up lie in the raw output and inside the history.
+	floor := int(max(st.histStart-int64(len(st.out16)), 0))
 	buf, pos, bits, nbits := br.View()
 	for {
-		if len(out) >= limit {
+		p := len(out)
+		roomEnd := min(bound, cap(out)) - fastRoom
+		if pos+fastInput > len(buf) || p > roomEnd {
 			br.Commit(pos, bits, nbits)
-			return true, nil
-		}
-		if pos+8 > len(buf) {
-			br.Commit(pos, bits, nbits)
+			if p >= st.limit {
+				return true, nil
+			}
 			var done bool
 			var err error
 			out, done, err = d.rawSlowElement(st, out)
@@ -671,78 +755,84 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) (bool, error) {
 			buf, pos, bits, nbits = br.View()
 			continue
 		}
-		bits |= binary.LittleEndian.Uint64(buf[pos:]) << nbits
-		pos += int((63 - nbits) >> 3)
-		nbits |= 56
-
-		for {
-			e := lt[bits&ltMask]
-			if sb := e.SubBits(); sb != 0 {
-				e = lt[uint64(e.Val())+bits>>ltShift&(1<<sb-1)]
+		o, inputEnd := out[:cap(out)], len(buf)-fastInput
+		var stop bool
+		var err error
+	fast:
+		for p <= roomEnd && pos <= inputEnd {
+			bits |= load64(buf, pos) << (nbits & 63)
+			pos += int(63-nbits) >> 3
+			nbits |= 56
+			e := lt[bits&rootMask]
+			for e&huffman.Literal != 0 {
+				bits >>= e & 63
+				nbits -= uint(e & 63)
+				o[p] = byte(e >> 16)
+				p++
+				if nbits < huffman.MaxBits {
+					continue fast
+				}
+				e = lt[bits&rootMask]
 			}
-			n := e.Bits()
-			if n == 0 {
-				br.Commit(pos, bits, nbits)
-				return false, huffman.ErrBadSymbol
-			}
-			bits >>= n
-			nbits -= n
-			sym := e.Val()
-			if sym < 256 {
-				out = append(out, byte(sym))
-				if nbits >= fastElementBits && len(out) < limit {
+			bits |= load64(buf, pos) << (nbits & 63)
+			pos += int(63-nbits) >> 3
+			nbits |= 56
+			if e&huffman.Link != 0 {
+				bits >>= huffman.RootBits
+				nbits -= huffman.RootBits
+				e = ltab[uint(e>>16)+uint(bits)&(1<<(e>>8&15)-1)]
+				if e&huffman.Literal != 0 {
+					bits >>= e & 63
+					nbits -= uint(e & 63)
+					o[p] = byte(e >> 16)
+					p++
 					continue
 				}
+			}
+			if e&huffman.Base == 0 {
+				bits >>= e & 63
+				nbits -= uint(e & 63)
+				stop, err = true, litlenStop(e)
 				break
 			}
-			if sym == EndOfBlock {
-				br.Commit(pos, bits, nbits)
-				return false, nil
+			code := bits
+			bits >>= e & 63
+			nbits -= uint(e & 63)
+			length := int(e>>16) + int(code&(1<<(e&63)-1)>>(e>>8&15))
+			de := dt[bits&rootMask]
+			if de&huffman.Link != 0 {
+				bits >>= huffman.RootBits
+				nbits -= huffman.RootBits
+				de = dtab[uint(de>>16)+uint(bits)&(1<<(de>>8&15)-1)]
 			}
-			if sym > 285 {
-				br.Commit(pos, bits, nbits)
-				return false, ErrCorrupt
+			if de&huffman.Base == 0 {
+				stop, err = true, d.distStop(de)
+				break
 			}
-			li := sym - 257
-			length := int(lengthBase[li])
-			if x := lengthExtra[li]; x > 0 {
-				length += int(bits & (1<<x - 1))
-				bits >>= x
-				nbits -= uint(x)
+			code = bits
+			bits >>= de & 63
+			nbits -= uint(de & 63)
+			dist := int(de>>16) + int(code&(1<<(de&63)-1)>>(de>>8&15))
+			if p-dist < floor || dist < 8 {
+				if _, err = d.emitRawMatch(st, o[:p], dist, length); err != nil {
+					stop = true
+					break
+				}
+				p += length
+				continue
 			}
-			if !d.hasDist {
-				br.Commit(pos, bits, nbits)
-				return false, ErrNoDistanceCode
+			q := p + length
+			copy8(o, p, dist)
+			copy8(o, p+8, dist)
+			for p += 16; p < q; p += 8 {
+				copy8(o, p, dist)
 			}
-			de := dt[bits&dtMask]
-			if sb := de.SubBits(); sb != 0 {
-				de = dt[uint64(de.Val())+bits>>dtShift&(1<<sb-1)]
-			}
-			dn := de.Bits()
-			if dn == 0 {
-				br.Commit(pos, bits, nbits)
-				return false, huffman.ErrBadSymbol
-			}
-			bits >>= dn
-			nbits -= dn
-			dsym := de.Val()
-			if dsym > 29 {
-				br.Commit(pos, bits, nbits)
-				return false, ErrCorrupt
-			}
-			dist := int(distBase[dsym])
-			if x := distExtra[dsym]; x > 0 {
-				dist += int(bits & (1<<x - 1))
-				bits >>= x
-				nbits -= uint(x)
-			}
-			var err error
-			out, err = d.emitRawMatch(st, out, dist, length)
-			if err != nil {
-				br.Commit(pos, bits, nbits)
-				return false, err
-			}
-			break
+			p = q
+		}
+		out = o[:p]
+		if stop {
+			br.Commit(pos, bits, nbits)
+			return false, err
 		}
 	}
 }
@@ -778,20 +868,21 @@ func (d *Decoder) emitRawMatch(st *chunkState, out []byte, dist, length int) ([]
 }
 
 // rawSlowElement decodes one element through the checked BitReader
-// path; used near buffered-window edges and at end of input.
+// path; used near buffered-window edges, at end of input and near the
+// output bound.
 func (d *Decoder) rawSlowElement(st *chunkState, out []byte) ([]byte, bool, error) {
-	br := d.br
-	sym, err := d.lit.Decode(br)
+	lit, _ := d.codes()
+	e, err := lit.DecodeEntry(d.br)
 	if err != nil {
 		return out, false, err
 	}
-	if sym < 256 {
-		return append(out, byte(sym)), false, nil
+	if e&huffman.Literal != 0 {
+		return append(out, byte(e.Val())), false, nil
 	}
-	if sym == EndOfBlock {
+	if e&huffman.EndOfBlock != 0 {
 		return out, true, nil
 	}
-	dist, length, err := d.slowMatchTail(sym)
+	dist, length, err := d.slowMatchTail(e)
 	if err != nil {
 		return out, false, err
 	}
@@ -800,41 +891,39 @@ func (d *Decoder) rawSlowElement(st *chunkState, out []byte) ([]byte, bool, erro
 }
 
 // slowMatchTail reads the remainder of a match element (length extra
-// bits, distance code, distance extra bits) after a length symbol was
-// decoded on the checked path.
-func (d *Decoder) slowMatchTail(sym uint16) (dist, length int, err error) {
-	br := d.br
-	if sym > 285 {
-		return 0, 0, ErrCorrupt
-	}
-	li := sym - 257
-	length = int(lengthBase[li])
-	if e := lengthExtra[li]; e > 0 {
-		v, err := br.Read(uint(e))
-		if err != nil {
-			return 0, 0, err
-		}
-		length += int(v)
+// bits, distance code, distance extra bits) after a length symbol's
+// entry was decoded on the checked path.
+func (d *Decoder) slowMatchTail(e huffman.Entry) (dist, length int, err error) {
+	if length, err = d.slowBase(e); err != nil {
+		return 0, 0, err
 	}
 	if !d.hasDist {
 		return 0, 0, ErrNoDistanceCode
 	}
-	dsym, err := d.dist.Decode(br)
+	_, dc := d.codes()
+	de, err := dc.DecodeEntry(d.br)
 	if err != nil {
 		return 0, 0, err
 	}
-	if dsym > 29 {
-		return 0, 0, ErrCorrupt
+	dist, err = d.slowBase(de)
+	return dist, length, err
+}
+
+// slowBase returns the value of a length or distance entry, reading the
+// extra bits behind its code.
+func (d *Decoder) slowBase(e huffman.Entry) (int, error) {
+	if e&huffman.Base == 0 {
+		return 0, ErrCorrupt // symbols 286, 287, 30 and 31
 	}
-	dist = int(distBase[dsym])
-	if e := distExtra[dsym]; e > 0 {
-		v, err := br.Read(uint(e))
+	v := int(e.Val())
+	if x := e.Bits() - e.CodeBits(); x > 0 {
+		extra, err := d.br.Read(x)
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
-		dist += int(v)
+		v += int(extra)
 	}
-	return dist, length, nil
+	return v, nil
 }
 
 // historyByte returns the byte k positions before the start of the raw

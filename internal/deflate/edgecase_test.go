@@ -16,12 +16,19 @@ import (
 	"repro/internal/gzipw"
 )
 
+// decodeGzip decodes comp, once more through readers that starve the
+// fast path (which must not change the result), and resolves the output.
 func decodeGzip(t *testing.T, comp []byte, twoStage bool) []byte {
 	t.Helper()
+	return decode(t, comp, deflate.ChunkConfig{Stop: deflate.StopAtEOF, StartsAtGzipHeader: true, TwoStage: twoStage})
+}
+
+func decode(t *testing.T, comp []byte, cfg deflate.ChunkConfig) []byte {
+	t.Helper()
+	twoStage := cfg.TwoStage
+	deflate.RequireSameStarved(t, comp, cfg)
 	var dec deflate.Decoder
-	cr, err := dec.DecodeChunk(bitio.NewBitReaderBytes(comp), deflate.ChunkConfig{
-		Stop: deflate.StopAtEOF, StartsAtGzipHeader: true, TwoStage: twoStage,
-	})
+	cr, err := dec.DecodeChunk(bitio.NewBitReaderBytes(comp), cfg)
 	if err != nil {
 		t.Fatalf("decode (twoStage=%v): %v", twoStage, err)
 	}
@@ -36,10 +43,28 @@ func decodeGzip(t *testing.T, comp []byte, twoStage bool) []byte {
 // steers the compressor toward back-references at that distance — every
 // distance below the 8-byte copy width, plus straddling ones. The
 // overlap-safe replication path must reproduce the pattern exactly in
-// both the raw and the marker-resolution pipelines.
+// both the raw and the marker-resolution pipelines. Then every length at
+// that distance, in a crafted block that decodes on the fast path: the
+// word copies take over at distance 8 (4 in marked mode), reach past the
+// match's end, and may not change a byte behind it.
 func TestOverlapDistances(t *testing.T) {
-	for _, dist := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13} {
+	for _, dist := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13} {
 		t.Run(fmt.Sprintf("dist=%d", dist), func(t *testing.T) {
+			prefix, suffix := []byte("0123456789abcdef~!@#"), []byte("the bytes behind the match, and some more of them")
+			for length := deflate.MinMatchLen; length <= deflate.MaxMatchLen; length++ {
+				want := append([]byte(nil), prefix...)
+				for i := 0; i < length; i++ {
+					want = append(want, want[len(want)-dist])
+				}
+				want = append(want, suffix...)
+				comp := deflate.MatchStream(prefix, length, dist, suffix)
+				for _, twoStage := range []bool{false, true} {
+					if got := decode(t, comp, deflate.ChunkConfig{Stop: deflate.StopAtEOF, TwoStage: twoStage}); !bytes.Equal(got, want) {
+						t.Fatalf("length %d twoStage=%v: got %q, want %q", length, twoStage, got, want)
+					}
+				}
+			}
+
 			pattern := make([]byte, dist)
 			for i := range pattern {
 				pattern[i] = byte('a' + i)

@@ -99,8 +99,10 @@ var ErrCorrupt = errors.New("deflate: corrupt compressed data")
 type Decoder struct {
 	br *bitio.BitReader
 
-	lit, dist, precode huffman.Decoder
-	hasDist            bool
+	// The open block's codes are the shared fixed ones when fixed is set,
+	// dynLit and dynDist otherwise; codes returns them.
+	dynLit, dynDist, precode huffman.Decoder
+	fixed, hasDist           bool
 
 	clens       [MaxLitSymbols + 32]uint8
 	precodeLens [NumPrecodeSymbols]uint8
@@ -123,6 +125,15 @@ type Decoder struct {
 // Reset points the decoder at a bit reader.
 func (d *Decoder) Reset(br *bitio.BitReader) { d.br = br }
 
+// codes returns the literal/length and distance decoders of the open
+// block; dist is meaningful only while d.hasDist.
+func (d *Decoder) codes() (lit, dist *huffman.Decoder) {
+	if d.fixed {
+		return &fixedLit, &fixedDist
+	}
+	return &d.dynLit, &d.dynDist
+}
+
 // ParseBlockHeader reads the 3-bit block header at the current position.
 func ParseBlockHeader(br *bitio.BitReader) (final bool, typ BlockType, err error) {
 	v, err := br.Read(3)
@@ -133,8 +144,8 @@ func ParseBlockHeader(br *bitio.BitReader) (final bool, typ BlockType, err error
 }
 
 // ParseDynamicHeader parses the Huffman definition part of a Dynamic
-// Block header (everything after the 3 header bits), building d.lit and
-// d.dist. It validates in the order of §3.4.2 and returns the first
+// Block header (everything after the 3 header bits), building d.dynLit
+// and d.dynDist. It validates in the order of §3.4.2 and returns the first
 // failed check; this is the "DBF custom deflate" trial-and-error path of
 // Table 2, and also the header parser used by real decoding.
 func (d *Decoder) ParseDynamicHeader() RejectReason {
@@ -179,7 +190,7 @@ func (d *Decoder) ParseDynamicHeader() RejectReason {
 		}
 		return RejectPrecodeNonOptimal
 	}
-	if err := d.precode.Init(d.precodeLens[:], false); err != nil {
+	if err := d.precode.Init(d.precodeLens[:], false, nil); err != nil {
 		return RejectPrecodeInvalid
 	}
 
@@ -284,27 +295,16 @@ func (d *Decoder) ParseDynamicHeader() RejectReason {
 	}
 
 	// Both valid: build the decoding tables.
-	if err := d.lit.Init(litLens, false); err != nil {
+	d.fixed = false
+	if err := d.dynLit.Init(litLens, false, litlenSymbols[:]); err != nil {
 		return RejectLitInvalid
 	}
 	if distUsed > 0 {
-		if err := d.dist.Init(distLens, distUsed == 1); err != nil {
+		if err := d.dynDist.Init(distLens, distUsed == 1, distSymbols[:]); err != nil {
 			return RejectDistInvalid
 		}
 	}
 	return RejectNone
-}
-
-// initFixed loads the fixed Huffman tables (Fixed Blocks, RFC 1951 §3.2.6).
-func (d *Decoder) initFixed() error {
-	if err := d.lit.Init(fixedLitLengths, false); err != nil {
-		return err
-	}
-	if err := d.dist.Init(fixedDistLengths, false); err != nil {
-		return err
-	}
-	d.hasDist = true
-	return nil
 }
 
 // ParseStoredHeader parses a Non-Compressed Block's length fields. The

@@ -20,6 +20,8 @@
 // file's blocks are larger than its reads.
 package deflate
 
+import "repro/internal/huffman"
+
 // Deflate format constants.
 const (
 	// WindowSize is the back-reference window of Deflate (RFC 1951 §2).
@@ -102,6 +104,19 @@ var (
 // Fixed Huffman code lengths (RFC 1951 §3.2.6).
 var fixedLitLengths, fixedDistLengths []uint8
 
+// What each symbol of the two alphabets does, as the table entries the
+// block loops act on (huffman.Symbol): a literal byte, end of block, or a
+// length or distance base with its extra-bit count. Literal/length
+// symbols 286 and 287 and distance symbols 30 and 31 have codes in the
+// fixed alphabets but may not occur: their entries have no kind.
+var (
+	litlenSymbols [288]huffman.Entry
+	distSymbols   [32]huffman.Entry
+)
+
+// The fixed tables are built once and shared read-only by all decoders.
+var fixedLit, fixedDist huffman.Decoder
+
 func init() {
 	fixedLitLengths = make([]uint8, 288)
 	for i := 0; i <= 143; i++ {
@@ -119,6 +134,23 @@ func init() {
 	fixedDistLengths = make([]uint8, 32)
 	for i := range fixedDistLengths {
 		fixedDistLengths[i] = 5
+	}
+
+	for i := 0; i < EndOfBlock; i++ {
+		litlenSymbols[i] = huffman.Symbol(huffman.Literal, uint16(i), 0)
+	}
+	litlenSymbols[EndOfBlock] = huffman.Symbol(huffman.EndOfBlock, 0, 0)
+	for i, base := range lengthBase {
+		litlenSymbols[EndOfBlock+1+i] = huffman.Symbol(huffman.Base, base, uint(lengthExtra[i]))
+	}
+	for i, base := range distBase {
+		distSymbols[i] = huffman.Symbol(huffman.Base, uint16(base), uint(distExtra[i]))
+	}
+	if err := fixedLit.Init(fixedLitLengths, false, litlenSymbols[:]); err != nil {
+		panic(err)
+	}
+	if err := fixedDist.Init(fixedDistLengths, false, distSymbols[:]); err != nil {
+		panic(err)
 	}
 }
 

@@ -12,6 +12,7 @@ package huffman
 
 import (
 	"errors"
+	"math/bits"
 
 	"repro/internal/bitio"
 )
@@ -29,10 +30,11 @@ var (
 )
 
 // Validate checks the code described by lengths (one entry per symbol,
-// zero meaning "symbol unused"). With allowIncomplete, a code with
-// exactly one used symbol may be incomplete — the Deflate special case
+// zero meaning "symbol unused"). With allowIncomplete, a code of exactly
+// one symbol, one bit long, may be incomplete — the Deflate special case
 // for distance codes ("if only one distance code is used, it is encoded
-// using one bit").
+// using one bit"). A lone longer code stays incomplete, as it does for
+// zlib and compress/flate.
 func Validate(lengths []uint8, allowIncomplete bool) error {
 	var counts [MaxBits + 1]int
 	used := 0
@@ -55,7 +57,6 @@ func Validate(lengths []uint8, allowIncomplete bool) error {
 // of symbols with length l). used is the total number of coded symbols.
 func ValidateCounts(counts []int, used int, allowIncomplete bool) error {
 	avail := 1
-	incomplete := false
 	for l := 1; l < len(counts); l++ {
 		avail <<= 1
 		avail -= counts[l]
@@ -63,61 +64,84 @@ func ValidateCounts(counts []int, used int, allowIncomplete bool) error {
 			return ErrOversubscribed
 		}
 	}
-	incomplete = avail != 0
-	if incomplete {
-		if allowIncomplete && used == 1 {
-			return nil
-		}
+	if avail != 0 && !(allowIncomplete && used == 1 && counts[1] == 1) {
 		return ErrIncomplete
 	}
 	return nil
 }
 
-// Entry is one cell of the decoding table: a packed uint32.
+// Entry is one cell of the decoding table, a packed uint32 that says
+// what to do with the code it stands for, so that a decode loop acts on
+// the entry it loaded without a second table:
 //
-//	bits 0..4   total bits consumed (code length, or root bits for a link)
-//	bits 5..8   extra sub-table index bits (nonzero marks a link entry)
-//	bits 16..31 symbol value, or sub-table base offset for link entries
+//	bits 0..5   Bits: what the entry consumes — the code's length (below a
+//	            link, what is left of it) plus the extra bits behind a Base
+//	            symbol; RootBits for a link
+//	bits 8..11  CodeBits: the code's length alone, which is where the
+//	            extra bits start; for a link, the sub-table's index width
+//	bits 12..15 kind: Literal, Base, EndOfBlock or Link, none of them on a
+//	            symbol the stream may not use
+//	bits 16..31 Val: the symbol or literal byte, the length or distance
+//	            base, or the sub-table's offset in Table
 //
-// A zero Entry marks an invalid code prefix. The type and its
-// accessors are exported so decode loops can inline the two-level
-// lookup (via Table/RootBits) without a method call per symbol.
+// The layout is the same in the root and in the sub-tables. A zero Entry
+// marks a code prefix the code does not use.
 type Entry uint32
 
-// Bits returns the total bits a direct hit consumes (or the root width
-// for a link entry). Zero means the prefix is invalid.
-func (e Entry) Bits() uint { return uint(e & 31) }
+// The kinds of Entry. Decoders built without symbol entries hold Literal
+// ones whose Val is the symbol.
+const (
+	Link       Entry = 1 << 12 // long code: continue at Table()[Val()+next CodeBits() bits]
+	EndOfBlock Entry = 1 << 13
+	Base       Entry = 1 << 14 // Val() plus the Bits()-CodeBits() bits behind the code
+	Literal    Entry = 1 << 15
+)
 
-// SubBits returns the second-level index width; nonzero marks a link.
-func (e Entry) SubBits() uint { return uint(e >> 5 & 15) }
+// Symbol returns the entry of a symbol before its code is known — kind,
+// value and the number of extra bits behind the code — for the symbol
+// table handed to Init, which adds the code's length.
+func Symbol(kind Entry, val uint16, extraBits uint) Entry {
+	return kind | Entry(val)<<16 | Entry(extraBits)
+}
 
-// Val returns the decoded symbol, or the sub-table base for a link.
+// Bits returns how many bits the entry consumes, extra bits included.
+func (e Entry) Bits() uint { return uint(e & 63) }
+
+// CodeBits returns the length of the code in this table level, or the
+// sub-table index width of a link.
+func (e Entry) CodeBits() uint { return uint(e >> 8 & 15) }
+
+// Val returns the symbol, base value or sub-table offset.
 func (e Entry) Val() uint16 { return uint16(e >> 16) }
 
-func mkEntry(bits, subBits uint, val uint16) Entry {
-	return Entry(bits&31) | Entry(subBits&15)<<5 | Entry(val)<<16
-}
+// RootBits is the index width of the table's first level, the same for
+// every decoder so that decode loops index it as a fixed-size array,
+// without a bounds check. Nine bits is zlib's ENOUGH-tuned default: it
+// resolves 97.7 % of the literal/length lookups of gzip -6 output in
+// one step at 2 KiB of table, which stays in L1 next to the distance
+// table; codes shorter than the root fill it by replication. Ten bits
+// measured 3 % faster in the block loops and a fifth slower per header
+// (BenchmarkTableBuild in internal/deflate), which the block finder pays
+// for candidates that decode nothing.
+const (
+	RootBits = 9
+	RootSize = 1 << RootBits
+)
 
 // Decoder is a table-driven canonical Huffman decoder. Codes no longer
-// than rootBits resolve with a single lookup; longer codes use one
+// than RootBits resolve with a single lookup; longer codes use one
 // second-level lookup, the same structure zlib's inflate uses.
 type Decoder struct {
-	root     []Entry
-	rootBits uint
-	maxLen   uint
-	// minLen is used by EOF handling: at least minLen bits must remain.
-	minLen uint
+	table  []Entry // the root, then the sub-tables, each 1<<(maxLen-RootBits) wide
+	maxLen uint
 }
 
-// defaultRootBits balances table build cost (paid per Dynamic Block)
-// against lookup depth. 9 matches zlib's ENOUGH-tuned default.
-const defaultRootBits = 9
-
-// NewDecoder builds a decoder for the canonical code defined by lengths.
-// allowIncomplete has the same meaning as in Validate.
+// NewDecoder builds a decoder for the canonical code defined by lengths,
+// whose entries are Literal ones holding the symbol. allowIncomplete has
+// the same meaning as in Validate.
 func NewDecoder(lengths []uint8, allowIncomplete bool) (*Decoder, error) {
 	d := &Decoder{}
-	if err := d.Init(lengths, allowIncomplete); err != nil {
+	if err := d.Init(lengths, allowIncomplete, nil); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -125,10 +149,12 @@ func NewDecoder(lengths []uint8, allowIncomplete bool) (*Decoder, error) {
 
 // Init (re)builds the decoder in place, reusing table storage. This is
 // the hot path of Dynamic Block decoding: two Init calls per block.
-func (d *Decoder) Init(lengths []uint8, allowIncomplete bool) error {
+// symbols, when not nil, holds each symbol's Entry as Symbol returns it;
+// without it a symbol's entry is a Literal holding its number.
+func (d *Decoder) Init(lengths []uint8, allowIncomplete bool, symbols []Entry) error {
 	var counts [MaxBits + 1]int
 	used := 0
-	maxLen, minLen := uint(0), uint(MaxBits+1)
+	maxLen := uint(0)
 	for _, l := range lengths {
 		if l > MaxBits {
 			return ErrTooManyBits
@@ -138,12 +164,7 @@ func (d *Decoder) Init(lengths []uint8, allowIncomplete bool) error {
 		}
 		counts[l]++
 		used++
-		if uint(l) > maxLen {
-			maxLen = uint(l)
-		}
-		if uint(l) < minLen {
-			minLen = uint(l)
-		}
+		maxLen = max(maxLen, uint(l))
 	}
 	if used == 0 {
 		return ErrNoSymbols
@@ -153,34 +174,32 @@ func (d *Decoder) Init(lengths []uint8, allowIncomplete bool) error {
 	}
 
 	// Canonical first-code computation.
-	var firstCode [MaxBits + 2]uint32
+	var nextCode [MaxBits + 2]uint32
 	code := uint32(0)
 	for l := 1; l <= MaxBits; l++ {
 		code = (code + uint32(counts[l-1])) << 1
-		firstCode[l] = code
+		nextCode[l] = code
 	}
 
-	rootBits := uint(defaultRootBits)
-	if maxLen < rootBits {
-		rootBits = maxLen
+	// Codes longer than the root exist in complete codes only (the one
+	// incomplete code that passes has one bit), where they are the
+	// numerically largest: every root prefix from the first such code's up
+	// to the last has a sub-table, so the table's size is known before it
+	// is filled. It stays far below the 1<<16 a link's Val can address (at
+	// most RootSize sub-tables of 1<<(MaxBits-RootBits)).
+	size, subBits := RootSize, uint(0)
+	if maxLen > RootBits {
+		subBits = maxLen - RootBits
+		size += (RootSize - int(nextCode[RootBits+1]>>1)) << subBits
 	}
-	d.rootBits = rootBits
+	if cap(d.table) < size {
+		d.table = make([]Entry, size)
+	}
+	d.table = d.table[:size]
+	clear(d.table)
 	d.maxLen = maxLen
-	d.minLen = minLen
 
-	// Size the table: root plus one sub-table per distinct long-code
-	// root prefix. We allocate lazily by appending.
-	rootSize := 1 << rootBits
-	if cap(d.root) < rootSize {
-		d.root = make([]Entry, rootSize, rootSize*2)
-	}
-	d.root = d.root[:rootSize]
-	for i := range d.root {
-		d.root[i] = 0
-	}
-
-	// nextCode tracks the running canonical code per length.
-	nextCode := firstCode
+	nextSub := RootSize
 	for sym, l := range lengths {
 		if l == 0 {
 			continue
@@ -189,84 +208,78 @@ func (d *Decoder) Init(lengths []uint8, allowIncomplete bool) error {
 		nextCode[l]++
 		// Deflate codes are written MSB-first within the code while the
 		// stream is LSB-first, so the lookup key is the bit-reversed code.
-		rev := reverseBits(c, uint(l))
-		if uint(l) <= rootBits {
+		rev := int(reverseBits(c, uint(l)))
+		e := Literal | Entry(sym)<<16
+		if symbols != nil {
+			e = symbols[sym]
+		}
+		if l <= RootBits {
 			// Fill all root slots whose low bits match the code.
-			e := mkEntry(uint(l), 0, uint16(sym))
-			step := 1 << uint(l)
-			for i := int(rev); i < rootSize; i += step {
-				d.root[i] = e
+			e += Entry(l) | Entry(l)<<8
+			for i := rev; i < RootSize; i += 1 << l {
+				d.table[i] = e
 			}
 			continue
 		}
-		// Long code: ensure a sub-table exists for this root prefix.
-		prefix := rev & uint32(rootSize-1)
-		subBits := maxLen - rootBits
-		le := d.root[prefix]
-		var base int
-		if le == 0 {
-			base = len(d.root)
-			n := 1 << subBits
-			for i := 0; i < n; i++ {
-				d.root = append(d.root, 0)
-			}
-			if base > int(^uint16(0)) {
-				return errors.New("huffman: table too large")
-			}
-			d.root[prefix] = mkEntry(rootBits, subBits, uint16(base))
-		} else {
-			base = int(le.Val())
+		// Long code: the first one under a root prefix opens its sub-table.
+		prefix := rev & (RootSize - 1)
+		link := d.table[prefix]
+		if link == 0 {
+			link = Link | Entry(nextSub)<<16 | Entry(subBits)<<8 | RootBits
+			d.table[prefix] = link
+			nextSub += 1 << subBits
 		}
-		e := mkEntry(uint(l), 0, uint16(sym))
-		step := 1 << (uint(l) - rootBits)
-		subSize := 1 << subBits
-		for i := int(rev >> rootBits); i < subSize; i += step {
-			d.root[base+i] = e
+		rest := uint(l) - RootBits
+		e += Entry(rest) | Entry(rest)<<8
+		sub := d.table[link.Val():][:1<<subBits]
+		for i := rev >> RootBits; i < len(sub); i += 1 << rest {
+			sub[i] = e
 		}
 	}
 	return nil
 }
 
+// reverseBits returns the low n bits of v (0 < n <= 16) in reverse order.
 func reverseBits(v uint32, n uint) uint32 {
-	var r uint32
-	for i := uint(0); i < n; i++ {
-		r = r<<1 | v&1
-		v >>= 1
-	}
-	return r
+	return uint32(bits.Reverse16(uint16(v)) >> (16 - n))
 }
 
-// Decode reads one symbol from br. Near end of stream it relies on
-// Peek's zero padding and only errors when the consumed code would
-// extend past the real data.
-func (d *Decoder) Decode(br *bitio.BitReader) (uint16, error) {
+// DecodeEntry reads one code from br and returns its entry, the code
+// consumed and any extra bits behind it not. Near end of stream it
+// relies on Peek's zero padding and only errors when the consumed code
+// would extend past the real data.
+func (d *Decoder) DecodeEntry(br *bitio.BitReader) (Entry, error) {
 	v, avail := br.Peek(d.maxLen)
-	e := d.root[v&uint64(1<<d.rootBits-1)]
+	e := d.table[v&(RootSize-1)]
+	n := uint(0)
+	if e&Link != 0 {
+		n = RootBits
+		e = d.table[uint(e.Val())+uint(v>>RootBits)&(1<<e.CodeBits()-1)]
+	}
 	if e == 0 {
 		return 0, ErrBadSymbol
 	}
-	if sb := e.SubBits(); sb != 0 {
-		e = d.root[int(e.Val())+int(v>>d.rootBits&(1<<sb-1))]
-		if e == 0 {
-			return 0, ErrBadSymbol
-		}
-	}
-	n := e.Bits()
-	if n > avail {
+	if n += e.CodeBits(); n > avail {
 		return 0, errors.New("huffman: unexpected end of stream")
 	}
 	br.Skip(n)
-	return e.Val(), nil
+	return e, nil
+}
+
+// Decode reads one symbol from br; for decoders built without symbol
+// entries.
+func (d *Decoder) Decode(br *bitio.BitReader) (uint16, error) {
+	e, err := d.DecodeEntry(br)
+	return e.Val(), err
 }
 
 // MaxLen returns the longest code length in the decoder.
 func (d *Decoder) MaxLen() uint { return d.maxLen }
 
-// Table returns the decoding table for inlined lookups: index the low
-// RootBits of the bitstream into it; a link entry (SubBits != 0)
-// redirects to Val()+nextBits. The slice is owned by the Decoder and
-// valid until the next Init.
-func (d *Decoder) Table() []Entry { return d.root }
+// Root returns the table's first level for inlined lookups: index it
+// with the low RootBits bits of the stream; a Link entry continues in
+// Table. Both are owned by the Decoder and valid until the next Init.
+func (d *Decoder) Root() *[RootSize]Entry { return (*[RootSize]Entry)(d.table) }
 
-// RootBits returns the first-level index width of Table.
-func (d *Decoder) RootBits() uint { return d.rootBits }
+// Table returns the whole table, which sub-table offsets index.
+func (d *Decoder) Table() []Entry { return d.table }

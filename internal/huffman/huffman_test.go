@@ -257,7 +257,7 @@ func BenchmarkDecoderInit(b *testing.B) {
 	var d Decoder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.Init(lengths, false); err != nil {
+		if err := d.Init(lengths, false, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,8 +319,19 @@ func TestIncompleteSingleCode(t *testing.T) {
 		t.Fatalf("unused prefix: %v, want ErrBadSymbol", err)
 	}
 
+	// A lone code longer than one bit is not that special case: zlib and
+	// compress/flate reject it, and so codes longer than the root exist in
+	// complete codes only, which Init's table sizing counts on.
+	for _, l := range []uint8{2, RootBits + 1, MaxBits} {
+		lengths[4] = l
+		if _, err := NewDecoder(lengths, true); err != ErrIncomplete {
+			t.Fatalf("lone %d-bit code: %v, want ErrIncomplete", l, err)
+		}
+	}
+
 	// Multi-symbol incomplete codes stay invalid even when the
 	// single-code exception is allowed.
+	lengths[4] = 1
 	lengths[7] = 2
 	if _, err := NewDecoder(lengths, true); err != ErrIncomplete {
 		t.Fatalf("two-symbol incomplete: %v, want ErrIncomplete", err)
