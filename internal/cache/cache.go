@@ -146,6 +146,14 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 	return v, ok
 }
 
+// Touch marks key recently used, if it is cached, without counting a
+// hit.
+func (c *Cache[K, V]) Touch(key K) {
+	if _, ok := c.items[key]; ok {
+		c.strat.Touch(key)
+	}
+}
+
 // Contains reports presence without side effects.
 func (c *Cache[K, V]) Contains(key K) bool {
 	_, ok := c.items[key]

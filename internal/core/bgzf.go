@@ -16,9 +16,10 @@ import (
 // the uncompressed size (ISIZE), so span boundaries, sizes, and the
 // index are known without decompressing or searching anything.
 //
-// Headers and footers are read through small bounded windows (a few
-// hundred bytes per member) rather than a file-wide reader, so the
-// sizing pass over a larger-than-RAM file touches only metadata bytes.
+// A member's footer and the next member's header are adjacent, so one
+// read into one reused window (a few hundred bytes) serves both: the
+// sizing pass reads each member once, and over a larger-than-RAM file it
+// touches only metadata bytes.
 //
 // Members are grouped into spans of about ChunkSize decompressed bytes,
 // the size the generic path cuts its spans to (splitPoints), so a BGZF
@@ -68,8 +69,18 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 		return nil
 	}
 
+	// buf holds a footer (CRC32 then ISIZE) and the header window behind
+	// it; win is the part that starts at pos.
+	buf := make([]byte, 8+headerWindow)
+	win, err := c.readWindow(buf[8:], 0, fileSize)
+	if err != nil {
+		return spanengine.ScanResult{}, err
+	}
 	for pos < fileSize {
-		hdr, err := c.parseHeaderAt(pos, fileSize)
+		hdr, err := gzformat.ParseHeader(bitio.NewBitReaderBytes(win))
+		if err != nil && int64(len(win)) < fileSize-pos {
+			hdr, err = c.parseHeaderAt(pos, fileSize) // spills past the window
+		}
 		if err != nil {
 			return spanengine.ScanResult{}, fmt.Errorf("core: BGZF member scan at %d: %w", pos, err)
 		}
@@ -80,16 +91,17 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 		if memberEnd > fileSize {
 			return spanengine.ScanResult{}, fmt.Errorf("core: BGZF member at %d overruns the file", pos)
 		}
-		// The footer is CRC32 then ISIZE; one read captures both, so the
-		// member marks enable architecture-level CRC verification too.
-		var footerRaw [8]byte
-		if _, err := c.src.ReadAt(footerRaw[:], memberEnd-8); err != nil {
+		// The footer's CRC goes into the member marks, which enable
+		// architecture-level CRC verification too.
+		footer, err := c.readWindow(buf, memberEnd-8, fileSize)
+		if err != nil {
 			return spanengine.ScanResult{}, err
 		}
-		decomp += uint64(binary.LittleEndian.Uint32(footerRaw[4:]))
+		win = footer[8:]
+		decomp += uint64(binary.LittleEndian.Uint32(footer[4:]))
 		groupMembers = append(groupMembers, memberMark{
 			absEnd: decomp,
-			crc:    binary.LittleEndian.Uint32(footerRaw[:4]),
+			crc:    binary.LittleEndian.Uint32(footer[:4]),
 		})
 		pos = memberEnd
 		if decomp-groupDecomp >= uint64(c.cfg.ChunkSize) || pos >= fileSize {
@@ -109,11 +121,26 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 	return spanengine.ScanResult{Spans: spans}, nil
 }
 
+// headerWindow is the first window a member header is parsed through.
+const headerWindow = 512
+
+// readWindow fills buf from byte offset pos, or with what the file has
+// from there on when that is less, and returns the filled part.
+func (c *gzipCodec) readWindow(buf []byte, pos, fileSize int64) ([]byte, error) {
+	if int64(len(buf)) > fileSize-pos {
+		buf = buf[:max(fileSize-pos, 0)]
+	}
+	if n, err := c.src.ReadAt(buf, pos); err != nil && n < len(buf) {
+		return nil, err
+	}
+	return buf, nil
+}
+
 // parseHeaderAt parses one gzip member header through a bounded window
 // read at byte offset pos, growing the window geometrically when a
 // header (with its optional fields) spills past it.
 func (c *gzipCodec) parseHeaderAt(pos, fileSize int64) (gzformat.Header, error) {
-	win := int64(512)
+	win := int64(headerWindow)
 	for {
 		if win > fileSize-pos {
 			win = fileSize - pos

@@ -222,7 +222,13 @@ func NewReader(src filereader.FileReader, cfg Config) (*Reader, error) {
 	// builds carries the complete set of member marks.
 	r.codec.index.MemberMarksComplete = true
 	if r.bgzf && !cfg.SkipMetadataScan {
-		r.eng, err = spanengine.New(r.file, r.codec, r.cfg.engine())
+		ec := r.cfg.engine()
+		if cfg.AccessCacheSize <= 0 {
+			// Exact spans, every prefetch a span of the table: the engine's
+			// own default is the size that holds a sequential pass.
+			ec.CacheSize = 0
+		}
+		r.eng, err = spanengine.New(r.file, r.codec, ec)
 	} else {
 		r.eng, err = spanengine.NewGrowing(r.file, r.codec, 0, r.cfg.engine())
 	}

@@ -143,73 +143,172 @@ func CompressBlock(src, dst []byte) []byte {
 // the exact decompressed length. It returns the number of bytes
 // written.
 func DecompressBlock(src, dst []byte) (int, error) {
-	sp, dp := 0, 0
-	readLen := func(base int) (int, error) {
-		v := base
-		for {
-			if sp >= len(src) {
-				return 0, ErrCorrupt
-			}
-			b := src[sp]
-			sp++
-			v += int(b)
-			if b != 255 {
-				return v, nil
-			}
-		}
+	n, err := decodeBlock(src, dst, 0)
+	if err == nil && n != len(dst) {
+		err = fmt.Errorf("%w: %d of %d bytes decoded", ErrCorrupt, n, len(dst))
 	}
+	return n, err
+}
+
+// Margins of decodeBlock's fast stretch.
+const (
+	// shortMatch is the longest match a token holds without extension
+	// bytes; matchStore is what the stretch writes for one, three 8-byte
+	// steps.
+	shortMatch = 14 + minMatch
+	matchStore = 24
+	// fastIn is the input a sequence may load from its token on: the
+	// token, then 16 bytes that hold up to 14 literals and the offset.
+	fastIn = 1 + 16
+	// fastRoom is the output it may store from dp on: 16 literal bytes of
+	// which at most 14 count, then a match store behind those.
+	fastRoom = 14 + matchStore
+)
+
+// decodeBlock decodes the LZ4 block src into dst from index start on
+// and returns the number of bytes it produced, which may stop short of
+// len(dst). dst[:start] is match history: offsets may reach into it
+// (linked blocks), never before it.
+//
+// Loop discipline. A sequence is decoded by the fast stretch when, at
+// its token, fastIn input bytes and fastRoom output bytes remain. Then a
+// run of < 15 literals and a match of ≤ 18 bytes — the lengths a token
+// holds without extension bytes — need no further size test: the
+// literals are one 16-byte store and the match three 8-byte steps, right
+// for every offset ≥ 8; what either writes past its length lies inside
+// dst and is overwritten by the next sequence. With ≥ 17 input bytes and
+// < 15 literals the literals cannot end the block, so the offset is
+// always there to read. Longer runs and matches test their own length
+// against what remains and go through copy; a match closer than 8 bytes
+// replicates its period by doubling.
+//
+// The stretch commits a sequence (sp, dp) only once all of it checked
+// out. Anything else — a zero or too-far offset, a length that does not
+// fit, extension bytes running off the input — leaves sp at the token
+// and falls through to the checked path below, which decodes that one
+// sequence byte-exactly. It alone ends the block and it alone returns
+// ErrCorrupt, so there is one place where verdicts are decided.
+func decodeBlock(src, dst []byte, start int) (int, error) {
+	sp, dp := 0, start
 	for sp < len(src) {
+		for sp+fastIn <= len(src) && dp+fastRoom <= len(dst) {
+			token := src[sp]
+			s, d := sp+1, dp
+			litLen := int(token >> tokenLitSh)
+			if litLen < 15 {
+				store64(dst, d, load64(src, s))
+				store64(dst, d+8, load64(src, s+8))
+			} else {
+				if litLen, s = readLen(src, s); litLen < 0 || litLen > len(src)-s-2 || litLen > len(dst)-d-matchStore {
+					break
+				}
+				copy(dst[d:d+litLen], src[s:])
+			}
+			s += litLen
+			d += litLen
+			offset := int(binary.LittleEndian.Uint16(src[s:]))
+			s += 2
+			if offset == 0 || offset > d {
+				break
+			}
+			matchLen := int(token&15) + minMatch
+			if matchLen <= shortMatch && offset >= 8 {
+				m := d - offset
+				store64(dst, d, load64(dst, m))
+				store64(dst, d+8, load64(dst, m+8))
+				store64(dst, d+16, load64(dst, m+16))
+			} else {
+				if matchLen > shortMatch {
+					if matchLen, s = readLen(src, s); matchLen < 0 {
+						break
+					}
+					matchLen += minMatch
+				}
+				if matchLen > len(dst)-d {
+					break
+				}
+				copyMatch(dst, d, offset, matchLen)
+			}
+			sp, dp = s, d+matchLen
+		}
+		if sp == len(src) {
+			break
+		}
+
+		// Checked path: one sequence, every length against what is left.
 		token := src[sp]
 		sp++
 		litLen := int(token >> tokenLitSh)
 		if litLen == 15 {
-			var err error
-			if litLen, err = readLen(15); err != nil {
-				return dp, err
+			if litLen, sp = readLen(src, sp); litLen < 0 {
+				return dp - start, ErrCorrupt
 			}
 		}
-		if sp+litLen > len(src) || dp+litLen > len(dst) {
-			return dp, ErrCorrupt
+		if litLen > len(src)-sp || litLen > len(dst)-dp {
+			return dp - start, ErrCorrupt
 		}
 		copy(dst[dp:], src[sp:sp+litLen])
 		sp += litLen
 		dp += litLen
 		if sp == len(src) {
-			// Terminating literals-only sequence.
-			if dp != len(dst) {
-				return dp, fmt.Errorf("%w: %d of %d bytes decoded", ErrCorrupt, dp, len(dst))
-			}
-			return dp, nil
+			break // the terminating literals-only sequence
 		}
 		if sp+2 > len(src) {
-			return dp, ErrCorrupt
+			return dp - start, ErrCorrupt
 		}
 		offset := int(binary.LittleEndian.Uint16(src[sp:]))
 		sp += 2
 		if offset == 0 || offset > dp {
-			return dp, ErrCorrupt
+			return dp - start, ErrCorrupt
 		}
 		matchLen := int(token & 15)
 		if matchLen == 15 {
-			var err error
-			if matchLen, err = readLen(15); err != nil {
-				return dp, err
+			if matchLen, sp = readLen(src, sp); matchLen < 0 {
+				return dp - start, ErrCorrupt
 			}
 		}
 		matchLen += minMatch
-		if dp+matchLen > len(dst) {
-			return dp, ErrCorrupt
+		if matchLen > len(dst)-dp {
+			return dp - start, ErrCorrupt
 		}
-		// Overlapping copies must run byte-by-byte (offset < matchLen
-		// replicates the period).
-		m := dp - offset
-		for i := 0; i < matchLen; i++ {
-			dst[dp+i] = dst[m+i]
-		}
+		copyMatch(dst, dp, offset, matchLen)
 		dp += matchLen
 	}
-	if dp != len(dst) {
-		return dp, fmt.Errorf("%w: %d of %d bytes decoded", ErrCorrupt, dp, len(dst))
+	return dp - start, nil
+}
+
+// readLen reads the extension bytes of a length whose token nibble was
+// 15, starting at src[sp]: each adds its value, the first below 255
+// ends the run. It returns the length and the position after it, or a
+// negative length when the input ends first.
+func readLen(src []byte, sp int) (int, int) {
+	v := 15
+	for sp < len(src) {
+		b := src[sp]
+		sp++
+		v += int(b)
+		if b != 255 {
+			return v, sp
+		}
 	}
-	return dp, nil
+	return -1, sp
+}
+
+func load64(b []byte, i int) uint64 { return binary.LittleEndian.Uint64(b[i : i+8 : i+8]) }
+
+func store64(b []byte, i int, v uint64) { binary.LittleEndian.PutUint64(b[i:i+8:i+8], v) }
+
+// copyMatch copies the n bytes that lie offset back from dst[d] to
+// dst[d:d+n] and writes nothing else. A match that overlaps itself
+// (offset < n) repeats its period: the period is copied once and what
+// has been written is doubled until n bytes are there.
+func copyMatch(dst []byte, d, offset, n int) {
+	if offset >= n {
+		copy(dst[d:d+n], dst[d-offset:])
+		return
+	}
+	out := dst[d : d+n]
+	for k := copy(out, dst[d-offset:d]); k < n; {
+		k += copy(out[k:], out[:k])
+	}
 }

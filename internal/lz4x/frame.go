@@ -361,16 +361,13 @@ func decompressFrame(data []byte, dst []byte) error {
 			if end > len(dst) {
 				end = len(dst)
 			}
-			var out int
-			var err error
-			if h.flg&flgBlockIndep != 0 {
-				out, err = decompressBlockInto(payload, dst[dp:end])
-			} else {
-				// Linked blocks: matches may reach back into earlier
-				// blocks of the same frame, so decode with the frame
-				// output so far as history.
-				out, err = decompressBlockLoose(payload, dst[:end], dp)
+			// Linked blocks: matches may reach back into earlier blocks
+			// of the same frame, so the frame output so far is history.
+			hist := 0
+			if h.flg&flgBlockIndep == 0 {
+				hist = dp
 			}
+			out, err := decodeBlock(payload, dst[dp-hist:end], hist)
 			if err != nil {
 				return err
 			}
@@ -389,87 +386,6 @@ func decompressFrame(data []byte, dst []byte) error {
 		return fmt.Errorf("lz4x: frame decoded %d bytes, header declared %d", dp, len(dst))
 	}
 	return nil
-}
-
-// decompressBlockInto is DecompressBlock for a block whose exact output
-// size is unknown (only bounded): it returns the bytes produced.
-func decompressBlockInto(src, dst []byte) (int, error) {
-	// DecompressBlock demands an exact-size dst; blocks inside frames
-	// are exact-size by construction except possibly the last one.
-	// Try exact first (the common case: all blocks full), then shrink.
-	n, err := DecompressBlock(src, dst)
-	if err == nil {
-		return n, nil
-	}
-	// Fallback: decode with a tolerant variant.
-	return decompressBlockLoose(src, dst, 0)
-}
-
-// decompressBlockLoose decodes src into dst starting at position start,
-// allowing the output to end before dst is full. dst[:start] is match
-// history: offsets may reach into it (the linked-block mode of the
-// frame format). It returns the number of bytes produced.
-func decompressBlockLoose(src, dst []byte, start int) (int, error) {
-	sp, dp := 0, start
-	readLen := func(base int) (int, error) {
-		v := base
-		for {
-			if sp >= len(src) {
-				return 0, ErrCorrupt
-			}
-			b := src[sp]
-			sp++
-			v += int(b)
-			if b != 255 {
-				return v, nil
-			}
-		}
-	}
-	for sp < len(src) {
-		token := src[sp]
-		sp++
-		litLen := int(token >> tokenLitSh)
-		if litLen == 15 {
-			var err error
-			if litLen, err = readLen(15); err != nil {
-				return dp - start, err
-			}
-		}
-		if sp+litLen > len(src) || dp+litLen > len(dst) {
-			return dp - start, ErrCorrupt
-		}
-		copy(dst[dp:], src[sp:sp+litLen])
-		sp += litLen
-		dp += litLen
-		if sp == len(src) {
-			return dp - start, nil
-		}
-		if sp+2 > len(src) {
-			return dp - start, ErrCorrupt
-		}
-		offset := int(binary.LittleEndian.Uint16(src[sp:]))
-		sp += 2
-		if offset == 0 || offset > dp {
-			return dp - start, ErrCorrupt
-		}
-		matchLen := int(token & 15)
-		if matchLen == 15 {
-			var err error
-			if matchLen, err = readLen(15); err != nil {
-				return dp - start, err
-			}
-		}
-		matchLen += minMatch
-		if dp+matchLen > len(dst) {
-			return dp - start, ErrCorrupt
-		}
-		m := dp - offset
-		for i := 0; i < matchLen; i++ {
-			dst[dp+i] = dst[m+i]
-		}
-		dp += matchLen
-	}
-	return dp - start, nil
 }
 
 // Decompress inflates a (possibly multi-frame) LZ4 file serially.

@@ -220,6 +220,15 @@ func (v *poolView) Peek(i int) *entry {
 	return p.items[poolKey{view: v.id, span: i}]
 }
 
+func (v *poolView) Touch(i int) {
+	p := v.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !v.closed {
+		p.lru.Touch(poolKey{view: v.id, span: i})
+	}
+}
+
 func (v *poolView) Stats() storeStats {
 	p := v.pool
 	p.mu.Lock()
@@ -288,6 +297,8 @@ func (l *localStore) Peek(i int) *entry {
 	return ent
 }
 
+func (l *localStore) Touch(i int) { l.c.Touch(i) }
+
 func (l *localStore) Stats() storeStats {
 	s := l.c.Stats()
 	s.Misses = l.misses
@@ -318,12 +329,14 @@ type storeStats struct {
 // the span is cached as far as need reaches, and marks the entry it
 // then returns as read (entry.unused); on a miss it still returns the
 // entry, if there is one, as the prefix to continue from. Peek looks
-// without counting or touching recency.
+// without counting or touching recency; Touch is the recency of a Get
+// and nothing else of it.
 type spanStore interface {
 	Get(i int, need int64) (ent *entry, hit bool)
 	Put(i int, ent *entry)
 	Delete(i int)
 	Peek(i int) *entry
+	Touch(i int)
 	Stats() storeStats
 	Close()
 }

@@ -432,6 +432,9 @@ func TestRandomPrefixReads(t *testing.T) {
 			}()
 		}
 		wg.Wait()
+		// A prefetch may still be decoding: the codec has recorded its
+		// call, the engine counts it when it returns. Close waits for it.
+		e.Close()
 		var decoded uint64
 		codec.mu.Lock()
 		for off, calls := range codec.calls {
@@ -448,7 +451,6 @@ func TestRandomPrefixReads(t *testing.T) {
 		if s := e.Stats(); s.DecodedBytes != decoded {
 			t.Fatalf("%s: DecodedBytes %d, the codec wrote %d", name, s.DecodedBytes, decoded)
 		}
-		e.Close()
 		if pool != nil {
 			if s := pool.Stats(); s.PeakBytes > s.BudgetBytes || s.UsedBytes != 0 {
 				t.Fatalf("%s: %+v", name, s)

@@ -251,15 +251,15 @@ func TestPrefetchUnusedCounts(t *testing.T) {
 		}
 		read(2) // prefetches 3..6
 		read(3) // read from the cache; prefetches 7
-		read(2) // leaves 4, 5 and 6 the least recently used
+		read(2) // proposes 3..6 again, which keeps them; 7 is the least recently used
 		if s := e.Stats(); s.PrefetchIssued != 5 || s.PrefetchUnused != 0 {
 			t.Fatalf("%s: after three reads: %+v", name, s)
 		}
-		read(20) // 20..24 push 4, 5 and 6 out of the eight slots, unread
-		if s := e.Stats(); s.PrefetchIssued != 9 || s.PrefetchUnused != 3 {
+		read(20) // 20..24 push 7, unread, then 2 and 3 out of the eight slots
+		if s := e.Stats(); s.PrefetchIssued != 9 || s.PrefetchUnused != 1 {
 			t.Fatalf("%s: after the evictions: %+v", name, s)
 		}
-		e.Close() // 7 and 21..24 go unread
+		e.Close() // 4, 5, 6 and 21..24 go unread
 		if s := e.Stats(); s.PrefetchUnused != 8 {
 			t.Fatalf("%s: after Close: PrefetchUnused = %d, want 8: %+v", name, s.PrefetchUnused, s)
 		}

@@ -137,9 +137,10 @@ type Config struct {
 	// Threads is the prefetch worker count (min 1).
 	Threads int
 	// CacheSize is the span cache capacity in spans; zero selects
-	// max(2*Threads, 4). Prefetched and accessed spans share the cache,
-	// so it should be at least as large as MaxPrefetch to avoid
-	// prefetch results evicting each other before consumption.
+	// MaxPrefetch + 2. Prefetched and accessed spans share the cache: a
+	// sequential pass holds the span being consumed, the one being
+	// handed over and up to MaxPrefetch decoded ahead, and with fewer
+	// slots than that an unread prefetch is evicted and decoded again.
 	CacheSize int
 	// MaxPrefetch bounds in-flight speculative span decodes; zero
 	// selects 2*Threads (the paper's default prefetch-cache depth).
@@ -162,7 +163,7 @@ func (c Config) withDefaults() Config {
 		c.MaxPrefetch = 2 * c.Threads
 	}
 	if c.CacheSize <= 0 {
-		c.CacheSize = max(2*c.Threads, 4)
+		c.CacheSize = c.MaxPrefetch + 2
 	}
 	if c.Strategy == nil {
 		c.Strategy = prefetch.NewAdaptive()
@@ -724,7 +725,14 @@ func (e *Engine) issuePrefetches() {
 		}
 		i := int(cand)
 		ent := e.cache.Peek(i)
-		if _, flying := e.inflight[i]; flying || ent != nil && ent.parked == nil {
+		if _, flying := e.inflight[i]; flying {
+			continue
+		}
+		if ent != nil && ent.parked == nil {
+			// Decoded ahead and proposed again: the stream still wants it.
+			// Without this a prefetch that finished early is older than
+			// the spans read since and is evicted, unread, before them.
+			e.cache.Touch(i)
 			continue
 		}
 		e.stats.PrefetchIssued++

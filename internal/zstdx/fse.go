@@ -61,10 +61,39 @@ func buildFSETable(probs []int16, log int) (*fseTable, error) {
 	return t, nil
 }
 
-// rleFSETable is the degenerate table the RLE compression mode selects:
+// seqTable is an FSE decoding table specialised to one field of a
+// sequence (literal length, offset or match length). Each cell packs
+// everything the sequence loop needs from a state into one load:
+//
+//	bits  0–7   extra bits of the code this state emits
+//	bits  8–15  bits the state update reads
+//	bits 16–31  base of the next state
+//	bits 32–63  baseline of the code
+//
+// so a state never goes through its symbol and the code table again,
+// and a symbol the field has no code for is refused here, once, when
+// the table is built.
+type seqTable struct {
+	log   int
+	cells []uint64
+}
+
+func newSeqTable(t *fseTable, codes []codeExtra) (*seqTable, error) {
+	st := &seqTable{log: t.log, cells: make([]uint64, len(t.entries))}
+	for i, e := range t.entries {
+		if int(e.symbol) >= len(codes) {
+			return nil, errCorrupt("sequence code out of range")
+		}
+		c := codes[e.symbol]
+		st.cells[i] = uint64(c.baseline)<<32 | uint64(e.newState)<<16 | uint64(e.nbBits)<<8 | uint64(c.bits)
+	}
+	return st, nil
+}
+
+// rleSeqTable is the degenerate table the RLE compression mode selects:
 // a single zero-bit state that always emits sym.
-func rleFSETable(sym uint8) *fseTable {
-	return &fseTable{log: 0, entries: []fseEntry{{symbol: sym}}}
+func rleSeqTable(sym uint8, codes []codeExtra) (*seqTable, error) {
+	return newSeqTable(&fseTable{entries: []fseEntry{{symbol: sym}}}, codes)
 }
 
 // readFSETableDesc parses an FSE table description (RFC 8878 §4.1.1)
@@ -191,7 +220,7 @@ var (
 	ofPredefProbs = []int16{1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1,
 		1, 1, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1, -1}
 
-	llPredefTable, mlPredefTable, ofPredefTable *fseTable
+	llPredefTable, mlPredefTable, ofPredefTable *seqTable
 )
 
 const (
@@ -201,14 +230,18 @@ const (
 )
 
 func init() {
-	var err error
-	if llPredefTable, err = buildFSETable(llPredefProbs, 6); err != nil {
-		panic(err)
+	predef := func(probs []int16, log int, codes []codeExtra) *seqTable {
+		t, err := buildFSETable(probs, log)
+		if err != nil {
+			panic(err)
+		}
+		st, err := newSeqTable(t, codes)
+		if err != nil {
+			panic(err)
+		}
+		return st
 	}
-	if mlPredefTable, err = buildFSETable(mlPredefProbs, 6); err != nil {
-		panic(err)
-	}
-	if ofPredefTable, err = buildFSETable(ofPredefProbs, 5); err != nil {
-		panic(err)
-	}
+	llPredefTable = predef(llPredefProbs, 6, llCodeTable)
+	mlPredefTable = predef(mlPredefProbs, 6, mlCodeTable)
+	ofPredefTable = predef(ofPredefProbs, 5, ofCodeTable)
 }

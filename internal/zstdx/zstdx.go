@@ -23,6 +23,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/filereader"
 	"repro/internal/xxhash"
@@ -347,7 +348,9 @@ func ScanFrames(data []byte) (ScanResult, error) {
 // decodeFrame inflates the frame starting at data[0], verifying the
 // content checksum when present. The frame must have been located by
 // ScanFrames (data spans exactly one frame).
-func decodeFrame(data []byte) ([]byte, error) {
+func decodeFrame(data []byte) ([]byte, error) { return newFrameDecoder().decodeFrame(data) }
+
+func (d *frameDecoder) decodeFrame(data []byte) ([]byte, error) {
 	h, err := parseFrameHeader(data)
 	if err != nil {
 		return nil, err
@@ -359,9 +362,12 @@ func decodeFrame(data []byte) ([]byte, error) {
 	if h.contentSize > 0 {
 		// Eager capacity is a hint, not a trusted value: cap it so a
 		// forged header cannot allocate ahead of the decode validating.
-		out = make([]byte, 0, min(h.contentSize, 32<<20))
+		// The slack lets the last block's sequences store in place.
+		out = make([]byte, 0, min(h.contentSize, 32<<20)+copySlack)
 	}
-	d := newFrameDecoder()
+	if h.contentSize >= 0 {
+		d.limit = int(min(h.contentSize, math.MaxInt))
+	}
 	p := h.headerLen
 	for {
 		if p+3 > len(data) {

@@ -140,7 +140,12 @@ func WithMaxPrefetch(n int) Option {
 
 // WithAccessCacheSize sets the span-cache capacity, in spans, for
 // every format (for gzip/BGZF a span is a chunk of the speculative
-// pipeline). Zero selects the default.
+// pipeline). Zero selects the default: for bzip2, LZ4, zstd and BGZF,
+// MaxPrefetch + 2 — the prefetch depth, the span being read and the one
+// being handed over — which is what lets a streamed file decode each
+// span once; a smaller cache evicts prefetched spans before they are
+// read and decodes them again. Plain gzip sizes its own (2 × parallelism
+// + 4).
 //
 // Since Open serves every format file-backed — the compressed bytes
 // are never resident as a whole — this cache is the dominant term of
