@@ -2,7 +2,9 @@ package rapidgzip
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/bzip2x"
+	"repro/internal/gzindex"
 	"repro/internal/gzipw"
 	"repro/internal/lz4x"
 	"repro/internal/workloads"
@@ -219,23 +222,6 @@ func TestWithFormatOverride(t *testing.T) {
 	}
 }
 
-// TestStrategyValidation pins the bugfix: an unknown strategy name must
-// be an error everywhere, not silently fall through to adaptive.
-func TestStrategyValidation(t *testing.T) {
-	data := gzipBytes(t, workloads.Base64(10_000, 1))
-
-	if _, err := OpenBytes(data, WithStrategy("multistrem")); err == nil {
-		t.Fatal("WithStrategy accepted a typo")
-	}
-	for _, ok := range []string{"", "adaptive", "fixed", "multistream"} {
-		r, err := OpenBytes(data, WithStrategy(ok))
-		if err != nil {
-			t.Fatalf("strategy %q rejected: %v", ok, err)
-		}
-		r.Close()
-	}
-}
-
 func TestIndexAutoDiscovery(t *testing.T) {
 	data := workloads.Base64(400_000, 33)
 	comp := gzipBytes(t, data)
@@ -250,15 +236,14 @@ func TestIndexAutoDiscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ixf, err := os.Create(path + IndexSuffix)
-	if err != nil {
+	var saved bytes.Buffer
+	if err := r.ExportIndex(&saved); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ExportIndex(ixf); err != nil {
-		t.Fatal(err)
-	}
-	ixf.Close()
 	r.Close()
+	if err := os.WriteFile(path+IndexSuffix, saved.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// A later Open picks it up transparently: the block finder never
 	// runs, which FinderProbes witnesses.
@@ -290,7 +275,7 @@ func TestIndexAutoDiscovery(t *testing.T) {
 	r3.Close()
 
 	// A corrupt sibling index must not break Open — fall back to a scan.
-	if err := os.WriteFile(path+IndexSuffix, []byte("RGZIDX03 garbage that is not an index"), 0o644); err != nil {
+	if err := os.WriteFile(path+IndexSuffix, []byte("RGZIDX04 garbage that is not an index"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r4, err := Open(path, WithChunkSize(32<<10))
@@ -305,6 +290,34 @@ func TestIndexAutoDiscovery(t *testing.T) {
 		t.Fatal("content mismatch after fallback")
 	}
 	r4.Close()
+
+	// An index from before the current format, or without what every
+	// writer now records, is refused with a typed error when named, and
+	// skipped for a scan when found beside the file.
+	for name, forged := range outdatedIndexes(t, saved.Bytes()) {
+		ixPath := filepath.Join(dir, name+".rgzidx")
+		if err := os.WriteFile(ixPath, forged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, WithIndexFile(ixPath)); !errors.Is(err, gzindex.ErrUnsupportedVersion) {
+			t.Fatalf("%s through WithIndexFile: err = %v, want ErrUnsupportedVersion", name, err)
+		}
+		if err := os.Rename(ixPath, path+IndexSuffix); err != nil {
+			t.Fatal(err)
+		}
+		a, err := Open(path, WithChunkSize(32<<10))
+		if err != nil {
+			t.Fatalf("%s beside the file broke Open: %v", name, err)
+		}
+		out.Reset()
+		if _, err := io.Copy(&out, a); err != nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("%s beside the file: content mismatch after fallback (err %v)", name, err)
+		}
+		if a.Stats().FinderProbes == 0 {
+			t.Fatalf("%s beside the file was imported", name)
+		}
+		a.Close()
+	}
 
 	// An index for a *different* file of the same size is rejected by
 	// the source fingerprint and likewise falls back to a scan. The
@@ -347,6 +360,38 @@ func TestIndexAutoDiscovery(t *testing.T) {
 		t.Fatal("an index fingerprinted for a different file was imported anyway")
 	}
 	r6.Close()
+}
+
+// outdatedIndexes rewrites a gzip index as three that an older writer
+// could have left: the same bytes under the RGZIDX03 magic (the layout
+// of a gzip index did not change from version 3 to 4), and version-4
+// files without the source fingerprint or without the flag that says
+// the member marks are complete.
+func outdatedIndexes(t *testing.T, raw []byte) map[string][]byte {
+	t.Helper()
+	reseal := func(b []byte) []byte {
+		binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+		return b
+	}
+	v3 := bytes.Clone(raw)
+	copy(v3, "RGZIDX03")
+	out := map[string][]byte{"RGZIDX03": reseal(v3)}
+	for name, strip := range map[string]func(*gzindex.Index){
+		"no fingerprint":    func(ix *gzindex.Index) { ix.SourceFP = nil },
+		"no complete marks": func(ix *gzindex.Index) { ix.MemberMarksComplete = false },
+	} {
+		ix, err := gzindex.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		strip(ix)
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out[name] = buf.Bytes()
+	}
+	return out
 }
 
 func TestWithIndexFile(t *testing.T) {

@@ -286,7 +286,7 @@ func TestNewWriterExportIndex(t *testing.T) {
 }
 
 // TestWriterOptionErrors table-tests the writer option surface's typed
-// failures, plus the read side's new ErrConflictingOptions.
+// failures.
 func TestWriterOptionErrors(t *testing.T) {
 	tmp := filepath.Join(t.TempDir(), "x.gz")
 	cases := []struct {
@@ -304,16 +304,6 @@ func TestWriterOptionErrors(t *testing.T) {
 		}, ErrUnsupportedFormat},
 		{"sidecar with and without", func() error {
 			_, err := Create(tmp, WithIndexSidecar(tmp+".idx"), WithoutIndexSidecar())
-			return err
-		}, ErrConflictingOptions},
-		{"cache size under shared pool", func() error {
-			p := NewCachePool(1 << 20)
-			_, err := Open(tmp, WithSharedPool(p), WithAccessCacheSize(8))
-			return err
-		}, ErrConflictingOptions},
-		{"cache size under shared pool, reversed order", func() error {
-			p := NewCachePool(1 << 20)
-			_, err := Open(tmp, WithAccessCacheSize(8), WithSharedPool(p))
 			return err
 		}, ErrConflictingOptions},
 	}

@@ -29,7 +29,7 @@ func main() {
 		fmt.Printf("no input given; demo file: %s\n", path)
 	}
 
-	r, err := rapidgzip.Open(path, rapidgzip.WithFormat(rapidgzip.FormatGzip), rapidgzip.WithAccessCacheSize(16))
+	r, err := rapidgzip.Open(path, rapidgzip.WithFormat(rapidgzip.FormatGzip))
 	if err != nil {
 		log.Fatal(err)
 	}

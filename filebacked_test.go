@@ -158,7 +158,9 @@ func TestLargerThanMemoryHarness(t *testing.T) {
 				}
 			}
 
-			opts := []Option{WithParallelism(2), WithMaxPrefetch(2)}
+			// One worker keeps the prefetch depth shallow: 2 for LZ4 and
+			// zstd, 4 for gzip and BGZF.
+			opts := []Option{WithParallelism(1)}
 			if !ti.viaIndex {
 				opts = append(opts, WithoutIndexDiscovery())
 			}
@@ -337,16 +339,16 @@ func TestFileBackedConcurrentReadAt(t *testing.T) {
 	}
 }
 
-// TestFileBackedEvictionPressureMidPrefetch squeezes the span cache (2
-// slots) under a deep prefetch (8) while decodes pread a real temp
-// file: evictions must land mid-flight without corrupting content or
-// wedging the engine.
+// TestFileBackedEvictionPressureMidPrefetch squeezes the span cache (a
+// shared pool of about two spans' bytes) under a deep prefetch (2P or
+// 4P at P=4) while decodes pread a real temp file: evictions must land
+// mid-flight without corrupting content or wedging the engine.
 func TestFileBackedEvictionPressureMidPrefetch(t *testing.T) {
 	for _, format := range spanFormats {
 		t.Run(format.String(), func(t *testing.T) {
 			path, content := fileBackedFixture(t, t.TempDir(), format, 4<<20)
 			a, err := Open(path, WithParallelism(4), WithChunkSize(256<<10),
-				WithAccessCacheSize(2), WithMaxPrefetch(8), WithoutIndexDiscovery())
+				WithSharedPool(NewCachePool(768<<10)), WithoutIndexDiscovery())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -372,7 +374,7 @@ func TestFileBackedEvictionPressureMidPrefetch(t *testing.T) {
 				t.Fatalf("consumed %d of %d bytes", off, len(content))
 			}
 			if s := a.Stats(); s.SpanCacheEvictions == 0 {
-				t.Fatalf("no evictions under a 2-span cache with prefetch depth 8: %+v", s)
+				t.Fatalf("no evictions under a two-span pool at P=4: %+v", s)
 			}
 		})
 	}

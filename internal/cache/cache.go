@@ -1,21 +1,9 @@
-// Package cache provides a generic keyed cache with pluggable eviction
-// strategies — the Cache<Key, Value, CacheStrategy> component of the
-// paper's architecture (Figure 5). The chunk fetcher uses two instances:
-// a small cache for accessed chunks and a larger prefetch cache, kept
-// separate to avoid prefetch-induced pollution (paper §3.2).
+// Package cache provides a generic keyed cache with least-recently-used
+// eviction — the Cache<Key, Value, CacheStrategy> component of the
+// paper's architecture (Figure 5), with the one strategy it needs. LRU
+// is also usable on its own, as the recency order of a cache that keeps
+// its entries elsewhere (spanengine's shared pool).
 package cache
-
-// Strategy decides which key to evict when a cache is full.
-type Strategy[K comparable] interface {
-	// Touch records an access to key.
-	Touch(key K)
-	// Insert records a new key.
-	Insert(key K)
-	// Evict selects and removes the eviction victim.
-	Evict() (K, bool)
-	// Remove deletes key from the strategy's bookkeeping.
-	Remove(key K)
-}
 
 // lruNode is a doubly-linked list node for LRU ordering.
 type lruNode[K comparable] struct {
@@ -23,13 +11,13 @@ type lruNode[K comparable] struct {
 	prev, next *lruNode[K]
 }
 
-// LRU is a least-recently-used eviction strategy.
+// LRU is a least-recently-used order of keys.
 type LRU[K comparable] struct {
 	nodes      map[K]*lruNode[K]
 	head, tail *lruNode[K] // head = most recent, tail = eviction victim
 }
 
-// NewLRU returns an empty LRU strategy.
+// NewLRU returns an empty LRU order.
 func NewLRU[K comparable]() *LRU[K] {
 	return &LRU[K]{nodes: map[K]*lruNode[K]{}}
 }
@@ -59,7 +47,7 @@ func (l *LRU[K]) pushFront(n *lruNode[K]) {
 	}
 }
 
-// Touch implements Strategy.
+// Touch makes key the most recently used, if it is present.
 func (l *LRU[K]) Touch(key K) {
 	if n, ok := l.nodes[key]; ok {
 		l.unlink(n)
@@ -67,7 +55,7 @@ func (l *LRU[K]) Touch(key K) {
 	}
 }
 
-// Insert implements Strategy.
+// Insert adds key as the most recently used.
 func (l *LRU[K]) Insert(key K) {
 	if _, ok := l.nodes[key]; ok {
 		l.Touch(key)
@@ -78,7 +66,7 @@ func (l *LRU[K]) Insert(key K) {
 	l.pushFront(n)
 }
 
-// Evict implements Strategy.
+// Evict removes and returns the least recently used key.
 func (l *LRU[K]) Evict() (K, bool) {
 	var zero K
 	if l.tail == nil {
@@ -90,7 +78,7 @@ func (l *LRU[K]) Evict() (K, bool) {
 	return n.key, true
 }
 
-// Remove implements Strategy.
+// Remove deletes key.
 func (l *LRU[K]) Remove(key K) {
 	if n, ok := l.nodes[key]; ok {
 		l.unlink(n)
@@ -104,35 +92,28 @@ type Stats struct {
 	Hits, Misses, Evictions uint64
 }
 
-// Cache is a capacity-bounded map with strategy-driven eviction. It is
-// not goroutine-safe; the chunk fetcher serialises access.
+// Cache is a capacity-bounded map with LRU eviction. It is not
+// goroutine-safe; its owner serialises access.
 type Cache[K comparable, V any] struct {
 	capacity int
 	items    map[K]V
-	strat    Strategy[K]
+	lru      *LRU[K]
 	stats    Stats
 	// OnEvict, when set, observes evicted entries.
 	OnEvict func(K, V)
 }
 
-// New returns a cache holding at most capacity entries.
-func New[K comparable, V any](capacity int, strat Strategy[K]) *Cache[K, V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Cache[K, V]{capacity: capacity, items: map[K]V{}, strat: strat}
-}
-
-// NewLRUCache returns a cache with LRU eviction.
+// NewLRUCache returns a cache holding at most capacity entries (at least
+// one).
 func NewLRUCache[K comparable, V any](capacity int) *Cache[K, V] {
-	return New[K, V](capacity, NewLRU[K]())
+	return &Cache[K, V]{capacity: max(capacity, 1), items: map[K]V{}, lru: NewLRU[K]()}
 }
 
 // Get returns the value for key, updating recency.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	v, ok := c.items[key]
 	if ok {
-		c.strat.Touch(key)
+		c.lru.Touch(key)
 		c.stats.Hits++
 	} else {
 		c.stats.Misses++
@@ -150,7 +131,7 @@ func (c *Cache[K, V]) Peek(key K) (V, bool) {
 // hit.
 func (c *Cache[K, V]) Touch(key K) {
 	if _, ok := c.items[key]; ok {
-		c.strat.Touch(key)
+		c.lru.Touch(key)
 	}
 }
 
@@ -164,11 +145,11 @@ func (c *Cache[K, V]) Contains(key K) bool {
 func (c *Cache[K, V]) Put(key K, value V) {
 	if _, ok := c.items[key]; ok {
 		c.items[key] = value
-		c.strat.Touch(key)
+		c.lru.Touch(key)
 		return
 	}
 	for len(c.items) >= c.capacity {
-		victim, ok := c.strat.Evict()
+		victim, ok := c.lru.Evict()
 		if !ok {
 			break
 		}
@@ -179,41 +160,19 @@ func (c *Cache[K, V]) Put(key K, value V) {
 		c.stats.Evictions++
 	}
 	c.items[key] = value
-	c.strat.Insert(key)
+	c.lru.Insert(key)
 }
 
 // Delete removes key.
 func (c *Cache[K, V]) Delete(key K) {
 	if _, ok := c.items[key]; ok {
 		delete(c.items, key)
-		c.strat.Remove(key)
+		c.lru.Remove(key)
 	}
 }
 
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int { return len(c.items) }
-
-// Capacity returns the configured capacity.
-func (c *Cache[K, V]) Capacity() int { return c.capacity }
-
-// Resize changes the capacity, evicting as needed.
-func (c *Cache[K, V]) Resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.capacity = capacity
-	for len(c.items) > c.capacity {
-		victim, ok := c.strat.Evict()
-		if !ok {
-			break
-		}
-		if c.OnEvict != nil {
-			c.OnEvict(victim, c.items[victim])
-		}
-		delete(c.items, victim)
-		c.stats.Evictions++
-	}
-}
 
 // Stats returns a copy of the hit/miss/eviction counters.
 func (c *Cache[K, V]) Stats() Stats { return c.stats }

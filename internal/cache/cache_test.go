@@ -62,7 +62,7 @@ func TestOnEvict(t *testing.T) {
 	}
 }
 
-func TestDeleteAndResize(t *testing.T) {
+func TestDelete(t *testing.T) {
 	c := NewLRUCache[int, int](4)
 	for i := 0; i < 4; i++ {
 		c.Put(i, i)
@@ -70,10 +70,6 @@ func TestDeleteAndResize(t *testing.T) {
 	c.Delete(2)
 	if c.Len() != 3 || c.Contains(2) {
 		t.Fatal("delete failed")
-	}
-	c.Resize(1)
-	if c.Len() != 1 {
-		t.Fatalf("len after resize = %d", c.Len())
 	}
 	// Deleting a missing key is a no-op.
 	c.Delete(99)

@@ -66,7 +66,6 @@ type gzipCodec struct {
 	metas          []spanMeta
 	byOff          map[int64]int // span CompOff -> metas index
 	index          *gzindex.Index
-	marksKnown     bool
 	frontierBit    uint64
 	frontierDecomp uint64
 	frontierWindow []byte
@@ -95,7 +94,6 @@ func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, b
 		cnt:           cnt,
 		byOff:         map[int64]int{},
 		index:         gzindex.New(cfg.ChunkSize),
-		marksKnown:    true,
 		guessIssued:   map[uint64]bool{},
 		noBlock:       map[uint64]bool{},
 		inflightGuess: map[uint64]*futureChunk{},
@@ -149,10 +147,9 @@ const prefixWindow = 32 << 10
 // member boundaries included — and stop at any element, which is what
 // lets a seek cost the bytes it asked for. A whole span from its seek
 // point reads its compressed extent in one bounded read; a prefix reads
-// as far as it decodes, a window at a time. Whatever needs the whole
-// result — the IndexedDecodes count, member marks for a legacy index —
-// happens when the span completes. Safe for concurrent calls on
-// different spans.
+// as far as it decodes, a window at a time. The IndexedDecodes count,
+// which needs the whole result, is taken when the span completes. Safe
+// for concurrent calls on different spans.
 func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Span, parked any, upTo int64) ([]byte, any, error) {
 	c.mu.Lock()
 	i, ok := c.byOff[s.CompOff]
@@ -161,7 +158,6 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 		return nil, nil, fmt.Errorf("core: no chunk metadata for span at byte %d", s.CompOff)
 	}
 	m := c.metas[i]
-	marksKnown := c.marksKnown
 	c.mu.Unlock()
 
 	var res *deflate.ChunkResult
@@ -185,22 +181,6 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 	}
 
 	c.cnt.indexed.Add(1)
-	if !marksKnown {
-		// Legacy index import (no persisted member marks): learn the
-		// marks from the decode result's own footer events so the CRC
-		// chain can verify this span. Assignment (not append) keeps a
-		// repeated decode idempotent.
-		var members []memberMark
-		for j := range res.Members {
-			members = append(members, memberMark{
-				absEnd: m.startDecomp + res.Members[j].DecompOffset,
-				crc:    res.Members[j].Footer.CRC32,
-			})
-		}
-		c.mu.Lock()
-		c.metas[i].members = members
-		c.mu.Unlock()
-	}
 	// Single-stage output is all raw and becomes the span's content as
 	// it is: the decode stopped at exactly the index size.
 	return res.Raw, nil, nil
@@ -488,7 +468,7 @@ func (c *gzipCodec) Speculate(e *spanengine.Engine, cand uint64) {
 	}
 	g := c.frontierBit/cb + 1 + gap
 	if g*cb >= c.fileBits || c.guessIssued[g] || c.noBlock[g] ||
-		c.inflightGuess[g] != nil || len(c.inflightGuess) >= c.cfg.MaxPrefetch {
+		c.inflightGuess[g] != nil || len(c.inflightGuess) >= c.cfg.maxPrefetch() {
 		return
 	}
 	c.guessIssued[g] = true
@@ -574,7 +554,7 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 	var dec deflate.Decoder
 	cfg := deflate.ChunkConfig{
 		TwoStage:        true,
-		MaxDecompressed: uint64(c.cfg.GuessedRatioLimit) * uint64(c.cfg.ChunkSize),
+		MaxDecompressed: guessedRatioLimit * uint64(c.cfg.ChunkSize),
 		SizeHint:        2 * c.cfg.ChunkSize,
 	}
 	for searchFrom := uint64(0); ; {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/deflate"
 	"repro/internal/filereader"
 	"repro/internal/gzipw"
-	"repro/internal/prefetch"
 )
 
 // roundTripCase pairs an input corpus with a compressor structure; the
@@ -107,10 +106,7 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 	}
 	ixRaw := exportIndex(t, comp, 64<<10)
 
-	r := open(t, comp, Config{
-		Parallelism: 4, ChunkSize: 64 << 10,
-		Strategy: newAdaptive, AccessCacheSize: 16,
-	})
+	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 64 << 10})
 	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
 		t.Fatal(err)
 	}
@@ -301,25 +297,5 @@ func TestImportThenVerifyCatchesPayloadCorruption(t *testing.T) {
 	ok, fails := r.CRCStatus()
 	if readErr == nil && ok && fails == 0 && bytes.Equal(buf.Bytes(), data) {
 		t.Fatal("payload corruption slipped through an index-primed verified read")
-	}
-}
-
-// TestImportBuildsItsOwnStrategy: strategies carry state under their
-// engine's lock, so the engine an import builds gets an instance of its
-// own, never the one the replaced engine still calls.
-func TestImportBuildsItsOwnStrategy(t *testing.T) {
-	data := mkText(53, 200_000)
-	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	ixRaw := exportIndex(t, comp, 32<<10)
-	var built []prefetch.Strategy
-	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 32 << 10, Strategy: func() prefetch.Strategy {
-		built = append(built, prefetch.NewFixed())
-		return built[len(built)-1]
-	}})
-	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
-		t.Fatal(err)
-	}
-	if len(built) != 2 || built[0] == built[1] {
-		t.Fatalf("%d strategies built for two engines", len(built))
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/deflate"
 	"repro/internal/gzipw"
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 )
 
@@ -52,10 +53,11 @@ func TestScratchOwnership(t *testing.T) {
 	})
 
 	t.Run("ReadAt during growth", func(t *testing.T) {
-		// A small cache makes the random readers re-decode confirmed spans
-		// through their stored windows while the sequential reader grows
-		// the table and resolution tasks release scratch.
-		r := open(t, comp, Config{Parallelism: 3, ChunkSize: 128 << 10, AccessCacheSize: 2})
+		// A pool of a few spans' bytes makes the random readers re-decode
+		// confirmed spans through their stored windows while the
+		// sequential reader grows the table and resolution tasks release
+		// scratch.
+		r := open(t, comp, Config{Parallelism: 3, ChunkSize: 128 << 10, Pool: spanengine.NewCachePool(384 << 10)})
 		var wg sync.WaitGroup
 		for g := 0; g < 3; g++ {
 			wg.Add(1)
@@ -90,7 +92,7 @@ func TestScratchOwnership(t *testing.T) {
 		// of what exists, into room later elements fill, and none of that
 		// may ever show — in the piece just read, or in an earlier one
 		// read again — while a cold pass beside it releases scratch.
-		r := importedReader(t, comp, exportIndex(t, comp, 512<<10), Config{Parallelism: 2, AccessCacheSize: 2})
+		r := importedReader(t, comp, exportIndex(t, comp, 512<<10), Config{Parallelism: 2, Pool: spanengine.NewCachePool(1 << 20)})
 		cold := open(t, comp, Config{Parallelism: 2, ChunkSize: 128 << 10})
 		done := make(chan []byte)
 		go func() {
@@ -147,7 +149,8 @@ func TestScratchOwnership(t *testing.T) {
 		}
 		stream := c.finish(t)
 
-		r := open(t, stream, Config{Parallelism: 2, ChunkSize: chunk, MaxPrefetch: 2})
+		// One worker holds the tentative pool at twice 4P = 8 results.
+		r := open(t, stream, Config{Parallelism: 1, ChunkSize: chunk})
 		if got := readAll(t, r); !bytes.Equal(got, c.plain) {
 			t.Fatal("output differs from the stored payloads")
 		}

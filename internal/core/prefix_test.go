@@ -13,6 +13,7 @@ import (
 	"repro/internal/filereader"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
+	"repro/internal/spanengine"
 )
 
 // importedReader opens comp through ixRaw, as the root package does.
@@ -91,7 +92,7 @@ func TestSmallSequentialReadsStillVerify(t *testing.T) {
 	ixRaw := exportIndex(t, comp, 64<<10)
 	for _, from := range []int64{0, 500_000} {
 		// The cache holds the file, so the counts below are exact.
-		r := importedReader(t, comp, ixRaw, Config{Parallelism: 2, VerifyChecksums: true, AccessCacheSize: 64})
+		r := importedReader(t, comp, ixRaw, Config{Parallelism: 2, VerifyChecksums: true, Pool: spanengine.NewCachePool(64 << 20)})
 		if _, err := r.Seek(from, io.SeekStart); err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,8 @@ func TestSmallSequentialReadsStillVerify(t *testing.T) {
 }
 
 // withoutMemberMarks rewrites a serialised index as one from before
-// member marks were persisted: the same points and windows, no marks.
+// member marks were persisted: the same points, windows and fingerprint,
+// no marks.
 func withoutMemberMarks(t *testing.T, ixRaw []byte) []byte {
 	t.Helper()
 	ix, err := gzindex.Read(bytes.NewReader(ixRaw))
@@ -135,6 +137,7 @@ func withoutMemberMarks(t *testing.T, ixRaw []byte) []byte {
 	legacy := gzindex.New(ix.ChunkSize)
 	legacy.Finalized = true
 	legacy.CompressedSize, legacy.UncompressedSize = ix.CompressedSize, ix.UncompressedSize
+	legacy.SourceFP = ix.SourceFP
 	for i := 0; i < ix.Len(); i++ {
 		p := ix.Point(i)
 		var w []byte
@@ -154,50 +157,34 @@ func withoutMemberMarks(t *testing.T, ixRaw []byte) []byte {
 	return buf.Bytes()
 }
 
-// TestLegacyIndexLearnsMarksWhenSpansComplete: without persisted member
-// marks the CRC chain learns each span's footers from the decode — from
-// the whole result, which a span decoded in pieces only has at the end.
-// Reads of span fronts first, then a verified sequential pass; a footer
-// CRC damaged in the file must fail that pass.
-func TestLegacyIndexLearnsMarksWhenSpansComplete(t *testing.T) {
+// TestImportRefusesIndexWithoutMemberMarks: every writer records where
+// each gzip member ends, which member verification after an import
+// stands on, so an index without complete marks predates them and is
+// refused as an unsupported version — by the constructor and by an
+// import in place, which leaves the reader as it was.
+func TestImportRefusesIndexWithoutMemberMarks(t *testing.T) {
 	data := mkText(62, 1_000_000)
-	comp, meta, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10, MemberSize: 90 << 10})
+	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10, MemberSize: 90 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacy := withoutMemberMarks(t, exportIndex(t, comp, 64<<10))
-	// The CRC32 of the fourth member's footer, eight bytes before the
-	// fifth member's header.
-	damaged := bytes.Clone(comp)
-	damaged[meta.Members[4]-8] ^= 0xFF
-
-	for name, tc := range map[string]struct {
-		comp  []byte
-		fails bool
-	}{"intact": {comp, false}, "damaged footer": {damaged, true}} {
-		// The cache holds the file, so every front read is continued.
-		r := importedReader(t, tc.comp, legacy, Config{Parallelism: 2, VerifyChecksums: true, AccessCacheSize: 64})
-		ix := r.Index()
-		buf := make([]byte, 3000)
-		for i := ix.Len() - 1; i >= 0; i -= 2 {
-			off := int64(ix.Point(i).UncompressedOffset) + 200
-			if _, err := r.ReadAt(buf, off); err != nil || !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
-				t.Fatalf("%s: ReadAt(%d): err %v", name, off, err)
-			}
-		}
-		if es := r.Engine().Stats(); r.Stats().IndexedDecodes != 0 || es.SpanDecodes == 0 {
-			t.Fatalf("%s: reads of span fronts completed spans: %+v", name, es)
-		}
-		if got := readAll(t, r); !bytes.Equal(got, data) {
-			t.Fatalf("%s: sequential pass mismatch", name)
-		}
-		ok, fails := r.CRCStatus()
-		if tc.fails != (fails > 0) || ok == tc.fails {
-			t.Fatalf("%s: CRC after the sequential pass: ok=%v fails=%d", name, ok, fails)
-		}
-		if es := r.Engine().Stats(); es.SpanResumes == 0 || es.DecodedBytes != uint64(len(data)) {
-			t.Fatalf("%s: %+v", name, es)
-		}
+	ix, err := gzindex.Read(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewReaderFromIndex(filereader.MemoryReader(comp), ix, Config{Parallelism: 2}); !errors.Is(err, gzindex.ErrUnsupportedVersion) {
+		t.Fatalf("NewReaderFromIndex: err = %v, want ErrUnsupportedVersion", err)
+	}
+	r := open(t, comp, Config{Parallelism: 2, VerifyChecksums: true})
+	if err := r.ImportIndex(bytes.NewReader(legacy)); !errors.Is(err, gzindex.ErrUnsupportedVersion) {
+		t.Fatalf("ImportIndex: err = %v, want ErrUnsupportedVersion", err)
+	}
+	if got := readAll(t, r); !bytes.Equal(got, data) {
+		t.Fatal("the refused import disturbed the reader")
+	}
+	if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+		t.Fatalf("CRC after the refused import: ok=%v fails=%d", ok, fails)
 	}
 }
 

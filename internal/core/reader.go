@@ -42,37 +42,21 @@ import (
 	"repro/internal/filereader"
 	"repro/internal/gzformat"
 	"repro/internal/gzindex"
-	"repro/internal/prefetch"
 	"repro/internal/spanengine"
 )
 
 // Config tunes a Reader.
 type Config struct {
-	// Parallelism is the worker count (values < 1 are clamped to 1).
+	// Parallelism is the worker count (values < 1 are clamped to 1). It
+	// sizes the engine too, see engine.
 	Parallelism int
 	// ChunkSize is the compressed bytes per work unit (paper default
 	// 4 MiB; Figure 12 sweeps this parameter).
 	ChunkSize int
-	// MaxPrefetch bounds in-flight speculative chunks (paper §1.4: the
-	// prefetch cache holds twice the parallelism).
-	MaxPrefetch int
-	// AccessCacheSize is the accessed-chunk cache capacity (paper §3.2:
-	// a size of one suffices for sequential decompression).
-	AccessCacheSize int
-	// Strategy makes the prefetch strategy of each engine the reader
-	// builds; nil = prefetch.NewAdaptive. A constructor, not an instance:
-	// strategies carry state, and the engine an index import builds must
-	// not share it with the one it replaces.
-	Strategy func() prefetch.Strategy
 	// VerifyChecksums enables gzip CRC32 verification during sequential
 	// consumption, combined across chunks with crc32x — the checksum
 	// support the paper lists as future work (§6).
 	VerifyChecksums bool
-	// GuessedRatioLimit aborts a speculative chunk decode whose output
-	// exceeds this multiple of the chunk size; the on-demand exact
-	// decode (unlimited) remains correct. This is the §1.4 mitigation
-	// for worst-case memory usage.
-	GuessedRatioLimit int
 	// SkipMetadataScan suppresses the eager BGZF member-metadata scan
 	// in NewReader, for a caller about to ImportIndex in place (which
 	// replaces the table anyway); without an import the file is simply
@@ -81,9 +65,15 @@ type Config struct {
 	SkipMetadataScan bool
 	// Pool, when non-nil, places the chunk cache in a shared
 	// cross-engine pool: cached decompressed bytes are bounded
-	// pool-wide instead of AccessCacheSize chunks per reader.
+	// pool-wide instead of a span count per reader.
 	Pool *spanengine.CachePool
 }
+
+// guessedRatioLimit aborts a speculative chunk decode whose output
+// exceeds this multiple of the chunk size; the on-demand exact decode
+// (unlimited) remains correct. This is the §1.4 mitigation for
+// worst-case memory usage.
+const guessedRatioLimit = 256
 
 func (c Config) withDefaults() Config {
 	if c.Parallelism < 1 {
@@ -92,36 +82,34 @@ func (c Config) withDefaults() Config {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 4 << 20
 	}
-	if c.MaxPrefetch <= 0 {
-		// The paper holds 2x parallelism; this implementation defaults
-		// to 4x because its consumer does more per-chunk work (window
-		// copies into the index, CRC bookkeeping) and a deeper pipeline
-		// hides the resulting bubbles. Memory stays bounded by
-		// MaxPrefetch * chunk output.
-		c.MaxPrefetch = 4 * c.Parallelism
-	}
-	if c.AccessCacheSize <= 0 {
-		// Eagerly resolved chunks wait here until consumption; size it
-		// like the prefetch window so none are evicted in flight.
-		c.AccessCacheSize = 2*c.Parallelism + 4
-	}
-	if c.GuessedRatioLimit <= 0 {
-		c.GuessedRatioLimit = 256
-	}
 	return c
 }
 
-// engine is the configuration of one engine under this reader, with a
-// strategy of its own.
-func (c Config) engine() spanengine.Config {
+// maxPrefetch bounds the speculative decodes in flight: block-finder
+// guesses ahead of the frontier, and prefetched spans. The paper holds
+// 2x parallelism; this implementation holds 4x because its consumer does
+// more per-chunk work (window copies into the index, CRC bookkeeping)
+// and a deeper pipeline hides the resulting bubbles. Memory stays
+// bounded by maxPrefetch * chunk output.
+func (c Config) maxPrefetch() int { return 4 * c.Parallelism }
+
+// engine sizes an engine under this reader. Confirmed chunks wait in the
+// span cache until consumption, so it is sized like the prefetch window
+// and none are evicted in flight: 2P + 4 spans, and the growing engine
+// parks up to twice maxPrefetch guesses in its tentative pool. A BGZF
+// file scanned cold is exact spans, every prefetch a span of the table,
+// and takes the size that holds a sequential pass of such a table
+// (spanengine.Config's default rule): the prefetch depth plus the span
+// being read and the one being handed over.
+func (c Config) engine(coldBGZF bool) spanengine.Config {
 	ec := spanengine.Config{
 		Threads:     c.Parallelism,
-		CacheSize:   c.AccessCacheSize,
-		MaxPrefetch: c.MaxPrefetch,
+		CacheSize:   2*c.Parallelism + 4,
+		MaxPrefetch: c.maxPrefetch(),
 		Pool:        c.Pool,
 	}
-	if c.Strategy != nil {
-		ec.Strategy = c.Strategy()
+	if coldBGZF {
+		ec.CacheSize = ec.MaxPrefetch + 2
 	}
 	return ec
 }
@@ -222,15 +210,9 @@ func NewReader(src filereader.FileReader, cfg Config) (*Reader, error) {
 	// builds carries the complete set of member marks.
 	r.codec.index.MemberMarksComplete = true
 	if r.bgzf && !cfg.SkipMetadataScan {
-		ec := r.cfg.engine()
-		if cfg.AccessCacheSize <= 0 {
-			// Exact spans, every prefetch a span of the table: the engine's
-			// own default is the size that holds a sequential pass.
-			ec.CacheSize = 0
-		}
-		r.eng, err = spanengine.New(r.file, r.codec, ec)
+		r.eng, err = spanengine.New(r.file, r.codec, r.cfg.engine(true))
 	} else {
-		r.eng, err = spanengine.NewGrowing(r.file, r.codec, 0, r.cfg.engine())
+		r.eng, err = spanengine.NewGrowing(r.file, r.codec, 0, r.cfg.engine(false))
 	}
 	if err != nil {
 		return nil, err
@@ -264,12 +246,13 @@ func (r *Reader) install(ix *gzindex.Index) error {
 	if err := ix.CheckSource(r.file.Size(), r.sourceFP, "gzip", "bgzf"); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
+	// Every writer records where each member ends, which is what member
+	// verification after an import stands on.
+	if !ix.MemberMarksComplete {
+		return fmt.Errorf("core: %w: gzip index without complete member marks; re-export it", gzindex.ErrUnsupportedVersion)
+	}
 	c := newGzipCodec(r.cfg, r.file, &r.cnt, r.bgzf)
 	c.index = ix
-	// Indexes exported by this implementation persist the member marks,
-	// restoring full member verification; legacy (v1) indexes do not,
-	// and verification then has to lean on the decode results instead.
-	c.marksKnown = ix.MemberMarksComplete
 	c.eof = true
 	c.frontierBit = ix.CompressedSize * 8
 	c.frontierDecomp = ix.UncompressedSize
@@ -317,13 +300,10 @@ func (r *Reader) install(ix *gzindex.Index) error {
 		c.byOff[s.CompOff] = i
 		spans[i] = s
 	}
-	eng, err := spanengine.NewFromCheckpoints(r.file, c, spans, 0, r.cfg.engine())
+	eng, err := spanengine.NewFromCheckpoints(r.file, c, spans, 0, r.cfg.engine(false))
 	if err != nil {
 		return err
 	}
-	// Adopt the file's own fingerprint so a re-export of an index
-	// imported from the fingerprint-less v2 format gains one.
-	ix.SourceFP = &r.sourceFP
 	r.codec, r.eng = c, eng
 	return nil
 }

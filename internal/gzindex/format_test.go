@@ -2,21 +2,19 @@ package gzindex
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// goldenIndex is the index serialised into the testdata fixtures (the
-// v1 file was written by the legacy fixed-width writer before its
-// removal, the v2 file by the pre-fingerprint varint writer, the v3
-// file by the pre-checkpoint-table writer, the v4 file by the current
-// writer). Any change that stops a fixture from parsing back to
-// exactly this index is an on-disk format break and must bump the
-// version magic instead.
+// goldenIndex is the index of the golden-v4 fixture without its
+// fingerprint (goldenIndexFP adds it). Any change that stops a fixture
+// from parsing back to exactly its index, or WriteTo from writing it
+// byte for byte, is an on-disk format break and must bump the version
+// magic instead.
 func goldenIndex(t *testing.T) *Index {
 	t.Helper()
 	ix := New(4 << 20)
@@ -67,36 +65,11 @@ func readGolden(t *testing.T, name string) []byte {
 	return raw
 }
 
-func TestGoldenV2BackwardCompatible(t *testing.T) {
-	raw := readGolden(t, "golden-v2.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualIndex(t, got, goldenIndex(t))
-	if got.SourceFP != nil {
-		t.Fatal("v2 index has no fingerprint; got one")
-	}
-}
-
-// goldenIndexV3 is goldenIndex plus the v3 source fingerprint.
-func goldenIndexV3(t *testing.T) *Index {
+// goldenIndexFP is goldenIndex plus a source fingerprint.
+func goldenIndexFP(t *testing.T) *Index {
 	ix := goldenIndex(t)
 	ix.SourceFP = &Fingerprint{Head: 0x11223344, Tail: 0x55667788}
 	return ix
-}
-
-func TestGoldenV3(t *testing.T) {
-	raw := readGolden(t, "golden-v3.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := goldenIndexV3(t)
-	assertEqualIndex(t, got, want)
-	if got.SourceFP == nil || *got.SourceFP != *want.SourceFP {
-		t.Fatalf("fingerprint: got %+v, want %+v", got.SourceFP, want.SourceFP)
-	}
 }
 
 func TestGoldenV4(t *testing.T) {
@@ -105,7 +78,7 @@ func TestGoldenV4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := goldenIndexV3(t)
+	want := goldenIndexFP(t)
 	assertEqualIndex(t, got, want)
 	if got.SourceFP == nil || *got.SourceFP != *want.SourceFP {
 		t.Fatalf("fingerprint: got %+v, want %+v", got.SourceFP, want.SourceFP)
@@ -248,15 +221,7 @@ func TestCheckpointIndexRejectsEveryByteFlip(t *testing.T) {
 	}
 }
 
-func TestGoldenV1BackwardCompatible(t *testing.T) {
-	got, err := Read(bytes.NewReader(readGolden(t, "golden-v1.rgzidx")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualIndex(t, got, goldenIndex(t))
-}
-
-// markedIndex is the sample serialised into golden-v2-marks.rgzidx:
+// markedIndex is the sample serialised into golden-v4-marks.rgzidx:
 // member marks on two points, windows on two, MemberMarksComplete set.
 func markedIndex(t *testing.T) *Index {
 	t.Helper()
@@ -299,28 +264,6 @@ func assertEqualMarks(t *testing.T, got, want *Index) {
 	}
 }
 
-func TestGoldenV2WithMemberMarks(t *testing.T) {
-	raw := readGolden(t, "golden-v2-marks.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := markedIndex(t)
-	assertEqualIndex(t, got, want)
-	assertEqualMarks(t, got, want)
-}
-
-func TestGoldenV3WithMemberMarks(t *testing.T) {
-	raw := readGolden(t, "golden-v3-marks.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := markedIndex(t)
-	assertEqualIndex(t, got, want)
-	assertEqualMarks(t, got, want)
-}
-
 func TestGoldenV4WithMemberMarks(t *testing.T) {
 	raw := readGolden(t, "golden-v4-marks.rgzidx")
 	got, err := Read(bytes.NewReader(raw))
@@ -341,7 +284,7 @@ func TestGoldenV4WithMemberMarks(t *testing.T) {
 }
 
 func TestFingerprintRoundTrip(t *testing.T) {
-	want := goldenIndexV3(t)
+	want := goldenIndexFP(t)
 	var buf bytes.Buffer
 	if _, err := want.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -498,46 +441,6 @@ func TestNonFinalizedIndexWithMarksRoundTrips(t *testing.T) {
 	}
 }
 
-func TestV1RejectsNonMonotonicPoints(t *testing.T) {
-	// The legacy fixed-width format has no trailing checksum, so
-	// structural validation is all that stands between a bit-flipped
-	// offset and an underflowing chunk-size subtraction at import.
-	mkV1 := func(off2 uint64) []byte {
-		var buf bytes.Buffer
-		buf.WriteString("RGZIDX01")
-		le := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-		le(uint32(1))       // flags: finalized
-		le(uint64(1 << 20)) // chunk size
-		le(uint64(1000))    // compressed size
-		le(uint64(5000))    // uncompressed size
-		le(uint64(2))       // points
-		le(uint64(0))       // point 0: bit offset
-		le(uint64(0))       //          uncompressed offset
-		buf.WriteByte(1)    //          member start
-		le(uint32(0xFFFFFFFF))
-		le(uint64(4000)) // point 1: bit offset
-		le(off2)         //          uncompressed offset
-		buf.WriteByte(0)
-		le(uint32(0xFFFFFFFF))
-		return buf.Bytes()
-	}
-	if _, err := Read(bytes.NewReader(mkV1(3000))); err != nil {
-		t.Fatalf("valid v1 rejected: %v", err)
-	}
-	if _, err := Read(bytes.NewReader(mkV1(1 << 63))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v1 point beyond declared size: got %v, want ErrCorrupt", err)
-	}
-	// Non-monotonic uncompressed offset: point 1 "before" point 0.
-	raw := mkV1(3000)
-	// Overwrite point 0's uncompressed offset (the header is 44 bytes,
-	// the point's bit offset 8 more → byte 52) with a value above
-	// point 1's.
-	binary.LittleEndian.PutUint64(raw[52:], 4000)
-	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("non-monotonic v1 points: got %v, want ErrCorrupt", err)
-	}
-}
-
 func TestReadRejectsWrappingMarkDeltas(t *testing.T) {
 	// Marks are delta-coded; a delta that wraps uint64 would hide a
 	// huge intermediate mark from validate's last-mark span check (the
@@ -584,7 +487,7 @@ func TestReadSurvivesOverflowingVarints(t *testing.T) {
 	// out of range on a ~24-byte input).
 	overflow := bytes.Repeat([]byte{0xFF}, 10)
 	craft := func(tail ...byte) []byte {
-		raw := []byte("RGZIDX02")
+		raw := []byte("RGZIDX04")
 		raw = append(raw, 0x01)                   // flags: finalized
 		raw = append(raw, 0x04, 0x0A, 0x0A, 0x01) // chunk, sizes, 1 point
 		raw = append(raw, 0x00, 0x00)             // point deltas
@@ -594,7 +497,7 @@ func TestReadSurvivesOverflowingVarints(t *testing.T) {
 		"window-compLen-overflow": craft(append([]byte{0x02, 0x05}, overflow...)...),
 		"window-rawLen-overflow":  craft(append([]byte{0x02}, overflow...)...),
 		"mark-count-overflow":     craft(append([]byte{0x04}, overflow...)...),
-		"point-count-overflow": append([]byte("RGZIDX02\x01\x04\x0A\x0A"),
+		"point-count-overflow": append([]byte("RGZIDX04\x01\x04\x0A\x0A"),
 			overflow...),
 	}
 	for name, raw := range cases {
@@ -641,6 +544,16 @@ func TestReadErrorTaxonomy(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("RGZIDX99whatever"))); !errors.Is(err, ErrUnsupportedVersion) {
 		t.Fatalf("future version: %v", err)
 	}
+	// The versions before the fingerprint and the checkpoint table are
+	// not read: the error says to export the index again.
+	var v4 bytes.Buffer
+	goldenIndexFP(t).WriteTo(&v4)
+	for _, m := range []string{"RGZIDX01", "RGZIDX02", "RGZIDX03"} {
+		old := append([]byte(m), v4.Bytes()[len(m):]...)
+		if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), "re-export") {
+			t.Fatalf("%s: %v", m, err)
+		}
+	}
 	var buf bytes.Buffer
 	goldenIndex(t).WriteTo(&buf)
 	raw := buf.Bytes()
@@ -678,9 +591,9 @@ func TestReadFrom(t *testing.T) {
 }
 
 func TestDeltaCodingIsCompact(t *testing.T) {
-	// 1000 windowless checkpoints with ~4 MiB compressed spacing: the
-	// v1 fixed-width encoding took 21 bytes per record; delta varints
-	// must stay below half that.
+	// 1000 windowless checkpoints with ~4 MiB compressed spacing: a
+	// fixed-width encoding takes 21 bytes per record; delta varints must
+	// stay below half that.
 	ix := New(4 << 20)
 	ix.Finalized = true
 	for i := uint64(1); i <= 1000; i++ {

@@ -12,26 +12,37 @@ import (
 // so this parser sees unvetted bytes in normal operation.
 func FuzzReadIndex(f *testing.F) {
 	for _, golden := range []string{
-		"testdata/golden-v1.rgzidx",
-		"testdata/golden-v2.rgzidx",
-		"testdata/golden-v2-marks.rgzidx",
-		"testdata/golden-v3.rgzidx",
-		"testdata/golden-v3-marks.rgzidx",
+		"testdata/golden-v4.rgzidx",
+		"testdata/golden-v4-marks.rgzidx",
+		"testdata/golden-v4-checkpoints.rgzidx",
 	} {
 		if raw, err := os.ReadFile(golden); err == nil {
 			f.Add(raw)
 		}
 	}
-	// A fresh valid index as a well-formed seed.
+	// Fresh valid indexes as well-formed seeds: bare, then with the
+	// fingerprint and member marks every writer records, then the same
+	// index still in progress (not finalized).
 	ix := New(4 << 20)
 	ix.Add(SeekPoint{CompressedBitOffset: 80, UncompressedOffset: 0}, nil)
 	ix.Add(SeekPoint{CompressedBitOffset: 4096, UncompressedOffset: 70_000}, []byte("window bytes"))
 	ix.Finalized = true
 	ix.CompressedSize = 9_000
 	ix.UncompressedSize = 140_000
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err == nil {
-		f.Add(buf.Bytes())
+	for _, step := range []func(){
+		func() {},
+		func() {
+			ix.SourceFP = &Fingerprint{Head: 0x1234, Tail: 0x5678}
+			ix.MemberMarksComplete = true
+			ix.AddMemberEnd(4096, MemberEnd{RelEnd: 70_000, CRC32: 0xC0FFEE})
+		},
+		func() { ix.Finalized = false },
+	} {
+		step()
+		var buf bytes.Buffer
+		if _, err := ix.WriteTo(&buf); err == nil {
+			f.Add(buf.Bytes())
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))

@@ -101,10 +101,10 @@ func ComputeFingerprint(r io.ReaderAt, size int64) (Fingerprint, error) {
 }
 
 // CheckSource reports why ix cannot be installed over an open source:
-// it must be finalized, recorded for a file of this size and — where it
-// carries one — this fingerprint, and a checkpoint table in it must have
-// been written by a codec that answers to one of tags. It is the one
-// identity check every format's import goes through.
+// it must be finalized, recorded for a file of this size and
+// fingerprint, and a checkpoint table in it must have been written by a
+// codec that answers to one of tags. It is the one identity check every
+// format's import goes through.
 func (ix *Index) CheckSource(size int64, fp Fingerprint, tags ...string) error {
 	if !ix.Finalized {
 		return errors.New("gzindex: can only import finalized indexes")
@@ -115,7 +115,11 @@ func (ix *Index) CheckSource(size int64, fp Fingerprint, tags ...string) error {
 	if ix.CompressedSize != uint64(size) {
 		return fmt.Errorf("gzindex: index is for a %d-byte file, have %d bytes", ix.CompressedSize, size)
 	}
-	if ix.SourceFP != nil && *ix.SourceFP != fp {
+	if ix.SourceFP == nil {
+		// Every writer records one; an index without it predates them.
+		return fmt.Errorf("%w: index carries no source fingerprint; re-export it", ErrUnsupportedVersion)
+	}
+	if *ix.SourceFP != fp {
 		return fmt.Errorf("gzindex: index fingerprint %08x/%08x does not match the open file's %08x/%08x (index built for a different file of the same size)",
 			ix.SourceFP.Head, ix.SourceFP.Tail, fp.Head, fp.Tail)
 	}
@@ -167,8 +171,8 @@ type Index struct {
 	// file is recorded via AddMemberEnd — i.e. the absence of marks for
 	// a point means "no member ends there", not "unknown".
 	MemberMarksComplete bool
-	// SourceFP is the source-file fingerprint, or nil when unknown
-	// (indexes read from the fingerprint-less v1/v2 formats).
+	// SourceFP is the source-file fingerprint. CheckSource refuses an
+	// index without one.
 	SourceFP *Fingerprint
 }
 
@@ -269,11 +273,8 @@ func (ix *Index) Find(target uint64) (int, bool) {
 
 // --- serialization -------------------------------------------------------
 //
-// On-disk layout (version 4, all integers little-endian or unsigned
-// LEB128 varints). Version 4 differs from version 3 only in the magic
-// and the optional per-format checkpoint-table section (flag bit 3);
-// version 3 differs from version 2 only in the magic and the optional
-// source fingerprint (flag bit 2):
+// On-disk layout (version 4, the one format read and written; all
+// integers little-endian or unsigned LEB128 varints):
 //
 //	offset  size      field
 //	0       8         magic "RGZIDX04"
@@ -327,12 +328,8 @@ func (ix *Index) Find(target uint64) (int, bool) {
 // Decompressed offsets are not stored: spans are contiguous from 0, so
 // each offset is the running sum of the preceding sizes.
 
-const (
-	magicV1 = "RGZIDX01" // legacy fixed-width format, still readable
-	magicV2 = "RGZIDX02" // fingerprint-less varint format, still readable
-	magicV3 = "RGZIDX03" // checkpoint-table-less format, still readable
-	magicV4 = "RGZIDX04" // current format, written by WriteTo
-)
+// magic opens every index file; its last two digits are the version.
+const magic = "RGZIDX04"
 
 // maxWindowRaw bounds a stored window. Real windows are at most the
 // Deflate history size of 32 KiB; the margin is kept tight because the
@@ -345,7 +342,9 @@ const maxWindowRaw = 64 << 10
 var (
 	// ErrBadMagic reports that the input is not a rapidgzip index.
 	ErrBadMagic = errors.New("gzindex: bad magic (not a rapidgzip index)")
-	// ErrUnsupportedVersion reports a magic of a newer, unknown format.
+	// ErrUnsupportedVersion reports an index this version does not read:
+	// another format version, or one without what every writer records
+	// (CheckSource, and core for gzip member marks).
 	ErrUnsupportedVersion = errors.New("gzindex: unsupported index version")
 	// ErrChecksum reports that the trailing CRC32 does not match.
 	ErrChecksum = errors.New("gzindex: index checksum mismatch")
@@ -364,7 +363,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return 0, fmt.Errorf("gzindex: checkpoint table format tag %q is not 4 bytes", ix.Checkpoints.Format)
 	}
 	var buf bytes.Buffer
-	buf.WriteString(magicV4)
+	buf.WriteString(magic)
 	var flags uint8
 	if ix.Finalized {
 		flags |= 1
@@ -452,30 +451,24 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Read deserialises an index written by WriteTo, dispatching on the
-// format version named by the magic. The current version's trailing
-// CRC32 is verified; any mismatch or structural problem rejects the
-// whole index — a partially imported index would silently disable
-// seeking into the missing region.
+// Read deserialises an index written by WriteTo. The trailing CRC32 is
+// verified; any mismatch or structural problem rejects the whole index —
+// a partially imported index would silently disable seeking into the
+// missing region. Another version's magic is ErrUnsupportedVersion:
+// versions 1 to 3 came before the fingerprint and the checkpoint table,
+// and an index in one of them has to be exported again.
 func Read(r io.Reader) (*Index, error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadMagic, err)
 	}
-	switch string(m[:]) {
-	case magicV4:
-		return readV234(r, magicV4)
-	case magicV3:
-		return readV234(r, magicV3)
-	case magicV2:
-		return readV234(r, magicV2)
-	case magicV1:
-		return readV1(r)
+	if string(m[:]) != magic {
+		if string(m[:6]) == magic[:6] {
+			return nil, fmt.Errorf("%w: %q (this version reads %s; re-export the index)", ErrUnsupportedVersion, m, magic)
+		}
+		return nil, ErrBadMagic
 	}
-	if string(m[:6]) == magicV2[:6] {
-		return nil, fmt.Errorf("%w: %q", ErrUnsupportedVersion, m)
-	}
-	return nil, ErrBadMagic
+	return readIndex(r)
 }
 
 // ReadFrom replaces the index contents with a serialised index read
@@ -491,10 +484,8 @@ func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
 	return cr.n, nil
 }
 
-// readV234 parses the varint formats. Versions 2, 3 and 4 share the
-// whole layout except the optional source fingerprint of v3+ and the
-// optional checkpoint-table section of v4.
-func readV234(r io.Reader, magic string) (*Index, error) {
+// readIndex parses what follows the magic.
+func readIndex(r io.Reader) (*Index, error) {
 	cr := &crcReader{r: r}
 	cr.sum = crc32.Update(cr.sum, crc32.IEEETable, []byte(magic))
 	flags, _ := cr.ReadByte()
@@ -503,7 +494,7 @@ func readV234(r io.Reader, magic string) (*Index, error) {
 	ix.MemberMarksComplete = flags&2 != 0
 	ix.CompressedSize = cr.uvarint()
 	ix.UncompressedSize = cr.uvarint()
-	if magic != magicV2 && flags&4 != 0 {
+	if flags&4 != 0 {
 		var raw [8]byte
 		if err := cr.full(raw[:]); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
@@ -538,7 +529,7 @@ func readV234(r io.Reader, magic string) (*Index, error) {
 				return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
 			}
 			var err error
-			if win, err = readWindow(cr.full, rawLen, compLen, i); err != nil {
+			if win, err = readWindow(cr, rawLen, compLen, i); err != nil {
 				return nil, err
 			}
 		}
@@ -584,7 +575,7 @@ func readV234(r io.Reader, magic string) (*Index, error) {
 			ix.memberEnds[p.CompressedBitOffset] = marks
 		}
 	}
-	if magic == magicV4 && flags&8 != 0 {
+	if flags&8 != 0 {
 		ct, err := readCheckpointTable(cr)
 		if err != nil {
 			return nil, err
@@ -652,23 +643,14 @@ func readCheckpointTable(cr *crcReader) (*CheckpointTable, error) {
 	return ct, nil
 }
 
-// validate applies the structural sanity checks shared by both format
-// readers: the declared file sizes must bound the seek points (an
+// validate applies the structural sanity checks Read runs once the
+// checksum holds: the declared file sizes must bound the seek points (an
 // importer derives the final chunk's extent from them by subtraction,
 // which must not underflow), and member marks must stay within their
 // point's span (they feed the member-CRC part arithmetic, where an
 // out-of-span offset would turn into spurious verification results
 // instead of a clean import error).
 func (ix *Index) validate() error {
-	// Monotonicity is structural: an importer derives chunk extents by
-	// subtracting adjacent offsets. The v2 reader enforces it per
-	// record; checking here covers the checksum-less v1 format too.
-	for i := 1; i < len(ix.points); i++ {
-		if ix.points[i].CompressedBitOffset <= ix.points[i-1].CompressedBitOffset ||
-			ix.points[i].UncompressedOffset < ix.points[i-1].UncompressedOffset {
-			return fmt.Errorf("%w: non-monotonic point %d", ErrCorrupt, i)
-		}
-	}
 	if n := len(ix.points); n > 0 && ix.Finalized {
 		last := ix.points[n-1]
 		if last.UncompressedOffset > ix.UncompressedSize {
@@ -727,65 +709,17 @@ func (ix *Index) validate() error {
 	return nil
 }
 
-// readV1 parses the legacy fixed-width format (no trailing checksum).
-func readV1(r io.Reader) (*Index, error) {
-	br := bufReader{r: r}
-	flags := br.u32()
-	ix := New(int(br.u64()))
-	ix.Finalized = flags&1 != 0
-	ix.CompressedSize = br.u64()
-	ix.UncompressedSize = br.u64()
-	n := br.u64()
-	if br.err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, br.err)
-	}
-	if n > 1<<40 {
-		return nil, fmt.Errorf("%w: implausible point count %d", ErrCorrupt, n)
-	}
-	for i := uint64(0); i < n; i++ {
-		var p SeekPoint
-		p.CompressedBitOffset = br.u64()
-		p.UncompressedOffset = br.u64()
-		p.AtMemberStart = br.u8() == 1
-		rawLen := br.u32()
-		if br.err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, br.err)
-		}
-		var win *Window
-		if rawLen != 0xFFFFFFFF {
-			compLen := br.u32()
-			if br.err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCorrupt, br.err)
-			}
-			var err error
-			if win, err = readWindow(br.full, uint64(rawLen), uint64(compLen), i); err != nil {
-				return nil, err
-			}
-		}
-		ix.points = append(ix.points, p)
-		if win != nil {
-			ix.windows[p.CompressedBitOffset] = win
-		}
-	}
-	if err := ix.validate(); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
 // readWindow bound-checks the declared window lengths and then reads the
-// window's flate bytes through full — the single validation path shared
-// by both format readers, so the amplification cap cannot silently
-// diverge between them. Nothing is inflated here: Window.Bytes does
-// that, for the windows a reader gets to, within the rawLen accepted
-// here. Lengths
-// must already be known-good reads (no pending reader error).
-func readWindow(full func([]byte) error, rawLen, compLen, point uint64) (*Window, error) {
+// window's flate bytes through cr. Nothing is inflated here:
+// Window.Bytes does that, for the windows a reader gets to, within the
+// rawLen accepted here, which is what caps decompression amplification.
+// Lengths must already be known-good reads (no pending reader error).
+func readWindow(cr *crcReader, rawLen, compLen, point uint64) (*Window, error) {
 	if rawLen > maxWindowRaw || compLen > rawLen+rawLen/255+64 {
 		return nil, fmt.Errorf("%w: window %d/%d bytes at point %d", ErrCorrupt, compLen, rawLen, point)
 	}
 	comp := make([]byte, compLen)
-	if err := full(comp); err != nil {
+	if err := cr.full(comp); err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
 	return &Window{comp: comp, rawLen: int(rawLen)}, nil
@@ -866,36 +800,4 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
-}
-
-// bufReader wraps sequential little-endian primitive reads.
-type bufReader struct {
-	r   io.Reader
-	err error
-}
-
-func (b *bufReader) full(p []byte) error {
-	if b.err != nil {
-		return b.err
-	}
-	_, b.err = io.ReadFull(b.r, p)
-	return b.err
-}
-
-func (b *bufReader) u8() uint8 {
-	var raw [1]byte
-	b.full(raw[:])
-	return raw[0]
-}
-
-func (b *bufReader) u32() uint32 {
-	var raw [4]byte
-	b.full(raw[:])
-	return binary.LittleEndian.Uint32(raw[:])
-}
-
-func (b *bufReader) u64() uint64 {
-	var raw [8]byte
-	b.full(raw[:])
-	return binary.LittleEndian.Uint64(raw[:])
 }

@@ -273,9 +273,6 @@ func (d *Decoder) Decode(br *bitio.BitReader) (uint16, error) {
 	return e.Val(), err
 }
 
-// MaxLen returns the longest code length in the decoder.
-func (d *Decoder) MaxLen() uint { return d.maxLen }
-
 // Root returns the table's first level for inlined lookups: index it
 // with the low RootBits bits of the stream; a Link entry continues in
 // Table. Both are owned by the Decoder and valid until the next Init.

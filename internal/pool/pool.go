@@ -63,9 +63,6 @@ func (p *Pool) worker() {
 // callers own that ordering.
 func (p *Pool) Submit(f func()) { p.submit(f, true) }
 
-// SubmitLow enqueues f at low priority (speculative work).
-func (p *Pool) SubmitLow(f func()) { p.submit(f, false) }
-
 func (p *Pool) submit(f func(), high bool) {
 	p.mu.Lock()
 	if p.closed {

@@ -33,7 +33,9 @@ type Strategy interface {
 }
 
 // Fixed always proposes the maxDegree spans after the last access — the
-// FetchNextFixed strategy.
+// FetchNextFixed strategy. No archive uses it: Adaptive is the engine's
+// one strategy, and Fixed is what spanengine's tests put in its place
+// when they need every access to propose the full depth.
 type Fixed struct {
 	last     uint64
 	accessed bool

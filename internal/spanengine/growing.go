@@ -82,7 +82,7 @@ func NewGrowing(src filereader.FileReader, codec GrowingCodec, flags uint8, cfg 
 	e.grower = codec
 	e.complete = false
 	e.stats.SizingPasses = 1
-	e.tent = cache.NewLRUCache[uint64, any](max(2*e.cfg.MaxPrefetch, 4))
+	e.tent = cache.NewLRUCache[uint64, any](e.cfg.tentativeSize())
 	e.tent.OnEvict = func(key uint64, _ any) { codec.TentativeEvicted(key) }
 	return e, nil
 }

@@ -132,7 +132,9 @@ type PrefixDecoder interface {
 	DecodeSpanPrefix(src filereader.FileReader, s Span, parked any, upTo int64) (data []byte, next any, err error)
 }
 
-// Config tunes an Engine. The zero value selects defaults.
+// Config tunes an Engine. The zero value selects defaults, which is how
+// bzip2, LZ4 and zstd are built; gzip sets its own prefetch depth and
+// cache size (core), and tests set what they need to observe.
 type Config struct {
 	// Threads is the prefetch worker count (min 1).
 	Threads int
@@ -143,10 +145,11 @@ type Config struct {
 	// slots than that an unread prefetch is evicted and decoded again.
 	CacheSize int
 	// MaxPrefetch bounds in-flight speculative span decodes; zero
-	// selects 2*Threads (the paper's default prefetch-cache depth).
+	// selects 2*Threads (the paper's default prefetch-cache depth). A
+	// growing engine parks up to tentativeSize results ahead of its table.
 	MaxPrefetch int
 	// Strategy proposes spans to prefetch; nil selects
-	// prefetch.NewAdaptive().
+	// prefetch.NewAdaptive(), the one strategy archives use.
 	Strategy prefetch.Strategy
 	// Pool, when non-nil, replaces the engine's private span cache with
 	// a view into a shared cross-engine CachePool: cached bytes are
@@ -170,6 +173,11 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
+
+// tentativeSize is the capacity of a growing engine's tentative pool:
+// twice the prefetch depth, so results parked ahead of the frontier are
+// not evicted before it reaches them.
+func (c Config) tentativeSize() int { return max(2*c.MaxPrefetch, 4) }
 
 // Stats counts engine activity. The zero-sizing-pass property of an
 // index import is observable here: SizingPasses stays exactly zero when

@@ -6,10 +6,10 @@ import "repro/internal/spanengine"
 // archives: every archive opened with WithSharedPool(p) caches its
 // decompressed spans in one pool bounded to a total byte budget, with
 // recency global across archives — a hot archive's spans evict a cold
-// archive's. This turns the per-archive memory model of
-// WithAccessCacheSize ("N spans each") into the cross-archive model a
-// server needs ("N bytes across everything open"), and is the memory
-// contract behind cmd/rgzserve.
+// archive's. This turns the per-archive memory model (a span count
+// sized from the parallelism, see WithParallelism) into the
+// cross-archive model a server needs ("N bytes across everything
+// open"), and is the memory contract behind cmd/rgzserve.
 //
 // A pool is safe for concurrent use and may outlive any archive using
 // it; closing an archive releases its cached bytes back to the budget.
@@ -66,11 +66,12 @@ func (p *CachePool) Stats() PoolStats {
 }
 
 // WithSharedPool places the archive's span cache in p instead of a
-// private per-archive cache. The memory model changes accordingly:
-// WithAccessCacheSize (spans per archive) is ignored for archives in a
-// pool — the pool's byte budget is the bound, shared across every
-// member. All five formats participate; for gzip/BGZF the pooled
-// entries are the chunks of the speculative pipeline.
+// private per-archive cache. The memory model changes accordingly: the
+// pool's byte budget is the bound, shared across every member, in place
+// of a span count per archive. It is also the one way to bound an
+// archive's cache other than by its parallelism. All five formats
+// participate; for gzip/BGZF the pooled entries are the chunks of the
+// speculative pipeline.
 func WithSharedPool(p *CachePool) Option {
 	return func(c *config) error {
 		if p == nil {

@@ -142,7 +142,7 @@ func TestSequentialReadAtFromSeekPointDecodesWhatItReads(t *testing.T) {
 func TestSmallVerifiedReadsThroughIndex(t *testing.T) {
 	plain, gzPath, idxPath := indexedGzip(t, 2<<20, 128<<10)
 	// The cache holds the file, so the counts below are exact.
-	a, err := Open(gzPath, WithIndexFile(idxPath), WithParallelism(2), WithVerify(true), WithAccessCacheSize(64))
+	a, err := Open(gzPath, WithIndexFile(idxPath), WithParallelism(2), WithVerify(true), WithSharedPool(NewCachePool(64<<20)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAlternatingCursorsThroughIndex(t *testing.T) {
 	plain, gzPath, idxPath := indexedGzip(t, 4<<20, 128<<10)
 	// The cache holds the file: a prefetch that reaches past the first
 	// half finds the second cursor's spans still there.
-	a, err := Open(gzPath, WithIndexFile(idxPath), WithParallelism(2), WithAccessCacheSize(64))
+	a, err := Open(gzPath, WithIndexFile(idxPath), WithParallelism(2), WithSharedPool(NewCachePool(64<<20)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,10 @@
 //	if f.Capabilities().RandomAccess { ... }
 //
 // Open takes functional options (WithParallelism, WithChunkSize,
-// WithVerify, WithStrategy, WithFormat, WithIndexFile, ...).
+// WithVerify, WithFormat, WithIndexFile, WithSharedPool, ...). The
+// prefetcher is not among them: one adaptive strategy follows every
+// sequential stream on an archive, and its depth and the span cache are
+// sized from the parallelism.
 //
 // There is one read stack. Open resolves the options, sniffs the format
 // and builds an archive: the source, the one sequential cursor and the

@@ -269,22 +269,6 @@ func TestNewReaderWithIndex(t *testing.T) {
 	}
 }
 
-func TestStrategyNames(t *testing.T) {
-	data := workloads.Base64(300_000, 5)
-	comp := gzipBytes(t, data)
-	for _, s := range []string{"", "adaptive", "fixed", "multistream"} {
-		r, err := OpenBytes(comp, WithParallelism(2), WithChunkSize(32<<10), WithStrategy(s))
-		if err != nil {
-			t.Fatalf("%q: %v", s, err)
-		}
-		got, err := io.ReadAll(r)
-		r.Close()
-		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("%q: mismatch (err=%v)", s, err)
-		}
-	}
-}
-
 func TestOpenErrors(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.gz")); err == nil {
 		t.Fatal("missing file accepted")

@@ -44,80 +44,15 @@ func spanFixtures(t *testing.T, data []byte) map[Format][]byte {
 	}
 }
 
-// TestStrategyHonoredPerFormat is the WithStrategy regression test:
-// before the span engine, the option silently did nothing for
-// bzip2/LZ4/zstd archives. Now every format must (a) reject unknown
-// names at option time, (b) accept every valid name, and (c) actually
-// route the chosen strategy into the backend — observable because
-// Fixed keeps proposing the full prefetch degree on random access
-// while Adaptive resets, so the same jumpy access pattern issues
-// strictly more prefetches under "fixed".
-func TestStrategyHonoredPerFormat(t *testing.T) {
-	data := workloads.Base64(600_000, 21)
-	for format, comp := range spanFixtures(t, data) {
-		t.Run(format.String(), func(t *testing.T) {
-			if _, err := OpenBytes(comp, WithStrategy("bogus")); err == nil {
-				t.Fatal("unknown strategy accepted")
-			}
-			for _, name := range []string{"", "adaptive", "fixed", "multistream"} {
-				a, err := OpenBytes(comp, WithStrategy(name), WithParallelism(2))
-				if err != nil {
-					t.Fatalf("strategy %q rejected: %v", name, err)
-				}
-				buf := make([]byte, 100)
-				if _, err := a.ReadAt(buf, 1000); err != nil {
-					t.Fatalf("strategy %q: ReadAt: %v", name, err)
-				}
-				a.Close()
-			}
-			// Jumpy access pattern: every access breaks the sequential
-			// streak, so Adaptive stays at degree 2 while Fixed proposes
-			// the full MaxPrefetch each time. PrefetchProposed counts
-			// raw strategy proposals, so it is deterministic regardless
-			// of decode timing or worker-slot availability. Since the
-			// gzip/BGZF pipeline runs on the span engine, the same
-			// counter comparison covers all five formats (the chunk size
-			// keeps their span tables multi-entry; other formats ignore
-			// it).
-			issued := map[string]uint64{}
-			for _, name := range []string{"adaptive", "fixed"} {
-				a, err := OpenBytes(comp,
-					WithStrategy(name), WithParallelism(2), WithMaxPrefetch(8), WithChunkSize(64<<10))
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf := make([]byte, 10)
-				step := int64(64 << 10)
-				for i := 0; i < 4; i++ {
-					for _, off := range []int64{int64(i) * step, int64(i)*step + 4*step} {
-						if off >= int64(len(data)) {
-							continue
-						}
-						if _, err := a.ReadAt(buf, off); err != nil {
-							t.Fatalf("%s: ReadAt(%d): %v", name, off, err)
-						}
-					}
-				}
-				issued[name] = a.Stats().PrefetchProposed
-				a.Close()
-			}
-			if issued["fixed"] <= issued["adaptive"] {
-				t.Fatalf("fixed strategy proposed %d prefetches, adaptive %d — WithStrategy is not reaching the %v engine",
-					issued["fixed"], issued["adaptive"], format)
-			}
-		})
-	}
-}
-
 // TestConcurrentReadAtAllSpanFormats hammers concurrent ReadAt across
-// every non-gzip backend through the shared engine, table-driven with
-// one fixture per format (run under -race in CI). A deliberately tiny
-// span cache keeps eviction churning under the concurrency.
+// every backend through the shared engine, table-driven with one fixture
+// per format (run under -race in CI). A deliberately tiny shared pool
+// keeps eviction churning under the concurrency.
 func TestConcurrentReadAtAllSpanFormats(t *testing.T) {
 	data := workloads.FASTQ(800_000, 9)
 	for format, comp := range spanFixtures(t, data) {
 		t.Run(format.String(), func(t *testing.T) {
-			a, err := OpenBytes(comp, WithParallelism(4), WithAccessCacheSize(2), WithChunkSize(64<<10))
+			a, err := OpenBytes(comp, WithParallelism(4), WithSharedPool(NewCachePool(192<<10)), WithChunkSize(64<<10))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,16 +84,16 @@ func TestConcurrentReadAtAllSpanFormats(t *testing.T) {
 }
 
 // TestEvictionPressureThroughArchive forces the span cache over
-// capacity mid-prefetch through the public API: a 2-span cache under a
-// deep prefetch pipeline must evict continuously while sequential
-// consumption stays byte-exact.
+// capacity mid-prefetch through the public API: a shared pool of two
+// spans' bytes under the prefetch depth of P=4 (8) must evict
+// continuously while sequential consumption stays byte-exact.
 func TestEvictionPressureThroughArchive(t *testing.T) {
 	data := workloads.Base64(1_500_000, 13)
 	comp, err := bzip2x.Compress(data, bzip2x.WriterOptions{Level: 1, StreamSize: 50 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := OpenBytes(comp, WithParallelism(4), WithAccessCacheSize(2), WithMaxPrefetch(8))
+	a, err := OpenBytes(comp, WithParallelism(4), WithSharedPool(NewCachePool(100<<10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +107,7 @@ func TestEvictionPressureThroughArchive(t *testing.T) {
 	}
 	s := a.Stats()
 	if s.SpanCacheEvictions == 0 {
-		t.Fatalf("no evictions with a 2-span cache and prefetch depth 8: %+v", s)
+		t.Fatalf("no evictions with a two-span pool and prefetch depth 8: %+v", s)
 	}
 	if s.PrefetchIssued == 0 {
 		t.Fatalf("no prefetches issued during sequential consumption: %+v", s)

@@ -56,10 +56,9 @@ type WriterStats struct {
 	UncompressedBytes, CompressedBytes uint64
 }
 
-// ErrConflictingOptions reports two options that cannot be honoured
-// together (e.g. WithSharedPool with WithAccessCacheSize, or a writer
-// format no encoder exists for combined with a format-specific knob).
-// Test with errors.Is.
+// ErrConflictingOptions reports two writer options that cannot be
+// honoured together (WithIndexSidecar with WithoutIndexSidecar). Test
+// with errors.Is.
 var ErrConflictingOptions = errors.New("rapidgzip: conflicting options")
 
 // writerConfig is the resolved configuration of a Create/NewWriter
