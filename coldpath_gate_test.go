@@ -2,7 +2,6 @@ package rapidgzip
 
 import (
 	"bytes"
-	"compress/gzip"
 	"runtime"
 	"sort"
 	"testing"
@@ -21,25 +20,14 @@ func TestColdPathProxyGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decodes 16 MiB seven times")
 	}
-	plain := workloads.SilesiaLike(16<<20, 1)
-	var gz bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&gz, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := zw.Write(plain); err != nil {
-		t.Fatal(err)
-	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempFile(t, t.TempDir(), "corpus.gz", gz.Bytes())
+	fx := build(t, "gzip-stdlib", workloads.SilesiaLike(16<<20, 1), 1<<20)
+	plain, gz := fx.plain, fx.comp
 
 	pass := func(parallelism int) (Stats, float64) {
 		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		a, err := Open(path, WithChunkSize(1<<20), WithVerify(true), WithoutIndexDiscovery(), WithParallelism(parallelism))
+		a, err := fx.open("file", WithChunkSize(1<<20), WithVerify(true), WithoutIndexDiscovery(), WithParallelism(parallelism))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,13 +50,13 @@ func TestColdPathProxyGates(t *testing.T) {
 	allocs := make([]float64, 5)
 	for i := range allocs {
 		st, allocs[i] = pass(2)
-		if limit := uint64(1.15 * float64(gz.Len())); st.SourceBytesRead > limit {
-			t.Errorf("cold pass read %d source bytes of a %d-byte file, want <= %d (1.15x)", st.SourceBytesRead, gz.Len(), limit)
+		if limit := uint64(1.15 * float64(len(gz))); st.SourceBytesRead > limit {
+			t.Errorf("cold pass read %d source bytes of a %d-byte file, want <= %d (1.15x)", st.SourceBytesRead, len(gz), limit)
 		}
 	}
 	sort.Float64s(allocs)
 	t.Logf("P=2: %.2f B allocated per output byte (five passes %.2f), %d source bytes for a %d-byte file",
-		allocs[2], allocs, st.SourceBytesRead, gz.Len())
+		allocs[2], allocs, st.SourceBytesRead, len(gz))
 	if allocs[2] > 2.5 {
 		t.Errorf("cold pass allocated %.2f B per output byte, want <= 2.5", allocs[2])
 	}

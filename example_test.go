@@ -1,10 +1,12 @@
 package rapidgzip_test
 
 import (
+	"archive/tar"
 	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
@@ -57,6 +59,55 @@ func ExampleWithFormat() {
 	// Output:
 	// format: lz4, seekable: true
 	// forced through the LZ4 backend
+}
+
+// TarFS serves a .tar.gz as a filesystem — the ratarmount scenario: build
+// the index once, and every member is then a seek into the stream, not a
+// decompression from the front.
+func ExampleTarFS() {
+	var tarball bytes.Buffer
+	tw := tar.NewWriter(&tarball)
+	for name, body := range map[string]string{
+		"docs/readme.txt":  "random access into a compressed tar\n",
+		"data/numbers.csv": "1,2,3\n",
+		"notes.txt":        "seek, do not scan\n",
+	} {
+		tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: int64(len(body))})
+		tw.Write([]byte(body))
+	}
+	tw.Close()
+
+	a, err := rapidgzip.OpenBytes(gzipped(tarball.Bytes()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.BuildIndex(); err != nil {
+		log.Fatal(err)
+	}
+	fsys, err := rapidgzip.TarFS(a)
+	if err != nil {
+		log.Fatal(err)
+	}
+	err = fs.WalkDir(fsys, ".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			fmt.Println(path)
+		}
+		return err
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	body, err := fs.ReadFile(fsys, "docs/readme.txt")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print(string(body))
+	// Output:
+	// data/numbers.csv
+	// docs/readme.txt
+	// notes.txt
+	// random access into a compressed tar
 }
 
 // Open transparently imports a sibling "<file>.rgzidx" index saved by

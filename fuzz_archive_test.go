@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bzip2x"
 	"repro/internal/workloads"
 	"repro/internal/zstdx"
 )
@@ -87,11 +86,7 @@ func FuzzBzip2Archive(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		size := int(streamSize)%12000 + 1
 		plain := workloads.SilesiaLike(max(int(streams%8)*size-rng.Intn(size), 0), seed)
-		comp, err := bzip2x.Compress(plain, bzip2x.WriterOptions{Level: 1, StreamSize: size})
-		if err != nil {
-			t.Fatal(err)
-		}
-		comp = damage(comp, how, where)
+		comp := damage(compress(t, "bzip2", plain, size), how, where)
 		refOut, refErr := io.ReadAll(bzip2.NewReader(bytes.NewReader(comp)))
 		archiveDifferential(t, comp, plain, refOut, refErr, rng)
 	})
@@ -102,7 +97,7 @@ func FuzzBzip2Archive(f *testing.F) {
 // damaged, against the package's serial decoder.
 func TestUnsizedZstdArchiveDifferential(t *testing.T) {
 	plain := workloads.SilesiaLike(300_000, 7)
-	sound := zstdx.CompressFrames(plain, zstdx.FrameOptions{Level: 1, FrameSize: 40_000, OmitContentSize: true, ContentChecksum: true})
+	sound := compress(t, "zstd-unsized-checksum", plain, 40_000)
 	for i, d := range []struct {
 		how   uint8
 		where uint32

@@ -300,26 +300,23 @@ func buildSparseRoot(t *testing.T, dir string, contentSize int64) []sparseArchiv
 	data := []int{0, 3, 7, 11, 15}
 	var out []sparseArchive
 	for _, spec := range []struct {
-		name  string
-		write func(f *os.File) (*workloads.SparsePlan, error)
+		name, format string
+		blockSize    int
+		seed         uint64
 	}{
-		{"big.lz4", func(f *os.File) (*workloads.SparsePlan, error) {
-			return workloads.WriteSparseLZ4(f, contentSize, frame, 64<<10, 101, data)
-		}},
-		{"big.gz", func(f *os.File) (*workloads.SparsePlan, error) {
-			return workloads.WriteSparseGzip(f, contentSize, frame, 32<<10, 202, data)
-		}},
-		{"big.zst", func(f *os.File) (*workloads.SparsePlan, error) {
-			return workloads.WriteSparseZstd(f, contentSize, frame, 303, data)
-		}},
+		{"big.lz4", "lz4", 64 << 10, 101},
+		{"big.gz", "gzip", 32 << 10, 202},
+		{"big.zst", "zstd", 0, 303},
 	} {
 		full := filepath.Join(dir, spec.name)
 		f, err := os.Create(full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := spec.write(f)
-		f.Close()
+		plan, err := workloads.WriteSparse(f, spec.format, contentSize, frame, spec.blockSize, spec.seed, data)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

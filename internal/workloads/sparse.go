@@ -9,13 +9,12 @@ import (
 	"repro/internal/xxhash"
 )
 
-// SparsePlan describes a synthetic sparse archive written by one of
-// the WriteSparse* generators (LZ4, zstd, gzip, BGZF): a multi-
-// gigabyte-shaped compressed
-// file whose all-zero block payloads are filesystem holes, so the
-// on-disk allocation stays megabytes while the logical file (and its
-// decompressed content) can exceed RAM. The plan carries everything a
-// test needs to verify decoded bytes without materializing the content.
+// SparsePlan describes a synthetic sparse archive written by WriteSparse:
+// a multi-gigabyte-shaped compressed file whose all-zero block payloads
+// are filesystem holes, so the on-disk allocation stays megabytes while
+// the logical file (and its decompressed content) can exceed RAM. The
+// plan carries everything a test needs to verify decoded bytes without
+// materializing the content.
 type SparsePlan struct {
 	// ContentSize is the total decompressed size.
 	ContentSize int64
@@ -43,15 +42,9 @@ func (p *SparsePlan) ExpectedAt(off int64, n int) []byte {
 		}
 		fi := int(pos / p.FrameContent)
 		fStart := int64(fi) * p.FrameContent
-		fLen := p.FrameContent
-		if fStart+fLen > p.ContentSize {
-			fLen = p.ContentSize - fStart
-		}
+		fLen := min(p.FrameContent, p.ContentSize-fStart)
 		within := pos - fStart
-		chunk := int64(n - i)
-		if chunk > fLen-within {
-			chunk = fLen - within
-		}
+		chunk := min(int64(n-i), fLen-within)
 		if seed, ok := p.DataFrames[fi]; ok {
 			payload := Random(int(fLen), seed)
 			copy(out[i:], payload[within:within+chunk])
@@ -66,103 +59,133 @@ func frameSeed(seed uint64, frame int) uint64 {
 	return seed ^ (uint64(frame)+1)*0x9E3779B97F4A7C15
 }
 
-// planFrames validates the geometry and returns the shared plan shell.
-func planFrames(contentSize, frameContent int64, dataFrames []int) (*SparsePlan, error) {
-	if contentSize <= 0 || frameContent <= 0 {
-		return nil, fmt.Errorf("workloads: non-positive sparse archive geometry (%d/%d)", contentSize, frameContent)
-	}
-	n := int((contentSize + frameContent - 1) / frameContent)
-	p := &SparsePlan{
-		ContentSize:  contentSize,
-		FrameContent: frameContent,
-		NumFrames:    n,
-		DataFrames:   map[int]uint64{},
-	}
-	for _, fi := range dataFrames {
-		if fi < 0 || fi >= n {
-			return nil, fmt.Errorf("workloads: data frame %d out of range [0,%d)", fi, n)
-		}
-		p.DataFrames[fi] = 0 // seeds filled by the writer
-	}
-	return p, nil
+// sparseFraming is what one format writes around the stored payloads of
+// a sparse archive. Every frame is a header, a run of stored blocks each
+// behind its block header, and a trailer; the file ends with end.
+type sparseFraming struct {
+	// blockSize returns the stored-block size for the one requested, or
+	// why the format cannot carry these frames.
+	blockSize func(requested int, frameContent int64) (int, error)
+	header    func(content int64, blockSize int) []byte
+	block     func(n int64, last bool) []byte
+	// trailer closes a frame; crc is the CRC32 of its content when
+	// checksummed is set.
+	trailer     func(content int64, crc uint32) []byte
+	checksummed bool
+	end         []byte
 }
 
-// WriteSparseLZ4 writes a synthetic multi-frame LZ4 archive of
-// contentSize decompressed bytes to f: every frame declares its content
-// size and consists of stored (uncompressed) blocks of blockSize bytes,
-// so a frame's compressed extent equals its content plus a few header
-// bytes. Frames listed in dataFrames carry seeded random payloads;
-// every other frame's payload is all zeros and is written as a hole
-// (only the 4-byte block headers land on disk). No checksums are
-// written — holes would have to be read back to hash them.
-//
-// The result parses with the package's own scanner and any compliant
-// LZ4 frame decoder; generation cost scales with headers plus data
-// frames, not with contentSize.
-func WriteSparseLZ4(f *os.File, contentSize, frameContent int64, blockSize int, seed uint64, dataFrames []int) (*SparsePlan, error) {
-	p, err := planFrames(contentSize, frameContent, dataFrames)
-	if err != nil {
-		return nil, err
-	}
-	if blockSize <= 0 || int64(blockSize) > frameContent || blockSize > 4<<20 {
-		return nil, fmt.Errorf("workloads: bad LZ4 block size %d", blockSize)
-	}
-	var bd byte
-	switch {
-	case blockSize <= 64<<10:
-		bd = 4 << 4
-	case blockSize <= 256<<10:
-		bd = 5 << 4
-	case blockSize <= 1<<20:
-		bd = 6 << 4
-	default:
-		bd = 7 << 4
-	}
-	const flg = 0x40 | 0x20 | 0x08 // version 01, block-independent, content size
-	var pos int64
-	for fi := 0; fi < p.NumFrames; fi++ {
-		cl := frameContent
-		if int64(fi)*frameContent+cl > contentSize {
-			cl = contentSize - int64(fi)*frameContent
-		}
-		var payload []byte
-		if _, ok := p.DataFrames[fi]; ok {
-			s := frameSeed(seed, fi)
-			p.DataFrames[fi] = s
-			payload = Random(int(cl), s)
-		}
-		hdr := binary.LittleEndian.AppendUint32(nil, 0x184D2204)
-		desc := append([]byte{flg, bd}, binary.LittleEndian.AppendUint64(nil, uint64(cl))...)
-		hdr = append(hdr, desc...)
-		hdr = append(hdr, byte(xxhash.Sum32(desc, 0)>>8)) // HC
-		if _, err := f.WriteAt(hdr, pos); err != nil {
-			return nil, err
-		}
-		pos += int64(len(hdr))
-		for off := int64(0); off < cl; off += int64(blockSize) {
-			bs := int64(blockSize)
-			if off+bs > cl {
-				bs = cl - off
+var sparseFramings = map[string]sparseFraming{
+	// LZ4: every frame declares its content size, blocks are stored
+	// (uncompressed), and no checksums are written — holes would have to
+	// be read back to hash them.
+	"lz4": {
+		blockSize: func(bs int, frameContent int64) (int, error) {
+			if bs <= 0 || int64(bs) > frameContent || bs > 4<<20 {
+				return 0, fmt.Errorf("workloads: bad LZ4 block size %d", bs)
 			}
-			bh := binary.LittleEndian.AppendUint32(nil, uint32(bs)|1<<31) // stored
-			if _, err := f.WriteAt(bh, pos); err != nil {
-				return nil, err
+			return bs, nil
+		},
+		header: func(content int64, blockSize int) []byte {
+			var bd byte
+			switch {
+			case blockSize <= 64<<10:
+				bd = 4 << 4
+			case blockSize <= 256<<10:
+				bd = 5 << 4
+			case blockSize <= 1<<20:
+				bd = 6 << 4
+			default:
+				bd = 7 << 4
 			}
-			pos += 4
-			if payload != nil {
-				if _, err := f.WriteAt(payload[off:off+bs], pos); err != nil {
-					return nil, err
-				}
+			const flg = 0x40 | 0x20 | 0x08 // version 01, block-independent, content size
+			desc := binary.LittleEndian.AppendUint64([]byte{flg, bd}, uint64(content))
+			hdr := append(binary.LittleEndian.AppendUint32(nil, 0x184D2204), desc...)
+			return append(hdr, byte(xxhash.Sum32(desc, 0)>>8)) // HC
+		},
+		block: func(n int64, _ bool) []byte {
+			return binary.LittleEndian.AppendUint32(nil, uint32(n)|1<<31) // stored
+		},
+		trailer: func(int64, uint32) []byte { return []byte{0, 0, 0, 0} }, // EndMark
+	},
+	// gzip: every frame is one member whose deflate stream is stored
+	// blocks (at most 65535 bytes each). Hole members still carry the
+	// right CRC32 and ISIZE, so verified sequential reads pass.
+	"gzip": {
+		blockSize: func(bs int, _ int64) (int, error) {
+			if bs <= 0 || bs > 65535 {
+				return 0, fmt.Errorf("workloads: bad stored-block size %d (want 1..65535)", bs)
 			}
-			pos += bs // hole when payload is nil
-		}
-		if _, err := f.WriteAt([]byte{0, 0, 0, 0}, pos); err != nil { // EndMark
-			return nil, err
-		}
-		pos += 4
+			return bs, nil
+		},
+		header: func(int64, int) []byte {
+			return []byte{0x1f, 0x8b, 0x08, 0x00, 0, 0, 0, 0, 0x00, 0xff} // deflate, no flags, unknown OS
+		},
+		block:       storedDeflateHeader,
+		trailer:     gzipTrailer,
+		checksummed: true,
+	},
+	// BGZF: gzip with one stored block per member (at most 65280 bytes,
+	// the format's payload cap), the member size in the header's "BC"
+	// extra subfield, and the canonical empty EOF member at the end.
+	"bgzf": {
+		blockSize: func(_ int, frameContent int64) (int, error) {
+			if frameContent > 65280 {
+				return 0, fmt.Errorf("workloads: BGZF member content %d exceeds the 65280-byte cap", frameContent)
+			}
+			return 65535, nil
+		},
+		header: func(content int64, _ int) []byte {
+			bsize := 18 + 5 + content + 8 // header + one stored block's framing + payload + footer
+			return []byte{
+				0x1f, 0x8b, 0x08, 0x04, 0, 0, 0, 0, 0x00, 0xff,
+				0x06, 0x00, 'B', 'C', 0x02, 0x00,
+				byte(bsize - 1), byte((bsize - 1) >> 8),
+			}
+		},
+		block:       storedDeflateHeader,
+		trailer:     gzipTrailer,
+		checksummed: true,
+		end: []byte{
+			0x1f, 0x8b, 0x08, 0x04, 0, 0, 0, 0, 0x00, 0xff,
+			0x06, 0x00, 'B', 'C', 0x02, 0x00, 0x1b, 0x00,
+			0x03, 0x00,
+			0, 0, 0, 0, 0, 0, 0, 0,
+		},
+	},
+	// Zstandard: every frame declares its content size and holds raw
+	// blocks of 128 KiB (the format's Block_Maximum_Size). No checksums.
+	"zstd": {
+		blockSize: func(int, int64) (int, error) { return 128 << 10, nil },
+		header: func(content int64, _ int) []byte {
+			// FHD: 8-byte FCS (flag 3), no checksum, no dict, not single-
+			// segment — so a window descriptor follows: exponent 24 (16 MiB),
+			// comfortably above any frame content this generator emits.
+			hdr := binary.LittleEndian.AppendUint32(nil, 0xFD2FB528)
+			return binary.LittleEndian.AppendUint64(append(hdr, 0xC0, 14<<3), uint64(content))
+		},
+		block: func(n int64, last bool) []byte {
+			bh := uint32(n) << 3 // raw block
+			if last {
+				bh |= 1
+			}
+			return []byte{byte(bh), byte(bh >> 8), byte(bh >> 16)}
+		},
+	},
+}
+
+// storedDeflateHeader is a stored deflate block's 3-bit header (BFINAL,
+// BTYPE=00) padded to the byte boundary, then LEN/NLEN.
+func storedDeflateHeader(n int64, last bool) []byte {
+	var b byte
+	if last {
+		b = 1
 	}
-	p.CompressedSize = pos
-	return p, f.Truncate(pos)
+	return []byte{b, byte(n), byte(n >> 8), ^byte(n), ^byte(n >> 8)}
+}
+
+func gzipTrailer(content int64, crc uint32) []byte {
+	return binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, crc), uint32(uint64(content)))
 }
 
 // zeroCRC returns the CRC32 (IEEE) of n zero bytes in O(log n) via
@@ -185,225 +208,84 @@ func zeroCRC(n int64) uint32 {
 	return crc
 }
 
-// gzipMemberHeader is a minimal 10-byte gzip header (deflate, no flags,
-// unknown OS).
-var gzipMemberHeader = []byte{0x1f, 0x8b, 0x08, 0x00, 0, 0, 0, 0, 0x00, 0xff}
-
-// writeStoredDeflate writes data (or a hole, when payload is nil) of
-// length cl at pos as stored deflate blocks of at most blockSize bytes
-// and returns the new position. Stored blocks keep the compressed
-// extent equal to the content plus 5 bytes of framing per block, so
-// hole payloads stay holes.
-func writeStoredDeflate(f *os.File, pos, cl int64, blockSize int, payload []byte) (int64, error) {
-	for off := int64(0); ; off += int64(blockSize) {
-		bs := int64(blockSize)
-		if off+bs > cl {
-			bs = cl - off
-		}
-		final := off+bs >= cl
-		// 3-bit block header (BFINAL, BTYPE=00) padded to the byte
-		// boundary, then LEN/NLEN.
-		var b byte
-		if final {
-			b = 1
-		}
-		bh := []byte{b, byte(bs), byte(bs >> 8), ^byte(bs), ^byte(bs >> 8)}
-		if _, err := f.WriteAt(bh, pos); err != nil {
-			return 0, err
-		}
-		pos += int64(len(bh))
-		if payload != nil {
-			if _, err := f.WriteAt(payload[off:off+bs], pos); err != nil {
-				return 0, err
-			}
-		}
-		pos += bs // hole when payload is nil
-		if final {
-			return pos, nil
-		}
+// WriteSparse writes to f a synthetic archive in format ("gzip", "bgzf",
+// "lz4" or "zstd") of contentSize decompressed bytes: frames of
+// frameContent bytes (the last may be shorter), each of stored blocks, so
+// a frame's compressed extent is its content plus a few bytes of framing.
+// blockSize sets the block size of LZ4 (at most frameContent and 4 MiB)
+// and gzip (at most 65535); BGZF and zstd fix their own. Frames listed in
+// dataFrames carry payloads seeded from seed; every other frame's payload
+// is zeros, written as a hole.
+//
+// The result parses with the package's own scanners and any compliant
+// decoder; generation cost scales with headers plus data frames, not with
+// contentSize.
+func WriteSparse(f *os.File, format string, contentSize, frameContent int64, blockSize int, seed uint64, dataFrames []int) (*SparsePlan, error) {
+	fr, ok := sparseFramings[format]
+	if !ok {
+		return nil, fmt.Errorf("workloads: no sparse framing for %q", format)
 	}
-}
-
-// WriteSparseGzip is WriteSparseLZ4 for gzip: every frame is one gzip
-// member whose deflate stream consists of stored blocks of blockSize
-// bytes (at most 65535, the stored-block cap), so a member's compressed
-// extent equals its content plus a few bytes of framing. Hole members'
-// payloads are filesystem holes; their footers still carry the correct
-// CRC32 (computed in O(log n) over zeros) and ISIZE, so verified
-// sequential consumption passes.
-func WriteSparseGzip(f *os.File, contentSize, frameContent int64, blockSize int, seed uint64, dataFrames []int) (*SparsePlan, error) {
-	p, err := planFrames(contentSize, frameContent, dataFrames)
+	if contentSize <= 0 || frameContent <= 0 {
+		return nil, fmt.Errorf("workloads: non-positive sparse archive geometry (%d/%d)", contentSize, frameContent)
+	}
+	bs, err := fr.blockSize(blockSize, frameContent)
 	if err != nil {
 		return nil, err
 	}
-	if blockSize <= 0 || blockSize > 65535 {
-		return nil, fmt.Errorf("workloads: bad stored-block size %d (want 1..65535)", blockSize)
+	p := &SparsePlan{
+		ContentSize:  contentSize,
+		FrameContent: frameContent,
+		NumFrames:    int((contentSize + frameContent - 1) / frameContent),
+		DataFrames:   map[int]uint64{},
 	}
-	zeroCRCs := map[int64]uint32{} // by member length; at most two distinct
-	var pos int64
-	for fi := 0; fi < p.NumFrames; fi++ {
-		cl := frameContent
-		if int64(fi)*frameContent+cl > contentSize {
-			cl = contentSize - int64(fi)*frameContent
+	for _, fi := range dataFrames {
+		if fi < 0 || fi >= p.NumFrames {
+			return nil, fmt.Errorf("workloads: data frame %d out of range [0,%d)", fi, p.NumFrames)
 		}
-		var payload []byte
-		crc, ok := zeroCRCs[cl]
-		if !ok {
-			crc = zeroCRC(cl)
-			zeroCRCs[cl] = crc
-		}
-		if _, data := p.DataFrames[fi]; data {
-			s := frameSeed(seed, fi)
-			p.DataFrames[fi] = s
-			payload = Random(int(cl), s)
-			crc = crc32x.Checksum(payload)
-		}
-		if _, err := f.WriteAt(gzipMemberHeader, pos); err != nil {
-			return nil, err
-		}
-		pos += int64(len(gzipMemberHeader))
-		pos, err = writeStoredDeflate(f, pos, cl, blockSize, payload)
-		if err != nil {
-			return nil, err
-		}
-		var ftr [8]byte
-		binary.LittleEndian.PutUint32(ftr[:4], crc)
-		binary.LittleEndian.PutUint32(ftr[4:], uint32(uint64(cl)))
-		if _, err := f.WriteAt(ftr[:], pos); err != nil {
-			return nil, err
-		}
-		pos += 8
+		p.DataFrames[fi] = frameSeed(seed, fi)
 	}
-	p.CompressedSize = pos
-	return p, f.Truncate(pos)
-}
 
-// bgzfEOF is the canonical 28-byte empty BGZF EOF member.
-var bgzfEOF = []byte{
-	0x1f, 0x8b, 0x08, 0x04, 0, 0, 0, 0, 0x00, 0xff,
-	0x06, 0x00, 'B', 'C', 0x02, 0x00, 0x1b, 0x00,
-	0x03, 0x00,
-	0, 0, 0, 0, 0, 0, 0, 0,
-}
-
-// WriteSparseBGZF is WriteSparseGzip in BGZF framing: every frame is
-// one BGZF member (frameContent at most 65280, the format's member
-// payload cap) whose header carries the member's compressed size in the
-// "BC" extra subfield, stored as a single stored deflate block, closed
-// by the canonical empty EOF member. Hole members' payloads are
-// filesystem holes with correct CRC32/ISIZE footers.
-func WriteSparseBGZF(f *os.File, contentSize, frameContent int64, seed uint64, dataFrames []int) (*SparsePlan, error) {
-	if frameContent > 65280 {
-		return nil, fmt.Errorf("workloads: BGZF member content %d exceeds the 65280-byte cap", frameContent)
-	}
-	p, err := planFrames(contentSize, frameContent, dataFrames)
-	if err != nil {
-		return nil, err
-	}
-	zeroCRCs := map[int64]uint32{}
 	var pos int64
+	put := func(b []byte) {
+		if err == nil && len(b) > 0 {
+			_, err = f.WriteAt(b, pos)
+		}
+		pos += int64(len(b))
+	}
+	zeroCRCs := map[int64]uint32{} // by frame length; at most two distinct
 	for fi := 0; fi < p.NumFrames; fi++ {
-		cl := frameContent
-		if int64(fi)*frameContent+cl > contentSize {
-			cl = contentSize - int64(fi)*frameContent
-		}
+		content := min(frameContent, contentSize-int64(fi)*frameContent)
 		var payload []byte
-		crc, ok := zeroCRCs[cl]
-		if !ok {
-			crc = zeroCRC(cl)
-			zeroCRCs[cl] = crc
+		if s, ok := p.DataFrames[fi]; ok {
+			payload = Random(int(content), s)
 		}
-		if _, data := p.DataFrames[fi]; data {
-			s := frameSeed(seed, fi)
-			p.DataFrames[fi] = s
-			payload = Random(int(cl), s)
-			crc = crc32x.Checksum(payload)
-		}
-		// 18-byte BGZF header: gzip header with FEXTRA and the 6-byte
-		// BC subfield holding BSIZE-1 (total member size minus one).
-		bsize := 18 + 5 + cl + 8 // header + one stored block's framing + payload + footer
-		hdr := []byte{
-			0x1f, 0x8b, 0x08, 0x04, 0, 0, 0, 0, 0x00, 0xff,
-			0x06, 0x00, 'B', 'C', 0x02, 0x00,
-			byte(bsize - 1), byte((bsize - 1) >> 8),
-		}
-		if _, err := f.WriteAt(hdr, pos); err != nil {
-			return nil, err
-		}
-		pos += int64(len(hdr))
-		pos, err = writeStoredDeflate(f, pos, cl, 65535, payload)
-		if err != nil {
-			return nil, err
-		}
-		var ftr [8]byte
-		binary.LittleEndian.PutUint32(ftr[:4], crc)
-		binary.LittleEndian.PutUint32(ftr[4:], uint32(uint64(cl)))
-		if _, err := f.WriteAt(ftr[:], pos); err != nil {
-			return nil, err
-		}
-		pos += 8
-	}
-	if _, err := f.WriteAt(bgzfEOF, pos); err != nil {
-		return nil, err
-	}
-	pos += int64(len(bgzfEOF))
-	p.CompressedSize = pos
-	return p, f.Truncate(pos)
-}
-
-// WriteSparseZstd is WriteSparseLZ4 for Zstandard: every frame declares
-// its content size (8-byte FCS) and consists of raw blocks of at most
-// 128 KiB (the format's Block_Maximum_Size); hole frames' payloads are
-// filesystem holes. No content checksums.
-func WriteSparseZstd(f *os.File, contentSize, frameContent int64, seed uint64, dataFrames []int) (*SparsePlan, error) {
-	p, err := planFrames(contentSize, frameContent, dataFrames)
-	if err != nil {
-		return nil, err
-	}
-	const blockSize = 128 << 10
-	var pos int64
-	for fi := 0; fi < p.NumFrames; fi++ {
-		cl := frameContent
-		if int64(fi)*frameContent+cl > contentSize {
-			cl = contentSize - int64(fi)*frameContent
-		}
-		var payload []byte
-		if _, ok := p.DataFrames[fi]; ok {
-			s := frameSeed(seed, fi)
-			p.DataFrames[fi] = s
-			payload = Random(int(cl), s)
-		}
-		hdr := binary.LittleEndian.AppendUint32(nil, 0xFD2FB528)
-		// FHD: 8-byte FCS (flag 3), no checksum, no dict, not single-
-		// segment — so a window descriptor follows: exponent 24 (16 MiB),
-		// comfortably above any frame content this generator emits.
-		hdr = append(hdr, 0xC0, 14<<3)
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(cl))
-		if _, err := f.WriteAt(hdr, pos); err != nil {
-			return nil, err
-		}
-		pos += int64(len(hdr))
-		for off := int64(0); off < cl; off += blockSize {
-			bs := int64(blockSize)
-			if off+bs > cl {
-				bs = cl - off
-			}
-			last := off+bs >= cl
-			bh := uint32(bs)<<3 | 0<<1 // raw block
-			if last {
-				bh |= 1
-			}
-			if _, err := f.WriteAt([]byte{byte(bh), byte(bh >> 8), byte(bh >> 16)}, pos); err != nil {
-				return nil, err
-			}
-			pos += 3
+		put(fr.header(content, bs))
+		for off := int64(0); off < content; off += int64(bs) {
+			n := min(int64(bs), content-off)
+			put(fr.block(n, off+n == content))
 			if payload != nil {
-				if _, err := f.WriteAt(payload[off:off+bs], pos); err != nil {
-					return nil, err
-				}
+				put(payload[off : off+n])
+			} else {
+				pos += n // a hole
 			}
-			pos += bs // hole when payload is nil
 		}
+		var crc uint32
+		switch {
+		case fr.checksummed && payload != nil:
+			crc = crc32x.Checksum(payload)
+		case fr.checksummed:
+			if _, ok := zeroCRCs[content]; !ok {
+				zeroCRCs[content] = zeroCRC(content)
+			}
+			crc = zeroCRCs[content]
+		}
+		if fr.trailer != nil {
+			put(fr.trailer(content, crc))
+		}
+	}
+	put(fr.end)
+	if err != nil {
+		return nil, err
 	}
 	p.CompressedSize = pos
 	return p, f.Truncate(pos)

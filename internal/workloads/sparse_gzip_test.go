@@ -10,25 +10,22 @@ import (
 )
 
 // TestSparseGzipDecodesWithStdlib validates the gzip/BGZF sparse
-// generators against an independent decoder: the emitted file must
+// framings against an independent decoder: the emitted file must
 // decode byte-exactly with compress/gzip (which also verifies every
 // member's CRC32 and ISIZE — including the O(log n) zero-hole CRCs)
 // and match the plan's ExpectedAt regeneration.
 func TestSparseGzipDecodesWithStdlib(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
-		name  string
-		write func(f *os.File) (*SparsePlan, error)
+		name, format   string
+		content, frame int64
+		blockSize      int
+		seed           uint64
+		dataFrames     []int
 	}{
-		{name: "gzip", write: func(f *os.File) (*SparsePlan, error) {
-			return WriteSparseGzip(f, 1<<20, 256<<10, 60_000, 99, []int{0, 2})
-		}},
-		{name: "gzip-ragged-tail", write: func(f *os.File) (*SparsePlan, error) {
-			return WriteSparseGzip(f, 1<<20-12345, 256<<10, 65535, 7, []int{3})
-		}},
-		{name: "bgzf", write: func(f *os.File) (*SparsePlan, error) {
-			return WriteSparseBGZF(f, 600_000, 65280, 41, []int{0, 5})
-		}},
+		{"gzip", "gzip", 1 << 20, 256 << 10, 60_000, 99, []int{0, 2}},
+		{"gzip-ragged-tail", "gzip", 1<<20 - 12345, 256 << 10, 65535, 7, []int{3}},
+		{"bgzf", "bgzf", 600_000, 65280, 0, 41, []int{0, 5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -37,7 +34,7 @@ func TestSparseGzipDecodesWithStdlib(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			plan, err := tc.write(f)
+			plan, err := WriteSparse(f, tc.format, tc.content, tc.frame, tc.blockSize, tc.seed, tc.dataFrames)
 			if err != nil {
 				t.Fatal(err)
 			}

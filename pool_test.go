@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,16 +20,15 @@ import (
 // archives must release their bytes back to the budget.
 func TestSharedPoolAcrossArchives(t *testing.T) {
 	data := workloads.Base64(600_000, 31)
-	fixtures := spanFixtures(t, data)
 
 	const budget = 128 << 10 // far below the 600k working set per archive
 	pool := NewCachePool(budget)
 
 	var archives []Archive
-	for format, comp := range fixtures {
-		a, err := OpenBytes(comp, WithSharedPool(pool), WithParallelism(2))
+	for _, name := range perFormat() {
+		a, err := OpenBytes(compress(t, name, data, 64<<10), WithSharedPool(pool), WithParallelism(2))
 		if err != nil {
-			t.Fatalf("%v: %v", format, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		defer a.Close()
 		archives = append(archives, a)
@@ -99,7 +96,7 @@ func TestSharedPoolAcrossArchives(t *testing.T) {
 // its full open configuration, not just the legacy Options).
 func TestSharedPoolSurvivesImportIndex(t *testing.T) {
 	data := workloads.Base64(200_000, 5)
-	comp := spanFixtures(t, data)[FormatLZ4]
+	comp := compress(t, "lz4", data, 64<<10)
 
 	pool := NewCachePool(1 << 20)
 	a, err := OpenBytes(comp, WithSharedPool(pool))
@@ -137,15 +134,15 @@ func TestWithSharedPoolNil(t *testing.T) {
 // Size().
 func TestDecompressedSize(t *testing.T) {
 	data := workloads.Base64(150_000, 3)
-	for format, comp := range spanFixtures(t, data) {
-		t.Run(format.String(), func(t *testing.T) {
-			a, err := OpenBytes(comp)
+	for _, name := range perFormat() {
+		t.Run(name, func(t *testing.T) {
+			a, err := OpenBytes(compress(t, name, data, 64<<10))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer a.Close()
 			size, ok := a.DecompressedSize()
-			if format == FormatGzip || format == FormatBzip2 {
+			if format := row(name).format; format == FormatGzip || format == FormatBzip2 {
 				// A cold open of either has decoded nothing yet; the cheap
 				// answer must refuse rather than trigger a decode.
 				if ok {
@@ -178,18 +175,13 @@ func TestDecompressedSize(t *testing.T) {
 // the files are identical.
 func TestCloseVsReadAtRace(t *testing.T) {
 	data := workloads.Base64(400_000, 17)
-	for format, comp := range spanFixtures(t, data) {
-		full := filepath.Join(t.TempDir(), "race."+format.String())
-		if err := os.WriteFile(full, comp, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		for backing, open := range map[string]func() (Archive, error){
-			"":       func() (Archive, error) { return Open(full, WithParallelism(2)) },
-			"-bytes": func() (Archive, error) { return OpenBytes(comp, WithParallelism(2)) },
-		} {
-			t.Run(format.String()+backing, func(t *testing.T) { closeUnderReaders(t, open, data) })
-			t.Run(format.String()+backing+"-import", func(t *testing.T) { importUnderReaders(t, open, data) })
-			t.Run(format.String()+backing+"-export", func(t *testing.T) { exportConcurrently(t, open) })
+	for _, name := range perFormat() {
+		fx := build(t, name, data, 64<<10)
+		for backing, suffix := range map[string]string{"file": "", "bytes": "-bytes"} {
+			open := func() (Archive, error) { return fx.open(backing, WithParallelism(2)) }
+			t.Run(name+suffix, func(t *testing.T) { closeUnderReaders(t, open, data) })
+			t.Run(name+suffix+"-import", func(t *testing.T) { importUnderReaders(t, open, data) })
+			t.Run(name+suffix+"-export", func(t *testing.T) { exportConcurrently(t, open) })
 		}
 	}
 }

@@ -19,18 +19,8 @@ func seekPoints(a Archive) *gzindex.Index { return a.(*archive).cur.Load().gz.In
 // the path of the gzip file and the path of the index.
 func indexedGzip(t *testing.T, size, chunk int) (plain []byte, gzPath, idxPath string) {
 	t.Helper()
-	plain = workloads.SilesiaLike(size, 1)
-	gzPath = writeTempFile(t, t.TempDir(), "corpus.gz", gzipBytes(t, plain))
-	a, err := Open(gzPath, WithChunkSize(chunk), WithoutIndexDiscovery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	idxPath = gzPath + IndexSuffix
-	if err := ExportIndexFile(a, idxPath); err != nil {
-		t.Fatal(err)
-	}
-	return plain, gzPath, idxPath
+	fx := build(t, "gzip-stdlib", workloads.SilesiaLike(size, 1), chunk)
+	return fx.plain, fx.path, fx.indexPath(t)
 }
 
 // TestRandomReadAtDecodesWhatItTouches is the benchmark's

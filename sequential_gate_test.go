@@ -4,11 +4,7 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/bzip2x"
-	"repro/internal/gzipw"
-	"repro/internal/lz4x"
 	"repro/internal/workloads"
-	"repro/internal/zstdx"
 )
 
 // TestSequentialPassDecodesOnce holds a streamed file to one decode per
@@ -24,29 +20,12 @@ func TestSequentialPassDecodesOnce(t *testing.T) {
 	}
 	const spanBytes, spans = 256 << 10, 16
 	plain := workloads.SilesiaLike(spans*spanBytes, 1)
-	bz, err := bzip2x.Compress(plain, bzip2x.WriterOptions{Level: 1, StreamSize: spanBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bgzf, _, err := gzipw.Compress(plain, gzipw.Options{Level: 6, BGZF: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	files := []struct {
-		name string
-		comp []byte
-	}{
-		{"lz4", lz4x.CompressFrames(plain, lz4x.FrameOptions{FrameSize: spanBytes})},
-		{"zstd", zstdx.CompressFrames(plain, zstdx.FrameOptions{Level: 1, FrameSize: spanBytes, ContentChecksum: true})},
-		{"bgzf", bgzf},
-		{"bzip2", bz},
-	}
-	for _, f := range files {
-		path := writeTempFile(t, t.TempDir(), "corpus", f.comp)
+	for _, name := range []string{"lz4-nochecksum", "zstd", "bgzf", "bzip2"} {
+		fx := build(t, name, plain, spanBytes)
 		for _, p := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/P%d", f.name, p), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/P%d", fx.row.format, p), func(t *testing.T) {
 				for run := 0; run < 20; run++ {
-					a, err := Open(path, WithoutIndexDiscovery(), WithParallelism(p), WithChunkSize(spanBytes))
+					a, err := fx.open("file", WithoutIndexDiscovery(), WithParallelism(p), WithChunkSize(spanBytes))
 					if err != nil {
 						t.Fatal(err)
 					}
