@@ -12,9 +12,12 @@ import (
 // decoding tells — bzip2 and zstd frames without a content size — to
 // decoding a file once, without a clock: over a file-backed Open and
 // WriteTo, compressed bytes read per compressed byte (the scan, plus one
-// read per extent), decodes per span, and bytes allocated per output byte
-// against what the commit before the growing table measured on the same
-// files (it decoded both at Open and again to serve them).
+// read per extent), decodes per span, and bytes allocated per output byte.
+// zstd's allocation bound is what the commit before the growing table
+// measured on the same file (it decoded at Open and again to serve),
+// +10 %. bzip2's is set from its own block decoder, which allocates a
+// span's output and nothing else: 1.23 B/B median, bounded at 1.5; the
+// compress/bzip2 delegate it replaced allocated 6.45.
 func TestDeferredSizeProxyGates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decodes 10 MiB twelve times")
@@ -24,12 +27,13 @@ func TestDeferredSizeProxyGates(t *testing.T) {
 		size  int
 		span  int
 		spans uint64
-		// parentAlloc is allocated B per output B at 39f0c11, median of
-		// five passes at P=2; parentRead its source B per compressed B.
-		parentAlloc, parentRead float64
+		// maxAlloc bounds the median allocated B per output B of five
+		// passes at P=2; wasAlloc is the median the row was last set
+		// against, and wasRead the source B per compressed B at 39f0c11.
+		maxAlloc, wasAlloc, wasRead float64
 	}{
-		{"bzip2", 2 << 20, 256 << 10, 8, 8.28, 3.00},
-		{"zstd-unsized", 8 << 20, 1 << 20, 8, 6.57, 2.39},
+		{"bzip2", 2 << 20, 256 << 10, 8, 1.5, 6.45, 3.00},
+		{"zstd-unsized", 8 << 20, 1 << 20, 8, 1.1 * 6.57, 6.57, 2.39},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,14 +67,14 @@ func TestDeferredSizeProxyGates(t *testing.T) {
 					t.Errorf("%d decodes of %d bytes for %d spans of %d", st.SpanDecodes, st.DecodedBytes, tc.spans, len(fx.plain))
 				}
 				if read := float64(st.SourceBytesRead) / float64(len(fx.comp)); read > 2.05 {
-					t.Errorf("read %.2f source bytes per compressed byte, want <= 2.05 (scan + one read per extent; was %.2f)", read, tc.parentRead)
+					t.Errorf("read %.2f source bytes per compressed byte, want <= 2.05 (scan + one read per extent; was %.2f)", read, tc.wasRead)
 				}
 			}
 			sort.Float64s(allocs)
 			t.Logf("%.2f B allocated per output byte (five passes %.2f; was %.2f), %.2f source B per compressed B (was %.2f), %d decodes",
-				allocs[2], allocs, tc.parentAlloc, float64(st.SourceBytesRead)/float64(len(fx.comp)), tc.parentRead, st.SpanDecodes)
-			if allocs[2] > 1.1*tc.parentAlloc {
-				t.Errorf("allocated %.2f B per output byte, want <= %.2f (what decoding twice did, +10%%)", allocs[2], 1.1*tc.parentAlloc)
+				allocs[2], allocs, tc.wasAlloc, float64(st.SourceBytesRead)/float64(len(fx.comp)), tc.wasRead, st.SpanDecodes)
+			if allocs[2] > tc.maxAlloc {
+				t.Errorf("allocated %.2f B per output byte, want <= %.2f", allocs[2], tc.maxAlloc)
 			}
 		})
 	}

@@ -60,35 +60,3 @@ func bwt(s []byte) (last []byte, origPtr int) {
 	}
 	return last, origPtr
 }
-
-// bwtInverse reconstructs the original string (tests only).
-func bwtInverse(last []byte, origPtr int) []byte {
-	n := len(last)
-	if n == 0 {
-		return nil
-	}
-	var counts [256]int
-	for _, b := range last {
-		counts[b]++
-	}
-	var base [256]int
-	sum := 0
-	for v := 0; v < 256; v++ {
-		base[v] = sum
-		sum += counts[v]
-	}
-	// next[i]: row index of the rotation that follows row i's rotation.
-	next := make([]int, n)
-	var seen [256]int
-	for i, b := range last {
-		next[base[b]+seen[b]] = i
-		seen[b]++
-	}
-	out := make([]byte, n)
-	row := next[origPtr]
-	for i := 0; i < n; i++ {
-		out[i] = last[row]
-		row = next[row]
-	}
-	return out
-}

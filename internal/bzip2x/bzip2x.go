@@ -1,10 +1,12 @@
 // Package bzip2x is the bzip2 leg of the reproduction: a from-scratch
 // bzip2 compressor (RLE1 → BWT → MTF/RLE2 → Huffman, validated against
-// the standard library's decompressor), a serial Decompress that is the
-// reference, and Codec, which splits multi-stream files at stream magics
-// so that the shared span engine inflates the streams concurrently — the
-// lbzip2 scheme. The package has no reader of its own: the root package
-// opens a bzip2 file as spanengine.New(src, Codec{}, cfg).
+// the standard library's decompressor), a block decoder of its own
+// (decode.go: Huffman → MTF/RLE2 → inverse BWT → RLE1, held to
+// compress/bzip2 by differential tests), and Codec, which splits
+// multi-stream files at stream magics so that the shared span engine
+// decodes the streams concurrently — the lbzip2 scheme. The package has
+// no reader of its own: the root package opens a bzip2 file as
+// spanengine.New(src, Codec{}, cfg).
 //
 // The paper's Figure 5 notes that the rapidgzip chunk-fetcher
 // architecture had already been instantiated for bzip2

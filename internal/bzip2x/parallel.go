@@ -2,7 +2,6 @@ package bzip2x
 
 import (
 	"bytes"
-	"compress/bzip2"
 	"fmt"
 	"io"
 
@@ -108,16 +107,6 @@ func scanWindow(offs []int64, win []byte, base int64) []int64 {
 	}
 }
 
-// Decompress inflates a bzip2 file serially (any block/stream layout),
-// delegating to the standard library decoder.
-func Decompress(data []byte) ([]byte, error) {
-	out, err := io.ReadAll(bzip2.NewReader(bytes.NewReader(data)))
-	if err != nil {
-		return nil, fmt.Errorf("bzip2x: %w", err)
-	}
-	return out, nil
-}
-
 // Codec is the bzip2 half of the shared span engine: the magic scan and
 // the per-span decode. bzip2 declares no sizes anywhere, so the scan
 // leaves them all open and the engine grows its table from the first
@@ -149,15 +138,15 @@ func (Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 }
 
 // DecodeSpan implements spanengine.Codec: one pread of the span's
-// compressed extent, decompressed with the stdlib decoder (which
-// verifies block CRCs, so span decodes always verify integrity).
+// compressed extent, decoded whole — every stream in it — with every
+// block and stream CRC checked, so span decodes always verify integrity.
 func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
 	ext, release, err := filereader.Extent(src, s.CompOff, s.CompEnd)
 	if err != nil {
 		return nil, err
 	}
 	defer release()
-	out, err := Decompress(ext)
+	out, err := decode(ext)
 	if err != nil {
 		return nil, fmt.Errorf("bzip2x: span at offset %d: %w", s.CompOff, err)
 	}

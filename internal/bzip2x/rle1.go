@@ -25,32 +25,6 @@ func rle1Encode(src []byte) []byte {
 	return out
 }
 
-// rle1Decode inverts rle1Encode (used only by tests; decompression is
-// validated against the standard library).
-func rle1Decode(src []byte) []byte {
-	var out []byte
-	run := 0
-	var last byte
-	for i := 0; i < len(src); i++ {
-		b := src[i]
-		if run == 4 {
-			for k := 0; k < int(b); k++ {
-				out = append(out, last)
-			}
-			run = 0
-			continue
-		}
-		if len(out) > 0 && b == last {
-			run++
-		} else {
-			run = 1
-		}
-		last = b
-		out = append(out, b)
-	}
-	return out
-}
-
 // rle1SplitPoint returns the largest prefix length p of src such that
 // rle1Encode(src[:p]) fits within limit bytes, without cutting a run in
 // a way that changes the encoding. It returns len(src) when everything
