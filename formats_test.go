@@ -25,6 +25,7 @@ import (
 	"testing"
 
 	"repro/internal/bzip2x"
+	"repro/internal/filereader"
 	"repro/internal/gzformat"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
@@ -1068,9 +1069,12 @@ func TestBzip2GrownTableIsTheSizingPassTable(t *testing.T) {
 	fx := build(t, "bzip2", workloads.SilesiaLike(1<<20, 1), 1<<18)
 	plain, comp := fx.plain, fx.comp
 	var want []gzindex.Checkpoint
-	starts := bzip2x.FindStreams(comp)
+	starts, err := bzip2x.FindStreamsReader(filereader.MemoryReader(comp))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, off := range starts {
-		end := len(comp)
+		end := int64(len(comp))
 		if i+1 < len(starts) {
 			end = starts[i+1]
 		}
@@ -1078,7 +1082,7 @@ func TestBzip2GrownTableIsTheSizingPassTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fixture has a false-positive magic at %d: %v", off, err)
 		}
-		c := gzindex.Checkpoint{CompOff: int64(off), CompEnd: int64(end), DecompSize: int64(len(out))}
+		c := gzindex.Checkpoint{CompOff: off, CompEnd: end, DecompSize: int64(len(out))}
 		if i > 0 {
 			c.DecompOff = want[i-1].DecompOff + want[i-1].DecompSize
 		}

@@ -197,21 +197,6 @@ func TestReadFullAcrossRefills(t *testing.T) {
 	}
 }
 
-func TestSkipBytes(t *testing.T) {
-	data := make([]byte, 1000)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	r := NewBitReaderBytes(data)
-	if err := r.SkipBytes(500); err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.ReadByte()
-	if err != nil || b != data[500] {
-		t.Fatalf("got %d err %v", b, err)
-	}
-}
-
 func TestSeekOutOfRange(t *testing.T) {
 	r := NewBitReaderBytes(make([]byte, 4))
 	if err := r.SeekBits(33); err != ErrSeekOutOfRange {

@@ -286,14 +286,6 @@ func (r *BitReader) ReadFull(p []byte) error {
 	return nil
 }
 
-// SkipBytes discards n bytes; the reader must be byte-aligned.
-func (r *BitReader) SkipBytes(n uint64) error {
-	if r.nbits&7 != 0 {
-		return errors.New("bitio: SkipBytes requires byte alignment")
-	}
-	return r.SeekBits(r.BitPos() + n*8)
-}
-
 // ReadByte consumes the next 8 bits as a byte. Unlike ReadFull it does
 // not require alignment; gzip header parsing after a bit-offset seek
 // uses it.

@@ -95,8 +95,8 @@ func TestMultiStream(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("multi-stream serial decode failed: %v", err)
 	}
-	offs := FindStreams(comp)
-	if len(offs) != 5 {
+	offs, err := FindStreamsReader(filereader.MemoryReader(comp))
+	if err != nil || len(offs) != 5 {
 		t.Fatalf("found %d stream candidates, want 5", len(offs))
 	}
 }
@@ -446,12 +446,8 @@ func TestFindStreamsWindows(t *testing.T) {
 	if len(want) != 10 { // offset 0 and nine magics
 		t.Fatalf("fixture holds %d magics", len(want))
 	}
-	var asInts []int64
-	for _, v := range FindStreams(data) {
-		asInts = append(asInts, int64(v))
-	}
-	if !slices.Equal(asInts, want) {
-		t.Fatalf("FindStreams = %v, want %v", asInts, want)
+	if got, err := FindStreamsReader(filereader.MemoryReader(data)); err != nil || !slices.Equal(got, want) {
+		t.Fatalf("FindStreamsReader = %v, %v; want %v", got, err, want)
 	}
 	// Every window size from the smallest that holds a magic up: between
 	// them the boundaries fall at every offset into every magic.

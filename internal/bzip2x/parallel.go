@@ -12,9 +12,9 @@ import (
 // FormatTag identifies bzip2 checkpoint tables in persisted indexes.
 const FormatTag = "bz2 "
 
-// streamMagicLen is the prefix checked by FindStreams: "BZh", a level
-// digit, and the first block's 48-bit magic (or the footer magic of an
-// empty stream).
+// streamMagicLen is the prefix checked by FindStreamsReader: "BZh", a
+// level digit, and the first block's 48-bit magic (or the footer magic of
+// an empty stream).
 const streamMagicLen = 10
 
 var streamPrefix = []byte("BZh")
@@ -35,31 +35,20 @@ func streamMagicAt(b []byte) bool {
 	return m == blockMagic || m == footerMagic
 }
 
-// FindStreams scans for byte offsets that look like bzip2 stream
-// starts. Offset 0 is always included (the caller validates it by
-// decompressing). Like the gzip block finder, this may return false
-// positives — compressed payload bytes can spell the magic — so the
-// caller must be ready to fall back (§3: trial and error).
-func FindStreams(data []byte) []int {
-	offs := scanWindow(nil, data, 0)
-	ints := make([]int, len(offs)+1)
-	for i, v := range offs {
-		ints[i+1] = int(v)
-	}
-	return ints
-}
-
 // findWindow is the chunk size FindStreamsReader scans at a time.
 // bzip2 declares nothing, so the magic scan must touch every byte of
 // the file either way — the window only bounds how much of it is
 // resident at once.
 const findWindow = 1 << 20
 
-// FindStreamsReader is FindStreams over a positional reader: the file
-// is scanned in findWindow-sized chunks overlapping by
-// streamMagicLen-1 bytes, so peak resident source stays one window
-// regardless of file size. Memory-backed sources are one window, their
-// whole buffer.
+// FindStreamsReader scans for byte offsets that look like bzip2 stream
+// starts. Offset 0 is always included (the caller validates it by
+// decompressing). Like the gzip block finder, this may return false
+// positives — compressed payload bytes can spell the magic — so the
+// caller must be ready to fall back (§3: trial and error). The file is
+// scanned in findWindow-sized chunks overlapping by streamMagicLen-1
+// bytes, so peak resident source stays one window regardless of file
+// size. Memory-backed sources are one window, their whole buffer.
 func FindStreamsReader(src filereader.FileReader) ([]int64, error) {
 	return findStreams(src, findWindow)
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/deflate"
 	"repro/internal/filereader"
 	"repro/internal/gzindex"
-	"repro/internal/pool"
 	"repro/internal/spanengine"
 )
 
@@ -39,17 +38,15 @@ type memberMark struct {
 	crc    uint32
 }
 
-// futureChunk is the future of an in-flight speculative chunk decode.
-type futureChunk = pool.Future[*deflate.ChunkResult]
-
 // gzipCodec is the deflate chunk pipeline expressed as a
 // spanengine.GrowingCodec: the engine owns the cache, the prefetch
-// strategy and the tentative pool; the codec owns the gzip-specific
-// parts — block-finder speculation over grid cells, serial window
-// propagation, chunk splitting, the seek-point index, and the
-// member-CRC chain. BGZF files take the complete-table path instead
-// (Scan enumerates members from metadata), which makes them an exact
-// span source like bzip2/LZ4/zstd.
+// strategy and the speculation past the frontier — which cells are
+// guessed, the guesses running, the tentative store; the codec owns the
+// gzip-specific parts — what a guess at a grid cell decodes (block
+// finder plus two-stage decode), serial window propagation, chunk
+// splitting, the seek-point index, and the member-CRC chain. BGZF files
+// take the complete-table path instead (Scan enumerates members from
+// metadata), which makes them an exact span source like bzip2/LZ4/zstd.
 type gzipCodec struct {
 	cfg      Config
 	src      *filereader.SharedFileReader
@@ -57,11 +54,9 @@ type gzipCodec struct {
 	bgzf     bool
 	cnt      *counters
 
-	// mu guards the chunk geometry and speculation bookkeeping. Lock
-	// order: an engine-mutex holder may take mu (Speculate); a tentMu
-	// holder may take mu (TentativeEvicted); crcMu holders may take mu
-	// (SpanAccessed). Nothing holding mu may call engine methods that
-	// take the engine mutex or the tentative pool's mutex.
+	// mu guards the chunk geometry. Lock order: an engine-mutex holder
+	// may take mu (Slot); crcMu holders may take mu (SpanAccessed).
+	// Nothing holding mu may call engine methods.
 	mu             sync.Mutex
 	metas          []spanMeta
 	byOff          map[int64]int // span CompOff -> metas index
@@ -71,9 +66,6 @@ type gzipCodec struct {
 	frontierWindow []byte
 	memberStart    uint64 // decompressed offset where the current member began
 	eof            bool
-	guessIssued    map[uint64]bool
-	noBlock        map[uint64]bool
-	inflightGuess  map[uint64]*futureChunk
 
 	// Sequential CRC verification state (valid while consumption stays
 	// in table order from span 0). crcMu holders may take mu; never the
@@ -87,17 +79,14 @@ type gzipCodec struct {
 
 func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, bgzf bool) *gzipCodec {
 	return &gzipCodec{
-		cfg:           cfg,
-		src:           src,
-		fileBits:      uint64(src.Size()) * 8,
-		bgzf:          bgzf,
-		cnt:           cnt,
-		byOff:         map[int64]int{},
-		index:         gzindex.New(cfg.ChunkSize),
-		guessIssued:   map[uint64]bool{},
-		noBlock:       map[uint64]bool{},
-		inflightGuess: map[uint64]*futureChunk{},
-		consumed:      map[int]bool{},
+		cfg:      cfg,
+		src:      src,
+		fileBits: uint64(src.Size()) * 8,
+		bgzf:     bgzf,
+		cnt:      cnt,
+		byOff:    map[int64]int{},
+		index:    gzindex.New(cfg.ChunkSize),
+		consumed: map[int]bool{},
 	}
 }
 
@@ -249,12 +238,12 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*de
 // --- growing mode --------------------------------------------------------
 
 // GrowNext confirms the next decode unit: it obtains the result for the
-// exact frontier offset (tentative pool, in-flight speculation, or
-// on-demand decode), propagates the window serially, verifies member
-// sizes, splits oversized units into index entries, appends the
-// resulting spans, and primes their contents — paper Figure 4 steps
-// 5-6, with the engine's tentative pool playing the role of the result
-// cache keyed by exact start offset.
+// exact frontier offset (the engine's guess, or an on-demand decode),
+// propagates the window serially, verifies member sizes, splits
+// oversized units into index entries, appends the resulting spans, and
+// primes their contents — paper Figure 4 steps 5-6, with the engine's
+// tentative store playing the role of the result cache keyed by exact
+// start offset.
 func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	c.mu.Lock()
 	if c.eof {
@@ -391,47 +380,30 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 			return data, err
 		})
 	}
-	if eof {
-		c.drainGuesses()
-	}
 	return eof, nil
 }
 
-// GrowReady reports whether the next GrowNext would complete without
-// blocking: a speculative result is parked at the exact frontier key.
-// The engine uses it to confirm ready units opportunistically, keeping
-// the serial confirmation walk ahead of consumption.
-func (c *gzipCodec) GrowReady(e *spanengine.Engine) bool {
+// FrontierKey names the bit the next GrowNext confirms a unit at, until
+// the end of file: a guess parked there lets the engine confirm it
+// without blocking, which keeps the serial confirmation walk ahead of
+// consumption.
+func (c *gzipCodec) FrontierKey() (uint64, bool) {
 	c.mu.Lock()
-	E := c.frontierBit
-	eof := c.eof
-	c.mu.Unlock()
-	return !eof && e.HasTentative(E)
+	defer c.mu.Unlock()
+	return c.frontierBit, !c.eof
 }
 
 // obtainFrontier fetches the decode result starting exactly at bit E —
 // paper Figure 4: the consumer requests chunks by the exact end offset
-// of the previous chunk; mismatches fall back to an on-demand decode.
+// of the previous chunk; a guess at E's cell that found its block
+// elsewhere is a false start, and that and no guess at all fall back to
+// an on-demand decode.
 func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E uint64, atMember bool, window []byte) (*deflate.ChunkResult, error) {
-	if v, ok := e.TakeTentative(E); ok {
-		return v.(*deflate.ChunkResult), nil
-	}
-	g := E / c.chunkBits()
-	c.mu.Lock()
-	fut := c.inflightGuess[g]
-	c.mu.Unlock()
-	if fut != nil {
-		res, err := fut.Wait()
-		if err == nil {
-			if res.StartBit == E {
-				// The task parked its result before resolving; claim it
-				// (it may already have aged out, the direct result is
-				// just as good).
-				e.TakeTentative(E)
-				return res, nil
-			}
-			c.cnt.guessFalseStarts.Add(1)
+	if v, ok, err := e.TakeGuess(E, E/c.chunkBits(), false); ok && err == nil {
+		if res := v.(*deflate.ChunkResult); res.StartBit == E {
+			return res, nil
 		}
+		c.cnt.guessFalseStarts.Add(1)
 	}
 	// On-demand exact decode with the known window (single-stage).
 	c.cnt.onDemand.Add(1)
@@ -451,78 +423,31 @@ func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E uint64, atMember bool
 	return res, nil
 }
 
-// Speculate maps a prefetch candidate beyond the confirmed table to a
-// grid cell past the frontier and dispatches a speculative block-finder
-// decode for it. Called with the engine's mutex held: bookkeeping plus
-// pool submission only.
-func (c *gzipCodec) Speculate(e *spanengine.Engine, cand uint64) {
+// Slot implements spanengine.Grower: a candidate cand-len(table) spans
+// past the frontier is a guess at the grid cell as many cells past the
+// frontier's.
+func (c *gzipCodec) Slot(_ *spanengine.Engine, cand uint64) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.eof {
-		return
-	}
 	cb := c.chunkBits()
 	gap := uint64(0)
 	if n := uint64(len(c.metas)); cand > n {
 		gap = cand - n
 	}
 	g := c.frontierBit/cb + 1 + gap
-	if g*cb >= c.fileBits || c.guessIssued[g] || c.noBlock[g] ||
-		c.inflightGuess[g] != nil || len(c.inflightGuess) >= c.cfg.maxPrefetch() {
-		return
-	}
-	c.guessIssued[g] = true
+	return g, !c.eof && g*cb < c.fileBits
+}
+
+// Guess implements spanengine.Grower: a guess at cell g is guessTask,
+// parked under the bit it found its block at.
+func (c *gzipCodec) Guess(_ *spanengine.Engine, g uint64) func() (uint64, any, error) {
 	c.cnt.guessTasks.Add(1)
-	// The task records its own outcome before the future resolves, so a
-	// frontier consumer that waits on the future always finds the
-	// result parked (or the cell marked no-block) afterwards.
-	c.inflightGuess[g] = pool.GoLow(e.Pool(), func() (*deflate.ChunkResult, error) {
+	return func() (uint64, any, error) {
 		res, err := c.guessTask(g)
-		switch {
-		case err == nil:
-			e.PutTentative(res.StartBit, res)
-		case errors.Is(err, errNoBlock):
-			c.cnt.guessNoBlock.Add(1)
-			c.mu.Lock()
-			c.noBlock[g] = true
-			c.mu.Unlock()
+		if err != nil {
+			return 0, nil, err
 		}
-		c.mu.Lock()
-		delete(c.inflightGuess, g)
-		c.mu.Unlock()
-		return res, err
-	})
-}
-
-// TentativeEvicted re-arms the guessed-cell bitmap when the tentative
-// pool drops a parked result, so the speculation can be retried.
-func (c *gzipCodec) TentativeEvicted(key uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.guessIssued, key/c.chunkBits())
-}
-
-// drainGuesses settles every speculative task still in flight once the
-// frontier has reached EOF. No future frontier request will ever wait
-// on them, so without this their outcomes (no-block cells, usable
-// results for later random access) could go unrecorded — a single-block
-// file would report zero no-block cells despite having probed every
-// one of them.
-func (c *gzipCodec) drainGuesses() {
-	for {
-		c.mu.Lock()
-		var fut *pool.Future[*deflate.ChunkResult]
-		for _, f := range c.inflightGuess {
-			fut = f
-			break
-		}
-		c.mu.Unlock()
-		if fut == nil {
-			return
-		}
-		// The task removes itself from the map (and records its outcome)
-		// before the future resolves.
-		fut.Wait() //nolint:errcheck // outcomes are recorded by the task itself
+		return res.StartBit, res, nil
 	}
 }
 
@@ -561,6 +486,7 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 		c.cnt.finderProbes.Add(1)
 		cand, ok := finder.Next(buf, searchFrom)
 		if !ok || base+cand >= end {
+			c.cnt.guessNoBlock.Add(1)
 			return nil, errNoBlock
 		}
 		// While decoding from buf, bit offsets are relative to it.
@@ -676,25 +602,11 @@ func (c *gzipCodec) recordMemberMarksLocked(unitStart int, res *deflate.ChunkRes
 
 // --- consumption-order CRC chain -----------------------------------------
 
-// crcBound marks a member end within a span: the offset relative to the
-// span start and the expected footer CRC32.
-type crcBound struct {
-	relEnd uint64
-	crc    uint32
-}
-
-// crcPart carries the checksum of a member-delimited range of a span.
-type crcPart struct {
-	len       uint64
-	crc       uint32
-	expect    uint32 // footer CRC32 of the member ending after this part
-	hasExpect bool
-}
-
 // SpanAccessed is the engine's consumption callback: it counts distinct
-// span consumption and accumulates member CRCs while consumption stays
-// in table order, comparing them against the gzip footers (§6 future
-// work, implemented). Out-of-order access disables verification.
+// span consumption and runs the member CRCs over the span while
+// consumption stays in table order, a member-delimited slice at a time,
+// comparing each member's against its gzip footer (§6 future work,
+// implemented). Out-of-order access disables verification.
 func (c *gzipCodec) SpanAccessed(i int, data []byte) {
 	c.crcMu.Lock()
 	defer c.crcMu.Unlock()
@@ -715,56 +627,22 @@ func (c *gzipCodec) SpanAccessed(i int, data []byte) {
 	c.mu.Lock()
 	m := c.metas[i]
 	c.mu.Unlock()
-	var bounds []crcBound
+	// The marks are in order and inside the span: the decode recorded
+	// them, or the index reader checked them.
+	from := uint64(0)
 	for _, mm := range m.members {
-		bounds = append(bounds, crcBound{relEnd: mm.absEnd - m.startDecomp, crc: mm.crc})
-	}
-	for _, p := range crcParts(bounds, uint64(len(data)), [][]byte{data}) {
-		c.crcAcc = crc32x.Combine(c.crcAcc, p.crc, int64(p.len))
-		if p.hasExpect {
-			if c.crcAcc != p.expect {
-				c.crcBroken = true
-				c.cnt.crcFailures.Add(1)
-				return
-			}
-			c.crcAcc = 0
+		end := mm.absEnd - m.startDecomp
+		c.crcAcc = crc32x.Update(c.crcAcc, data[from:end])
+		from = end
+		if c.crcAcc != mm.crc {
+			c.crcBroken = true
+			c.cnt.crcFailures.Add(1)
+			return
 		}
+		c.crcAcc = 0
 	}
+	c.crcAcc = crc32x.Update(c.crcAcc, data[from:])
 	c.crcNext = i + 1
-}
-
-// crcParts computes member-delimited CRCs of the span bytes.
-func crcParts(bounds []crcBound, total uint64, segs [][]byte) []crcPart {
-	var parts []crcPart
-	pos := uint64(0)
-	segIdx, segOff := 0, 0
-	advance := func(n uint64) uint32 {
-		crc := uint32(0)
-		for n > 0 && segIdx < len(segs) {
-			seg := segs[segIdx][segOff:]
-			take := uint64(len(seg))
-			if take > n {
-				take = n
-			}
-			crc = crc32x.Combine(crc, crc32x.Checksum(seg[:take]), int64(take))
-			segOff += int(take)
-			n -= take
-			if segOff == len(segs[segIdx]) {
-				segIdx++
-				segOff = 0
-			}
-		}
-		return crc
-	}
-	for _, b := range bounds {
-		n := b.relEnd - pos
-		parts = append(parts, crcPart{len: n, crc: advance(n), expect: b.crc, hasExpect: true})
-		pos = b.relEnd
-	}
-	if rest := total - pos; rest > 0 || len(parts) == 0 {
-		parts = append(parts, crcPart{len: rest, crc: advance(rest)})
-	}
-	return parts
 }
 
 // crcStatus reports (verifiedSoFar, failures).

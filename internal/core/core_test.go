@@ -6,14 +6,16 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"testing"
-
+	"runtime"
 	"strings"
+	"sync/atomic"
+	"testing"
 
 	"repro/internal/deflate"
 	"repro/internal/filereader"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
+	"repro/internal/spanengine"
 )
 
 // mkText builds repetitive text (marker-heavy under compression).
@@ -534,6 +536,62 @@ func TestSizeWithoutReading(t *testing.T) {
 	size, err := r.Engine().TotalSize()
 	if err != nil || size != int64(len(data)) {
 		t.Fatalf("size %d err %v want %d", size, err, len(data))
+	}
+}
+
+// stallingSource serves a file whose reads that reach past byte from,
+// once armed, wait until release is closed.
+type stallingSource struct {
+	filereader.MemoryReader
+	from    int64
+	armed   atomic.Bool
+	release chan struct{}
+}
+
+func (s *stallingSource) ReadAt(p []byte, off int64) (int, error) {
+	if s.armed.Load() && off+int64(len(p)) > s.from {
+		<-s.release
+	}
+	return s.MemoryReader.ReadAt(p, off)
+}
+
+// TestCloseSkipsQueuedGuesses: a guess still queued when the reader closes
+// does not run. The one worker is held inside the guess at the second cell,
+// whose read runs past it, while the guesses behind it queue; Close then
+// has to wait for that one, and for no other, to probe for a block start.
+func TestCloseSkipsQueuedGuesses(t *testing.T) {
+	const chunk = 64 << 10
+	data := mkBase64(41, 16*chunk)
+	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &stallingSource{MemoryReader: comp, from: 2 * chunk, release: make(chan struct{})}
+	r, err := NewReader(src, Config{Parallelism: 1, ChunkSize: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.armed.Store(true)
+	// The first unit decodes on this goroutine, inside the first two cells.
+	buf := make([]byte, 100)
+	if _, err := r.Engine().ReadAt(buf, 0); err != nil || !bytes.Equal(buf, data[:100]) {
+		t.Fatalf("first read: %v", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		r.Close()
+		close(closed)
+	}()
+	for {
+		if _, err := r.Engine().ReadAt(buf, 0); errors.Is(err, spanengine.ErrClosed) {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(src.release)
+	<-closed
+	if st := r.Stats(); st.GuessTasks < 2 || st.FinderProbes >= st.GuessTasks {
+		t.Fatalf("guesses queued at Close ran: %+v", st)
 	}
 }
 

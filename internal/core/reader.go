@@ -3,31 +3,32 @@
 // via a cache-and-parallel-prefetch chunk architecture (paper §3,
 // Figures 4 and 5).
 //
-// The chunk table, the caches and the prefetch pipeline live in
-// internal/spanengine — the same engine that serves bzip2, LZ4 and
-// zstd. This package contributes what is gzip's alone: the codec
-// (codec.go) — speculative block-finder decodes parked as tentative
-// results, confirmed one decode unit at a time at the exact frontier
-// offset, which makes the whole design robust against block-finder
-// false positives: a misguided speculative result simply never matches
-// a requested key and ages out of the pool (§3: "Robustness against
-// false positives results from the cache acting as an intermediary with
-// the offset as key") — and Reader, which owns one codec, the window
-// index it builds or was given, and the engine over them. A Reader has
-// no cursor and no Read: positions are the caller's (the root package's
-// archive keeps the one there is), reads go to Engine().
+// The chunk table, the caches, the prefetch pipeline and the speculation
+// past the frontier live in internal/spanengine — the same engine that
+// serves bzip2, LZ4 and zstd. This package contributes what is gzip's
+// alone: the codec (codec.go) — what a guess at a grid cell decodes
+// (block finder plus two-stage decode), and the confirmation of one
+// decode unit at a time at the exact frontier offset, which makes the
+// whole design robust against block-finder false positives: a misguided
+// speculative result simply never matches a requested key and ages out
+// of the engine's tentative store (§3: "Robustness against false
+// positives results from the cache acting as an intermediary with the
+// offset as key") — and Reader, which owns one codec, the window index it
+// builds or was given, and the engine over them. A Reader has no cursor
+// and no Read: positions are the caller's (the root package's archive
+// keeps the one there is), reads go to Engine().
 //
 // Buffer ownership. A chunk result's Marked and Raw are scratch from
 // deflate's free lists, and a result has one owner at a time: the guess
-// task that decodes it, then the tentative pool it is parked in, then
-// the GrowNext call that takes it for the frontier. GrowNext reads it
-// serially (window propagation and split-point windows, which are
-// copies) and passes it to the unit's resolution tasks, one per span;
+// that decodes it, then the engine's tentative store it is parked in,
+// then the GrowNext call the engine hands it to at the frontier. GrowNext
+// reads it serially (window propagation and split-point windows, which
+// are copies) and passes it to the unit's resolution tasks, one per span;
 // each writes its span into a buffer of its own, and the task that
 // finishes last calls Release — the only call there is. Whatever
 // outlives that point (span contents, index windows, the frontier
 // window) is therefore a copy, never a slice of the result. A result
-// that is never confirmed — evicted from the tentative pool, started at
+// that is never confirmed — evicted from the tentative store, started at
 // a block the frontier never asks for, still parked at Close — is never
 // released either and falls to the collector.
 package core
@@ -96,7 +97,7 @@ func (c Config) maxPrefetch() int { return 4 * c.Parallelism }
 // engine sizes an engine under this reader. Confirmed chunks wait in the
 // span cache until consumption, so it is sized like the prefetch window
 // and none are evicted in flight: 2P + 4 spans, and the growing engine
-// parks up to twice maxPrefetch guesses in its tentative pool. A BGZF
+// parks up to twice maxPrefetch guesses in its tentative store. A BGZF
 // file scanned cold is exact spans, every prefetch a span of the table,
 // and takes the size that holds a sequential pass of such a table
 // (spanengine.Config's default rule): the prefetch depth plus the span

@@ -346,10 +346,7 @@ func sniffBGZF(prefix []byte) bool {
 	return parseBGZFExtra(extra) > 0
 }
 
-// NewCRC returns the running CRC32 (IEEE) used by gzip footers.
-func NewCRC() uint32 { return 0 }
-
-// UpdateCRC extends crc with p, matching RFC 1952's CRC32.
+// UpdateCRC extends crc (0 to start) with p, matching RFC 1952's CRC32.
 func UpdateCRC(crc uint32, p []byte) uint32 {
 	return crc32.Update(crc, crc32.IEEETable, p)
 }

@@ -163,8 +163,7 @@ func TestFooterISizeModulo(t *testing.T) {
 
 func TestCRCMatchesStdlib(t *testing.T) {
 	data := []byte("the quick brown fox jumps over the lazy dog")
-	crc := NewCRC()
-	crc = UpdateCRC(crc, data[:10])
+	crc := UpdateCRC(0, data[:10])
 	crc = UpdateCRC(crc, data[10:])
 	if want := crc32.ChecksumIEEE(data); crc != want {
 		t.Fatalf("crc %08x, want %08x", crc, want)

@@ -546,8 +546,8 @@ func readIndex(r io.Reader) (*Index, error) {
 			for j := uint64(0); j < mn; j++ {
 				relEnd := prevEnd + cr.uvarint()
 				// A wrapping delta would sneak a huge intermediate mark
-				// past validate's last-mark span check and blow up the
-				// CRC part arithmetic downstream.
+				// past validate's last-mark span check, and the member-CRC
+				// check downstream would slice a span past its end.
 				if relEnd < prevEnd {
 					return nil, fmt.Errorf("%w: member mark delta wraps at point %d", ErrCorrupt, i)
 				}

@@ -134,13 +134,6 @@ func Lazy[T any](fn func() (T, error)) *Future[T] {
 	return f
 }
 
-// Resolved returns an already-completed Future holding val.
-func Resolved[T any](val T) *Future[T] {
-	f := &Future[T]{done: make(chan struct{}), val: val}
-	close(f.done)
-	return f
-}
-
 // Wait blocks until the task completes and returns its result.
 func (f *Future[T]) Wait() (T, error) {
 	<-f.done
@@ -157,18 +150,4 @@ func (f *Future[T]) Join() (T, error) {
 		f.start.Do(f.run)
 	}
 	return f.Wait()
-}
-
-// Done returns a channel closed when the result is available, for use
-// in select loops that must service other events while waiting.
-func (f *Future[T]) Done() <-chan struct{} { return f.done }
-
-// Ready reports whether the result is available without blocking.
-func (f *Future[T]) Ready() bool {
-	select {
-	case <-f.done:
-		return true
-	default:
-		return false
-	}
 }

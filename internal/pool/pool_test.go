@@ -45,30 +45,6 @@ func TestFutureError(t *testing.T) {
 	}
 }
 
-func TestFutureReady(t *testing.T) {
-	p := New(1)
-	defer p.Close()
-	release := make(chan struct{})
-	f := Go(p, func() (int, error) { <-release; return 1, nil })
-	if f.Ready() {
-		t.Fatal("should not be ready")
-	}
-	close(release)
-	if v, _ := f.Wait(); v != 1 || !f.Ready() {
-		t.Fatal("should be ready after wait")
-	}
-}
-
-func TestResolved(t *testing.T) {
-	f := Resolved(7)
-	if !f.Ready() {
-		t.Fatal("resolved future not ready")
-	}
-	if v, err := f.Wait(); v != 7 || err != nil {
-		t.Fatalf("got %d, %v", v, err)
-	}
-}
-
 func TestParallelism(t *testing.T) {
 	// With n workers, n long tasks must overlap.
 	const n = 4
@@ -122,9 +98,6 @@ func TestJoinRunsQueuedTaskOnCaller(t *testing.T) {
 	if v, _ := f.Wait(); v != 7 || runs.Load() != 1 {
 		t.Fatalf("task ran %d times", runs.Load())
 	}
-	if v, _ := Resolved(3).Join(); v != 3 {
-		t.Fatal("Join on a resolved future")
-	}
 }
 
 func TestJoinRacesWorkers(t *testing.T) {
@@ -148,7 +121,7 @@ func TestJoinRacesWorkers(t *testing.T) {
 func TestLazyRunsOnceOnAJoiner(t *testing.T) {
 	var runs atomic.Int64
 	f := Lazy(func() (int, error) { runs.Add(1); return 9, nil })
-	if f.Ready() || runs.Load() != 0 {
+	if runs.Load() != 0 {
 		t.Fatal("a Lazy task ran before anyone joined it")
 	}
 	done := make(chan int)

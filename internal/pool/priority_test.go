@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestHighPriorityPreemptsQueue verifies the property the chunk fetcher
@@ -50,30 +49,6 @@ func TestHighPriorityPreemptsQueue(t *testing.T) {
 	defer mu.Unlock()
 	if order[0] != "high" {
 		t.Fatalf("high-priority task ran at position %v; order %v", order[0], order[:4])
-	}
-}
-
-func TestDoneChannel(t *testing.T) {
-	p := New(2)
-	defer p.Close()
-	release := make(chan struct{})
-	fut := Go(p, func() (string, error) {
-		<-release
-		return "done", nil
-	})
-	select {
-	case <-fut.Done():
-		t.Fatal("Done closed before completion")
-	case <-time.After(10 * time.Millisecond):
-	}
-	close(release)
-	select {
-	case <-fut.Done():
-	case <-time.After(time.Second):
-		t.Fatal("Done never closed")
-	}
-	if v, err := fut.Wait(); v != "done" || err != nil {
-		t.Fatalf("got %q, %v", v, err)
 	}
 }
 

@@ -27,8 +27,9 @@ type streamCodec struct {
 	sizes []int64 // decompressed sizes Scan declares, by extent; nil declares none
 	merge bool    // the starts are candidates
 
-	started chan int64    // when non-nil, receives the CompOff of each decode that begins
-	gate    chan struct{} // when non-nil, decodes wait for it to close
+	started chan int64              // when non-nil, receives the CompOff of each decode that begins
+	gate    chan struct{}           // when non-nil, decodes wait for it to close
+	hold    map[int64]chan struct{} // decodes from a key's offset wait for its channel to close
 
 	mu      sync.Mutex
 	decodes map[[2]int64]int
@@ -88,6 +89,9 @@ func (c *streamCodec) DecodeSpan(src filereader.FileReader, s Span) ([]byte, err
 	}
 	if c.gate != nil {
 		<-c.gate
+	}
+	if h := c.hold[s.CompOff]; h != nil {
+		<-h
 	}
 	c.mu.Lock()
 	if c.decodes == nil {
@@ -152,6 +156,121 @@ type noPrefetch struct{}
 func (noPrefetch) Access(_, _ uint64)                    {}
 func (noPrefetch) Prefetch(buf []uint64, _ int) []uint64 { return buf }
 
+// propose hands the engine cands as if its strategy had proposed them;
+// those past the table are guesses.
+func propose(e *Engine, cands ...uint64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.cands = append(e.cands[:0], cands...)
+	e.issuePrefetches()
+}
+
+// running returns how many guesses the engine has running.
+func running(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.guessing
+}
+
+// TestGuessesHaveOneOwner holds the engine's rules for speculation past
+// the frontier, which it keeps for every grower: a slot is not guessed
+// again while its guess runs or what it made is parked, and is once that
+// is evicted; the extent the frontier is decoding is not guessed; and the
+// step that completes the table waits for the guesses still running.
+func TestGuessesHaveOneOwner(t *testing.T) {
+	payloads, _ := testPayloads(10, 400)
+	src, starts := buildStreams(payloads)
+	open := func(t *testing.T, codec *streamCodec) *Engine {
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, MaxPrefetch: 2, Strategy: noPrefetch{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		return e
+	}
+	idle := func(e *Engine) func() bool { return func() bool { return running(e) == 0 } }
+
+	t.Run("guessed once until evicted", func(t *testing.T) {
+		hold := make(chan struct{})
+		codec := &streamCodec{cands: starts, hold: map[int64]chan struct{}{starts[3]: hold, starts[4]: hold}}
+		e := open(t, codec)
+		propose(e, 3)
+		propose(e, 3, 4, 5)
+		if n := running(e); n != 2 {
+			t.Fatalf("%d guesses running for three slots, one proposed twice, at MaxPrefetch 2", n)
+		}
+		close(hold)
+		until(idle(e))
+		propose(e, 3)
+		if n := running(e); n != 0 || codec.decoded(starts[3], starts[4]) != 1 || codec.decoded(starts[5], starts[6]) != 0 {
+			t.Fatalf("a parked slot was guessed again: %d running, %d decodes", n, codec.decoded(starts[3], starts[4]))
+		}
+		// Extent 4's result and three more fill the store, which holds
+		// four, and push extent 3's out: its slot is re-armed.
+		for k := uint64(4); k < 8; k++ {
+			propose(e, k)
+			until(idle(e))
+		}
+		propose(e, 3)
+		until(idle(e))
+		if n := codec.decoded(starts[3], starts[4]); n != 2 {
+			t.Fatalf("extent 3 decoded %d times, want again after its eviction", n)
+		}
+		if st := e.Stats(); st.PrefetchIssued != 6 || st.SpanDecodes != 6 {
+			t.Fatalf("%+v", st)
+		}
+	})
+
+	t.Run("not the frontier's extent", func(t *testing.T) {
+		hold := make(chan struct{})
+		codec := &streamCodec{cands: starts, hold: map[int64]chan struct{}{starts[0]: hold}, started: make(chan int64, len(starts))} // room for every decode of the test
+		e := open(t, codec)
+		read := make(chan error)
+		go func() {
+			_, err := e.ReadAt(make([]byte, 10), 0)
+			read <- err
+		}()
+		if off := <-codec.started; off != starts[0] {
+			t.Fatalf("first decode at %d, want the frontier's at 0", off)
+		}
+		propose(e, 0, 1)
+		close(hold)
+		if err := <-read; err != nil {
+			t.Fatal(err)
+		}
+		until(idle(e))
+		if a, b := codec.decoded(starts[0], starts[1]), codec.decoded(starts[1], starts[2]); a != 1 || b != 1 {
+			t.Fatalf("frontier extent decoded %d times, the one after it %d; want 1 and 1", a, b)
+		}
+	})
+
+	t.Run("settled when the table completes", func(t *testing.T) {
+		// A false start in the last stream: the frontier merges over it
+		// and never asks for the guess made there.
+		falseOff := starts[9] + 100
+		hold := make(chan struct{})
+		codec := &streamCodec{cands: append(slices.Clone(starts), falseOff), merge: true, hold: map[int64]chan struct{}{falseOff: hold}}
+		e := open(t, codec)
+		propose(e, 10)
+		done := make(chan error)
+		go func() { done <- e.EnsureComplete() }()
+		until(e.Complete)
+		select {
+		case <-done:
+			close(hold) // for Close
+			t.Fatal("EnsureComplete returned with a guess running")
+		default:
+		}
+		close(hold)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if n := running(e); n != 0 || codec.decoded(falseOff, int64(len(src))) != 1 {
+			t.Fatalf("after EnsureComplete: %d guesses running, the false start decoded %d times", n, codec.decoded(falseOff, int64(len(src))))
+		}
+	})
+}
+
 // TestDeferredFalsePositiveMergesAway injects a candidate in the middle of
 // a stream. The stream it cuts short fails to decode, is extended over it
 // and decodes; what was decoded from the false start is never served.
@@ -170,7 +289,7 @@ func TestDeferredFalsePositiveMergesAway(t *testing.T) {
 		if err != nil || !bytes.Equal(out, whole) {
 			t.Fatalf("read %d bytes of %d, err %v", len(out), len(whole), err)
 		}
-		spans := e.Checkpoints()
+		spans := e.CheckpointTable().Spans
 		if len(spans) != len(starts) || !e.Complete() {
 			t.Fatalf("%d spans for %d streams", len(spans), len(starts))
 		}
@@ -248,12 +367,7 @@ func TestDeferredCorruptFrontier(t *testing.T) {
 			}
 			// Once what was speculated on before the failure has landed,
 			// asking again decodes nothing: not the frontier, not past it.
-			d := e.grower.(*deferred)
-			until(func() bool {
-				d.mu.Lock()
-				defer d.mu.Unlock()
-				return len(d.flying) == 0
-			})
+			until(func() bool { return running(e) == 0 })
 			before := codec.total()
 			if _, err := e.TotalSize(); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("TotalSize = %v", err)
@@ -292,7 +406,7 @@ func TestDeferredReadAheadAndSize(t *testing.T) {
 		if n, err := e.ReadAt(buf, int64(len(whole))-10); n != 10 || err != io.EOF {
 			t.Fatalf("ReadAt at the tail = %d, %v", n, err)
 		}
-		for i, s := range e.Checkpoints() {
+		for i, s := range e.CheckpointTable().Spans {
 			if n := codec.decoded(s.CompOff, s.CompEnd); n != 1 {
 				t.Fatalf("extent %d decoded %d times", i, n)
 			}

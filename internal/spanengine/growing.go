@@ -1,20 +1,28 @@
 // Growing mode: the engine extension for formats that cannot enumerate
 // their span table from metadata and must find it by decoding. The table
 // starts empty and grows one confirmed decode unit at a time, driven by
-// the codec's Grower half; everything a speculative worker produces is
-// parked in the engine's tentative pool, keyed by the exact offset
-// where the decode actually began, and stays tentative until a clean
-// upstream decode confirms the frontier reaches exactly that offset
-// (the paper's §3 robustness argument: a block-finder false positive
-// simply never matches a requested key and ages out of the pool).
+// the codec's Grower half.
+//
+// Speculation past the frontier is the engine's, whichever grower asks
+// for it. A prefetch candidate beyond the table becomes a guess at the
+// slot the grower maps it to; the guess runs on the pool (unless the
+// engine closed first), and what it makes is parked in the tentative
+// store under the exact offset where its decode actually began. It
+// stays tentative until the frontier asks for exactly that offset
+// (TakeGuess) — the paper's §3 robustness argument: a block-finder false
+// positive simply never matches a requested key and ages out of the
+// store, which re-arms its slot. A slot is guessed once until then, and
+// not at all while the frontier decodes it; at most MaxPrefetch guesses
+// run; and those still running when the table completes are waited for.
 //
 // It has two kinds of user. Bit-offset discovery: gzip, whose deflate
 // blocks start at arbitrary bit offsets, so that even where a span begins
 // is a guess until the decode before it ends there (internal/core
-// implements Grower). Deferred sizes: bzip2 and Zstandard frames without a
-// content size, whose compressed extents a scan finds without decoding and
-// whose decompressed sizes the first decode supplies (deferred.go, one
-// Grower for both).
+// implements Grower; its slots are grid cells). Deferred sizes: bzip2 and
+// Zstandard frames without a content size, whose compressed extents a
+// scan finds without decoding and whose decompressed sizes the first
+// decode supplies (deferred.go, one Grower for both; its slots are
+// extents).
 
 package spanengine
 
@@ -28,30 +36,31 @@ import (
 )
 
 // Grower is the growth half of a codec whose span table must be
-// discovered by decoding. The engine serialises GrowNext calls; the
-// other methods are called under the locks documented per method.
+// discovered by decoding: how a prefetch candidate maps to a slot, what a
+// guess at a slot decodes, and how the next unit is confirmed. Slots
+// number the units of speculation in file order, so a slot before the
+// one the frontier takes is never mapped to again.
 type Grower interface {
 	// GrowNext confirms the next decode unit: obtain the decode result
-	// for the exact frontier offset (tentative pool, in-flight
-	// speculation, or an on-demand decode), append the resulting spans
-	// via AppendSpans, and prime their contents via Prime. It returns
-	// done=true once the frontier has reached end of file (possibly on
-	// the same call that appended the final spans). Calls are
-	// serialised by the engine; the implementation may block.
+	// for the exact frontier offset (TakeGuess, or an on-demand decode),
+	// append the resulting spans via AppendSpans, and prime their
+	// contents via Prime. It returns done=true once the frontier has
+	// reached end of file (possibly on the same call that appended the
+	// final spans). Calls are serialised by the engine; the
+	// implementation may block.
 	GrowNext(e *Engine) (done bool, err error)
-	// Speculate offers a prefetch candidate beyond the confirmed table
-	// (in spans past the frontier). The codec maps it to a speculative
-	// decode of its own geometry and schedules it on the engine's pool.
-	// Called with the engine's internal mutex held: the implementation
-	// must only do quick bookkeeping plus pool submission, and must not
-	// call back into engine methods other than Pool.
-	Speculate(e *Engine, cand uint64)
-	// TentativeEvicted reports that the tentative pool dropped the
-	// entry keyed by key, so the codec can re-arm whatever bookkeeping
-	// (e.g. a guessed-cell bitmap) would otherwise suppress a retry.
-	// Called while the pool's mutex is held; must not call back into
-	// the tentative pool.
-	TentativeEvicted(key uint64)
+	// Slot maps a prefetch candidate beyond the confirmed table (cand
+	// counts spans from the table's start) to the slot a guess for it
+	// decodes; ok is false where there is nothing to guess.
+	Slot(e *Engine, cand uint64) (slot uint64, ok bool)
+	// Guess is called as a guess at slot is issued and returns what the
+	// guess runs on a worker: a decode that reports the exact offset it
+	// began at and what it made, parked under that offset when err is
+	// nil.
+	//
+	// Slot and Guess are called with the engine's mutex held: quick
+	// bookkeeping only, and no calls back into the engine.
+	Guess(e *Engine, slot uint64) func() (key uint64, v any, err error)
 }
 
 // GrowingCodec is the contract for growing-mode engines: a Codec whose
@@ -82,13 +91,18 @@ func NewGrowing(src filereader.FileReader, codec GrowingCodec, flags uint8, cfg 
 	e.grower = codec
 	e.complete = false
 	e.stats.SizingPasses = 1
-	e.tent = cache.NewLRUCache[uint64, any](e.cfg.tentativeSize())
-	e.tent.OnEvict = func(key uint64, _ any) { codec.TentativeEvicted(key) }
+	e.guesses = map[uint64]*pool.Future[any]{}
+	e.tent = cache.NewLRUCache[uint64, tentative](e.cfg.tentativeSize())
+	e.tent.OnEvict = func(_ uint64, t tentative) { delete(e.guesses, t.slot) }
 	return e, nil
 }
 
-// Pool exposes the worker pool for codec-scheduled speculative work.
-func (e *Engine) Pool() *pool.Pool { return e.pool }
+// tentative is what a finished guess parked: what it made, and the slot
+// its eviction re-arms.
+type tentative struct {
+	slot uint64
+	v    any
+}
 
 // Complete reports whether the span table covers the whole file.
 func (e *Engine) Complete() bool {
@@ -137,37 +151,96 @@ func (e *Engine) Prime(i int, decode func() ([]byte, error)) {
 	})}
 }
 
-// PutTentative parks a speculative decode result under its exact start
-// key. The pool is LRU-bounded; evicted entries are reported to the
-// grower so the speculation can be retried later.
-func (e *Engine) PutTentative(key uint64, v any) {
-	e.tentMu.Lock()
-	defer e.tentMu.Unlock()
-	if e.tent != nil {
-		e.tent.Put(key, v)
+// speculate issues a guess for a prefetch candidate beyond the confirmed
+// table, unless its slot is guessed already — parked, running, or the
+// frontier's own — or MaxPrefetch guesses are running. The guess parks
+// what it made and leaves the running set in one step, so a frontier
+// that finds it in neither place knows it made nothing. Caller holds
+// e.mu.
+func (e *Engine) speculate(cand uint64) {
+	slot, ok := e.grower.Slot(e, cand)
+	if _, guessed := e.guesses[slot]; !ok || guessed || e.guessing >= e.cfg.MaxPrefetch {
+		return
 	}
+	run := e.grower.Guess(e, slot)
+	e.guessing++
+	e.guesses[slot] = pool.GoLow(e.pool, func() (v any, err error) {
+		e.mu.Lock()
+		closed := e.closed
+		e.mu.Unlock()
+		key, err := uint64(0), error(ErrClosed)
+		if !closed {
+			key, v, err = run()
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.guessing--
+		e.guesses[slot] = nil
+		if err == nil && !e.closed {
+			e.tent.Put(key, tentative{slot, v})
+		}
+		return v, err
+	})
 }
 
-// TakeTentative removes and returns the tentative entry keyed by key.
-func (e *Engine) TakeTentative(key uint64) (any, bool) {
-	e.tentMu.Lock()
-	defer e.tentMu.Unlock()
-	if e.tent == nil {
-		return nil, false
+// TakeGuess hands the frontier, about to confirm the unit at the exact
+// offset key, what was guessed for it: the result parked under key, or
+// else the outcome of the guess running at slot — waited for, or with
+// join run here if no worker has started it — which may have begun
+// elsewhere than key. ok is false when there is neither, and the caller
+// decodes the unit itself; slot is not guessed meanwhile.
+func (e *Engine) TakeGuess(key, slot uint64, join bool) (v any, ok bool, err error) {
+	e.mu.Lock()
+	for s, fut := range e.guesses {
+		if s < slot && fut == nil {
+			delete(e.guesses, s) // behind the frontier for good
+		}
 	}
-	v, ok := e.tent.Peek(key)
-	if ok {
+	if t, parked := e.tent.Peek(key); parked {
 		e.tent.Delete(key)
+		e.mu.Unlock()
+		return t.v, true, nil
 	}
-	return v, ok
+	fut, guessed := e.guesses[slot]
+	if !guessed {
+		e.guesses[slot] = nil
+	}
+	e.mu.Unlock()
+	if fut == nil {
+		return nil, false, nil
+	}
+	if join {
+		v, err = fut.Join()
+	} else {
+		v, err = fut.Wait()
+	}
+	// A result that began at key was parked before the future resolved.
+	e.mu.Lock()
+	e.tent.Delete(key)
+	e.mu.Unlock()
+	return v, true, err
 }
 
-// HasTentative reports whether a tentative entry for key is parked,
-// without touching LRU order.
-func (e *Engine) HasTentative(key uint64) bool {
-	e.tentMu.Lock()
-	defer e.tentMu.Unlock()
-	return e.tent != nil && e.tent.Contains(key)
+// settleGuesses waits for the guesses still running once the table is
+// complete. Nobody will ask for them, but what they count (a cell with no
+// block start in it, a decode nobody used) is settled by the time the
+// step that completed the table returns.
+func (e *Engine) settleGuesses() {
+	for {
+		var fut *pool.Future[any]
+		e.mu.Lock()
+		for _, f := range e.guesses {
+			if f != nil {
+				fut = f
+				break
+			}
+		}
+		e.mu.Unlock()
+		if fut == nil {
+			return
+		}
+		fut.Wait() //nolint:errcheck // the guess settles its own outcome
+	}
 }
 
 // growStep runs one serialised growth iteration: report to the strategy
@@ -201,6 +274,7 @@ func (e *Engine) growStep() error {
 		e.mu.Lock()
 		e.complete = true
 		e.mu.Unlock()
+		e.settleGuesses()
 	}
 	return nil
 }
@@ -232,22 +306,23 @@ func (e *Engine) ensureCovered(off int64) error {
 }
 
 // growReady reports whether the next growth step would complete
-// without blocking (a tentative result is parked at the frontier key)
-// and a reader at off is within a quarter of the cache of the frontier.
-// Primed spans share the LRU with the spans the reader touches on its
-// way to them, so confirming further ahead pushes out the very spans
-// needed next; each then decodes a second time on the reader's
-// goroutine while the workers run further ahead still.
+// without blocking — the grower names its frontier offset (FrontierKey;
+// gzip does) and a guess is parked under it — and a reader at off is
+// within a quarter of the cache of the frontier. Primed spans share the
+// LRU with the spans the reader touches on its way to them, so
+// confirming further ahead pushes out the very spans needed next; each
+// then decodes a second time on the reader's goroutine while the
+// workers run further ahead still.
 func (e *Engine) growReady(off int64) bool {
-	e.mu.Lock()
-	pending := e.grower != nil && !e.complete && !e.closed &&
-		len(e.spans)-e.findSpanLocked(off) <= e.cfg.CacheSize/4
-	e.mu.Unlock()
-	if !pending {
+	f, ok := e.grower.(interface{ FrontierKey() (uint64, bool) })
+	if !ok {
 		return false
 	}
-	r, ok := e.grower.(interface{ GrowReady(e *Engine) bool })
-	return ok && r.GrowReady(e)
+	key, ok := f.FrontierKey()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return ok && !e.complete && !e.closed &&
+		len(e.spans)-e.findSpanLocked(off) <= e.cfg.CacheSize/4 && e.tent.Contains(key)
 }
 
 // SpanAt returns the index of the span covering decompressed offset

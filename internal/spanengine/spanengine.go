@@ -12,15 +12,17 @@
 // checkpoint table (an RGZIDX04 index), in which case the sizing pass is
 // skipped entirely. The others run the engine in growing mode (see
 // growing.go): the span table starts empty and extends one confirmed
-// decode unit at a time, while speculative results parked in the tentative
-// pool stay exactly that — tentative — until the frontier reaches the
-// offset they started at. Growing mode has two kinds of user. gzip must
-// discover even where its spans begin, at bit offsets, by decoding, and
-// implements Grower itself. bzip2 and Zstandard frames that omit their
-// content size know their compressed extents from a scan and defer only
-// the sizes to the first decode; they share one Grower (deferred.go).
-// Either way the first pass over a file is the pass that sizes it, and
-// nothing is decoded before somebody reads.
+// decode unit at a time. Speculation past that frontier has one owner,
+// the engine: it issues the guesses a grower maps prefetch candidates to,
+// parks what they make in its tentative store, evicts from it, and hands
+// a result over only when the frontier asks for the exact offset it
+// started at; until then it stays tentative. Growing mode has two kinds
+// of user. gzip must discover even where its spans begin, at bit offsets,
+// by decoding, and implements Grower itself. bzip2 and Zstandard frames
+// that omit their content size know their compressed extents from a scan
+// and defer only the sizes to the first decode; they share one Grower
+// (deferred.go). Either way the first pass over a file is the pass that
+// sizes it, and nothing is decoded before somebody reads.
 //
 // A cache entry is a span's content or, for a codec that can stop short
 // of a span's end and continue (PrefixDecoder; gzip is one), the front of
@@ -144,9 +146,10 @@ type Config struct {
 	// handed over and up to MaxPrefetch decoded ahead, and with fewer
 	// slots than that an unread prefetch is evicted and decoded again.
 	CacheSize int
-	// MaxPrefetch bounds in-flight speculative span decodes; zero
+	// MaxPrefetch bounds in-flight speculative span decodes and,
+	// separately, a growing engine's guesses past its table; zero
 	// selects 2*Threads (the paper's default prefetch-cache depth). A
-	// growing engine parks up to tentativeSize results ahead of its table.
+	// growing engine parks up to tentativeSize guesses ahead of its table.
 	MaxPrefetch int
 	// Strategy proposes spans to prefetch; nil selects
 	// prefetch.NewAdaptive(), the one strategy archives use.
@@ -174,7 +177,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// tentativeSize is the capacity of a growing engine's tentative pool:
+// tentativeSize is the capacity of a growing engine's tentative store:
 // twice the prefetch depth, so results parked ahead of the frontier are
 // not evicted before it reaches them.
 func (c Config) tentativeSize() int { return max(2*c.MaxPrefetch, 4) }
@@ -315,14 +318,19 @@ type Engine struct {
 	stats    Stats
 	closed   bool
 
-	// Growing-mode state (nil/unused for complete-table engines).
-	grower   Grower
-	grown    int // table length at the latest growth step; guarded by mu
 	observer AccessObserver
 	prefix   PrefixDecoder // the codec, if it can stop short of a span's end
-	growMu   sync.Mutex    // serialises GrowNext calls
-	tentMu   sync.Mutex
-	tent     *cache.Cache[uint64, any]
+
+	// Growing-mode state (nil/unused for complete-table engines), guarded
+	// by mu but for growMu: the slots guessed and not re-armed since, each
+	// with its future while the guess runs; how many run; and what they
+	// parked, by the offset each began at (growing.go).
+	grower   Grower
+	grown    int        // table length at the latest growth step
+	growMu   sync.Mutex // serialises GrowNext calls
+	guesses  map[uint64]*pool.Future[any]
+	guessing int
+	tent     *cache.Cache[uint64, tentative]
 }
 
 // share returns src as a SharedFileReader, wrapping it only if it is
@@ -467,15 +475,6 @@ func (e *Engine) ScanSpans() int { return e.scanned }
 // Flags returns the codec capability bits recorded at scan (or import)
 // time.
 func (e *Engine) Flags() uint8 { return e.flags }
-
-// Checkpoints returns a copy of the span table.
-func (e *Engine) Checkpoints() []Span {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Span, len(e.spans))
-	copy(out, e.spans)
-	return out
-}
 
 // CheckpointTable returns the span table as an index file persists it:
 // under the codec's tag, with the capability flags. NewFromCheckpoints
@@ -723,11 +722,10 @@ func (e *Engine) issuePrefetches() {
 			return
 		}
 		if cand >= uint64(len(e.spans)) {
-			// Beyond the confirmed table. A growing codec turns these
-			// candidates into speculative decodes of grid cells past the
-			// frontier; complete tables have nothing there.
+			// Beyond the confirmed table: a guess past the frontier of a
+			// growing one (growing.go); complete tables have nothing there.
 			if e.grower != nil && !e.complete {
-				e.grower.Speculate(e, cand)
+				e.speculate(cand)
 			}
 			continue
 		}

@@ -141,7 +141,10 @@ func TestCheckpointRoundTripSkipsSizing(t *testing.T) {
 	if s := e.Stats(); s.DecodedBytes != uint64(len(src)) || e.Size() != int64(len(src)) {
 		t.Fatalf("one pass decoded %d bytes of %d: %+v", s.DecodedBytes, len(src), s)
 	}
-	spans := e.Checkpoints()
+	var spans []Span
+	for _, c := range e.CheckpointTable().Spans {
+		spans = append(spans, Span(c))
+	}
 	flags := e.Flags()
 	e.Close()
 
