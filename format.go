@@ -139,7 +139,7 @@ type Capabilities struct {
 	Parallel bool
 	// Index reports BuildIndex/ExportIndex/ImportIndex support. Every
 	// format has it: gzip/BGZF persist seek points with windows, and
-	// bzip2/LZ4/zstd persist their checkpoint tables (RGZIDX04), so
+	// bzip2/LZ4/zstd persist their checkpoint tables (RGZIDX05), so
 	// reopening with an index skips the sizing pass.
 	Index bool
 	// Verify reports integrity verification: either opt-in sequential

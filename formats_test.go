@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -554,9 +555,17 @@ func refuseIndexes(t *testing.T, mode string) {
 		}
 		return buf.Bytes()
 	}
-	// The layout of a gzip index did not change from version 3 to 4.
-	v3 := append([]byte("RGZIDX03"), gzIndex[8:]...)
-	binary.LittleEndian.PutUint32(v3[len(v3)-4:], crc32.ChecksumIEEE(v3[:len(v3)-4]))
+	// An index of an earlier version, resealed: the magic is what tells.
+	older := func(magic string) []byte {
+		raw := append([]byte(magic), gzIndex[8:]...)
+		binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+		return raw
+	}
+	// A file whose blocks outgrow its chunks, and its index with the
+	// header of its first point inside a block one bit late: the index
+	// is well formed, the header is wrong.
+	long := build(t, "gzip-stdlib", workloads.SilesiaLike(1<<20, 5), 32<<10)
+	forged, forgedOff := forgeBlockHeader(t, readIndex(t, long))
 
 	for _, r := range []struct {
 		name   string
@@ -568,12 +577,18 @@ func refuseIndexes(t *testing.T, mode string) {
 		{"missing", gz, nil, fs.ErrNotExist, ""},
 		{"junk", gz, []byte("junk"), gzindex.ErrBadMagic, ""},
 		{"junk-bzip2", bz, []byte("junk"), gzindex.ErrBadMagic, ""},
-		{"corrupt", gz, []byte("RGZIDX04 garbage that is not an index"), gzindex.ErrCorrupt, ""},
+		// Flags are read before the checksum: garbage whose flags have a
+		// bit this version does not know is taken for a later version's
+		// index, and the corrupt one has its flags in order (one point, a
+		// window of an impossible length).
+		{"corrupt", gz, []byte("RGZIDX05\x01\x04\x0A\x0A\x01\x00\x00\x02\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x01"), gzindex.ErrCorrupt, ""},
+		{"unknown-flags", gz, []byte("RGZIDX05 garbage that is not an index"), gzindex.ErrUnsupportedVersion, "re-export"},
 		{"gzip-file", gz, gz.comp, gzindex.ErrBadMagic, ""},
 		{"truncated", gz, gzIndex[:len(gzIndex)/2], gzindex.ErrCorrupt, ""},
 		// Written before the current format, or without what every writer
 		// now records.
-		{"RGZIDX03", gz, v3, gzindex.ErrUnsupportedVersion, ""},
+		{"RGZIDX03", gz, older("RGZIDX03"), gzindex.ErrUnsupportedVersion, "re-export"},
+		{"RGZIDX04", gz, older("RGZIDX04"), gzindex.ErrUnsupportedVersion, "re-export"},
 		{"no-fingerprint", gz, rewritten(func(ix *gzindex.Index) { ix.SourceFP = nil }), gzindex.ErrUnsupportedVersion, ""},
 		{"no-complete-marks", gz, rewritten(func(ix *gzindex.Index) { ix.MemberMarksComplete = false }), gzindex.ErrUnsupportedVersion, ""},
 		// Built for another file.
@@ -581,6 +596,8 @@ func refuseIndexes(t *testing.T, mode string) {
 		{"same-size-file", sameGz, gzIndex, nil, "gzindex: index fingerprint"},
 		{"same-size-lz4", build(t, "lz4-nochecksum", workloads.Random(50_000, 4), 10_000), readIndex(t, lz), nil, "gzindex: index fingerprint"},
 		{"gzip-index-on-bzip2", bz, gzIndex, nil, "gzindex: index checkpoint table is for format"},
+		// Wrong inside.
+		{"wrong-block-header", long, forged, errForgedSpan, ""},
 	} {
 		if r.index == nil && mode != "explicit" {
 			continue // nothing to import or find
@@ -590,6 +607,10 @@ func refuseIndexes(t *testing.T, mode string) {
 			ixPath := filepath.Join(t.TempDir(), "refused"+IndexSuffix)
 			if r.index != nil {
 				writeTempFile(t, filepath.Dir(ixPath), filepath.Base(ixPath), r.index)
+			}
+			if r.want == errForgedSpan {
+				readsForgedSpan(t, fx, mode, ixPath, r.index, forgedOff)
+				return
 			}
 			switch mode {
 			case "explicit":
@@ -626,6 +647,99 @@ func refuseIndexes(t *testing.T, mode string) {
 				}
 			}
 		})
+	}
+}
+
+// errForgedSpan marks a refusal-table row whose index is taken and
+// fails the first read of the span it lies about instead.
+var errForgedSpan = errors.New("the read of a forged span fails")
+
+// forgeBlockHeader rewrites raw, an index with points inside blocks,
+// with the block header of the first such point one bit late, and
+// returns it and the point's offset. No later point is inside that
+// block, or it would keep the old header, which the reader refuses.
+func forgeBlockHeader(t *testing.T, raw []byte) ([]byte, int64) {
+	t.Helper()
+	ix, err := gzindex.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := gzindex.New(ix.ChunkSize)
+	out.Finalized, out.MemberMarksComplete, out.SourceFP = ix.Finalized, ix.MemberMarksComplete, ix.SourceFP
+	out.CompressedSize, out.UncompressedSize = ix.CompressedSize, ix.UncompressedSize
+	off, forged := int64(-1), uint64(0)
+	for i := 0; i < ix.Len(); i++ {
+		p := ix.Point(i)
+		if p.BlockHeaderBit != 0 && (off < 0 || p.BlockHeaderBit == forged) {
+			if off < 0 {
+				off, forged = int64(p.UncompressedOffset), p.BlockHeaderBit
+			}
+			p.BlockHeaderBit++
+		}
+		var win []byte
+		if w, ok := ix.Window(p.CompressedBitOffset); ok {
+			if win, err = w.Bytes(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := out.Add(p, win); err != nil {
+			t.Fatal(err)
+		}
+		for _, me := range ix.MemberEnds(p.CompressedBitOffset) {
+			out.AddMemberEnd(p.CompressedBitOffset, me)
+		}
+	}
+	if off < 0 {
+		t.Fatal("the index has no point inside a block")
+	}
+	var buf bytes.Buffer
+	if _, err := out.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), off
+}
+
+// readsForgedSpan gives fx an index that is well formed but wrong about
+// the block header of the span at off, in mode: the index is taken, a
+// read of that span fails — in its decode or on the exact-size check,
+// never with wrong bytes or a panic — and allocates no more than a few
+// times the span's size hint on the way (its output, the window, the
+// decoder's tables and the reads).
+func readsForgedSpan(t *testing.T, fx *formatFixture, mode, ixPath string, index []byte, off int64) {
+	var a Archive
+	var err error
+	switch mode {
+	case "explicit":
+		a, err = fx.open("file", WithIndexFile(ixPath))
+	case "import":
+		if a, err = fx.open("file", WithoutIndexDiscovery()); err == nil {
+			err = a.ImportIndex(bytes.NewReader(index))
+		}
+	case "sibling":
+		if err := os.Rename(ixPath, fx.path+IndexSuffix); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Remove(fx.path + IndexSuffix)
+		a, err = fx.open("file")
+	}
+	if err != nil {
+		t.Fatalf("a well-formed index was refused: %v", err)
+	}
+	defer a.Close()
+	if s := a.Stats(); s.SizingPasses != 0 {
+		t.Fatalf("the index was not taken: %+v", s)
+	}
+	buf := make([]byte, 64<<10)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := a.ReadAt(buf, off)
+	runtime.ReadMemStats(&after)
+	if err == nil || err == io.EOF {
+		t.Fatalf("ReadAt(%d) through a wrong block header = %d, %v; want a decode error", off, n, err)
+	}
+	t.Logf("ReadAt(%d): %v (%d bytes allocated)", off, err, after.TotalAlloc-before.TotalAlloc)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8*uint64(fx.span) {
+		t.Fatalf("a failing read allocated %d bytes", grew)
 	}
 }
 

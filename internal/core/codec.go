@@ -22,8 +22,11 @@ import (
 type spanMeta struct {
 	startBit, endBit  uint64
 	startDecomp, size uint64
-	atMemberStart     bool
-	endIsEOF          bool
+	// headerBit, when nonzero, is the bit of the header of the Huffman
+	// block the entry starts inside of: startBit is an element's.
+	headerBit     uint64
+	atMemberStart bool
+	endIsEOF      bool
 	// members records every gzip member end inside (or at the end of)
 	// this entry, captured when the entry was confirmed. Re-decodes of
 	// the entry verify against these marks.
@@ -123,6 +126,15 @@ func (c *gzipCodec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]
 // a few of these; a whole extent is five to forty.
 const prefixWindow = 32 << 10
 
+// blockHeaderRead is what a decode from a point inside a block reads at
+// the block's header: a Dynamic header takes at most about 570 bytes.
+const blockHeaderRead = 1 << 10
+
+// pointsPerChunk is how many points inside blocks a first-pass decode
+// records per ChunkSize of output, for splitPoints to cut at: the finer,
+// the closer to ChunkSize a cut inside a block lands.
+const pointsPerChunk = 16
+
 // DecodeSpanPrefix decodes one confirmed span with its stored window —
 // the fast path used for prefetches and random access once the entry
 // exists (§3.3, §4.4: "the output buffer can be allocated beforehand ...
@@ -221,8 +233,19 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*de
 	if m.endIsEOF {
 		stop = deflate.StopAtEOF
 	}
+	// A point inside a block reads its block's header again, with one
+	// small read: it lies before the extent, as far back as the block is
+	// long.
+	var header *bitio.BitReader
+	if m.headerBit != 0 {
+		header = bitio.NewBitReaderSize(c.src, fileSize, blockHeaderRead)
+		if err := header.SeekBits(m.headerBit); err != nil {
+			return nil, err
+		}
+	}
 	return dec.DecodeChunk(br, deflate.ChunkConfig{
 		Start:              m.startBit - base,
+		Header:             header,
 		Stop:               stop,
 		StopBeforeMember:   stop,
 		Window:             window,
@@ -290,7 +313,7 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	splits := c.splitPoints(res)
 	unit := make([]spanMeta, len(splits))
 	windows := make([][]byte, len(splits))
-	startBit := E
+	startBit, headerBit := E, uint64(0)
 	startDecomp := c.frontierDecomp
 	for i, sp := range splits {
 		unit[i] = spanMeta{
@@ -298,13 +321,14 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 			endBit:        sp.endBit,
 			startDecomp:   startDecomp,
 			size:          c.frontierDecomp + sp.endDecomp - startDecomp,
+			headerBit:     headerBit,
 			atMemberStart: unitStart == 0 && startBit == 0,
 		}
 		if windows[i], err = c.windowForLocked(unit[i], res, window); err != nil {
 			c.mu.Unlock()
 			return false, err
 		}
-		startBit = sp.endBit
+		startBit, headerBit = sp.endBit, sp.headerBit
 		startDecomp = c.frontierDecomp + sp.endDecomp
 	}
 	for i, m := range unit {
@@ -312,6 +336,7 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 			CompressedBitOffset: m.startBit,
 			UncompressedOffset:  m.startDecomp,
 			AtMemberStart:       m.atMemberStart,
+			BlockHeaderBit:      m.headerBit,
 		}, windows[i]); err != nil {
 			c.mu.Unlock()
 			return false, err
@@ -416,6 +441,7 @@ func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E uint64, atMember bool
 		Window:             window,
 		StartsAtGzipHeader: atMember,
 		SizeHint:           4 * c.cfg.ChunkSize,
+		PointEvery:         c.pointEvery(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: decode at bit %d: %w", E, err)
@@ -481,6 +507,7 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 		TwoStage:        true,
 		MaxDecompressed: guessedRatioLimit * uint64(c.cfg.ChunkSize),
 		SizeHint:        2 * c.cfg.ChunkSize,
+		PointEvery:      c.pointEvery(),
 	}
 	for searchFrom := uint64(0); ; {
 		c.cnt.finderProbes.Add(1)
@@ -520,6 +547,10 @@ func rebase(res *deflate.ChunkResult, base uint64) {
 	for i := range res.BlockStarts {
 		res.BlockStarts[i].Bit += base
 	}
+	for i := range res.InBlock {
+		res.InBlock[i].Bit += base
+		res.InBlock[i].HeaderBit += base
+	}
 	for i := range res.Members {
 		if !res.Members[i].AtEOF {
 			res.Members[i].HeaderEndBit += base
@@ -531,30 +562,54 @@ func rebase(res *deflate.ChunkResult, base uint64) {
 type splitPoint struct {
 	endBit    uint64 // compressed end of this entry
 	endDecomp uint64 // decompressed end within the unit output
+	// headerBit is the header of the block endBit is inside of, for a
+	// cut between two elements; zero for one at a block start.
+	headerBit uint64
 }
 
-// splitPoints returns entry boundaries for a decode unit: roughly one
-// entry per ChunkSize of decompressed output, cut at recorded non-final
-// Dynamic/Stored block starts (which the per-entry stop condition can
-// recognise).
+// pointEvery is the spacing of the points inside blocks a first-pass
+// decode records.
+func (c *gzipCodec) pointEvery() uint64 {
+	return uint64(max(c.cfg.ChunkSize/pointsPerChunk, 1))
+}
+
+// splitPoints returns entry boundaries for a decode unit: one about
+// every ChunkSize of decompressed output, so that what a seek decodes
+// before the bytes it wants is bounded by the chunk size, not by how
+// long the compressor made its blocks. While more than target is left
+// the next cut is due target on, or halfway through what is left when
+// that is less than twice target, so that a unit's last entries come
+// out even rather than one large and one small. It goes at the first
+// non-final Dynamic or Stored block start or point inside a block at or
+// past that offset, the block start when both are at the same one, and
+// must leave more than target/2 behind it.
 func (c *gzipCodec) splitPoints(res *deflate.ChunkResult) []splitPoint {
 	total := res.TotalOut()
 	target := uint64(c.cfg.ChunkSize)
+	bs, ib := res.BlockStarts, res.InBlock
 	var out []splitPoint
-	if total > 2*target {
-		nextCut := target
-		for _, bs := range res.BlockStarts {
-			if bs.DecompOffset == 0 || bs.Final || bs.Type == deflate.BlockFixed {
-				continue
-			}
-			if bs.DecompOffset >= nextCut && total-bs.DecompOffset > target/2 {
-				out = append(out, splitPoint{endBit: bs.Bit, endDecomp: bs.DecompOffset})
-				nextCut = bs.DecompOffset + target
-			}
+	for last := uint64(0); total-last > target; {
+		due := last + min(target, (total-last)/2)
+		for len(bs) > 0 && (bs[0].DecompOffset < due || bs[0].Final || bs[0].Type == deflate.BlockFixed) {
+			bs = bs[1:]
 		}
+		for len(ib) > 0 && ib[0].DecompOffset < due {
+			ib = ib[1:]
+		}
+		var cut splitPoint
+		switch {
+		case len(bs) > 0 && (len(ib) == 0 || bs[0].DecompOffset <= ib[0].DecompOffset):
+			cut = splitPoint{endBit: bs[0].Bit, endDecomp: bs[0].DecompOffset}
+		case len(ib) > 0:
+			cut = splitPoint{endBit: ib[0].Bit, endDecomp: ib[0].DecompOffset, headerBit: ib[0].HeaderBit}
+		}
+		if cut.endDecomp == 0 || total-cut.endDecomp <= target/2 {
+			break
+		}
+		out = append(out, cut)
+		last = cut.endDecomp
 	}
-	out = append(out, splitPoint{endBit: res.EndBit, endDecomp: total})
-	return out
+	return append(out, splitPoint{endBit: res.EndBit, endDecomp: total})
 }
 
 // windowForLocked computes the stored window for an index entry of the

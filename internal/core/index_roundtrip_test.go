@@ -143,14 +143,14 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 	}
 }
 
-// TestExportedIndexIsV4 pins the reader/CLI handshake: what ExportIndex
+// TestExportedIndexIsV5 pins the reader/CLI handshake: what ExportIndex
 // writes must carry the current format magic, so externally saved
 // indexes are covered by the format's golden/corruption tests.
-func TestExportedIndexIsV4(t *testing.T) {
+func TestExportedIndexIsV5(t *testing.T) {
 	data := mkText(46, 200_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
 	ixRaw := exportIndex(t, comp, 32<<10)
-	if len(ixRaw) < 8 || string(ixRaw[:8]) != "RGZIDX04" {
+	if len(ixRaw) < 8 || string(ixRaw[:8]) != "RGZIDX05" {
 		t.Fatalf("exported index starts with %q", ixRaw[:min(8, len(ixRaw))])
 	}
 }

@@ -270,6 +270,7 @@ func (r *Reader) install(ix *gzindex.Index) error {
 		m := spanMeta{
 			startBit:      p.CompressedBitOffset,
 			startDecomp:   p.UncompressedOffset,
+			headerBit:     p.BlockHeaderBit,
 			atMemberStart: p.AtMemberStart,
 		}
 		if i+1 < n {

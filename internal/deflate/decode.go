@@ -24,9 +24,20 @@ const StopAtEOF = math.MaxUint64
 
 // ChunkConfig parameterises DecodeChunk.
 type ChunkConfig struct {
-	// Start is the absolute bit offset of the first Deflate block header
-	// (or of a gzip member header when StartsAtGzipHeader is set).
+	// Start is the absolute bit offset of the first Deflate block header,
+	// of a gzip member header when StartsAtGzipHeader is set, or of an
+	// element inside a Huffman block when Header is set.
 	Start uint64
+	// Header, when non-nil, starts the decode inside a Huffman block, at
+	// one of the InBlockPoints of an earlier decode: Header stands at the
+	// block's 3-bit header, which DecodeChunk parses to rebuild the
+	// block's tables before it continues from Start with the block open.
+	// Deflate carries nothing else from one element to the next but the
+	// window. Header may read another part of the file than br does: the
+	// header of a long block lies far before its points. Points inside
+	// the block a decode started in are not recorded, as their header is
+	// not in br's coordinates. StartsAtGzipHeader must not be set with it.
+	Header *bitio.BitReader
 	// Stop makes decoding halt at the first non-final Dynamic or
 	// Non-Compressed block whose canonical offset is >= Stop. This stop
 	// condition matches the block finder's search conditions exactly, so
@@ -63,6 +74,26 @@ type ChunkConfig struct {
 	// SizeHint is the expected output size in symbols; output buffers
 	// start at this capacity.
 	SizeHint int
+	// PointEvery, when nonzero, has the decode record an InBlockPoint
+	// inside Huffman blocks each time the output has grown by at least
+	// this many symbols since the last one. A point is taken where the
+	// block loops stop between elements anyway — before a slow element,
+	// or where a fast stretch ends, which it does once it has passed the
+	// point's offset — so it lies less than one fast stretch (fastRoom
+	// symbols) past that offset unless a stored block or a block's end
+	// came between, and recording costs nothing per symbol.
+	PointEvery uint64
+}
+
+// InBlockPoint records an element boundary inside a Huffman block, from
+// which a decode can start with the window in front of it (see
+// ChunkConfig.Header).
+type InBlockPoint struct {
+	// Bit is the bit offset of the next element, HeaderBit that of the
+	// open block's header.
+	Bit, HeaderBit uint64
+	// DecompOffset is the position in the chunk output of the element.
+	DecompOffset uint64
 }
 
 // BlockStart records one Deflate block boundary inside a chunk.
@@ -114,8 +145,12 @@ type ChunkResult struct {
 	Marked []uint16
 	Raw    []byte
 
-	Members     []MemberEvent
+	Members []MemberEvent
+	// BlockStarts lists the block headers the decode parsed, InBlock the
+	// points inside blocks ChunkConfig.PointEvery asked for; both in
+	// stream order.
 	BlockStarts []BlockStart
+	InBlock     []InBlockPoint
 
 	// FirstHeader is the gzip header parsed when StartsAtGzipHeader.
 	FirstHeader gzformat.Header
@@ -137,7 +172,10 @@ type chunkState struct {
 	maxOut    int
 	// limit is StopAtOutput for the single-stage loops, which pause once
 	// len(out8) reaches it; math.MaxInt when there is none to check.
-	limit   int
+	limit int
+	// pointAt is the output size from which the next InBlockPoint is
+	// due; math.MaxInt when the decode records none.
+	pointAt int
 	scratch []byte
 }
 
@@ -170,6 +208,12 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 	d.br, d.cfg, d.open = br, cfg, false
 	d.pausable = !cfg.TwoStage && cfg.StopAtOutput > 0
 	d.cr = &ChunkResult{StartBit: cfg.Start}
+	if cfg.Header != nil {
+		if err := d.openBlock(cfg.Header); err != nil {
+			d.cr = nil
+			return nil, err
+		}
+	}
 	if cfg.StartsAtGzipHeader {
 		hdr, err := gzformat.ParseHeader(br)
 		if err != nil {
@@ -179,11 +223,15 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 		d.cr.FirstHeader = hdr
 	}
 	d.st = chunkState{
-		marked: cfg.TwoStage,
-		window: cfg.Window,
-		maxOut: math.MaxInt,
+		marked:  cfg.TwoStage,
+		window:  cfg.Window,
+		maxOut:  math.MaxInt,
+		pointAt: math.MaxInt,
 	}
 	st := &d.st
+	if cfg.PointEvery > 0 && cfg.PointEvery < math.MaxInt {
+		st.pointAt = int(cfg.PointEvery)
+	}
 	if cfg.MaxDecompressed > 0 && cfg.MaxDecompressed < math.MaxInt {
 		st.maxOut = int(cfg.MaxDecompressed)
 	}
@@ -202,6 +250,46 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 		}
 	}
 	return d.run()
+}
+
+// openBlock parses the block header hdr stands at and leaves the block
+// open, as a decode paused inside it would be: its tables built, its
+// flags set. A point is never inside a stored block.
+func (d *Decoder) openBlock(hdr *bitio.BitReader) error {
+	final, typ, err := ParseBlockHeader(hdr)
+	if err != nil {
+		return err
+	}
+	switch typ {
+	case BlockFixed:
+		d.fixed, d.hasDist = true, true
+	case BlockDynamic:
+		br := d.br
+		d.br = hdr
+		r := d.ParseDynamicHeader()
+		d.br = br
+		if r != RejectNone {
+			return headerErrors[r]
+		}
+	default:
+		return ErrCorrupt
+	}
+	d.open, d.final, d.isStored = true, final, false
+	d.headerBit = noHeader
+	return nil
+}
+
+// noHeader is the header bit of the block a decode started inside of.
+const noHeader = math.MaxUint64
+
+// notePoint is where the block loops record the InBlockPoint that is
+// due, total symbols into the output with the reader at the element
+// behind them, and move the next one PointEvery further.
+func (d *Decoder) notePoint(total int) {
+	d.st.pointAt = total + int(min(d.cfg.PointEvery, uint64(math.MaxInt-total)))
+	if d.headerBit != noHeader {
+		d.cr.InBlock = append(d.cr.InBlock, InBlockPoint{Bit: d.br.BitPos(), HeaderBit: d.headerBit, DecompOffset: uint64(total)})
+	}
 }
 
 // Resume continues the decode this Decoder paused on StopAtOutput, up to
@@ -325,6 +413,7 @@ func (d *Decoder) decodeBlocks() error {
 				return ErrCorrupt
 			}
 			d.open, d.final, d.isStored = true, final, typ == BlockStored
+			d.headerBit = headerPos
 		}
 
 		var paused bool
@@ -493,6 +582,12 @@ func (d *Decoder) decodeHuffBlock(st *chunkState) (paused bool, err error) {
 //     fail. The root lookup indexes a fixed-size array, without a bounds
 //     check; a link costs one checked lookup more.
 //
+// A fast stretch also ends once the output has reached the offset of
+// the next InBlockPoint (PointEvery), and the loop records the point
+// before it starts the next one — at an element boundary, where the
+// reader's position and the open block say all a decode needs to start
+// there.
+//
 // Where either guarantee is missing — within fastInput bytes of the
 // buffered window's edge or of the end of input, within fastRoom symbols
 // of the bound — the loops decode one element at a time through the
@@ -580,6 +675,10 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 	buf, pos, bits, nbits := br.View()
 	for {
 		p := len(out)
+		if p >= st.pointAt {
+			br.Commit(pos, bits, nbits)
+			d.notePoint(p)
+		}
 		roomEnd := min(st.maxOut, cap(out)) - fastRoom
 		if pos+fastInput > len(buf) || p > roomEnd {
 			br.Commit(pos, bits, nbits)
@@ -593,10 +692,11 @@ func (d *Decoder) decodeHuffBlockMarked(st *chunkState) error {
 			continue
 		}
 		o, inputEnd := out[:cap(out)], len(buf)-fastInput
+		fastEnd := min(roomEnd, st.pointAt-1)
 		var stop bool
 		var err error
 	fast:
-		for p <= roomEnd && pos <= inputEnd {
+		for p <= fastEnd && pos <= inputEnd {
 			bits |= load64(buf, pos) << (nbits & 63)
 			pos += int(63-nbits) >> 3
 			nbits |= 56
@@ -740,6 +840,13 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) (bool, error) {
 	buf, pos, bits, nbits := br.View()
 	for {
 		p := len(out)
+		// Raw offsets are total ones less the marked segment.
+		pointAt := st.pointAt - len(st.out16)
+		if p >= pointAt {
+			br.Commit(pos, bits, nbits)
+			d.notePoint(len(st.out16) + p)
+			pointAt = st.pointAt - len(st.out16)
+		}
 		roomEnd := min(bound, cap(out)) - fastRoom
 		if pos+fastInput > len(buf) || p > roomEnd {
 			br.Commit(pos, bits, nbits)
@@ -756,10 +863,11 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) (bool, error) {
 			continue
 		}
 		o, inputEnd := out[:cap(out)], len(buf)-fastInput
+		fastEnd := min(roomEnd, pointAt-1)
 		var stop bool
 		var err error
 	fast:
-		for p <= roomEnd && pos <= inputEnd {
+		for p <= fastEnd && pos <= inputEnd {
 			bits |= load64(buf, pos) << (nbits & 63)
 			pos += int(63-nbits) >> 3
 			nbits |= 56

@@ -27,7 +27,7 @@ func decodePaused(t testing.TB, comp []byte, cfg ChunkConfig, limits []uint64) (
 		return l
 	}
 	cfg.StopAtOutput = next()
-	cr, err := d.DecodeChunk(bitio.NewBitReaderBytes(comp), cfg)
+	cr, err := d.DecodeChunk(bitio.NewBitReaderBytes(comp), ownHeader(cfg))
 	var handed, kept []byte // the previous piece's Raw, and a copy of it
 	for err == nil && cr.Paused {
 		limit := d.cfg.StopAtOutput
@@ -55,7 +55,7 @@ func decodePaused(t testing.TB, comp []byte, cfg ChunkConfig, limits []uint64) (
 func requireSameDecode(t testing.TB, comp []byte, cfg ChunkConfig, limits []uint64) {
 	t.Helper()
 	var d Decoder
-	want, wantErr := d.DecodeChunk(bitio.NewBitReaderBytes(comp), cfg)
+	want, wantErr := d.DecodeChunk(bitio.NewBitReaderBytes(comp), ownHeader(cfg))
 	got, err := decodePaused(t, comp, cfg, limits)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("limits %v: paused decode: %v, unpaused: %v", limits, err, wantErr)
@@ -76,6 +76,18 @@ func requireSameDecode(t testing.TB, comp []byte, cfg ChunkConfig, limits []uint
 	if !reflect.DeepEqual(got.BlockStarts, want.BlockStarts) {
 		t.Fatalf("limits %v: block starts differ", limits)
 	}
+}
+
+// ownHeader gives a decode that starts inside a block a header reader
+// of its own, so that one config serves several decodes. The readers in
+// these tests are over memory: a copy shares nothing that reading
+// changes.
+func ownHeader(cfg ChunkConfig) ChunkConfig {
+	if cfg.Header != nil {
+		h := *cfg.Header
+		cfg.Header = &h
+	}
+	return cfg
 }
 
 // around returns the limits that put a pause just before, on and just
@@ -206,8 +218,9 @@ func TestPauseStopsInsideBlock(t *testing.T) {
 // errs. The stream is either the fuzzer's bytes as they are (mostly
 // garbage, which must fail the same way paused or not), or those bytes
 // compressed into one or two gzip members at a seeded level; a seeded
-// share of the compressed cases start at a block in the middle, with
-// the window in front of it.
+// share of the compressed cases start in the middle, with the window in
+// front of them: at a block, or at a point inside one that a decode
+// recording a point every seeded number of bytes gave.
 func FuzzPauseResume(f *testing.F) {
 	// Small seeds: the fuzzer minimises what it finds by the byte.
 	for name, p := range testPayloads(13, 3000) {
@@ -231,7 +244,8 @@ func FuzzPauseResume(f *testing.F) {
 				cut = rng.Intn(len(data) + 1)
 			}
 			comp = gzipMembers(t, level, data[:cut], data[cut:])
-			if out, res := decodeAll(t, comp); rng.Intn(3) == 0 {
+			switch out, res := decodeAll(t, comp); rng.Intn(3) {
+			case 0:
 				bs := res.BlockStarts[rng.Intn(len(res.BlockStarts))]
 				// The window may not reach across a member boundary.
 				memberStart := uint64(0)
@@ -242,6 +256,11 @@ func FuzzPauseResume(f *testing.F) {
 				}
 				lo := max(memberStart, bs.DecompOffset-min(bs.DecompOffset, WindowSize))
 				cfg = ChunkConfig{Start: bs.Bit, Stop: StopAtEOF, Window: out[lo:bs.DecompOffset]}
+			case 1:
+				out, res := pointsOf(t, comp, 1+uint64(rng.Intn(1000)))
+				if len(res.InBlock) > 0 {
+					cfg = inBlockConfig(comp, out, res, res.InBlock[rng.Intn(len(res.InBlock))])
+				}
 			}
 		}
 		var limits []uint64

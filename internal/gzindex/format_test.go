@@ -2,7 +2,9 @@ package gzindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,7 +12,7 @@ import (
 	"testing"
 )
 
-// goldenIndex is the index of the golden-v4 fixture without its
+// goldenIndex is the index of the golden-v5 fixture without its
 // fingerprint (goldenIndexFP adds it). Any change that stops a fixture
 // from parsing back to exactly its index, or WriteTo from writing it
 // byte for byte, is an on-disk format break and must bump the version
@@ -72,8 +74,17 @@ func goldenIndexFP(t *testing.T) *Index {
 	return ix
 }
 
+// TestGoldenV4: the version-4 fixture, written before points inside
+// blocks, is not read; the error says to export the index again.
 func TestGoldenV4(t *testing.T) {
 	raw := readGolden(t, "golden-v4.rgzidx")
+	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), "re-export") {
+		t.Fatalf("version 4: %v", err)
+	}
+}
+
+func TestGoldenV5(t *testing.T) {
+	raw := readGolden(t, "golden-v5.rgzidx")
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +107,7 @@ func TestGoldenV4(t *testing.T) {
 }
 
 // checkpointIndex is the sample serialised into
-// golden-v4-checkpoints.rgzidx: a zstd-style span table with a
+// golden-v5-checkpoints.rgzidx: a zstd-style span table with a
 // compressed gap (skippable frame) between the second and third span,
 // no seek points.
 func checkpointIndex(t *testing.T) *Index {
@@ -137,8 +148,8 @@ func assertEqualCheckpoints(t *testing.T, got, want *Index) {
 	}
 }
 
-func TestGoldenV4Checkpoints(t *testing.T) {
-	raw := readGolden(t, "golden-v4-checkpoints.rgzidx")
+func TestGoldenV5Checkpoints(t *testing.T) {
+	raw := readGolden(t, "golden-v5-checkpoints.rgzidx")
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +232,7 @@ func TestCheckpointIndexRejectsEveryByteFlip(t *testing.T) {
 	}
 }
 
-// markedIndex is the sample serialised into golden-v4-marks.rgzidx:
+// markedIndex is the sample serialised into golden-v5-marks.rgzidx:
 // member marks on two points, windows on two, MemberMarksComplete set.
 func markedIndex(t *testing.T) *Index {
 	t.Helper()
@@ -264,8 +275,8 @@ func assertEqualMarks(t *testing.T, got, want *Index) {
 	}
 }
 
-func TestGoldenV4WithMemberMarks(t *testing.T) {
-	raw := readGolden(t, "golden-v4-marks.rgzidx")
+func TestGoldenV5WithMemberMarks(t *testing.T) {
+	raw := readGolden(t, "golden-v5-marks.rgzidx")
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -280,6 +291,134 @@ func TestGoldenV4WithMemberMarks(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), raw) {
 		t.Fatalf("WriteTo output diverged from the marks golden fixture (%d vs %d bytes)", buf.Len(), len(raw))
+	}
+}
+
+// inBlockIndex is the sample serialised into golden-v5-inblock.rgzidx:
+// two points inside the block that starts at the second point, one
+// inside a block that has no point of its own, a member mark on one.
+func inBlockIndex(t *testing.T) *Index {
+	t.Helper()
+	ix := New(256 << 10)
+	ix.Finalized = true
+	ix.MemberMarksComplete = true
+	ix.CompressedSize = 400_000
+	ix.UncompressedSize = 1_500_000
+	ix.SourceFP = &Fingerprint{Head: 0x0BADF00D, Tail: 0x12345678}
+	for _, e := range []struct {
+		p   SeekPoint
+		win []byte
+	}{
+		{SeekPoint{CompressedBitOffset: 0, UncompressedOffset: 0, AtMemberStart: true}, nil},
+		{SeekPoint{CompressedBitOffset: 700_005, UncompressedOffset: 262_144}, bytes.Repeat([]byte("abc"), 10_000)},
+		{SeekPoint{CompressedBitOffset: 1_400_321, UncompressedOffset: 524_301, BlockHeaderBit: 700_005}, []byte("window inside a block")},
+		{SeekPoint{CompressedBitOffset: 2_100_777, UncompressedOffset: 786_500, BlockHeaderBit: 700_005}, []byte("another")},
+		{SeekPoint{CompressedBitOffset: 2_800_002, UncompressedOffset: 1_048_600, BlockHeaderBit: 2_500_000}, []byte("next block")},
+	} {
+		if err := ix.Add(e.p, e.win); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix.AddMemberEnd(2_100_777, MemberEnd{RelEnd: 100_000, CRC32: 0x89ABCDEF})
+	return ix
+}
+
+func TestGoldenV5InBlock(t *testing.T) {
+	raw := readGolden(t, "golden-v5-inblock.rgzidx")
+	got, err := Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := inBlockIndex(t)
+	assertEqualIndex(t, got, want)
+	assertEqualMarks(t, got, want)
+	var buf bytes.Buffer
+	if _, err := want.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), raw) {
+		t.Fatalf("WriteTo output diverged from the in-block golden fixture (%d vs %d bytes)", buf.Len(), len(raw))
+	}
+}
+
+// forged serialises the in-block sample with its point i replaced by p,
+// as no writer would: Add refuses what the reader has to refuse too.
+func forged(t *testing.T, i int, p SeekPoint) []byte {
+	t.Helper()
+	ix := inBlockIndex(t)
+	ix.points[i] = p
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRejectsForgedHeaderDistances: the distance back to an in-block
+// point's header must be nonzero, reach no further than bit 1, not go
+// back behind the header of the in-block point before, nor before the
+// last point that is not inside a block.
+func TestReadRejectsForgedHeaderDistances(t *testing.T) {
+	ix := inBlockIndex(t)
+	at := func(i int, header uint64) SeekPoint {
+		p := ix.Point(i)
+		p.BlockHeaderBit = header
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		i    int
+		p    SeekPoint
+	}{
+		{"zero", 4, at(4, ix.Point(4).CompressedBitOffset)},
+		// The writer subtracts: a header past the point wraps.
+		{"wrapping", 4, at(4, ix.Point(4).CompressedBitOffset+1)},
+		{"decreasing", 4, at(4, 700_004)},
+		{"before the block-start point", 2, at(2, 700_004)},
+		{"at a member start", 4, SeekPoint{CompressedBitOffset: 2_800_002, UncompressedOffset: 1_048_600, BlockHeaderBit: 2_500_000, AtMemberStart: true}},
+	} {
+		if _, err := Read(bytes.NewReader(forged(t, c.i, c.p))); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: %v, want ErrCorrupt", c.name, err)
+		}
+	}
+	// The rules hold for the first point too, and on the way in.
+	first := New(1 << 20)
+	if err := first.Add(SeekPoint{CompressedBitOffset: 100, BlockHeaderBit: 80}, []byte("w")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("in-block first point: %v", err)
+	}
+	if err := ix.Add(SeekPoint{CompressedBitOffset: 3_000_000, UncompressedOffset: 1_200_000, BlockHeaderBit: 2_400_000}, []byte("w")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("decreasing header accepted by Add: %v", err)
+	}
+}
+
+// reseal recomputes raw's trailing checksum.
+func reseal(raw []byte) []byte {
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+	return raw
+}
+
+// TestReadRefusesUnknownFlags: a flag bit this version does not know, in
+// the header or in a record, belongs to a later version's field.
+func TestReadRefusesUnknownFlags(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := goldenIndex(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	hdr := bytes.Clone(buf.Bytes())
+	hdr[len(magic)] |= 0x10
+	if _, err := Read(bytes.NewReader(reseal(hdr))); !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), "re-export") {
+		t.Fatalf("unknown header flag: %v", err)
+	}
+	// The first record follows the header's five one-byte fields: flags,
+	// chunk size (4 MiB is three bytes), sizes, point count, two deltas.
+	rec := bytes.Clone(buf.Bytes())
+	i := bytes.Index(rec[len(magic):], []byte{0x03, 0x00, 0x00, 0x01}) // count 3, point 0 at 0/0, member start
+	if i < 0 {
+		t.Fatal("first record not found")
+	}
+	rec[len(magic)+i+3] |= 0x80
+	if _, err := Read(bytes.NewReader(reseal(rec))); !errors.Is(err, ErrUnsupportedVersion) {
+		t.Fatalf("unknown record flag: %v", err)
 	}
 }
 
@@ -487,7 +626,7 @@ func TestReadSurvivesOverflowingVarints(t *testing.T) {
 	// out of range on a ~24-byte input).
 	overflow := bytes.Repeat([]byte{0xFF}, 10)
 	craft := func(tail ...byte) []byte {
-		raw := []byte("RGZIDX04")
+		raw := []byte(magic)
 		raw = append(raw, 0x01)                   // flags: finalized
 		raw = append(raw, 0x04, 0x0A, 0x0A, 0x01) // chunk, sizes, 1 point
 		raw = append(raw, 0x00, 0x00)             // point deltas
@@ -497,7 +636,7 @@ func TestReadSurvivesOverflowingVarints(t *testing.T) {
 		"window-compLen-overflow": craft(append([]byte{0x02, 0x05}, overflow...)...),
 		"window-rawLen-overflow":  craft(append([]byte{0x02}, overflow...)...),
 		"mark-count-overflow":     craft(append([]byte{0x04}, overflow...)...),
-		"point-count-overflow": append([]byte("RGZIDX04\x01\x04\x0A\x0A"),
+		"point-count-overflow": append([]byte(magic+"\x01\x04\x0A\x0A"),
 			overflow...),
 	}
 	for name, raw := range cases {
@@ -544,12 +683,13 @@ func TestReadErrorTaxonomy(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("RGZIDX99whatever"))); !errors.Is(err, ErrUnsupportedVersion) {
 		t.Fatalf("future version: %v", err)
 	}
-	// The versions before the fingerprint and the checkpoint table are
-	// not read: the error says to export the index again.
-	var v4 bytes.Buffer
-	goldenIndexFP(t).WriteTo(&v4)
-	for _, m := range []string{"RGZIDX01", "RGZIDX02", "RGZIDX03"} {
-		old := append([]byte(m), v4.Bytes()[len(m):]...)
+	// The versions before the fingerprint, the checkpoint table and the
+	// points inside blocks are not read: the error says to export the
+	// index again.
+	var cur bytes.Buffer
+	goldenIndexFP(t).WriteTo(&cur)
+	for _, m := range []string{"RGZIDX01", "RGZIDX02", "RGZIDX03", "RGZIDX04"} {
+		old := append([]byte(m), cur.Bytes()[len(m):]...)
 		if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), "re-export") {
 			t.Fatalf("%s: %v", m, err)
 		}

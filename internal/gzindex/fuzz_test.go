@@ -12,9 +12,10 @@ import (
 // so this parser sees unvetted bytes in normal operation.
 func FuzzReadIndex(f *testing.F) {
 	for _, golden := range []string{
-		"testdata/golden-v4.rgzidx",
-		"testdata/golden-v4-marks.rgzidx",
-		"testdata/golden-v4-checkpoints.rgzidx",
+		"testdata/golden-v5.rgzidx",
+		"testdata/golden-v5-marks.rgzidx",
+		"testdata/golden-v5-checkpoints.rgzidx",
+		"testdata/golden-v5-inblock.rgzidx",
 	} {
 		if raw, err := os.ReadFile(golden); err == nil {
 			f.Add(raw)
@@ -58,14 +59,15 @@ func FuzzReadIndex(f *testing.F) {
 	})
 }
 
-// FuzzReadIndexV4 targets the version-4 checkpoint-table section: the
-// corpus seeds a v4 export of each per-format span table (bzip2, LZ4,
-// zstd — including a compressed gap, as a skippable frame leaves).
+// FuzzReadIndexV5 targets the sections of the version-5 format that feed
+// offsets straight into decodes: the checkpoint table — the corpus seeds
+// an export of each per-format span table (bzip2, LZ4, zstd, including a
+// compressed gap, as a skippable frame leaves) — and the seek points
+// inside blocks, whose header distances a decode reads the file at.
 // Accepted inputs must survive a serialise/re-read round trip with the
-// checkpoint table intact: the section feeds span extents straight
-// into backend slicing, so a parser discrepancy here is an
+// table and the points intact: a parser discrepancy here is an
 // out-of-bounds read waiting in a backend.
-func FuzzReadIndexV4(f *testing.F) {
+func FuzzReadIndexV5(f *testing.F) {
 	seed := func(tag string, flags uint8, spans []Checkpoint, compSize, decompSize uint64) {
 		ix := New(0)
 		ix.Finalized = true
@@ -90,8 +92,35 @@ func FuzzReadIndexV4(f *testing.F) {
 		{CompOff: 0, CompEnd: 300, DecompOff: 0, DecompSize: 50_000},
 		{CompOff: 428, CompEnd: 700, DecompOff: 50_000, DecompSize: 50_000}, // gap: skippable frame
 	}, 700, 100_000)
-	if raw, err := os.ReadFile("testdata/golden-v4-checkpoints.rgzidx"); err == nil {
-		f.Add(raw)
+	for _, golden := range []string{"testdata/golden-v5-checkpoints.rgzidx", "testdata/golden-v5-inblock.rgzidx"} {
+		if raw, err := os.ReadFile(golden); err == nil {
+			f.Add(raw)
+		}
+	}
+	// Points inside blocks: two in one block after its block-start point,
+	// one in a block without a point of its own, then a block start.
+	ix := New(1 << 20)
+	ix.Finalized = true
+	ix.CompressedSize = 50_000
+	ix.UncompressedSize = 900_000
+	ix.SourceFP = &Fingerprint{Head: 0x1234, Tail: 0x5678}
+	for _, p := range []SeekPoint{
+		{CompressedBitOffset: 0, AtMemberStart: true},
+		{CompressedBitOffset: 30_000, UncompressedOffset: 100_000},
+		{CompressedBitOffset: 90_000, UncompressedOffset: 300_000, BlockHeaderBit: 30_000},
+		{CompressedBitOffset: 150_000, UncompressedOffset: 500_000, BlockHeaderBit: 30_000},
+		{CompressedBitOffset: 250_000, UncompressedOffset: 700_000, BlockHeaderBit: 200_123},
+		{CompressedBitOffset: 300_000, UncompressedOffset: 800_000},
+	} {
+		var win []byte
+		if !p.AtMemberStart {
+			win = []byte("window")
+		}
+		ix.Add(p, win)
+	}
+	var buf bytes.Buffer
+	if _, err := ix.WriteTo(&buf); err == nil {
+		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := Read(bytes.NewReader(data))
@@ -105,6 +134,14 @@ func FuzzReadIndexV4(f *testing.F) {
 		back, err := Read(bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("re-serialised index failed to re-read: %v", err)
+		}
+		if got.Len() != back.Len() {
+			t.Fatalf("%d points re-read as %d", got.Len(), back.Len())
+		}
+		for i := 0; i < got.Len(); i++ {
+			if got.Point(i) != back.Point(i) {
+				t.Fatalf("point %d mutated in round trip: %+v vs %+v", i, got.Point(i), back.Point(i))
+			}
 		}
 		g, b := got.Checkpoints, back.Checkpoints
 		if (g == nil) != (b == nil) {

@@ -7,6 +7,13 @@
 // .gzi files; the on-disk format here is this package's own versioned
 // binary layout with flate-compressed windows.
 //
+// The paper cuts a file only where a Deflate block starts, so a block of
+// a megabyte is a seek point's worth of output on its own. A point here
+// may also lie inside a Huffman block, between two elements: it then
+// also records where the block's header is, which a decode from it reads
+// again to rebuild the block's tables. Deflate carries nothing else from
+// one element to the next but the window.
+//
 // Windows are lazy on the way in. An import checks each window's
 // declared lengths and keeps the flate bytes the file holds;
 // Window.Bytes inflates one the first time it is asked for and keeps the
@@ -34,8 +41,9 @@ import (
 // SeekPoint marks a position where decompression can resume.
 type SeekPoint struct {
 	// CompressedBitOffset is the exact bit offset of a Deflate block
-	// header (canonicalised for stored blocks) or of a gzip member
-	// header (flagged by AtMemberStart).
+	// header (canonicalised for stored blocks), of a gzip member header
+	// (flagged by AtMemberStart), or of an element inside a Huffman block
+	// (flagged by a nonzero BlockHeaderBit).
 	CompressedBitOffset uint64
 	// UncompressedOffset is the decompressed position of this point.
 	UncompressedOffset uint64
@@ -43,6 +51,11 @@ type SeekPoint struct {
 	// (e.g. BGZF members), where decoding must begin with header parsing
 	// and an empty window.
 	AtMemberStart bool
+	// BlockHeaderBit, when nonzero, makes this a point inside a Huffman
+	// block: it is the bit offset of that block's header, which lies
+	// before the point and not before the last point that is not inside
+	// a block. (No block header is at bit 0: a gzip member header is.)
+	BlockHeaderBit uint64
 }
 
 // MemberEnd marks a gzip member ending inside the span of a seek
@@ -136,10 +149,10 @@ type Checkpoint struct {
 	DecompOff, DecompSize int64
 }
 
-// CheckpointTable is the optional per-format section of a version-4
-// index: the complete span table of a bzip2/LZ4/zstd file, persisted
-// so a reopen can skip the sizing pass entirely (the ROADMAP follow-up
-// from the format-agnostic-API and zstd PRs).
+// CheckpointTable is the optional per-format section of an index: the
+// complete span table of a bzip2/LZ4/zstd file, persisted so a reopen
+// can skip the sizing pass entirely (the ROADMAP follow-up from the
+// format-agnostic-API and zstd PRs).
 type CheckpointTable struct {
 	// Format is the owning codec's 4-byte tag ("bz2 ", "lz4 ", "zstd").
 	Format string
@@ -153,12 +166,16 @@ type CheckpointTable struct {
 // Index is the seek-point database. It is not goroutine-safe; the chunk
 // fetcher serialises access.
 type Index struct {
-	points     []SeekPoint
+	points []SeekPoint
+	// floorBit is the lowest bit an in-block point's header may be at:
+	// that of the last point not inside a block, or the last in-block
+	// point's header, whichever comes later.
+	floorBit   uint64
 	windows    map[uint64]*Window     // keyed by CompressedBitOffset
 	memberEnds map[uint64][]MemberEnd // keyed by CompressedBitOffset
 
-	// Checkpoints is the optional per-format checkpoint-table section
-	// (version 4); nil for gzip/BGZF seek-point indexes.
+	// Checkpoints is the optional per-format checkpoint-table section;
+	// nil for gzip/BGZF seek-point indexes.
 	Checkpoints *CheckpointTable
 
 	// Finalized is set once the whole file has been scanned, making
@@ -216,17 +233,36 @@ func New(chunkSize int) *Index {
 // is the decompressed data preceding the point (nil for member starts,
 // up to 32 KiB otherwise).
 func (ix *Index) Add(p SeekPoint, win []byte) error {
-	if n := len(ix.points); n > 0 {
-		last := ix.points[n-1]
-		if p.UncompressedOffset < last.UncompressedOffset ||
-			p.CompressedBitOffset <= last.CompressedBitOffset {
-			return fmt.Errorf("gzindex: out-of-order seek point %+v after %+v", p, last)
-		}
+	if err := ix.push(p); err != nil {
+		return err
 	}
-	ix.points = append(ix.points, p)
 	if win != nil {
 		ix.windows[p.CompressedBitOffset] = &Window{raw: win}
 	}
+	return nil
+}
+
+// push appends p after checking that it may follow the points so far:
+// offsets in stream order, and the header of an in-block point before
+// it, at or after floorBit. Errors wrap ErrCorrupt.
+func (ix *Index) push(p SeekPoint) error {
+	n := len(ix.points)
+	if n > 0 {
+		last := ix.points[n-1]
+		if p.UncompressedOffset < last.UncompressedOffset ||
+			p.CompressedBitOffset <= last.CompressedBitOffset {
+			return fmt.Errorf("%w: out-of-order seek point %+v after %+v", ErrCorrupt, p, last)
+		}
+	}
+	if h := p.BlockHeaderBit; h == 0 {
+		ix.floorBit = p.CompressedBitOffset
+	} else {
+		if n == 0 || p.AtMemberStart || h >= p.CompressedBitOffset || h < ix.floorBit {
+			return fmt.Errorf("%w: seek point %+v has its block header out of place (from bit %d)", ErrCorrupt, p, ix.floorBit)
+		}
+		ix.floorBit = h
+	}
+	ix.points = append(ix.points, p)
 	return nil
 }
 
@@ -273,11 +309,11 @@ func (ix *Index) Find(target uint64) (int, bool) {
 
 // --- serialization -------------------------------------------------------
 //
-// On-disk layout (version 4, the one format read and written; all
+// On-disk layout (version 5, the one format read and written; all
 // integers little-endian or unsigned LEB128 varints):
 //
 //	offset  size      field
-//	0       8         magic "RGZIDX04"
+//	0       8         magic "RGZIDX05"
 //	8       1         flags (bit 0: finalized, bit 1: member marks
 //	                  complete, bit 2: source fingerprint present,
 //	                  bit 3: checkpoint table present)
@@ -298,7 +334,9 @@ func (ix *Index) Find(target uint64) (int, bool) {
 //	          record (absolute for the first record)
 //	varint    uncompressed byte offset, delta-coded likewise
 //	1         flags (bit 0: at member start, bit 1: window present,
-//	          bit 2: member marks present)
+//	          bit 2: member marks present, bit 3: inside a block)
+//	varint    distance back from the point to its block's header, in
+//	          bits (only when bit 3 is set; nonzero)
 //	varint    raw window length        | only when bit 1
 //	varint    compressed window length | is set; the window
 //	...       flate-compressed window  | bytes follow
@@ -311,6 +349,10 @@ func (ix *Index) Find(target uint64) (int, bool) {
 // deltas are non-negative and small; windows are the bulk of the file
 // and flate-compress well (often 3-10x). The trailing CRC32 makes any
 // single-byte corruption detectable before an import trusts the data.
+//
+// A flag bit this version does not know, in the header or in a record,
+// is ErrUnsupportedVersion: a field added later comes as a flag bit, not
+// as another magic, and an older reader refuses what it cannot parse.
 //
 // The checkpoint-table section (the persisted span table of a
 // bzip2/LZ4/zstd file) is:
@@ -329,7 +371,13 @@ func (ix *Index) Find(target uint64) (int, bool) {
 // each offset is the running sum of the preceding sizes.
 
 // magic opens every index file; its last two digits are the version.
-const magic = "RGZIDX04"
+const magic = "RGZIDX05"
+
+// The flag bits this version knows, in the header and in a record.
+const (
+	knownFlags      = 0x0F
+	knownPointFlags = 0x0F
+)
 
 // maxWindowRaw bounds a stored window. Real windows are at most the
 // Deflate history size of 32 KiB; the margin is kept tight because the
@@ -357,7 +405,7 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 }
 
-// WriteTo serialises the index in the version-4 format.
+// WriteTo serialises the index in the version-5 format.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if ix.Checkpoints != nil && len(ix.Checkpoints.Format) != 4 {
 		return 0, fmt.Errorf("gzindex: checkpoint table format tag %q is not 4 bytes", ix.Checkpoints.Format)
@@ -403,7 +451,13 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		if len(marks) > 0 {
 			pflags |= 4
 		}
+		if p.BlockHeaderBit != 0 {
+			pflags |= 8
+		}
 		buf.WriteByte(pflags)
+		if p.BlockHeaderBit != 0 {
+			writeUvarint(&buf, p.CompressedBitOffset-p.BlockHeaderBit)
+		}
 		if hasWin {
 			comp, rawLen := win.comp, win.rawLen
 			if comp == nil {
@@ -456,7 +510,8 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // a partially imported index would silently disable seeking into the
 // missing region. Another version's magic is ErrUnsupportedVersion:
 // versions 1 to 3 came before the fingerprint and the checkpoint table,
-// and an index in one of them has to be exported again.
+// version 4 before points inside blocks, and an index in one of them has
+// to be exported again.
 func Read(r io.Reader) (*Index, error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
@@ -489,6 +544,9 @@ func readIndex(r io.Reader) (*Index, error) {
 	cr := &crcReader{r: r}
 	cr.sum = crc32.Update(cr.sum, crc32.IEEETable, []byte(magic))
 	flags, _ := cr.ReadByte()
+	if flags&^knownFlags != 0 {
+		return nil, fmt.Errorf("%w: index flags %#x (this version knows %#x; re-export the index)", ErrUnsupportedVersion, flags, knownFlags)
+	}
 	ix := New(int(cr.uvarint()))
 	ix.Finalized = flags&1 != 0
 	ix.MemberMarksComplete = flags&2 != 0
@@ -517,7 +575,20 @@ func readIndex(r io.Reader) (*Index, error) {
 		p.CompressedBitOffset = prev.CompressedBitOffset + cr.uvarint()
 		p.UncompressedOffset = prev.UncompressedOffset + cr.uvarint()
 		pflags, _ := cr.ReadByte()
+		if pflags&^knownPointFlags != 0 {
+			return nil, fmt.Errorf("%w: seek point %d flags %#x (this version knows %#x; re-export the index)", ErrUnsupportedVersion, i, pflags, knownPointFlags)
+		}
 		p.AtMemberStart = pflags&1 != 0
+		if pflags&8 != 0 {
+			// A zero distance puts the header on the point, one as long
+			// as the point's offset at bit 0, where no block header is,
+			// and a longer one wraps; push checks the rest.
+			dist := cr.uvarint()
+			if cr.err == nil && (dist == 0 || dist >= p.CompressedBitOffset) {
+				return nil, fmt.Errorf("%w: block header %d bits before point %d at bit %d", ErrCorrupt, dist, i, p.CompressedBitOffset)
+			}
+			p.BlockHeaderBit = p.CompressedBitOffset - dist
+		}
 		var win *Window
 		if pflags&2 != 0 {
 			rawLen := cr.uvarint()
@@ -562,12 +633,10 @@ func readIndex(r io.Reader) (*Index, error) {
 		if cr.err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
 		}
-		if i > 0 && (p.CompressedBitOffset <= prev.CompressedBitOffset ||
-			p.UncompressedOffset < prev.UncompressedOffset) {
-			return nil, fmt.Errorf("%w: non-monotonic point %d", ErrCorrupt, i)
+		if err := ix.push(p); err != nil {
+			return nil, err
 		}
 		prev = p
-		ix.points = append(ix.points, p)
 		if win != nil {
 			ix.windows[p.CompressedBitOffset] = win
 		}
@@ -596,10 +665,10 @@ func readIndex(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// readCheckpointTable parses the per-format span-table section of a
-// version-4 index. Spans are reconstructed from (gap, compressed
-// length, decompressed size) triples; the decompressed offsets are the
-// running sum of the sizes, so they are contiguous by construction.
+// readCheckpointTable parses the per-format span-table section of an
+// index. Spans are reconstructed from (gap, compressed length,
+// decompressed size) triples; the decompressed offsets are the running
+// sum of the sizes, so they are contiguous by construction.
 func readCheckpointTable(cr *crcReader) (*CheckpointTable, error) {
 	var tag [4]byte
 	if err := cr.full(tag[:]); err != nil {

@@ -334,6 +334,47 @@ func TestWarmupSkipsExistingSidecar(t *testing.T) {
 	}
 }
 
+// TestWarmupReplacesStaleStoreSidecar: a store sidecar that no longer
+// imports — here one of an earlier format version — is exported over by
+// the warm-up that the open which could not use it queues, and the next
+// server opens through it without a sizing pass.
+func TestWarmupReplacesStaleStoreSidecar(t *testing.T) {
+	root, store := t.TempDir(), t.TempDir()
+	content := workloads.Base64(150_000, 47)
+	writeGzipFile(t, root, "data.gz", content)
+	sidecar := filepath.Join(store, "data.gz"+rapidgzip.IndexSuffix)
+	if err := os.WriteFile(sidecar, []byte("RGZIDX03 an index of an earlier version"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s1, ts1 := newTestServer(t, Config{Root: root, IndexStore: store})
+	if !bytes.Equal(body(t, get(t, ts1.URL+"/archives/data.gz", nil)), content) {
+		t.Fatal("body mismatch beside a stale sidecar")
+	}
+	if m := waitWarmups(t, s1, 10*time.Second); m.WarmupsCompleted != 1 {
+		t.Fatalf("stale store sidecar not replaced: %+v", m)
+	}
+	a, err := rapidgzip.Open(filepath.Join(root, "data.gz"), rapidgzip.WithIndexFile(sidecar))
+	if err != nil {
+		t.Fatalf("the replaced sidecar does not import: %v", err)
+	}
+	a.Close()
+	assertNoTempFiles(t, store)
+	ts1.Close()
+	s1.Close()
+
+	_, ts2 := newTestServer(t, Config{Root: root, IndexStore: store})
+	var st struct {
+		Stats rapidgzip.Stats `json:"stats"`
+	}
+	if err := json.Unmarshal(body(t, get(t, ts2.URL+"/stats/data.gz", nil)), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Stats.SizingPasses != 0 {
+		t.Fatalf("open over the replaced sidecar ran %d sizing passes, want 0", st.Stats.SizingPasses)
+	}
+}
+
 // TestCanceledWaitsReclaimSlots verifies the slot-pinning fix: a
 // request whose context dies while queued for a read or open slot gets
 // a 503 with Retry-After, frees its queue position, and the slots stay

@@ -179,6 +179,9 @@ type handle struct {
 	etag    string
 	modTime time.Time
 	err     error // open failure; handle was removed from the cache
+	// staleIndex is set when the store sidecar the open was given did
+	// not import: the open ran without it.
+	staleIndex bool
 
 	refs int // guarded by the server's mu
 }
@@ -484,6 +487,11 @@ func (s *Server) acquire(ctx context.Context, name string) (*handle, error) {
 			h.refs--
 		}
 		s.mu.Unlock()
+	} else if h.staleIndex {
+		// The store sidecar is there and useless — corrupt, another
+		// file's, an earlier format's. Left alone it would keep every
+		// open of this name cold, and classifyOpen routing it as light.
+		s.warm.replace(name)
 	} else if h.a.Stats().SizingPasses > 0 {
 		// The open paid a sizing pass, meaning no usable index existed;
 		// warm one up in the background so the next open of this name
@@ -496,7 +504,8 @@ func (s *Server) acquire(ctx context.Context, name string) (*handle, error) {
 // open resolves the archive behind h. Called once, by the acquiring
 // request, with an admission slot held. indexPath, when non-empty, is
 // a store sidecar to import explicitly; a stale or corrupt one falls
-// back to a plain open, mirroring sibling auto-discovery's behavior.
+// back to a plain open, mirroring sibling auto-discovery's behavior, and
+// is marked for replacement.
 func (h *handle) open(s *Server, full, indexPath string) {
 	st, err := os.Stat(full)
 	if err != nil {
@@ -512,6 +521,7 @@ func (h *handle) open(s *Server, full, indexPath string) {
 		opts := append(s.openOpts[:len(s.openOpts):len(s.openOpts)],
 			rapidgzip.WithIndexFile(indexPath))
 		a, err = rapidgzip.Open(full, opts...)
+		h.staleIndex = err != nil
 	}
 	if indexPath == "" || err != nil {
 		a, err = rapidgzip.Open(full, s.openOpts...)

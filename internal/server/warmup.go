@@ -3,11 +3,14 @@
 // around it — the response needs Content-Length), but nothing says the
 // *next* cold open has to pay it again. After any such open the server
 // queues the archive for a bounded background worker that exports the
-// RGZIDX04 index to the index store (a configurable directory, default
-// beside the archive), via a crash-safe temp-file-then-rename write.
-// The next open of that name — in this process after a handle eviction,
-// or in the next process entirely — imports the sidecar and skips the
-// sizing pass.
+// archive's index (the current RGZIDX format) to the index store (a
+// configurable directory, default beside the archive), via a crash-safe
+// temp-file-then-rename write. The next open of that name — in this
+// process after a handle eviction, or in the next process entirely —
+// imports the sidecar and skips the sizing pass. A store sidecar that
+// no longer imports (corrupt, for another file, or of an earlier format
+// version) is replaced the same way; a sidecar beside the archive is the
+// operator's file and is never rewritten.
 package server
 
 import (
@@ -25,7 +28,7 @@ import (
 // it. All counters are exposed through Metrics.
 type warmup struct {
 	s      *Server
-	queue  chan string
+	queue  chan warmJob
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -39,12 +42,19 @@ type warmup struct {
 	skipped   atomic.Uint64 // dedup, sidecar already present, or queue full
 }
 
+// warmJob is one queued export: replace is set for a store sidecar that
+// failed to import, which the export overwrites.
+type warmJob struct {
+	name    string
+	replace bool
+}
+
 // newWarmup starts `workers` export workers feeding on a bounded queue.
 func newWarmup(s *Server, workers int) *warmup {
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &warmup{
 		s:        s,
-		queue:    make(chan string, 64*workers),
+		queue:    make(chan warmJob, 64*workers),
 		ctx:      ctx,
 		cancel:   cancel,
 		inflight: make(map[string]bool),
@@ -60,11 +70,20 @@ func newWarmup(s *Server, workers int) *warmup {
 // already queued or running for it, the sidecar already exists, or the
 // queue is full. Never blocks: warm-up is an optimisation, and the
 // serving path must not wait on it.
-func (w *warmup) enqueue(name string) {
+func (w *warmup) enqueue(name string) { w.add(warmJob{name: name}) }
+
+// replace queues name for an export over its store sidecar, which the
+// open that calls it failed to import: an existing file is no reason to
+// skip this one.
+func (w *warmup) replace(name string) { w.add(warmJob{name: name, replace: true}) }
+
+// add is enqueue and replace.
+func (w *warmup) add(job warmJob) {
 	if w == nil {
 		return
 	}
-	if _, err := os.Stat(w.s.indexPathFor(name)); err == nil {
+	name := job.name
+	if _, err := os.Stat(w.s.indexPathFor(name)); err == nil && !job.replace {
 		w.skipped.Add(1)
 		return
 	}
@@ -77,7 +96,7 @@ func (w *warmup) enqueue(name string) {
 	w.inflight[name] = true
 	w.mu.Unlock()
 	select {
-	case w.queue <- name:
+	case w.queue <- job:
 		w.queued.Add(1)
 	default:
 		w.done(name)
@@ -99,8 +118,8 @@ func (w *warmup) run() {
 		select {
 		case <-w.ctx.Done():
 			return
-		case name := <-w.queue:
-			w.export(name)
+		case job := <-w.queue:
+			w.export(job)
 		}
 	}
 }
@@ -111,10 +130,11 @@ func (w *warmup) run() {
 // duration even if the LRU evicts it meanwhile. For gzip the export may
 // complete the seek-point index first (one full background decode);
 // every other format's checkpoint table exists since open.
-func (w *warmup) export(name string) {
+func (w *warmup) export(job warmJob) {
+	name := job.name
 	defer w.done(name)
 	target := w.s.indexPathFor(name)
-	if _, err := os.Stat(target); err == nil {
+	if _, err := os.Stat(target); err == nil && !job.replace {
 		w.skipped.Add(1) // lost a race against another writer of the sidecar
 		return
 	}

@@ -9,7 +9,7 @@
 // declares every boundary and size (LZ4, Zstandard frames with content
 // sizes, BGZF) hand the engine a complete span table up front — either
 // from the codec's sizing pass, which decodes nothing, or from a persisted
-// checkpoint table (an RGZIDX04 index), in which case the sizing pass is
+// checkpoint table (an RGZIDX05 index), in which case the sizing pass is
 // skipped entirely. The others run the engine in growing mode (see
 // growing.go): the span table starts empty and extends one confirmed
 // decode unit at a time. Speculation past that frontier has one owner,

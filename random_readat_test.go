@@ -27,7 +27,10 @@ func indexedGzip(t *testing.T, size, chunk int) (plain []byte, gzPath, idxPath s
 // gzip-rand-indexed in small: seeded uniform 64 KiB ReadAts through an
 // index, one worker. A random read costs the spans it covers — less
 // what the cache still holds, plus the few a chance run of neighbouring
-// reads gets prefetched — not a second span decoded on speculation.
+// reads gets prefetched — not a second span decoded on speculation. The
+// spans are cut about every chunk of output, inside blocks where the
+// compressor's blocks are longer, so a read costs bytes in proportion to
+// the chunk size, not to the blocks.
 func TestRandomReadAtDecodesWhatItTouches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decodes 8 MiB about seven times")
@@ -52,6 +55,18 @@ func TestRandomReadAtDecodesWhatItTouches(t *testing.T) {
 			return starts[i+1] - starts[i]
 		}
 		return int64(len(plain)) - starts[i]
+	}
+	inBlock := 0
+	for i := range starts {
+		if limit := int64(256<<10) * 3 / 2; spanSize(i) > limit+258 {
+			t.Errorf("span %d holds %d bytes, want <= 1.5 chunks and a match", i, spanSize(i))
+		}
+		if ix.Point(i).BlockHeaderBit != 0 {
+			inBlock++
+		}
+	}
+	if inBlock == 0 {
+		t.Error("no seek point inside a block")
 	}
 
 	const reads = 200
@@ -87,12 +102,17 @@ func TestRandomReadAtDecodesWhatItTouches(t *testing.T) {
 	if limit := uint64(0.65 * float64(touchedBytes)); s.DecodedBytes > limit {
 		t.Errorf("%d bytes decoded for reads touching spans of %d bytes, want <= %d", s.DecodedBytes, touchedBytes, limit)
 	}
+	// Cut at block starts only, this file's blocks made it 3.5.
+	if perByte := float64(s.DecodedBytes) / float64(reads*len(buf)); perByte > 2.8 {
+		t.Errorf("%.2f bytes decoded per byte delivered, want <= 2.8", perByte)
+	}
 }
 
 // TestSequentialReadAtFromSeekPointDecodesWhatItReads: 32 KiB ReadAts in
 // sequence from a seek point decode the bytes they read and no more —
 // each continues where the one before parked, and a pause overshoots by
-// less than one match.
+// less than one match. The first trial starts at a point inside a block,
+// the others at seeded ones.
 func TestSequentialReadAtFromSeekPointDecodesWhatItReads(t *testing.T) {
 	plain, gzPath, idxPath := indexedGzip(t, 4<<20, 256<<10)
 	rnd := rand.New(rand.NewSource(2))
@@ -104,7 +124,15 @@ func TestSequentialReadAtFromSeekPointDecodesWhatItReads(t *testing.T) {
 		ix := seekPoints(a)
 		// Not the first: a reader that starts at offset 0 is taken for a
 		// whole-file pass at once.
-		start := int64(ix.Point(1 + rnd.Intn(ix.Len()-3)).UncompressedOffset)
+		i := 1 + rnd.Intn(ix.Len()-3)
+		if trial == 0 {
+			for i = 1; i < ix.Len() && ix.Point(i).BlockHeaderBit == 0; i++ {
+			}
+			if i+2 >= ix.Len() {
+				t.Fatal("no seek point inside a block with two spans behind it")
+			}
+		}
+		start := int64(ix.Point(i).UncompressedOffset)
 		buf := make([]byte, 32<<10)
 		const reads = 5 // short of a third span, where a stream would be prefetched for
 		for i := int64(0); i < reads; i++ {

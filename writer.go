@@ -23,7 +23,7 @@ import (
 // points (gzip), member-per-chunk framing (BGZF), or one sized frame
 // per shard (zstd). The per-shard checkpoints are recorded while
 // encoding, so ExportIndex (and Create's automatic sidecar) emit an
-// RGZIDX04 index without re-reading anything — archives are born
+// RGZIDX05 index without re-reading anything — archives are born
 // seekable, and reopening them with the index costs zero sizing
 // passes.
 //
@@ -159,7 +159,7 @@ func WithContentChecksum(v bool) WriterOption {
 	}
 }
 
-// WithIndexSidecar writes the RGZIDX04 index to path on Close instead
+// WithIndexSidecar writes the RGZIDX05 index to path on Close instead
 // of Create's default sibling "<file>.rgzidx". For NewWriter — which
 // writes no sidecar by default, having no path — this opts one in.
 func WithIndexSidecar(path string) WriterOption {
@@ -364,7 +364,7 @@ func (w *writer) Stats() WriterStats {
 
 func (w *writer) Format() Format { return w.format }
 
-// ExportIndex serialises the RGZIDX04 index recorded while encoding.
+// ExportIndex serialises the RGZIDX05 index recorded while encoding.
 // Only valid after Close: the trailer bytes and the final shard are
 // part of the geometry.
 func (w *writer) ExportIndex(dst io.Writer) error {

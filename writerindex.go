@@ -14,7 +14,7 @@ import (
 // parsing over many small members.
 const bgzfGroupTarget = 512 << 10
 
-// buildIndex assembles the RGZIDX04 index from the checkpoints the
+// buildIndex assembles the RGZIDX05 index from the checkpoints the
 // encoder recorded — the exact geometry the read side would recover by
 // scanning the file, but written from knowledge instead of discovery.
 func (w *writer) buildIndex() (*gzindex.Index, error) {
