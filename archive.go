@@ -2,6 +2,7 @@ package rapidgzip
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -47,10 +48,13 @@ import (
 //     ErrClosed; Stats, Format, Capabilities and DecompressedSize keep
 //     answering from the final state. A second Close returns nil.
 //
-// Archives returned by Open and OpenBytes have two more methods, which
+// Archives returned by Open and OpenBytes have three more methods, which
 // callers reach by asserting them: CRCVerified() (bool, uint64), the
-// state of checksum verification, and AdviseSequentialRead(), a hint
-// ahead of a front-to-back read.
+// state of checksum verification; AdviseSequentialRead(), a hint ahead
+// of a front-to-back read; and WriteRangeTo(ctx context.Context, w
+// io.Writer, off, n int64) (int64, error), which writes the n bytes at
+// off to w straight from the span cache, like ReadAt without the cursor
+// and without the copy, and stops between spans once ctx is done.
 type Archive interface {
 	io.Reader
 	io.Seeker
@@ -523,6 +527,21 @@ func (a *archive) WriteTo(w io.Writer) (int64, error) {
 	n, err := st.eng.WriteTo(w, a.pos)
 	a.pos += n
 	return n, closedErr(err)
+}
+
+// WriteRangeTo writes the decompressed bytes [off, off+n), or those of
+// them before the end of the stream, to w and returns how many it wrote.
+// w gets the cached spans themselves, a Write per span. Like ReadAt it
+// takes no cursor lock, so concurrent ranged writes of one archive do not
+// wait for each other; ctx is checked before every span and while a
+// decode another reader runs is waited for.
+func (a *archive) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (int64, error) {
+	st, err := a.live()
+	if err != nil {
+		return 0, err
+	}
+	k, err := st.eng.WriteRangeTo(ctx, w, off, n)
+	return k, closedErr(err)
 }
 
 // AdviseSequentialRead hints the OS that the compressed file is about

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"compress/bzip2"
 	"compress/gzip"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -367,6 +368,88 @@ func TestZstdWriteToChunkPipeline(t *testing.T) {
 
 func TestZstdSkippableLeadSniffs(t *testing.T) {
 	readMatrix(t, workloads.Base64(80_000, 10), 20<<10, []string{"zstd-skippable"}, []string{"bytes"}, WithParallelism(2))
+}
+
+// --- ranged writes × backing ----------------------------------------------
+
+// rangeWriter is the method the archives of Open and OpenBytes carry for
+// ranged output.
+type rangeWriter interface {
+	WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (int64, error)
+}
+
+// TestWriteRangeToMatrix is the WriteRangeTo column of reads × backing:
+// every row and backing, opened cold and through its index, writes
+// seeded ranges — straddling spans, empty, ending at the end of the
+// stream, running past it — byte-equal to the plaintext and to ReadAt of
+// the same range on an archive opened alike. Where the span table is
+// complete at open, so that nothing decodes but what the range asks for,
+// the write decodes no more than the ReadAt. The ranges start past the
+// first two spans: a first access in span 0 is the strategy's cue to
+// prefetch, which would make the decoded bytes a race.
+func TestWriteRangeToMatrix(t *testing.T) {
+	const span = 64 << 10
+	plain := workloads.SilesiaLike(640<<10, 41)
+	size := int64(len(plain))
+	for k, r := range formats {
+		t.Run(r.name, func(t *testing.T) {
+			fx := build(t, r.name, plain, span)
+			rnd := rand.New(rand.NewSource(int64(k)))
+			type rng struct{ off, n int64 }
+			ranges := []rng{
+				{3*span + rnd.Int63n(4*span), span + rnd.Int63n(span)}, // two or three spans
+				{3*span + rnd.Int63n(4*span), 1 + rnd.Int63n(span/2)},
+				{rnd.Int63n(size), 0},
+				{size - 1000 - rnd.Int63n(span), 0}, // set below: ends at the end
+				{size - 1 - rnd.Int63n(span), span}, // runs past the end
+				{size + 10, 100},
+			}
+			ranges[3].n = size - ranges[3].off
+			for _, backing := range []string{"file", "bytes", "inmemory"} {
+				for _, mode := range []string{"cold", "indexed"} {
+					t.Run(backing+"/"+mode, func(t *testing.T) {
+						opts := []Option{WithParallelism(2), WithChunkSize(span), WithoutIndexDiscovery()}
+						if mode == "indexed" {
+							opts = append(opts, WithIndexFile(fx.indexPath(t)))
+						}
+						for _, rg := range ranges {
+							checkWriteRange(t, fx, backing, opts, rg.off, rg.n)
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// checkWriteRange writes [off, off+n) of fx through a fresh archive and
+// reads it through another.
+func checkWriteRange(t *testing.T, fx *formatFixture, backing string, opts []Option, off, n int64) {
+	t.Helper()
+	wa, err := fx.open(backing, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wa.Close()
+	ra, err := fx.open(backing, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ra.Close()
+	_, complete := wa.DecompressedSize()
+
+	var out bytes.Buffer
+	k, err := wa.(rangeWriter).WriteRangeTo(context.Background(), &out, off, n)
+	buf := make([]byte, n)
+	m, rerr := ra.ReadAt(buf, off)
+	size := int64(len(fx.plain))
+	want := fx.plain[min(off, size):min(off+n, size)]
+	if err != nil || k != int64(out.Len()) || !bytes.Equal(out.Bytes(), want) || !bytes.Equal(out.Bytes(), buf[:m]) {
+		t.Fatalf("WriteRangeTo(%d, %d) = %d, %v; want the %d bytes ReadAt returns (%d, %v)", off, n, k, err, len(want), m, rerr)
+	}
+	if wrote, read := wa.Stats().DecodedBytes, ra.Stats().DecodedBytes; complete && wrote > read {
+		t.Fatalf("WriteRangeTo(%d, %d) decoded %d bytes, ReadAt %d", off, n, wrote, read)
+	}
 }
 
 // --- the index round trip ------------------------------------------------

@@ -399,3 +399,86 @@ func BenchmarkPrecodeCheckLoop(b *testing.B) {
 		checkPackedHistogramLoop(hists[i&1023])
 	}
 }
+
+// recordingStored is the stored finder, noting the length of every
+// buffer it is given.
+type recordingStored struct{ lens []int }
+
+func (r *recordingStored) Next(data []byte, fromBit uint64) (uint64, bool) {
+	r.lens = append(r.lens, len(data))
+	return StoredFinder{}.Next(data, fromBit)
+}
+
+// unboundedCombined is the combination without the bound on the stored
+// scan: both finders over the whole buffer, the lower candidate wins.
+type unboundedCombined struct{}
+
+func (unboundedCombined) Next(data []byte, fromBit uint64) (uint64, bool) {
+	d, okd := NewDynamicFinder().Next(data, fromBit)
+	s, oks := StoredFinder{}.Next(data, fromBit)
+	if oks && (!okd || s < d) {
+		return s, true
+	}
+	return d, okd
+}
+
+// TestCombinedBoundsStoredScan: once the dynamic finder has a candidate,
+// the stored scan stops within 8 bytes of it, and the combination finds
+// the same candidates as scanning both over everything, on a file with
+// stored blocks before and after dynamic ones.
+func TestCombinedBoundsStoredScan(t *testing.T) {
+	var data []byte
+	for i := int64(0); i < 2; i++ {
+		data = append(data, randomData(10+i, 150_000)...)
+		data = append(data, textData(20+i, 150_000)...)
+	}
+	comp, meta, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firstDynamic, lastDynamic uint64
+	var storedBefore, storedAfter bool
+	for _, b := range meta.Blocks {
+		if b.Type == deflate.BlockDynamic {
+			if firstDynamic == 0 {
+				firstDynamic = b.Bit
+			}
+			lastDynamic = b.Bit
+		}
+	}
+	for _, b := range meta.Blocks {
+		if b.Type == deflate.BlockStored {
+			storedBefore = storedBefore || b.Bit < firstDynamic
+			storedAfter = storedAfter || b.Bit > firstDynamic && b.Bit < lastDynamic
+		}
+	}
+	if firstDynamic == 0 || !storedBefore || !storedAfter {
+		t.Fatalf("fixture needs stored blocks before and between dynamic ones: %d blocks", len(meta.Blocks))
+	}
+
+	rec := &recordingStored{}
+	f := &CombinedFinder{Dynamic: NewDynamicFinder(), Stored: rec}
+	dyn := NewDynamicFinder()
+	for _, from := range []uint64{0, firstDynamic - 1, firstDynamic + 1, uint64(len(comp)) * 4} {
+		rec.lens = rec.lens[:0]
+		f.Next(comp, from)
+		want := len(comp)
+		if d, ok := dyn.Next(comp, from); ok {
+			want = min(want, int(d/8)+8)
+		}
+		if len(rec.lens) != 1 || rec.lens[0] != want {
+			t.Errorf("from bit %d: stored scan over %v bytes, want %d", from, rec.lens, want)
+		}
+	}
+
+	got := ScanAll(NewCombinedFinder(), comp, 0)
+	want := ScanAll(unboundedCombined{}, comp, 0)
+	if len(got) != len(want) {
+		t.Fatalf("%d candidates, unbounded finds %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("candidate %d at bit %d, unbounded finds %d", i, got[i], want[i])
+		}
+	}
+}

@@ -354,6 +354,12 @@ func NewCombinedFinder() *CombinedFinder {
 // Next implements Finder.
 func (f *CombinedFinder) Next(data []byte, fromBit uint64) (uint64, bool) {
 	d, okd := f.Dynamic.Next(data, fromBit)
+	if okd {
+		// A stored candidate wins only below d, so its LEN/NLEN bytes end
+		// within a few bytes of d's: scanning further finds nothing that
+		// would be returned.
+		data = data[:min(len(data), int(d/8)+8)]
+	}
 	s, oks := f.Stored.Next(data, fromBit)
 	switch {
 	case okd && oks:

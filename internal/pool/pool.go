@@ -7,7 +7,9 @@
 package pool
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool runs submitted tasks on a fixed number of worker goroutines.
@@ -98,10 +100,10 @@ type Future[T any] struct {
 	done chan struct{}
 	val  T
 	err  error
-	// start runs the task exactly once, on whichever goroutine gets to
-	// it first: a worker, or a caller of Join.
-	start sync.Once
-	run   func()
+	// started is won by the one goroutine that runs the task: a worker,
+	// or a caller of Join, whichever gets to it first.
+	started atomic.Bool
+	run     func()
 }
 
 // Go submits fn to p at high priority and returns a Future.
@@ -116,7 +118,7 @@ func GoLow[T any](p *Pool, fn func() (T, error)) *Future[T] {
 
 func submitFuture[T any](p *Pool, fn func() (T, error), high bool) *Future[T] {
 	f := Lazy(fn)
-	p.submit(func() { f.start.Do(f.run) }, high)
+	p.submit(func() { f.start() }, high)
 	return f
 }
 
@@ -146,8 +148,33 @@ func (f *Future[T]) Wait() (T, error) {
 // preempt, so without this a reader blocked on a queued high-priority
 // task idles for as long as the speculative tasks ahead of it take.
 func (f *Future[T]) Join() (T, error) {
-	if f.run != nil {
-		f.start.Do(f.run)
-	}
+	f.start()
 	return f.Wait()
+}
+
+// JoinContext is Join that gives up waiting once ctx is done. A task it
+// starts itself still runs to its end here; one that runs elsewhere is
+// left to finish there, and ctx's error is returned instead of its
+// result.
+func (f *Future[T]) JoinContext(ctx context.Context) (T, error) {
+	if f.start() || ctx.Done() == nil {
+		return f.Wait()
+	}
+	select {
+	case <-f.done:
+		return f.val, f.err
+	case <-ctx.Done():
+		var zero T
+		return zero, ctx.Err()
+	}
+}
+
+// start runs the task on this goroutine unless another has begun it, and
+// reports whether it did.
+func (f *Future[T]) start() bool {
+	if !f.started.CompareAndSwap(false, true) {
+		return false
+	}
+	f.run()
+	return true
 }

@@ -1,6 +1,7 @@
 package pool
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -135,5 +136,28 @@ func TestLazyRunsOnceOnAJoiner(t *testing.T) {
 	}
 	if v, err := f.Wait(); v != 9 || err != nil || runs.Load() != 1 {
 		t.Fatalf("Wait = %d, %v after %d runs", v, err, runs.Load())
+	}
+}
+
+// TestJoinContext: a task nobody has started runs on the joiner whatever
+// the context says; waiting for one a worker runs ends with the context,
+// and the task still finishes on the worker.
+func TestJoinContext(t *testing.T) {
+	p := New(1)
+	defer p.Close()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if v, err := Lazy(func() (int, error) { return 3, nil }).JoinContext(canceled); v != 3 || err != nil {
+		t.Fatalf("JoinContext of an unstarted task = %d, %v; want it run here", v, err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	f := Go(p, func() (int, error) { close(started); <-release; return 5, nil })
+	<-started
+	if _, err := f.JoinContext(canceled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("JoinContext of a running task = %v, want context.Canceled", err)
+	}
+	close(release)
+	if v, err := f.JoinContext(context.Background()); v != 5 || err != nil {
+		t.Fatalf("the task ran on to %d, %v", v, err)
 	}
 }

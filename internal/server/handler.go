@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -179,10 +180,11 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Body decode, bounded by readSem. All bodies — full and partial —
-	// are served through ReadAt (via SectionReader): the archives'
-	// sequential WriteTo path holds a cursor lock for the whole stream,
-	// which would serialise concurrent downloads of the same archive.
+	// Body decode, bounded by readSem: one span walk that hands the
+	// client each cached span as it is, a Write per span. It takes no
+	// cursor lock, so concurrent downloads of one archive do not
+	// serialise, and it stops between spans once the request's context
+	// is done, which frees the slot when a client leaves mid-body.
 	s.bodyDecodes.Add(1)
 	if res == rangeNone {
 		// A whole-file GET reads the compressed source front to back;
@@ -191,19 +193,33 @@ func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
 			adv.AdviseSequentialRead()
 		}
 	}
-	written, err := io.Copy(w, io.NewSectionReader(h.a, off, n))
+	written, err := h.a.(rangeWriter).WriteRangeTo(r.Context(), w, off, n)
+	if err == nil && written < n {
+		err = io.ErrUnexpectedEOF
+	}
 	s.bytesServed.Add(uint64(written))
-	// The status line is gone, so a failure can only cut the body short
-	// (the client sees fewer bytes than Content-Length). A client that
-	// went away is its own business; anything else is the archive's.
-	switch {
-	case err == nil:
-	case r.Context().Err() != nil:
+	if err == nil {
+		return
+	}
+	// The status line is committed. A client that went away is its own
+	// business; anything else is the archive's. Either way the response
+	// is aborted, with the header flushed first in case no body byte
+	// went out, so the client sees the status and then a failed
+	// transfer, not a body that merely ends short of its Content-Length.
+	if r.Context().Err() != nil {
 		s.bodyAborts.Add(1)
-	default:
+	} else {
 		s.bodyErrors.Add(1)
 		log.Printf("rgzserve: %s: body [%d,%d) cut short after %d bytes: %v", name, off, off+n, written, err)
 	}
+	_ = http.NewResponseController(w).Flush()
+	panic(http.ErrAbortHandler)
+}
+
+// rangeWriter is the method of the archives Open returns that bodies are
+// written with (see rapidgzip.Archive).
+type rangeWriter interface {
+	WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (int64, error)
 }
 
 // handleList serves GET /archives/: the servable names under root.

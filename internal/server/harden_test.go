@@ -607,8 +607,10 @@ func TestBodyErrorsCounted(t *testing.T) {
 	if resp.StatusCode != http.StatusPartialContent {
 		t.Fatalf("status %d, want the 206 committed before the decode", resp.StatusCode)
 	}
-	if err == nil || len(got) >= 100_000 {
-		t.Fatalf("read %d of 100000 bytes from a truncated source, err %v", len(got), err)
+	// The response is aborted: the client's read fails, it does not
+	// merely come up short.
+	if !errors.Is(err, io.ErrUnexpectedEOF) || len(got) >= 100_000 {
+		t.Fatalf("read %d of 100000 bytes from a truncated source, err %v; want io.ErrUnexpectedEOF", len(got), err)
 	}
 	if m := s.Metrics(); m.BodyErrors != 1 || m.BodyAborts != 0 {
 		t.Fatalf("BodyErrors = %d, BodyAborts = %d, want 1 and 0", m.BodyErrors, m.BodyAborts)
@@ -624,7 +626,9 @@ func TestBodyAbortsCounted(t *testing.T) {
 	s, _ := newTestServer(t, Config{Root: dir, WarmupWorkers: -1})
 	ctx, cancel := context.WithCancel(context.Background())
 	req := httptest.NewRequest(http.MethodGet, "/archives/data.gz", nil).WithContext(ctx)
-	s.handleArchive(&goneWriter{ResponseRecorder: httptest.NewRecorder(), gone: cancel}, req)
+	if p := serveAborted(s, &goneWriter{ResponseRecorder: httptest.NewRecorder(), gone: cancel}, req); p != http.ErrAbortHandler {
+		t.Fatalf("handler ended with %v, want it to abort the response", p)
+	}
 	if m := s.Metrics(); m.BodyAborts != 1 || m.BodyErrors != 0 {
 		t.Fatalf("BodyAborts = %d, BodyErrors = %d, want 1 and 0", m.BodyAborts, m.BodyErrors)
 	}
@@ -640,4 +644,13 @@ type goneWriter struct {
 func (w *goneWriter) Write([]byte) (int, error) {
 	w.gone()
 	return 0, errors.New("write: broken pipe")
+}
+
+// serveAborted runs the archive handler and returns what it panicked
+// with: http.ErrAbortHandler when it aborted the response, nil when it
+// returned.
+func serveAborted(s *Server, w http.ResponseWriter, r *http.Request) (p any) {
+	defer func() { p = recover() }()
+	s.handleArchive(w, r)
+	return nil
 }

@@ -407,8 +407,9 @@ func TestSpanContentCompletesPrefix(t *testing.T) {
 	codec.requireChain(t, 4<<10, 4<<10)
 }
 
-// TestRandomPrefixReads: seeded random reads from several goroutines
-// over a small cache, every byte checked; whatever the interleaving,
+// TestRandomPrefixReads: seeded random reads from several goroutines,
+// half through ReadAt and half through WriteRangeTo, over a small cache,
+// every byte checked; whatever the interleaving,
 // each span's decodes between two evictions form chains from the seek
 // point, so the bytes decoded are the sum of the chains' lengths.
 func TestRandomPrefixReads(t *testing.T) {
@@ -427,7 +428,11 @@ func TestRandomPrefixReads(t *testing.T) {
 				rnd := rand.New(rand.NewSource(int64(g)))
 				for i := 0; i < 300; i++ {
 					n := 1 + rnd.Int63n(6<<10)
-					readAndCheck(t, e, src, rnd.Int63n(int64(len(src))-n), n)
+					if off := rnd.Int63n(int64(len(src)) - n); g%2 == 0 {
+						readAndCheck(t, e, src, off, n)
+					} else {
+						writeAndCheck(t, e, src, off, n)
+					}
 				}
 			}()
 		}

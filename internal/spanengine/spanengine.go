@@ -50,9 +50,11 @@
 package spanengine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -518,16 +520,19 @@ type want struct {
 	ent  *entry               // what the cache holds of the span, if anything
 	hit  bool                 // ent covers need
 	fut  *pool.Future[[]byte] // on a miss, the decode to join
+	lazy bool                 // fut is the decode left to the claimer, which runs nowhere else
 }
 
 // content waits for the span's content: all of it, or a prefix. A prefix
 // taken from the cache covers need; one from a decode joined in flight,
-// started for somebody else's request, may not.
-func (w *want) content() ([]byte, error) {
+// started for somebody else's request, may not. A decode nobody has
+// started runs here, whatever ctx says; waiting for one that runs
+// elsewhere ends when ctx does.
+func (w *want) content(ctx context.Context) ([]byte, error) {
 	if w.hit {
 		return w.ent.data, nil
 	}
-	return w.fut.Join()
+	return w.fut.JoinContext(ctx)
 }
 
 // SpanContent returns the decompressed content of span i. The call is
@@ -548,7 +553,7 @@ func (e *Engine) SpanContent(i int) ([]byte, error) {
 		ws := [1]want{{i: i, s: e.spans[i], need: e.spans[i].DecompSize}}
 		e.claimLocked(ws[:])
 		e.mu.Unlock()
-		data, err := ws[0].content()
+		data, err := ws[0].content(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -615,6 +620,7 @@ func (e *Engine) claimLocked(ws []want) {
 				fl.fut = pool.Go(e.pool, task)
 			} else {
 				fl.fut = pool.Lazy(task)
+				w.lazy = true
 			}
 			mine = true
 			e.demand++
@@ -763,8 +769,9 @@ func (e *Engine) findSpanLocked(off int64) int {
 // claimRange resolves the spans covering [off, off+length) of the
 // decompressed stream, as far as the table reaches, and claims them as
 // one request. It takes at most one span per decoder — the caller and
-// each worker — so a read of any length holds no more decoded spans
-// than a prefetching reader does; ReadAt asks again for the rest.
+// each worker — so a request of any length holds no more decoded spans
+// than a prefetching reader does; ReadAt and WriteRangeTo ask again for
+// the rest.
 func (e *Engine) claimRange(ws []want, off, length int64) ([]want, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -813,7 +820,7 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 		short := false
 		for k := range ws {
 			w := &ws[k]
-			data, err := w.content()
+			data, err := w.content(context.Background())
 			if failed == nil {
 				failed = err
 			}
@@ -837,32 +844,98 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// WriteTo streams the decompressed bytes from offset off to the end into
-// w, a span at a time and without the copy into a caller's buffer — what
-// io.Copy of a whole archive runs on. Each span is one request to the
-// prefetch strategy, so the spans ahead decode on the worker pool while
-// this one is written; a growing table grows as the walk reaches its
-// frontier. It returns the number of bytes written.
-func (e *Engine) WriteTo(w io.Writer, off int64) (int64, error) {
+// firstRound bounds how far into a range the first round of a ranged
+// write reaches. A cold span is then decoded only that far before the
+// range's first bytes go out, and the next round continues the parked
+// decode; a cached span is written whole all the same.
+const firstRound = 32 << 10
+
+// WriteRangeTo writes the decompressed bytes [off, off+n) to w, or those
+// of them before the end of the stream, and returns how many it wrote.
+// It is ReadAt's span walk with w in place of the caller's buffer: each
+// round claims the spans the range reaches into, as far as it reaches
+// into them, so a jump into a span decodes only its prefix, the strategy
+// and the access observer hear what they hear from ReadAt, and the
+// missing spans of a round decode side by side. w gets the content of
+// each span itself, not a copy, in one Write per span (two for a span
+// not cached as far as the first round reaches). A growing table grows
+// as the walk reaches its frontier.
+//
+// ctx is checked before every span and while waiting for a decode that
+// another goroutine runs; a decode the walk runs itself finishes first.
+// Once ctx is done the walk stops with its error.
+func (e *Engine) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (int64, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("spanengine: negative offset %d", off)
+	}
+	end := off + min(max(n, 0), math.MaxInt64-off)
+	limit := min(end, off+firstRound)
+	var buf [4]want // as in ReadAt
 	var written int64
-	for {
-		i, err := e.SpanAt(off)
+	for off < end {
+		if err := ctx.Err(); err != nil {
+			return written, err
+		}
+		if e.grower != nil {
+			if err := e.ensureCovered(off); err != nil {
+				return written, err
+			}
+		}
+		ws, err := e.claimRange(buf[:0], off, limit-off)
 		if err == io.EOF {
 			return written, nil
 		}
 		if err != nil {
 			return written, err
 		}
-		data, err := e.SpanContent(i)
-		if err != nil {
-			return written, err
+		limit = end
+		// As in ReadAt, a span that ends short of what the round needs
+		// of it (a decode joined in flight bound for less) ends the
+		// round's writes, and the next round claims again from off. The
+		// decode left to this walk is run even after a failure or a
+		// cancellation: nobody else would.
+		short := false
+		for k := range ws {
+			sp := &ws[k]
+			if err == nil {
+				err = ctx.Err()
+			}
+			if err != nil || short {
+				if sp.lazy {
+					sp.fut.Join() //nolint:errcheck // run for the others who join it
+				}
+				continue
+			}
+			var data []byte
+			if data, err = sp.content(ctx); err != nil {
+				continue
+			}
+			if int64(len(data)) == sp.s.DecompSize {
+				e.noteAccess(sp.i, data)
+			}
+			if rel := off - sp.s.DecompOff; rel < int64(len(data)) {
+				part := data[rel:min(int64(len(data)), end-sp.s.DecompOff)]
+				var nw int
+				nw, err = w.Write(part)
+				written += int64(nw)
+				off += int64(nw)
+				if err == nil && nw < len(part) {
+					err = io.ErrShortWrite
+				}
+			}
+			short = int64(len(data)) < sp.need
 		}
-		start, _ := e.SpanExtent(i)
-		n, err := w.Write(data[off-start:])
-		written += int64(n)
-		off += int64(n)
 		if err != nil {
 			return written, err
 		}
 	}
+	return written, nil
+}
+
+// WriteTo streams the decompressed bytes from offset off to the end into
+// w: WriteRangeTo to the end of the stream, which io.Copy of a whole
+// archive runs on. Each round is one request to the prefetch strategy, so
+// the spans ahead decode on the worker pool while these are written.
+func (e *Engine) WriteTo(w io.Writer, off int64) (int64, error) {
+	return e.WriteRangeTo(context.Background(), w, off, math.MaxInt64)
 }
