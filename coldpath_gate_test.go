@@ -2,6 +2,7 @@ package rapidgzip
 
 import (
 	"bytes"
+	"io"
 	"runtime"
 	"sort"
 	"testing"
@@ -83,4 +84,60 @@ func (w *matchWriter) Write(p []byte) (int, error) {
 	}
 	w.off += len(p)
 	return len(p), nil
+}
+
+// TestColdFirstRead: a cold one-byte Read waits for the file's first
+// entry alone. It returns with one span confirmed, one on-demand decode
+// begun, and no more decoded than a quarter chunk and the match that
+// crosses it — at one worker and at two, whose guesses ahead decode no
+// span. Clock-free: what the first byte costs, counted.
+func TestColdFirstRead(t *testing.T) {
+	const chunk = 1 << 20
+	fx := build(t, "gzip-stdlib", workloads.SilesiaLike(8<<20, 2), chunk)
+	for _, p := range []int{1, 2} {
+		a, err := fx.open("file", WithChunkSize(chunk), WithoutIndexDiscovery(), WithParallelism(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b [1]byte
+		if n, err := a.Read(b[:]); n != 1 || err != nil || b[0] != fx.plain[0] {
+			t.Fatalf("P=%d: Read = %d, %v", p, n, err)
+		}
+		st, spans := a.Stats(), a.(*archive).cur.Load().eng.NumSpans()
+		a.Close()
+		if spans != 1 || st.OnDemandDecodes != 1 || st.DecodedBytes > chunk/4+258 {
+			t.Fatalf("P=%d: a one-byte read confirmed %d spans, began %d on-demand decodes and decoded %d bytes, want 1, 1 and <= %d",
+				p, spans, st.OnDemandDecodes, st.DecodedBytes, chunk/4+258)
+		}
+	}
+}
+
+// TestColdIndexRepeats: the index a cold pass builds does not depend on
+// the parallelism or on the run: which cells were guessed and when, and
+// the first entry confirmed ahead of its unit, leave no trace in it.
+func TestColdIndexRepeats(t *testing.T) {
+	const chunk = 128 << 10
+	fx := build(t, "gzip-stdlib", workloads.SilesiaLike(4<<20, 3), chunk)
+	export := func(p int) []byte {
+		t.Helper()
+		a, err := fx.open("file", WithChunkSize(chunk), WithoutIndexDiscovery(), WithParallelism(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer a.Close()
+		if n, err := a.WriteTo(io.Discard); err != nil || n != int64(len(fx.plain)) {
+			t.Fatalf("P=%d: cold pass %d bytes, %v", p, n, err)
+		}
+		var buf bytes.Buffer
+		if err := a.ExportIndex(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	first := export(1)
+	for _, p := range []int{4, 1, 4} {
+		if !bytes.Equal(export(p), first) {
+			t.Fatalf("the index exported after a cold pass at P=%d differs from the first one, at P=1", p)
+		}
+	}
 }

@@ -69,6 +69,15 @@ type gzipCodec struct {
 	frontierWindow []byte
 	memberStart    uint64 // decompressed offset where the current member began
 	eof            bool
+	// The file's first decode pauses once firstEntry bytes are out (zero:
+	// it does not), and what it made is confirmed as an entry of its own,
+	// so a cold reader's first bytes wait for that much decoding and not
+	// for a whole cell. While early is set the frontier stands inside the
+	// first cell's unit, which the next GrowNext decodes on from there: in
+	// the Huffman block whose header is at frontierHeader, if nonzero.
+	firstEntry     uint64
+	early          bool
+	frontierHeader uint64
 
 	// Sequential CRC verification state (valid while consumption stays
 	// in table order from span 0). crcMu holders may take mu; never the
@@ -90,6 +99,10 @@ func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, b
 		byOff:    map[int64]int{},
 		index:    gzindex.New(cfg.ChunkSize),
 		consumed: map[int]bool{},
+		// The first entry is a quarter chunk: its decode is a quarter of
+		// a cell's output at the file's ratio, and a reader that streams
+		// has the rest of the cell confirmed while it writes those bytes.
+		firstEntry: uint64(max(cfg.ChunkSize/4, 1)),
 	}
 }
 
@@ -266,19 +279,20 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*de
 // oversized units into index entries, appends the resulting spans, and
 // primes their contents — paper Figure 4 steps 5-6, with the engine's
 // tentative store playing the role of the result cache keyed by exact
-// start offset.
+// start offset. The file's first unit is confirmed in two steps, its
+// first entry ahead of the rest (see firstEntry).
 func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	c.mu.Lock()
 	if c.eof {
 		c.mu.Unlock()
 		return true, nil
 	}
-	E := c.frontierBit
+	E, header, early := c.frontierBit, c.frontierHeader, c.early
 	atMember := len(c.metas) == 0 // unit 0 starts at the gzip header
 	window := c.frontierWindow
 	c.mu.Unlock()
 
-	res, err := c.obtainFrontier(e, E, atMember, window)
+	res, pausedIn, err := c.obtainFrontier(e, E, header, early, atMember, window)
 	if err != nil {
 		return false, err
 	}
@@ -313,7 +327,7 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	splits := c.splitPoints(res)
 	unit := make([]spanMeta, len(splits))
 	windows := make([][]byte, len(splits))
-	startBit, headerBit := E, uint64(0)
+	startBit, headerBit := E, header
 	startDecomp := c.frontierDecomp
 	for i, sp := range splits {
 		unit[i] = spanMeta{
@@ -373,7 +387,7 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	}
 
 	c.frontierWindow = newWindow
-	c.frontierBit = res.EndBit
+	c.frontierBit, c.frontierHeader, c.early = res.EndBit, pausedIn, res.Paused
 	c.frontierDecomp += total
 	eof := res.EndIsEOF
 	if eof {
@@ -422,45 +436,93 @@ func (c *gzipCodec) FrontierKey() (uint64, bool) {
 // paper Figure 4: the consumer requests chunks by the exact end offset
 // of the previous chunk; a guess at E's cell that found its block
 // elsewhere is a false start, and that and no guess at all fall back to
-// an on-demand decode.
-func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E uint64, atMember bool, window []byte) (*deflate.ChunkResult, error) {
-	if v, ok, err := e.TakeGuess(E, E/c.chunkBits(), false); ok && err == nil {
+// an on-demand decode. The rest of the first cell's unit (early) is
+// neither: it is decoded on from where the first entry ended, inside the
+// block whose header is at bit header if that is nonzero, and stops where
+// the paused decode would have.
+func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E, header uint64, early, atMember bool, window []byte) (*deflate.ChunkResult, uint64, error) {
+	if early {
+		return c.decodeFrontier(E, header, c.chunkBits(), false, window)
+	}
+	// A guess no worker has started runs here rather than behind the
+	// tasks ahead of it in the queue.
+	if v, ok, err := e.TakeGuess(E, E/c.chunkBits()); ok && err == nil {
 		if res := v.(*deflate.ChunkResult); res.StartBit == E {
-			return res, nil
+			return res, 0, nil
 		}
 		c.cnt.guessFalseStarts.Add(1)
 	}
-	// On-demand exact decode with the known window (single-stage).
 	c.cnt.onDemand.Add(1)
-	stop := (E/c.chunkBits() + 1) * c.chunkBits()
-	br := bitio.NewBitReader(c.src, int64(c.fileBits/8))
-	var dec deflate.Decoder
-	res, err := dec.DecodeChunk(br, deflate.ChunkConfig{
+	return c.decodeFrontier(E, 0, (E/c.chunkBits()+1)*c.chunkBits(), atMember, window)
+}
+
+// decodeFrontier is the on-demand exact decode from the frontier with
+// its known window (single-stage), to the first block stop-eligible at or
+// past stop: from inside the block whose header is at bit header if that
+// is nonzero, and from the gzip header — the file's first decode, which
+// pauses once firstEntry bytes are out — if atMember is set. A decode
+// that paused comes back Paused, with the header bit of the Huffman block
+// it paused in, or zero for one that paused between blocks.
+func (c *gzipCodec) decodeFrontier(E, header, stop uint64, atMember bool, window []byte) (*deflate.ChunkResult, uint64, error) {
+	fileSize := int64(c.fileBits / 8)
+	cfg := deflate.ChunkConfig{
 		Start:              E,
 		Stop:               stop,
 		Window:             window,
 		StartsAtGzipHeader: atMember,
 		SizeHint:           4 * c.cfg.ChunkSize,
 		PointEvery:         c.pointEvery(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: decode at bit %d: %w", E, err)
 	}
-	return res, nil
+	if atMember {
+		cfg.StopAtOutput = c.firstEntry
+	}
+	if header != 0 {
+		cfg.Header = bitio.NewBitReaderSize(c.src, fileSize, blockHeaderRead)
+		if err := cfg.Header.SeekBits(header); err != nil {
+			return nil, 0, err
+		}
+	}
+	var dec deflate.Decoder
+	res, err := dec.DecodeChunk(bitio.NewBitReader(c.src, fileSize), cfg)
+	if err == nil && res.Paused {
+		// A decode cannot start again inside a stored block: one paused in
+		// there copies the rest of it first. Where that block reached past
+		// stop, the unit may end right behind it, and the decode finishes
+		// the unit instead of pausing.
+		if _, _, stored := dec.PausedIn(); stored > 0 {
+			res, err = dec.Resume(res.TotalOut() + uint64(stored))
+		}
+		if err == nil && res.Paused && res.EndBit >= stop {
+			res, err = dec.Resume(0)
+		}
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("core: decode at bit %d: %w", E, err)
+	}
+	if inBlock, hb, _ := dec.PausedIn(); res.Paused && inBlock {
+		return res, hb, nil
+	}
+	return res, 0, nil
 }
 
 // Slot implements spanengine.Grower: a candidate cand-len(table) spans
 // past the frontier is a guess at the grid cell as many cells past the
-// frontier's.
+// frontier's. The first entry, confirmed ahead of the rest of its unit,
+// is left out of the count until that rest is confirmed: the mapping
+// stays the one a whole first unit would give.
 func (c *gzipCodec) Slot(_ *spanengine.Engine, cand uint64) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cb := c.chunkBits()
+	n, cell := uint64(len(c.metas)), c.frontierBit/cb
+	if c.early {
+		n, cell = 0, 0
+	}
 	gap := uint64(0)
-	if n := uint64(len(c.metas)); cand > n {
+	if cand > n {
 		gap = cand - n
 	}
-	g := c.frontierBit/cb + 1 + gap
+	g := cell + 1 + gap
 	return g, !c.eof && g*cb < c.fileBits
 }
 

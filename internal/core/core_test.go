@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/deflate"
 	"repro/internal/filereader"
@@ -416,15 +417,29 @@ func TestBGZFSpansFollowOutputSize(t *testing.T) {
 func TestSingleBlockFileDegradesGracefully(t *testing.T) {
 	// igzip -0 structure: one huge dynamic block; parallelization is
 	// impossible (§4.8) but decoding must stay correct.
+	const chunk = 32 << 10
 	data := mkBase64(13, 400_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 1, SingleBlock: true, Strategy: gzipw.DynamicOnly})
-	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
+	r := open(t, comp, Config{Parallelism: 4, ChunkSize: chunk})
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("single-block decode mismatch")
 	}
 	stats := r.Stats()
 	if stats.GuessNoBlock == 0 {
 		t.Fatal("expected no-block speculative results for a single-block file")
+	}
+	// Seeks stay cheap all the same: the block is cut into entries of
+	// about a chunk at points inside it, also behind the first entry,
+	// where the decode of the rest of the block started inside it.
+	ix := r.Index()
+	for i := 0; i < ix.Len(); i++ {
+		end := ix.UncompressedSize
+		if i+1 < ix.Len() {
+			end = ix.Point(i + 1).UncompressedOffset
+		}
+		if size := end - ix.Point(i).UncompressedOffset; size > 2*chunk {
+			t.Fatalf("entry %d of %d holds %d bytes, want about a chunk (%d)", i, ix.Len(), size, chunk)
+		}
 	}
 }
 
@@ -592,6 +607,42 @@ func TestCloseSkipsQueuedGuesses(t *testing.T) {
 	<-closed
 	if st := r.Stats(); st.GuessTasks < 2 || st.FinderProbes >= st.GuessTasks {
 		t.Fatalf("guesses queued at Close ran: %+v", st)
+	}
+}
+
+// TestFrontierJoinsQueuedGuess: a guess no worker has started does not
+// hold the frontier up. The one worker is kept busy until the test ends,
+// so every guess queues behind it; a read across the cells they were
+// issued for still returns, the frontier having run each guess it took
+// on its own goroutine: no false start, and no on-demand decode past the
+// first two cells, which are never guessed.
+func TestFrontierJoinsQueuedGuess(t *testing.T) {
+	const chunk = 64 << 10
+	data := mkBase64(42, 16*chunk)
+	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := open(t, comp, Config{Parallelism: 1, ChunkSize: chunk})
+	release := make(chan struct{})
+	defer close(release)
+	r.Engine().Prime(1<<30, func() ([]byte, error) { <-release; return nil, nil })
+	buf := make([]byte, 6*chunk) // about four and a half cells of this file
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Engine().ReadAt(buf, 0)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil || !bytes.Equal(buf, data[:len(buf)]) {
+			t.Fatalf("read: %v", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("the frontier is waiting for a guess queued behind a busy worker")
+	}
+	if st := r.Stats(); st.GuessTasks < 3 || st.GuessFalseStarts != 0 || st.OnDemandDecodes != 2 {
+		t.Fatalf("guesses the frontier ran were not taken: %+v", st)
 	}
 }
 

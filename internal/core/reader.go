@@ -142,7 +142,9 @@ type Stats struct {
 	// FinderProbes counts block-finder candidate probes across all
 	// speculative tasks. It stays exactly zero when a complete index
 	// was imported: known chunk offsets make the finder unnecessary.
-	FinderProbes    uint64
+	FinderProbes uint64
+	// OnDemandDecodes counts frontier cells decoded without a guess (see
+	// the root package's Stats).
 	OnDemandDecodes uint64
 	IndexedDecodes  uint64
 	ChunksConsumed  uint64

@@ -34,9 +34,11 @@ type ChunkConfig struct {
 	// block's tables before it continues from Start with the block open.
 	// Deflate carries nothing else from one element to the next but the
 	// window. Header may read another part of the file than br does: the
-	// header of a long block lies far before its points. Points inside
-	// the block a decode started in are not recorded, as their header is
-	// not in br's coordinates. StartsAtGzipHeader must not be set with it.
+	// header of a long block lies far before its points. The points
+	// recorded inside that block, and PausedIn, give the header's bit as
+	// Header's position, so a decode that records points or is asked
+	// where it paused reads the header at br's offsets.
+	// StartsAtGzipHeader must not be set with it.
 	Header *bitio.BitReader
 	// Stop makes decoding halt at the first non-final Dynamic or
 	// Non-Compressed block whose canonical offset is >= Stop. This stop
@@ -256,6 +258,7 @@ func (d *Decoder) DecodeChunk(br *bitio.BitReader, cfg ChunkConfig) (*ChunkResul
 // open, as a decode paused inside it would be: its tables built, its
 // flags set. A point is never inside a stored block.
 func (d *Decoder) openBlock(hdr *bitio.BitReader) error {
+	d.headerBit = hdr.BitPos()
 	final, typ, err := ParseBlockHeader(hdr)
 	if err != nil {
 		return err
@@ -275,21 +278,29 @@ func (d *Decoder) openBlock(hdr *bitio.BitReader) error {
 		return ErrCorrupt
 	}
 	d.open, d.final, d.isStored = true, final, false
-	d.headerBit = noHeader
 	return nil
 }
-
-// noHeader is the header bit of the block a decode started inside of.
-const noHeader = math.MaxUint64
 
 // notePoint is where the block loops record the InBlockPoint that is
 // due, total symbols into the output with the reader at the element
 // behind them, and move the next one PointEvery further.
 func (d *Decoder) notePoint(total int) {
 	d.st.pointAt = total + int(min(d.cfg.PointEvery, uint64(math.MaxInt-total)))
-	if d.headerBit != noHeader {
-		d.cr.InBlock = append(d.cr.InBlock, InBlockPoint{Bit: d.br.BitPos(), HeaderBit: d.headerBit, DecompOffset: uint64(total)})
+	d.cr.InBlock = append(d.cr.InBlock, InBlockPoint{Bit: d.br.BitPos(), HeaderBit: d.headerBit, DecompOffset: uint64(total)})
+}
+
+// PausedIn reports where the decode that came back Paused stands, at its
+// EndBit: between two blocks when inBlock is false, and otherwise inside
+// the block whose header is at bit header — a Huffman block, from which
+// a decode can start again there (ChunkConfig.Header), or, when stored is
+// positive, a stored block with that many of its bytes still to copy,
+// which offers no such start: Resume to stored bytes further on ends at
+// its end instead.
+func (d *Decoder) PausedIn() (inBlock bool, header uint64, stored int) {
+	if d.isStored {
+		stored = d.stored
 	}
+	return d.open, d.headerBit, stored
 }
 
 // Resume continues the decode this Decoder paused on StopAtOutput, up to

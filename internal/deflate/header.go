@@ -117,8 +117,7 @@ type Decoder struct {
 	// stored bytes left to copy.
 	open, final, isStored bool
 	stored                int
-	// headerBit is the bit of the open block's header; noHeader in the
-	// block a decode started inside of.
+	// headerBit is the bit of the open block's header.
 	headerBit uint64
 	// pausable marks a single-stage decode that was given an output
 	// limit, now or before a Resume: see reserve.

@@ -274,3 +274,76 @@ func TestTwoStagePointsAreStarts(t *testing.T) {
 		}
 	}
 }
+
+// TestPausedInRestarts: wherever a decode pauses, PausedIn says where it
+// stands, and a decode started there gives the rest of the stream — with
+// the header the open Huffman block was parsed from, from a block
+// boundary as it stands — and records the points inside the block it
+// starts in under that header. A pause inside a stored block, which
+// offers no start, resumes to the block's end, a boundary.
+func TestPausedInRestarts(t *testing.T) {
+	p := testPayloads(16, 150_000)
+	comp := gzipCompress(t, append(append(p["text"], p["random"][:70_000]...), p["base64"]...), 6)
+	const pointEvery = 1 << 10
+	out, res := pointsOf(t, comp, pointEvery)
+	rng := rand.New(rand.NewSource(16))
+	kinds := map[string]int{}
+	for trial := 0; trial < 200; trial++ {
+		var d Decoder
+		got, err := d.DecodeChunk(bitio.NewBitReaderBytes(comp), ChunkConfig{
+			Stop: StopAtEOF, StartsAtGzipHeader: true, StopAtOutput: 1 + uint64(rng.Intn(len(out)-1)),
+		})
+		if err != nil || !got.Paused {
+			t.Fatalf("trial %d: paused %v, %v", trial, got != nil && got.Paused, err)
+		}
+		inBlock, header, stored := d.PausedIn()
+		if stored > 0 {
+			kinds["stored"]++
+			if got, err = d.Resume(got.TotalOut() + uint64(stored)); err != nil {
+				t.Fatal(err)
+			}
+			if inBlock, _, stored = d.PausedIn(); !got.Paused || inBlock || stored != 0 {
+				t.Fatalf("trial %d: resumed to the end of a stored block, in block %v with %d bytes left", trial, inBlock, stored)
+			}
+		}
+		off := got.TotalOut()
+		pt := InBlockPoint{Bit: got.EndBit, DecompOffset: off}
+		cfg := ChunkConfig{Start: got.EndBit, Stop: StopAtEOF, Window: out[off-min(off, WindowSize) : off], PointEvery: pointEvery}
+		if inBlock {
+			kinds["huffman"]++
+			pt.HeaderBit = header
+			cfg.Header = bitio.NewBitReaderBytes(comp)
+			if err := cfg.Header.SeekBits(header); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			kinds["boundary"]++
+		}
+		var d2 Decoder
+		rest, err := d2.DecodeChunk(bitio.NewBitReaderBytes(comp), cfg)
+		if err != nil {
+			t.Fatalf("trial %d: from %+v: %v", trial, pt, err)
+		}
+		if diff := suffixDiff(rest, out, res, pt); diff != "" {
+			t.Fatalf("trial %d: from %+v: %s", trial, pt, diff)
+		}
+		firstBlockEnd := uint64(len(rest.Raw))
+		if len(rest.BlockStarts) > 0 {
+			firstBlockEnd = rest.BlockStarts[0].DecompOffset
+		}
+		for _, q := range rest.InBlock {
+			if q.DecompOffset < firstBlockEnd && (!inBlock || q.HeaderBit != header) {
+				t.Fatalf("trial %d: point %+v in the block started from %+v", trial, q, pt)
+			}
+			if inBlock && q.DecompOffset < firstBlockEnd {
+				kinds["points in the first block"]++
+			}
+		}
+	}
+	for _, k := range []string{"stored", "huffman", "boundary", "points in the first block"} {
+		if kinds[k] == 0 {
+			t.Fatalf("no %s case among %v", k, kinds)
+		}
+	}
+	t.Logf("%v", kinds)
+}

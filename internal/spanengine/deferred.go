@@ -101,7 +101,7 @@ func (d *deferred) GrowNext(e *Engine) (bool, error) {
 
 	// The extent's own decode: guessed, or made here — unless nobody made
 	// one and its size is declared.
-	v, guessed, err := e.TakeGuess(uint64(x.CompOff), uint64(k), true)
+	v, guessed, err := e.TakeGuess(uint64(x.CompOff), uint64(k))
 	got, decoded := sized{err: err}, true
 	switch g, ok := v.(sized); {
 	case ok:

@@ -459,7 +459,7 @@ func TestDeferredDeclaredSizes(t *testing.T) {
 		t.Fatalf("%d decodes to size %d open extents among %d", codec.total(), open, len(starts))
 	}
 	for i := range starts {
-		data, err := e.SpanContent(i)
+		data, err := spanBytes(e, i)
 		if i == 5 {
 			if err == nil {
 				t.Fatal("span with a wrong declared size was served")

@@ -27,9 +27,6 @@
 package spanengine
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/cache"
 	"repro/internal/filereader"
 	"repro/internal/pool"
@@ -71,7 +68,7 @@ type GrowingCodec interface {
 }
 
 // AccessObserver is implemented by codecs that want to observe span
-// consumption — every successful SpanContent, with the decoded bytes.
+// consumption — every whole span a read is handed, with its bytes.
 // gzip uses it to verify member CRC32s in consumption order. Called
 // without engine locks held.
 type AccessObserver interface {
@@ -185,11 +182,11 @@ func (e *Engine) speculate(cand uint64) {
 
 // TakeGuess hands the frontier, about to confirm the unit at the exact
 // offset key, what was guessed for it: the result parked under key, or
-// else the outcome of the guess running at slot — waited for, or with
-// join run here if no worker has started it — which may have begun
-// elsewhere than key. ok is false when there is neither, and the caller
-// decodes the unit itself; slot is not guessed meanwhile.
-func (e *Engine) TakeGuess(key, slot uint64, join bool) (v any, ok bool, err error) {
+// else the outcome of the guess running at slot — joined, so it runs
+// here if no worker has started it — which may have begun elsewhere than
+// key. ok is false when there is neither, and the caller decodes the
+// unit itself; slot is not guessed meanwhile.
+func (e *Engine) TakeGuess(key, slot uint64) (v any, ok bool, err error) {
 	e.mu.Lock()
 	for s, fut := range e.guesses {
 		if s < slot && fut == nil {
@@ -209,11 +206,7 @@ func (e *Engine) TakeGuess(key, slot uint64, join bool) (v any, ok bool, err err
 	if fut == nil {
 		return nil, false, nil
 	}
-	if join {
-		v, err = fut.Join()
-	} else {
-		v, err = fut.Wait()
-	}
+	v, err = fut.Join()
 	// A result that began at key was parked before the future resolved.
 	e.mu.Lock()
 	e.tent.Delete(key)
@@ -323,28 +316,6 @@ func (e *Engine) growReady(off int64) bool {
 	defer e.mu.Unlock()
 	return ok && !e.complete && !e.closed &&
 		len(e.spans)-e.findSpanLocked(off) <= e.cfg.CacheSize/4 && e.tent.Contains(key)
-}
-
-// SpanAt returns the index of the span covering decompressed offset
-// off, growing the table as far as needed. io.EOF reports offsets at or
-// past the end of the (completed) stream.
-func (e *Engine) SpanAt(off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("spanengine: negative offset %d", off)
-	}
-	if err := e.ensureCovered(off); err != nil {
-		return 0, err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if off >= e.size {
-		return 0, io.EOF
-	}
-	i := e.findSpanLocked(off)
-	if i < 0 || i >= len(e.spans) {
-		return 0, io.EOF
-	}
-	return i, nil
 }
 
 // EnsureComplete grows the span table to end of file.

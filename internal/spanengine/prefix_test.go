@@ -372,9 +372,9 @@ func TestStreamDecodesWholeSpans(t *testing.T) {
 	}
 }
 
-// TestSpanContentCompletesPrefix: a whole-span request of a span cached
-// in part, or being decoded in part, ends with the whole span.
-func TestSpanContentCompletesPrefix(t *testing.T) {
+// TestWholeSpanReadCompletesPrefix: a read of a whole span being decoded
+// in part joins that decode and then continues it to the span's end.
+func TestWholeSpanReadCompletesPrefix(t *testing.T) {
 	src := testSrc(16 << 10)
 	codec := newPrefixCodec(4<<10, true)
 	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1})
@@ -389,7 +389,7 @@ func TestSpanContentCompletesPrefix(t *testing.T) {
 	codec.await(t)
 	got := make(chan []byte, 1)
 	go func() {
-		data, err := e.SpanContent(1)
+		data, err := spanBytes(e, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -398,11 +398,11 @@ func TestSpanContentCompletesPrefix(t *testing.T) {
 	until(func() bool { return e.Stats().DemandJoined == 1 })
 	codec.gate <- struct{}{}
 	if upTo := codec.await(t); upTo != 4<<10 {
-		t.Fatalf("SpanContent continued the decode up to %d", upTo)
+		t.Fatalf("the whole-span read continued the decode up to %d", upTo)
 	}
 	codec.gate <- struct{}{}
 	if data := <-got; !bytes.Equal(data, src[4<<10:8<<10]) {
-		t.Fatalf("SpanContent returned %d bytes", len(data))
+		t.Fatalf("the whole-span read returned %d bytes", len(data))
 	}
 	codec.requireChain(t, 4<<10, 4<<10)
 }

@@ -44,12 +44,12 @@ func TestWriteRangeToHandsOutCachedSpans(t *testing.T) {
 	}
 	defer e.Close()
 	var cached [][]byte
-	for i := 2; i <= 5; i++ {
-		data, err := e.SpanContent(i)
-		if err != nil {
-			t.Fatal(err)
+	for i := int64(2); i <= 5; i++ {
+		var w writeLog
+		if _, err := e.WriteRangeTo(context.Background(), &w, i<<12, 4<<10); err != nil || len(w.writes) != 1 {
+			t.Fatalf("span %d: %d writes, %v", i, len(w.writes), err)
 		}
-		cached = append(cached, data)
+		cached = append(cached, w.writes[0])
 	}
 	decodes := codec.decodes.Load()
 	off, n := int64(2<<12+100), int64(3<<12)

@@ -491,13 +491,6 @@ func (e *Engine) CheckpointTable() *gzindex.CheckpointTable {
 	return t
 }
 
-// SpanExtent returns the decompressed offset and size of span i.
-func (e *Engine) SpanExtent(i int) (off, size int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.spans[i].DecompOff, e.spans[i].DecompSize
-}
-
 // Stats returns a snapshot of the engine counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -533,37 +526,6 @@ func (w *want) content(ctx context.Context) ([]byte, error) {
 		return w.ent.data, nil
 	}
 	return w.fut.JoinContext(ctx)
-}
-
-// SpanContent returns the decompressed content of span i. The call is
-// one request to the prefetch strategy. The returned slice is shared
-// with the cache and must not be modified.
-func (e *Engine) SpanContent(i int) ([]byte, error) {
-	for {
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return nil, ErrClosed
-		}
-		if i < 0 || i >= len(e.spans) {
-			n := len(e.spans)
-			e.mu.Unlock()
-			return nil, fmt.Errorf("spanengine: span %d out of range [0,%d)", i, n)
-		}
-		ws := [1]want{{i: i, s: e.spans[i], need: e.spans[i].DecompSize}}
-		e.claimLocked(ws[:])
-		e.mu.Unlock()
-		data, err := ws[0].content(context.Background())
-		if err != nil {
-			return nil, err
-		}
-		// A decode joined in flight may have been a reader's, bound for
-		// less than the whole span: then claim again, for the rest.
-		if int64(len(data)) == ws[0].s.DecompSize {
-			e.noteAccess(i, data)
-			return data, nil
-		}
-	}
 }
 
 // claimLocked settles where each span of one request comes from: the

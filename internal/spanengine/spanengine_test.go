@@ -312,8 +312,8 @@ func TestClosedEngineFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Close()
-	if _, err := e.SpanContent(0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("SpanContent after Close: err = %v, want ErrClosed", err)
+	if _, err := e.ReadAt(make([]byte, 10), 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadAt after Close: err = %v, want ErrClosed", err)
 	}
 	// Idempotent.
 	if err := e.Close(); err != nil {
@@ -330,23 +330,37 @@ func TestDecodeSizeMismatchSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if _, err := e.SpanContent(0); err == nil {
+	if _, err := spanBytes(e, 0); err == nil {
 		t.Fatal("size-lying checkpoint table decoded without error")
 	}
 }
 
-func TestSpanContentOutOfRange(t *testing.T) {
+// TestReadAtOutOfRange: a read before the stream fails, one at or past
+// its end reads nothing and says io.EOF.
+func TestReadAtOutOfRange(t *testing.T) {
 	src := testSrc(4096)
 	e, err := New(filereader.MemoryReader(src), &fakeCodec{spanSize: 1024}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	for _, i := range []int{-1, 4, 100} {
-		if _, err := e.SpanContent(i); err == nil {
-			t.Fatalf("SpanContent(%d) succeeded", i)
+	buf := make([]byte, 10)
+	if n, err := e.ReadAt(buf, -1); n != 0 || err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("ReadAt(-1) = %d, %v", n, err)
+	}
+	for _, off := range []int64{4096, 100_000} {
+		if n, err := e.ReadAt(buf, off); n != 0 || err != io.EOF {
+			t.Fatalf("ReadAt(%d) = %d, %v, want 0, io.EOF", off, n, err)
 		}
 	}
+}
+
+// spanBytes reads span i of the table, and nothing else, through ReadAt.
+func spanBytes(e *Engine, i int) ([]byte, error) {
+	s := e.CheckpointTable().Spans[i]
+	buf := make([]byte, s.DecompSize)
+	n, err := e.ReadAt(buf, s.DecompOff)
+	return buf[:n], err
 }
 
 func BenchmarkReadAtSequential(b *testing.B) {

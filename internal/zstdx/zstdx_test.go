@@ -228,19 +228,15 @@ func TestReaderRandomAccess(t *testing.T) {
 	}
 	// chunk table covers the stream contiguously
 	var pos int64
-	for i := 0; i < r.NumSpans(); i++ {
-		off, size := r.SpanExtent(i)
-		if off != pos {
-			t.Fatalf("chunk %d starts at %d, want %d", i, off, pos)
+	for i, s := range r.CheckpointTable().Spans {
+		if s.DecompOff != pos {
+			t.Fatalf("chunk %d starts at %d, want %d", i, s.DecompOff, pos)
 		}
-		content, err := r.SpanContent(i)
-		if err != nil {
-			t.Fatal(err)
+		content := make([]byte, s.DecompSize)
+		if n, err := r.ReadAt(content, s.DecompOff); err != nil || !bytes.Equal(content[:n], data[pos:pos+s.DecompSize]) {
+			t.Fatalf("chunk %d: %d bytes, %v", i, n, err)
 		}
-		if int64(len(content)) != size {
-			t.Fatalf("chunk %d: %d bytes, extent says %d", i, len(content), size)
-		}
-		pos += size
+		pos += s.DecompSize
 	}
 	if pos != size {
 		t.Fatalf("chunks cover %d bytes, size is %d", pos, size)

@@ -75,7 +75,11 @@ type Stats struct {
 	// FinderProbes counts block-finder candidate probes across all
 	// speculative tasks. It stays exactly zero when a complete index
 	// was imported: known chunk offsets make the finder unnecessary.
-	FinderProbes    uint64
+	FinderProbes uint64
+	// OnDemandDecodes counts the frontier cells decoded without a guess:
+	// the first, whose block is known, and every cell whose guess was
+	// missing, failed or began elsewhere. The first cell counts once, though its
+	// first entry is confirmed ahead of the rest of it.
 	OnDemandDecodes uint64
 	IndexedDecodes  uint64
 	ChunksConsumed  uint64
