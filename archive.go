@@ -633,7 +633,10 @@ func (a *archive) Capabilities() Capabilities { return a.cur.Load().caps }
 // stream order (verification is then skipped, not failed), and a mismatch
 // seen before an ImportIndex still counts after it. bzip2, LZ4 and zstd
 // verify inside every decode and fail the read on a mismatch, so for them
-// the answer is whether the file carries checksums at all.
+// the answer is whether the file carries checksums at all: an LZ4 or zstd
+// frame with a content checksum is verified before any of its bytes is
+// served; one without goes out block by block, an LZ4 block's checksum
+// checked before its bytes.
 func (a *archive) CRCVerified() (bool, uint64) {
 	a.swap.Lock()
 	defer a.swap.Unlock()

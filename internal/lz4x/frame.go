@@ -311,21 +311,53 @@ func ScanFrames(data []byte) ([]FrameInfo, error) {
 	return frames, nil
 }
 
-// decompressFrame inflates one frame into dst (sized ContentSize).
-func decompressFrame(data []byte, dst []byte) error {
+// blockMaxes maps a frame descriptor's block-maximum class to its size
+// (zero: a class the format does not define).
+var blockMaxes = [8]int{4: 64 << 10, 5: 256 << 10, 6: 1 << 20, 7: 4 << 20}
+
+// frame is one frame's decode in progress: its header, its content (out,
+// allocated once at the declared size), how much of that exists, and the
+// frame-relative offset of the next block's size field. A frame without
+// a content checksum can stop between blocks and go on later from there;
+// nothing of the source is held meanwhile.
+type frame struct {
+	h   frameHeader
+	out []byte
+	dp  int
+	p   int64
+}
+
+// startFrame parses the header at the start of data, a frame's bytes, and
+// returns the decode of that frame into out.
+func startFrame(data, out []byte) (*frame, error) {
 	h, err := parseFrameHeader(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	blockMax := []int{0, 0, 0, 0, 64 << 10, 256 << 10, 1 << 20, 4 << 20}[(h.bd>>4)&7]
-	if blockMax == 0 {
-		return fmt.Errorf("lz4x: invalid BD byte %#x", h.bd)
+	if blockMaxes[(h.bd>>4)&7] == 0 {
+		return nil, fmt.Errorf("lz4x: invalid BD byte %#x", h.bd)
 	}
-	p := h.headerLen
-	dp := 0
+	return &frame{h: h, out: out, p: int64(h.headerLen)}, nil
+}
+
+// decode runs f's blocks through data, the frame's bytes from frame
+// offset off on, to the end of the frame, or in a frame without a content
+// checksum until upTo bytes of content exist at a block boundary short of
+// the end. A block's checksum is checked before the block is decoded, and
+// a frame's content checksum before any of its content is returned. It
+// reports whether the frame is complete.
+func (f *frame) decode(data []byte, off int64, upTo int) (done bool, err error) {
+	blockMax := blockMaxes[(f.h.bd>>4)&7]
+	pausable := f.h.flg&flgContentCheck == 0
+	dst := f.out
+	p := int(f.p - off)
 	for {
+		if pausable && f.dp >= upTo && f.dp < len(dst) {
+			f.p = off + int64(p)
+			return false, nil
+		}
 		if p+4 > len(data) {
-			return ErrCorrupt
+			return false, ErrCorrupt
 		}
 		bsize := binary.LittleEndian.Uint32(data[p:])
 		p += 4
@@ -335,57 +367,54 @@ func decompressFrame(data []byte, dst []byte) error {
 		stored := bsize&(1<<31) != 0
 		n := int(bsize &^ (1 << 31))
 		if n > blockMax+blockMax/255+16 || p+n > len(data) {
-			return ErrCorrupt
+			return false, ErrCorrupt
 		}
 		payload := data[p : p+n]
 		p += n
-		if h.flg&flgBlockCheck != 0 {
+		if f.h.flg&flgBlockCheck != 0 {
 			if p+4 > len(data) {
-				return ErrCorrupt
+				return false, ErrCorrupt
 			}
 			if binary.LittleEndian.Uint32(data[p:]) != xxhash.Sum32(payload, 0) {
-				return ErrChecksum
+				return false, ErrChecksum
 			}
 			p += 4
 		}
 		if stored {
-			if dp+n > len(dst) {
-				return ErrCorrupt
+			if f.dp+n > len(dst) {
+				return false, ErrCorrupt
 			}
-			copy(dst[dp:], payload)
-			dp += n
+			copy(dst[f.dp:], payload)
+			f.dp += n
 		} else {
 			// A compressed block inflates to at most blockMax bytes and
 			// never past the declared content size.
-			end := dp + blockMax
-			if end > len(dst) {
-				end = len(dst)
-			}
+			end := min(f.dp+blockMax, len(dst))
 			// Linked blocks: matches may reach back into earlier blocks
 			// of the same frame, so the frame output so far is history.
 			hist := 0
-			if h.flg&flgBlockIndep == 0 {
-				hist = dp
+			if f.h.flg&flgBlockIndep == 0 {
+				hist = f.dp
 			}
-			out, err := decodeBlock(payload, dst[dp-hist:end], hist)
+			out, err := decodeBlock(payload, dst[f.dp-hist:end], hist)
 			if err != nil {
-				return err
+				return false, err
 			}
-			dp += out
+			f.dp += out
 		}
 	}
-	if h.flg&flgContentCheck != 0 {
+	if !pausable {
 		if p+4 > len(data) {
-			return ErrCorrupt
+			return false, ErrCorrupt
 		}
-		if binary.LittleEndian.Uint32(data[p:]) != xxhash.Sum32(dst[:dp], 0) {
-			return ErrChecksum
+		if binary.LittleEndian.Uint32(data[p:]) != xxhash.Sum32(dst[:f.dp], 0) {
+			return false, ErrChecksum
 		}
 	}
-	if dp != len(dst) {
-		return fmt.Errorf("lz4x: frame decoded %d bytes, header declared %d", dp, len(dst))
+	if f.dp != len(dst) {
+		return false, fmt.Errorf("lz4x: frame decoded %d bytes, header declared %d", f.dp, len(dst))
 	}
-	return nil
+	return true, nil
 }
 
 // Decompress inflates a (possibly multi-frame) LZ4 file serially.
@@ -399,8 +428,13 @@ func Decompress(data []byte) ([]byte, error) {
 		total += f.ContentSize
 	}
 	out := make([]byte, total)
-	for _, f := range frames {
-		if err := decompressFrame(data[f.Offset:f.End], out[f.ContentStart:f.ContentStart+f.ContentSize]); err != nil {
+	for _, fi := range frames {
+		data := data[fi.Offset:fi.End]
+		f, err := startFrame(data, out[fi.ContentStart:fi.ContentStart+fi.ContentSize])
+		if err == nil {
+			_, err = f.decode(data, 0, len(f.out))
+		}
+		if err != nil {
 			return nil, err
 		}
 	}

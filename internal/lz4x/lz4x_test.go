@@ -251,13 +251,20 @@ func TestReaderReadAt(t *testing.T) {
 	}
 }
 
+// TestReaderConcurrentReadAt: eight readers at once, over checksummed
+// frames, which decode whole, and over unchecked ones, whose decodes stop
+// between blocks and are continued by whichever reader gets there next.
 func TestReaderConcurrentReadAt(t *testing.T) {
 	data := workloads.FASTQ(300_000, 3)
-	comp := CompressFrames(data, FrameOptions{FrameSize: 50_000, ContentChecksum: true})
-	r := openEngine(t, comp, 4)
+	r := openEngine(t, CompressFrames(data, FrameOptions{FrameSize: 50_000, ContentChecksum: true}), 4)
 	if r.Flags()&FlagChecksummed == 0 {
 		t.Fatal("expected FlagChecksummed")
 	}
+	concurrentReadAt(t, r, data)
+	concurrentReadAt(t, openEngine(t, CompressFrames(data, FrameOptions{FrameSize: 100_000, BlockSize: 8 << 10}), 4), data)
+}
+
+func concurrentReadAt(t *testing.T, r *spanengine.Engine, data []byte) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -330,7 +337,8 @@ func TestLinkedBlockFrameDecodes(t *testing.T) {
 // TestForgedTableSizeIsNotAllocated: a checkpoint table is outside input
 // (an index file whose CRC an attacker can compute). One that names 1 TiB
 // for a 4 KiB frame must fail the read as corrupt, without the decoder
-// allocating what it names.
+// allocating what it names — whether the engine asks for the whole frame
+// or, as a read that stops short does, for a prefix of it.
 func TestForgedTableSizeIsNotAllocated(t *testing.T) {
 	data := workloads.Base64(4<<10, 5)
 	comp := CompressFrames(data, FrameOptions{})
@@ -352,6 +360,15 @@ func TestForgedTableSizeIsNotAllocated(t *testing.T) {
 			t.Fatalf("refusing the forged size allocated %d bytes", grew)
 		}
 		r.Close()
+		runtime.ReadMemStats(&before)
+		_, parked, err := Codec{}.DecodeSpanPrefix(src, forged[0], nil, 100)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) || parked != nil {
+			t.Fatalf("a prefix through a table naming %d bytes: %v, parked %v; want ErrCorrupt", size, err, parked)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("refusing the forged size for a prefix allocated %d bytes", grew)
+		}
 	}
 	// A true table still reads.
 	honest := []spanengine.Span{{CompOff: 0, CompEnd: int64(len(comp)), DecompSize: int64(len(data))}}
@@ -363,5 +380,117 @@ func TestForgedTableSizeIsNotAllocated(t *testing.T) {
 	buf := make([]byte, 100)
 	if _, err := r.ReadAt(buf, 1000); err != nil || !bytes.Equal(buf, data[1000:1100]) {
 		t.Fatalf("ReadAt through an honest table: %v", err)
+	}
+}
+
+// blockFields returns where the size fields of the blocks of the frame at
+// comp[off:] are, in order, up to its EndMark.
+func blockFields(t *testing.T, comp []byte, off int64) []int {
+	t.Helper()
+	h, err := parseFrameHeader(comp[off:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []int
+	for p := int(off) + h.headerLen; ; {
+		n := int(binary.LittleEndian.Uint32(comp[p:]) &^ (1 << 31))
+		if n == 0 {
+			return fields
+		}
+		fields = append(fields, p)
+		p += 4 + n
+		if h.flg&flgBlockCheck != 0 {
+			p += 4
+		}
+	}
+}
+
+// TestChecksummedFrameGoesOutChecked: a frame with a content checksum is
+// decoded whole before any byte of it is served, even by the bounded first
+// round of a WriteTo. With a byte of the first frame's last block flipped,
+// a cold WriteTo writes nothing and fails on the checksum — or as
+// corrupt, where the block itself no longer decodes.
+func TestChecksummedFrameGoesOutChecked(t *testing.T) {
+	const frameSize = 256 << 10
+	data := workloads.SilesiaLike(2*frameSize, 12)
+	comp := CompressFrames(data, FrameOptions{FrameSize: frameSize, ContentChecksum: true})
+	frames, err := ScanFrames(comp)
+	if err != nil || len(frames) != 2 {
+		t.Fatalf("%d frames, %v", len(frames), err)
+	}
+	fields := blockFields(t, comp, 0)
+	bad := bytes.Clone(comp)
+	bad[fields[len(fields)-1]+4+10] ^= 0x20
+	for _, threads := range []int{1, 2} {
+		var out bytes.Buffer
+		_, err := openEngine(t, bad, threads).WriteTo(&out, 0)
+		if !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("threads=%d: WriteTo = %v, want a checksum mismatch or corrupt data", threads, err)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("threads=%d: wrote %d bytes of the corrupt frame", threads, out.Len())
+		}
+	}
+}
+
+// TestBlockChecksumCheckedBeforeServed: in a frame without a content
+// checksum but with block checksums, each block is checked before its
+// bytes go out. With the second block corrupt a cold WriteTo serves at
+// most the first, then fails on the checksum.
+func TestBlockChecksumCheckedBeforeServed(t *testing.T) {
+	data := workloads.SilesiaLike(256<<10, 13)
+	comp := CompressFrames(data, FrameOptions{BlockChecksums: true})
+	bad := bytes.Clone(comp)
+	bad[blockFields(t, comp, 0)[1]+4+10] ^= 0x20
+	var out bytes.Buffer
+	_, err := openEngine(t, bad, 1).WriteTo(&out, 0)
+	if !errors.Is(err, ErrChecksum) || out.Len() > 64<<10 || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+		t.Fatalf("WriteTo = %v after %d bytes; want ErrChecksum after at most the first block's 64 KiB, unchanged", err, out.Len())
+	}
+}
+
+// TestFailedResumeDropsPrefix: a frame without checksums, corrupt in its
+// third block, serves its first block and then fails. The engine drops the
+// parked prefix with the decode that failed to continue it, so the next
+// read starts the frame over and fails the same way.
+func TestFailedResumeDropsPrefix(t *testing.T) {
+	data := workloads.SilesiaLike(256<<10, 14)
+	comp := CompressFrames(data, FrameOptions{})
+	bad := bytes.Clone(comp)
+	third := blockFields(t, comp, 0)[2]
+	clear(bad[third+4 : third+4+int(binary.LittleEndian.Uint32(comp[third:])&^(1<<31))]) // offset 0 at its first match
+	e := openEngine(t, bad, 1)
+	var out bytes.Buffer
+	_, err := e.WriteTo(&out, 0)
+	if !errors.Is(err, ErrCorrupt) || out.Len() != 64<<10 || !bytes.Equal(out.Bytes(), data[:out.Len()]) {
+		t.Fatalf("WriteTo = %v after %d bytes; want ErrCorrupt after the first block's 64 KiB", err, out.Len())
+	}
+	if s := e.Stats(); s.SpanDecodes != 1 || s.SpanResumes != 0 {
+		t.Fatalf("%+v: want one decode, and no resume that succeeded", s)
+	}
+	if _, again := e.WriteTo(io.Discard, 0); again == nil || again.Error() != err.Error() {
+		t.Fatalf("again: %v, want %v", again, err)
+	}
+	if s := e.Stats(); s.SpanDecodes != 2 {
+		t.Fatalf("%d decodes: the next read did not start the frame over", s.SpanDecodes)
+	}
+}
+
+// TestJumpDecodesToItsBlock: a read that jumps into a frame without a
+// content checksum decodes the frame only to the end of the block its
+// last byte lies in, and a read on into the next block continues that
+// decode rather than starting the frame over.
+func TestJumpDecodesToItsBlock(t *testing.T) {
+	const frameSize, blockSize = 512 << 10, 64 << 10
+	data := workloads.SilesiaLike(2*frameSize, 15)
+	e := openEngine(t, CompressFrames(data, FrameOptions{FrameSize: frameSize, BlockSize: blockSize}), 1)
+	buf := make([]byte, 4<<10)
+	for k, off := range []int64{frameSize + blockSize + 100, frameSize + 2*blockSize + 100} {
+		if _, err := e.ReadAt(buf, off); err != nil || !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
+			t.Fatalf("ReadAt(%d): %v", off, err)
+		}
+		if s := e.Stats(); s.DecodedBytes != uint64(k+2)*blockSize || s.SpanDecodes != 1 || s.SpanResumes != uint64(k) {
+			t.Fatalf("after read %d: %+v; want %d blocks decoded by one decode and %d resumes", k, s, k+2, k)
+		}
 	}
 }

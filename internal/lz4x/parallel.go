@@ -23,7 +23,9 @@ const (
 // Codec is the LZ4 half of the shared span engine. LZ4 is the paper's
 // best case, degenerate in the right way: every frame header declares
 // its content size, so Scan is a pure header walk — zero sizing
-// decodes — and the whole checkpoint table comes from metadata.
+// decodes — and the whole checkpoint table comes from metadata. A span
+// is one frame, and a read that needs only its front decodes the frame's
+// blocks only that far (DecodeSpanPrefix).
 type Codec struct{}
 
 // FormatTag implements spanengine.Codec.
@@ -60,25 +62,48 @@ func (Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
 // least one length byte per 255 bytes it copies.
 const maxExpansion = 255
 
-// DecodeSpan implements spanengine.Codec: one span is one frame, read
-// with one pread of its compressed extent and inflated as a unit
-// (dependent blocks decode fine — the frame is the smallest seekable
-// grain either way). The output is allocated from the table's size, and
-// the table may come from an index file: a size no frame of that length
-// can reach is refused before it is allocated.
-func (Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
-	if s.DecompSize > maxExpansion*(s.CompEnd-s.CompOff) {
-		return nil, fmt.Errorf("lz4x: frame at offset %d: %w: %d bytes declared for %d compressed",
+// DecodeSpan implements spanengine.Codec: one span is one frame,
+// decoded whole through DecodeSpanPrefix.
+func (c Codec) DecodeSpan(src filereader.FileReader, s spanengine.Span) ([]byte, error) {
+	data, _, err := c.DecodeSpanPrefix(src, s, nil, s.DecompSize)
+	return data, err
+}
+
+// DecodeSpanPrefix implements spanengine.PrefixDecoder. A frame without a
+// content checksum stops at the first block boundary at or past upTo and
+// parks its decode (a *frame: the output, allocated once at the span's
+// size, and the offset of the next block); a call with that state reads
+// the frame again from that block on. A frame with a content checksum
+// decodes whole, so none of its bytes go out unchecked. Each call reads
+// what is left of the frame with one pread and releases it before it
+// returns. The span's size may come from an index file: a size no frame
+// of that length can reach is refused before it is allocated.
+func (Codec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Span, parked any, upTo int64) ([]byte, any, error) {
+	f, _ := parked.(*frame)
+	from := s.CompOff
+	if f != nil {
+		from += f.p
+	} else if s.DecompSize > maxExpansion*(s.CompEnd-s.CompOff) {
+		return nil, nil, fmt.Errorf("lz4x: frame at offset %d: %w: %d bytes declared for %d compressed",
 			s.CompOff, ErrCorrupt, s.DecompSize, s.CompEnd-s.CompOff)
 	}
-	ext, release, err := filereader.Extent(src, s.CompOff, s.CompEnd)
+	ext, release, err := filereader.Extent(src, from, s.CompEnd)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer release()
-	out := make([]byte, s.DecompSize)
-	if err := decompressFrame(ext, out); err != nil {
-		return nil, fmt.Errorf("lz4x: frame at offset %d: %w", s.CompOff, err)
+	if f == nil {
+		f, err = startFrame(ext, make([]byte, s.DecompSize))
 	}
-	return out, nil
+	done := false
+	if err == nil {
+		done, err = f.decode(ext, from-s.CompOff, int(min(upTo, s.DecompSize)))
+	}
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("lz4x: frame at offset %d: %w", s.CompOff, err)
+	case done:
+		return f.out, nil, nil
+	}
+	return f.out[:f.dp], f, nil
 }

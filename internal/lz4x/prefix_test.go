@@ -1,0 +1,79 @@
+package lz4x
+
+import (
+	"bytes"
+	"errors"
+	"math/rand"
+	"testing"
+
+	"repro/internal/filereader"
+	"repro/internal/spanengine"
+	"repro/internal/workloads"
+)
+
+// errClass names what kind of failure err is, for comparing two decodes.
+func errClass(err error) string {
+	switch {
+	case err == nil:
+		return "none"
+	case errors.Is(err, ErrChecksum):
+		return "checksum"
+	case errors.Is(err, ErrCorrupt):
+		return "corrupt"
+	case errors.Is(err, ErrNotLZ4):
+		return "not LZ4"
+	}
+	return "other"
+}
+
+// FuzzPrefixVsWhole holds DecodeSpanPrefix to DecodeSpan. A frame the
+// encoder wrote for a seeded corpus and shape (block size, block and
+// content checksums), with or without one bit flipped, is decoded by a
+// chain of prefixes at seeded steps and whole. Each prefix reaches its
+// step and keeps what the calls before returned; the chain ends with the
+// whole decode's bytes, or with a failure of the same class.
+func FuzzPrefixVsWhole(f *testing.F) {
+	for shape := uint8(0); shape < 16; shape += 5 {
+		f.Add(int64(shape), shape, uint32(0))
+		f.Add(int64(shape)+100, shape, uint32(7919*int(shape)+40_000))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8, flip uint32) {
+		rng := rand.New(rand.NewSource(seed))
+		plain := workloads.SilesiaLike(1+rng.Intn(200<<10), uint64(seed))
+		comp := CompressFrames(plain, FrameOptions{
+			BlockSize:       4 << 10 << (shape & 3),
+			BlockChecksums:  shape&4 != 0,
+			ContentChecksum: shape&8 != 0,
+		})
+		if flip != 0 {
+			comp[int(flip>>3)%len(comp)] ^= 1 << (flip & 7)
+		}
+		src := filereader.MemoryReader(comp)
+		s := spanengine.Span{CompEnd: int64(len(comp)), DecompSize: int64(len(plain))}
+		whole, wholeErr := Codec{}.DecodeSpan(src, s)
+
+		var got []byte
+		var parked any
+		var err error
+		for upTo := int64(0); ; {
+			upTo = min(upTo+1+rng.Int63n(48<<10), s.DecompSize)
+			var data []byte
+			if data, parked, err = (Codec{}).DecodeSpanPrefix(src, s, parked, upTo); err != nil {
+				break
+			}
+			if n := int64(len(data)); n < upTo || parked != nil && n >= s.DecompSize || !bytes.HasPrefix(data, got) {
+				t.Fatalf("prefix to %d: %d bytes, parked %v; or the %d returned before changed", upTo, n, parked != nil, len(got))
+			}
+			got = bytes.Clone(data)
+			if parked == nil {
+				break
+			}
+		}
+		if errClass(err) != errClass(wholeErr) {
+			t.Fatalf("prefixes: %v; whole: %v", err, wholeErr)
+		}
+		if err == nil && !bytes.Equal(got, whole) {
+			t.Fatalf("prefixes made %d bytes, the whole decode %d, and they differ", len(got), len(whole))
+		}
+	})
+}

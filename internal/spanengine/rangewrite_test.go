@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,39 +69,73 @@ func TestWriteRangeToHandsOutCachedSpans(t *testing.T) {
 
 // TestWriteRangeToFirstRound: the first round of a cold range reaches at
 // most 32 KiB into it, so the range's first bytes go out after a decode
-// that far; the next round continues the parked decode, and the range
-// costs what ReadAt of it costs.
+// that far; the next round continues the parked decode. A range that
+// jumps costs what ReadAt of it costs; a stream, which the next round
+// decodes to the span's end, costs its first span one resume.
 func TestWriteRangeToFirstRound(t *testing.T) {
 	const span = 256 << 10
 	src := testSrc(4 * span)
-	codec := newPrefixCodec(span, false)
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	off, n := int64(span+44<<10), int64(100<<10)
-	var w writeLog
-	if k, err := e.WriteRangeTo(context.Background(), &w, off, n); err != nil || k != n || !bytes.Equal(w.joined(), src[off:off+n]) {
-		t.Fatalf("WriteRangeTo = %d, %v; want %d right bytes", k, err, n)
-	}
-	if len(w.writes) != 2 || len(w.writes[0]) != firstRound {
-		t.Fatalf("writes of %d bytes, want 32 KiB and then the rest", len(w.joined()))
-	}
-	codec.mu.Lock()
-	calls := codec.calls[span]
-	codec.mu.Unlock()
-	if len(calls) != 2 || calls[0] != [2]int64{0, 76 << 10} || calls[1] != [2]int64{76 << 10, 144 << 10} {
-		t.Fatalf("decode calls %v, want [0,76K) then [76K,144K)", calls)
-	}
-	if s := e.Stats(); s.DecodedBytes != 144<<10 || s.SpanDecodes != 1 || s.SpanResumes != 1 {
-		t.Fatalf("%+v: want the 144 KiB a ReadAt of the range decodes", s)
-	}
-	// Cached that far now, the range goes out in one Write.
-	w = writeLog{}
-	if k, err := e.WriteRangeTo(context.Background(), &w, off, n); err != nil || k != n || len(w.writes) != 1 {
-		t.Fatalf("again: %d bytes in %d writes, %v", k, len(w.writes), err)
-	}
+	t.Run("jump", func(t *testing.T) {
+		codec := newPrefixCodec(span, false)
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		off, n := int64(span+44<<10), int64(100<<10)
+		var w writeLog
+		if k, err := e.WriteRangeTo(context.Background(), &w, off, n); err != nil || k != n || !bytes.Equal(w.joined(), src[off:off+n]) {
+			t.Fatalf("WriteRangeTo = %d, %v; want %d right bytes", k, err, n)
+		}
+		if len(w.writes) != 2 || len(w.writes[0]) != firstRound {
+			t.Fatalf("writes of %d bytes, want 32 KiB and then the rest", len(w.joined()))
+		}
+		codec.mu.Lock()
+		calls := codec.calls[span]
+		codec.mu.Unlock()
+		if len(calls) != 2 || calls[0] != [2]int64{0, 76 << 10} || calls[1] != [2]int64{76 << 10, 144 << 10} {
+			t.Fatalf("decode calls %v, want [0,76K) then [76K,144K)", calls)
+		}
+		if s := e.Stats(); s.DecodedBytes != 144<<10 || s.SpanDecodes != 1 || s.SpanResumes != 1 {
+			t.Fatalf("%+v: want the 144 KiB a ReadAt of the range decodes", s)
+		}
+		// Cached that far now, the range goes out in one Write.
+		w = writeLog{}
+		if k, err := e.WriteRangeTo(context.Background(), &w, off, n); err != nil || k != n || len(w.writes) != 1 {
+			t.Fatalf("again: %d bytes in %d writes, %v", k, len(w.writes), err)
+		}
+	})
+	t.Run("stream", func(t *testing.T) {
+		// A cold WriteTo from offset 0: the strategy calls it a stream at
+		// its first access, and its first Write still waits for 32 KiB.
+		codec := newPrefixCodec(span, false)
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		var w writeLog
+		if k, err := e.WriteTo(&w, 0); err != nil || k != int64(len(src)) || !bytes.Equal(w.joined(), src) {
+			t.Fatalf("WriteTo = %d, %v; want %d right bytes", k, err, len(src))
+		}
+		if len(w.writes[0]) != firstRound {
+			t.Fatalf("first write of %d bytes, want 32 KiB", len(w.writes[0]))
+		}
+		codec.mu.Lock()
+		defer codec.mu.Unlock()
+		for i := int64(0); i < 4; i++ {
+			want := [][2]int64{{0, span}}
+			if i == 0 {
+				want = [][2]int64{{0, firstRound}, {firstRound, span}}
+			}
+			if got := codec.calls[i*span]; !slices.Equal(got, want) {
+				t.Fatalf("span %d: decode calls %v, want %v", i, got, want)
+			}
+		}
+		if s := e.Stats(); s.DecodedBytes != 4*span || s.SpanDecodes != 4 || s.SpanResumes != 1 {
+			t.Fatalf("%+v: want every span decoded once, the first in two calls", s)
+		}
+	})
 }
 
 // TestWriteRangeToStopsWaitingOnCancel: a WriteRangeTo waiting for a

@@ -25,20 +25,22 @@
 // sizes it, and nothing is decoded before somebody reads.
 //
 // A cache entry is a span's content or, for a codec that can stop short
-// of a span's end and continue (PrefixDecoder; gzip is one), the front of
-// it together with the decode's parked state. A read that jumps decodes
-// from the seek point to its own last byte and caches that prefix; a
-// request is a hit when the prefix covers it, and otherwise one joinable
-// decode continues the parked one to the request's last byte in the
-// span, so a seek costs the bytes between the seek point and what was
-// asked for, not the span. Prefetches, whole-span requests, primed
-// resolutions and the reads of a reader the strategy is prefetching for
-// decode to the span's end. What holds throughout: bytes once handed to
-// a reader never change; the stores charge the bytes an entry holds; a
-// reader that joined a decode bound for less than it needs claims again;
-// the codec's access observer hears of whole spans only; a continuing
-// decode that fails takes its prefix with it; Close drops what is
-// parked.
+// of a span's end and continue (PrefixDecoder: gzip, and LZ4 and zstd
+// frames without a content checksum), the front of it together with the
+// decode's parked state. A read that jumps decodes from the seek point to
+// its own last byte and caches that prefix; a request is a hit when the
+// prefix covers it, and otherwise one joinable decode continues the
+// parked one to the request's last byte in the span, so a seek costs the
+// bytes between the seek point and what was asked for, not the span. So
+// does the first round of a ranged write, even a stream's, so that its
+// first bytes wait for what they need. Prefetches, whole-span requests,
+// primed resolutions and the other reads of a reader the strategy is
+// prefetching for decode to the span's end. What holds throughout: bytes
+// once handed to a reader never change; the stores charge the bytes an
+// entry holds; a reader that joined a decode bound for less than it needs
+// claims again; the codec's access observer hears of whole spans only; a
+// continuing decode that fails takes its prefix with it; Close drops what
+// is parked.
 //
 // The engine operates over a positional reader (filereader.FileReader),
 // never a resident buffer: codecs size the file with bounded windowed
@@ -120,10 +122,13 @@ type Codec interface {
 }
 
 // PrefixDecoder is implemented by codecs that can decode a span up to an
-// offset and continue later (gzip: the deflate loop pauses at any
-// element). The engine detects it like AccessObserver and then decodes
-// through it alone: a read decodes as far as it reaches into the span,
-// speculation and whole-span requests decode to the end.
+// offset and continue later. gzip's deflate loop pauses at any element;
+// LZ4 and zstd pause at a block boundary, in frames without a content
+// checksum (one with decodes whole, so that none of its bytes go out
+// unchecked). The engine detects it like AccessObserver and then decodes
+// through it alone: a read decodes as far as it reaches into the span, as
+// does the first round of a ranged write; speculation and whole-span
+// requests decode to the end.
 type PrefixDecoder interface {
 	// DecodeSpanPrefix decodes span s until at least upTo bytes of its
 	// output exist (0 < upTo <= s.DecompSize): from the seek point when
@@ -546,9 +551,11 @@ func (w *want) content(ctx context.Context) ([]byte, error) {
 // only policy there is: a reader it proposes nothing for has jumped, and
 // its decode stops at the request's last byte; a reader it prefetches for
 // is a stream, the rest of the span is what it asks for next, and the
-// decode runs to the span's end like the prefetches beside it. Caller
-// holds e.mu.
-func (e *Engine) claimLocked(ws []want) {
+// decode runs to the span's end like the prefetches beside it. A bounded
+// request (the first round of a ranged write) stops at its last byte
+// either way, so what it waits for is what it asked for; the stream's
+// next request continues the parked decode to the end. Caller holds e.mu.
+func (e *Engine) claimLocked(ws []want, bounded bool) {
 	hit := true
 	for k := range ws {
 		w := &ws[k]
@@ -563,7 +570,7 @@ func (e *Engine) claimLocked(ws []want) {
 		e.strategy.Access(uint64(first), uint64(last))
 		e.proposePrefetches()
 	}
-	stream := fed && len(e.cands) > 0
+	stream := fed && len(e.cands) > 0 && !bounded
 	mine := false
 	for k := range ws {
 		w := &ws[k]
@@ -730,11 +737,11 @@ func (e *Engine) findSpanLocked(off int64) int {
 
 // claimRange resolves the spans covering [off, off+length) of the
 // decompressed stream, as far as the table reaches, and claims them as
-// one request. It takes at most one span per decoder — the caller and
-// each worker — so a request of any length holds no more decoded spans
-// than a prefetching reader does; ReadAt and WriteRangeTo ask again for
-// the rest.
-func (e *Engine) claimRange(ws []want, off, length int64) ([]want, error) {
+// one request, bounded or not (see claimLocked). It takes at most one
+// span per decoder — the caller and each worker — so a request of any
+// length holds no more decoded spans than a prefetching reader does;
+// ReadAt and WriteRangeTo ask again for the rest.
+func (e *Engine) claimRange(ws []want, off, length int64, bounded bool) ([]want, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -749,7 +756,7 @@ func (e *Engine) claimRange(ws []want, off, length int64) ([]want, error) {
 			ws = append(ws, want{i: i, s: s, need: min(end-s.DecompOff, s.DecompSize)})
 		}
 	}
-	e.claimLocked(ws)
+	e.claimLocked(ws, bounded)
 	return ws, nil
 }
 
@@ -770,7 +777,7 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 				return n, err
 			}
 		}
-		ws, err := e.claimRange(buf[:0], off, int64(len(p)-n))
+		ws, err := e.claimRange(buf[:0], off, int64(len(p)-n), false)
 		if err != nil {
 			return n, err
 		}
@@ -807,9 +814,11 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // firstRound bounds how far into a range the first round of a ranged
-// write reaches. A cold span is then decoded only that far before the
-// range's first bytes go out, and the next round continues the parked
-// decode; a cached span is written whole all the same.
+// write reaches, and how far the decodes that round starts go — for a
+// stream too. A cold span is then decoded only that far before the
+// range's first bytes go out (by a PrefixDecoder; other codecs decode
+// whole spans), and the next round continues the parked decode; a cached
+// span is written whole all the same.
 const firstRound = 32 << 10
 
 // WriteRangeTo writes the decompressed bytes [off, off+n) to w, or those
@@ -818,10 +827,12 @@ const firstRound = 32 << 10
 // round claims the spans the range reaches into, as far as it reaches
 // into them, so a jump into a span decodes only its prefix, the strategy
 // and the access observer hear what they hear from ReadAt, and the
-// missing spans of a round decode side by side. w gets the content of
-// each span itself, not a copy, in one Write per span (two for a span
-// not cached as far as the first round reaches). A growing table grows
-// as the walk reaches its frontier.
+// missing spans of a round decode side by side. The first round is
+// bounded (firstRound): even a stream's first bytes wait only for the
+// decode of what that round reaches. w gets the content of each span
+// itself, not a copy, in one Write per span (two for a span not cached
+// as far as the first round reaches). A growing table grows as the walk
+// reaches its frontier.
 //
 // ctx is checked before every span and while waiting for a decode that
 // another goroutine runs; a decode the walk runs itself finishes first.
@@ -843,7 +854,7 @@ func (e *Engine) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (i
 				return written, err
 			}
 		}
-		ws, err := e.claimRange(buf[:0], off, limit-off)
+		ws, err := e.claimRange(buf[:0], off, limit-off, limit < end)
 		if err == io.EOF {
 			return written, nil
 		}

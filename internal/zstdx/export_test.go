@@ -1,6 +1,9 @@
 package zstdx
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // decompressTailOnly is Decompress with every sequence of every block
 // read field by field through the checked reader — the definition the
@@ -12,13 +15,16 @@ func decompressTailOnly(data []byte) ([]byte, error) {
 	}
 	var out []byte
 	for i, f := range scan.Frames {
-		d := newFrameDecoder()
-		d.tailOnly = true
-		content, err := d.decodeFrame(data[f.Offset:f.End])
+		data := data[f.Offset:f.End]
+		fr, err := startFrame(data, f.ContentSize)
+		if err == nil {
+			fr.d.tailOnly = true
+			_, err = fr.decode(data, 0, math.MaxInt)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("zstdx: frame %d: %w", i, err)
 		}
-		out = append(out, content...)
+		out = append(out, fr.out...)
 	}
 	return out, nil
 }

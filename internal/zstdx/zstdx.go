@@ -8,9 +8,10 @@
 // decode: the span engine grows their table as a first pass decodes it
 // (spanengine's deferred sizes), so opening a file never decodes. Both
 // run on the shared span engine through Codec (a header walk and a
-// one-frame decode); the package has no reader of its own — the root
-// package opens a zstd file as spanengine.New(src, Codec{}, cfg) — and
-// the serial Decompress is the reference.
+// one-frame decode that can stop between blocks); the package has no
+// reader of its own — the root package opens a zstd file as
+// spanengine.New(src, Codec{}, cfg) — and the serial Decompress is the
+// reference.
 //
 // The decoder is self-contained (FSE, Huffman, sequence execution,
 // xxHash64) and handles the full single-pass format: raw/RLE/
@@ -123,11 +124,13 @@ func parseFrameHeader(data []byte) (frameHeader, error) {
 }
 
 // skipBlocks walks the block chain of one frame without decoding,
-// returning the offset just past the last block.
-func skipBlocks(data []byte, p int) (int, error) {
+// returning the offset just past the last block and the most content the
+// blocks can make: the size a raw or RLE block states,
+// Block_Maximum_Size for a compressed one.
+func skipBlocks(data []byte, p int) (end int, hold int64, err error) {
 	for {
 		if p+3 > len(data) {
-			return 0, errCorrupt("truncated block header")
+			return 0, 0, errCorrupt("truncated block header")
 		}
 		bh := uint32(data[p]) | uint32(data[p+1])<<8 | uint32(data[p+2])<<16
 		p += 3
@@ -135,18 +138,23 @@ func skipBlocks(data []byte, p int) (int, error) {
 		btype := bh >> 1 & 3
 		bsize := int(bh >> 3)
 		switch btype {
-		case 0, 2: // raw, compressed: payload is bsize bytes
+		case 0: // raw: payload is bsize bytes
 			p += bsize
+			hold += int64(bsize)
 		case 1: // RLE: one byte regenerates bsize
 			p++
+			hold += int64(bsize)
+		case 2: // compressed: payload is bsize bytes
+			p += bsize
+			hold += maxBlockSize
 		default:
-			return 0, errCorrupt("reserved block type")
+			return 0, 0, errCorrupt("reserved block type")
 		}
 		if p > len(data) {
-			return 0, errCorrupt("truncated block payload")
+			return 0, 0, errCorrupt("truncated block payload")
 		}
 		if last {
-			return p, nil
+			return p, hold, nil
 		}
 	}
 }
@@ -307,7 +315,7 @@ func ScanFrames(data []byte) (ScanResult, error) {
 		if err != nil {
 			return res, fmt.Errorf("frame %d at offset %d: %w", len(res.Frames), pos, err)
 		}
-		end, err := skipBlocks(data[pos:], h.headerLen)
+		end, _, err := skipBlocks(data[pos:], h.headerLen)
 		if err != nil {
 			return res, fmt.Errorf("frame %d at offset %d: %w", len(res.Frames), pos, err)
 		}
@@ -345,12 +353,25 @@ func ScanFrames(data []byte) (ScanResult, error) {
 	return res, nil
 }
 
-// decodeFrame inflates the frame starting at data[0], verifying the
-// content checksum when present. The frame must have been located by
-// ScanFrames (data spans exactly one frame).
-func decodeFrame(data []byte) ([]byte, error) { return newFrameDecoder().decodeFrame(data) }
+// frame is one frame's decode in progress: its header, the state its
+// blocks share, the content so far and the frame-relative offset of the
+// next block header. A frame without a content checksum can stop between
+// blocks and go on later from there; nothing of the source is held
+// meanwhile.
+type frame struct {
+	h    frameHeader
+	d    *frameDecoder
+	out  []byte
+	size int64 // the content size, -1 while nobody has declared it
+	p    int
+}
 
-func (d *frameDecoder) decodeFrame(data []byte) ([]byte, error) {
+// startFrame parses the header at the start of data, a frame's bytes, and
+// returns the decode of that frame. size is its content size as a span
+// table has it, or negative where the table leaves it to the decode; the
+// header's own, where it has one, must agree. A known size allocates the
+// content once, after a size the frame's blocks cannot hold is refused.
+func startFrame(data []byte, size int64) (*frame, error) {
 	h, err := parseFrameHeader(data)
 	if err != nil {
 		return nil, err
@@ -358,20 +379,41 @@ func (d *frameDecoder) decodeFrame(data []byte) ([]byte, error) {
 	if h.dictID != 0 {
 		return nil, fmt.Errorf("zstdx: frame requires dictionary %#x (dictionaries unsupported)", h.dictID)
 	}
-	var out []byte
-	if h.contentSize > 0 {
-		// Eager capacity is a hint, not a trusted value: cap it so a
-		// forged header cannot allocate ahead of the decode validating.
+	switch {
+	case size < 0:
+		size = h.contentSize
+	case h.contentSize >= 0 && h.contentSize != size:
+		return nil, fmt.Errorf("%w: frame declares %d bytes, table says %d", ErrCorrupt, h.contentSize, size)
+	}
+	f := &frame{h: h, d: newFrameDecoder(), size: size, p: h.headerLen}
+	if size >= 0 {
+		if _, hold, err := skipBlocks(data, h.headerLen); err != nil {
+			return nil, err
+		} else if size > hold {
+			return nil, errCorrupt("declared content size exceeds what the frame's blocks hold")
+		}
 		// The slack lets the last block's sequences store in place.
-		out = make([]byte, 0, min(h.contentSize, 32<<20)+copySlack)
+		f.out = make([]byte, 0, size+copySlack)
+		f.d.limit = int(min(size, math.MaxInt))
 	}
-	if h.contentSize >= 0 {
-		d.limit = int(min(h.contentSize, math.MaxInt))
-	}
-	p := h.headerLen
+	return f, nil
+}
+
+// decode runs f's blocks through data, the frame's bytes from frame
+// offset off on, to the end of the frame, or in a frame without a content
+// checksum until upTo bytes of content exist at a block boundary short of
+// the declared end. A frame's content checksum is checked before any of
+// its content is returned. It reports whether the frame is complete.
+func (f *frame) decode(data []byte, off, upTo int) (done bool, err error) {
+	d := f.d
+	p := f.p - off
 	for {
+		if !f.h.hasChecksum && len(f.out) >= upTo && len(f.out) < d.limit {
+			f.p = off + p
+			return false, nil
+		}
 		if p+3 > len(data) {
-			return nil, errCorrupt("truncated block header")
+			return false, errCorrupt("truncated block header")
 		}
 		bh := uint32(data[p]) | uint32(data[p+1])<<8 | uint32(data[p+2])<<16
 		p += 3
@@ -381,49 +423,54 @@ func (d *frameDecoder) decodeFrame(data []byte) ([]byte, error) {
 		switch btype {
 		case 0:
 			if p+bsize > len(data) {
-				return nil, errCorrupt("truncated raw block")
+				return false, errCorrupt("truncated raw block")
 			}
-			out = append(out, data[p:p+bsize]...)
+			if bsize > d.limit-len(f.out) {
+				return false, errCorrupt("raw block past the frame's content size")
+			}
+			f.out = append(f.out, data[p:p+bsize]...)
 			p += bsize
 		case 1:
 			if p >= len(data) || bsize > maxBlockSize {
-				return nil, errCorrupt("bad RLE block")
+				return false, errCorrupt("bad RLE block")
+			}
+			if bsize > d.limit-len(f.out) {
+				return false, errCorrupt("RLE block past the frame's content size")
 			}
 			b := data[p]
 			p++
-			out = append(out, make([]byte, bsize)...)
-			tail := out[len(out)-bsize:]
+			f.out = append(f.out, make([]byte, bsize)...)
+			tail := f.out[len(f.out)-bsize:]
 			for i := range tail {
 				tail[i] = b
 			}
 		case 2:
 			if p+bsize > len(data) {
-				return nil, errCorrupt("truncated compressed block")
+				return false, errCorrupt("truncated compressed block")
 			}
-			out, err = d.decodeBlock(data[p:p+bsize], out)
-			if err != nil {
-				return nil, err
+			if f.out, err = d.decodeBlock(data[p:p+bsize], f.out); err != nil {
+				return false, err
 			}
 			p += bsize
 		default:
-			return nil, errCorrupt("reserved block type")
+			return false, errCorrupt("reserved block type")
 		}
 		if last {
 			break
 		}
 	}
-	if h.hasChecksum {
+	if f.h.hasChecksum {
 		if p+4 > len(data) {
-			return nil, errCorrupt("truncated content checksum")
+			return false, errCorrupt("truncated content checksum")
 		}
-		if uint32(xxhash.Sum64(out, 0)) != binary.LittleEndian.Uint32(data[p:]) {
-			return nil, ErrChecksum
+		if uint32(xxhash.Sum64(f.out, 0)) != binary.LittleEndian.Uint32(data[p:]) {
+			return false, ErrChecksum
 		}
 	}
-	if h.contentSize >= 0 && int64(len(out)) != h.contentSize {
-		return nil, fmt.Errorf("%w: frame decoded %d bytes, header declared %d", ErrCorrupt, len(out), h.contentSize)
+	if f.size >= 0 && int64(len(f.out)) != f.size {
+		return false, fmt.Errorf("%w: frame decoded %d bytes, header declared %d", ErrCorrupt, len(f.out), f.size)
 	}
-	return out, nil
+	return true, nil
 }
 
 // Decompress inflates a (possibly multi-frame) Zstandard file
@@ -442,11 +489,15 @@ func Decompress(data []byte) ([]byte, error) {
 		out = make([]byte, 0, min(total, 64<<20))
 	}
 	for i, f := range scan.Frames {
-		content, err := decodeFrame(data[f.Offset:f.End])
+		data := data[f.Offset:f.End]
+		fr, err := startFrame(data, f.ContentSize)
+		if err == nil {
+			_, err = fr.decode(data, 0, math.MaxInt)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("zstdx: frame %d: %w", i, err)
 		}
-		out = append(out, content...)
+		out = append(out, fr.out...)
 	}
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -243,10 +244,17 @@ func TestReaderRandomAccess(t *testing.T) {
 	}
 }
 
+// TestReaderConcurrentReadAt: eight readers at once, over frames of one
+// block and over frames of many, whose decodes stop between blocks and
+// are continued by whichever reader gets there next.
 func TestReaderConcurrentReadAt(t *testing.T) {
 	data := workloads.Base64(512<<10, 13)
-	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 32 << 10})
-	r := openEngine(t, comp, 4)
+	for _, opts := range []FrameOptions{{Level: 1, FrameSize: 32 << 10}, {Level: 1, FrameSize: 128 << 10, BlockSize: 8 << 10}} {
+		concurrentReadAt(t, openEngine(t, CompressFrames(data, opts), 4), data)
+	}
+}
+
+func concurrentReadAt(t *testing.T, r *spanengine.Engine, data []byte) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -381,5 +389,151 @@ func BenchmarkDecompressParallelBase64(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// blockHeaders returns where the block headers of the frame at comp[off:]
+// are, in order.
+func blockHeaders(t *testing.T, comp []byte, off int64) []int {
+	t.Helper()
+	h, err := parseFrameHeader(comp[off:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var heads []int
+	for p := int(off) + h.headerLen; ; {
+		heads = append(heads, p)
+		bh := uint32(comp[p]) | uint32(comp[p+1])<<8 | uint32(comp[p+2])<<16
+		n := int(bh >> 3)
+		if bh>>1&3 == 1 {
+			n = 1 // RLE: one byte regenerates the block
+		}
+		p += 3 + n
+		if bh&1 != 0 {
+			return heads
+		}
+	}
+}
+
+// corruptCompressedBlock zeroes the payload of the compressed block whose
+// header is at p: a literals-only block with bytes after it, which no
+// decode accepts.
+func corruptCompressedBlock(t *testing.T, comp []byte, p int) {
+	t.Helper()
+	bh := uint32(comp[p]) | uint32(comp[p+1])<<8 | uint32(comp[p+2])<<16
+	if bh>>1&3 != 2 || bh>>3 < 3 {
+		t.Fatalf("block at %d is not a compressed block of 3 bytes or more", p)
+	}
+	clear(comp[p+3 : p+3+int(bh>>3)])
+}
+
+// TestChecksummedFrameGoesOutChecked: a frame with a content checksum is
+// decoded whole before any byte of it is served, even by the bounded first
+// round of a WriteTo. With a byte of the first frame's last block flipped,
+// a cold WriteTo writes nothing and fails on the checksum — or as
+// corrupt, where the block itself no longer decodes.
+func TestChecksummedFrameGoesOutChecked(t *testing.T) {
+	const frameSize = 512 << 10
+	data := workloads.SilesiaLike(2*frameSize, 12)
+	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: frameSize, ContentChecksum: true})
+	scan, err := ScanFrames(comp)
+	if err != nil || len(scan.Frames) != 2 {
+		t.Fatalf("%d frames, %v", len(scan.Frames), err)
+	}
+	heads := blockHeaders(t, comp, 0)
+	bad := bytes.Clone(comp)
+	bad[heads[len(heads)-1]+3+10] ^= 0x20
+	for _, threads := range []int{1, 2} {
+		out, err := decodeAll(openEngine(t, bad, threads))
+		if !errors.Is(err, ErrChecksum) && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("threads=%d: WriteTo = %v, want a checksum mismatch or corrupt data", threads, err)
+		}
+		if len(out) != 0 {
+			t.Fatalf("threads=%d: wrote %d bytes of the corrupt frame", threads, len(out))
+		}
+	}
+}
+
+// TestFailedResumeDropsPrefix: a frame without a content checksum,
+// corrupt in its third block, serves its first block and then fails. The
+// engine drops the parked prefix with the decode that failed to continue
+// it, so the next read starts the frame over and fails the same way.
+func TestFailedResumeDropsPrefix(t *testing.T) {
+	data := workloads.SilesiaLike(512<<10, 14)
+	comp := CompressFrames(data, FrameOptions{Level: 1})
+	bad := bytes.Clone(comp)
+	corruptCompressedBlock(t, bad, blockHeaders(t, comp, 0)[2])
+	e := openEngine(t, bad, 1)
+	out, err := decodeAll(e)
+	if !errors.Is(err, ErrCorrupt) || len(out) != maxBlockSize || !bytes.Equal(out, data[:len(out)]) {
+		t.Fatalf("WriteTo = %v after %d bytes; want ErrCorrupt after the first block's 128 KiB", err, len(out))
+	}
+	if s := e.Stats(); s.SpanDecodes != 1 || s.SpanResumes != 0 {
+		t.Fatalf("%+v: want one decode, and no resume that succeeded", s)
+	}
+	if _, again := e.WriteTo(io.Discard, 0); again == nil || again.Error() != err.Error() {
+		t.Fatalf("again: %v, want %v", again, err)
+	}
+	if s := e.Stats(); s.SpanDecodes != 2 {
+		t.Fatalf("%d decodes: the next read did not start the frame over", s.SpanDecodes)
+	}
+}
+
+// TestForgedTableSizeIsNotAllocated: a checkpoint table is outside input
+// (an index file whose CRC an attacker can compute). A size for a frame
+// that its header contradicts, or that its blocks cannot hold where the
+// header states none, fails the read as corrupt before the decoder
+// allocates what it names.
+func TestForgedTableSizeIsNotAllocated(t *testing.T) {
+	data := workloads.Base64(4<<10, 5)
+	for _, omit := range []bool{false, true} {
+		comp := CompressFrames(data, FrameOptions{Level: 1, OmitContentSize: omit})
+		src := filereader.MemoryReader(comp)
+		forged := []spanengine.Span{{CompOff: 0, CompEnd: int64(len(comp)), DecompSize: 1 << 40}}
+		r, err := spanengine.NewFromCheckpoints(src, Codec{}, forged, 0, spanengine.Config{Threads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = r.ReadAt(make([]byte, 100), 0)
+		runtime.ReadMemStats(&after)
+		r.Close()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("omit size %v: ReadAt through a table naming 1 TiB = %v, want ErrCorrupt", omit, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("omit size %v: refusing the forged size allocated %d bytes", omit, grew)
+		}
+		// The true size reads, from the table alone where the header has none.
+		honest := []spanengine.Span{{CompOff: 0, CompEnd: int64(len(comp)), DecompSize: int64(len(data))}}
+		if r, err = spanengine.NewFromCheckpoints(src, Codec{}, honest, 0, spanengine.Config{Threads: 1}); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 100)
+		_, err = r.ReadAt(buf, 1000)
+		r.Close()
+		if err != nil || !bytes.Equal(buf, data[1000:1100]) {
+			t.Fatalf("omit size %v: ReadAt through an honest table: %v", omit, err)
+		}
+	}
+}
+
+// TestJumpDecodesToItsBlock: a read that jumps into a frame without a
+// content checksum decodes the frame only to the end of the block its
+// last byte lies in, and a read on into the next block continues that
+// decode rather than starting the frame over.
+func TestJumpDecodesToItsBlock(t *testing.T) {
+	const frameSize, blockSize = 512 << 10, 64 << 10
+	data := workloads.SilesiaLike(2*frameSize, 15)
+	e := openEngine(t, CompressFrames(data, FrameOptions{Level: 1, FrameSize: frameSize, BlockSize: blockSize}), 1)
+	buf := make([]byte, 4<<10)
+	for k, off := range []int64{frameSize + blockSize + 100, frameSize + 2*blockSize + 100} {
+		if _, err := e.ReadAt(buf, off); err != nil || !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
+			t.Fatalf("ReadAt(%d): %v", off, err)
+		}
+		if s := e.Stats(); s.DecodedBytes != uint64(k+2)*blockSize || s.SpanDecodes != 1 || s.SpanResumes != uint64(k) {
+			t.Fatalf("after read %d: %+v; want %d blocks decoded by one decode and %d resumes", k, s, k+2, k)
+		}
 	}
 }

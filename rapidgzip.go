@@ -94,9 +94,11 @@ type Stats struct {
 	// SpanDecodes counts span decodes started from a seek point after
 	// construction, on-demand and prefetched alike, including the first
 	// decode of a bzip2 stream or unsized zstd frame, which also sizes
-	// it. A read through a gzip index decodes as far into the span as it
-	// reaches and parks the rest; SpanResumes counts the decodes that
-	// continued a parked one.
+	// it. Where the codec can stop short of a span's end (gzip and BGZF
+	// spans, LZ4 and zstd frames without a content checksum), a read
+	// decodes as far into the span as it reaches, as does the first round
+	// of a WriteTo, and parks the rest; SpanResumes counts the decodes
+	// that continued a parked one.
 	SpanDecodes, SpanResumes uint64
 	// DecodedBytes counts the bytes span decodes wrote — from a seek
 	// point, resumed, prefetched, or resolving a freshly confirmed gzip

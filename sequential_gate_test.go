@@ -1,6 +1,8 @@
 package rapidgzip
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -46,6 +48,69 @@ func TestSequentialPassDecodesOnce(t *testing.T) {
 							run, st.SpanDecodes, st.DecodedBytes, st.PrefetchUnused, have, len(plain))
 					}
 				}
+			})
+		}
+	}
+}
+
+// firstWrite keeps the first Write it is handed and fails it, which ends
+// the WriteTo that made it: what a cold WriteTo decoded before its first
+// bytes went out.
+type firstWrite struct{ p []byte }
+
+var errFirstWrite = errors.New("the first write is all this writer takes")
+
+func (w *firstWrite) Write(p []byte) (int, error) {
+	if w.p == nil {
+		w.p = bytes.Clone(p)
+	}
+	return 0, errFirstWrite
+}
+
+// TestFirstWriteWaitsForOneBlock: a cold WriteTo, which the strategy
+// calls a stream from its first access, makes its first Write after a
+// decode of what its bounded first round reaches, not of its first span
+// — clock-free, at one worker and two. A gzip span (BGZF, or gzip through
+// its index) pauses at the first element past 32 KiB; an LZ4 or zstd
+// frame without a content checksum at the first block boundary past it.
+// A frame with one goes out whole, checked before any of its bytes.
+func TestFirstWriteWaitsForOneBlock(t *testing.T) {
+	const spanBytes = 256 << 10
+	plain := workloads.SilesiaLike(4*spanBytes, 4)
+	for _, tc := range []struct {
+		row     string
+		most    int  // the first Write's length at most
+		whole   bool // and at least
+		indexed bool // open through the index a cold pass exports
+	}{
+		{row: "bgzf", most: 32<<10 + 258},
+		{row: "gzip", most: 32<<10 + 258, indexed: true},
+		{row: "lz4-nochecksum", most: 64 << 10},   // the encoder's block
+		{row: "zstd-nochecksum", most: 128 << 10}, // the format's largest block
+		{row: "lz4", most: spanBytes, whole: true},
+		{row: "zstd", most: spanBytes, whole: true},
+	} {
+		fx := build(t, tc.row, plain, spanBytes)
+		opts := []Option{WithoutIndexDiscovery(), WithChunkSize(spanBytes)}
+		if tc.indexed {
+			opts = append(opts, WithIndexFile(fx.indexPath(t)))
+		}
+		for _, p := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/P%d", tc.row, p), func(t *testing.T) {
+				a, err := fx.open("file", append(opts, WithParallelism(p))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer a.Close()
+				var w firstWrite
+				if _, err := a.WriteTo(&w); !errors.Is(err, errFirstWrite) {
+					t.Fatalf("WriteTo = %v, want the writer's failure", err)
+				}
+				n := len(w.p)
+				if n == 0 || n > tc.most || tc.whole && n != tc.most || !bytes.Equal(w.p, plain[:n]) {
+					t.Fatalf("first Write of %d bytes, want the file's first bytes, %d at most (whole: %v)", n, tc.most, tc.whole)
+				}
+				t.Logf("first Write: %d bytes", n)
 			})
 		}
 	}
