@@ -2,15 +2,25 @@ package rapidgzip
 
 import (
 	"bytes"
+	"compress/flate"
 	"compress/gzip"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
+	"time"
+
+	"repro/internal/gzipw"
+	"repro/internal/workloads"
+	"repro/internal/zstdx"
 )
 
 // writerCorpus builds compressible-but-varied input for writer tests.
@@ -374,5 +384,199 @@ func TestCreateWithoutSidecar(t *testing.T) {
 	}
 	if ix.Len() == 0 {
 		t.Fatal("empty exported index")
+	}
+}
+
+// encodeAll writes data through a new Writer, through ReadFrom (fed in
+// short reads) or Write, and returns the output and the closed writer.
+func encodeAll(t *testing.T, data []byte, readFrom bool, opts ...WriterOption) ([]byte, *writer) {
+	t.Helper()
+	var out bytes.Buffer
+	w, err := NewWriter(&out, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if readFrom {
+		_, err = w.ReadFrom(iotest.HalfReader(bytes.NewReader(data)))
+	} else {
+		_, err = w.Write(data)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes(), w.(*writer)
+}
+
+// TestWriterMatchesEncoders ties the one shard loop to the encoders it
+// shares: a BGZF archive is gzipw.Compress's BGZF output, a zstd one is
+// zstdx.CompressFrames's, every gzip shard inflates on its own, and
+// ReadFrom writes the bytes Write does — at every level, one worker and
+// three, across member and shard boundaries.
+func TestWriterMatchesEncoders(t *testing.T) {
+	const shard = 32 << 10
+	sizes := []int{0, 1, gzipw.BGZFChunkSize, gzipw.BGZFChunkSize + 1, 1<<20 + 17}
+	if testing.Short() {
+		sizes = sizes[:4]
+	}
+	for _, tc := range []struct {
+		format Format
+		check  func(t *testing.T, w *writer, data, out []byte, level, p int)
+	}{
+		{FormatGzip, func(t *testing.T, w *writer, data, out []byte, _, _ int) {
+			zr, err := gzip.NewReader(bytes.NewReader(out))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := io.ReadAll(zr); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("compress/gzip decodes %d bytes, %v", len(got), err)
+			}
+			comp, decomp := int64(len(gzipw.AppendHeader(nil))), int64(0)
+			for i, cp := range w.cps {
+				if cp.compOff != comp || cp.decompOff != decomp {
+					t.Fatalf("shard %d at (%d,%d), want (%d,%d)", i, cp.compOff, cp.decompOff, comp, decomp)
+				}
+				want := data[cp.decompOff : cp.decompOff+cp.decompSize]
+				got := make([]byte, len(want)+1)
+				n, _ := io.ReadFull(flate.NewReader(bytes.NewReader(out[cp.compOff:cp.compEnd])), got)
+				if !bytes.Equal(got[:n], want) || cp.crc != crc32.ChecksumIEEE(want) {
+					t.Fatalf("shard %d does not inflate on its own to its %d bytes", i, len(want))
+				}
+				comp, decomp = cp.compEnd, decomp+cp.decompSize
+			}
+			if decomp != int64(len(data)) || comp+13 != int64(len(out)) {
+				t.Fatalf("shards cover %d bytes ending at %d; want %d ending 13 bytes before %d", decomp, comp, len(data), len(out))
+			}
+		}},
+		{FormatBGZF, func(t *testing.T, _ *writer, data, out []byte, level, _ int) {
+			want := gzipw.BGZFEOFMarker // an empty input is the EOF member alone
+			if len(data) > 0 {
+				var err error
+				if want, _, err = gzipw.Compress(data, gzipw.Options{Level: level, BGZF: true}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(out, want) {
+				t.Fatalf("BGZF output (%d bytes) differs from gzipw.Compress (%d bytes)", len(out), len(want))
+			}
+		}},
+		{FormatZstd, func(t *testing.T, _ *writer, data, out []byte, level, p int) {
+			want := zstdx.CompressFrames(data, zstdx.FrameOptions{FrameSize: shard, Level: level, ContentChecksum: p > 1})
+			if !bytes.Equal(out, want) {
+				t.Fatalf("zstd output (%d bytes) differs from zstdx.CompressFrames (%d bytes)", len(out), len(want))
+			}
+		}},
+	} {
+		t.Run(tc.format.String(), func(t *testing.T) {
+			for _, level := range []int{0, 1, 6, 9} {
+				for _, p := range []int{1, 3} {
+					for _, n := range sizes {
+						data := writerCorpus(n, int64(n+level))
+						opts := []WriterOption{WithWriterFormat(tc.format), WithLevel(level), WithShardSize(shard),
+							WithWriterParallelism(p), WithContentChecksum(p > 1)}
+						out, w := encodeAll(t, data, false, opts...)
+						if rf, _ := encodeAll(t, data, true, opts...); !bytes.Equal(rf, out) {
+							t.Fatalf("level %d P=%d n=%d: ReadFrom and Write wrote different bytes", level, p, n)
+						}
+						if st := w.Stats(); st.Shards != uint64(len(w.cps)) || st.UncompressedBytes != uint64(n) || st.CompressedBytes != uint64(len(out)) {
+							t.Fatalf("level %d P=%d n=%d: Stats %+v for %d shards, %d output bytes", level, p, n, st, len(w.cps), len(out))
+						}
+						t.Run(fmt.Sprintf("l%d/P%d/n%d", level, p, n), func(t *testing.T) { tc.check(t, w, data, out, level, p) })
+					}
+				}
+			}
+		})
+	}
+}
+
+// errDestination is what failingDestination returns once it is full.
+var errDestination = errors.New("destination full")
+
+// failingDestination accepts its first left bytes and fails every
+// write after them.
+type failingDestination struct{ left int }
+
+func (d *failingDestination) Write(p []byte) (int, error) {
+	if len(p) > d.left {
+		n := d.left
+		d.left = 0
+		return n, errDestination
+	}
+	d.left -= len(p)
+	return len(p), nil
+}
+
+// TestWriterFailingDestination fails the destination after 300 KiB, in
+// the middle of a Write or ReadFrom call, and requires the call and
+// Close to report its error, ExportIndex to refuse, no sidecar to be
+// written (the Close path Create takes too) and no goroutine to
+// outlive Close.
+func TestWriterFailingDestination(t *testing.T) {
+	data := writerCorpus(2<<20, 17)
+	for _, format := range []Format{FormatGzip, FormatBGZF, FormatZstd} {
+		for _, readFrom := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/readFrom=%v", format, readFrom), func(t *testing.T) {
+				goroutines := runtime.NumGoroutine()
+				sidecar := filepath.Join(t.TempDir(), "x"+IndexSuffix)
+				w, err := NewWriter(&failingDestination{left: 300 << 10}, WithWriterFormat(format), WithLevel(0),
+					WithShardSize(64<<10), WithWriterParallelism(2), WithIndexSidecar(sidecar))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if readFrom {
+					_, err = w.ReadFrom(bytes.NewReader(data))
+				} else {
+					_, err = w.Write(data)
+				}
+				if !errors.Is(err, errDestination) {
+					t.Fatalf("call returned %v, want the destination's error", err)
+				}
+				if err := w.Close(); !errors.Is(err, errDestination) {
+					t.Fatalf("Close returned %v, want the destination's error", err)
+				}
+				if err := w.ExportIndex(io.Discard); err == nil {
+					t.Fatal("ExportIndex succeeded for a failed archive")
+				}
+				if _, err := os.Stat(sidecar); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("a failed archive left a sidecar: %v", err)
+				}
+				// Workers have returned once Close does; give their
+				// goroutines a moment to exit.
+				for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+					time.Sleep(time.Millisecond)
+				}
+				if n := runtime.NumGoroutine(); n > goroutines {
+					t.Fatalf("%d goroutines after Close, %d before NewWriter", n, goroutines)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWriter encodes 8 MiB through NewWriter for every format at
+// the default level, at one worker and two.
+func BenchmarkWriter(b *testing.B) {
+	data := workloads.Base64(8<<20, 42)
+	for _, format := range []Format{FormatGzip, FormatBGZF, FormatZstd} {
+		for _, p := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%v/P=%d", format, p), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(data)))
+				for i := 0; i < b.N; i++ {
+					w, err := NewWriter(io.Discard, WithWriterFormat(format), WithWriterParallelism(p))
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := w.Write(data); err != nil {
+						b.Fatal(err)
+					}
+					if err := w.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,7 +2,6 @@ package gzipw
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -112,10 +111,8 @@ func Compress(data []byte, opts Options) ([]byte, *Meta, error) {
 			return nil, nil, err
 		}
 		bw.AlignToByte()
-		crc := gzformat.UpdateCRC(0, data[mStart:mEnd])
 		var ftr [8]byte
-		putFooter(ftr[:], crc, uint64(mEnd-mStart))
-		bw.WriteBytes(ftr[:])
+		bw.WriteBytes(appendFooter(ftr[:0], gzformat.UpdateCRC(0, data[mStart:mEnd]), uint64(mEnd-mStart)))
 		if mEnd >= len(data) {
 			break
 		}
@@ -124,17 +121,6 @@ func Compress(data []byte, opts Options) ([]byte, *Meta, error) {
 		return nil, nil, err
 	}
 	return buf.Bytes(), meta, nil
-}
-
-func putFooter(dst []byte, crc uint32, isize uint64) {
-	dst[0] = byte(crc)
-	dst[1] = byte(crc >> 8)
-	dst[2] = byte(crc >> 16)
-	dst[3] = byte(crc >> 24)
-	dst[4] = byte(isize)
-	dst[5] = byte(isize >> 8)
-	dst[6] = byte(isize >> 16)
-	dst[7] = byte(isize >> 24)
 }
 
 func buildHeaderBytes(opts Options, bsize int) []byte {
@@ -252,57 +238,38 @@ func emitBlock(bw *bitio.BitWriter, meta *Meta, m *matcher, data []byte, bStart,
 // compressBGZF emits BGZF framing: every member covers at most
 // BGZFChunkSize input bytes, carries its compressed size in the header
 // extra field, and the file ends with the canonical empty EOF member.
+// The members come from the encoder a BGZF Writer uses.
 func compressBGZF(data []byte, opts Options) ([]byte, *Meta, error) {
-	var out bytes.Buffer
+	var out []byte
 	meta := &Meta{}
 	var m *matcher
 	if opts.Level > 0 {
 		m = newMatcher(opts.Level)
 	}
+	mopts := Options{Level: opts.Level, BlockSize: opts.BlockSize, Strategy: opts.Strategy, Name: opts.Name}
+	hdrBits := uint64(len(buildHeaderBytes(opts, 0))+8) * 8 // +8 for the extra field
 	for start := 0; start < len(data) || start == 0; start += BGZFChunkSize {
-		end := start + BGZFChunkSize
-		if end > len(data) {
-			end = len(data)
-		}
-		var body bytes.Buffer
-		bw := bitio.NewBitWriter(&body)
+		end := min(start+BGZFChunkSize, len(data))
 		if m != nil {
 			m.reset()
 		}
+		memberOff := uint64(len(out))
 		sub := &Meta{}
-		if err := compressMember(bw, sub, m, data, start, end, Options{
-			Level: opts.Level, BlockSize: opts.BlockSize, Strategy: opts.Strategy,
-		}); err != nil {
+		var err error
+		if out, _, err = appendBGZFMember(out, sub, m, data[start:end], mopts); err != nil {
 			return nil, nil, err
 		}
-		if err := bw.Flush(); err != nil {
-			return nil, nil, err
-		}
-		hdr := buildHeaderBytes(opts, 0)
-		// BSIZE counts the whole member: header+extra, body, footer.
-		bsize := len(hdr) + 8 + body.Len() + 8 // +8 for the extra field itself
-		hdr = buildHeaderBytes(opts, bsize)
-		if len(hdr)+body.Len()+8 != bsize {
-			return nil, nil, errors.New("gzipw: BGZF size accounting error")
-		}
-		meta.Members = append(meta.Members, uint64(out.Len()))
-		memberBase := uint64(out.Len()+len(hdr)) * 8
+		meta.Members = append(meta.Members, memberOff)
 		for _, b := range sub.Blocks {
-			meta.Blocks = append(meta.Blocks, BlockOffset{memberBase + b.Bit, uint64(start) + (b.Decomp - uint64(start)), b.Type, b.Final})
+			meta.Blocks = append(meta.Blocks, BlockOffset{memberOff*8 + hdrBits + b.Bit, uint64(start) + b.Decomp, b.Type, b.Final})
 		}
-		out.Write(hdr)
-		out.Write(body.Bytes())
-		crc := gzformat.UpdateCRC(0, data[start:end])
-		var ftr [8]byte
-		putFooter(ftr[:], crc, uint64(end-start))
-		out.Write(ftr[:])
 		if len(data) == 0 {
 			break
 		}
 	}
-	out.Write(BGZFEOFMarker)
-	meta.Members = append(meta.Members, uint64(out.Len()-len(BGZFEOFMarker)))
-	return out.Bytes(), meta, nil
+	out = append(out, BGZFEOFMarker...)
+	meta.Members = append(meta.Members, uint64(len(out)-len(BGZFEOFMarker)))
+	return out, meta, nil
 }
 
 // BGZFEOFMarker is the canonical 28-byte empty BGZF member terminating

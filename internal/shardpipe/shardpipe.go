@@ -23,7 +23,6 @@ import (
 // inherently sequential — it is the encoding that parallelizes).
 type Pipeline[T any] struct {
 	p        *pool.Pool
-	ownsPool bool
 	inflight []*pool.Future[T]
 	window   int
 	sink     func(T) error
@@ -41,7 +40,7 @@ func New[T any](workers, window int, sink func(T) error) *Pipeline[T] {
 	if window < 1 {
 		window = workers + 1
 	}
-	return &Pipeline[T]{p: pool.New(workers), ownsPool: true, window: window, sink: sink}
+	return &Pipeline[T]{p: pool.New(workers), window: window, sink: sink}
 }
 
 // ErrClosed reports a Submit after Close.
@@ -95,9 +94,7 @@ func (pl *Pipeline[T]) Close() error {
 	for len(pl.inflight) > 0 {
 		pl.drainOne() // keeps draining past an error so workers finish
 	}
-	if pl.ownsPool {
-		pl.p.Close()
-	}
+	pl.p.Close()
 	pl.p = nil
 	return pl.err
 }

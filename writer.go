@@ -7,10 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 
+	"repro/internal/crc32x"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
+	"repro/internal/shardpipe"
 	"repro/internal/zstdx"
 )
 
@@ -250,84 +254,255 @@ func NewWriter(w io.Writer, opts ...WriterOption) (Writer, error) {
 	return newWriter(w, cfg)
 }
 
-// newWriter wires the format's parallel encoder behind the tracked
-// output.
+// defaultShardSize is the uncompressed bytes per shard when
+// WithShardSize leaves it zero: large enough that the per-shard
+// dictionary reset costs little ratio, small enough to be a sensible
+// random-access unit.
+const defaultShardSize = 1 << 20
+
+// newWriter wires the shard loop to the format's encoder and framing,
+// and writes the format's header.
 func newWriter(out io.Writer, cfg writerConfig) (*writer, error) {
 	level := cfg.level
 	if level < 0 {
 		level = 6
 	}
-	w := &writer{format: cfg.format, sidecar: cfg.sidecar, tracked: &fpWriter{out: out}}
-	var err error
+	w := &writer{format: cfg.format, sidecar: cfg.sidecar, tracked: &fpWriter{out: out}, shardSize: cfg.shardSize}
+	if w.shardSize == 0 {
+		w.shardSize = defaultShardSize
+	}
+	var header []byte
 	switch cfg.format {
-	case FormatGzip, FormatBGZF:
-		w.gz, err = gzipw.NewWriter(w.tracked, gzipw.WriterOptions{
-			Level:       level,
-			ShardSize:   cfg.shardSize,
-			Parallelism: cfg.parallelism,
-			BGZF:        cfg.format == FormatBGZF,
-		})
+	case FormatGzip:
+		header = gzipw.AppendHeader(nil)
+		w.encode = func(dst, shard []byte) ([]byte, uint32, error) { return gzipw.AppendShard(dst, shard, level) }
+		w.trailer = w.gzipTrailer
+		w.fill = w.fillGzipIndex
+	case FormatBGZF:
+		w.shardSize = gzipw.BGZFChunkSize
+		w.encode = func(dst, shard []byte) ([]byte, uint32, error) { return gzipw.AppendBGZFMember(dst, shard, level) }
+		w.trailer = func() []byte { return gzipw.BGZFEOFMarker }
+		w.fill = w.fillBGZFIndex
 	case FormatZstd:
-		w.zw, err = zstdx.NewWriter(w.tracked, zstdx.WriterOptions{
-			Level:           level,
-			ShardSize:       cfg.shardSize,
-			Parallelism:     cfg.parallelism,
-			ContentChecksum: cfg.checksums,
-		})
+		// FrameSize 0 makes each shard one frame, and its header always
+		// declares the content size: the output is metadata-sized.
+		fo := zstdx.FrameOptions{Level: level, ContentChecksum: cfg.checksums}
+		w.encode = func(dst, shard []byte) ([]byte, uint32, error) { return zstdx.AppendFrames(dst, shard, fo), 0, nil }
+		w.trailer = func() []byte { return nil }
+		w.emptyShard = true
+		w.fill = func(ix *gzindex.Index) error { return w.fillZstdIndex(ix, fo.ContentChecksum) }
 	default:
-		err = fmt.Errorf("%w: no encoder for %v", ErrUnsupportedFormat, cfg.format)
+		return nil, fmt.Errorf("%w: no encoder for %v", ErrUnsupportedFormat, cfg.format)
 	}
-	if err != nil {
-		return nil, err
+	if len(header) > 0 {
+		if _, err := w.tracked.Write(header); err != nil {
+			return nil, err
+		}
 	}
+	w.pools = &formatPools[cfg.format]
+	p := cfg.parallelism
+	if p == 0 {
+		p = runtime.NumCPU()
+	}
+	w.pipe = shardpipe.New(p, 2*p, w.drain)
 	return w, nil
 }
 
-// writer implements Writer over one of the format encoders, tracking
-// the output fingerprint for the emitted index.
+// bufPools recycles shard and segment buffers across shards and
+// writers: a full shard is garbage once it is encoded and a segment
+// once it is written, and leaving them to the GC costs the encode
+// workers cores. Each format has its own, so that one format's buffers
+// do not stand in for another's of a different size.
+type bufPools struct{ shard, seg sync.Pool } // []byte
+
+var formatPools [FormatZstd + 1]bufPools
+
+// getShard returns an empty buffer with capacity for an n-byte shard.
+func (bp *bufPools) getShard(n int) []byte {
+	if v := bp.shard.Get(); v != nil {
+		if b := v.([]byte); cap(b) >= n {
+			return b[:0]
+		}
+	}
+	return make([]byte, 0, n)
+}
+
+func (bp *bufPools) getSeg() []byte {
+	if v := bp.seg.Get(); v != nil {
+		return v.([]byte)[:0]
+	}
+	return nil
+}
+
+// writer implements Writer for every format with one shard loop: input
+// is cut into shards, each shard is encoded independently on a worker
+// pool, and the drain writes the segments in order and records one
+// checkpoint per shard. A format adds only its encoder and framing,
+// set by newWriter.
 type writer struct {
 	format    Format
-	gz        *gzipw.Writer
-	zw        *zstdx.Writer
 	tracked   *fpWriter
 	sidecar   string
 	ownedFile *os.File // Create only; closed (and the sidecar written) on Close
-	closed    bool
-	err       error
+
+	shardSize int
+	// encode appends one shard's independent encoding to dst and
+	// returns the shard's CRC-32 where the format keeps one.
+	encode  func(dst, shard []byte) ([]byte, uint32, error)
+	trailer func() []byte
+	fill    func(*gzindex.Index) error
+	// emptyShard makes an empty input encode one empty shard, for a
+	// format whose valid file has at least one.
+	emptyShard bool
+
+	pipe      *shardpipe.Pipeline[encodedShard]
+	pools     *bufPools
+	shard     []byte // pending input
+	submitted int
+	cps       []shardCheckpoint
+	decompOff int64  // input bytes drained
+	crc       uint32 // gzip: the member's CRC-32, set by gzipTrailer
+
+	closed bool
+	err    error
+}
+
+// shardCheckpoint records one drained shard: its compressed extent in
+// the output, the input extent it encodes, and the CRC-32 of that
+// input (gzip and BGZF). Every extent is byte-aligned by construction,
+// which is what makes the archive seekable without a sizing pass.
+type shardCheckpoint struct {
+	compOff, compEnd      int64
+	decompOff, decompSize int64
+	crc                   uint32
+}
+
+// encodedShard is one shard's encoding on its way to the drain.
+type encodedShard struct {
+	seg  []byte
+	crc  uint32
+	size int
 }
 
 func (w *writer) Write(p []byte) (int, error) {
-	if w.closed {
-		return 0, fmt.Errorf("%w: write after Close", ErrClosed)
+	if err := w.writable(); err != nil {
+		return 0, err
 	}
-	if w.gz != nil {
-		return w.gz.Write(p)
+	total := len(p)
+	for len(p) > 0 {
+		n := copy(w.space(), p)
+		p = p[n:]
+		if err := w.filled(n); err != nil {
+			return total - len(p), err
+		}
 	}
-	return w.zw.Write(p)
+	return total, nil
 }
 
+// ReadFrom fills shards straight from r, without the caller's
+// intermediate buffer.
 func (w *writer) ReadFrom(r io.Reader) (int64, error) {
-	if w.closed {
-		return 0, fmt.Errorf("%w: write after Close", ErrClosed)
+	if err := w.writable(); err != nil {
+		return 0, err
 	}
-	if w.gz != nil {
-		return w.gz.ReadFrom(r)
+	var total int64
+	for {
+		n, err := r.Read(w.space())
+		total += int64(n)
+		if ferr := w.filled(n); ferr != nil {
+			return total, ferr
+		}
+		if err == io.EOF {
+			return total, nil
+		}
+		if err != nil {
+			return total, err
+		}
 	}
-	return w.zw.ReadFrom(r)
 }
 
-// Close drains the encode pipeline, writes the format trailer, writes
-// the index sidecar if one was requested, and closes the file when the
-// writer owns one (Create). Close is idempotent.
+func (w *writer) writable() error {
+	if w.closed {
+		return fmt.Errorf("%w: write after Close", ErrClosed)
+	}
+	return w.err
+}
+
+// space returns the free tail of the pending shard, starting a shard
+// if none is pending.
+func (w *writer) space() []byte {
+	if w.shard == nil {
+		w.shard = w.pools.getShard(w.shardSize)
+	}
+	return w.shard[len(w.shard):w.shardSize]
+}
+
+// filled accounts for n bytes placed in space() and submits the shard
+// once it is full. It blocks only while the in-flight window is full.
+func (w *writer) filled(n int) error {
+	w.shard = w.shard[:len(w.shard)+n]
+	if len(w.shard) < w.shardSize {
+		return nil
+	}
+	return w.submit()
+}
+
+// submit hands the pending shard to the encode pool; the job owns it
+// from here on.
+func (w *writer) submit() error {
+	shard, encode, pools := w.shard, w.encode, w.pools
+	w.shard = nil
+	err := w.pipe.Submit(func() (encodedShard, error) {
+		seg, crc, err := encode(pools.getSeg(), shard)
+		es := encodedShard{seg: seg, crc: crc, size: len(shard)}
+		pools.shard.Put(shard[:0])
+		return es, err
+	})
+	if err != nil {
+		w.err = err
+		return err
+	}
+	w.submitted++
+	return nil
+}
+
+// drain is the pipeline's sink, run on the producer's goroutine inside
+// Write, ReadFrom and Close: it writes one segment and records its
+// checkpoint.
+func (w *writer) drain(es encodedShard) error {
+	off := w.tracked.size
+	if _, err := w.tracked.Write(es.seg); err != nil {
+		return err
+	}
+	w.cps = append(w.cps, shardCheckpoint{
+		compOff: off, compEnd: w.tracked.size,
+		decompOff: w.decompOff, decompSize: int64(es.size),
+		crc: es.crc,
+	})
+	w.decompOff += int64(es.size)
+	w.pools.seg.Put(es.seg[:0])
+	return nil
+}
+
+// Close submits the pending shard, drains the encode pipeline, writes
+// the format trailer, writes the index sidecar if one was requested,
+// and closes the file when the writer owns one (Create). Close is
+// idempotent.
 func (w *writer) Close() error {
 	if w.closed {
 		return w.err
 	}
 	w.closed = true
-	if w.gz != nil {
-		w.err = w.gz.Close()
-	} else {
-		w.err = w.zw.Close()
+	if w.err == nil && (len(w.shard) > 0 || w.emptyShard && w.submitted == 0) {
+		w.submit()
+	}
+	if err := w.pipe.Close(); err != nil && w.err == nil {
+		w.err = err
+	}
+	if w.err == nil {
+		if t := w.trailer(); len(t) > 0 {
+			_, w.err = w.tracked.Write(t)
+		}
 	}
 	if w.err == nil && w.sidecar != "" {
 		w.err = w.writeSidecar()
@@ -340,6 +515,16 @@ func (w *writer) Close() error {
 	return w.err
 }
 
+// gzipTrailer ends the gzip member. Its footer CRC-32 combines the
+// shard CRCs in GF(2), the way parallel verification combines them on
+// decode; the sidecar's member-end mark reuses it.
+func (w *writer) gzipTrailer() []byte {
+	for _, cp := range w.cps {
+		w.crc = crc32x.Combine(w.crc, cp.crc, cp.decompSize)
+	}
+	return gzipw.AppendTrailer(nil, w.crc, w.decompOff)
+}
+
 // writeSidecar exports the index atomically next to the archive: a
 // temp file renamed into place, so a crash never leaves a truncated
 // index for a later Open to trip on.
@@ -348,17 +533,10 @@ func (w *writer) writeSidecar() error {
 }
 
 func (w *writer) Stats() WriterStats {
-	if w.gz != nil {
-		return WriterStats{
-			Shards:            uint64(len(w.gz.Checkpoints())),
-			UncompressedBytes: uint64(w.gz.UncompressedSize()),
-			CompressedBytes:   uint64(w.gz.CompressedSize()),
-		}
-	}
 	return WriterStats{
-		Shards:            uint64(len(w.zw.Checkpoints())),
-		UncompressedBytes: uint64(w.zw.UncompressedSize()),
-		CompressedBytes:   uint64(w.zw.CompressedSize()),
+		Shards:            uint64(len(w.cps)),
+		UncompressedBytes: uint64(w.decompOff),
+		CompressedBytes:   uint64(w.tracked.size),
 	}
 }
 

@@ -1,36 +1,29 @@
 package rapidgzip
 
 import (
-	"fmt"
-
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
 	"repro/internal/zstdx"
 )
 
 // bgzfGroupTarget is the compressed bytes grouped under one seek point
-// in a BGZF sidecar — the same members-per-span batching the read
-// side's metadata scan applies, so one decode task amortises header
-// parsing over many small members.
+// in a BGZF sidecar, so one decode task amortises header parsing over
+// many small members. The read side's metadata scan groups members
+// differently, by ChunkSize decompressed bytes; both geometries are
+// valid indexes of the same file.
 const bgzfGroupTarget = 512 << 10
 
 // buildIndex assembles the RGZIDX05 index from the checkpoints the
-// encoder recorded — the exact geometry the read side would recover by
-// scanning the file, but written from knowledge instead of discovery.
+// shard loop recorded: the file's seek points, written from knowledge
+// instead of discovery.
 func (w *writer) buildIndex() (*gzindex.Index, error) {
 	fp := w.tracked.fingerprint()
 	ix := gzindex.New(0)
 	ix.Finalized = true
 	ix.SourceFP = &fp
-	switch w.format {
-	case FormatGzip:
-		return ix, w.fillGzipIndex(ix)
-	case FormatBGZF:
-		return ix, w.fillBGZFIndex(ix)
-	case FormatZstd:
-		return ix, w.fillZstdIndex(ix)
-	}
-	return nil, fmt.Errorf("%w: no index for %v", ErrUnsupportedFormat, w.format)
+	ix.CompressedSize = uint64(w.tracked.size)
+	ix.UncompressedSize = uint64(w.decompOff)
+	return ix, w.fill(ix)
 }
 
 // fillGzipIndex emits the single-member sharded-gzip geometry: one
@@ -42,17 +35,13 @@ func (w *writer) buildIndex() (*gzindex.Index, error) {
 // combined CRC32, which keeps architecture-level verification alive
 // after reopen.
 func (w *writer) fillGzipIndex(ix *gzindex.Index) error {
-	cps := w.gz.Checkpoints()
-	total := uint64(w.gz.UncompressedSize())
-	ix.CompressedSize = uint64(w.gz.CompressedSize())
-	ix.UncompressedSize = total
 	ix.MemberMarksComplete = true
 	if err := ix.Add(gzindex.SeekPoint{CompressedBitOffset: 0, UncompressedOffset: 0, AtMemberStart: true}, nil); err != nil {
 		return err
 	}
 	lastBit, lastDecomp := uint64(0), uint64(0)
-	for _, cp := range cps[min(1, len(cps)):] {
-		lastBit, lastDecomp = uint64(cp.CompOff)*8, uint64(cp.DecompOff)
+	for _, cp := range w.cps[min(1, len(w.cps)):] {
+		lastBit, lastDecomp = uint64(cp.compOff)*8, uint64(cp.decompOff)
 		if err := ix.Add(gzindex.SeekPoint{
 			CompressedBitOffset: lastBit,
 			UncompressedOffset:  lastDecomp,
@@ -60,26 +49,22 @@ func (w *writer) fillGzipIndex(ix *gzindex.Index) error {
 			return err
 		}
 	}
-	ix.AddMemberEnd(lastBit, gzindex.MemberEnd{RelEnd: total - lastDecomp, CRC32: w.gz.CRC32()})
+	ix.AddMemberEnd(lastBit, gzindex.MemberEnd{RelEnd: ix.UncompressedSize - lastDecomp, CRC32: w.crc})
 	return nil
 }
 
-// fillBGZFIndex emits the member-per-chunk geometry the read side's
-// metadata scan would build: members grouped into spans of about
-// bgzfGroupTarget compressed bytes, one member-start seek point per
-// group, and a member-end mark (footer CRC32) per member — plus the
-// trailing EOF member's zero mark.
+// fillBGZFIndex emits the member-per-chunk geometry: members grouped
+// into spans of about bgzfGroupTarget compressed bytes, one
+// member-start seek point per group, and a member-end mark (footer
+// CRC32) per member — plus the trailing EOF member's zero mark.
 func (w *writer) fillBGZFIndex(ix *gzindex.Index) error {
-	cps := w.gz.Checkpoints()
-	total := uint64(w.gz.UncompressedSize())
-	ix.CompressedSize = uint64(w.gz.CompressedSize())
-	ix.UncompressedSize = total
+	total := ix.UncompressedSize
 	ix.MemberMarksComplete = true
 	groupBit, groupDecomp := uint64(0), uint64(0)
 	open := false // a group point exists and can still take members
-	for _, cp := range cps {
+	for _, cp := range w.cps {
 		if !open {
-			groupBit, groupDecomp = uint64(cp.CompOff)*8, uint64(cp.DecompOff)
+			groupBit, groupDecomp = uint64(cp.compOff)*8, uint64(cp.decompOff)
 			if err := ix.Add(gzindex.SeekPoint{
 				CompressedBitOffset: groupBit,
 				UncompressedOffset:  groupDecomp,
@@ -90,10 +75,10 @@ func (w *writer) fillBGZFIndex(ix *gzindex.Index) error {
 			open = true
 		}
 		ix.AddMemberEnd(groupBit, gzindex.MemberEnd{
-			RelEnd: uint64(cp.DecompOff+cp.DecompSize) - groupDecomp,
-			CRC32:  cp.CRC32,
+			RelEnd: uint64(cp.decompOff+cp.decompSize) - groupDecomp,
+			CRC32:  cp.crc,
 		})
-		if uint64(cp.CompEnd)-groupBit/8 >= bgzfGroupTarget {
+		if uint64(cp.compEnd)-groupBit/8 >= bgzfGroupTarget {
 			open = false
 		}
 	}
@@ -101,7 +86,7 @@ func (w *writer) fillBGZFIndex(ix *gzindex.Index) error {
 		// The EOF member needs a span to land in; an empty input (or a
 		// group that closed exactly at the last member) opens one at the
 		// tail, mirroring how the scan's final flush covers the marker.
-		groupBit, groupDecomp = uint64(w.gz.CompressedSize()-int64(len(gzipw.BGZFEOFMarker)))*8, total
+		groupBit, groupDecomp = (ix.CompressedSize-uint64(len(gzipw.BGZFEOFMarker)))*8, total
 		if err := ix.Add(gzindex.SeekPoint{
 			CompressedBitOffset: groupBit,
 			UncompressedOffset:  groupDecomp,
@@ -117,17 +102,18 @@ func (w *writer) fillBGZFIndex(ix *gzindex.Index) error {
 
 // fillZstdIndex persists the per-frame checkpoint table — the same
 // section a read-side ExportIndex writes, flagged metadata-sized
-// because every frame header carries its content size.
-func (w *writer) fillZstdIndex(ix *gzindex.Index) error {
-	cps := w.zw.Checkpoints()
-	ix.CompressedSize = uint64(w.zw.CompressedSize())
-	ix.UncompressedSize = uint64(w.zw.UncompressedSize())
-	ct := &gzindex.CheckpointTable{Format: zstdx.FormatTag, Flags: w.zw.Flags()}
-	ct.Spans = make([]gzindex.Checkpoint, len(cps))
-	for i, cp := range cps {
+// because every frame header carries its content size, and
+// checksummed when every frame carries a content checksum.
+func (w *writer) fillZstdIndex(ix *gzindex.Index, checksummed bool) error {
+	ct := &gzindex.CheckpointTable{Format: zstdx.FormatTag, Flags: zstdx.FlagMetadataSized}
+	if checksummed {
+		ct.Flags |= zstdx.FlagChecksummed
+	}
+	ct.Spans = make([]gzindex.Checkpoint, len(w.cps))
+	for i, cp := range w.cps {
 		ct.Spans[i] = gzindex.Checkpoint{
-			CompOff: cp.CompOff, CompEnd: cp.CompEnd,
-			DecompOff: cp.DecompOff, DecompSize: cp.DecompSize,
+			CompOff: cp.compOff, CompEnd: cp.compEnd,
+			DecompOff: cp.decompOff, DecompSize: cp.decompSize,
 		}
 	}
 	ix.Checkpoints = ct
