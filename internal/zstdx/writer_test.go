@@ -1,10 +1,21 @@
-package zstdx
+package zstdx_test
+
+// The sharded zstd writer is the root package's Writer with
+// FormatZstd: its shard loop encodes each shard as one sized frame
+// with this package's AppendFrames. These tests drive it through the
+// public API and check its output with this package's decoder and
+// frame scan.
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"testing"
+
+	rapidgzip "repro"
+	"repro/internal/gzindex"
+	"repro/internal/zstdx"
 )
 
 func writerPayload(n int, seed int64) []byte {
@@ -20,6 +31,15 @@ func writerPayload(n int, seed int64) []byte {
 	return b.Bytes()[:n]
 }
 
+func newZstdWriter(t *testing.T, out io.Writer, opts ...rapidgzip.WriterOption) rapidgzip.Writer {
+	t.Helper()
+	w, err := rapidgzip.NewWriter(out, append([]rapidgzip.WriterOption{rapidgzip.WithWriterFormat(rapidgzip.FormatZstd)}, opts...)...)
+	if err != nil {
+		t.Fatalf("NewWriter: %v", err)
+	}
+	return w
+}
+
 // TestZstdWriterRoundTrip checks parallel multi-frame output decodes
 // byte-exact with this package's own decoder across boundary sizes.
 func TestZstdWriterRoundTrip(t *testing.T) {
@@ -28,17 +48,15 @@ func TestZstdWriterRoundTrip(t *testing.T) {
 		for _, level := range []int{0, 1} {
 			data := writerPayload(n, int64(n+level))
 			var out bytes.Buffer
-			w, err := NewWriter(&out, WriterOptions{Level: level, ShardSize: shard, Parallelism: 3, ContentChecksum: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := newZstdWriter(t, &out, rapidgzip.WithLevel(level), rapidgzip.WithShardSize(shard),
+				rapidgzip.WithWriterParallelism(3), rapidgzip.WithContentChecksum(true))
 			if _, err := w.Write(data); err != nil {
 				t.Fatalf("n=%d Write: %v", n, err)
 			}
 			if err := w.Close(); err != nil {
 				t.Fatalf("n=%d Close: %v", n, err)
 			}
-			dec, err := Decompress(out.Bytes())
+			dec, err := zstdx.Decompress(out.Bytes())
 			if err != nil {
 				t.Fatalf("n=%d level=%d decode: %v", n, level, err)
 			}
@@ -50,45 +68,80 @@ func TestZstdWriterRoundTrip(t *testing.T) {
 }
 
 // TestZstdWriterSized asserts the output is metadata-sized: ScanFrames
-// recovers the full decode plan from headers alone, matching the
-// checkpoint table the writer recorded.
+// recovers the full decode plan from headers alone — one frame per
+// shard, tiling the output and the input — and no frame claims a
+// checksum that was not asked for. The exported index carries the same
+// frame table, flagged metadata-sized, and checksummed exactly when the
+// frames are.
 func TestZstdWriterSized(t *testing.T) {
 	shard := 10 << 10
 	data := writerPayload(3*shard+123, 9)
-	var out bytes.Buffer
-	w, _ := NewWriter(&out, WriterOptions{Level: 1, ShardSize: shard, Parallelism: 4})
-	if _, err := w.ReadFrom(bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	scan, err := ScanFrames(out.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !scan.Sized {
-		t.Fatal("output not metadata-sized: a frame omitted its content size")
-	}
-	cps := w.Checkpoints()
-	if len(scan.Frames) != len(cps) || len(cps) != 4 {
-		t.Fatalf("scan found %d frames, writer recorded %d checkpoints, want 4", len(scan.Frames), len(cps))
-	}
-	for i, f := range scan.Frames {
-		cp := cps[i]
-		if f.Offset != cp.CompOff || f.End != cp.CompEnd ||
-			f.ContentStart != cp.DecompOff || f.ContentSize != cp.DecompSize {
-			t.Fatalf("frame %d scan %+v != checkpoint %+v", i, f, cp)
+	for _, checksum := range []bool{false, true} {
+		var out bytes.Buffer
+		w := newZstdWriter(t, &out, rapidgzip.WithLevel(1), rapidgzip.WithShardSize(shard),
+			rapidgzip.WithWriterParallelism(4), rapidgzip.WithContentChecksum(checksum))
+		if _, err := w.ReadFrom(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if w.Flags()&FlagMetadataSized == 0 {
-		t.Fatal("writer flags missing FlagMetadataSized")
-	}
-	if w.Flags()&FlagChecksummed != 0 {
-		t.Fatal("writer flags claim checksums that were not written")
-	}
-	if w.CompressedSize() != int64(out.Len()) || w.UncompressedSize() != int64(len(data)) {
-		t.Fatalf("sizes (%d,%d), want (%d,%d)", w.CompressedSize(), w.UncompressedSize(), out.Len(), len(data))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		scan, err := zstdx.ScanFrames(out.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !scan.Sized {
+			t.Fatal("output not metadata-sized: a frame omitted its content size")
+		}
+		st := w.Stats()
+		if len(scan.Frames) != int(st.Shards) || st.Shards != 4 {
+			t.Fatalf("scan found %d frames, writer encoded %d shards, want 4", len(scan.Frames), st.Shards)
+		}
+		var comp, decomp int64
+		for i, f := range scan.Frames {
+			size := int64(min(shard, len(data)-int(decomp)))
+			if f.Offset != comp || f.ContentStart != decomp || f.ContentSize != size || f.End <= f.Offset {
+				t.Fatalf("frame %d %+v, want it at (%d,%d) holding %d bytes", i, f, comp, decomp, size)
+			}
+			if f.HasChecksum != checksum {
+				t.Fatalf("checksum=%v: frame %d has checksum %v", checksum, i, f.HasChecksum)
+			}
+			comp, decomp = f.End, decomp+f.ContentSize
+		}
+		if comp != int64(out.Len()) || decomp != int64(len(data)) {
+			t.Fatalf("frames cover (%d,%d), want (%d,%d)", comp, decomp, out.Len(), len(data))
+		}
+		if st.CompressedBytes != uint64(out.Len()) || st.UncompressedBytes != uint64(len(data)) {
+			t.Fatalf("sizes (%d,%d), want (%d,%d)", st.CompressedBytes, st.UncompressedBytes, out.Len(), len(data))
+		}
+
+		var raw bytes.Buffer
+		if err := w.ExportIndex(&raw); err != nil {
+			t.Fatal(err)
+		}
+		ix, err := gzindex.Read(&raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := ix.Checkpoints
+		if ct == nil || ct.Format != zstdx.FormatTag {
+			t.Fatalf("exported index has checkpoint table %+v, want a %q one", ct, zstdx.FormatTag)
+		}
+		wantFlags := zstdx.FlagMetadataSized
+		if checksum {
+			wantFlags |= zstdx.FlagChecksummed
+		}
+		if ct.Flags != wantFlags {
+			t.Fatalf("checksum=%v: index flags %#x, want %#x", checksum, ct.Flags, wantFlags)
+		}
+		if len(ct.Spans) != len(scan.Frames) {
+			t.Fatalf("index holds %d spans, scan %d frames", len(ct.Spans), len(scan.Frames))
+		}
+		for i, f := range scan.Frames {
+			if cp := ct.Spans[i]; cp.CompOff != f.Offset || cp.CompEnd != f.End || cp.DecompOff != f.ContentStart || cp.DecompSize != f.ContentSize {
+				t.Fatalf("index span %d %+v, scan frame %+v", i, cp, f)
+			}
+		}
 	}
 }
 
@@ -96,32 +149,33 @@ func TestZstdWriterSized(t *testing.T) {
 // sized frame.
 func TestZstdWriterEmpty(t *testing.T) {
 	var out bytes.Buffer
-	w, _ := NewWriter(&out, WriterOptions{Level: 1})
+	w := newZstdWriter(t, &out, rapidgzip.WithLevel(1))
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() == 0 {
 		t.Fatal("empty input produced no frame")
 	}
-	dec, err := Decompress(out.Bytes())
+	dec, err := zstdx.Decompress(out.Bytes())
 	if err != nil || len(dec) != 0 {
 		t.Fatalf("decode = %d bytes, %v", len(dec), err)
 	}
-	if len(w.Checkpoints()) != 1 {
-		t.Fatalf("got %d checkpoints, want 1", len(w.Checkpoints()))
+	scan, err := zstdx.ScanFrames(out.Bytes())
+	if err != nil || len(scan.Frames) != 1 || !scan.Sized || w.Stats().Shards != 1 {
+		t.Fatalf("scan %+v, %v with %d shards; want one sized frame", scan, err, w.Stats().Shards)
 	}
 }
 
 // TestZstdWriterErrors covers invalid options and write-after-close.
 func TestZstdWriterErrors(t *testing.T) {
-	if _, err := NewWriter(io.Discard, WriterOptions{ShardSize: -1}); err == nil {
+	if _, err := rapidgzip.NewWriter(io.Discard, rapidgzip.WithWriterFormat(rapidgzip.FormatZstd), rapidgzip.WithShardSize(-1)); err == nil {
 		t.Fatal("negative shard size accepted")
 	}
-	w, _ := NewWriter(io.Discard, WriterOptions{})
+	w := newZstdWriter(t, io.Discard)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Write([]byte("x")); err == nil {
-		t.Fatal("Write after Close accepted")
+	if _, err := w.Write([]byte("x")); !errors.Is(err, rapidgzip.ErrClosed) {
+		t.Fatalf("Write after Close = %v, want ErrClosed", err)
 	}
 }
