@@ -218,14 +218,14 @@ func openArchive(src filereader.FileReader, path string, cfg config) (*archive, 
 func (a *archive) first(path string) (*state, error) {
 	if a.cfg.indexFile != "" {
 		// An explicit index must work; failure is the caller's answer.
-		return a.fromIndexFile(a.cfg.indexFile)
+		return a.fromIndexFile(a.cfg.indexFile, false)
 	}
 	if !a.cfg.noDiscovery && path != "" {
 		// A sibling index is an optimisation: import it when valid, fall
 		// back to a normal scan when stale, corrupt, or built for a
 		// different file.
 		if _, err := os.Stat(path + IndexSuffix); err == nil {
-			if st, err := a.fromIndexFile(path + IndexSuffix); err == nil {
+			if st, err := a.fromIndexFile(path+IndexSuffix, true); err == nil {
 				return st, nil
 			}
 		}
@@ -338,7 +338,7 @@ func codecBackend(codec spanengine.Codec, caps func(flags uint8, spans int, inde
 			if ct == nil {
 				return nil, fmt.Errorf("%w: index carries no checkpoint table for %q", ErrNoIndexSupport, codec.FormatTag())
 			}
-			fp, err := gzindex.ComputeFingerprint(src, src.Size())
+			fp, err := cfg.fingerprint(src)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %w", filereader.ErrIO, err)
 			}
@@ -437,16 +437,47 @@ func (a *archive) live() (*state, error) {
 	return a.cur.Load(), nil
 }
 
-// fromIndexFile builds a state from the index file at path.
-func (a *archive) fromIndexFile(path string) (*state, error) {
+// fromIndexFile builds a state from the index file at path. A regular
+// file is read in at most two reads, its head and then the rest; a
+// discovered one is refused at its head when that records another size
+// or fingerprint than the source's, and the fingerprint taken for that
+// check is the one the state is built with. Anything else, a pipe say,
+// is read as a stream.
+func (a *archive) fromIndexFile(path string, discovered bool) (*state, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	// The file holds nothing but the index, so buffering is safe and
-	// spares the varint-level deserializer per-byte file reads.
-	return a.fromIndex(bufio.NewReader(f))
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if !st.Mode().IsRegular() {
+		return a.fromIndex(bufio.NewReader(f))
+	}
+	cfg := a.cfg
+	var check func(*gzindex.Index) error
+	if discovered {
+		check = func(h *gzindex.Index) error {
+			size := a.src.Size()
+			var fp gzindex.Fingerprint
+			if h.CompressedSize == uint64(size) {
+				// Only a file of the recorded size is worth fingerprinting.
+				var err error
+				if fp, err = gzindex.ComputeFingerprint(a.src, size); err != nil {
+					return err
+				}
+				cfg.sourceFP = &fp
+			}
+			return h.CheckSource(size, fp)
+		}
+	}
+	ix, err := gzindex.ReadAt(f, st.Size(), check)
+	if err != nil {
+		return nil, err
+	}
+	return a.indexed(a.src, ix, cfg)
 }
 
 func (a *archive) fromIndex(rd io.Reader) (*state, error) {

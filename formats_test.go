@@ -17,6 +17,7 @@ import (
 	"hash/crc32"
 	"io"
 	"io/fs"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -209,6 +210,18 @@ func checkReadAt(a Archive, plain []byte, off int64, n int) error {
 	return nil
 }
 
+// emptySpan returns the first span of a's table that covers no bytes,
+// or -1. Only an empty file's table, its one span, may have one.
+func emptySpan(a Archive) int {
+	spans := a.(*archive).cur.Load().eng.CheckpointTable().Spans
+	for i, s := range spans {
+		if s.DecompSize == 0 && len(spans) > 1 {
+			return i
+		}
+	}
+	return -1
+}
+
 // crcVerified asserts the method the archives of Open and OpenBytes
 // carry beyond the Archive interface.
 func crcVerified(a Archive) (bool, uint64) {
@@ -277,6 +290,9 @@ func checkReads(t *testing.T, a Archive, fx *formatFixture) {
 	}
 	if size, err := a.Size(); err != nil || size != n {
 		t.Fatalf("Size = %d, %v", size, err)
+	}
+	if i := emptySpan(a); i >= 0 {
+		t.Fatalf("after a full read: span %d covers no bytes", i)
 	}
 
 	for _, off := range []int64{0, 1, 65_535, n / 2, n - 100} {
@@ -500,6 +516,9 @@ func reopenIndexed(t *testing.T, fx *formatFixture, mode, backing string, opts .
 	if got, err := io.ReadAll(a); err != nil || !bytes.Equal(got, fx.plain) {
 		t.Fatalf("%s index, full read: %d bytes, %v", mode, len(got), err)
 	}
+	if i := emptySpan(a); i >= 0 {
+		t.Fatalf("%s index: span %d covers no bytes", mode, i)
+	}
 	for _, off := range []int64{0, n / 5, n / 3, n - 777} {
 		if err := checkReadAt(a, fx.plain, off, 777); err != nil {
 			t.Fatal(err)
@@ -527,6 +546,153 @@ func TestIndexAutoDiscovery(t *testing.T) {
 	fx := build(t, "gzip-stdlib", workloads.Base64(400_000, 33), 32<<10)
 	reopenIndexed(t, fx, "sibling", "file", WithChunkSize(32<<10))
 	refuseIndexes(t, "sibling")
+}
+
+// TestStaleSidecarDismissedAtHeader: a valid sibling index of another
+// file, 147 windows of it, is refused at its header, before its windows
+// are read: the open is cold and allocates about what an open without a
+// sidecar does.
+func TestStaleSidecarDismissedAtHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compresses and exports 4 MiB for a 147-window index")
+	}
+	const chunk = 32 << 10
+	other := build(t, "gzip-stdlib", workloads.SilesiaLike(136*chunk, 61), chunk)
+	stale := readIndex(t, other)
+	ix, err := gzindex.Read(bytes.NewReader(stale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows := 0
+	for i := 0; i < ix.Len(); i++ {
+		if _, ok := ix.Window(ix.Point(i).CompressedBitOffset); ok {
+			windows++
+		}
+	}
+	if windows != 147 {
+		t.Fatalf("the other file's index has %d windows, want 147", windows)
+	}
+	fx := build(t, "gzip-stdlib", workloads.SilesiaLike(600_000, 62), chunk)
+	openAlloc := func(opts ...Option) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a, err := fx.open("file", append(opts, WithChunkSize(chunk))...)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := a.Stats(); s.SizingPasses != 1 {
+				t.Fatalf("open beside a stale sidecar: %+v, want a cold open", s)
+			}
+			a.Close()
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	bare := openAlloc()
+	writeTempFile(t, filepath.Dir(fx.path), filepath.Base(fx.path)+IndexSuffix, stale)
+	beside := openAlloc()
+	t.Logf("open: %d bytes allocated alone, %d beside a %d-byte stale sidecar", bare, beside, len(stale))
+	if beside > bare+256<<10 {
+		t.Fatalf("a stale sidecar cost the open %d more bytes, want less than 256 KiB", beside-bare)
+	}
+}
+
+// TestDiscoveredSidecarFingerprintsOnce: the fingerprint a discovered
+// sidecar's header is checked against is the one the archive is built
+// with, so an open through it allocates what an open through the same
+// index named by WithIndexFile does, not a second fingerprint's two
+// 4 KiB reads more.
+func TestDiscoveredSidecarFingerprintsOnce(t *testing.T) {
+	fx := build(t, "gzip-stdlib", workloads.SilesiaLike(600_000, 64), 64<<10)
+	raw := readIndex(t, fx)
+	named := writeTempFile(t, t.TempDir(), "named"+IndexSuffix, raw)
+	writeTempFile(t, filepath.Dir(fx.path), filepath.Base(fx.path)+IndexSuffix, raw)
+	openAlloc := func(opts ...Option) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 5 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a, err := fx.open("file", opts...)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := a.Stats(); s.SizingPasses != 0 {
+				t.Fatalf("open through an index: %+v", s)
+			}
+			a.Close()
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	explicit, discovered := openAlloc(WithIndexFile(named)), openAlloc()
+	t.Logf("open through an index: %d bytes allocated named, %d discovered", explicit, discovered)
+	if discovered > explicit+gzindex.FingerprintSpan {
+		t.Fatalf("a discovered sidecar cost the open %d more bytes than a named one", discovered-explicit)
+	}
+}
+
+// TestEarlierBGZFSidecarMergesEmptyTail: a BGZF sidecar written before
+// the EOF member joined the group before it has a last point that covers
+// no bytes; an import merges it, member marks included, and the archive
+// serves and verifies the file with no empty span.
+func TestEarlierBGZFSidecarMergesEmptyTail(t *testing.T) {
+	fx := build(t, "bgzf", workloads.SilesiaLike(300_000, 63), 64<<10)
+	ix, err := gzindex.Read(bytes.NewReader(readIndex(t, fx)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same index with the EOF member's mark on a point of its own.
+	old := gzindex.New(ix.ChunkSize)
+	old.Finalized, old.MemberMarksComplete = true, true
+	old.CompressedSize, old.UncompressedSize, old.SourceFP = ix.CompressedSize, ix.UncompressedSize, ix.SourceFP
+	for i := 0; i < ix.Len(); i++ {
+		p := ix.Point(i)
+		if err := old.Add(p, nil); err != nil {
+			t.Fatal(err)
+		}
+		marks := ix.MemberEnds(p.CompressedBitOffset)
+		if i == ix.Len()-1 {
+			if eof := marks[len(marks)-1]; eof.CRC32 != 0 || p.UncompressedOffset+eof.RelEnd != ix.UncompressedSize {
+				t.Fatalf("the last mark %+v is not the EOF member's", eof)
+			}
+			marks = marks[:len(marks)-1]
+		}
+		for _, m := range marks {
+			old.AddMemberEnd(p.CompressedBitOffset, m)
+		}
+	}
+	eofBit := (ix.CompressedSize - uint64(len(gzipw.BGZFEOFMarker))) * 8
+	if err := old.Add(gzindex.SeekPoint{CompressedBitOffset: eofBit, UncompressedOffset: ix.UncompressedSize, AtMemberStart: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	old.AddMemberEnd(eofBit, gzindex.MemberEnd{})
+	var buf bytes.Buffer
+	if _, err := old.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTempFile(t, t.TempDir(), "old"+IndexSuffix, buf.Bytes())
+
+	a, err := fx.open("file", WithIndexFile(path), WithVerify(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if got := a.(*archive).cur.Load().eng.NumSpans(); got != old.Len()-1 {
+		t.Fatalf("%d spans from an index of %d points, want the empty last one merged", got, old.Len())
+	}
+	if got, err := io.ReadAll(a); err != nil || !bytes.Equal(got, fx.plain) {
+		t.Fatalf("full read: %d bytes, %v", len(got), err)
+	}
+	if i := emptySpan(a); i >= 0 {
+		t.Fatalf("span %d covers no bytes", i)
+	}
+	if ok, fails := crcVerified(a); !ok || fails != 0 {
+		t.Fatalf("CRCVerified = %v, %d", ok, fails)
+	}
 }
 
 func TestWithIndexFile(t *testing.T) {

@@ -24,6 +24,9 @@ import (
 // Members are grouped into spans of about ChunkSize decompressed bytes,
 // the size the generic path cuts its spans to (splitPoints), so a BGZF
 // file of a given length is as many tasks as a gzip file of that length.
+// A group closes at the first member with output past that size: a
+// member without output (the EOF marker, an empty member) joins the
+// group before it, so no span is empty but the one of an empty file.
 func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 	fileSize := int64(c.fileBits / 8)
 
@@ -98,20 +101,24 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 			return spanengine.ScanResult{}, err
 		}
 		win = footer[8:]
-		decomp += uint64(binary.LittleEndian.Uint32(footer[4:]))
+		isize := uint64(binary.LittleEndian.Uint32(footer[4:]))
+		if isize > 0 && decomp-groupDecomp >= uint64(c.cfg.ChunkSize) {
+			if err := flush(pos, decomp, false); err != nil {
+				return spanengine.ScanResult{}, err
+			}
+		}
+		decomp += isize
 		groupMembers = append(groupMembers, memberMark{
 			absEnd: decomp,
 			crc:    binary.LittleEndian.Uint32(footer[:4]),
 		})
 		pos = memberEnd
-		if decomp-groupDecomp >= uint64(c.cfg.ChunkSize) || pos >= fileSize {
-			if err := flush(pos, decomp, pos >= fileSize); err != nil {
-				return spanengine.ScanResult{}, err
-			}
-		}
 	}
 	if pos != fileSize {
 		return spanengine.ScanResult{}, fmt.Errorf("core: BGZF members end at %d, file has %d bytes", pos, fileSize)
+	}
+	if err := flush(pos, decomp, true); err != nil {
+		return spanengine.ScanResult{}, err
 	}
 	c.eof = true
 	c.frontierBit = uint64(fileSize) * 8

@@ -68,6 +68,9 @@ type Config struct {
 	// cross-engine pool: cached decompressed bytes are bounded
 	// pool-wide instead of a span count per reader.
 	Pool *spanengine.CachePool
+	// SourceFP, when non-nil, is the fingerprint of the source, already
+	// taken by the caller; the reader takes it otherwise.
+	SourceFP *gzindex.Fingerprint
 }
 
 // guessedRatioLimit aborts a speculative chunk decode whose output
@@ -176,7 +179,7 @@ func newReader(src filereader.FileReader, cfg Config) (*Reader, error) {
 	// goes on: SourceReads then reports decode traffic only, so a reopen
 	// from a persisted index performs zero counted reads before the
 	// first access.
-	fp, err := gzindex.ComputeFingerprint(src, size)
+	fp, err := sourceFingerprint(src, cfg.SourceFP)
 	if err != nil {
 		// Fingerprinting only reads bytes, so any failure here is a
 		// source I/O problem (a directory opened as a file, a file that
@@ -195,6 +198,14 @@ func newReader(src filereader.FileReader, cfg Config) (*Reader, error) {
 		r.file = filereader.NewShared(src)
 	}
 	return r, nil
+}
+
+// sourceFingerprint is known when non-nil, else the fingerprint of src.
+func sourceFingerprint(src filereader.FileReader, known *gzindex.Fingerprint) (gzindex.Fingerprint, error) {
+	if known != nil {
+		return *known, nil
+	}
+	return gzindex.ComputeFingerprint(src, src.Size())
 }
 
 // NewReader opens a gzip file cold. BGZF files take the metadata fast
@@ -264,7 +275,13 @@ func (r *Reader) install(ix *gzindex.Index) error {
 	// that has failed verification.
 	c.crcBroken = r.cnt.crcFailures.Load() > 0
 
+	// A last point that covers no bytes (the EOF member alone, as BGZF
+	// sidecars of earlier versions record it) joins the one before it,
+	// member marks included: no span is empty but an empty file's.
 	n := ix.Len()
+	if n > 1 && ix.Point(n-1).UncompressedOffset == ix.UncompressedSize {
+		n--
+	}
 	c.metas = make([]spanMeta, n)
 	spans := make([]spanengine.Span, n)
 	for i := range c.metas {
@@ -284,9 +301,16 @@ func (r *Reader) install(ix *gzindex.Index) error {
 			m.size = ix.UncompressedSize - p.UncompressedOffset
 			m.endIsEOF = true
 		}
-		for _, me := range ix.MemberEnds(p.CompressedBitOffset) {
-			m.members = append(m.members,
-				memberMark{absEnd: p.UncompressedOffset + me.RelEnd, crc: me.CRC32})
+		marksTo := i + 1
+		if marksTo == n {
+			marksTo = ix.Len() // with the marks of a merged empty point
+		}
+		for j := i; j < marksTo; j++ {
+			q := ix.Point(j)
+			for _, me := range ix.MemberEnds(q.CompressedBitOffset) {
+				m.members = append(m.members,
+					memberMark{absEnd: q.UncompressedOffset + me.RelEnd, crc: me.CRC32})
+			}
 		}
 		c.metas[i] = m
 		s := spanengine.Span{

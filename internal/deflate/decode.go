@@ -52,6 +52,11 @@ type ChunkConfig struct {
 	Window   []byte
 	// StartsAtGzipHeader makes the decode begin with gzip header parsing.
 	StartsAtGzipHeader bool
+	// Bare marks a deflate stream without gzip framing (RFC 1951): the
+	// decode ends with its final block, EndIsEOF set and EndBit just past
+	// the block, and looks for no footer behind it. StartsAtGzipHeader
+	// must not be set with it.
+	Bare bool
 	// StopBeforeMember, when nonzero, ends the chunk after a member
 	// footer whose following member would begin at/after this bit
 	// offset. This is how BGZF chunk boundaries stop (paper §3.4.4):
@@ -452,6 +457,10 @@ func (d *Decoder) decodeBlocks() error {
 		}
 
 		if d.final {
+			if cfg.Bare {
+				cr.EndIsEOF, cr.EndBit = true, br.BitPos()
+				return nil
+			}
 			stop, err := d.memberEnd(cr, st, cfg.StopBeforeMember)
 			if err != nil || stop {
 				return err

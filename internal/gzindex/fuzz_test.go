@@ -9,7 +9,9 @@ import (
 // FuzzReadIndex hardens index import against corrupt, truncated and
 // adversarial files: Read must reject them with an error, never panic
 // or over-allocate — a stale sibling .rgzidx is auto-imported by Open,
-// so this parser sees unvetted bytes in normal operation.
+// so this parser sees unvetted bytes in normal operation. The stream
+// and file reads of an input must give the same index or the same
+// sentinel error.
 func FuzzReadIndex(f *testing.F) {
 	for _, golden := range []string{
 		"testdata/golden-v5.rgzidx",
@@ -46,16 +48,10 @@ func FuzzReadIndex(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
 		// Accepted indexes must be internally consistent enough to
-		// re-serialise without panicking.
-		var out bytes.Buffer
-		if _, err := got.WriteTo(&out); err != nil {
-			t.Fatalf("accepted index failed to re-serialise: %v", err)
-		}
+		// re-serialise without panicking, and every read path must
+		// accept or refuse alike.
+		readAllPaths(t, data)
 	})
 }
 
@@ -123,7 +119,7 @@ func FuzzReadIndexV5(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := Read(bytes.NewReader(data))
+		got, err := readAllPaths(t, data)
 		if err != nil {
 			return
 		}

@@ -14,15 +14,19 @@
 // again to rebuild the block's tables. Deflate carries nothing else from
 // one element to the next but the window.
 //
-// Windows are lazy on the way in. An import checks each window's
-// declared lengths and keeps the flate bytes the file holds;
-// Window.Bytes inflates one the first time it is asked for and keeps the
-// result, so opening an archive through its index inflates nothing, a
-// long-lived archive pays once per seek point it decodes from, and a
-// handle that touches three spans holds three windows. A window that
-// does not inflate to its declared length is reported as ErrCorrupt by
-// Bytes. Writing an imported index back out copies the stored bytes
-// unchanged.
+// An import reads the index into one buffer — an index file in two
+// reads, its head and then the rest (ReadAt), a stream as far as the
+// parse needs (Read) — and parses it there with one CRC32 pass over the
+// bytes. Windows are lazy on the way in: the parse checks each window's
+// declared lengths and keeps its flate bytes, as a slice of an index
+// file's buffer or a copy out of a stream's; Window.Bytes inflates one with the deflate
+// kernel's single-stage decoder the first time it is asked for and
+// keeps the result, so opening an archive through its index inflates
+// nothing, a long-lived archive pays once per seek point it decodes
+// from, and a handle that touches three spans holds three windows. A
+// window that does not inflate to exactly its declared length is
+// reported as ErrCorrupt by Bytes. Writing an imported index back out
+// copies the stored bytes unchanged.
 package gzindex
 
 import (
@@ -36,6 +40,9 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"repro/internal/bitio"
+	"repro/internal/deflate"
 )
 
 // SeekPoint marks a position where decompression can resume.
@@ -194,10 +201,11 @@ type Index struct {
 }
 
 // Window is one seek point's window: the bytes Add was given, or the
-// flate bytes an imported index file holds for it, inflated (to rawLen
-// bytes) by the first call of Bytes. Unlike the Index it came from, a
-// Window is safe for concurrent use, so a decoder can inflate one
-// without holding up the others.
+// flate bytes an imported index holds for it — a slice of the buffer
+// an index file was read into — inflated to rawLen bytes by the
+// first call of Bytes, with internal/deflate's single-stage decoder.
+// Unlike the Index it came from, a Window is safe for concurrent use, so
+// a decoder can inflate one without holding up the others.
 type Window struct {
 	once   sync.Once
 	raw    []byte
@@ -212,7 +220,7 @@ type Window struct {
 func (w *Window) Bytes() ([]byte, error) {
 	w.once.Do(func() {
 		if w.raw == nil {
-			if w.raw, w.err = flateDecompress(w.comp, w.rawLen); w.err != nil {
+			if w.raw, w.err = inflate(w.comp, w.rawLen); w.err != nil {
 				w.err = fmt.Errorf("%w: seek point window: %v", ErrCorrupt, w.err)
 			}
 		}
@@ -505,6 +513,11 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
+// headRead is the first read of an index file: the magic and every
+// header field before the first point take at most 57 bytes, so a
+// check can dismiss the index from this read alone.
+const headRead = 64
+
 // Read deserialises an index written by WriteTo. The trailing CRC32 is
 // verified; any mismatch or structural problem rejects the whole index —
 // a partially imported index would silently disable seeking into the
@@ -512,110 +525,258 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 // versions 1 to 3 came before the fingerprint and the checkpoint table,
 // version 4 before points inside blocks, and an index in one of them has
 // to be exported again.
+//
+// Read consumes nothing past the trailer: it reads as far as the parse
+// needs, a varint a byte at a time, so buffer r if it holds nothing
+// else. An index file is better read with ReadAt.
 func Read(r io.Reader) (*Index, error) {
-	var m [8]byte
-	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrBadMagic, err)
+	ix, _, err := read(r)
+	return ix, err
+}
+
+// ReadAt parses the index in the first size bytes of r, such as an index
+// file, in at most two reads: a head of headRead bytes, whose header
+// check, when non-nil, sees — flags, chunk size, file sizes and
+// fingerprint, before any point — and may refuse, and then the rest.
+// Windows keep their flate bytes as slices of the one buffer.
+func ReadAt(r io.ReaderAt, size int64, check func(header *Index) error) (*Index, error) {
+	ix, _, err := readAt(r, size, check)
+	return ix, err
+}
+
+// readAt is ReadAt, which also reports how many bytes the parse took.
+func readAt(r io.ReaderAt, size int64, check func(*Index) error) (*Index, int64, error) {
+	p := &parser{fill: func(buf []byte, _ int) ([]byte, error) {
+		n := min(size, headRead)
+		if len(buf) > 0 {
+			n = size
+		}
+		if int64(len(buf)) >= n {
+			return buf, io.ErrUnexpectedEOF
+		}
+		next := make([]byte, n)
+		copy(next, buf)
+		k, err := r.ReadAt(next[len(buf):], int64(len(buf)))
+		if k == len(next)-len(buf) {
+			err = nil
+		}
+		return next, err
+	}}
+	ix, err := p.index(check)
+	return ix, int64(p.off), err
+}
+
+// ReadFrom replaces the index contents with a serialised index read
+// from r, implementing io.ReaderFrom. The count is the bytes of r the
+// index took, which is also what Read consumes.
+func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
+	read, n, err := read(r)
+	if err != nil {
+		return n, err
 	}
-	if string(m[:]) != magic {
+	*ix = *read
+	return n, nil
+}
+
+// streamScratch is the size of the array a stream's small reads — a
+// varint's bytes, a flag — go to; a larger read, such as a window's
+// bytes, gets an array of its own.
+const streamScratch = 64
+
+// read is Read, which also reports how many bytes of r it consumed.
+func read(r io.Reader) (*Index, int64, error) {
+	scratch := make([]byte, streamScratch)
+	p := &parser{stream: true, fill: func(buf []byte, n int) ([]byte, error) {
+		if cap(buf)-len(buf) < n {
+			// No room behind buf: move it to the front of scratch, or
+			// of an array of its own.
+			next := scratch
+			if len(buf)+n > len(scratch) {
+				next = make([]byte, len(buf)+n)
+			}
+			buf = next[:copy(next, buf)]
+		}
+		k, err := io.ReadFull(r, buf[len(buf):len(buf)+n])
+		return buf[:len(buf)+k], err
+	}}
+	ix, err := p.index(nil)
+	return ix, int64(p.dropped + len(p.buf)), err
+}
+
+// parser reads an index out of buf, which holds the bytes from the
+// magic on (a stream's from the last bytes it dropped on). When the
+// parse runs past what buf holds, fill is given buf and the bytes
+// missing and returns buf with more behind it: exactly those bytes from
+// a stream, everything that is left from a file.
+type parser struct {
+	buf  []byte
+	off  int
+	fill func(buf []byte, n int) ([]byte, error)
+	// stream is set where fill reuses a scratch array for small reads:
+	// when buf has no room behind it for a fill, the parse drops what it
+	// has parsed, summing it into sum and counting it in dropped, and a
+	// window that may lie in the scratch array is copied out of it.
+	stream  bool
+	sum     uint32
+	dropped int
+	err     error
+}
+
+// need reports whether n bytes from off are in buf, filling it if not.
+func (p *parser) need(n int) bool {
+	if p.err != nil {
+		return false
+	}
+	if len(p.buf)-p.off >= n {
+		return true
+	}
+	missing := n - (len(p.buf) - p.off)
+	if p.stream && cap(p.buf)-len(p.buf) < missing {
+		p.sum = crc32.Update(p.sum, crc32.IEEETable, p.buf[:p.off])
+		p.dropped += p.off
+		p.buf, p.off = p.buf[p.off:], 0
+	}
+	p.buf, p.err = p.fill(p.buf, missing)
+	if p.err == nil && len(p.buf)-p.off < n {
+		p.err = io.ErrUnexpectedEOF
+	}
+	return p.err == nil
+}
+
+// bytes returns the next n bytes, a slice of buf, or nil once the input
+// runs out.
+func (p *parser) bytes(n int) []byte {
+	if !p.need(n) {
+		return nil
+	}
+	b := p.buf[p.off : p.off+n : p.off+n]
+	p.off += n
+	return b
+}
+
+func (p *parser) byte() byte {
+	if b := p.bytes(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (p *parser) uvarint() uint64 {
+	for p.err == nil {
+		v, n := binary.Uvarint(p.buf[p.off:])
+		if n > 0 {
+			p.off += n
+			return v
+		}
+		if n < 0 {
+			p.err = errors.New("varint overflows a 64-bit integer")
+			return 0
+		}
+		p.need(len(p.buf) - p.off + 1)
+	}
+	return 0
+}
+
+// corrupt is ErrCorrupt with the input error that caused it.
+func (p *parser) corrupt() error { return fmt.Errorf("%w: %w", ErrCorrupt, p.err) }
+
+// index parses the whole index; check, when non-nil, sees its header
+// first.
+func (p *parser) index(check func(*Index) error) (*Index, error) {
+	m := p.bytes(len(magic))
+	if m == nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadMagic, p.err)
+	}
+	if string(m) != magic {
 		if string(m[:6]) == magic[:6] {
 			return nil, fmt.Errorf("%w: %q (this version reads %s; re-export the index)", ErrUnsupportedVersion, m, magic)
 		}
 		return nil, ErrBadMagic
 	}
-	return readIndex(r)
-}
-
-// ReadFrom replaces the index contents with a serialised index read
-// from r, implementing io.ReaderFrom. Byte counting is best-effort (the
-// windows are read through a decompressor); the error is what matters.
-func (ix *Index) ReadFrom(r io.Reader) (int64, error) {
-	cr := &countingReader{r: r}
-	read, err := Read(cr)
-	if err != nil {
-		return cr.n, err
-	}
-	*ix = *read
-	return cr.n, nil
-}
-
-// readIndex parses what follows the magic.
-func readIndex(r io.Reader) (*Index, error) {
-	cr := &crcReader{r: r}
-	cr.sum = crc32.Update(cr.sum, crc32.IEEETable, []byte(magic))
-	flags, _ := cr.ReadByte()
+	flags := p.byte()
 	if flags&^knownFlags != 0 {
 		return nil, fmt.Errorf("%w: index flags %#x (this version knows %#x; re-export the index)", ErrUnsupportedVersion, flags, knownFlags)
 	}
-	ix := New(int(cr.uvarint()))
+	ix := New(int(p.uvarint()))
 	ix.Finalized = flags&1 != 0
 	ix.MemberMarksComplete = flags&2 != 0
-	ix.CompressedSize = cr.uvarint()
-	ix.UncompressedSize = cr.uvarint()
+	ix.CompressedSize = p.uvarint()
+	ix.UncompressedSize = p.uvarint()
 	if flags&4 != 0 {
-		var raw [8]byte
-		if err := cr.full(raw[:]); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-		ix.SourceFP = &Fingerprint{
-			Head: binary.LittleEndian.Uint32(raw[0:4]),
-			Tail: binary.LittleEndian.Uint32(raw[4:8]),
+		if raw := p.bytes(8); raw != nil {
+			ix.SourceFP = &Fingerprint{
+				Head: binary.LittleEndian.Uint32(raw[0:4]),
+				Tail: binary.LittleEndian.Uint32(raw[4:8]),
+			}
 		}
 	}
-	n := cr.uvarint()
-	if cr.err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
+	if p.err != nil {
+		return nil, p.corrupt()
+	}
+	if check != nil {
+		if err := check(ix); err != nil {
+			return nil, err
+		}
+	}
+	n := p.uvarint()
+	if p.err != nil {
+		return nil, p.corrupt()
 	}
 	if n > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible point count %d", ErrCorrupt, n)
 	}
 	var prev SeekPoint
 	for i := uint64(0); i < n; i++ {
-		var p SeekPoint
-		p.CompressedBitOffset = prev.CompressedBitOffset + cr.uvarint()
-		p.UncompressedOffset = prev.UncompressedOffset + cr.uvarint()
-		pflags, _ := cr.ReadByte()
+		var pt SeekPoint
+		pt.CompressedBitOffset = prev.CompressedBitOffset + p.uvarint()
+		pt.UncompressedOffset = prev.UncompressedOffset + p.uvarint()
+		pflags := p.byte()
 		if pflags&^knownPointFlags != 0 {
 			return nil, fmt.Errorf("%w: seek point %d flags %#x (this version knows %#x; re-export the index)", ErrUnsupportedVersion, i, pflags, knownPointFlags)
 		}
-		p.AtMemberStart = pflags&1 != 0
+		pt.AtMemberStart = pflags&1 != 0
 		if pflags&8 != 0 {
 			// A zero distance puts the header on the point, one as long
 			// as the point's offset at bit 0, where no block header is,
 			// and a longer one wraps; push checks the rest.
-			dist := cr.uvarint()
-			if cr.err == nil && (dist == 0 || dist >= p.CompressedBitOffset) {
-				return nil, fmt.Errorf("%w: block header %d bits before point %d at bit %d", ErrCorrupt, dist, i, p.CompressedBitOffset)
+			dist := p.uvarint()
+			if p.err == nil && (dist == 0 || dist >= pt.CompressedBitOffset) {
+				return nil, fmt.Errorf("%w: block header %d bits before point %d at bit %d", ErrCorrupt, dist, i, pt.CompressedBitOffset)
 			}
-			p.BlockHeaderBit = p.CompressedBitOffset - dist
+			pt.BlockHeaderBit = pt.CompressedBitOffset - dist
 		}
 		var win *Window
 		if pflags&2 != 0 {
-			rawLen := cr.uvarint()
-			compLen := cr.uvarint()
-			// The error check must precede the sanity check: a failed
-			// uvarint read leaves a huge partial value that would
-			// otherwise reach the allocation below.
-			if cr.err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
+			rawLen := p.uvarint()
+			compLen := p.uvarint()
+			// The error check must precede the bounds check: a failed
+			// varint leaves a partial value behind.
+			if p.err != nil {
+				return nil, p.corrupt()
 			}
-			var err error
-			if win, err = readWindow(cr, rawLen, compLen, i); err != nil {
-				return nil, err
+			// The bound on rawLen is what caps the inflate of an untrusted
+			// window (Window.Bytes).
+			if rawLen > maxWindowRaw || compLen > rawLen+rawLen/255+64 {
+				return nil, fmt.Errorf("%w: window %d/%d bytes at point %d", ErrCorrupt, compLen, rawLen, i)
 			}
+			comp := p.bytes(int(compLen))
+			if p.stream && len(comp) <= streamScratch {
+				comp = bytes.Clone(comp)
+			}
+			win = &Window{comp: comp, rawLen: int(rawLen)}
 		}
 		var marks []MemberEnd
 		if pflags&4 != 0 {
-			mn := cr.uvarint()
-			if cr.err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
+			mn := p.uvarint()
+			if p.err != nil {
+				return nil, p.corrupt()
 			}
 			if mn > 1<<32 {
 				return nil, fmt.Errorf("%w: implausible mark count %d at point %d", ErrCorrupt, mn, i)
 			}
 			var prevEnd uint64
-			for j := uint64(0); j < mn; j++ {
-				relEnd := prevEnd + cr.uvarint()
+			for j := uint64(0); j < mn && p.err == nil; j++ {
+				relEnd := prevEnd + p.uvarint()
 				// A wrapping delta would sneak a huge intermediate mark
 				// past validate's last-mark span check, and the member-CRC
 				// check downstream would slice a span past its end.
@@ -623,40 +784,38 @@ func readIndex(r io.Reader) (*Index, error) {
 					return nil, fmt.Errorf("%w: member mark delta wraps at point %d", ErrCorrupt, i)
 				}
 				prevEnd = relEnd
-				var crcRaw [4]byte
-				if err := cr.full(crcRaw[:]); err != nil {
-					return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+				if crc := p.bytes(4); crc != nil {
+					marks = append(marks, MemberEnd{RelEnd: relEnd, CRC32: binary.LittleEndian.Uint32(crc)})
 				}
-				marks = append(marks, MemberEnd{RelEnd: relEnd, CRC32: binary.LittleEndian.Uint32(crcRaw[:])})
 			}
 		}
-		if cr.err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
+		if p.err != nil {
+			return nil, p.corrupt()
 		}
-		if err := ix.push(p); err != nil {
+		if err := ix.push(pt); err != nil {
 			return nil, err
 		}
-		prev = p
+		prev = pt
 		if win != nil {
-			ix.windows[p.CompressedBitOffset] = win
+			ix.windows[pt.CompressedBitOffset] = win
 		}
 		if marks != nil {
-			ix.memberEnds[p.CompressedBitOffset] = marks
+			ix.memberEnds[pt.CompressedBitOffset] = marks
 		}
 	}
 	if flags&8 != 0 {
-		ct, err := readCheckpointTable(cr)
+		ct, err := p.checkpointTable()
 		if err != nil {
 			return nil, err
 		}
 		ix.Checkpoints = ct
 	}
-	want := cr.sum // the trailer itself is not part of the checksum
-	var trailer [4]byte
-	if err := cr.full(trailer[:]); err != nil {
-		return nil, fmt.Errorf("%w: missing checksum: %w", ErrCorrupt, err)
+	want := crc32.Update(p.sum, crc32.IEEETable, p.buf[:p.off]) // the trailer itself is not part of the checksum
+	trailer := p.bytes(4)
+	if trailer == nil {
+		return nil, fmt.Errorf("%w: missing checksum: %w", ErrCorrupt, p.err)
 	}
-	if binary.LittleEndian.Uint32(trailer[:]) != want {
+	if binary.LittleEndian.Uint32(trailer) != want {
 		return nil, ErrChecksum
 	}
 	if err := ix.validate(); err != nil {
@@ -665,31 +824,28 @@ func readIndex(r io.Reader) (*Index, error) {
 	return ix, nil
 }
 
-// readCheckpointTable parses the per-format span-table section of an
+// checkpointTable parses the per-format span-table section of an
 // index. Spans are reconstructed from (gap, compressed length,
 // decompressed size) triples; the decompressed offsets are the running
 // sum of the sizes, so they are contiguous by construction.
-func readCheckpointTable(cr *crcReader) (*CheckpointTable, error) {
-	var tag [4]byte
-	if err := cr.full(tag[:]); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+func (p *parser) checkpointTable() (*CheckpointTable, error) {
+	tag := string(p.bytes(4)) // a copy: a stream's next fill reuses buf
+	flags := p.byte()
+	n := p.uvarint()
+	if p.err != nil {
+		return nil, p.corrupt()
 	}
-	ct := &CheckpointTable{Format: string(tag[:])}
-	ct.Flags, _ = cr.ReadByte()
-	n := cr.uvarint()
-	if cr.err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
-	}
+	ct := &CheckpointTable{Format: tag, Flags: flags}
 	if n > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible span count %d", ErrCorrupt, n)
 	}
 	var compEnd, decomp int64
 	for i := uint64(0); i < n; i++ {
-		gap := cr.uvarint()
-		compLen := cr.uvarint()
-		size := cr.uvarint()
-		if cr.err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, cr.err)
+		gap := p.uvarint()
+		compLen := p.uvarint()
+		size := p.uvarint()
+		if p.err != nil {
+			return nil, p.corrupt()
 		}
 		// Each field must keep the running offsets inside int64: a
 		// forged varint wrapping the accumulator would otherwise slip
@@ -778,28 +934,18 @@ func (ix *Index) validate() error {
 	return nil
 }
 
-// readWindow bound-checks the declared window lengths and then reads the
-// window's flate bytes through cr. Nothing is inflated here:
-// Window.Bytes does that, for the windows a reader gets to, within the
-// rawLen accepted here, which is what caps decompression amplification.
-// Lengths must already be known-good reads (no pending reader error).
-func readWindow(cr *crcReader, rawLen, compLen, point uint64) (*Window, error) {
-	if rawLen > maxWindowRaw || compLen > rawLen+rawLen/255+64 {
-		return nil, fmt.Errorf("%w: window %d/%d bytes at point %d", ErrCorrupt, compLen, rawLen, point)
-	}
-	comp := make([]byte, compLen)
-	if err := cr.full(comp); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-	}
-	return &Window{comp: comp, rawLen: int(rawLen)}, nil
-}
+// flateWriters keeps level-6 writers between windows: a writer costs
+// most of a megabyte to build and nothing to Reset.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, 6) // a valid level
+	return fw
+}}
 
 func flateCompress(data []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, 6)
-	if err != nil {
-		return nil, err
-	}
+	fw := flateWriters.Get().(*flate.Writer)
+	defer flateWriters.Put(fw)
+	fw.Reset(&buf)
 	if _, err := fw.Write(data); err != nil {
 		return nil, err
 	}
@@ -809,64 +955,35 @@ func flateCompress(data []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func flateDecompress(comp []byte, rawLen int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(comp))
-	defer fr.Close()
-	out := make([]byte, rawLen)
-	if _, err := io.ReadFull(fr, out); err != nil {
+// decoders keeps deflate decoders, whose Huffman tables are allocated on
+// first use, between window inflates.
+var decoders = sync.Pool{New: func() any { return new(deflate.Decoder) }}
+
+// inflate decodes a window's flate bytes with the deflate kernel's
+// single-stage decoder from an empty window, and holds the stream to
+// its declared length: one that ends short of rawLen or runs past it is
+// an error. The output limit one byte past rawLen, checked after every
+// element, is also what caps the inflate of a forged stream.
+func inflate(comp []byte, rawLen int) ([]byte, error) {
+	if rawLen == 0 {
+		return []byte{}, nil
+	}
+	d := decoders.Get().(*deflate.Decoder)
+	defer decoders.Put(d)
+	res, err := d.DecodeChunk(bitio.NewBitReaderBytes(comp), deflate.ChunkConfig{
+		Stop:         deflate.StopAtEOF,
+		Bare:         true,
+		SizeHint:     rawLen + 1,
+		StopAtOutput: uint64(rawLen) + 1,
+	})
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
-}
-
-// crcReader reads sequentially while maintaining a running CRC32 of
-// every byte it has delivered, so the trailing checksum can be verified
-// without buffering the whole index.
-type crcReader struct {
-	r   io.Reader
-	sum uint32
-	err error
-}
-
-func (c *crcReader) full(p []byte) error {
-	if c.err != nil {
-		return c.err
+	if res.Paused {
+		return nil, fmt.Errorf("window runs past its declared %d bytes", rawLen)
 	}
-	if _, c.err = io.ReadFull(c.r, p); c.err != nil {
-		return c.err
+	if len(res.Raw) != rawLen {
+		return nil, fmt.Errorf("window inflates to %d bytes, declared %d", len(res.Raw), rawLen)
 	}
-	c.sum = crc32.Update(c.sum, crc32.IEEETable, p)
-	return nil
-}
-
-// ReadByte implements io.ByteReader for binary.ReadUvarint.
-func (c *crcReader) ReadByte() (byte, error) {
-	var raw [1]byte
-	if err := c.full(raw[:]); err != nil {
-		return 0, err
-	}
-	return raw[0], nil
-}
-
-func (c *crcReader) uvarint() uint64 {
-	if c.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(c)
-	if err != nil && c.err == nil {
-		c.err = err
-	}
-	return v
-}
-
-// countingReader counts bytes delivered to Read (for ReadFrom).
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+	return res.Raw, nil
 }

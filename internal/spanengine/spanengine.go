@@ -690,7 +690,8 @@ func (e *Engine) proposePrefetches() {
 // issuePrefetches dispatches decodes for the proposed spans that are
 // neither cached whole nor in flight, bounded by MaxPrefetch (decodes a
 // reader asked for do not count against it). A candidate cached as a
-// prefix is continued to its end. Caller holds e.mu.
+// prefix is continued to its end; one that covers no bytes is skipped.
+// Caller holds e.mu.
 func (e *Engine) issuePrefetches() {
 	for _, cand := range e.cands {
 		if len(e.inflight)-e.demand >= e.cfg.MaxPrefetch {
@@ -716,8 +717,11 @@ func (e *Engine) issuePrefetches() {
 			e.cache.Touch(i)
 			continue
 		}
-		e.stats.PrefetchIssued++
 		s := e.spans[i]
+		if s.DecompSize == 0 {
+			continue
+		}
+		e.stats.PrefetchIssued++
 		e.inflight[i] = flight{fut: pool.GoLow(e.pool, e.decodeTask(i, s, ent, s.DecompSize)), unused: true}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/filereader"
+	"repro/internal/gzindex"
 	"repro/internal/spanengine"
 )
 
@@ -23,6 +25,7 @@ type config struct {
 	noDiscovery bool
 	inMemory    bool                  // load the whole file instead of serving it file-backed
 	pool        *spanengine.CachePool // shared span-cache pool (WithSharedPool); nil = private cache
+	sourceFP    *gzindex.Fingerprint  // the source's fingerprint when already taken; nil = backends take it
 }
 
 // engine is the configuration of one span engine: bzip2, LZ4 and zstd
@@ -39,7 +42,16 @@ func (c config) core() core.Config {
 		ChunkSize:       c.chunkSize,
 		VerifyChecksums: c.verify,
 		Pool:            c.pool,
+		SourceFP:        c.sourceFP,
 	}
+}
+
+// fingerprint is the fingerprint of src: sourceFP when taken already.
+func (c config) fingerprint(src filereader.FileReader) (gzindex.Fingerprint, error) {
+	if c.sourceFP != nil {
+		return *c.sourceFP, nil
+	}
+	return gzindex.ComputeFingerprint(src, src.Size())
 }
 
 // errOptNilPool is WithSharedPool's eager validation failure.

@@ -56,42 +56,36 @@ func (w *writer) fillGzipIndex(ix *gzindex.Index) error {
 // fillBGZFIndex emits the member-per-chunk geometry: members grouped
 // into spans of about bgzfGroupTarget compressed bytes, one
 // member-start seek point per group, and a member-end mark (footer
-// CRC32) per member — plus the trailing EOF member's zero mark.
+// CRC32) per member — plus the trailing EOF member's zero mark. A group
+// closes at the first member with output past the target; a member
+// without output, the EOF marker among them, joins the group before it,
+// as in the read side's scan. Only an empty input has a point of its
+// own for the EOF member.
 func (w *writer) fillBGZFIndex(ix *gzindex.Index) error {
 	total := ix.UncompressedSize
 	ix.MemberMarksComplete = true
 	groupBit, groupDecomp := uint64(0), uint64(0)
-	open := false // a group point exists and can still take members
-	for _, cp := range w.cps {
-		if !open {
-			groupBit, groupDecomp = uint64(cp.compOff)*8, uint64(cp.decompOff)
-			if err := ix.Add(gzindex.SeekPoint{
-				CompressedBitOffset: groupBit,
-				UncompressedOffset:  groupDecomp,
-				AtMemberStart:       true,
-			}, nil); err != nil {
+	open := func(bit, decomp uint64) error {
+		groupBit, groupDecomp = bit, decomp
+		return ix.Add(gzindex.SeekPoint{
+			CompressedBitOffset: bit,
+			UncompressedOffset:  decomp,
+			AtMemberStart:       true,
+		}, nil)
+	}
+	for i, cp := range w.cps {
+		if i == 0 || cp.decompSize > 0 && uint64(cp.compOff)-groupBit/8 >= bgzfGroupTarget {
+			if err := open(uint64(cp.compOff)*8, uint64(cp.decompOff)); err != nil {
 				return err
 			}
-			open = true
 		}
 		ix.AddMemberEnd(groupBit, gzindex.MemberEnd{
 			RelEnd: uint64(cp.decompOff+cp.decompSize) - groupDecomp,
 			CRC32:  cp.crc,
 		})
-		if uint64(cp.compEnd)-groupBit/8 >= bgzfGroupTarget {
-			open = false
-		}
 	}
-	if !open {
-		// The EOF member needs a span to land in; an empty input (or a
-		// group that closed exactly at the last member) opens one at the
-		// tail, mirroring how the scan's final flush covers the marker.
-		groupBit, groupDecomp = (ix.CompressedSize-uint64(len(gzipw.BGZFEOFMarker)))*8, total
-		if err := ix.Add(gzindex.SeekPoint{
-			CompressedBitOffset: groupBit,
-			UncompressedOffset:  groupDecomp,
-			AtMemberStart:       true,
-		}, nil); err != nil {
+	if len(w.cps) == 0 {
+		if err := open((ix.CompressedSize-uint64(len(gzipw.BGZFEOFMarker)))*8, total); err != nil {
 			return err
 		}
 	}
