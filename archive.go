@@ -391,6 +391,7 @@ func (st *state) stats() Stats {
 		s.GuessNoBlock = g.GuessNoBlock
 		s.GuessFalseStarts = g.GuessFalseStarts
 		s.FinderProbes = g.FinderProbes
+		s.FinderBytes = g.FinderBytes
 		s.OnDemandDecodes = g.OnDemandDecodes
 		s.IndexedDecodes = g.IndexedDecodes
 		s.ChunksConsumed = g.ChunksConsumed

@@ -205,8 +205,8 @@ func run() error {
 			n, r.Format(), s.SizingPasses, s.SpanDecodes, s.SpanResumes, s.DecodedBytes, s.PrefetchIssued, s.PrefetchJoined, s.PrefetchUnused, s.DemandJoined, s.SpanCacheHits, s.SpanCacheMisses, s.SpanCacheEvictions, s.SourceReads, s.SourceBytesRead)
 		switch r.Format() {
 		case rapidgzip.FormatGzip, rapidgzip.FormatBGZF:
-			fmt.Fprintf(os.Stderr, "gzip pipeline: chunks=%d speculative=%d finderProbes=%d noBlock=%d falseStarts=%d onDemand=%d indexed=%d\n",
-				s.ChunksConsumed, s.GuessTasks, s.FinderProbes, s.GuessNoBlock, s.GuessFalseStarts, s.OnDemandDecodes, s.IndexedDecodes)
+			fmt.Fprintf(os.Stderr, "gzip pipeline: chunks=%d speculative=%d finderProbes=%d finderBytes=%d noBlock=%d falseStarts=%d onDemand=%d indexed=%d\n",
+				s.ChunksConsumed, s.GuessTasks, s.FinderProbes, s.FinderBytes, s.GuessNoBlock, s.GuessFalseStarts, s.OnDemandDecodes, s.IndexedDecodes)
 		}
 	}
 	return nil

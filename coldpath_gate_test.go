@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/spanengine"
 	"repro/internal/workloads"
 )
 
@@ -88,9 +89,9 @@ func (w *matchWriter) Write(p []byte) (int, error) {
 
 // TestColdFirstRead: a cold one-byte Read waits for the file's first
 // entry alone. It returns with one span confirmed, one on-demand decode
-// begun, and no more decoded than a quarter chunk and the match that
-// crosses it — at one worker and at two, whose guesses ahead decode no
-// span. Clock-free: what the first byte costs, counted.
+// begun, and no more decoded than a stream's first round and the match
+// that crosses it — at one worker and at two, whose guesses ahead decode
+// no span. Clock-free: what the first byte costs, counted.
 func TestColdFirstRead(t *testing.T) {
 	const chunk = 1 << 20
 	fx := build(t, "gzip-stdlib", workloads.SilesiaLike(8<<20, 2), chunk)
@@ -105,9 +106,9 @@ func TestColdFirstRead(t *testing.T) {
 		}
 		st, spans := a.Stats(), a.(*archive).cur.Load().eng.NumSpans()
 		a.Close()
-		if spans != 1 || st.OnDemandDecodes != 1 || st.DecodedBytes > chunk/4+258 {
+		if most := uint64(spanengine.FirstRound + 258); spans != 1 || st.OnDemandDecodes != 1 || st.DecodedBytes > most {
 			t.Fatalf("P=%d: a one-byte read confirmed %d spans, began %d on-demand decodes and decoded %d bytes, want 1, 1 and <= %d",
-				p, spans, st.OnDemandDecodes, st.DecodedBytes, chunk/4+258)
+				p, spans, st.OnDemandDecodes, st.DecodedBytes, most)
 		}
 	}
 }
@@ -139,5 +140,67 @@ func TestColdIndexRepeats(t *testing.T) {
 		if !bytes.Equal(export(p), first) {
 			t.Fatalf("the index exported after a cold pass at P=%d differs from the first one, at P=1", p)
 		}
+	}
+}
+
+// TestSingleBlockDecodedOnce holds a cold pass over the paper's worst
+// case, one Dynamic block for the whole file (igzip -0), to decoding each
+// byte once. Every frontier unit pauses inside the block about half a
+// cell past the end of the cell it began in, so what it confirms fits
+// the span cache. While the frontier stands in the block, no cell is
+// guessed; the guesses issued before it got there scan 256 KiB of their
+// cells each (4 of them, 1,048,575 bytes, at both parallelisms). The
+// index the pass builds does not depend on the parallelism. Clock-free.
+func TestSingleBlockDecodedOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("decodes 16 MiB twice")
+	}
+	const (
+		chunk = 1 << 20
+		// A unit pauses at the first point it records past its cap, and
+		// points are a sixteenth of a chunk of output apart.
+		pastStop    = chunk/2 + chunk/16
+		finderBytes = 1_048_575 * 3 / 2
+	)
+	fx := build(t, "gzip-single-block", workloads.SilesiaLike(16<<20, 1), chunk)
+	var indexes [][]byte
+	for _, p := range []int{1, 2} {
+		a, err := fx.open("file", WithChunkSize(chunk), WithoutIndexDiscovery(), WithParallelism(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := &matchWriter{want: fx.plain}
+		n, err := a.WriteTo(check)
+		if err != nil || n != int64(len(fx.plain)) || check.differs {
+			a.Close()
+			t.Fatalf("P=%d: cold pass %d bytes, err %v, output differs %v", p, n, err, check.differs)
+		}
+		st, cur := a.Stats(), a.(*archive).cur.Load()
+		spans, gz := uint64(cur.eng.NumSpans()), cur.gz.Stats()
+		var ix bytes.Buffer
+		err = a.ExportIndex(&ix)
+		a.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes = append(indexes, ix.Bytes())
+		decoded := float64(st.DecodedBytes) / float64(n)
+		t.Logf("P=%d: %d spans, %.4f decoded B per delivered B, %d evictions, %d guesses, %d finder bytes for %d compressed, a unit %d B past its stop at most",
+			p, spans, decoded, st.SpanCacheEvictions, st.GuessTasks, st.FinderBytes, len(fx.comp), gz.MaxPastStop)
+		if decoded > 1.02 {
+			t.Errorf("P=%d: decoded %.4f B per delivered B, want <= 1.02", p, decoded)
+		}
+		if st.SpanCacheEvictions > spans {
+			t.Errorf("P=%d: %d evictions for %d spans", p, st.SpanCacheEvictions, spans)
+		}
+		if gz.MaxPastStop > pastStop {
+			t.Errorf("P=%d: a unit reached %d B past its stop, want <= %d", p, gz.MaxPastStop, pastStop)
+		}
+		if st.FinderBytes > finderBytes {
+			t.Errorf("P=%d: the finder scanned %d B, want <= %d", p, st.FinderBytes, finderBytes)
+		}
+	}
+	if !bytes.Equal(indexes[0], indexes[1]) {
+		t.Error("the index exported after a cold pass at P=2 differs from the one at P=1")
 	}
 }

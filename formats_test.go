@@ -77,6 +77,16 @@ var formats = []formatRow{
 		}
 		return buf.Bytes(), err
 	}},
+	// igzip -0: the whole file one Dynamic block, the paper's worst case
+	// for a cold pass.
+	{"gzip-single-block", "data-single-block.gz", FormatGzip, func(p []byte, _ int) ([]byte, error) {
+		o, err := gzipw.Preset("igzip -0")
+		if err != nil {
+			return nil, err
+		}
+		comp, _, err := gzipw.Compress(p, o)
+		return comp, err
+	}},
 	{"lz4-nochecksum", "data-nochecksum.lz4", FormatLZ4, lz4Frames(false)},
 	{"zstd-nochecksum", "data-nochecksum.zst", FormatZstd, zstdFrames(zstdx.FrameOptions{Level: 1})},
 	// Frames without a content size: only decoding sizes them.

@@ -69,14 +69,17 @@ type gzipCodec struct {
 	frontierWindow []byte
 	memberStart    uint64 // decompressed offset where the current member began
 	eof            bool
-	// The file's first decode pauses once firstEntry bytes are out (zero:
-	// it does not), and what it made is confirmed as an entry of its own,
-	// so a cold reader's first bytes wait for that much decoding and not
-	// for a whole cell. While early is set the frontier stands inside the
-	// first cell's unit, which the next GrowNext decodes on from there: in
-	// the Huffman block whose header is at frontierHeader, if nonzero.
+	// A frontier decode pauses where the file's first entry is out, once
+	// firstEntry bytes are (zero: it does not), so that a cold reader's
+	// first bytes wait for that much decoding and not for a whole cell;
+	// and inside a block once it has read capBits past its stop (long),
+	// so that no unit outgrows the span cache, however long the file's
+	// blocks. What it made is confirmed as a unit of its own. While paused
+	// is set the frontier stands inside the unit, which the next GrowNext
+	// decodes on from there: in the Huffman block whose header is at
+	// frontierHeader, if nonzero.
 	firstEntry     uint64
-	early          bool
+	paused, long   bool
 	frontierHeader uint64
 
 	// Sequential CRC verification state (valid while consumption stays
@@ -99,14 +102,23 @@ func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, b
 		byOff:    map[int64]int{},
 		index:    gzindex.New(cfg.ChunkSize),
 		consumed: map[int]bool{},
-		// The first entry is a quarter chunk: its decode is a quarter of
-		// a cell's output at the file's ratio, and a reader that streams
-		// has the rest of the cell confirmed while it writes those bytes.
-		firstEntry: uint64(max(cfg.ChunkSize/4, 1)),
+		// The first entry is what a stream's first round asks for, or a
+		// quarter chunk where that is less: a reader that streams has the
+		// rest of the cell confirmed while it writes those bytes.
+		firstEntry: uint64(max(min(cfg.ChunkSize/4, spanengine.FirstRound), 1)),
 	}
 }
 
 func (c *gzipCodec) chunkBits() uint64 { return uint64(c.cfg.ChunkSize) * 8 }
+
+// capBits is how far past its stop a frontier decode reads inside a
+// block before it pauses there: half a cell, or guessScan where that is
+// more. A unit decoded on from such a pause starts half a cell into its
+// cell and pauses half a cell into the next one, so that inside a long
+// block every unit spans a cell, as an ordinary unit does, and confirms
+// as many spans. No block of an ordinary file reaches that far past a
+// cell's end: only a block that runs on over cells is cut.
+func (c *gzipCodec) capBits() uint64 { return max(c.chunkBits()/2, guessScan*8) }
 
 // FormatTag identifies the codec in persisted checkpoint tables.
 func (c *gzipCodec) FormatTag() string {
@@ -279,24 +291,30 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*de
 // oversized units into index entries, appends the resulting spans, and
 // primes their contents — paper Figure 4 steps 5-6, with the engine's
 // tentative store playing the role of the result cache keyed by exact
-// start offset. The file's first unit is confirmed in two steps, its
-// first entry ahead of the rest (see firstEntry).
+// start offset. A unit whose decode paused (see firstEntry) is confirmed
+// as far as it went, and the next call decodes on from there.
 func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	c.mu.Lock()
 	if c.eof {
 		c.mu.Unlock()
 		return true, nil
 	}
-	E, header, early := c.frontierBit, c.frontierHeader, c.early
+	E, header, paused := c.frontierBit, c.frontierHeader, c.paused
 	atMember := len(c.metas) == 0 // unit 0 starts at the gzip header
 	window := c.frontierWindow
 	c.mu.Unlock()
 
-	res, pausedIn, err := c.obtainFrontier(e, E, header, early, atMember, window)
+	// The unit ends at the first stop-eligible block at or past the end of
+	// E's cell, or where its decode pauses.
+	stop := (E/c.chunkBits() + 1) * c.chunkBits()
+	res, pausedIn, err := c.obtainFrontier(e, E, stop, header, paused, atMember, window)
 	if err != nil {
 		return false, err
 	}
 	total := res.TotalOut()
+	if res.EndBit > stop && (res.EndBit-stop)/8 > c.cnt.maxPastStop.Load() {
+		c.cnt.maxPastStop.Store((res.EndBit - stop) / 8)
+	}
 
 	// Serial window propagation: resolve only the final <=32 KiB
 	// (paper §2.2 — the non-parallelizable Amdahl term).
@@ -387,7 +405,8 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	}
 
 	c.frontierWindow = newWindow
-	c.frontierBit, c.frontierHeader, c.early = res.EndBit, pausedIn, res.Paused
+	c.frontierBit, c.frontierHeader, c.paused = res.EndBit, pausedIn, res.Paused
+	c.long = pausedIn != 0 && res.EndBit >= stop+c.capBits()
 	c.frontierDecomp += total
 	eof := res.EndIsEOF
 	if eof {
@@ -436,13 +455,13 @@ func (c *gzipCodec) FrontierKey() (uint64, bool) {
 // paper Figure 4: the consumer requests chunks by the exact end offset
 // of the previous chunk; a guess at E's cell that found its block
 // elsewhere is a false start, and that and no guess at all fall back to
-// an on-demand decode. The rest of the first cell's unit (early) is
-// neither: it is decoded on from where the first entry ended, inside the
-// block whose header is at bit header if that is nonzero, and stops where
-// the paused decode would have.
-func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E, header uint64, early, atMember bool, window []byte) (*deflate.ChunkResult, uint64, error) {
-	if early {
-		return c.decodeFrontier(E, header, c.chunkBits(), false, window)
+// an on-demand decode. The rest of a unit whose decode paused is neither:
+// no guess begins inside a unit, and it is decoded on from where the
+// pause left it, inside the block whose header is at bit header if that
+// is nonzero.
+func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E, stop, header uint64, paused, atMember bool, window []byte) (*deflate.ChunkResult, uint64, error) {
+	if paused {
+		return c.decodeFrontier(E, header, stop, false, window)
 	}
 	// A guess no worker has started runs here rather than behind the
 	// tasks ahead of it in the queue.
@@ -453,16 +472,18 @@ func (c *gzipCodec) obtainFrontier(e *spanengine.Engine, E, header uint64, early
 		c.cnt.guessFalseStarts.Add(1)
 	}
 	c.cnt.onDemand.Add(1)
-	return c.decodeFrontier(E, 0, (E/c.chunkBits()+1)*c.chunkBits(), atMember, window)
+	return c.decodeFrontier(E, 0, stop, atMember, window)
 }
 
 // decodeFrontier is the on-demand exact decode from the frontier with
 // its known window (single-stage), to the first block stop-eligible at or
 // past stop: from inside the block whose header is at bit header if that
 // is nonzero, and from the gzip header — the file's first decode, which
-// pauses once firstEntry bytes are out — if atMember is set. A decode
-// that paused comes back Paused, with the header bit of the Huffman block
-// it paused in, or zero for one that paused between blocks.
+// pauses once firstEntry bytes are out — if atMember is set. Inside a
+// block it has read capBits past stop in, it pauses at the next point it
+// records. A decode that paused comes back Paused, with the header bit
+// of the Huffman block it paused in, or zero for one that paused between
+// blocks.
 func (c *gzipCodec) decodeFrontier(E, header, stop uint64, atMember bool, window []byte) (*deflate.ChunkResult, uint64, error) {
 	fileSize := int64(c.fileBits / 8)
 	cfg := deflate.ChunkConfig{
@@ -472,6 +493,7 @@ func (c *gzipCodec) decodeFrontier(E, header, stop uint64, atMember bool, window
 		StartsAtGzipHeader: atMember,
 		SizeHint:           4 * c.cfg.ChunkSize,
 		PointEvery:         c.pointEvery(),
+		PauseAtPointPast:   stop + c.capBits(),
 	}
 	if atMember {
 		cfg.StopAtOutput = c.firstEntry
@@ -486,13 +508,13 @@ func (c *gzipCodec) decodeFrontier(E, header, stop uint64, atMember bool, window
 	res, err := dec.DecodeChunk(bitio.NewBitReader(c.src, fileSize), cfg)
 	if err == nil && res.Paused {
 		// A decode cannot start again inside a stored block: one paused in
-		// there copies the rest of it first. Where that block reached past
-		// stop, the unit may end right behind it, and the decode finishes
-		// the unit instead of pausing.
+		// there copies the rest of it first. Where the first entry reached
+		// past stop, the unit may end right behind it, and the decode
+		// finishes the unit instead of pausing.
 		if _, _, stored := dec.PausedIn(); stored > 0 {
 			res, err = dec.Resume(res.TotalOut() + uint64(stored))
 		}
-		if err == nil && res.Paused && res.EndBit >= stop {
+		if err == nil && res.Paused && res.EndBit >= stop && res.EndBit < cfg.PauseAtPointPast {
 			res, err = dec.Resume(0)
 		}
 	}
@@ -509,13 +531,18 @@ func (c *gzipCodec) decodeFrontier(E, header, stop uint64, atMember bool, window
 // past the frontier is a guess at the grid cell as many cells past the
 // frontier's. The first entry, confirmed ahead of the rest of its unit,
 // is left out of the count until that rest is confirmed: the mapping
-// stays the one a whole first unit would give.
+// stays the one a whole first unit would give. While the frontier stands
+// inside a long block there is nothing to guess: no block starts in the
+// cells ahead until it ends.
 func (c *gzipCodec) Slot(_ *spanengine.Engine, cand uint64) (uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.long {
+		return 0, false
+	}
 	cb := c.chunkBits()
 	n, cell := uint64(len(c.metas)), c.frontierBit/cb
-	if c.early {
+	if c.paused {
 		n, cell = 0, 0
 	}
 	gap := uint64(0)
@@ -547,6 +574,14 @@ func (c *gzipCodec) Guess(_ *spanengine.Engine, g uint64) func() (uint64, any, e
 // again from the file.
 const guessSlack = 64 << 10
 
+// guessScan is how far into its cell a guess looks for a block start.
+// Where a compressor ends blocks at all, one starts every few tens of
+// KiB of compressed data (the benchmark's corpus: at most 33 KB apart;
+// 128 KiB gzipw blocks of incompressible data: 105 KB); a cell with no
+// block start that near has none at all, in all likelihood, and is left
+// to the frontier.
+const guessScan = 256 << 10
+
 // guessTask searches cell g for a block start and decodes from it with
 // markers (paper Figure 4, steps 4-5). The cell is read once: the
 // decoder works on the bytes the finder scanned. It runs on a worker
@@ -563,6 +598,10 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 		return nil, err
 	}
 	defer release()
+	// The finder sees what it may scan and a block header's length more,
+	// so that a candidate right below the limit still parses whole.
+	scanEnd := min(end-base, guessScan*8)
+	scanned := buf[:min(len(buf), int(scanEnd/8)+blockHeaderRead)]
 	finder := blockfinder.NewCombinedFinder()
 	var dec deflate.Decoder
 	cfg := deflate.ChunkConfig{
@@ -573,11 +612,13 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 	}
 	for searchFrom := uint64(0); ; {
 		c.cnt.finderProbes.Add(1)
-		cand, ok := finder.Next(buf, searchFrom)
-		if !ok || base+cand >= end {
+		cand, ok := finder.Next(scanned, searchFrom)
+		if !ok || cand >= scanEnd {
+			c.cnt.finderBytes.Add((scanEnd - searchFrom) / 8)
 			c.cnt.guessNoBlock.Add(1)
 			return nil, errNoBlock
 		}
+		c.cnt.finderBytes.Add((cand - searchFrom) / 8)
 		// While decoding from buf, bit offsets are relative to it.
 		br := bitio.NewBitReaderBytes(buf)
 		cfg.Start, cfg.Stop = cand, stop-base

@@ -8,34 +8,38 @@ import (
 	"repro/internal/filereader"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
+	"repro/internal/spanengine"
 )
 
 // TestFirstEntryOnlyChangesCellZero: confirming the file's first entry
 // ahead of the rest of its unit changes the index a cold pass builds in
 // the first cell's entries and nowhere else. Against a pass whose first
 // unit is the whole cell, the seek points, windows and member marks from
-// the second unit on are the same; the first unit gains an entry a
-// quarter chunk long, at most a match further.
+// the second unit on are the same; the first unit gains an entry as long
+// as a stream's first round, at most a match further — at a chunk size
+// whose quarter is longer.
 func TestFirstEntryOnlyChangesCellZero(t *testing.T) {
-	const chunk = 64 << 10
-	data := mkText(31, 2<<20)
+	const chunk = 256 << 10
+	data := mkText(31, 6<<20)
 	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 48 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	index := func(firstEntry uint64) *gzindex.Index {
+	index := func(split bool) *gzindex.Index {
 		r, err := NewReader(filereader.MemoryReader(comp), Config{Parallelism: 2, ChunkSize: chunk})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		r.codec.firstEntry = firstEntry
+		if !split {
+			r.codec.firstEntry = 0
+		}
 		if got := readAll(t, &seqReader{Reader: r}); !bytes.Equal(got, data) {
 			t.Fatal("cold pass decoded wrong bytes")
 		}
 		return r.Index()
 	}
-	split, whole := index(chunk/4), index(0)
+	split, whole := index(true), index(false)
 	type entry struct {
 		gzindex.SeekPoint
 		window  []byte
@@ -68,8 +72,93 @@ func TestFirstEntryOnlyChangesCellZero(t *testing.T) {
 	if cut != unitEnd+1 || !reflect.DeepEqual(s[cut:], w[unitEnd:]) {
 		t.Fatalf("entries past the first unit differ: %d and %d entries, the first unit %d and %d", len(s), len(w), cut, unitEnd)
 	}
-	if first := s[1].UncompressedOffset; first < chunk/4 || first > chunk/4+258 {
-		t.Fatalf("first entry is %d bytes long, want a quarter chunk (%d) and at most a match more", first, chunk/4)
+	if first := s[1].UncompressedOffset; first < spanengine.FirstRound || first > spanengine.FirstRound+258 {
+		t.Fatalf("first entry is %d bytes long, want a first round (%d) and at most a match more", first, spanengine.FirstRound)
 	}
 	t.Logf("first unit: %d entries, %d whole; %d entries past it", cut, unitEnd, len(w)-unitEnd)
+}
+
+// TestLongBlockUnitsPause: over a file that is one Huffman block, every
+// frontier unit pauses inside the block, guessScan past the end of the
+// cell it began in at the chunk size here, and the next decodes on from
+// there. The pass decodes the right bytes with its member check, issues
+// no guess once the frontier stands in the block, and builds the same
+// index at one worker and four; reads through that index give the same
+// bytes.
+func TestLongBlockUnitsPause(t *testing.T) {
+	const chunk = 64 << 10
+	data := mkBase64(32, 3<<20)
+	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 1, SingleBlock: true, Strategy: gzipw.DynamicOnly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(comp) < 6*guessScan {
+		t.Fatalf("%d compressed bytes: too few long units to show", len(comp))
+	}
+	var first []byte
+	for _, p := range []int{1, 4} {
+		r := open(t, comp, Config{Parallelism: p, ChunkSize: chunk, VerifyChecksums: true})
+		if got := readAll(t, r); !bytes.Equal(got, data) {
+			t.Fatalf("P=%d: cold pass decoded wrong bytes", p)
+		}
+		st := r.Stats()
+		if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+			t.Fatalf("P=%d: member check failed", p)
+		}
+		// Past its cap a unit pauses at the next point, a sixteenth of a
+		// chunk of output on.
+		if st.MaxPastStop > guessScan+chunk/16 {
+			t.Errorf("P=%d: a unit reached %d B past its stop", p, st.MaxPastStop)
+		}
+		// The guesses issued before the first unit found the block long:
+		// at most twice the prefetch depth.
+		if limit := uint64(2 * 4 * p); st.GuessTasks > limit {
+			t.Errorf("P=%d: %d guesses over one block, want <= %d", p, st.GuessTasks, limit)
+		}
+		var ix bytes.Buffer
+		if err := r.ExportIndex(&ix); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("P=%d: %d spans, %d decoded bytes, %d guesses, %d finder bytes, %d B past a stop at most",
+			p, r.Engine().NumSpans(), r.Engine().Stats().DecodedBytes, st.GuessTasks, st.FinderBytes, st.MaxPastStop)
+		if first == nil {
+			first = ix.Bytes()
+		} else if !bytes.Equal(ix.Bytes(), first) {
+			t.Errorf("P=%d: the exported index differs from the one at P=1", p)
+		}
+	}
+	// Halfway through, the frontier stands in the block: no candidate past
+	// it maps to a cell to guess.
+	r := open(t, comp, Config{Parallelism: 1, ChunkSize: chunk})
+	buf := make([]byte, 1000)
+	if n, err := r.Engine().ReadAt(buf, int64(len(data)/2)); n != len(buf) || err != nil || !bytes.Equal(buf, data[len(data)/2:][:n]) {
+		t.Fatalf("cold ReadAt halfway: %d bytes, %v", n, err)
+	}
+	r.codec.mu.Lock()
+	long, spans := r.codec.long, uint64(len(r.codec.metas))
+	r.codec.mu.Unlock()
+	if !long {
+		t.Fatal("halfway through the block, the frontier is not paused in it")
+	}
+	for cand := spans; cand < spans+8; cand++ {
+		if g, ok := r.codec.Slot(r.Engine(), cand); ok {
+			t.Errorf("candidate %d maps to cell %d while the frontier stands in the block", cand, g)
+		}
+	}
+
+	parsed, err := gzindex.Read(bytes.NewReader(first))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ri, err := NewReaderFromIndex(filereader.MemoryReader(comp), parsed, Config{Parallelism: 2, ChunkSize: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ri.Close()
+	for _, off := range []int{0, len(data) / 3, len(data) - 70_000} {
+		buf := make([]byte, 70_000)
+		if n, err := ri.Engine().ReadAt(buf, int64(off)); n != len(buf) || err != nil || !bytes.Equal(buf, data[off:off+n]) {
+			t.Fatalf("ReadAt(%d) through the index: %d bytes, %v", off, n, err)
+		}
+	}
 }

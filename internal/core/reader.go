@@ -130,10 +130,12 @@ type counters struct {
 	guessNoBlock     atomic.Uint64
 	guessFalseStarts atomic.Uint64
 	finderProbes     atomic.Uint64
+	finderBytes      atomic.Uint64
 	onDemand         atomic.Uint64
 	indexed          atomic.Uint64
 	consumed         atomic.Uint64
 	crcFailures      atomic.Uint64
+	maxPastStop      atomic.Uint64 // written by GrowNext only, which is serialised
 }
 
 // Stats counts the chunk pipeline's activity — what the engine's own
@@ -146,12 +148,20 @@ type Stats struct {
 	// speculative tasks. It stays exactly zero when a complete index
 	// was imported: known chunk offsets make the finder unnecessary.
 	FinderProbes uint64
+	// FinderBytes counts the compressed bytes the block finder scanned
+	// (see the root package's Stats).
+	FinderBytes uint64
 	// OnDemandDecodes counts frontier cells decoded without a guess (see
 	// the root package's Stats).
 	OnDemandDecodes uint64
 	IndexedDecodes  uint64
 	ChunksConsumed  uint64
 	CRCFailures     uint64
+	// MaxPastStop is the most compressed bytes a confirmed unit reached
+	// past the end of the cell it began in: a block's worth on an
+	// ordinary file, and a frontier decode pauses inside a block about
+	// half a cell past it.
+	MaxPastStop uint64
 }
 
 // Reader is the GzipChunkFetcher: the gzip codec, the seek-point index
@@ -400,9 +410,11 @@ func (r *Reader) Stats() Stats {
 		GuessNoBlock:     r.cnt.guessNoBlock.Load(),
 		GuessFalseStarts: r.cnt.guessFalseStarts.Load(),
 		FinderProbes:     r.cnt.finderProbes.Load(),
+		FinderBytes:      r.cnt.finderBytes.Load(),
 		OnDemandDecodes:  r.cnt.onDemand.Load(),
 		IndexedDecodes:   r.cnt.indexed.Load(),
 		ChunksConsumed:   r.cnt.consumed.Load(),
 		CRCFailures:      r.cnt.crcFailures.Load(),
+		MaxPastStop:      r.cnt.maxPastStop.Load(),
 	}
 }

@@ -90,6 +90,18 @@ type ChunkConfig struct {
 	// symbols) past that offset unless a stored block or a block's end
 	// came between, and recording costs nothing per symbol.
 	PointEvery uint64
+	// PauseAtPointPast, when nonzero, pauses a single-stage decode at the
+	// first InBlockPoint it records at or past this bit, as StopAtOutput
+	// pauses it: Paused set, EndBit the point's bit, and Resume goes on to
+	// the next one. Where StopAtOutput bounds what a decode makes, this
+	// bounds what it reads. The decode grows its output as one without a
+	// pause would, so it records the same points and stands at one of
+	// them; but unless StopAtOutput is set too, a Resume may move the
+	// output to a larger buffer and hand the old one back to the free
+	// lists, so resume only once nothing reads what the pause handed out.
+	// Where the block ends right behind the point, the decode goes on past
+	// the block boundary instead.
+	PauseAtPointPast uint64
 }
 
 // InBlockPoint records an element boundary inside a Huffman block, from
@@ -143,10 +155,10 @@ type ChunkResult struct {
 	// TrailingData is set when bytes that are not a gzip member follow
 	// the final footer.
 	TrailingData bool
-	// Paused is set when the decode stopped on StopAtOutput rather than
-	// on a stop condition of the stream. EndBit is then the position of
-	// the next element, in the middle of a block or at a block header,
-	// and Decoder.Resume continues from it.
+	// Paused is set when the decode stopped on StopAtOutput or
+	// PauseAtPointPast rather than on a stop condition of the stream.
+	// EndBit is then the position of the next element, in the middle of a
+	// block or at a block header, and Decoder.Resume continues from it.
 	Paused bool
 
 	Marked []uint16
@@ -181,8 +193,10 @@ type chunkState struct {
 	// len(out8) reaches it; math.MaxInt when there is none to check.
 	limit int
 	// pointAt is the output size from which the next InBlockPoint is
-	// due; math.MaxInt when the decode records none.
+	// due; math.MaxInt when the decode records none. atPoint is set when
+	// the single-stage loop stopped at one past PauseAtPointPast.
 	pointAt int
+	atPoint bool
 	scratch []byte
 }
 
@@ -442,9 +456,11 @@ func (d *Decoder) decodeBlocks() error {
 		if err != nil {
 			return err
 		}
+		atPoint := st.atPoint
+		st.atPoint = false
 		if paused {
-			if cfg.StopAtOutput == 0 || st.total() < cfg.StopAtOutput {
-				d.reserve() // out of room, not at the limit
+			if !atPoint && (cfg.StopAtOutput == 0 || st.total() < cfg.StopAtOutput) {
+				d.reserve() // out of room, not at a limit
 				continue
 			}
 			cr.EndBit, cr.Paused = br.BitPos(), true
@@ -865,6 +881,10 @@ func (d *Decoder) decodeHuffBlockRaw(st *chunkState) (bool, error) {
 		if p >= pointAt {
 			br.Commit(pos, bits, nbits)
 			d.notePoint(len(st.out16) + p)
+			if past := d.cfg.PauseAtPointPast; past > 0 && br.BitPos() >= past {
+				st.atPoint = true
+				return true, nil
+			}
 			pointAt = st.pointAt - len(st.out16)
 		}
 		roomEnd := min(bound, cap(out)) - fastRoom
@@ -980,14 +1000,25 @@ func (d *Decoder) emitRawMatch(st *chunkState, out []byte, dist, length int) ([]
 		return appendCopyWithin(out, dist, length), nil
 	}
 	k := dist - p
-	for length > 0 && k > 0 {
-		b, ok := st.historyByte(k)
-		if !ok {
+	if j := k - len(st.out16); j > 0 {
+		// The match starts in the initial window: its part there is one
+		// copy.
+		if j > len(st.window) {
 			return out, ErrCorrupt
 		}
-		out = append(out, b)
-		length--
-		k--
+		n := min(length, j)
+		out = append(out, st.window[len(st.window)-j:][:n]...)
+		length -= n
+		k -= n
+	}
+	// The rest before the raw output is the tail of the marked segment,
+	// free of markers where the decode fell back to raw.
+	for ; length > 0 && k > 0; length, k = length-1, k-1 {
+		v := st.out16[len(st.out16)-k]
+		if v >= MarkerBase {
+			return out, ErrCorrupt
+		}
+		out = append(out, byte(v))
 	}
 	if length > 0 {
 		out = appendCopyWithin(out, dist, length)
@@ -1052,24 +1083,6 @@ func (d *Decoder) slowBase(e huffman.Entry) (int, error) {
 		v += int(extra)
 	}
 	return v, nil
-}
-
-// historyByte returns the byte k positions before the start of the raw
-// segment: from the (marker-free by construction) tail of the marked
-// segment, or from the known initial window.
-func (st *chunkState) historyByte(k int) (byte, bool) {
-	if n := len(st.out16); n >= k {
-		v := st.out16[n-k]
-		if v >= MarkerBase {
-			return 0, false
-		}
-		return byte(v), true
-	}
-	j := k - len(st.out16)
-	if j <= len(st.window) {
-		return st.window[len(st.window)-j], true
-	}
-	return 0, false
 }
 
 // appendCopyWithin appends length bytes copied from dist back within

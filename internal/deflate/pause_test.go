@@ -279,3 +279,71 @@ func FuzzPauseResume(f *testing.F) {
 		requireSameDecode(t, comp, cfg, limits)
 	})
 }
+
+// TestPauseAtPointPast: a decode that may read only so far pauses at
+// the first point it records past that bit, which is a point the
+// unpaused decode records too, unless the point closes its block; and
+// resumed, point by point, it gives what the unpaused decode gives,
+// points included.
+func TestPauseAtPointPast(t *testing.T) {
+	payloads := testPayloads(14, 300_000)
+	for _, tc := range []struct {
+		name  string
+		comp  []byte
+		every uint64
+	}{
+		{"text", gzipCompress(t, payloads["text"], 6), 5000},
+		{"huffman only", gzipCompress(t, payloads["base64"], gzip.HuffmanOnly), 3000},
+		{"runs, points at every element", gzipCompress(t, payloads["runs"], 9), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, want := pointsOf(t, tc.comp, tc.every)
+			if len(want.InBlock) < 4 {
+				t.Fatalf("%d points", len(want.InBlock))
+			}
+			// blockEnd reports whether nothing but the end of its block
+			// follows a point.
+			blockEnd := map[uint64]bool{want.TotalOut(): true}
+			for _, bs := range want.BlockStarts {
+				blockEnd[bs.DecompOffset] = true
+			}
+			step := max(len(want.InBlock)/7, 1)
+			for i := 0; i < len(want.InBlock); i += step {
+				for _, past := range []uint64{want.InBlock[i].Bit - 1, want.InBlock[i].Bit, want.InBlock[i].Bit + 1} {
+					var d Decoder
+					got, err := d.DecodeChunk(bitio.NewBitReaderBytes(tc.comp), ChunkConfig{
+						Stop: StopAtEOF, StartsAtGzipHeader: true, PointEvery: tc.every, PauseAtPointPast: past,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Paused {
+						n := len(got.InBlock)
+						if n == 0 || !reflect.DeepEqual(got.InBlock, want.InBlock[:n]) || got.EndBit != got.InBlock[n-1].Bit ||
+							got.TotalOut() != got.InBlock[n-1].DecompOffset || got.EndBit < past {
+							t.Fatalf("past %d: paused at bit %d, not at a point of the whole decode past it", past, got.EndBit)
+						}
+						for _, pt := range got.InBlock[:n-1] {
+							if pt.Bit >= past && !blockEnd[pt.DecompOffset] {
+								t.Fatalf("past %d: went on past the point at bit %d", past, pt.Bit)
+							}
+						}
+						if inBlock, header, _ := d.PausedIn(); !inBlock || header != got.InBlock[n-1].HeaderBit {
+							t.Fatalf("past %d: PausedIn = %v, %d at a point in the block at %d", past, inBlock, header, got.InBlock[n-1].HeaderBit)
+						}
+					}
+					for err == nil && got.Paused {
+						got, err = d.Resume(0)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Raw, want.Raw) || got.EndBit != want.EndBit || !reflect.DeepEqual(got.InBlock, want.InBlock) ||
+						!reflect.DeepEqual(got.BlockStarts, want.BlockStarts) || !reflect.DeepEqual(got.Members, want.Members) {
+						t.Fatalf("past %d: the decode resumed point by point differs from the whole", past)
+					}
+				}
+			}
+		})
+	}
+}

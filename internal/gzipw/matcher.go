@@ -40,23 +40,24 @@ const (
 )
 
 // levelParams mirror zlib's configuration table: how greedily to search
-// the hash chains per compression level.
+// the hash chains per compression level. zlib's good_length (cut the
+// chain short behind a good match) has no counterpart here.
 type levelParams struct {
-	good, lazy, nice, chain int
-	useLazy                 bool
+	lazy, nice, chain int
+	useLazy           bool
 }
 
 var levels = [10]levelParams{
 	{}, // 0 = stored only
-	{good: 4, lazy: 0, nice: 8, chain: 4},
-	{good: 4, lazy: 0, nice: 16, chain: 8},
-	{good: 4, lazy: 0, nice: 32, chain: 32},
-	{good: 4, lazy: 4, nice: 16, chain: 16, useLazy: true},
-	{good: 8, lazy: 16, nice: 32, chain: 32, useLazy: true},
-	{good: 8, lazy: 16, nice: 128, chain: 128, useLazy: true},
-	{good: 8, lazy: 32, nice: 128, chain: 256, useLazy: true},
-	{good: 32, lazy: 128, nice: 258, chain: 1024, useLazy: true},
-	{good: 32, lazy: 258, nice: 258, chain: 4096, useLazy: true},
+	{lazy: 0, nice: 8, chain: 4},
+	{lazy: 0, nice: 16, chain: 8},
+	{lazy: 0, nice: 32, chain: 32},
+	{lazy: 4, nice: 16, chain: 16, useLazy: true},
+	{lazy: 16, nice: 32, chain: 32, useLazy: true},
+	{lazy: 16, nice: 128, chain: 128, useLazy: true},
+	{lazy: 32, nice: 128, chain: 256, useLazy: true},
+	{lazy: 128, nice: 258, chain: 1024, useLazy: true},
+	{lazy: 258, nice: 258, chain: 4096, useLazy: true},
 }
 
 type matcher struct {

@@ -261,6 +261,14 @@ func (e *Engine) growStep() error {
 	e.mu.Unlock()
 	done, err := e.grower.GrowNext(e)
 	if err != nil {
+		// A decode that Close overtook reads from a closed source, which
+		// it may report as anything: the reader is told the engine closed.
+		e.mu.Lock()
+		closed := e.closed
+		e.mu.Unlock()
+		if closed {
+			return ErrClosed
+		}
 		return err
 	}
 	if done {

@@ -87,7 +87,7 @@ func TestWriteRangeToFirstRound(t *testing.T) {
 		if k, err := e.WriteRangeTo(context.Background(), &w, off, n); err != nil || k != n || !bytes.Equal(w.joined(), src[off:off+n]) {
 			t.Fatalf("WriteRangeTo = %d, %v; want %d right bytes", k, err, n)
 		}
-		if len(w.writes) != 2 || len(w.writes[0]) != firstRound {
+		if len(w.writes) != 2 || len(w.writes[0]) != FirstRound {
 			t.Fatalf("writes of %d bytes, want 32 KiB and then the rest", len(w.joined()))
 		}
 		codec.mu.Lock()
@@ -118,7 +118,7 @@ func TestWriteRangeToFirstRound(t *testing.T) {
 		if k, err := e.WriteTo(&w, 0); err != nil || k != int64(len(src)) || !bytes.Equal(w.joined(), src) {
 			t.Fatalf("WriteTo = %d, %v; want %d right bytes", k, err, len(src))
 		}
-		if len(w.writes[0]) != firstRound {
+		if len(w.writes[0]) != FirstRound {
 			t.Fatalf("first write of %d bytes, want 32 KiB", len(w.writes[0]))
 		}
 		codec.mu.Lock()
@@ -126,7 +126,7 @@ func TestWriteRangeToFirstRound(t *testing.T) {
 		for i := int64(0); i < 4; i++ {
 			want := [][2]int64{{0, span}}
 			if i == 0 {
-				want = [][2]int64{{0, firstRound}, {firstRound, span}}
+				want = [][2]int64{{0, FirstRound}, {FirstRound, span}}
 			}
 			if got := codec.calls[i*span]; !slices.Equal(got, want) {
 				t.Fatalf("span %d: decode calls %v, want %v", i, got, want)

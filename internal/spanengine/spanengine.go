@@ -817,13 +817,15 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// firstRound bounds how far into a range the first round of a ranged
+// FirstRound bounds how far into a range the first round of a ranged
 // write reaches, and how far the decodes that round starts go — for a
 // stream too. A cold span is then decoded only that far before the
 // range's first bytes go out (by a PrefixDecoder; other codecs decode
 // whole spans), and the next round continues the parked decode; a cached
-// span is written whole all the same.
-const firstRound = 32 << 10
+// span is written whole all the same. gzip sizes a cold file's first
+// span by it too (its first entry), so that a cold stream's first round
+// is one decode of that much.
+const FirstRound = 32 << 10
 
 // WriteRangeTo writes the decompressed bytes [off, off+n) to w, or those
 // of them before the end of the stream, and returns how many it wrote.
@@ -832,7 +834,7 @@ const firstRound = 32 << 10
 // into them, so a jump into a span decodes only its prefix, the strategy
 // and the access observer hear what they hear from ReadAt, and the
 // missing spans of a round decode side by side. The first round is
-// bounded (firstRound): even a stream's first bytes wait only for the
+// bounded (FirstRound): even a stream's first bytes wait only for the
 // decode of what that round reaches. w gets the content of each span
 // itself, not a copy, in one Write per span (two for a span not cached
 // as far as the first round reaches). A growing table grows as the walk
@@ -846,7 +848,7 @@ func (e *Engine) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (i
 		return 0, fmt.Errorf("spanengine: negative offset %d", off)
 	}
 	end := off + min(max(n, 0), math.MaxInt64-off)
-	limit := min(end, off+firstRound)
+	limit := min(end, off+FirstRound)
 	var buf [4]want // as in ReadAt
 	var written int64
 	for off < end {

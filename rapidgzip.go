@@ -76,6 +76,11 @@ type Stats struct {
 	// speculative tasks. It stays exactly zero when a complete index
 	// was imported: known chunk offsets make the finder unnecessary.
 	FinderProbes uint64
+	// FinderBytes counts the compressed bytes the block finder scanned,
+	// from the start of a guessed cell to the block start it found or to
+	// as far into the cell as a guess looks. Over the file size it is
+	// what speculation paid to find where chunks begin.
+	FinderBytes uint64
 	// OnDemandDecodes counts the frontier cells decoded without a guess:
 	// the first, whose block is known, and every cell whose guess was
 	// missing, failed or began elsewhere. The first cell counts once, though its

@@ -2,6 +2,7 @@ package rapidgzip
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"testing"
@@ -72,13 +73,15 @@ func (w *firstWrite) Write(p []byte) (int, error) {
 // calls a stream from its first access, makes its first Write after a
 // decode of what its bounded first round reaches, not of its first span
 // — clock-free, at one worker and two. A gzip span (BGZF, or gzip through
-// its index) pauses at the first element past 32 KiB; an LZ4 or zstd
-// frame without a content checksum at the first block boundary past it.
-// A frame with one goes out whole, checked before any of its bytes.
+// its index) pauses at the first element past 32 KiB, and a cold gzip
+// file's first entry is that long; an LZ4 or zstd frame without a
+// content checksum stops at the first block boundary past it. A frame
+// with one goes out whole, checked before any of its bytes.
 func TestFirstWriteWaitsForOneBlock(t *testing.T) {
 	const spanBytes = 256 << 10
 	plain := workloads.SilesiaLike(4*spanBytes, 4)
 	for _, tc := range []struct {
+		name    string // the row's, if empty
 		row     string
 		most    int  // the first Write's length at most
 		whole   bool // and at least
@@ -86,6 +89,7 @@ func TestFirstWriteWaitsForOneBlock(t *testing.T) {
 	}{
 		{row: "bgzf", most: 32<<10 + 258},
 		{row: "gzip", most: 32<<10 + 258, indexed: true},
+		{name: "gzip-cold", row: "gzip", most: 32<<10 + 258},
 		{row: "lz4-nochecksum", most: 64 << 10},   // the encoder's block
 		{row: "zstd-nochecksum", most: 128 << 10}, // the format's largest block
 		{row: "lz4", most: spanBytes, whole: true},
@@ -97,7 +101,7 @@ func TestFirstWriteWaitsForOneBlock(t *testing.T) {
 			opts = append(opts, WithIndexFile(fx.indexPath(t)))
 		}
 		for _, p := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/P%d", tc.row, p), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/P%d", cmp.Or(tc.name, tc.row), p), func(t *testing.T) {
 				a, err := fx.open("file", append(opts, WithParallelism(p))...)
 				if err != nil {
 					t.Fatal(err)
