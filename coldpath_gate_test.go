@@ -161,6 +161,10 @@ func TestSingleBlockDecodedOnce(t *testing.T) {
 		// points are a sixteenth of a chunk of output apart.
 		pastStop    = chunk/2 + chunk/16
 		finderBytes = 1_048_575 * 3 / 2
+		// A guess reads the cell behind what its finder scanned only for a
+		// candidate: 1.3944 source bytes per compressed byte, and 1.7425
+		// while every guess read its whole cell.
+		readRatio = 1.3944 * 1.05
 	)
 	fx := build(t, "gzip-single-block", workloads.SilesiaLike(16<<20, 1), chunk)
 	var indexes [][]byte
@@ -185,8 +189,9 @@ func TestSingleBlockDecodedOnce(t *testing.T) {
 		}
 		indexes = append(indexes, ix.Bytes())
 		decoded := float64(st.DecodedBytes) / float64(n)
-		t.Logf("P=%d: %d spans, %.4f decoded B per delivered B, %d evictions, %d guesses, %d finder bytes for %d compressed, a unit %d B past its stop at most",
-			p, spans, decoded, st.SpanCacheEvictions, st.GuessTasks, st.FinderBytes, len(fx.comp), gz.MaxPastStop)
+		read := float64(st.SourceBytesRead) / float64(len(fx.comp))
+		t.Logf("P=%d: %d spans, %.4f decoded B per delivered B, %d evictions, %d guesses, %d finder bytes for %d compressed, %.4f B read per compressed B, a unit %d B past its stop at most",
+			p, spans, decoded, st.SpanCacheEvictions, st.GuessTasks, st.FinderBytes, len(fx.comp), read, gz.MaxPastStop)
 		if decoded > 1.02 {
 			t.Errorf("P=%d: decoded %.4f B per delivered B, want <= 1.02", p, decoded)
 		}
@@ -198,6 +203,9 @@ func TestSingleBlockDecodedOnce(t *testing.T) {
 		}
 		if st.FinderBytes > finderBytes {
 			t.Errorf("P=%d: the finder scanned %d B, want <= %d", p, st.FinderBytes, finderBytes)
+		}
+		if read > readRatio {
+			t.Errorf("P=%d: read %.4f source B per compressed B, want <= %.4f", p, read, readRatio)
 		}
 	}
 	if !bytes.Equal(indexes[0], indexes[1]) {

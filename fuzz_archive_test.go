@@ -3,8 +3,10 @@ package rapidgzip
 import (
 	"bytes"
 	"compress/bzip2"
+	"compress/gzip"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/workloads"
@@ -109,4 +111,104 @@ func TestUnsizedZstdArchiveDifferential(t *testing.T) {
 		}
 		archiveDifferential(t, comp, plain, refOut, refErr, rand.New(rand.NewSource(int64(i))))
 	}
+}
+
+// gzipRows are the format table's gzip and BGZF rows, which
+// FuzzGzipArchive picks its compressor from.
+var gzipRows = []string{"gzip", "bgzf", "gzip-stdlib", "gzip-single-block"}
+
+// FuzzGzipArchive compresses data of a seeded kind with one of the
+// gzip rows, damages some, and reads it cold through the archive at a
+// chunk size from 64 B to 4 MiB, verifying, against compress/gzip over
+// the whole file: equal bytes with the checksums intact, or a failure on
+// both sides — a read error or a checksum mismatch. compress/gzip also
+// checks framing that no byte depends on (a member whose final-block bit
+// is cleared, where BGZF declares its size), so where it fails the
+// archive may instead serve the original bytes, every member's checksum
+// verified. A second read after a read error fails with the same error:
+// a unit that failed committed nothing. A pass that succeeds exports an
+// index that the import either refuses or serves the same bytes through.
+func FuzzGzipArchive(f *testing.F) {
+	f.Add(uint64(1), uint8(0), uint8(0), uint16(40000), uint32(1<<20), uint8(0), uint32(0))
+	f.Add(uint64(2), uint8(1), uint8(1), uint16(30000), uint32(4000), uint8(0), uint32(0))
+	f.Add(uint64(3), uint8(4), uint8(2), uint16(60000), uint32(0), uint8(0), uint32(0))       // zeros in 64 B chunks
+	f.Add(uint64(4), uint8(2), uint8(3), uint16(50000), uint32(8000), uint8(0), uint32(0))    // one block in small chunks
+	f.Add(uint64(5), uint8(0), uint8(0), uint16(20000), uint32(300), uint8(1), uint32(5000))  // truncated
+	f.Add(uint64(6), uint8(3), uint8(1), uint16(20000), uint32(700), uint8(2), uint32(3000))  // a bit flipped
+	f.Add(uint64(7), uint8(1), uint8(0), uint16(20000), uint32(2000), uint8(2), uint32(9000)) // in a payload
+	f.Add(uint64(8), uint8(0), uint8(0), uint16(0), uint32(0), uint8(0), uint32(0))           // empty input
+	// The flipped bit leaves an empty block behind the last byte, so the
+	// member ends in a span of no bytes.
+	f.Add(uint64(328), uint8(0), uint8(2), uint16(85), uint32(50), uint8(2), uint32(78))
+	// A BGZF member's ISIZE flipped to 0: the member's span has no bytes.
+	f.Add(uint64(1), uint8(0), uint8(1), uint16(1), uint32(86), uint8(2), uint32(25))
+	f.Fuzz(func(t *testing.T, seed uint64, kind, preset uint8, size uint16, chunk uint32, how uint8, where uint32) {
+		n := int(size)
+		var plain []byte
+		switch kind % 5 {
+		case 0:
+			plain = workloads.SilesiaLike(n, seed)
+		case 1:
+			plain = workloads.Base64(n, seed)
+		case 2:
+			plain = workloads.FASTQ(n, seed)
+		case 3:
+			plain = workloads.Random(n, seed)
+		default:
+			plain = make([]byte, n)
+		}
+		comp := damage(compress(t, gzipRows[int(preset)%len(gzipRows)], plain, 0), how, where)
+		var refOut []byte
+		zr, refErr := gzip.NewReader(bytes.NewReader(comp))
+		if refErr == nil {
+			refOut, refErr = io.ReadAll(zr)
+		}
+		opts := []Option{WithChunkSize(64 + int(chunk%(4<<20-63))), WithVerify(true), WithParallelism(2)}
+		a, err := OpenBytes(comp, opts...)
+		if err != nil {
+			// A BGZF file is opened through the chain of its members' sizes,
+			// which compress/gzip does not read: one whose chain is broken is
+			// refused, as a BGZF reader refuses it.
+			if refErr == nil && !strings.Contains(err.Error(), "BGZF") {
+				t.Fatalf("OpenBytes failed on a file compress/gzip decodes: %v", err)
+			}
+			return
+		}
+		defer a.Close()
+		var out bytes.Buffer
+		_, err = a.WriteTo(&out)
+		ok, _ := a.(interface{ CRCVerified() (bool, uint64) }).CRCVerified()
+		switch {
+		case refErr == nil && (err != nil || !ok || !bytes.Equal(out.Bytes(), refOut)):
+			t.Fatalf("cold pass = %d bytes, %v, checksums intact %v; compress/gzip decodes %d", out.Len(), err, ok, len(refOut))
+		case refErr != nil && err == nil && ok && !bytes.Equal(out.Bytes(), plain):
+			t.Fatalf("cold pass decoded %d bytes with intact checksums of a file compress/gzip rejects: %v", out.Len(), refErr)
+		}
+		if err != nil {
+			if _, again := a.WriteTo(io.Discard); again == nil || again.Error() != err.Error() {
+				t.Fatalf("a read after the failure %q failed with %v", err, again)
+			}
+			return
+		}
+		if !ok {
+			return
+		}
+		var ix bytes.Buffer
+		if err := a.ExportIndex(&ix); err != nil {
+			t.Fatalf("export after a sound pass: %v", err)
+		}
+		back, err := OpenBytes(comp, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer back.Close()
+		if back.ImportIndex(&ix) != nil {
+			return
+		}
+		var again bytes.Buffer
+		_, err = back.WriteTo(&again)
+		if ok, _ := back.(interface{ CRCVerified() (bool, uint64) }).CRCVerified(); err != nil || !ok || !bytes.Equal(again.Bytes(), out.Bytes()) {
+			t.Fatalf("through the exported index: %d bytes, %v, checksums intact %v", again.Len(), err, ok)
+		}
+	})
 }

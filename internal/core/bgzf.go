@@ -35,37 +35,26 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 	var decomp uint64
 	groupStart := int64(0)
 	groupDecomp := uint64(0)
-	var groupMembers []memberMark
+	var groupMarks []gzindex.MemberEnd
 
-	flush := func(end int64, endDecomp uint64, eof bool) error {
-		m := spanMeta{
-			startBit:      uint64(groupStart) * 8,
-			endBit:        uint64(end) * 8,
-			startDecomp:   groupDecomp,
-			size:          endDecomp - groupDecomp,
-			atMemberStart: true,
-			endIsEOF:      eof,
-			members:       groupMembers,
-		}
-		groupMembers = nil
+	flush := func(end int64, endDecomp uint64) error {
+		bit := uint64(groupStart) * 8
 		if err := c.index.Add(gzindex.SeekPoint{
-			CompressedBitOffset: m.startBit,
-			UncompressedOffset:  m.startDecomp,
+			CompressedBitOffset: bit,
+			UncompressedOffset:  groupDecomp,
 			AtMemberStart:       true,
 		}, nil); err != nil {
 			return err
 		}
-		for _, mm := range m.members {
-			c.index.AddMemberEnd(m.startBit,
-				gzindex.MemberEnd{RelEnd: mm.absEnd - m.startDecomp, CRC32: mm.crc})
+		for _, m := range groupMarks {
+			c.index.AddMemberEnd(bit, m)
 		}
-		c.byOff[groupStart] = len(c.metas)
-		c.metas = append(c.metas, m)
+		groupMarks = nil
 		spans = append(spans, spanengine.Span{
 			CompOff:    groupStart,
 			CompEnd:    end,
-			DecompOff:  int64(m.startDecomp),
-			DecompSize: int64(m.size),
+			DecompOff:  int64(groupDecomp),
+			DecompSize: int64(endDecomp - groupDecomp),
 		})
 		groupStart = end
 		groupDecomp = endDecomp
@@ -103,21 +92,21 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 		win = footer[8:]
 		isize := uint64(binary.LittleEndian.Uint32(footer[4:]))
 		if isize > 0 && decomp-groupDecomp >= uint64(c.cfg.ChunkSize) {
-			if err := flush(pos, decomp, false); err != nil {
+			if err := flush(pos, decomp); err != nil {
 				return spanengine.ScanResult{}, err
 			}
 		}
 		decomp += isize
-		groupMembers = append(groupMembers, memberMark{
-			absEnd: decomp,
-			crc:    binary.LittleEndian.Uint32(footer[:4]),
+		groupMarks = append(groupMarks, gzindex.MemberEnd{
+			RelEnd: decomp - groupDecomp,
+			CRC32:  binary.LittleEndian.Uint32(footer[:4]),
 		})
 		pos = memberEnd
 	}
 	if pos != fileSize {
 		return spanengine.ScanResult{}, fmt.Errorf("core: BGZF members end at %d, file has %d bytes", pos, fileSize)
 	}
-	if err := flush(pos, decomp, true); err != nil {
+	if err := flush(pos, decomp); err != nil {
 		return spanengine.ScanResult{}, err
 	}
 	c.eof = true

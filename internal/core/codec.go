@@ -15,32 +15,6 @@ import (
 	"repro/internal/spanengine"
 )
 
-// spanMeta is the gzip-side metadata of one span-engine table entry:
-// the exact bit extent (the span table itself only keeps byte extents),
-// the window bookkeeping, and the member marks needed for CRC
-// verification.
-type spanMeta struct {
-	startBit, endBit  uint64
-	startDecomp, size uint64
-	// headerBit, when nonzero, is the bit of the header of the Huffman
-	// block the entry starts inside of: startBit is an element's.
-	headerBit     uint64
-	atMemberStart bool
-	endIsEOF      bool
-	// members records every gzip member end inside (or at the end of)
-	// this entry, captured when the entry was confirmed. Re-decodes of
-	// the entry verify against these marks.
-	members []memberMark
-}
-
-// memberMark is the footer of a member ending inside a confirmed entry:
-// the absolute decompressed offset where the member ends and the CRC32
-// its footer declares.
-type memberMark struct {
-	absEnd uint64
-	crc    uint32
-}
-
 // gzipCodec is the deflate chunk pipeline expressed as a
 // spanengine.GrowingCodec: the engine owns the cache, the prefetch
 // strategy and the speculation past the frontier — which cells are
@@ -57,12 +31,14 @@ type gzipCodec struct {
 	bgzf     bool
 	cnt      *counters
 
-	// mu guards the chunk geometry. Lock order: an engine-mutex holder
-	// may take mu (Slot); crcMu holders may take mu (SpanAccessed).
-	// Nothing holding mu may call engine methods.
+	// mu guards the chunk geometry: the seek-point index and the frontier
+	// behind its last point, which are the span table. Span i is point i
+	// and ends at point i+1, or at the frontier for the last point (at the
+	// end of the file once eof is set); its member marks are the point's.
+	// Lock order: an engine-mutex holder may take mu (Slot); crcMu holders
+	// may take mu (SpanAccessed). Nothing holding mu may call engine
+	// methods.
 	mu             sync.Mutex
-	metas          []spanMeta
-	byOff          map[int64]int // span CompOff -> metas index
 	index          *gzindex.Index
 	frontierBit    uint64
 	frontierDecomp uint64
@@ -99,7 +75,6 @@ func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, b
 		fileBits: uint64(src.Size()) * 8,
 		bgzf:     bgzf,
 		cnt:      cnt,
-		byOff:    map[int64]int{},
 		index:    gzindex.New(cfg.ChunkSize),
 		consumed: map[int]bool{},
 		// The first entry is what a stream's first round asks for, or a
@@ -177,15 +152,17 @@ const pointsPerChunk = 16
 // which needs the whole result, is taken when the span completes. Safe
 // for concurrent calls on different spans.
 func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Span, parked any, upTo int64) ([]byte, any, error) {
+	// A span's point is the last at its offset: only a span of no bytes,
+	// which nothing decodes, shares its offset with the point after it.
 	c.mu.Lock()
-	i, ok := c.byOff[s.CompOff]
-	if !ok || int64(c.metas[i].startDecomp) != s.DecompOff {
-		c.mu.Unlock()
-		return nil, nil, fmt.Errorf("core: no chunk metadata for span at byte %d", s.CompOff)
-	}
-	m := c.metas[i]
+	i, _ := c.index.Find(uint64(s.DecompOff))
+	p, next, endIsEOF := c.spanLocked(i)
 	c.mu.Unlock()
+	if p.UncompressedOffset != uint64(s.DecompOff) {
+		return nil, nil, fmt.Errorf("core: no seek point at offset %d", s.DecompOff)
+	}
 
+	size := uint64(s.DecompSize)
 	var res *deflate.ChunkResult
 	var err error
 	dec, _ := parked.(*deflate.Decoder)
@@ -193,16 +170,16 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 		res, err = dec.Resume(uint64(upTo))
 	} else {
 		dec = new(deflate.Decoder)
-		res, err = c.startSpan(dec, m, upTo)
+		res, err = c.startSpan(dec, p, next.CompressedBitOffset, endIsEOF, size, uint64(upTo))
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d: %w", m.startBit, err)
+		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d: %w", p.CompressedBitOffset, err)
 	}
-	if n := res.TotalOut(); n < uint64(upTo) || n > m.size {
+	if n := res.TotalOut(); n < uint64(upTo) || n > size {
 		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d decoded %d bytes, index says %d",
-			m.startBit, n, m.size)
+			p.CompressedBitOffset, n, size)
 	}
-	if res.TotalOut() < m.size {
+	if res.TotalOut() < size {
 		return res.Raw, dec, nil
 	}
 
@@ -212,13 +189,35 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 	return res.Raw, nil, nil
 }
 
-// startSpan begins the decode of one confirmed entry at its seek point,
-// bounded by upTo bytes of output.
-func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*deflate.ChunkResult, error) {
+// spanLocked returns span i: point i, where the span ends — point i+1,
+// or for the last point the frontier as a point — and whether that is
+// the end of the file. Caller holds c.mu.
+func (c *gzipCodec) spanLocked(i int) (p, next gzindex.SeekPoint, endIsEOF bool) {
+	if i+1 < c.index.Len() {
+		return c.index.Point(i), c.index.Point(i + 1), false
+	}
+	return c.index.Point(i), gzindex.SeekPoint{CompressedBitOffset: c.frontierBit, UncompressedOffset: c.frontierDecomp}, c.eof
+}
+
+// engineSpan is the span the engine keeps for seek point p, which ends
+// at next: the byte extents and sizes of what the index has in bits.
+func engineSpan(p, next gzindex.SeekPoint) spanengine.Span {
+	return spanengine.Span{
+		CompOff:    int64(p.CompressedBitOffset / 8),
+		CompEnd:    int64(next.CompressedBitOffset / 8),
+		DecompOff:  int64(p.UncompressedOffset),
+		DecompSize: int64(next.UncompressedOffset - p.UncompressedOffset),
+	}
+}
+
+// startSpan begins the decode of the span of size bytes at point p,
+// which ends at endBit (at the end of the file if endIsEOF), bounded by
+// upTo bytes of output.
+func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, endBit uint64, endIsEOF bool, size, upTo uint64) (*deflate.ChunkResult, error) {
 	c.mu.Lock()
-	win, hasWin := c.index.Window(m.startBit)
+	win, hasWin := c.index.Window(p.CompressedBitOffset)
 	c.mu.Unlock()
-	if !hasWin && !m.atMemberStart {
+	if !hasWin && !p.AtMemberStart {
 		return nil, errors.New("no window for chunk")
 	}
 	var window []byte
@@ -231,20 +230,20 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*de
 		}
 	}
 	fileSize := int64(c.fileBits / 8)
-	byteStart := int64(m.startBit / 8)
+	byteStart := int64(p.CompressedBitOffset / 8)
 	// The decoder reads the next block's header fields before checking
 	// the stop condition (up to ~6 bytes past the entry for a stored
 	// block's LEN/NLEN), so the read window carries a small slack margin
 	// past the entry's last bit.
-	byteEnd := int64((m.endBit+7)/8) + 64
-	if m.endIsEOF || byteEnd > fileSize {
+	byteEnd := int64((endBit+7)/8) + 64
+	if endIsEOF || byteEnd > fileSize {
 		byteEnd = fileSize
 	}
 	// Bit offsets are relative to what the reader is over: the extent's
 	// buffer for a whole span, the file for a prefix.
 	var br *bitio.BitReader
 	base := uint64(0)
-	if uint64(upTo) == m.size {
+	if upTo == size {
 		buf, release, err := filereader.Extent(c.src, byteStart, byteEnd)
 		if err != nil {
 			return nil, err
@@ -254,32 +253,32 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*de
 	} else {
 		br = bitio.NewBitReaderSize(c.src, byteEnd, prefixWindow)
 	}
-	stop := m.endBit - base
-	if m.endIsEOF {
+	stop := endBit - base
+	if endIsEOF {
 		stop = deflate.StopAtEOF
 	}
 	// A point inside a block reads its block's header again, with one
 	// small read: it lies before the extent, as far back as the block is
 	// long.
 	var header *bitio.BitReader
-	if m.headerBit != 0 {
+	if p.BlockHeaderBit != 0 {
 		header = bitio.NewBitReaderSize(c.src, fileSize, blockHeaderRead)
-		if err := header.SeekBits(m.headerBit); err != nil {
+		if err := header.SeekBits(p.BlockHeaderBit); err != nil {
 			return nil, err
 		}
 	}
 	return dec.DecodeChunk(br, deflate.ChunkConfig{
-		Start:              m.startBit - base,
+		Start:              p.CompressedBitOffset - base,
 		Header:             header,
 		Stop:               stop,
 		StopBeforeMember:   stop,
 		Window:             window,
-		StartsAtGzipHeader: m.atMemberStart,
-		SizeHint:           int(m.size),
+		StartsAtGzipHeader: p.AtMemberStart,
+		SizeHint:           int(size),
 		// The block at the entry's end bit need not be stop-eligible
 		// (sharded writers can open the next shard with a final or
 		// Fixed block); the index size bounds the decode instead.
-		StopAtOutput: uint64(upTo),
+		StopAtOutput: upTo,
 	})
 }
 
@@ -288,11 +287,13 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, m spanMeta, upTo int64) (*de
 // GrowNext confirms the next decode unit: it obtains the result for the
 // exact frontier offset (the engine's guess, or an on-demand decode),
 // propagates the window serially, verifies member sizes, splits
-// oversized units into index entries, appends the resulting spans, and
+// oversized units into seek points, appends the resulting spans, and
 // primes their contents — paper Figure 4 steps 5-6, with the engine's
 // tentative store playing the role of the result cache keyed by exact
 // start offset. A unit whose decode paused (see firstEntry) is confirmed
-// as far as it went, and the next call decodes on from there.
+// as far as it went, and the next call decodes on from there. Everything
+// the unit adds is worked out first and committed at once: a unit that
+// fails leaves the codec as it found it, so a retry fails the same way.
 func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	c.mu.Lock()
 	if c.eof {
@@ -300,8 +301,8 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 		return true, nil
 	}
 	E, header, paused := c.frontierBit, c.frontierHeader, c.paused
-	atMember := len(c.metas) == 0 // unit 0 starts at the gzip header
-	window := c.frontierWindow
+	atMember := c.index.Len() == 0 // unit 0 starts at the gzip header
+	window, decomp, memberStart := c.frontierWindow, c.frontierDecomp, c.memberStart
 	c.mu.Unlock()
 
 	// The unit ends at the first stop-eligible block at or past the end of
@@ -323,87 +324,71 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 		return false, fmt.Errorf("core: window propagation: %w", err)
 	}
 
-	c.mu.Lock()
 	// ISIZE verification for every member ending inside this unit.
 	for i := range res.Members {
 		ev := &res.Members[i]
-		absEnd := c.frontierDecomp + ev.DecompOffset
-		size := absEnd - c.memberStart
-		if uint32(size) != ev.Footer.ISize {
-			c.mu.Unlock()
+		absEnd := decomp + ev.DecompOffset
+		if size := absEnd - memberStart; uint32(size) != ev.Footer.ISize {
 			return false, fmt.Errorf("core: gzip ISIZE mismatch at offset %d: footer %d, decoded %d",
 				absEnd, ev.Footer.ISize, uint32(size))
 		}
-		c.memberStart = absEnd
+		memberStart = absEnd
 	}
 
-	// Record the unit, splitting oversized outputs into multiple index
-	// entries so decompressed chunk sizes stay comparable (§1.4). Every
-	// entry's window is resolved before any entry is recorded: a split
-	// point whose window does not resolve fails the unit as a whole.
-	unitStart := len(c.metas)
+	// Cut the unit into seek points, one about every ChunkSize of output
+	// so that decompressed chunk sizes stay comparable (§1.4), each with
+	// its window, its member marks and its span. A member ending at
+	// decompressed offset X belongs to the point whose span (start,
+	// start+size] holds X; one ending right at the unit start, to the
+	// first.
 	splits := c.splitPoints(res)
-	unit := make([]spanMeta, len(splits))
+	points := make([]gzindex.SeekPoint, len(splits))
 	windows := make([][]byte, len(splits))
-	startBit, headerBit := E, header
-	startDecomp := c.frontierDecomp
-	for i, sp := range splits {
-		unit[i] = spanMeta{
-			startBit:      startBit,
-			endBit:        sp.endBit,
-			startDecomp:   startDecomp,
-			size:          c.frontierDecomp + sp.endDecomp - startDecomp,
-			headerBit:     headerBit,
-			atMemberStart: unitStart == 0 && startBit == 0,
-		}
-		if windows[i], err = c.windowForLocked(unit[i], res, window); err != nil {
-			c.mu.Unlock()
-			return false, err
-		}
-		startBit, headerBit = sp.endBit, sp.headerBit
-		startDecomp = c.frontierDecomp + sp.endDecomp
-	}
-	for i, m := range unit {
-		if err := c.index.Add(gzindex.SeekPoint{
-			CompressedBitOffset: m.startBit,
-			UncompressedOffset:  m.startDecomp,
-			AtMemberStart:       m.atMemberStart,
-			BlockHeaderBit:      m.headerBit,
-		}, windows[i]); err != nil {
-			c.mu.Unlock()
-			return false, err
-		}
-		c.metas = append(c.metas, m)
-	}
-	c.metas[len(c.metas)-1].endIsEOF = res.EndIsEOF
-	c.recordMemberMarksLocked(unitStart, res)
-
-	// Byte-partition the unit into engine spans. Entry boundaries are
-	// bit offsets; the span table carries byte extents, keyed back to
-	// the metadata by the start byte (distinct for any realistic chunk
-	// size: deflate's ~1032x ratio cap keeps entries > 1 byte apart).
+	marks := make([][]gzindex.MemberEnd, len(splits))
+	spans := make([]spanengine.Span, len(splits))
 	fileSize := int64(c.fileBits / 8)
-	spans := make([]spanengine.Span, 0, len(c.metas)-unitStart)
-	for i := unitStart; i < len(c.metas); i++ {
-		m := &c.metas[i]
-		compEnd := int64(m.endBit / 8)
-		if m.endIsEOF {
-			compEnd = fileSize
+	members := res.Members
+	p := gzindex.SeekPoint{CompressedBitOffset: E, UncompressedOffset: decomp, AtMemberStart: atMember, BlockHeaderBit: header}
+	for i, sp := range splits {
+		next := gzindex.SeekPoint{CompressedBitOffset: sp.endBit, UncompressedOffset: decomp + sp.endDecomp, BlockHeaderBit: sp.headerBit}
+		// Windows are copies, as whatever outlives the result is (see the
+		// package doc).
+		if rel := p.UncompressedOffset - decomp; rel == 0 && !p.AtMemberStart {
+			windows[i] = append([]byte{}, window...)
+		} else if rel > 0 {
+			if windows[i], err = res.WindowAt(rel, window); err != nil {
+				// A window-less seek point would only fail much later, as "no
+				// window for chunk" on random access or after an index export.
+				return false, fmt.Errorf("core: window at split point %d: %w", p.UncompressedOffset, err)
+			}
 		}
-		s := spanengine.Span{
-			CompOff:    int64(m.startBit / 8),
-			CompEnd:    compEnd,
-			DecompOff:  int64(m.startDecomp),
-			DecompSize: int64(m.size),
+		for len(members) > 0 && (decomp+members[0].DecompOffset <= next.UncompressedOffset || i == len(splits)-1) {
+			marks[i] = append(marks[i], gzindex.MemberEnd{
+				RelEnd: decomp + members[0].DecompOffset - p.UncompressedOffset,
+				CRC32:  members[0].Footer.CRC32,
+			})
+			members = members[1:]
 		}
-		if _, dup := c.byOff[s.CompOff]; dup {
-			c.mu.Unlock()
-			return false, fmt.Errorf("core: two chunk entries share start byte %d (chunk size too small)", s.CompOff)
+		points[i], spans[i] = p, engineSpan(p, next)
+		if res.EndIsEOF && i == len(splits)-1 {
+			spans[i].CompEnd = fileSize
 		}
-		c.byOff[s.CompOff] = i
-		spans = append(spans, s)
+		p = next
 	}
 
+	c.mu.Lock()
+	n := c.index.Len()
+	for i, pt := range points {
+		if err := c.index.Add(pt, windows[i]); err != nil {
+			c.index.Truncate(n)
+			c.mu.Unlock()
+			return false, err
+		}
+		for _, m := range marks[i] {
+			c.index.AddMemberEnd(pt.CompressedBitOffset, m)
+		}
+	}
+	c.memberStart = memberStart
 	c.frontierWindow = newWindow
 	c.frontierBit, c.frontierHeader, c.paused = res.EndBit, pausedIn, res.Paused
 	c.long = pausedIn != 0 && res.EndBit >= stop+c.capBits()
@@ -415,6 +400,7 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 		c.index.UncompressedSize = c.frontierDecomp
 	}
 	c.mu.Unlock()
+	c.chainEmpty() // it may stand at a span of no bytes this unit added
 
 	base := e.AppendSpans(spans...)
 	// Dispatch this unit's full marker replacement to the pool right
@@ -541,7 +527,7 @@ func (c *gzipCodec) Slot(_ *spanengine.Engine, cand uint64) (uint64, bool) {
 		return 0, false
 	}
 	cb := c.chunkBits()
-	n, cell := uint64(len(c.metas)), c.frontierBit/cb
+	n, cell := uint64(c.index.Len()), c.frontierBit/cb
 	if c.paused {
 		n, cell = 0, 0
 	}
@@ -583,9 +569,11 @@ const guessSlack = 64 << 10
 const guessScan = 256 << 10
 
 // guessTask searches cell g for a block start and decodes from it with
-// markers (paper Figure 4, steps 4-5). The cell is read once: the
-// decoder works on the bytes the finder scanned. It runs on a worker
-// goroutine and touches no mutable codec state.
+// markers (paper Figure 4, steps 4-5). The cell is read once, and only
+// as far as the guess gets: the finder's bytes first, the rest of the
+// cell and the slack behind it once the finder has a candidate for the
+// decoder, which works on the bytes the finder scanned. It runs on a
+// worker goroutine and touches no mutable codec state.
 func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 	cb := c.chunkBits()
 	base := g * cb
@@ -593,15 +581,39 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 	end := min(stop, c.fileBits)
 	fileSize := int64(c.fileBits / 8)
 	bufEnd := min(int64((end+7)/8)+guessSlack, fileSize)
-	buf, release, err := filereader.Extent(c.src, int64(base/8), bufEnd)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
 	// The finder sees what it may scan and a block header's length more,
 	// so that a candidate right below the limit still parses whole.
 	scanEnd := min(end-base, guessScan*8)
-	scanned := buf[:min(len(buf), int(scanEnd/8)+blockHeaderRead)]
+	// The cell is read from its front as far as the guess gets, each byte
+	// once: into one pooled buffer, or sliced from a memory-backed file.
+	off := int64(base / 8)
+	mem, inMem := filereader.Bytes(c.src)
+	bp := cellBuffers.Get().(*[]byte)
+	defer cellBuffers.Put(bp)
+	if !inMem && int64(cap(*bp)) < bufEnd-off {
+		*bp = make([]byte, bufEnd-off)
+	}
+	var buf []byte
+	readTo := func(to int64) error {
+		from := off + int64(len(buf))
+		if from >= to {
+			return nil
+		}
+		if inMem {
+			buf = mem[off:to]
+			_, _, err := filereader.Extent(c.src, from, to) // counted, not copied
+			return err
+		}
+		buf = (*bp)[:to-off]
+		if n, err := c.src.ReadAt(buf[from-off:], from); n < int(to-from) {
+			return fmt.Errorf("core: %w: cell [%d,%d): %w", filereader.ErrIO, from, to, err)
+		}
+		return nil
+	}
+	if err := readTo(min(off+int64(scanEnd/8)+blockHeaderRead, bufEnd)); err != nil {
+		return nil, err
+	}
+	scanned := buf
 	finder := blockfinder.NewCombinedFinder()
 	var dec deflate.Decoder
 	cfg := deflate.ChunkConfig{
@@ -619,6 +631,9 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 			return nil, errNoBlock
 		}
 		c.cnt.finderBytes.Add((cand - searchFrom) / 8)
+		if err := readTo(bufEnd); err != nil {
+			return nil, err
+		}
 		// While decoding from buf, bit offsets are relative to it.
 		br := bitio.NewBitReaderBytes(buf)
 		cfg.Start, cfg.Stop = cand, stop-base
@@ -641,6 +656,9 @@ func (c *gzipCodec) guessTask(g uint64) (*deflate.ChunkResult, error) {
 		searchFrom = cand + 1
 	}
 }
+
+// cellBuffers recycles the buffers guesses read file-backed cells into.
+var cellBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
 // rebase moves every bit offset of a result decoded from a buffer that
 // starts at bit base of the file into file coordinates.
@@ -715,49 +733,6 @@ func (c *gzipCodec) splitPoints(res *deflate.ChunkResult) []splitPoint {
 	return append(out, splitPoint{endBit: res.EndBit, endDecomp: total})
 }
 
-// windowForLocked computes the stored window for an index entry of the
-// unit currently being confirmed. unitWindow is the frontier window at
-// the unit start. Caller holds c.mu.
-func (c *gzipCodec) windowForLocked(m spanMeta, res *deflate.ChunkResult, unitWindow []byte) ([]byte, error) {
-	if m.atMemberStart {
-		return nil, nil
-	}
-	if m.startDecomp == c.frontierDecomp {
-		w := make([]byte, len(unitWindow))
-		copy(w, unitWindow)
-		return w, nil
-	}
-	w, err := res.WindowAt(m.startDecomp-c.frontierDecomp, unitWindow)
-	if err != nil {
-		// A window-less seek point would only fail much later, as "no
-		// window for chunk" on random access or after an index export.
-		return nil, fmt.Errorf("core: window at split point %d: %w", m.startDecomp, err)
-	}
-	return w, nil
-}
-
-// recordMemberMarksLocked distributes the footer events of a freshly
-// confirmed decode unit over its entries [unitStart, len(metas)). A
-// member ending at decompressed offset X belongs to the entry whose
-// span (start, start+size] contains X; the zero-length edge case (a
-// member boundary exactly at the unit start) attaches to the first
-// entry. Caller holds c.mu; the frontier has not advanced yet.
-func (c *gzipCodec) recordMemberMarksLocked(unitStart int, res *deflate.ChunkResult) {
-	e := unitStart
-	for i := range res.Members {
-		absEnd := c.frontierDecomp + res.Members[i].DecompOffset
-		for e < len(c.metas)-1 && absEnd > c.metas[e].startDecomp+c.metas[e].size {
-			e++
-		}
-		crc := res.Members[i].Footer.CRC32
-		c.metas[e].members = append(c.metas[e].members, memberMark{absEnd: absEnd, crc: crc})
-		// Mirror the mark into the index so an export→import round trip
-		// restores it (and with it, full member verification).
-		c.index.AddMemberEnd(c.metas[e].startBit,
-			gzindex.MemberEnd{RelEnd: absEnd - c.metas[e].startDecomp, CRC32: crc})
-	}
-}
-
 // --- consumption-order CRC chain -----------------------------------------
 
 // SpanAccessed is the engine's consumption callback: it counts distinct
@@ -782,25 +757,60 @@ func (c *gzipCodec) SpanAccessed(i int, data []byte) {
 		c.crcBroken = true
 		return
 	}
-	c.mu.Lock()
-	m := c.metas[i]
-	c.mu.Unlock()
-	// The marks are in order and inside the span: the decode recorded
-	// them, or the index reader checked them.
-	from := uint64(0)
-	for _, mm := range m.members {
-		end := mm.absEnd - m.startDecomp
-		c.crcAcc = crc32x.Update(c.crcAcc, data[from:end])
-		from = end
-		if c.crcAcc != mm.crc {
-			c.crcBroken = true
-			c.cnt.crcFailures.Add(1)
+	c.chainLocked(i, data)
+}
+
+// chainLocked runs the CRC chain over span i, whose bytes are data, and
+// then over the spans of no bytes behind it. The engine hands none of
+// those to a reader, and yet a member can end in one: a footer behind the
+// last byte of a file, after an empty final block. Caller holds c.crcMu.
+func (c *gzipCodec) chainLocked(i int, data []byte) {
+	for ; ; i, data = i+1, nil {
+		c.mu.Lock()
+		p := c.index.Point(i)
+		marks := c.index.MemberEnds(p.CompressedBitOffset)
+		c.mu.Unlock()
+		// The marks are in order and inside the span: the decode recorded
+		// them, or the index reader checked them.
+		from := uint64(0)
+		for _, m := range marks {
+			c.crcAcc = crc32x.Update(c.crcAcc, data[from:m.RelEnd])
+			from = m.RelEnd
+			if c.crcAcc != m.CRC32 {
+				c.crcBroken = true
+				c.cnt.crcFailures.Add(1)
+				return
+			}
+			c.crcAcc = 0
+		}
+		c.crcAcc = crc32x.Update(c.crcAcc, data[from:])
+		c.crcNext = i + 1
+		if !c.emptyLocked(i + 1) {
 			return
 		}
-		c.crcAcc = 0
 	}
-	c.crcAcc = crc32x.Update(c.crcAcc, data[from:])
-	c.crcNext = i + 1
+}
+
+// emptyLocked reports whether span i is in the table and covers no
+// bytes. Caller holds c.crcMu.
+func (c *gzipCodec) emptyLocked(i int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i >= c.index.Len() {
+		return false
+	}
+	p, next, _ := c.spanLocked(i)
+	return next.UncompressedOffset == p.UncompressedOffset
+}
+
+// chainEmpty runs the CRC chain on from a span of no bytes it has come
+// to stand at as the table grew, since no reader is handed that span.
+func (c *gzipCodec) chainEmpty() {
+	c.crcMu.Lock()
+	defer c.crcMu.Unlock()
+	if c.cfg.VerifyChecksums && !c.crcBroken && c.emptyLocked(c.crcNext) {
+		c.chainLocked(c.crcNext, nil)
+	}
 }
 
 // crcStatus reports (verifiedSoFar, failures).

@@ -135,7 +135,7 @@ func TestLongBlockUnitsPause(t *testing.T) {
 		t.Fatalf("cold ReadAt halfway: %d bytes, %v", n, err)
 	}
 	r.codec.mu.Lock()
-	long, spans := r.codec.long, uint64(len(r.codec.metas))
+	long, spans := r.codec.long, uint64(r.codec.index.Len())
 	r.codec.mu.Unlock()
 	if !long {
 		t.Fatal("halfway through the block, the frontier is not paused in it")

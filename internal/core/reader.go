@@ -18,6 +18,17 @@
 // and no Read: positions are the caller's (the root package's archive
 // keeps the one there is), reads go to Engine().
 //
+// One table. The seek-point index (gzindex) is the codec's only
+// description of its spans, keyed by exact bit offsets as the paper keys
+// its chunks: span i of the engine's table is point i, it ends at point
+// i+1 or, for the last point, at the frontier (the end of the file once
+// the file is confirmed), and its member marks are the point's. The
+// engine's spans carry byte extents and sizes for the engine alone; the
+// codec finds a span's point by its decompressed offset. A unit the
+// frontier confirms adds its points, windows, marks and spans at once,
+// or nothing, and an export writes the index as it stands, with no
+// second copy of the table.
+//
 // Buffer ownership. A chunk result's Marked and Raw are scratch from
 // deflate's free lists, and a result has one owner at a time: the guess
 // that decodes it, then the engine's tentative store it is parked in,
@@ -241,6 +252,7 @@ func NewReader(src filereader.FileReader, cfg Config) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.codec.chainEmpty()
 	return r, nil
 }
 
@@ -275,6 +287,21 @@ func (r *Reader) install(ix *gzindex.Index) error {
 	if !ix.MemberMarksComplete {
 		return fmt.Errorf("core: %w: gzip index without complete member marks; re-export it", gzindex.ErrUnsupportedVersion)
 	}
+	// A last point that covers no bytes (the EOF member alone, as BGZF
+	// sidecars of earlier versions record it) joins the one before it,
+	// member marks included: no span is empty but an empty file's.
+	if n := ix.Len(); n > 1 && ix.Point(n-1).UncompressedOffset == ix.UncompressedSize {
+		last, prev := ix.Point(n-1), ix.Point(n-2)
+		marks := ix.MemberEnds(last.CompressedBitOffset)
+		ix.Truncate(n - 1)
+		for _, m := range marks {
+			m.RelEnd += last.UncompressedOffset - prev.UncompressedOffset
+			ix.AddMemberEnd(prev.CompressedBitOffset, m)
+		}
+	}
+	// The points are the span table; a checkpoint section that older
+	// exports carry repeats it and is dropped.
+	ix.Checkpoints = nil
 	c := newGzipCodec(r.cfg, r.file, &r.cnt, r.bgzf)
 	c.index = ix
 	c.eof = true
@@ -285,63 +312,16 @@ func (r *Reader) install(ix *gzindex.Index) error {
 	// that has failed verification.
 	c.crcBroken = r.cnt.crcFailures.Load() > 0
 
-	// A last point that covers no bytes (the EOF member alone, as BGZF
-	// sidecars of earlier versions record it) joins the one before it,
-	// member marks included: no span is empty but an empty file's.
-	n := ix.Len()
-	if n > 1 && ix.Point(n-1).UncompressedOffset == ix.UncompressedSize {
-		n--
-	}
-	c.metas = make([]spanMeta, n)
-	spans := make([]spanengine.Span, n)
-	for i := range c.metas {
-		p := ix.Point(i)
-		m := spanMeta{
-			startBit:      p.CompressedBitOffset,
-			startDecomp:   p.UncompressedOffset,
-			headerBit:     p.BlockHeaderBit,
-			atMemberStart: p.AtMemberStart,
-		}
-		if i+1 < n {
-			next := ix.Point(i + 1)
-			m.endBit = next.CompressedBitOffset
-			m.size = next.UncompressedOffset - p.UncompressedOffset
-		} else {
-			m.endBit = ix.CompressedSize * 8
-			m.size = ix.UncompressedSize - p.UncompressedOffset
-			m.endIsEOF = true
-		}
-		marksTo := i + 1
-		if marksTo == n {
-			marksTo = ix.Len() // with the marks of a merged empty point
-		}
-		for j := i; j < marksTo; j++ {
-			q := ix.Point(j)
-			for _, me := range ix.MemberEnds(q.CompressedBitOffset) {
-				m.members = append(m.members,
-					memberMark{absEnd: q.UncompressedOffset + me.RelEnd, crc: me.CRC32})
-			}
-		}
-		c.metas[i] = m
-		s := spanengine.Span{
-			CompOff:    int64(m.startBit / 8),
-			CompEnd:    int64(m.endBit / 8),
-			DecompOff:  int64(m.startDecomp),
-			DecompSize: int64(m.size),
-		}
-		if m.endIsEOF {
-			s.CompEnd = int64(ix.CompressedSize)
-		}
-		if _, dup := c.byOff[s.CompOff]; dup {
-			return fmt.Errorf("core: index entries share start byte %d", s.CompOff)
-		}
-		c.byOff[s.CompOff] = i
-		spans[i] = s
+	spans := make([]spanengine.Span, ix.Len())
+	for i := range spans {
+		p, next, _ := c.spanLocked(i)
+		spans[i] = engineSpan(p, next)
 	}
 	eng, err := spanengine.NewFromCheckpoints(r.file, c, spans, 0, r.cfg.engine(false))
 	if err != nil {
 		return err
 	}
+	c.chainEmpty()
 	r.codec, r.eng = c, eng
 	return nil
 }
@@ -357,17 +337,13 @@ func (r *Reader) Close() error { return r.eng.Close() }
 // into w.
 func (r *Reader) WriteTo(w io.Writer) (int64, error) { return r.eng.WriteTo(w, 0) }
 
-// ExportIndex serialises the index, completed first, to w, including
-// the engine's span table as a persistable checkpoint section.
+// ExportIndex serialises the index, completed first, to w. Concurrent
+// exports share it: nothing writes an index once it is complete.
 func (r *Reader) ExportIndex(w io.Writer) error {
 	if err := r.eng.EnsureComplete(); err != nil {
 		return err
 	}
-	// The table goes into a copy of the header: concurrent exports share
-	// the index itself, which nothing writes once it is complete.
-	ix := *r.Index()
-	ix.Checkpoints = r.eng.CheckpointTable()
-	_, err := ix.WriteTo(w)
+	_, err := r.Index().WriteTo(w)
 	return err
 }
 

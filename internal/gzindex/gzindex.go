@@ -274,6 +274,25 @@ func (ix *Index) push(p SeekPoint) error {
 	return nil
 }
 
+// Truncate keeps the first n seek points and drops the rest, with their
+// windows and member marks.
+func (ix *Index) Truncate(n int) {
+	for _, p := range ix.points[n:] {
+		delete(ix.windows, p.CompressedBitOffset)
+		delete(ix.memberEnds, p.CompressedBitOffset)
+	}
+	ix.points = ix.points[:n]
+	ix.floorBit = 0
+	if n > 0 {
+		// As push left it after the point that is now the last.
+		last := ix.points[n-1]
+		ix.floorBit = last.BlockHeaderBit
+		if ix.floorBit == 0 {
+			ix.floorBit = last.CompressedBitOffset
+		}
+	}
+}
+
 // Len returns the number of seek points.
 func (ix *Index) Len() int { return len(ix.points) }
 

@@ -62,6 +62,28 @@ func TestAddRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestTruncate drops points with their windows and marks, and leaves the
+// index taking what may follow the points it keeps: an in-block point
+// whose header lies before a dropped point.
+func TestTruncate(t *testing.T) {
+	ix := sampleIndex(t)
+	ix.AddMemberEnd(2002, MemberEnd{RelEnd: 0, CRC32: 7})
+	ix.Truncate(2)
+	if ix.Len() != 2 || ix.MemberEnds(2002) != nil {
+		t.Fatalf("%d points, marks %v left", ix.Len(), ix.MemberEnds(2002))
+	}
+	if _, ok := ix.Window(2002); ok {
+		t.Fatal("a dropped point's window is left")
+	}
+	if err := ix.Add(SeekPoint{CompressedBitOffset: 1500, UncompressedOffset: 6000, BlockHeaderBit: 1001}, nil); err != nil {
+		t.Fatal(err)
+	}
+	ix.Truncate(2)
+	if err := ix.Add(SeekPoint{CompressedBitOffset: 1700, UncompressedOffset: 7000, BlockHeaderBit: 1000}, nil); err == nil {
+		t.Fatal("a header before the last kept point was accepted")
+	}
+}
+
 func TestFind(t *testing.T) {
 	ix := sampleIndex(t)
 	cases := []struct {

@@ -764,57 +764,21 @@ func (e *Engine) claimRange(ws []want, off, length int64, bounded bool) ([]want,
 	return ws, nil
 }
 
-// ReadAt implements io.ReaderAt over the decompressed stream. The spans
-// a request covers are resolved once and the missing ones decode
-// concurrently (see claimLocked). On a growing engine it extends the
-// confirmed table as far as the request needs; io.EOF is only reported
-// once the table is complete.
+// ReadAt implements io.ReaderAt over the decompressed stream: the span
+// walk (see walk) into p, with no bound on its first round. On a growing
+// engine it extends the confirmed table as far as the request needs;
+// io.EOF is only reported once the table is complete.
 func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
-	if off < 0 {
-		return 0, fmt.Errorf("spanengine: negative offset %d", off)
+	q := p
+	n, err := e.walk(context.Background(), off, int64(len(p)), math.MaxInt64, func(part []byte) (int, error) {
+		c := copy(q, part)
+		q = q[c:]
+		return c, nil
+	})
+	if err == nil && n < int64(len(p)) {
+		err = io.EOF
 	}
-	var buf [4]want // enough for most requests without allocating
-	n := 0
-	for n < len(p) {
-		if e.grower != nil {
-			if err := e.ensureCovered(off); err != nil {
-				return n, err
-			}
-		}
-		ws, err := e.claimRange(buf[:0], off, int64(len(p)-n), false)
-		if err != nil {
-			return n, err
-		}
-		// Every decode is joined, even past a failure: the one left to
-		// this caller runs nowhere else. A decode joined in flight that
-		// was bound for less of its span than this request needs ends the
-		// round short, and the loop claims again from where it got to.
-		var failed error
-		short := false
-		for k := range ws {
-			w := &ws[k]
-			data, err := w.content(context.Background())
-			if failed == nil {
-				failed = err
-			}
-			if failed != nil || short {
-				continue
-			}
-			if int64(len(data)) == w.s.DecompSize {
-				e.noteAccess(w.i, data)
-			}
-			if rel := off - w.s.DecompOff; rel < int64(len(data)) {
-				c := copy(p[n:], data[rel:])
-				n += c
-				off += int64(c)
-			}
-			short = int64(len(data)) < w.need
-		}
-		if failed != nil {
-			return n, failed
-		}
-	}
-	return n, nil
+	return int(n), err
 }
 
 // FirstRound bounds how far into a range the first round of a ranged
@@ -828,51 +792,67 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 const FirstRound = 32 << 10
 
 // WriteRangeTo writes the decompressed bytes [off, off+n) to w, or those
-// of them before the end of the stream, and returns how many it wrote.
-// It is ReadAt's span walk with w in place of the caller's buffer: each
-// round claims the spans the range reaches into, as far as it reaches
-// into them, so a jump into a span decodes only its prefix, the strategy
-// and the access observer hear what they hear from ReadAt, and the
-// missing spans of a round decode side by side. The first round is
-// bounded (FirstRound): even a stream's first bytes wait only for the
-// decode of what that round reaches. w gets the content of each span
-// itself, not a copy, in one Write per span (two for a span not cached
-// as far as the first round reaches). A growing table grows as the walk
-// reaches its frontier.
+// of them before the end of the stream, and returns how many it wrote:
+// the span walk (see walk) with w in place of a buffer, its first round
+// bounded by FirstRound, so that even a stream's first bytes wait only
+// for the decode of what that round reaches. w gets the content of each
+// span itself, not a copy, in one Write per span (two for a span not
+// cached as far as the first round reaches). ctx is checked before every
+// span and while waiting for a decode that another goroutine runs; once
+// it is done the walk stops with its error.
+func (e *Engine) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (int64, error) {
+	return e.walk(ctx, off, n, FirstRound, func(part []byte) (int, error) {
+		nw, err := w.Write(part)
+		if err == nil && nw < len(part) {
+			err = io.ErrShortWrite
+		}
+		return nw, err
+	})
+}
+
+// walk is the span walk behind ReadAt and WriteRangeTo: it hands put the
+// decompressed bytes [off, off+n), or those of them before the end of the
+// stream, in order, a part of a span at a time, and returns how many put
+// took. Each round claims the spans the range reaches into, as far as it
+// reaches into them (see claimRange), so a jump into a span decodes only
+// its prefix, the strategy and the access observer hear of each request,
+// and the missing spans of a round decode side by side. The first round
+// reaches at most first bytes in and is a bounded request (claimLocked);
+// later rounds reach to the range's end. A growing table grows as the
+// walk reaches its frontier.
 //
 // ctx is checked before every span and while waiting for a decode that
 // another goroutine runs; a decode the walk runs itself finishes first.
-// Once ctx is done the walk stops with its error.
-func (e *Engine) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (int64, error) {
+// Once ctx is done, or a decode or put failed, the walk stops with that
+// error, but runs the decode it was left all the same: nobody else
+// would. A span that ends short of what the round needs of it (a decode
+// joined in flight, bound for less) ends the round, and the next round
+// claims again from where it got to.
+func (e *Engine) walk(ctx context.Context, off, n, first int64, put func([]byte) (int, error)) (int64, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("spanengine: negative offset %d", off)
 	}
 	end := off + min(max(n, 0), math.MaxInt64-off)
-	limit := min(end, off+FirstRound)
-	var buf [4]want // as in ReadAt
-	var written int64
+	limit := off + min(first, end-off)
+	var buf [4]want // enough for most requests without allocating
+	var done int64
 	for off < end {
 		if err := ctx.Err(); err != nil {
-			return written, err
+			return done, err
 		}
 		if e.grower != nil {
 			if err := e.ensureCovered(off); err != nil {
-				return written, err
+				return done, err
 			}
 		}
 		ws, err := e.claimRange(buf[:0], off, limit-off, limit < end)
 		if err == io.EOF {
-			return written, nil
+			return done, nil
 		}
 		if err != nil {
-			return written, err
+			return done, err
 		}
 		limit = end
-		// As in ReadAt, a span that ends short of what the round needs
-		// of it (a decode joined in flight bound for less) ends the
-		// round's writes, and the next round claims again from off. The
-		// decode left to this walk is run even after a failure or a
-		// cancellation: nobody else would.
 		short := false
 		for k := range ws {
 			sp := &ws[k]
@@ -893,22 +873,18 @@ func (e *Engine) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (i
 				e.noteAccess(sp.i, data)
 			}
 			if rel := off - sp.s.DecompOff; rel < int64(len(data)) {
-				part := data[rel:min(int64(len(data)), end-sp.s.DecompOff)]
-				var nw int
-				nw, err = w.Write(part)
-				written += int64(nw)
-				off += int64(nw)
-				if err == nil && nw < len(part) {
-					err = io.ErrShortWrite
-				}
+				var np int
+				np, err = put(data[rel:min(int64(len(data)), end-sp.s.DecompOff)])
+				done += int64(np)
+				off += int64(np)
 			}
 			short = int64(len(data)) < sp.need
 		}
 		if err != nil {
-			return written, err
+			return done, err
 		}
 	}
-	return written, nil
+	return done, nil
 }
 
 // WriteTo streams the decompressed bytes from offset off to the end into
