@@ -80,7 +80,13 @@ type Archive interface {
 	// ExportIndex serialises the seek-point index or checkpoint table,
 	// completing it first (for gzip, bzip2 and unsized zstd one pass over
 	// whatever no read has reached yet). A later run that imports it skips
-	// that pass and every scan — the paper's "(index)" mode.
+	// that pass and every scan — the paper's "(index)" mode. A gzip
+	// archive opened through an index file reads windows from that file
+	// as it needs them, the export's included, so write the index to that
+	// path with ExportIndexFile, which renames a new file over it: opened
+	// with os.Create, the file is cut to nothing before the export reads
+	// it, and the export fails with gzindex.ErrCorrupt, unless the index
+	// was discovered, whose windows are then decoded again from the file.
 	ExportIndex(w io.Writer) error
 	// ImportIndex installs a previously exported index: codec, prefetch
 	// strategy and engine are built anew from it and replace the current
@@ -267,6 +273,22 @@ type state struct {
 	// gzip has beyond a span table.
 	gz   *core.Reader
 	caps Capabilities
+	// indexFile is the index file the state was built from when its
+	// windows are read from it on first use (gzindex.Index.ReadsWindows),
+	// else nil. It closes with the engine.
+	indexFile io.Closer
+}
+
+// close closes the engine and then the index file its decodes read
+// windows from.
+func (st *state) close() error {
+	err := st.eng.Close()
+	if st.indexFile != nil {
+		if cerr := st.indexFile.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // backend is what a format contributes to the stack, chosen from
@@ -438,18 +460,28 @@ func (a *archive) live() (*state, error) {
 	return a.cur.Load(), nil
 }
 
-// fromIndexFile builds a state from the index file at path. A regular
-// file is read in at most two reads, its head and then the rest; a
-// discovered one is refused at its head when that records another size
-// or fingerprint than the source's, and the fingerprint taken for that
-// check is the one the state is built with. Anything else, a pipe say,
-// is read as a stream.
+// fromIndexFile builds a state from the index file at path. Of a regular
+// file the table is read, in at most two reads, its head and then the
+// rest; a discovered one is refused at its head when that records
+// another size or fingerprint than the source's, and the fingerprint
+// taken for that check is the one the state is built with. Where the
+// windows trail the table the state keeps the file open and reads each
+// window on its first use: a file renamed over it meanwhile (an export,
+// Create's sidecar) leaves the open one as it was. A window the file
+// fails to give fails its span's reads with gzindex.ErrCorrupt, or, of a
+// discovered file, is decoded again from the source. Anything else, a
+// pipe say, is read as a stream.
 func (a *archive) fromIndexFile(path string, discovered bool) (*state, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	keep := false
+	defer func() {
+		if !keep {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -460,6 +492,9 @@ func (a *archive) fromIndexFile(path string, discovered bool) (*state, error) {
 	cfg := a.cfg
 	var check func(*gzindex.Index) error
 	if discovered {
+		// A discovered index is an optimisation down to its windows: one
+		// its file fails to give is decoded again from the source.
+		cfg.rebuildWindows = true
 		check = func(h *gzindex.Index) error {
 			size := a.src.Size()
 			var fp gzindex.Fingerprint
@@ -478,7 +513,11 @@ func (a *archive) fromIndexFile(path string, discovered bool) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	return a.indexed(a.src, ix, cfg)
+	s, err := a.indexed(a.src, ix, cfg)
+	if err == nil && ix.ReadsWindows() {
+		s.indexFile, keep = f, true
+	}
+	return s, err
 }
 
 func (a *archive) fromIndex(rd io.Reader) (*state, error) {
@@ -646,7 +685,7 @@ func (a *archive) ImportIndex(rd io.Reader) error {
 	a.swap.Lock()
 	defer a.swap.Unlock()
 	if a.closed.Load() {
-		st.eng.Close()
+		st.close()
 		return ErrClosed
 	}
 	a.retired = append(a.retired, a.cur.Swap(st))
@@ -684,17 +723,20 @@ func (a *archive) CRCVerified() (bool, uint64) {
 	return ok && fails == 0, fails
 }
 
-// Close releases every engine the archive built and then the file.
-// Reads still running return their bytes or ErrClosed.
+// Close releases every engine the archive built, each with the index
+// file it reads windows from, and then the file. Reads still running
+// return their bytes or ErrClosed. A state ImportIndex replaced keeps its
+// index file until here, as it keeps its engine: a read that loaded it
+// may still need a window.
 func (a *archive) Close() error {
 	a.swap.Lock()
 	defer a.swap.Unlock()
 	if a.closed.Swap(true) {
 		return nil
 	}
-	err := a.cur.Load().eng.Close()
+	err := a.cur.Load().close()
 	for _, st := range a.retired {
-		if cerr := st.eng.Close(); err == nil {
+		if cerr := st.close(); err == nil {
 			err = cerr
 		}
 	}

@@ -183,15 +183,10 @@ func run() error {
 		}
 	}
 	if *exportIndex != "" {
-		f, err := os.Create(*exportIndex)
-		if err != nil {
-			return err
-		}
-		err = r.ExportIndex(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		// Written beside and renamed over the old file: the archive may be
+		// reading its windows from that file, as it does when it was
+		// opened through it.
+		if err := rapidgzip.ExportIndexFile(r, *exportIndex); err != nil {
 			return err
 		}
 	}

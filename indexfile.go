@@ -10,7 +10,9 @@ import (
 // checkpoint table for bzip2/LZ4/zstd) to path atomically: the bytes
 // land in a temp file in the same directory first and are renamed into
 // place only when complete, so a crash mid-export never leaves a
-// truncated index for a later Open to trip on. Parent directories are
+// truncated index for a later Open to trip on, and an archive open
+// through the file at path, a itself included, goes on reading the
+// windows of the file it opened. Parent directories are
 // created as needed — the layout a shared index store wants, where
 // "data/logs.gz" maps to "<store>/data/logs.gz.rgzidx".
 //

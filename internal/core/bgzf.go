@@ -1,12 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/bitio"
 	"repro/internal/gzformat"
 	"repro/internal/gzindex"
+	"repro/internal/gzipw"
 	"repro/internal/spanengine"
 )
 
@@ -68,20 +73,25 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 	if err != nil {
 		return spanengine.ScanResult{}, err
 	}
+	prev := int64(-1) // where the member before pos starts
 	for pos < fileSize {
 		hdr, err := gzformat.ParseHeader(bitio.NewBitReaderBytes(win))
 		if err != nil && int64(len(win)) < fileSize-pos {
 			hdr, err = c.parseHeaderAt(pos, fileSize) // spills past the window
 		}
 		if err != nil {
-			return spanengine.ScanResult{}, fmt.Errorf("core: BGZF member scan at %d: %w", pos, err)
+			err = fmt.Errorf("core: BGZF member scan at %d: %w", pos, err)
+			if prev >= 0 && c.memberEndsAt(prev, pos) {
+				err = fmt.Errorf("%w: %w", errBadHeader, err)
+			}
+			return spanengine.ScanResult{}, err
 		}
 		if hdr.BGZFBlockSize <= 0 {
 			return spanengine.ScanResult{}, fmt.Errorf("core: member at %d lacks BGZF metadata", pos)
 		}
 		memberEnd := pos + int64(hdr.BGZFBlockSize)
 		if memberEnd > fileSize {
-			return spanengine.ScanResult{}, fmt.Errorf("core: BGZF member at %d overruns the file", pos)
+			return spanengine.ScanResult{}, fmt.Errorf("core: BGZF member at %d %w", pos, errOverrun)
 		}
 		// The footer's CRC goes into the member marks, which enable
 		// architecture-level CRC verification too.
@@ -101,7 +111,7 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 			RelEnd: decomp - groupDecomp,
 			CRC32:  binary.LittleEndian.Uint32(footer[:4]),
 		})
-		pos = memberEnd
+		prev, pos = pos, memberEnd
 	}
 	if pos != fileSize {
 		return spanengine.ScanResult{}, fmt.Errorf("core: BGZF members end at %d, file has %d bytes", pos, fileSize)
@@ -115,6 +125,59 @@ func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
 	c.index.Finalized = true
 	c.index.UncompressedSize = decomp
 	return spanengine.ScanResult{Spans: spans}, nil
+}
+
+// errOverrun is a BGZF member whose size field reaches past the end of
+// the file.
+var errOverrun = errors.New("overruns the file")
+
+// errBadHeader is a member header that does not parse where the member
+// before it ends, as its size field says and its deflate stream agrees.
+var errBadHeader = errors.New("a damaged member header")
+
+// bgzfRefused reports whether a BGZF scan that failed with err refuses
+// the file, rather than leave it to the generic path: the file is cut
+// short — a member runs past its end, and the file does not end in a
+// BGZF member header, as it does in what every BGZF writer ends with,
+// the EOF marker — or a member header is damaged, which the generic path
+// would take for trailing data and end the file there. Any other break
+// of the member chain is a size field that does not lead to the next
+// member, in a file whose every byte may still decode.
+func (c *gzipCodec) bgzfRefused(err error) bool {
+	if errors.Is(err, errBadHeader) {
+		return true
+	}
+	if !errors.Is(err, errOverrun) {
+		return false
+	}
+	fileSize := int64(c.fileBits / 8)
+	tail, err := c.readWindow(make([]byte, len(gzipw.BGZFEOFMarker)), max(fileSize-int64(len(gzipw.BGZFEOFMarker)), 0), fileSize)
+	if err != nil {
+		return true
+	}
+	hdr, err := gzformat.ParseHeader(bitio.NewBitReaderBytes(tail))
+	return err != nil || hdr.BGZFBlockSize <= 0
+}
+
+// memberEndsAt reports whether the member at byte start ends at byte
+// end: behind its header, its deflate stream and footer fill the bytes
+// up to end exactly. A BGZF member is at most 64 KiB.
+func (c *gzipCodec) memberEndsAt(start, end int64) bool {
+	buf := make([]byte, end-start)
+	if _, err := c.src.ReadAt(buf, start); err != nil {
+		return false
+	}
+	br := bitio.NewBitReaderBytes(buf)
+	if _, err := gzformat.ParseHeader(br); err != nil {
+		return false
+	}
+	// A bytes.Reader is an io.ByteReader, so flate reads no byte past the
+	// stream's end.
+	rest := bytes.NewReader(buf[br.BitPos()/8:])
+	if _, err := io.Copy(io.Discard, flate.NewReader(rest)); err != nil {
+		return false
+	}
+	return rest.Len() == 8
 }
 
 // headerWindow is the first window a member header is parsed through.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -66,6 +67,9 @@ type gzipCodec struct {
 	crcAcc    uint32
 	crcBroken bool
 	consumed  map[int]bool
+
+	// rebuildMu serialises rebuildWindow. Its holders may take mu.
+	rebuildMu sync.Mutex
 }
 
 func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, bgzf bool) *gzipCodec {
@@ -102,6 +106,11 @@ func (c *gzipCodec) FormatTag() string {
 	}
 	return "gzip"
 }
+
+// BitAddressed marks the codec's spans as starting at bits, so that an
+// engine built from an index takes the empty byte extent of a span that
+// starts in the same byte as the next (engineSpan).
+func (c *gzipCodec) BitAddressed() {}
 
 // Scan is the sizing pass. Only the BGZF metadata walk implements it
 // (see bgzf.go); generic gzip runs in growing mode, where Scan is never
@@ -169,8 +178,11 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 	if dec != nil {
 		res, err = dec.Resume(uint64(upTo))
 	} else {
-		dec = new(deflate.Decoder)
-		res, err = c.startSpan(dec, p, next.CompressedBitOffset, endIsEOF, size, uint64(upTo))
+		var window []byte
+		if window, err = c.pointWindow(i); err == nil {
+			dec = new(deflate.Decoder)
+			res, err = c.startSpan(dec, p, window, next.CompressedBitOffset, endIsEOF, size, uint64(upTo))
+		}
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d: %w", p.CompressedBitOffset, err)
@@ -200,7 +212,9 @@ func (c *gzipCodec) spanLocked(i int) (p, next gzindex.SeekPoint, endIsEOF bool)
 }
 
 // engineSpan is the span the engine keeps for seek point p, which ends
-// at next: the byte extents and sizes of what the index has in bits.
+// at next: the byte extents and sizes of what the index has in bits,
+// each offset rounded down to its byte, so that the extent of a span
+// that ends in the byte it starts in is empty.
 func engineSpan(p, next gzindex.SeekPoint) spanengine.Span {
 	return spanengine.Span{
 		CompOff:    int64(p.CompressedBitOffset / 8),
@@ -210,25 +224,127 @@ func engineSpan(p, next gzindex.SeekPoint) spanengine.Span {
 	}
 }
 
-// startSpan begins the decode of the span of size bytes at point p,
-// which ends at endBit (at the end of the file if endIsEOF), bounded by
-// upTo bytes of output.
-func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, endBit uint64, endIsEOF bool, size, upTo uint64) (*deflate.ChunkResult, error) {
+// pointWindow returns the window span i decodes from: none for a point
+// at a member start that has none, else the index's, which an imported
+// index inflates here, the first time its span is decoded, outside the
+// codec's lock, and keeps. A window its index file fails to give is
+// decoded again from the compressed file where cfg.RebuildWindows says
+// so (rebuildWindow).
+func (c *gzipCodec) pointWindow(i int) ([]byte, error) {
 	c.mu.Lock()
+	p := c.index.Point(i)
 	win, hasWin := c.index.Window(p.CompressedBitOffset)
 	c.mu.Unlock()
-	if !hasWin && !p.AtMemberStart {
-		return nil, errors.New("no window for chunk")
+	if !hasWin {
+		if !p.AtMemberStart {
+			return nil, errors.New("no window for chunk")
+		}
+		return nil, nil
 	}
-	var window []byte
-	if hasWin {
-		// An imported window is inflated here, the first time its span is
-		// decoded, outside the codec's lock, and stays inflated.
+	window, err := win.Bytes()
+	if err != nil && c.cfg.RebuildWindows {
+		if rerr := c.rebuildWindow(i); rerr != nil {
+			return nil, fmt.Errorf("%w; decoding it again: %v", err, rerr)
+		}
+		return win.Bytes()
+	}
+	return window, err
+}
+
+// rebuildWindow decodes the window of point i again from the compressed
+// file, as the first pass made it: a point's window is the last bytes of
+// the window before it and of the span between. From the nearest point
+// before i whose window holds, or that needs none, every span up to i is
+// decoded whole, and each window on the way that its index file failed
+// to give is restored. Rebuilds run one at a time, so one that finds its
+// window restored by another has nothing to do.
+func (c *gzipCodec) rebuildWindow(i int) error {
+	c.rebuildMu.Lock()
+	defer c.rebuildMu.Unlock()
+	c.mu.Lock()
+	wins := make([]*gzindex.Window, i+1)
+	for k := range wins {
+		wins[k], _ = c.index.Window(c.index.Point(k).CompressedBitOffset)
+	}
+	memberStart := c.index.Point(0).AtMemberStart
+	c.mu.Unlock()
+	if wins[i].Check() == nil {
+		return nil
+	}
+	from := i - 1
+	var hist []byte
+	for ; from >= 0; from-- {
+		if wins[from] == nil {
+			if from == 0 && memberStart {
+				break
+			}
+			continue
+		}
 		var err error
-		if window, err = win.Bytes(); err != nil {
-			return nil, err
+		if hist, err = wins[from].Bytes(); err == nil {
+			break
 		}
 	}
+	if from < 0 {
+		return errors.New("no seek point before it to decode from")
+	}
+	for k := from; k < i; k++ {
+		c.mu.Lock()
+		p, next, endIsEOF := c.spanLocked(k)
+		c.mu.Unlock()
+		size := next.UncompressedOffset - p.UncompressedOffset
+		res, err := c.startSpan(new(deflate.Decoder), p, hist, next.CompressedBitOffset, endIsEOF, size, size)
+		if err != nil {
+			return fmt.Errorf("span at bit %d: %w", p.CompressedBitOffset, err)
+		}
+		if res.TotalOut() != size {
+			return fmt.Errorf("span at bit %d decoded %d bytes, index says %d", p.CompressedBitOffset, res.TotalOut(), size)
+		}
+		// The output is single-stage, all raw (see DecodeSpanPrefix).
+		hist = append(hist[:len(hist):len(hist)], res.Raw...)
+		hist = hist[len(hist)-min(len(hist), deflate.WindowSize):]
+		w := wins[k+1]
+		if w == nil || w.Check() == nil {
+			continue
+		}
+		if w.Len() > len(hist) {
+			return fmt.Errorf("a window of %d bytes after %d", w.Len(), p.UncompressedOffset+size)
+		}
+		if err := w.Restore(bytes.Clone(hist[len(hist)-w.Len():])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// rebuildWindows decodes again from the compressed file every window of
+// the index that its index file fails to give, where cfg.RebuildWindows
+// says so, so that an export writes them all. A window that is in memory
+// or that its file still holds as its CRC32 says is not touched.
+func (c *gzipCodec) rebuildWindows() error {
+	if !c.cfg.RebuildWindows {
+		return nil
+	}
+	c.mu.Lock()
+	n := c.index.Len()
+	c.mu.Unlock()
+	for i := range n {
+		c.mu.Lock()
+		win, hasWin := c.index.Window(c.index.Point(i).CompressedBitOffset)
+		c.mu.Unlock()
+		if hasWin && win.Check() != nil {
+			if err := c.rebuildWindow(i); err != nil {
+				return fmt.Errorf("core: the window of seek point %d: %w", i, err)
+			}
+		}
+	}
+	return nil
+}
+
+// startSpan begins the decode of the span of size bytes at point p,
+// whose window is window, which ends at endBit (at the end of the file
+// if endIsEOF), bounded by upTo bytes of output.
+func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, window []byte, endBit uint64, endIsEOF bool, size, upTo uint64) (*deflate.ChunkResult, error) {
 	fileSize := int64(c.fileBits / 8)
 	byteStart := int64(p.CompressedBitOffset / 8)
 	// The decoder reads the next block's header fields before checking

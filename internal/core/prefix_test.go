@@ -203,7 +203,8 @@ func TestBadWindowFailsItsSpanOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overwrite the second point's window, as the index stores it, with
-	// zeros (a stored block whose length check fails) and reseal the file.
+	// zeros (a stored block whose length check fails) and reseal the
+	// window's CRC32 in its record and the table's behind the records.
 	w, ok := ix.Window(ix.Point(1).CompressedBitOffset)
 	if !ok {
 		t.Fatal("point 1 has no window")
@@ -222,7 +223,12 @@ func TestBadWindowFailsItsSpanOnly(t *testing.T) {
 	}
 	forged := bytes.Clone(ixRaw)
 	clear(forged[at : at+stored.Len()])
-	binary.LittleEndian.PutUint32(forged[len(forged)-4:], crc32.ChecksumIEEE(forged[:len(forged)-4]))
+	var was, is [4]byte
+	binary.LittleEndian.PutUint32(was[:], crc32.ChecksumIEEE(stored.Bytes()))
+	binary.LittleEndian.PutUint32(is[:], crc32.ChecksumIEEE(forged[at:at+stored.Len()]))
+	copy(forged[bytes.Index(forged, was[:]):], is[:])
+	// Point 1's window is the first, right behind the table's CRC32.
+	binary.LittleEndian.PutUint32(forged[at-4:], crc32.ChecksumIEEE(forged[:at-4]))
 
 	r := importedReader(t, comp, forged, Config{Parallelism: 2})
 	buf := make([]byte, 1000)

@@ -82,6 +82,13 @@ type Config struct {
 	// SourceFP, when non-nil, is the fingerprint of the source, already
 	// taken by the caller; the reader takes it otherwise.
 	SourceFP *gzindex.Fingerprint
+	// RebuildWindows has a reader built from an index decode a window
+	// again from the compressed file where the index file it is read
+	// from fails to give it — cut short, rewritten, or a byte of it
+	// changed — instead of failing the span's reads with
+	// gzindex.ErrCorrupt. The rebuild decodes the spans before the point
+	// back to the nearest sound window, one after another.
+	RebuildWindows bool
 }
 
 // guessedRatioLimit aborts a speculative chunk decode whose output
@@ -232,28 +239,39 @@ func sourceFingerprint(src filereader.FileReader, known *gzindex.Fingerprint) (g
 // NewReader opens a gzip file cold. BGZF files take the metadata fast
 // path of §3.4.4 (a complete-table engine); everything else runs the
 // growing engine, whose span table extends one confirmed decode unit at
-// a time.
+// a time. So does a BGZF file whose member chain breaks at a size field
+// that does not lead to the next member; one that the chain shows cut
+// short, or with a member header damaged, is refused (bgzfRefused).
 func NewReader(src filereader.FileReader, cfg Config) (*Reader, error) {
 	r, err := newReader(src, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if r.bgzf && !cfg.SkipMetadataScan {
+		r.eng, err = spanengine.New(r.file, r.coldCodec(), r.cfg.engine(true))
+		if err != nil && r.codec.bgzfRefused(err) {
+			return nil, err
+		}
+	}
+	if r.eng == nil {
+		r.eng, err = spanengine.NewGrowing(r.file, r.coldCodec(), 0, r.cfg.engine(false))
+		if err != nil {
+			return nil, err
+		}
+	}
+	r.codec.chainEmpty()
+	return r, nil
+}
+
+// coldCodec makes r's codec a new one with an empty index, and returns it.
+func (r *Reader) coldCodec() *gzipCodec {
 	r.codec = newGzipCodec(r.cfg, r.file, &r.cnt, r.bgzf)
-	r.codec.index.CompressedSize = uint64(src.Size())
+	r.codec.index.CompressedSize = uint64(r.file.Size())
 	r.codec.index.SourceFP = &r.sourceFP
 	// First-pass confirmation observes every footer, so the index it
 	// builds carries the complete set of member marks.
 	r.codec.index.MemberMarksComplete = true
-	if r.bgzf && !cfg.SkipMetadataScan {
-		r.eng, err = spanengine.New(r.file, r.codec, r.cfg.engine(true))
-	} else {
-		r.eng, err = spanengine.NewGrowing(r.file, r.codec, 0, r.cfg.engine(false))
-	}
-	if err != nil {
-		return nil, err
-	}
-	r.codec.chainEmpty()
-	return r, nil
+	return r.codec
 }
 
 // NewReaderFromIndex opens a gzip file through a finalized index of it,
@@ -338,9 +356,14 @@ func (r *Reader) Close() error { return r.eng.Close() }
 func (r *Reader) WriteTo(w io.Writer) (int64, error) { return r.eng.WriteTo(w, 0) }
 
 // ExportIndex serialises the index, completed first, to w. Concurrent
-// exports share it: nothing writes an index once it is complete.
+// exports share it: nothing writes an index once it is complete. With
+// Config.RebuildWindows, a window the index file no longer gives is
+// decoded again first.
 func (r *Reader) ExportIndex(w io.Writer) error {
 	if err := r.eng.EnsureComplete(); err != nil {
+		return err
+	}
+	if err := r.codec.rebuildWindows(); err != nil {
 		return err
 	}
 	_, err := r.Index().WriteTo(w)

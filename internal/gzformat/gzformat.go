@@ -8,7 +8,6 @@ package gzformat
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"io"
 
@@ -77,12 +76,13 @@ func ParseHeader(br *bitio.BitReader) (Header, error) {
 	if id1 != ID1 || id2 != ID2 || cm != CM {
 		return h, ErrNotGzip
 	}
+	// The reserved flag bits (0xE0) announce nothing to parse. RFC 1952
+	// asks a decoder to refuse a member that sets one, as zlib and GNU
+	// gzip do; compress/gzip ignores them and decodes the member, and so
+	// does this, so that a damaged bit there costs no data.
 	flg, err := b()
 	if err != nil {
 		return h, err
-	}
-	if flg&0xE0 != 0 {
-		return h, fmt.Errorf("gzformat: reserved header flag bits set: %#x", flg)
 	}
 	var fixed [6]byte
 	for i := range fixed {

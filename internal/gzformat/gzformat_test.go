@@ -128,6 +128,25 @@ func TestNotGzip(t *testing.T) {
 	}
 }
 
+// TestReservedFlagBitsIgnored: a header with a reserved flag bit set
+// parses as compress/gzip reads it, the fields the other bits announce
+// included.
+func TestReservedFlagBitsIgnored(t *testing.T) {
+	var full bytes.Buffer
+	WriteHeader(&full, WriteHeaderOptions{Name: "abcdef", Extra: BGZFExtra(55)})
+	for bit := 5; bit < 8; bit++ {
+		raw := bytes.Clone(full.Bytes())
+		raw[3] |= 1 << bit
+		h, err := parse(t, raw)
+		if err != nil || h.Name != "abcdef" || h.BGZFBlockSize != 55 {
+			t.Fatalf("flag bit %d: %+v, %v", bit, h, err)
+		}
+		if _, err := gzip.NewReader(bytes.NewReader(raw)); err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+			t.Fatalf("flag bit %d: compress/gzip: %v", bit, err)
+		}
+	}
+}
+
 func TestTruncatedHeader(t *testing.T) {
 	var full bytes.Buffer
 	WriteHeader(&full, WriteHeaderOptions{Name: "abcdef", Extra: BGZFExtra(55)})

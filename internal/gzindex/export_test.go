@@ -1,5 +1,8 @@
 package gzindex
 
-// Stored returns the flate bytes an imported window holds and the length
+// Stored returns the flate bytes of an imported window and the length
 // it declares.
-func (w *Window) Stored() ([]byte, int) { return w.comp, w.rawLen }
+func (w *Window) Stored() ([]byte, int) {
+	comp, _ := w.flate()
+	return comp, w.rawLen
+}

@@ -13,10 +13,12 @@ import (
 )
 
 // goldenIndex is the index of the golden-v5 fixture without its
-// fingerprint (goldenIndexFP adds it). Any change that stops a fixture
-// from parsing back to exactly its index, or WriteTo from writing it
-// byte for byte, is an on-disk format break and must bump the version
-// magic instead.
+// fingerprint (goldenIndexFP adds it). The fixtures golden-v5*.rgzidx
+// but one were written before the windows trailed the table, and each
+// must parse back to exactly its index; golden-v5-trailing.rgzidx and
+// golden-v5-trailing-checkpoints.rgzidx are the layout every writer
+// emits, and WriteTo must write their indexes back byte for byte. A change that breaks either is an on-disk format break
+// and must bump the version magic instead.
 func goldenIndex(t *testing.T) *Index {
 	t.Helper()
 	ix := New(4 << 20)
@@ -83,26 +85,68 @@ func TestGoldenV4(t *testing.T) {
 	}
 }
 
-func TestGoldenV5(t *testing.T) {
-	raw := readGolden(t, "golden-v5.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
+// readOldLayout reads a fixture written with the windows inside the
+// table both ways, and its index written back out, which is table-first,
+// and returns what the stream read gave after checking that the others
+// agree with it.
+func readOldLayout(t *testing.T, name string) *Index {
+	t.Helper()
+	raw := readGolden(t, name)
+	if raw[len(magic)]&windowsTrail != 0 {
+		t.Fatalf("%s is table-first", name)
+	}
+	got, err := readAllPaths(t, raw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := serialized(t, got)
+	if out[len(magic)]&windowsTrail == 0 {
+		t.Fatalf("%s written back in the old layout", name)
+	}
+	back, err := readAllPaths(t, out)
+	if err != nil {
+		t.Fatalf("%s written back: %v", name, err)
+	}
+	assertEqualIndex(t, back, got)
+	assertEqualMarks(t, back, got)
+	assertEqualCheckpoints(t, back, got)
+	return got
+}
+
+func TestGoldenV5(t *testing.T) {
+	got := readOldLayout(t, "golden-v5.rgzidx")
 	want := goldenIndexFP(t)
 	assertEqualIndex(t, got, want)
 	if got.SourceFP == nil || *got.SourceFP != *want.SourceFP {
 		t.Fatalf("fingerprint: got %+v, want %+v", got.SourceFP, want.SourceFP)
 	}
+}
 
-	// The writer must still produce the byte-identical file: the format
-	// is deterministic, so this locks the layout, not just parseability.
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// TestGoldenV5Trailing: the table-first fixture parses back to its
+// index on both read paths, and the writer still produces it byte for
+// byte — from the index, from a stream's import of it, and from a
+// file's, which reads the windows it never inflated from the file. The
+// format is deterministic, so this locks the layout, not just
+// parseability.
+func TestGoldenV5Trailing(t *testing.T) {
+	raw := readGolden(t, "golden-v5-trailing.rgzidx")
+	want := inBlockIndex(t)
+	if out := serialized(t, want); !bytes.Equal(out, raw) {
+		t.Fatalf("WriteTo output diverged from the table-first golden fixture (%d vs %d bytes)", len(out), len(raw))
 	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatalf("WriteTo output diverged from the golden fixture (%d vs %d bytes)", buf.Len(), len(raw))
+	for _, p := range readPaths {
+		got, err := p.read(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if out := serialized(t, got); !bytes.Equal(out, raw) {
+			t.Fatalf("%s: written back as %d bytes, not the fixture's %d", p.name, len(out), len(raw))
+		}
+		assertEqualIndex(t, got, want)
+		assertEqualMarks(t, got, want)
+		if *got.SourceFP != *want.SourceFP {
+			t.Fatalf("%s: fingerprint %+v", p.name, got.SourceFP)
+		}
 	}
 }
 
@@ -149,23 +193,41 @@ func assertEqualCheckpoints(t *testing.T, got, want *Index) {
 }
 
 func TestGoldenV5Checkpoints(t *testing.T) {
-	raw := readGolden(t, "golden-v5-checkpoints.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readOldLayout(t, "golden-v5-checkpoints.rgzidx")
 	want := checkpointIndex(t)
 	assertEqualCheckpoints(t, got, want)
 	if got.CompressedSize != want.CompressedSize || got.UncompressedSize != want.UncompressedSize {
 		t.Fatalf("sizes: got %d/%d, want %d/%d",
 			got.CompressedSize, got.UncompressedSize, want.CompressedSize, want.UncompressedSize)
 	}
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+}
+
+// TestGoldenV5TrailingCheckpoints: the checkpoint table every bzip2,
+// LZ4 and zstd export carries, written table-first
+// (golden-v5-trailing-checkpoints.rgzidx), parses back on both read
+// paths, and the writer produces the fixture byte for byte, from the
+// index and from each import of it.
+func TestGoldenV5TrailingCheckpoints(t *testing.T) {
+	raw := readGolden(t, "golden-v5-trailing-checkpoints.rgzidx")
+	want := checkpointIndex(t)
+	if raw[len(magic)]&windowsTrail == 0 {
+		t.Fatal("the fixture is not table-first")
 	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatalf("WriteTo output diverged from the checkpoint golden fixture (%d vs %d bytes)", buf.Len(), len(raw))
+	if out := serialized(t, want); !bytes.Equal(out, raw) {
+		t.Fatalf("WriteTo output diverged from the table-first checkpoint fixture (%d vs %d bytes)", len(out), len(raw))
+	}
+	for _, p := range readPaths {
+		got, err := p.read(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		assertEqualCheckpoints(t, got, want)
+		if got.CompressedSize != want.CompressedSize || got.UncompressedSize != want.UncompressedSize || *got.SourceFP != *want.SourceFP {
+			t.Fatalf("%s: header %d/%d %+v", p.name, got.CompressedSize, got.UncompressedSize, got.SourceFP)
+		}
+		if out := serialized(t, got); !bytes.Equal(out, raw) {
+			t.Fatalf("%s: written back as %d bytes, not the fixture's %d", p.name, len(out), len(raw))
+		}
 	}
 }
 
@@ -276,22 +338,10 @@ func assertEqualMarks(t *testing.T, got, want *Index) {
 }
 
 func TestGoldenV5WithMemberMarks(t *testing.T) {
-	raw := readGolden(t, "golden-v5-marks.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readOldLayout(t, "golden-v5-marks.rgzidx")
 	want := markedIndex(t)
 	assertEqualIndex(t, got, want)
 	assertEqualMarks(t, got, want)
-
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatalf("WriteTo output diverged from the marks golden fixture (%d vs %d bytes)", buf.Len(), len(raw))
-	}
 }
 
 // inBlockIndex is the sample serialised into golden-v5-inblock.rgzidx:
@@ -324,21 +374,10 @@ func inBlockIndex(t *testing.T) *Index {
 }
 
 func TestGoldenV5InBlock(t *testing.T) {
-	raw := readGolden(t, "golden-v5-inblock.rgzidx")
-	got, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readOldLayout(t, "golden-v5-inblock.rgzidx")
 	want := inBlockIndex(t)
 	assertEqualIndex(t, got, want)
 	assertEqualMarks(t, got, want)
-	var buf bytes.Buffer
-	if _, err := want.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), raw) {
-		t.Fatalf("WriteTo output diverged from the in-block golden fixture (%d vs %d bytes)", buf.Len(), len(raw))
-	}
 }
 
 // forged serialises the in-block sample with its point i replaced by p,
@@ -391,9 +430,28 @@ func TestReadRejectsForgedHeaderDistances(t *testing.T) {
 	}
 }
 
-// reseal recomputes raw's trailing checksum.
+// tableEnd is where the table of the index raw ends, behind its CRC32:
+// the end of the file in the old layout.
+func tableEnd(raw []byte) int {
+	if raw[len(magic)]&windowsTrail == 0 {
+		return len(raw)
+	}
+	at := len(magic) + 1
+	for range 3 { // chunk size, file sizes
+		_, n := binary.Uvarint(raw[at:])
+		at += n
+	}
+	if raw[len(magic)]&4 != 0 {
+		at += 8
+	}
+	n, k := binary.Uvarint(raw[at:])
+	return at + k + int(n)
+}
+
+// reseal recomputes raw's table checksum.
 func reseal(raw []byte) []byte {
-	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+	end := tableEnd(raw)
+	binary.LittleEndian.PutUint32(raw[end-4:end], crc32.ChecksumIEEE(raw[:end-4]))
 	return raw
 }
 
@@ -405,12 +463,12 @@ func TestReadRefusesUnknownFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	hdr := bytes.Clone(buf.Bytes())
-	hdr[len(magic)] |= 0x10
+	hdr[len(magic)] |= 0x20
 	if _, err := Read(bytes.NewReader(reseal(hdr))); !errors.Is(err, ErrUnsupportedVersion) || !strings.Contains(err.Error(), "re-export") {
 		t.Fatalf("unknown header flag: %v", err)
 	}
-	// The first record follows the header's five one-byte fields: flags,
-	// chunk size (4 MiB is three bytes), sizes, point count, two deltas.
+	// The first record follows the header's fields: flags, chunk size
+	// (4 MiB is three bytes), sizes, table length, point count, two deltas.
 	rec := bytes.Clone(buf.Bytes())
 	i := bytes.Index(rec[len(magic):], []byte{0x03, 0x00, 0x00, 0x01}) // count 3, point 0 at 0/0, member start
 	if i < 0 {
@@ -694,12 +752,18 @@ func TestReadErrorTaxonomy(t *testing.T) {
 			t.Fatalf("%s: %v", m, err)
 		}
 	}
-	var buf bytes.Buffer
-	goldenIndex(t).WriteTo(&buf)
-	raw := buf.Bytes()
-	raw[len(raw)-1] ^= 0xFF // corrupt only the stored checksum
+	clean := serialized(t, goldenIndex(t))
+	raw := bytes.Clone(clean)
+	raw[tableEnd(raw)-1] ^= 0xFF // corrupt only the table checksum
 	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("checksum corruption: %v", err)
+	}
+	// The last byte is the last window's, which fails its own checksum
+	// on the way in from a stream.
+	raw = bytes.Clone(clean)
+	raw[len(raw)-1] ^= 0xFF
+	if _, err := Read(bytes.NewReader(raw)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("window corruption: %v", err)
 	}
 }
 

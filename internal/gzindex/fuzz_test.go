@@ -2,8 +2,14 @@ package gzindex
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
+	"runtime"
 	"testing"
+
+	"repro/internal/workloads"
 )
 
 // FuzzReadIndex hardens index import against corrupt, truncated and
@@ -150,6 +156,104 @@ func FuzzReadIndexV5(f *testing.F) {
 			for i := range g.Spans {
 				if g.Spans[i] != b.Spans[i] {
 					t.Fatalf("span %d mutated in round trip: %+v vs %+v", i, g.Spans[i], b.Spans[i])
+				}
+			}
+		}
+	})
+}
+
+// trailingIndex writes, by hand, a table-first index of a member-start
+// point and one point per window behind it, each record declaring the
+// lengths and CRC32 in decl, with body as the bytes behind the table —
+// so that a table can lie about its windows and still pass its own
+// CRC32.
+func trailingIndex(decl [][3]uint64, body []byte) []byte {
+	var table bytes.Buffer
+	writeUvarint(&table, uint64(len(decl)+1))
+	table.Write([]byte{0, 0, 1}) // bit 0, offset 0, at a member start
+	for _, d := range decl {
+		writeUvarint(&table, 1000)
+		writeUvarint(&table, 10_000)
+		table.WriteByte(2)
+		writeUvarint(&table, d[0])
+		writeUvarint(&table, d[1])
+		binary.Write(&table, binary.LittleEndian, uint32(d[2]))
+	}
+	var buf bytes.Buffer
+	buf.WriteString(magic)
+	buf.WriteByte(windowsTrail | 1 | 4)
+	writeUvarint(&buf, 1<<20)
+	writeUvarint(&buf, 1<<20)
+	writeUvarint(&buf, 1<<22)
+	buf.Write(make([]byte, 8)) // the fingerprint
+	writeUvarint(&buf, uint64(table.Len()+4))
+	buf.Write(table.Bytes())
+	binary.Write(&buf, binary.LittleEndian, crc32.ChecksumIEEE(buf.Bytes()))
+	buf.Write(body)
+	return buf.Bytes()
+}
+
+// FuzzTrailingWindows forges the table of a table-first index whose
+// table CRC32 holds: one window's declared raw or compressed length, or
+// its CRC32, lies, or the windows are cut short. Every read path must
+// then fail, on import or at the first Bytes of some window, and what it
+// allocates stays within the file plus the declared raw lengths, which
+// the import caps; a table that tells the truth serves every window.
+func FuzzTrailingWindows(f *testing.F) {
+	f.Add(uint64(1), uint8(0), int32(0), int32(0), uint32(0), uint16(0))
+	f.Add(uint64(2), uint8(1), int32(-3), int32(0), uint32(0), uint16(0))
+	f.Add(uint64(3), uint8(2), int32(5), int32(0), uint32(0), uint16(0))
+	f.Add(uint64(4), uint8(0), int32(0), int32(-1), uint32(0), uint16(0))
+	f.Add(uint64(5), uint8(1), int32(0), int32(1<<20), uint32(0), uint16(0))
+	f.Add(uint64(6), uint8(2), int32(1<<30), int32(0), uint32(0), uint16(0))
+	f.Add(uint64(7), uint8(1), int32(0), int32(0), uint32(1), uint16(0))
+	f.Add(uint64(8), uint8(0), int32(0), int32(0), uint32(0), uint16(7))
+	f.Fuzz(func(t *testing.T, seed uint64, which uint8, compDelta, rawDelta int32, crcXor uint32, cut uint16) {
+		text := workloads.SilesiaLike(3*20_000, seed)
+		var decl [][3]uint64
+		var body []byte
+		var raws [][]byte
+		for i := range 3 {
+			raw := text[i*20_000 : i*20_000+5_000*(i+1)]
+			raws = append(raws, raw)
+			comp, err := flateCompress(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decl = append(decl, [3]uint64{uint64(len(raw)), uint64(len(comp)), uint64(crc32.ChecksumIEEE(comp))})
+			body = append(body, comp...)
+		}
+		k := int(which) % len(decl)
+		decl[k][0] = uint64(int64(decl[k][0]) + int64(rawDelta))
+		decl[k][1] = uint64(int64(decl[k][1]) + int64(compDelta))
+		decl[k][2] ^= uint64(crcXor)
+		body = body[:len(body)-int(cut)%len(body)]
+		data := trailingIndex(decl, body)
+		honest := compDelta == 0 && rawDelta == 0 && crcXor == 0 && int(cut)%len(body) == 0
+		var declared uint64
+		for _, d := range decl {
+			declared += min(d[0], maxWindowRaw)
+		}
+		for _, p := range readPaths {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			ix, err := p.read(data)
+			if err == nil {
+				err = windowsErr(ix)
+			}
+			runtime.ReadMemStats(&after)
+			if alloc, limit := after.TotalAlloc-before.TotalAlloc, 2*uint64(len(data))+declared+256<<10; alloc > limit {
+				t.Fatalf("%s: %d bytes allocated, want at most %d", p.name, alloc, limit)
+			}
+			if honest != (err == nil) {
+				t.Fatalf("%s: honest table %v, read: %v", p.name, honest, err)
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrChecksum) {
+				t.Fatalf("%s: untyped error %v", p.name, err)
+			}
+			for i := 0; err == nil && i < len(raws); i++ {
+				if got, _, _ := windowBytes(ix, uint64(1000*(i+1))); !bytes.Equal(got, raws[i]) {
+					t.Fatalf("%s: window %d: %d bytes, want %d", p.name, i, len(got), len(raws[i]))
 				}
 			}
 		}

@@ -14,19 +14,23 @@
 // again to rebuild the block's tables. Deflate carries nothing else from
 // one element to the next but the window.
 //
-// An import reads the index into one buffer — an index file in two
-// reads, its head and then the rest (ReadAt), a stream as far as the
-// parse needs (Read) — and parses it there with one CRC32 pass over the
-// bytes. Windows are lazy on the way in: the parse checks each window's
-// declared lengths and keeps its flate bytes, as a slice of an index
-// file's buffer or a copy out of a stream's; Window.Bytes inflates one with the deflate
-// kernel's single-stage decoder the first time it is asked for and
-// keeps the result, so opening an archive through its index inflates
-// nothing, a long-lived archive pays once per seek point it decodes
-// from, and a handle that touches three spans holds three windows. A
-// window that does not inflate to exactly its declared length is
-// reported as ErrCorrupt by Bytes. Writing an imported index back out
-// copies the stored bytes unchanged.
+// A table-first index (flag bit 4, what every writer emits) keeps its
+// windows out of the table: behind the header come the seek-point
+// records, each with its window's lengths and CRC32, then a CRC32 over
+// all of that, and then the windows themselves, one after the other.
+// Opening an index file (ReadAt) reads its head and its table, in at
+// most two reads, and not one window byte: a window is read from the
+// file, checked against its CRC32 and inflated with the deflate
+// kernel's single-stage decoder the first time Window.Bytes asks for
+// it, and kept, so a cold seek through the index reads one window and a
+// handle that touches three spans holds three. A stream (Read) is read
+// byte-exact, each window checked as it goes by and kept as its flate
+// bytes, inflated on first use alike. An index of the older layout,
+// windows inline and one CRC32 at the end, is still read: whole, into
+// one buffer. A window that fails its CRC32, or does not inflate to
+// exactly its declared length, is reported as ErrCorrupt by Bytes (a
+// stream's window that fails its CRC32 fails the Read). Writing an
+// imported index back out copies the stored bytes unchanged.
 package gzindex
 
 import (
@@ -198,34 +202,125 @@ type Index struct {
 	// SourceFP is the source-file fingerprint. CheckSource refuses an
 	// index without one.
 	SourceFP *Fingerprint
+
+	// readsWindows is set when windows are read from the io.ReaderAt the
+	// index was parsed from (see ReadsWindows).
+	readsWindows bool
 }
 
-// Window is one seek point's window: the bytes Add was given, or the
-// flate bytes an imported index holds for it — a slice of the buffer
-// an index file was read into — inflated to rawLen bytes by the
-// first call of Bytes, with internal/deflate's single-stage decoder.
-// Unlike the Index it came from, a Window is safe for concurrent use, so
-// a decoder can inflate one without holding up the others.
+// Window is one seek point's window: the bytes Add was given, or what an
+// import knows of it — its flate bytes, held, or where they lie in the
+// index file with their CRC32 — inflated to rawLen bytes by the first
+// call of Bytes, with internal/deflate's single-stage decoder. Unlike the
+// Index it came from, a Window is safe for concurrent use, so a decoder
+// can inflate one without holding up the others.
 type Window struct {
-	once   sync.Once
-	raw    []byte
-	err    error
-	comp   []byte
-	rawLen int
+	mu   sync.Mutex // guards what Bytes and Restore set, and comp and src
+	done bool
+	raw  []byte
+	err  error
+	// An imported window's flate bytes are comp or, when the windows
+	// trail the table of an index file, the compLen bytes at off in src,
+	// which must match crc. A window Add was given, or one restored, has
+	// neither.
+	comp    []byte
+	src     io.ReaderAt
+	off     int64
+	compLen int
+	crc     uint32
+	rawLen  int
 }
 
-// Bytes returns the window. For an imported point the first call
-// inflates it; one that does not inflate to its declared length is an
-// error wrapping ErrCorrupt, on that call and every later one.
+// Bytes returns the window. For an imported point the first call reads
+// and inflates it; one that fails its CRC32 or does not inflate to its
+// declared length is an error wrapping ErrCorrupt, on that call and
+// every later one, unless Restore replaces it.
 func (w *Window) Bytes() ([]byte, error) {
-	w.once.Do(func() {
-		if w.raw == nil {
-			if w.raw, w.err = inflate(w.comp, w.rawLen); w.err != nil {
-				w.err = fmt.Errorf("%w: seek point window: %v", ErrCorrupt, w.err)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.done && w.raw == nil {
+		comp, err := w.flate()
+		if err == nil {
+			if w.raw, err = inflate(comp, w.rawLen); err != nil {
+				err = fmt.Errorf("%w: seek point window: %v", ErrCorrupt, err)
 			}
 		}
-	})
+		w.err = err
+	}
+	w.done = true
 	return w.raw, w.err
+}
+
+// Len is the window's length in bytes, known before it is read.
+func (w *Window) Len() int { return w.rawLen }
+
+// Check reports whether the window can still be had, without inflating
+// it: it is in memory, or its index file holds its bytes as their CRC32
+// says. It reports the error Bytes gave, if Bytes failed.
+func (w *Window) Check() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil || w.raw != nil {
+		return w.err
+	}
+	_, err := w.flate()
+	return err
+}
+
+// Restore replaces the window by raw, the same bytes decoded again from
+// the compressed file, where its index file no longer gives them: later
+// calls of Bytes return raw, and WriteTo compresses it anew. raw must be
+// as long as the window is (Len).
+func (w *Window) Restore(raw []byte) error {
+	if len(raw) != w.rawLen {
+		return fmt.Errorf("gzindex: a restored window of %d bytes for one of %d", len(raw), w.rawLen)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.raw, w.err, w.done = raw, nil, true
+	w.comp, w.src = nil, nil
+	return nil
+}
+
+// flate returns an imported window's flate bytes, read from the index
+// file when they trail its table and checked against their CRC32 there.
+// The caller holds w.mu.
+func (w *Window) flate() ([]byte, error) {
+	if w.src == nil {
+		return w.comp, nil
+	}
+	comp := make([]byte, w.compLen)
+	if n, err := w.src.ReadAt(comp, w.off); n < len(comp) {
+		if errors.Is(err, io.EOF) {
+			err = fmt.Errorf("%w: the index file ends inside a window", ErrCorrupt)
+		}
+		return nil, fmt.Errorf("gzindex: reading the window at byte %d: %w", w.off, err)
+	}
+	if crc32.ChecksumIEEE(comp) != w.crc {
+		return nil, fmt.Errorf("%w: the window at byte %d fails its CRC32", ErrCorrupt, w.off)
+	}
+	return comp, nil
+}
+
+// stored returns the window's flate bytes and the length they inflate
+// to: an imported window's, or the compression of what Add or Restore
+// was given, of which an empty window needs no bytes at all. An imported
+// window already inflated is compressed anew where its index file no
+// longer gives its bytes.
+func (w *Window) stored() ([]byte, int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.comp != nil || w.src != nil {
+		comp, err := w.flate()
+		if err == nil || w.raw == nil {
+			return comp, w.rawLen, err
+		}
+	}
+	if len(w.raw) == 0 {
+		return nil, 0, nil
+	}
+	comp, err := flateCompress(w.raw)
+	return comp, len(w.raw), err
 }
 
 // New returns an empty index.
@@ -245,7 +340,7 @@ func (ix *Index) Add(p SeekPoint, win []byte) error {
 		return err
 	}
 	if win != nil {
-		ix.windows[p.CompressedBitOffset] = &Window{raw: win}
+		ix.windows[p.CompressedBitOffset] = &Window{raw: win, rawLen: len(win)}
 	}
 	return nil
 }
@@ -306,6 +401,15 @@ func (ix *Index) Window(compressedBitOffset uint64) (*Window, bool) {
 	return w, ok
 }
 
+// ReadsWindows reports whether the index reads its windows, on first
+// use, from the io.ReaderAt it was parsed from: ReadAt of an index whose
+// windows trail its table. That reader must then stay open, and its
+// bytes as they were, for as long as the index is used, a WriteTo of it
+// included. An index file rewritten in place — os.Create truncates it —
+// fails every window not read yet with ErrCorrupt; one replaced by
+// renaming a new file over it leaves an open descriptor reading the old.
+func (ix *Index) ReadsWindows() bool { return ix.readsWindows }
+
 // AddMemberEnd records a member boundary within the seek point at the
 // given compressed offset. Marks must be added in increasing RelEnd
 // order per point.
@@ -336,24 +440,36 @@ func (ix *Index) Find(target uint64) (int, bool) {
 
 // --- serialization -------------------------------------------------------
 //
-// On-disk layout (version 5, the one format read and written; all
-// integers little-endian or unsigned LEB128 varints):
+// On-disk layout (version 5, the one format read; all integers
+// little-endian or unsigned LEB128 varints). Every writer emits it with
+// flag bit 4 set, its windows behind the table:
 //
 //	offset  size      field
 //	0       8         magic "RGZIDX05"
 //	8       1         flags (bit 0: finalized, bit 1: member marks
 //	                  complete, bit 2: source fingerprint present,
-//	                  bit 3: checkpoint table present)
+//	                  bit 3: checkpoint table present, bit 4: windows
+//	                  trail the table)
 //	9       varint    chunk size used during creation
 //	...     varint    compressed file size (bytes)
 //	...     varint    uncompressed file size (bytes)
 //	...     4+4       head and tail CRC32 of the source file (only when
 //	                  flag bit 2 is set)
+//	...     varint    table length: the bytes that follow this field up
+//	                  to and including the table CRC32 (only when flag
+//	                  bit 4 is set)
 //	...     varint    number of seek-point records
 //	...               seek-point records (see below)
 //	...               checkpoint-table section (only when flag bit 3 is
 //	                  set, see below)
-//	end-4   4         CRC32 (IEEE) of every preceding byte
+//	...     4         CRC32 (IEEE) of every preceding byte: the table CRC32
+//	...               the windows' flate bytes, concatenated in record
+//	                  order; the file ends where the last one ends (only
+//	                  when flag bit 4 is set)
+//
+// Without flag bit 4, the layout before it, there is no table length,
+// each window's bytes sit inside its record, and the CRC32 of every
+// preceding byte ends the file.
 //
 // Each seek-point record is:
 //
@@ -364,9 +480,11 @@ func (ix *Index) Find(target uint64) (int, bool) {
 //	          bit 2: member marks present, bit 3: inside a block)
 //	varint    distance back from the point to its block's header, in
 //	          bits (only when bit 3 is set; nonzero)
-//	varint    raw window length        | only when bit 1
-//	varint    compressed window length | is set; the window
-//	...       flate-compressed window  | bytes follow
+//	varint    raw window length        | only when bit 1 is set; the
+//	varint    compressed window length | window's bytes are at the
+//	4         CRC32 of those bytes     | sum of the compressed lengths
+//	          (flag bit 4 only)        | before it past the table CRC32,
+//	...       the window's bytes       | or follow here (no flag bit 4)
 //	varint    member mark count                   | only when
 //	...       per mark: varint relative offset    | bit 2
 //	          (delta-coded within the record)     | is
@@ -374,8 +492,11 @@ func (ix *Index) Find(target uint64) (int, bool) {
 //
 // Seek points are strictly increasing in compressed offset, so the
 // deltas are non-negative and small; windows are the bulk of the file
-// and flate-compress well (often 3-10x). The trailing CRC32 makes any
-// single-byte corruption detectable before an import trusts the data.
+// and flate-compress well (often 3-10x). The table CRC32 makes any
+// single-byte corruption of the table detectable before an import trusts
+// it, and each window's CRC32 any of that window before it is inflated.
+// A table that lies about a window's lengths fails there too: its bytes
+// are then some other bytes of the file, or lie past its end.
 //
 // A flag bit this version does not know, in the header or in a record,
 // is ErrUnsupportedVersion: a field added later comes as a flag bit, not
@@ -402,9 +523,12 @@ const magic = "RGZIDX05"
 
 // The flag bits this version knows, in the header and in a record.
 const (
-	knownFlags      = 0x0F
+	knownFlags      = 0x1F
 	knownPointFlags = 0x0F
 )
+
+// windowsTrail is the header flag bit of the table-first layout.
+const windowsTrail = 0x10
 
 // maxWindowRaw bounds a stored window. Real windows are at most the
 // Deflate history size of 32 KiB; the margin is kept tight because the
@@ -421,7 +545,9 @@ var (
 	// another format version, or one without what every writer records
 	// (CheckSource, and core for gzip member marks).
 	ErrUnsupportedVersion = errors.New("gzindex: unsupported index version")
-	// ErrChecksum reports that the trailing CRC32 does not match.
+	// ErrChecksum reports that the CRC32 of the table (of the whole file
+	// in the old layout) does not match. A window that fails its own
+	// CRC32 is ErrCorrupt.
 	ErrChecksum = errors.New("gzindex: index checksum mismatch")
 	// ErrCorrupt reports a structurally invalid index.
 	ErrCorrupt = errors.New("gzindex: corrupt index")
@@ -432,14 +558,85 @@ func writeUvarint(buf *bytes.Buffer, v uint64) {
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
 }
 
-// WriteTo serialises the index in the version-5 format.
+// WriteTo serialises the index in the version-5 format, its windows
+// behind its table. An index that reads its windows from its file (see
+// ReadsWindows) reads each one again here, checked against its CRC32.
 func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 	if ix.Checkpoints != nil && len(ix.Checkpoints.Format) != 4 {
 		return 0, fmt.Errorf("gzindex: checkpoint table format tag %q is not 4 bytes", ix.Checkpoints.Format)
 	}
+	// The table, from the point count on; the windows' flate bytes go
+	// behind it, and each record carries their lengths and CRC32.
+	var table bytes.Buffer
+	var windows [][]byte
+	writeUvarint(&table, uint64(len(ix.points)))
+	var prev SeekPoint
+	for _, p := range ix.points {
+		writeUvarint(&table, p.CompressedBitOffset-prev.CompressedBitOffset)
+		writeUvarint(&table, p.UncompressedOffset-prev.UncompressedOffset)
+		prev = p
+		win, hasWin := ix.windows[p.CompressedBitOffset]
+		marks := ix.memberEnds[p.CompressedBitOffset]
+		var pflags uint8
+		if p.AtMemberStart {
+			pflags |= 1
+		}
+		if hasWin {
+			pflags |= 2
+		}
+		if len(marks) > 0 {
+			pflags |= 4
+		}
+		if p.BlockHeaderBit != 0 {
+			pflags |= 8
+		}
+		table.WriteByte(pflags)
+		if p.BlockHeaderBit != 0 {
+			writeUvarint(&table, p.CompressedBitOffset-p.BlockHeaderBit)
+		}
+		if hasWin {
+			comp, rawLen, err := win.stored()
+			if err != nil {
+				return 0, err
+			}
+			writeUvarint(&table, uint64(rawLen))
+			writeUvarint(&table, uint64(len(comp)))
+			binary.Write(&table, binary.LittleEndian, crc32.ChecksumIEEE(comp))
+			windows = append(windows, comp)
+		}
+		if len(marks) > 0 {
+			writeUvarint(&table, uint64(len(marks)))
+			var prevEnd uint64
+			for _, m := range marks {
+				writeUvarint(&table, m.RelEnd-prevEnd)
+				prevEnd = m.RelEnd
+				binary.Write(&table, binary.LittleEndian, m.CRC32)
+			}
+		}
+	}
+	if ct := ix.Checkpoints; ct != nil {
+		table.WriteString(ct.Format)
+		table.WriteByte(ct.Flags)
+		writeUvarint(&table, uint64(len(ct.Spans)))
+		var prevEnd, decomp int64
+		for i, s := range ct.Spans {
+			// DecompOff is reconstructed as the running size sum on
+			// read, so a non-contiguous table must fail here rather
+			// than silently round-trip to different extents.
+			if s.CompOff < prevEnd || s.CompEnd <= s.CompOff || s.DecompSize < 0 || s.DecompOff != decomp {
+				return 0, fmt.Errorf("gzindex: checkpoint span %d is not serialisable: %+v", i, s)
+			}
+			writeUvarint(&table, uint64(s.CompOff-prevEnd))
+			writeUvarint(&table, uint64(s.CompEnd-s.CompOff))
+			writeUvarint(&table, uint64(s.DecompSize))
+			prevEnd = s.CompEnd
+			decomp += s.DecompSize
+		}
+	}
+
 	var buf bytes.Buffer
 	buf.WriteString(magic)
-	var flags uint8
+	flags := uint8(windowsTrail)
 	if ix.Finalized {
 		flags |= 1
 	}
@@ -460,92 +657,31 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		binary.Write(&buf, binary.LittleEndian, ix.SourceFP.Head)
 		binary.Write(&buf, binary.LittleEndian, ix.SourceFP.Tail)
 	}
-	writeUvarint(&buf, uint64(len(ix.points)))
-	var prev SeekPoint
-	for _, p := range ix.points {
-		writeUvarint(&buf, p.CompressedBitOffset-prev.CompressedBitOffset)
-		writeUvarint(&buf, p.UncompressedOffset-prev.UncompressedOffset)
-		prev = p
-		win, hasWin := ix.windows[p.CompressedBitOffset]
-		marks := ix.memberEnds[p.CompressedBitOffset]
-		var pflags uint8
-		if p.AtMemberStart {
-			pflags |= 1
-		}
-		if hasWin {
-			pflags |= 2
-		}
-		if len(marks) > 0 {
-			pflags |= 4
-		}
-		if p.BlockHeaderBit != 0 {
-			pflags |= 8
-		}
-		buf.WriteByte(pflags)
-		if p.BlockHeaderBit != 0 {
-			writeUvarint(&buf, p.CompressedBitOffset-p.BlockHeaderBit)
-		}
-		if hasWin {
-			comp, rawLen := win.comp, win.rawLen
-			if comp == nil {
-				var err error
-				if comp, err = flateCompress(win.raw); err != nil {
-					return 0, err
-				}
-				rawLen = len(win.raw)
-			}
-			writeUvarint(&buf, uint64(rawLen))
-			writeUvarint(&buf, uint64(len(comp)))
-			buf.Write(comp)
-		}
-		if len(marks) > 0 {
-			writeUvarint(&buf, uint64(len(marks)))
-			var prevEnd uint64
-			for _, m := range marks {
-				writeUvarint(&buf, m.RelEnd-prevEnd)
-				prevEnd = m.RelEnd
-				binary.Write(&buf, binary.LittleEndian, m.CRC32)
-			}
-		}
-	}
-	if ct := ix.Checkpoints; ct != nil {
-		buf.WriteString(ct.Format)
-		buf.WriteByte(ct.Flags)
-		writeUvarint(&buf, uint64(len(ct.Spans)))
-		var prevEnd, decomp int64
-		for i, s := range ct.Spans {
-			// DecompOff is reconstructed as the running size sum on
-			// read, so a non-contiguous table must fail here rather
-			// than silently round-trip to different extents.
-			if s.CompOff < prevEnd || s.CompEnd <= s.CompOff || s.DecompSize < 0 || s.DecompOff != decomp {
-				return 0, fmt.Errorf("gzindex: checkpoint span %d is not serialisable: %+v", i, s)
-			}
-			writeUvarint(&buf, uint64(s.CompOff-prevEnd))
-			writeUvarint(&buf, uint64(s.CompEnd-s.CompOff))
-			writeUvarint(&buf, uint64(s.DecompSize))
-			prevEnd = s.CompEnd
-			decomp += s.DecompSize
-		}
-	}
+	writeUvarint(&buf, uint64(table.Len()+4))
+	buf.Write(table.Bytes())
 	binary.Write(&buf, binary.LittleEndian, crc32.ChecksumIEEE(buf.Bytes()))
+	for _, comp := range windows {
+		buf.Write(comp)
+	}
 	n, err := w.Write(buf.Bytes())
 	return int64(n), err
 }
 
 // headRead is the first read of an index file: the magic and every
-// header field before the first point take at most 57 bytes, so a
-// check can dismiss the index from this read alone.
+// header field before the first point, the table length included, take
+// at most 57 bytes, so a check can dismiss the index from this read
+// alone, and a table-first index knows from it where its table ends.
 const headRead = 64
 
-// Read deserialises an index written by WriteTo. The trailing CRC32 is
-// verified; any mismatch or structural problem rejects the whole index —
-// a partially imported index would silently disable seeking into the
-// missing region. Another version's magic is ErrUnsupportedVersion:
-// versions 1 to 3 came before the fingerprint and the checkpoint table,
-// version 4 before points inside blocks, and an index in one of them has
-// to be exported again.
+// Read deserialises an index written by WriteTo. The table CRC32, and
+// every window's, is verified; any mismatch or structural problem rejects
+// the whole index — a partially imported index would silently disable
+// seeking into the missing region. Another version's magic is
+// ErrUnsupportedVersion: versions 1 to 3 came before the fingerprint and
+// the checkpoint table, version 4 before points inside blocks, and an
+// index in one of them has to be exported again.
 //
-// Read consumes nothing past the trailer: it reads as far as the parse
+// Read consumes nothing past the index: it reads as far as the parse
 // needs, a varint a byte at a time, so buffer r if it holds nothing
 // else. An index file is better read with ReadAt.
 func Read(r io.Reader) (*Index, error) {
@@ -556,19 +692,21 @@ func Read(r io.Reader) (*Index, error) {
 // ReadAt parses the index in the first size bytes of r, such as an index
 // file, in at most two reads: a head of headRead bytes, whose header
 // check, when non-nil, sees — flags, chunk size, file sizes and
-// fingerprint, before any point — and may refuse, and then the rest.
-// Windows keep their flate bytes as slices of the one buffer.
+// fingerprint, before any point — and may refuse, and then the rest of
+// the table. Where the windows trail the table, as they do in what every
+// writer emits, none of them is read: each is read from r, and checked,
+// on its first use, so r must stay open while the index is used (see
+// ReadsWindows). An index of the older layout is read whole, and its
+// windows are slices of the one buffer.
 func ReadAt(r io.ReaderAt, size int64, check func(header *Index) error) (*Index, error) {
-	ix, _, err := readAt(r, size, check)
-	return ix, err
-}
-
-// readAt is ReadAt, which also reports how many bytes the parse took.
-func readAt(r io.ReaderAt, size int64, check func(*Index) error) (*Index, int64, error) {
-	p := &parser{fill: func(buf []byte, _ int) ([]byte, error) {
+	p := &parser{src: r, size: size}
+	p.fill = func(buf []byte, _ int) ([]byte, error) {
 		n := min(size, headRead)
 		if len(buf) > 0 {
 			n = size
+			if p.end > 0 {
+				n = min(n, int64(p.end))
+			}
 		}
 		if int64(len(buf)) >= n {
 			return buf, io.ErrUnexpectedEOF
@@ -580,9 +718,8 @@ func readAt(r io.ReaderAt, size int64, check func(*Index) error) (*Index, int64,
 			err = nil
 		}
 		return next, err
-	}}
-	ix, err := p.index(check)
-	return ix, int64(p.off), err
+	}
+	return p.index(check)
 }
 
 // ReadFrom replaces the index contents with a serialised index read
@@ -626,7 +763,7 @@ func read(r io.Reader) (*Index, int64, error) {
 // magic on (a stream's from the last bytes it dropped on). When the
 // parse runs past what buf holds, fill is given buf and the bytes
 // missing and returns buf with more behind it: exactly those bytes from
-// a stream, everything that is left from a file.
+// a stream, everything that is left of the table from a file.
 type parser struct {
 	buf  []byte
 	off  int
@@ -638,8 +775,21 @@ type parser struct {
 	stream  bool
 	sum     uint32
 	dropped int
+	// src and size are an index file's (ReadAt), whose trailing windows
+	// stay in it.
+	src  io.ReaderAt
+	size int64
+	// end, once the header of a table-first index is read, is where its
+	// table ends: the parse of the table reads no byte past it. Past it,
+	// windows is set, and what the parse drops needs no sum.
+	end     int
+	windows bool
 	err     error
 }
+
+// errPastTable is what the parse of a table that runs past its declared
+// length fails with.
+var errPastTable = errors.New("a record runs past the table's declared length")
 
 // need reports whether n bytes from off are in buf, filling it if not.
 func (p *parser) need(n int) bool {
@@ -649,9 +799,15 @@ func (p *parser) need(n int) bool {
 	if len(p.buf)-p.off >= n {
 		return true
 	}
+	if p.end > 0 && p.dropped+p.off+n > p.end {
+		p.err = errPastTable
+		return false
+	}
 	missing := n - (len(p.buf) - p.off)
 	if p.stream && cap(p.buf)-len(p.buf) < missing {
-		p.sum = crc32.Update(p.sum, crc32.IEEETable, p.buf[:p.off])
+		if !p.windows {
+			p.sum = crc32.Update(p.sum, crc32.IEEETable, p.buf[:p.off])
+		}
 		p.dropped += p.off
 		p.buf, p.off = p.buf[p.off:], 0
 	}
@@ -716,6 +872,7 @@ func (p *parser) index(check func(*Index) error) (*Index, error) {
 	if flags&^knownFlags != 0 {
 		return nil, fmt.Errorf("%w: index flags %#x (this version knows %#x; re-export the index)", ErrUnsupportedVersion, flags, knownFlags)
 	}
+	trail := flags&windowsTrail != 0
 	ix := New(int(p.uvarint()))
 	ix.Finalized = flags&1 != 0
 	ix.MemberMarksComplete = flags&2 != 0
@@ -729,6 +886,10 @@ func (p *parser) index(check func(*Index) error) (*Index, error) {
 			}
 		}
 	}
+	var tableLen uint64
+	if trail {
+		tableLen = p.uvarint()
+	}
 	if p.err != nil {
 		return nil, p.corrupt()
 	}
@@ -737,6 +898,14 @@ func (p *parser) index(check func(*Index) error) (*Index, error) {
 			return nil, err
 		}
 	}
+	if trail {
+		if tableLen < 5 || tableLen > 1<<40 {
+			return nil, fmt.Errorf("%w: implausible table length %d", ErrCorrupt, tableLen)
+		}
+		p.end = p.dropped + p.off + int(tableLen)
+		// An index file's head may hold bytes past a short table.
+		p.buf = p.buf[:min(len(p.buf), p.end-p.dropped)]
+	}
 	n := p.uvarint()
 	if p.err != nil {
 		return nil, p.corrupt()
@@ -744,6 +913,7 @@ func (p *parser) index(check func(*Index) error) (*Index, error) {
 	if n > 1<<40 {
 		return nil, fmt.Errorf("%w: implausible point count %d", ErrCorrupt, n)
 	}
+	var windows []*Window // in record order
 	var prev SeekPoint
 	for i := uint64(0); i < n; i++ {
 		var pt SeekPoint
@@ -768,21 +938,31 @@ func (p *parser) index(check func(*Index) error) (*Index, error) {
 		if pflags&2 != 0 {
 			rawLen := p.uvarint()
 			compLen := p.uvarint()
+			var crc uint32
+			if trail {
+				if b := p.bytes(4); b != nil {
+					crc = binary.LittleEndian.Uint32(b)
+				}
+			}
 			// The error check must precede the bounds check: a failed
 			// varint leaves a partial value behind.
 			if p.err != nil {
 				return nil, p.corrupt()
 			}
 			// The bound on rawLen is what caps the inflate of an untrusted
-			// window (Window.Bytes).
+			// window (Window.Bytes), and the one on compLen its read.
 			if rawLen > maxWindowRaw || compLen > rawLen+rawLen/255+64 {
 				return nil, fmt.Errorf("%w: window %d/%d bytes at point %d", ErrCorrupt, compLen, rawLen, i)
 			}
-			comp := p.bytes(int(compLen))
-			if p.stream && len(comp) <= streamScratch {
-				comp = bytes.Clone(comp)
+			win = &Window{rawLen: int(rawLen), compLen: int(compLen), crc: crc}
+			if trail {
+				windows = append(windows, win)
+			} else {
+				win.comp = p.bytes(int(compLen))
+				if p.stream && len(win.comp) <= streamScratch {
+					win.comp = bytes.Clone(win.comp)
+				}
 			}
-			win = &Window{comp: comp, rawLen: int(rawLen)}
 		}
 		var marks []MemberEnd
 		if pflags&4 != 0 {
@@ -837,10 +1017,55 @@ func (p *parser) index(check func(*Index) error) (*Index, error) {
 	if binary.LittleEndian.Uint32(trailer) != want {
 		return nil, ErrChecksum
 	}
+	if trail {
+		if at := p.dropped + p.off; at != p.end {
+			return nil, fmt.Errorf("%w: the table ends at byte %d, its header says %d", ErrCorrupt, at, p.end)
+		}
+		if err := p.trailingWindows(ix, windows); err != nil {
+			return nil, err
+		}
+	}
 	if err := ix.validate(); err != nil {
 		return nil, err
 	}
 	return ix, nil
+}
+
+// trailingWindows places the windows behind a table, in record order:
+// an index file's stay in it, to be read on first use, and must lie
+// inside it; a stream's are read now, each checked against its CRC32. A
+// window of no bytes, as the writer's empty ones are, is not read at all.
+func (p *parser) trailingWindows(ix *Index, windows []*Window) error {
+	start := int64(p.end)
+	off := start
+	p.end, p.windows = 0, true
+	for i, w := range windows {
+		if w.compLen == 0 && w.crc == 0 { // the CRC32 of no bytes
+			w.comp = []byte{}
+			continue
+		}
+		if p.src != nil {
+			w.src, w.off = p.src, off
+			off += int64(w.compLen)
+			continue
+		}
+		comp := p.bytes(w.compLen)
+		if comp == nil {
+			return p.corrupt()
+		}
+		if len(comp) <= streamScratch {
+			comp = bytes.Clone(comp)
+		}
+		if crc32.ChecksumIEEE(comp) != w.crc {
+			return fmt.Errorf("%w: window %d fails its CRC32", ErrCorrupt, i)
+		}
+		w.comp = comp
+	}
+	if p.src != nil && off > p.size {
+		return fmt.Errorf("%w: the windows end at byte %d, the index file has %d", ErrCorrupt, off, p.size)
+	}
+	ix.readsWindows = p.src != nil && off > start
+	return nil
 }
 
 // checkpointTable parses the per-format span-table section of an

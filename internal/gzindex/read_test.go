@@ -35,9 +35,23 @@ func sentinel(err error) error {
 	return err
 }
 
-// readAllPaths reads data every way and fails t unless all of them give
-// the same index, written back byte for byte alike, or fail with the
-// same sentinel. It returns the stream path's outcome.
+// windowsErr is the first error of the windows of ix, in point order:
+// a file's are read and checked only here.
+func windowsErr(ix *Index) error {
+	for _, p := range ix.points {
+		if w, ok := ix.windows[p.CompressedBitOffset]; ok {
+			if _, err := w.Bytes(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// readAllPaths reads data every way, each window inflated, and fails t
+// unless all of them give the same index, written back byte for byte
+// alike, or fail with the same sentinel. It returns the stream path's
+// outcome.
 func readAllPaths(t *testing.T, data []byte) (*Index, error) {
 	t.Helper()
 	var first *Index
@@ -45,6 +59,11 @@ func readAllPaths(t *testing.T, data []byte) (*Index, error) {
 	var firstOut []byte
 	for i, p := range readPaths {
 		ix, err := p.read(data)
+		if err == nil {
+			if err = windowsErr(ix); err != nil {
+				ix = nil
+			}
+		}
 		var out []byte
 		if err == nil {
 			var buf bytes.Buffer
@@ -95,7 +114,11 @@ func inflateStdlib(comp []byte, rawLen int) ([]byte, error) {
 func checkWindowsLikeFlate(t *testing.T, ix *Index) int {
 	t.Helper()
 	for off, w := range ix.windows {
-		want, err := inflateStdlib(w.comp, w.rawLen)
+		comp, err := w.flate()
+		if err != nil {
+			t.Fatalf("window at bit %d: %v", off, err)
+		}
+		want, err := inflateStdlib(comp, w.rawLen)
 		if err != nil {
 			t.Fatalf("window at bit %d: compress/flate: %v", off, err)
 		}
@@ -233,21 +256,25 @@ func manyWindows(t testing.TB, n int) []byte {
 	return buf.Bytes()
 }
 
-// countingReaderAt counts the reads made through it.
+// countingReaderAt counts the reads made through it and their bytes.
 type countingReaderAt struct {
 	r     io.ReaderAt
 	reads atomic.Int64
+	bytes atomic.Int64
 }
 
 func (c *countingReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	c.reads.Add(1)
-	return c.r.ReadAt(p, off)
+	n, err := c.r.ReadAt(p, off)
+	c.bytes.Add(int64(n))
+	return n, err
 }
 
 // TestReadAtReadsAFileTwice: a 147-window index file is parsed from two
-// reads, and what the parse allocates is the file's size and small
-// per-point structs: the windows are slices of the buffer, not copies.
-// A header check that refuses the index stops after the first read.
+// reads of its table and not one byte of a window, and what the parse
+// allocates is the table's size and small per-point structs. A window
+// asked for is one more read, of its bytes alone. A header check that
+// refuses the index stops after the first read.
 func TestReadAtReadsAFileTwice(t *testing.T) {
 	const points = 147
 	raw := manyWindows(t, points)
@@ -271,14 +298,19 @@ func TestReadAtReadsAFileTwice(t *testing.T) {
 	if len(ix.windows) != points {
 		t.Fatalf("%d windows, want %d", len(ix.windows), points)
 	}
-	if n := cr.reads.Load(); n > 2 {
-		t.Fatalf("%d reads of the index file, want at most 2", n)
+	table := tableEnd(raw)
+	if n, read := cr.reads.Load(), cr.bytes.Load(); n > 2 || read > int64(table) {
+		t.Fatalf("%d reads of %d bytes of the index file, want at most 2 of the %d-byte table", n, read, table)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	if limit := uint64(len(raw)) + 64<<10 + points*1<<10; alloc > limit {
-		t.Fatalf("parsing a %d-byte index allocated %d bytes, want at most %d", len(raw), alloc, limit)
+	if limit := uint64(table) + 64<<10 + points*1<<10; alloc > limit {
+		t.Fatalf("parsing a %d-byte table allocated %d bytes, want at most %d", table, alloc, limit)
 	}
-	t.Logf("%d-byte index: %d reads, %d bytes allocated", len(raw), cr.reads.Load(), alloc)
+	t.Logf("%d-byte index, %d-byte table: %d reads, %d bytes allocated", len(raw), table, cr.reads.Load(), alloc)
+	w, _ := ix.Window(uint64(50*32<<10) * 3)
+	if _, err := w.Bytes(); err != nil || cr.reads.Load() != 3 || cr.bytes.Load() != int64(table+w.compLen) {
+		t.Fatalf("one window: %v, %d reads of %d bytes in all", err, cr.reads.Load(), cr.bytes.Load())
+	}
 	checkWindowsLikeFlate(t, ix)
 
 	refuse := errors.New("not this file")

@@ -44,7 +44,9 @@ type Config struct {
 	Root string
 	// MaxOpenArchives caps concurrently open archives (the handle
 	// cache's LRU capacity). Opening the N+1th closes the coldest.
-	// Zero selects 64.
+	// Zero selects 64. An archive opened through a gzip index holds two
+	// file descriptors, the compressed file and the index it reads
+	// windows from, so the cap holds up to twice as many descriptors.
 	MaxOpenArchives int
 	// OpenSlots caps concurrent cold opens — each may run a sizing
 	// pass over the whole compressed file. Zero selects NumCPU/2

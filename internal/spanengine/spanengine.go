@@ -141,6 +141,14 @@ type PrefixDecoder interface {
 	DecodeSpanPrefix(src filereader.FileReader, s Span, parked any, upTo int64) (data []byte, next any, err error)
 }
 
+// BitAddressed is implemented by a codec whose spans start at bit
+// offsets, which its spans' byte extents round down: where two spans
+// start in one compressed byte, the extent of the first is empty.
+// NewFromCheckpoints accepts such an extent from such a codec alone.
+type BitAddressed interface {
+	BitAddressed()
+}
+
 // Config tunes an Engine. The zero value selects defaults, which is how
 // bzip2, LZ4 and zstd are built; gzip sets its own prefetch depth and
 // cache size (core), and tests set what they need to observe.
@@ -376,7 +384,8 @@ func New(src filereader.FileReader, codec Codec, cfg Config) (*Engine, error) {
 // skipping the sizing pass entirely — the reopen-with-index fast path
 // (and, file-backed, the zero-read open: no byte of the source is
 // touched until the first span access). The table is validated
-// structurally (ordered, in-bounds, contiguous decompressed extents);
+// structurally (ordered, in-bounds, contiguous decompressed extents,
+// and no empty compressed extent but a BitAddressed codec's);
 // decode errors from a stale table surface on first access, exactly
 // like data corruption would.
 func NewFromCheckpoints(src filereader.FileReader, codec Codec, spans []Span, flags uint8, cfg Config) (*Engine, error) {
@@ -384,9 +393,10 @@ func NewFromCheckpoints(src filereader.FileReader, codec Codec, spans []Span, fl
 		return nil, errors.New("spanengine: empty checkpoint table")
 	}
 	size := src.Size()
+	_, bits := codec.(BitAddressed)
 	var decomp int64
 	for i, s := range spans {
-		if s.CompOff < 0 || s.CompEnd <= s.CompOff || s.CompEnd > size {
+		if s.CompOff < 0 || s.CompEnd < s.CompOff || s.CompEnd == s.CompOff && !bits || s.CompEnd > size {
 			return nil, fmt.Errorf("spanengine: checkpoint %d compressed extent [%d,%d) out of bounds (%d-byte source)",
 				i, s.CompOff, s.CompEnd, size)
 		}

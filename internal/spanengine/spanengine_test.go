@@ -196,7 +196,23 @@ func TestCheckpointValidation(t *testing.T) {
 		t.Fatalf("valid table rejected: %v", err)
 	}
 	e.Close()
+	// Two spans that start in one byte: the first one's extent is empty,
+	// which only a codec that addresses bits may have.
+	touching := []Span{{CompOff: 0, CompEnd: 0, DecompOff: 0, DecompSize: 1024}, {CompOff: 0, CompEnd: 4096, DecompOff: 1024, DecompSize: 3072}}
+	if _, err := NewFromCheckpoints(filereader.MemoryReader(src), codec, touching, 0, Config{}); err == nil {
+		t.Error("an empty extent accepted from a byte-addressed codec")
+	}
+	e, err = NewFromCheckpoints(filereader.MemoryReader(src), bitCodec{codec}, touching, 0, Config{})
+	if err != nil {
+		t.Fatalf("an empty extent refused from a bit-addressed codec: %v", err)
+	}
+	e.Close()
 }
+
+// bitCodec is a fakeCodec that says it addresses bits.
+type bitCodec struct{ *fakeCodec }
+
+func (bitCodec) BitAddressed() {}
 
 func TestConcurrentReadAt(t *testing.T) {
 	src := testSrc(128 << 10)

@@ -26,6 +26,9 @@ type config struct {
 	inMemory    bool                  // load the whole file instead of serving it file-backed
 	pool        *spanengine.CachePool // shared span-cache pool (WithSharedPool); nil = private cache
 	sourceFP    *gzindex.Fingerprint  // the source's fingerprint when already taken; nil = backends take it
+	// rebuildWindows decodes a window that a discovered index file fails
+	// to give again from the compressed file (core.Config.RebuildWindows).
+	rebuildWindows bool
 }
 
 // engine is the configuration of one span engine: bzip2, LZ4 and zstd
@@ -43,6 +46,7 @@ func (c config) core() core.Config {
 		VerifyChecksums: c.verify,
 		Pool:            c.pool,
 		SourceFP:        c.sourceFP,
+		RebuildWindows:  c.rebuildWindows,
 	}
 }
 
