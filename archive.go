@@ -267,11 +267,7 @@ func closedErr(err error) error {
 // state is one generation of an archive's decoding state: a span engine
 // over a codec built cold or from an index. ImportIndex replaces it whole.
 type state struct {
-	eng *spanengine.Engine
-	// gz is the gzip/BGZF codec's owner, nil for the other formats: the
-	// window index, the CRC chain and the speculation counters are what
-	// gzip has beyond a span table.
-	gz   *core.Reader
+	eng  *spanengine.Engine
 	caps Capabilities
 	// indexFile is the index file the state was built from when its
 	// windows are read from it on first use (gzindex.Index.ReadsWindows),
@@ -325,18 +321,18 @@ var backends = map[Format]backend{
 // and import, and opt-in CRC verification — whatever the file looks like.
 var gzipBackend = backend{
 	cold: func(src filereader.FileReader, cfg config) (*state, error) {
-		return gzipState(core.NewReader(src, cfg.core()))
+		return gzipState(core.New(src, cfg.core()))
 	},
 	indexed: func(src filereader.FileReader, ix *gzindex.Index, cfg config) (*state, error) {
-		return gzipState(core.NewReaderFromIndex(src, ix, cfg.core()))
+		return gzipState(core.NewFromIndex(src, ix, cfg.core()))
 	},
 }
 
-func gzipState(gz *core.Reader, err error) (*state, error) {
+func gzipState(eng *spanengine.Engine, err error) (*state, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &state{eng: gz.Engine(), gz: gz, caps: Capabilities{
+	return &state{eng: eng, caps: Capabilities{
 		Seek: true, RandomAccess: true, Parallel: true, Index: true, Verify: true, Prefetch: true,
 	}}, nil
 }
@@ -385,41 +381,6 @@ func codecBackend(codec spanengine.Codec, caps func(flags uint8, spans int, inde
 // prefetching need more than one span.
 func spanCaps(multi, verify bool) Capabilities {
 	return Capabilities{Seek: true, Index: true, RandomAccess: multi, Parallel: multi, Prefetch: multi, Verify: verify}
-}
-
-// stats fills the public Stats: the engine's counters, and for gzip/BGZF
-// the chunk pipeline's.
-func (st *state) stats() Stats {
-	e := st.eng.Stats()
-	s := Stats{
-		SizingPasses:       e.SizingPasses,
-		SpanDecodes:        e.SpanDecodes,
-		SpanResumes:        e.SpanResumes,
-		DecodedBytes:       e.DecodedBytes,
-		PrefetchProposed:   e.PrefetchProposed,
-		PrefetchIssued:     e.PrefetchIssued,
-		PrefetchJoined:     e.PrefetchJoined,
-		PrefetchUnused:     e.PrefetchUnused,
-		DemandJoined:       e.DemandJoined,
-		SpanCacheHits:      e.CacheHits,
-		SpanCacheMisses:    e.CacheMisses,
-		SpanCacheEvictions: e.Evictions,
-		SourceReads:        e.SourceReads,
-		SourceBytesRead:    e.SourceBytesRead,
-	}
-	if st.gz != nil {
-		g := st.gz.Stats()
-		s.GuessTasks = g.GuessTasks
-		s.GuessNoBlock = g.GuessNoBlock
-		s.GuessFalseStarts = g.GuessFalseStarts
-		s.FinderProbes = g.FinderProbes
-		s.FinderBytes = g.FinderBytes
-		s.OnDemandDecodes = g.OnDemandDecodes
-		s.IndexedDecodes = g.IndexedDecodes
-		s.ChunksConsumed = g.ChunksConsumed
-		s.CRCFailures = g.CRCFailures
-	}
-	return s
 }
 
 // --- the archive ---------------------------------------------------------
@@ -654,24 +615,41 @@ func (a *archive) ExportIndex(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if st.gz != nil {
-		return closedErr(st.gz.ExportIndex(w))
-	}
 	if err := st.eng.EnsureComplete(); err != nil {
 		return closedErr(err)
 	}
+	var ix *gzindex.Index
+	if c, ok := st.eng.Codec().(seekIndexer); ok {
+		ix, err = c.SeekIndex()
+	} else {
+		ix, err = a.checkpointIndex(st.eng)
+	}
+	if err == nil {
+		_, err = ix.WriteTo(w)
+	}
+	return closedErr(err)
+}
+
+// seekIndexer is the codec of a format that keeps a seek-point index of
+// its own, windows included (gzip/BGZF): an export writes it.
+type seekIndexer interface {
+	SeekIndex() (*gzindex.Index, error)
+}
+
+// checkpointIndex is what an export of the other formats writes: eng's
+// span table, under the source's size and fingerprint.
+func (a *archive) checkpointIndex(eng *spanengine.Engine) (*gzindex.Index, error) {
 	fp, err := gzindex.ComputeFingerprint(a.src, a.src.Size())
 	if err != nil {
-		return closedErr(fmt.Errorf("%w: %w", ErrSourceRead, err))
+		return nil, fmt.Errorf("%w: %w", ErrSourceRead, err)
 	}
 	ix := gzindex.New(0)
 	ix.Finalized = true
 	ix.CompressedSize = uint64(a.src.Size())
-	ix.UncompressedSize = uint64(st.eng.Size())
+	ix.UncompressedSize = uint64(eng.Size())
 	ix.SourceFP = &fp
-	ix.Checkpoints = st.eng.CheckpointTable()
-	_, err = ix.WriteTo(w)
-	return err
+	ix.Checkpoints = eng.CheckpointTable()
+	return ix, nil
 }
 
 func (a *archive) ImportIndex(rd io.Reader) error {
@@ -692,7 +670,7 @@ func (a *archive) ImportIndex(rd io.Reader) error {
 	return nil
 }
 
-func (a *archive) Stats() Stats { return a.cur.Load().stats() }
+func (a *archive) Stats() Stats { return a.cur.Load().eng.Stats() }
 
 func (a *archive) Format() Format { return a.format }
 
@@ -712,15 +690,22 @@ func (a *archive) CRCVerified() (bool, uint64) {
 	a.swap.Lock()
 	defer a.swap.Unlock()
 	st := a.cur.Load()
-	if st.gz == nil {
+	c, ok := st.eng.Codec().(crcChain)
+	if !ok {
 		return st.caps.Verify, 0
 	}
-	ok, fails := st.gz.CRCStatus()
+	intact, fails := c.CRCStatus()
 	for _, old := range a.retired {
-		_, f := old.gz.CRCStatus()
+		_, f := old.eng.Codec().(crcChain).CRCStatus()
 		fails += f
 	}
-	return ok && fails == 0, fails
+	return intact && fails == 0, fails
+}
+
+// crcChain is the codec of a format that verifies checksums as reads
+// consume its spans in order (gzip/BGZF), not inside every decode.
+type crcChain interface {
+	CRCStatus() (intact bool, failures uint64)
 }
 
 // Close releases every engine the archive built, each with the index

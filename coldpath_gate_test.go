@@ -179,8 +179,7 @@ func TestSingleBlockDecodedOnce(t *testing.T) {
 			a.Close()
 			t.Fatalf("P=%d: cold pass %d bytes, err %v, output differs %v", p, n, err, check.differs)
 		}
-		st, cur := a.Stats(), a.(*archive).cur.Load()
-		spans, gz := uint64(cur.eng.NumSpans()), cur.gz.Stats()
+		st, spans := a.Stats(), uint64(a.(*archive).cur.Load().eng.NumSpans())
 		var ix bytes.Buffer
 		err = a.ExportIndex(&ix)
 		a.Close()
@@ -191,15 +190,15 @@ func TestSingleBlockDecodedOnce(t *testing.T) {
 		decoded := float64(st.DecodedBytes) / float64(n)
 		read := float64(st.SourceBytesRead) / float64(len(fx.comp))
 		t.Logf("P=%d: %d spans, %.4f decoded B per delivered B, %d evictions, %d guesses, %d finder bytes for %d compressed, %.4f B read per compressed B, a unit %d B past its stop at most",
-			p, spans, decoded, st.SpanCacheEvictions, st.GuessTasks, st.FinderBytes, len(fx.comp), read, gz.MaxPastStop)
+			p, spans, decoded, st.SpanCacheEvictions, st.GuessTasks, st.FinderBytes, len(fx.comp), read, st.MaxPastStop)
 		if decoded > 1.02 {
 			t.Errorf("P=%d: decoded %.4f B per delivered B, want <= 1.02", p, decoded)
 		}
 		if st.SpanCacheEvictions > spans {
 			t.Errorf("P=%d: %d evictions for %d spans", p, st.SpanCacheEvictions, spans)
 		}
-		if gz.MaxPastStop > pastStop {
-			t.Errorf("P=%d: a unit reached %d B past its stop, want <= %d", p, gz.MaxPastStop, pastStop)
+		if st.MaxPastStop > pastStop {
+			t.Errorf("P=%d: a unit reached %d B past its stop, want <= %d", p, st.MaxPastStop, pastStop)
 		}
 		if st.FinderBytes > finderBytes {
 			t.Errorf("P=%d: the finder scanned %d B, want <= %d", p, st.FinderBytes, finderBytes)

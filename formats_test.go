@@ -68,15 +68,7 @@ var formats = []formatRow{
 	{"zstd", "data.zst", FormatZstd, zstdFrames(zstdx.FrameOptions{Level: 1, ContentChecksum: true})},
 
 	// compress/gzip: one member, as most gzip files are.
-	{"gzip-stdlib", "data-stdlib.gz", FormatGzip, func(p []byte, _ int) ([]byte, error) {
-		var buf bytes.Buffer
-		w, _ := gzip.NewWriterLevel(&buf, 6) // a valid level
-		_, err := w.Write(p)
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
-		return buf.Bytes(), err
-	}},
+	{"gzip-stdlib", "data-stdlib.gz", FormatGzip, stdlibMembers(0)},
 	// igzip -0: the whole file one Dynamic block, the paper's worst case
 	// for a cold pass.
 	{"gzip-single-block", "data-single-block.gz", FormatGzip, func(p []byte, _ int) ([]byte, error) {
@@ -98,6 +90,33 @@ var formats = []formatRow{
 		return zstdx.AppendFrames(zstdx.AppendSkippable(nil, []byte("pzstd-style metadata")), p,
 			zstdx.FrameOptions{Level: 1, FrameSize: span}), nil
 	}},
+	// compress/gzip members of 30,000 bytes each: gzip files concatenated,
+	// as cat a.gz b.gz makes them.
+	{"gzip-multimember", "data-multimember.gz", FormatGzip, stdlibMembers(30_000)},
+}
+
+// stdlibMembers compresses with compress/gzip, a member every size bytes
+// of input, or one member if size is zero.
+func stdlibMembers(size int) func([]byte, int) ([]byte, error) {
+	return func(p []byte, _ int) ([]byte, error) {
+		var buf bytes.Buffer
+		for first := true; first || len(p) > 0; first = false {
+			n := len(p)
+			if size > 0 {
+				n = min(n, size)
+			}
+			w, _ := gzip.NewWriterLevel(&buf, 6) // a valid level
+			_, err := w.Write(p[:n])
+			if cerr := w.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return nil, err
+			}
+			p = p[n:]
+		}
+		return buf.Bytes(), nil
+	}
 }
 
 func lz4Frames(checksum bool) func([]byte, int) ([]byte, error) {
@@ -710,6 +729,47 @@ func TestWithIndexFile(t *testing.T) {
 	reopenIndexed(t, fx, "explicit", "file", WithChunkSize(32<<10))
 	reopenIndexed(t, fx, "explicit", "bytes", WithChunkSize(32<<10))
 	refuseIndexes(t, "explicit")
+}
+
+// TestCRCFailureSurvivesImport: a gzip or BGZF archive opened WithVerify
+// that saw a member's CRC32 fail still reports the failure after an index
+// of the same file is imported, whose engine starts a chain of its own:
+// an import does not launder a stream. Stats counts the new engine's.
+func TestCRCFailureSurvivesImport(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		crc  int // the last member's CRC32, from the end of the file
+	}{{"gzip-stdlib", 8}, {"bgzf", len(gzipw.BGZFEOFMarker) + 8}} {
+		t.Run(c.name, func(t *testing.T) {
+			plain := workloads.SilesiaLike(200_000, 6)
+			comp := compress(t, c.name, plain, 0)
+			comp[len(comp)-c.crc] ^= 1
+			a, err := OpenBytes(comp, WithVerify(true), WithChunkSize(32<<10), WithParallelism(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			if got, err := io.ReadAll(a); err != nil || !bytes.Equal(got, plain) {
+				t.Fatalf("read %d bytes, %v", len(got), err)
+			}
+			if ok, fails := crcVerified(a); ok || fails != 1 {
+				t.Fatalf("CRCVerified = %v, %d after reading a file with a bad CRC32", ok, fails)
+			}
+			var ix bytes.Buffer
+			if err := a.ExportIndex(&ix); err != nil {
+				t.Fatal(err)
+			}
+			if err := a.ImportIndex(&ix); err != nil {
+				t.Fatal(err)
+			}
+			if ok, fails := crcVerified(a); ok || fails < 1 {
+				t.Fatalf("CRCVerified = %v, %d after an import", ok, fails)
+			}
+			if st := a.Stats(); st.CRCFailures != 0 || st.SizingPasses != 0 {
+				t.Fatalf("Stats after an import: %d CRC failures, %d sizing passes; want the new engine's, 0 and 0", st.CRCFailures, st.SizingPasses)
+			}
+		})
+	}
 }
 
 func TestOpenWithIndex(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/bzip2"
 	"compress/gzip"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -114,7 +116,7 @@ func TestUnsizedZstdArchiveDifferential(t *testing.T) {
 
 // gzipRows are the format table's gzip and BGZF rows, which
 // FuzzGzipArchive picks its compressor from.
-var gzipRows = []string{"gzip", "bgzf", "gzip-stdlib", "gzip-single-block"}
+var gzipRows = []string{"gzip", "bgzf", "gzip-stdlib", "gzip-single-block", "gzip-multimember"}
 
 // FuzzGzipArchive compresses data of a seeded kind with one of the
 // gzip rows, damages some, and reads it cold through the archive at a
@@ -151,6 +153,9 @@ func FuzzGzipArchive(f *testing.F) {
 	// the member before ends. compress/gzip fails; read as gzip is, the
 	// file would end there, the first member's checksum intact.
 	f.Add(uint64(1), uint8(4), uint8(1), uint16(65535), uint32(1<<20), uint8(2), uint32(105))
+	// Two compress/gzip members with the second cut 5 bytes into its
+	// header: the file does not end behind the first member.
+	f.Add(uint64(9), uint8(0), uint8(4), uint16(60000), uint32(1<<20), uint8(1), uint32(9330))
 	f.Fuzz(func(t *testing.T, seed uint64, kind, preset uint8, size uint16, chunk uint32, how uint8, where uint32) {
 		n := int(size)
 		var plain []byte
@@ -217,4 +222,75 @@ func FuzzGzipArchive(f *testing.F) {
 			t.Fatalf("through the exported index: %d bytes, %v, checksums intact %v", again.Len(), err, ok)
 		}
 	})
+}
+
+// TestCutSecondMember cuts the second member of a two-member file at
+// every length, for each gzip row, and holds the archive to
+// compress/gzip's verdict on each cut: a cold WriteTo, a ReadAt that
+// runs to the end and an index export fail where compress/gzip does, and
+// give its bytes where it decodes the file. A cut inside the second
+// header leaves bytes that begin as a member does behind the first one,
+// which are no trailing data to skip.
+func TestCutSecondMember(t *testing.T) {
+	first, second := workloads.SilesiaLike(3000, 1), workloads.SilesiaLike(3000, 2)
+	for _, name := range gzipRows {
+		t.Run(name, func(t *testing.T) {
+			head, tail := compress(t, name, first, 0), compress(t, name, second, 0)
+			for cut := 0; cut <= len(tail); cut++ {
+				comp := append(head[:len(head):len(head)], tail[:cut]...)
+				var refOut []byte
+				zr, refErr := gzip.NewReader(bytes.NewReader(comp))
+				if refErr == nil {
+					refOut, refErr = io.ReadAll(zr)
+				}
+				for _, op := range []string{"WriteTo", "ReadAt", "ExportIndex"} {
+					if err := cutVerdict(comp, op, int64(len(first))-10, refOut, refErr); err != nil {
+						t.Fatalf("cut %d of %d bytes, %s: %v (compress/gzip: %d bytes, %v)", cut, len(tail), op, err, len(refOut), refErr)
+					}
+				}
+			}
+		})
+	}
+}
+
+// cutVerdict runs op cold over comp and returns what differs from
+// compress/gzip's verdict, which decoded refOut or failed with refErr.
+// The ReadAt is from off past the end of the file; a checksum mismatch
+// after WriteTo is a failure.
+func cutVerdict(comp []byte, op string, off int64, refOut []byte, refErr error) error {
+	a, err := OpenBytes(comp, WithVerify(true), WithParallelism(2))
+	if err != nil {
+		if refErr == nil {
+			return fmt.Errorf("open: %w", err)
+		}
+		return nil
+	}
+	defer a.Close()
+	switch op {
+	case "WriteTo":
+		var out bytes.Buffer
+		_, err = a.WriteTo(&out)
+		if ok, _ := crcVerified(a); err == nil && !ok {
+			err = errors.New("checksum mismatch")
+		}
+		if err == nil && refErr == nil && !bytes.Equal(out.Bytes(), refOut) {
+			return fmt.Errorf("%d bytes differ", out.Len())
+		}
+	case "ReadAt":
+		buf := make([]byte, 10_000)
+		var n int
+		n, err = a.ReadAt(buf, off)
+		if err == io.EOF {
+			if refErr == nil && !bytes.Equal(buf[:n], refOut[off:]) {
+				return fmt.Errorf("%d bytes at %d differ", n, off)
+			}
+			err = nil
+		}
+	case "ExportIndex":
+		err = a.ExportIndex(io.Discard)
+	}
+	if (err == nil) != (refErr == nil) {
+		return fmt.Errorf("err = %v", err)
+	}
+	return nil
 }

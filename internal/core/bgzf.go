@@ -140,7 +140,8 @@ var errBadHeader = errors.New("a damaged member header")
 // short — a member runs past its end, and the file does not end in a
 // BGZF member header, as it does in what every BGZF writer ends with,
 // the EOF marker — or a member header is damaged, which the generic path
-// would take for trailing data and end the file there. Any other break
+// would take, where the damage is in its magic, for trailing data and
+// end the file there. Any other break
 // of the member chain is a size field that does not lead to the next
 // member, in a file whose every byte may still decode.
 func (c *gzipCodec) bgzfRefused(err error) bool {

@@ -30,7 +30,7 @@ type gzipCodec struct {
 	src      *filereader.SharedFileReader
 	fileBits uint64
 	bgzf     bool
-	cnt      *counters
+	cnt      counters
 
 	// mu guards the chunk geometry: the seek-point index and the frontier
 	// behind its last point, which are the span table. Span i is point i
@@ -72,13 +72,14 @@ type gzipCodec struct {
 	rebuildMu sync.Mutex
 }
 
-func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, bgzf bool) *gzipCodec {
-	return &gzipCodec{
+// newGzipCodec returns a codec over src, whose fingerprint is fp, with
+// the empty index a first pass starts from.
+func newGzipCodec(cfg Config, src *filereader.SharedFileReader, bgzf bool, fp *gzindex.Fingerprint) *gzipCodec {
+	c := &gzipCodec{
 		cfg:      cfg,
 		src:      src,
 		fileBits: uint64(src.Size()) * 8,
 		bgzf:     bgzf,
-		cnt:      cnt,
 		index:    gzindex.New(cfg.ChunkSize),
 		consumed: map[int]bool{},
 		// The first entry is what a stream's first round asks for, or a
@@ -86,6 +87,12 @@ func newGzipCodec(cfg Config, src *filereader.SharedFileReader, cnt *counters, b
 		// rest of the cell confirmed while it writes those bytes.
 		firstEntry: uint64(max(min(cfg.ChunkSize/4, spanengine.FirstRound), 1)),
 	}
+	c.index.CompressedSize = uint64(src.Size())
+	c.index.SourceFP = fp
+	// First-pass confirmation observes every footer, so the index it
+	// builds carries the complete set of member marks.
+	c.index.MemberMarksComplete = true
+	return c
 }
 
 func (c *gzipCodec) chunkBits() uint64 { return uint64(c.cfg.ChunkSize) * 8 }
@@ -929,9 +936,37 @@ func (c *gzipCodec) chainEmpty() {
 	}
 }
 
-// crcStatus reports (verifiedSoFar, failures).
-func (c *gzipCodec) crcStatus() (bool, uint64) {
+// CRCStatus reports (verifiedSoFar, failures). verifiedSoFar is false
+// once consumption left sequential order or a mismatch occurred.
+func (c *gzipCodec) CRCStatus() (bool, uint64) {
 	c.crcMu.Lock()
 	defer c.crcMu.Unlock()
 	return !c.crcBroken, c.cnt.crcFailures.Load()
+}
+
+// SeekIndex returns the seek-point index, which an export writes: it is
+// complete once the engine's table is, and nothing writes it then, so
+// concurrent exports share it. With Config.RebuildWindows, a window the
+// index file no longer gives is decoded again first.
+func (c *gzipCodec) SeekIndex() (*gzindex.Index, error) {
+	if err := c.rebuildWindows(); err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.index, nil
+}
+
+// Count implements spanengine.Counter: the chunk pipeline's counters.
+func (c *gzipCodec) Count(s *spanengine.Stats) {
+	s.GuessTasks = c.cnt.guessTasks.Load()
+	s.GuessNoBlock = c.cnt.guessNoBlock.Load()
+	s.GuessFalseStarts = c.cnt.guessFalseStarts.Load()
+	s.FinderProbes = c.cnt.finderProbes.Load()
+	s.FinderBytes = c.cnt.finderBytes.Load()
+	s.OnDemandDecodes = c.cnt.onDemand.Load()
+	s.IndexedDecodes = c.cnt.indexed.Load()
+	s.ChunksConsumed = c.cnt.consumed.Load()
+	s.CRCFailures = c.cnt.crcFailures.Load()
+	s.MaxPastStop = c.cnt.maxPastStop.Load()
 }

@@ -52,17 +52,54 @@ func mkRandom(seed int64, n int) []byte {
 	return out
 }
 
+// The root package's archive reaches a gzip engine's extras through its
+// codec (Engine.Codec); these tests reach them alike.
+
+// gz returns the codec of r's engine.
+func (r *Reader) gz() *gzipCodec { return r.eng.Codec().(*gzipCodec) }
+
+// index returns the seek-point index built so far.
+func (r *Reader) index() *gzindex.Index {
+	c := r.gz()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.index
+}
+
+// exportIndex writes the index, completed first, to w, as the archive's
+// ExportIndex does.
+func (r *Reader) exportIndex(w io.Writer) error {
+	if err := r.eng.EnsureComplete(); err != nil {
+		return err
+	}
+	ix, err := r.gz().SeekIndex()
+	if err != nil {
+		return err
+	}
+	_, err = ix.WriteTo(w)
+	return err
+}
+
+// newReaderFromIndex is NewFromIndex behind a Reader.
+func newReaderFromIndex(src filereader.FileReader, ix *gzindex.Index, cfg Config) (*Reader, error) {
+	eng, err := NewFromIndex(src, ix, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Reader{src: src, cfg: cfg, eng: eng}, nil
+}
+
 // seqReader gives a Reader, for these tests, the cursor the root
-// package's archive keeps over Engine().ReadAt.
+// package's archive keeps over the engine's ReadAt.
 type seqReader struct {
 	*Reader
 	pos int64
 }
 
-func (r *seqReader) ReadAt(p []byte, off int64) (int, error) { return r.Engine().ReadAt(p, off) }
+func (r *seqReader) ReadAt(p []byte, off int64) (int, error) { return r.eng.ReadAt(p, off) }
 
 func (r *seqReader) Read(p []byte) (int, error) {
-	n, err := r.Engine().ReadAt(p, r.pos)
+	n, err := r.eng.ReadAt(p, r.pos)
 	r.pos += int64(n)
 	if n > 0 && err == io.EOF {
 		err = nil
@@ -75,7 +112,7 @@ func (r *seqReader) Seek(off int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		off += r.pos
 	case io.SeekEnd:
-		size, err := r.Engine().TotalSize()
+		size, err := r.eng.TotalSize()
 		if err != nil {
 			return 0, err
 		}
@@ -136,7 +173,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				if !bytes.Equal(got, data) {
 					t.Fatalf("%s/%s P=%d: mismatch (%d vs %d bytes)", dname, cname, par, len(got), len(data))
 				}
-				if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+				if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 					t.Fatalf("%s/%s P=%d: CRC verification failed (%d failures)", dname, cname, par, fails)
 				}
 			}
@@ -156,7 +193,7 @@ func TestStdlibCompressedInput(t *testing.T) {
 		if got := readAll(t, r); !bytes.Equal(got, data) {
 			t.Fatalf("level %d: mismatch", level)
 		}
-		stats := r.Stats()
+		stats := r.eng.Stats()
 		if stats.GuessTasks == 0 {
 			t.Fatalf("level %d: no speculative decodes happened (chunking broken)", level)
 		}
@@ -252,7 +289,7 @@ func TestIndexExportImport(t *testing.T) {
 
 	r1 := open(t, comp, Config{Parallelism: 4, ChunkSize: 64 << 10})
 	var ixBuf bytes.Buffer
-	if err := r1.ExportIndex(&ixBuf); err != nil {
+	if err := r1.exportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -263,11 +300,11 @@ func TestIndexExportImport(t *testing.T) {
 	if got := readAll(t, r2); !bytes.Equal(got, data) {
 		t.Fatal("decode with imported index mismatch")
 	}
-	stats := r2.Stats()
+	stats := r2.eng.Stats()
 	if stats.GuessTasks != 0 {
 		t.Fatalf("index-primed decode ran %d speculative tasks", stats.GuessTasks)
 	}
-	if ok, _ := r2.CRCStatus(); !ok {
+	if ok, _ := r2.gz().CRCStatus(); !ok {
 		t.Fatal("CRC verification failed with index")
 	}
 	// Random access with imported index needs no initial pass.
@@ -290,7 +327,7 @@ func TestImportIndexWrongFile(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
 	r1 := open(t, comp, Config{Parallelism: 2})
 	var ixBuf bytes.Buffer
-	if err := r1.ExportIndex(&ixBuf); err != nil {
+	if err := r1.exportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
 	}
 	other, _, _ := gzipw.Compress(mkText(11, 50_000), gzipw.Options{Level: 6})
@@ -307,7 +344,7 @@ func TestImportIndexWrongFileSameSize(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
 	r1 := open(t, comp, Config{Parallelism: 2})
 	var ixBuf bytes.Buffer
-	if err := r1.ExportIndex(&ixBuf); err != nil {
+	if err := r1.exportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
 	}
 	other := bytes.Clone(comp)
@@ -330,7 +367,7 @@ func TestImportRefusesFingerprintlessIndex(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
 	r1 := open(t, comp, Config{Parallelism: 2})
 	var ixBuf bytes.Buffer
-	if err := r1.ExportIndex(&ixBuf); err != nil {
+	if err := r1.exportIndex(&ixBuf); err != nil {
 		t.Fatal(err)
 	}
 	ix, err := gzindex.Read(bytes.NewReader(ixBuf.Bytes()))
@@ -359,17 +396,17 @@ func TestBGZFFastPath(t *testing.T) {
 	}
 	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 128 << 10, VerifyChecksums: true})
 	// The index must be complete before any read: BGZF needs no scan.
-	if r.Engine().Complete() != true {
+	if r.eng.Complete() != true {
 		t.Fatal("BGZF file not recognised by the fast path")
 	}
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("BGZF decode mismatch")
 	}
-	stats := r.Stats()
+	stats := r.eng.Stats()
 	if stats.GuessTasks != 0 {
 		t.Fatalf("BGZF path ran %d speculative tasks", stats.GuessTasks)
 	}
-	if ok, _ := r.CRCStatus(); !ok {
+	if ok, _ := r.gz().CRCStatus(); !ok {
 		t.Fatal("BGZF CRC verification failed")
 	}
 }
@@ -394,7 +431,7 @@ func TestBGZFSpansFollowOutputSize(t *testing.T) {
 	r := open(t, comp, Config{Parallelism: 2, ChunkSize: chunk})
 	// Members hold 64 KiB, so a span ends within one member of the mark;
 	// the empty EOF member may add a span of its own.
-	if n := r.Engine().NumSpans(); n < 4 || n > 6 {
+	if n := r.eng.NumSpans(); n < 4 || n > 6 {
 		t.Fatalf("%d bytes of output at ChunkSize %d scanned into %d spans, want about 5", len(data), chunk, n)
 	}
 	if got := readAll(t, r); !bytes.Equal(got, data) {
@@ -406,7 +443,7 @@ func TestBGZFSpansFollowOutputSize(t *testing.T) {
 	if err := r.ImportIndex(bytes.NewReader(old)); err != nil {
 		t.Fatalf("importing an index with coarser spans: %v", err)
 	}
-	if n := r.Engine().NumSpans(); n > 3 {
+	if n := r.eng.NumSpans(); n > 3 {
 		t.Fatalf("imported table has %d spans, want the exported two or three", n)
 	}
 	if got := readAll(t, r); !bytes.Equal(got, data) {
@@ -424,14 +461,14 @@ func TestSingleBlockFileDegradesGracefully(t *testing.T) {
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("single-block decode mismatch")
 	}
-	stats := r.Stats()
+	stats := r.eng.Stats()
 	if stats.GuessNoBlock == 0 {
 		t.Fatal("expected no-block speculative results for a single-block file")
 	}
 	// Seeks stay cheap all the same: the block is cut into entries of
 	// about a chunk at points inside it, also behind the first entry,
 	// where the decode of the rest of the block started inside it.
-	ix := r.Index()
+	ix := r.index()
 	for i := 0; i < ix.Len(); i++ {
 		end := ix.UncompressedSize
 		if i+1 < ix.Len() {
@@ -460,7 +497,7 @@ func TestHighCompressionRatioFile(t *testing.T) {
 	// guessedRatioLimit chunks, so a guess that starts at the first block
 	// in its cell runs into the guard and the finder goes on searching.
 	// (Without the guard each guess decodes from its first candidate.)
-	if st := r.Stats(); st.GuessTasks == 0 || st.FinderProbes <= st.GuessTasks {
+	if st := r.eng.Stats(); st.GuessTasks == 0 || st.FinderProbes <= st.GuessTasks {
 		t.Fatalf("no speculative decode hit the ratio guard: %+v", st)
 	}
 }
@@ -471,10 +508,10 @@ func TestChunkSplitting(t *testing.T) {
 	data := bytes.Repeat(mkText(14, 1000), 3000) // ~3 MB, very repetitive
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 9, BlockSize: 8 << 10})
 	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 16 << 10})
-	if err := r.Engine().EnsureComplete(); err != nil {
+	if err := r.eng.EnsureComplete(); err != nil {
 		t.Fatal(err)
 	}
-	ix := r.Index()
+	ix := r.index()
 	if ix.Len() < 4 {
 		t.Fatalf("expected split entries, got %d", ix.Len())
 	}
@@ -518,7 +555,7 @@ func TestCorruptMidFileErrors(t *testing.T) {
 		r2 := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10, VerifyChecksums: true})
 		var buf2 bytes.Buffer
 		if _, err2 := r2.WriteTo(&buf2); err2 == nil {
-			if ok, _ := r2.CRCStatus(); ok && bytes.Equal(buf2.Bytes(), data) {
+			if ok, _ := r2.gz().CRCStatus(); ok && bytes.Equal(buf2.Bytes(), data) {
 				t.Fatal("corruption silently ignored")
 			}
 		}
@@ -532,7 +569,7 @@ func TestEmptyFile(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("got %d bytes", len(got))
 	}
-	size, err := r.Engine().TotalSize()
+	size, err := r.eng.TotalSize()
 	if err != nil || size != 0 {
 		t.Fatalf("size %d err %v", size, err)
 	}
@@ -548,7 +585,7 @@ func TestSizeWithoutReading(t *testing.T) {
 	data := mkText(17, 300_000)
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6})
 	r := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
-	size, err := r.Engine().TotalSize()
+	size, err := r.eng.TotalSize()
 	if err != nil || size != int64(len(data)) {
 		t.Fatalf("size %d err %v want %d", size, err, len(data))
 	}
@@ -589,7 +626,7 @@ func TestCloseSkipsQueuedGuesses(t *testing.T) {
 	src.armed.Store(true)
 	// The first unit decodes on this goroutine, inside the first two cells.
 	buf := make([]byte, 100)
-	if _, err := r.Engine().ReadAt(buf, 0); err != nil || !bytes.Equal(buf, data[:100]) {
+	if _, err := r.eng.ReadAt(buf, 0); err != nil || !bytes.Equal(buf, data[:100]) {
 		t.Fatalf("first read: %v", err)
 	}
 	closed := make(chan struct{})
@@ -598,14 +635,14 @@ func TestCloseSkipsQueuedGuesses(t *testing.T) {
 		close(closed)
 	}()
 	for {
-		if _, err := r.Engine().ReadAt(buf, 0); errors.Is(err, spanengine.ErrClosed) {
+		if _, err := r.eng.ReadAt(buf, 0); errors.Is(err, spanengine.ErrClosed) {
 			break
 		}
 		runtime.Gosched()
 	}
 	close(src.release)
 	<-closed
-	if st := r.Stats(); st.GuessTasks < 2 || st.FinderProbes >= st.GuessTasks {
+	if st := r.eng.Stats(); st.GuessTasks < 2 || st.FinderProbes >= st.GuessTasks {
 		t.Fatalf("guesses queued at Close ran: %+v", st)
 	}
 }
@@ -626,11 +663,11 @@ func TestFrontierJoinsQueuedGuess(t *testing.T) {
 	r := open(t, comp, Config{Parallelism: 1, ChunkSize: chunk})
 	release := make(chan struct{})
 	defer close(release)
-	r.Engine().Prime(1<<30, func() ([]byte, error) { <-release; return nil, nil })
+	r.eng.Prime(1<<30, func() ([]byte, error) { <-release; return nil, nil })
 	buf := make([]byte, 6*chunk) // about four and a half cells of this file
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Engine().ReadAt(buf, 0)
+		_, err := r.eng.ReadAt(buf, 0)
 		done <- err
 	}()
 	select {
@@ -641,7 +678,7 @@ func TestFrontierJoinsQueuedGuess(t *testing.T) {
 	case <-time.After(time.Minute):
 		t.Fatal("the frontier is waiting for a guess queued behind a busy worker")
 	}
-	if st := r.Stats(); st.GuessTasks < 3 || st.GuessFalseStarts != 0 || st.OnDemandDecodes != 2 {
+	if st := r.eng.Stats(); st.GuessTasks < 3 || st.GuessFalseStarts != 0 || st.OnDemandDecodes != 2 {
 		t.Fatalf("guesses the frontier ran were not taken: %+v", st)
 	}
 }

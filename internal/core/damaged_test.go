@@ -161,11 +161,11 @@ func TestUnresolvableSplitWindowFailsGrowth(t *testing.T) {
 	}
 
 	r := open(t, comp, Config{Parallelism: 2, ChunkSize: chunk})
-	err := r.Engine().EnsureComplete()
+	err := r.eng.EnsureComplete()
 	if !errors.Is(err, deflate.ErrBadMarker) {
-		t.Fatalf("BuildIndex over the damaged stream: got %v, want the split point's window to fail with ErrBadMarker (%+v)", err, r.Stats())
+		t.Fatalf("BuildIndex over the damaged stream: got %v, want the split point's window to fail with ErrBadMarker (%+v)", err, r.eng.Stats())
 	}
-	if err := r.ExportIndex(&bytes.Buffer{}); err == nil {
+	if err := r.exportIndex(&bytes.Buffer{}); err == nil {
 		t.Fatal("ExportIndex succeeded over a stream whose index cannot be completed")
 	}
 }

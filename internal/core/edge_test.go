@@ -21,7 +21,7 @@ func TestTinyMembers(t *testing.T) {
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("tiny-member decode mismatch")
 	}
-	if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+	if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 		t.Fatalf("CRC: %v %d", ok, fails)
 	}
 }
@@ -33,7 +33,7 @@ func TestIndexBuiltAtDifferentChunkSize(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 	r1 := open(t, comp, Config{Parallelism: 2, ChunkSize: 16 << 10})
 	var ix bytes.Buffer
-	if err := r1.ExportIndex(&ix); err != nil {
+	if err := r1.exportIndex(&ix); err != nil {
 		t.Fatal(err)
 	}
 	r2 := open(t, comp, Config{Parallelism: 4, ChunkSize: 256 << 10, VerifyChecksums: true})
@@ -43,7 +43,7 @@ func TestIndexBuiltAtDifferentChunkSize(t *testing.T) {
 	if got := readAll(t, r2); !bytes.Equal(got, data) {
 		t.Fatal("mismatch")
 	}
-	if ok, fails := r2.CRCStatus(); !ok || fails > 0 {
+	if ok, fails := r2.gz().CRCStatus(); !ok || fails > 0 {
 		t.Fatalf("CRC: %v %d", ok, fails)
 	}
 }
@@ -117,7 +117,7 @@ func TestStatsIndexedDecodes(t *testing.T) {
 	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
 	r1 := open(t, comp, Config{Parallelism: 2, ChunkSize: 32 << 10})
 	var ix bytes.Buffer
-	if err := r1.ExportIndex(&ix); err != nil {
+	if err := r1.exportIndex(&ix); err != nil {
 		t.Fatal(err)
 	}
 	r2 := open(t, comp, Config{Parallelism: 4, ChunkSize: 32 << 10})
@@ -127,7 +127,7 @@ func TestStatsIndexedDecodes(t *testing.T) {
 	if got := readAll(t, r2); !bytes.Equal(got, data) {
 		t.Fatal("mismatch")
 	}
-	s := r2.Stats()
+	s := r2.eng.Stats()
 	if s.IndexedDecodes == 0 {
 		t.Fatalf("no indexed decodes (onDemand=%d)", s.OnDemandDecodes)
 	}
@@ -167,8 +167,8 @@ func TestGuessRunsOffItsSlack(t *testing.T) {
 	r := open(t, comp, Config{Parallelism: 3, ChunkSize: chunk, VerifyChecksums: true})
 	ranOff := 0
 	for g := uint64(1); g < uint64(len(comp))/chunk; g++ {
-		reads := r.file.Reads()
-		res, err := r.codec.guessTask(g)
+		reads := r.gz().src.Reads()
+		res, err := r.gz().guessTask(g)
 		if err != nil {
 			continue // most cells hold no block start
 		}
@@ -177,7 +177,7 @@ func TestGuessRunsOffItsSlack(t *testing.T) {
 		}
 		if res.EndBit/8 > (g+1)*chunk+guessSlack {
 			ranOff++
-			if r.file.Reads()-reads < 2 {
+			if r.gz().src.Reads()-reads < 2 {
 				t.Fatalf("cell %d: decoded to byte %d from a buffer ending at byte %d", g, res.EndBit/8, (g+1)*chunk+guessSlack)
 			}
 		}
@@ -213,7 +213,7 @@ func TestGuessMeetsMemberEndAtItsBufferEnd(t *testing.T) {
 	stream := c.finish(t)
 
 	r := open(t, stream, Config{Parallelism: 2, ChunkSize: chunk})
-	res, err := r.codec.guessTask(2)
+	res, err := r.gz().guessTask(2)
 	if err != nil {
 		t.Fatal(err)
 	}

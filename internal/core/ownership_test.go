@@ -43,10 +43,10 @@ func TestScratchOwnership(t *testing.T) {
 			if got := readAll(t, r); !bytes.Equal(got, data) {
 				t.Fatalf("pass %d: output differs from the plaintext", pass)
 			}
-			if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+			if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 				t.Fatalf("pass %d: CRC %v %d", pass, ok, fails)
 			}
-			if st := r.Stats(); st.GuessTasks == 0 {
+			if st := r.eng.Stats(); st.GuessTasks == 0 {
 				t.Fatalf("pass %d did not speculate: %+v", pass, st)
 			}
 		}
@@ -111,7 +111,7 @@ func TestScratchOwnership(t *testing.T) {
 				}
 			}
 		}
-		if st := r.Engine().Stats(); st.SpanResumes == 0 {
+		if st := r.eng.Stats(); st.SpanResumes == 0 {
 			t.Fatalf("no decode was paused and resumed: %+v", st)
 		}
 		if got := <-done; !bytes.Equal(got, data) {
@@ -154,7 +154,7 @@ func TestScratchOwnership(t *testing.T) {
 		if got := readAll(t, r); !bytes.Equal(got, c.plain) {
 			t.Fatal("output differs from the stored payloads")
 		}
-		st := r.Stats()
+		st := r.eng.Stats()
 		if st.OnDemandDecodes < 2+fakes {
 			t.Fatalf("every falsely started cell must fall back to an on-demand decode: %+v", st)
 		}

@@ -23,7 +23,7 @@ func importedReader(t *testing.T, comp, ixRaw []byte, cfg Config) *seqReader {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReaderFromIndex(filereader.MemoryReader(comp), ix, cfg)
+	r, err := newReaderFromIndex(filereader.MemoryReader(comp), ix, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestReadThroughIndexDecodesAsFarAsItReaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := importedReader(t, comp, exportIndex(t, comp, 512<<10), Config{Parallelism: 1})
-	ix := r.Index()
+	ix := r.index()
 	if ix.Len() < 3 {
 		t.Fatalf("%d seek points", ix.Len())
 	}
@@ -55,9 +55,9 @@ func TestReadThroughIndexDecodesAsFarAsItReaches(t *testing.T) {
 	if _, err := r.ReadAt(buf, off); err != nil || !bytes.Equal(buf, data[off:off+int64(len(buf))]) {
 		t.Fatalf("ReadAt: err %v", err)
 	}
-	es, fs := r.Engine().Stats(), r.Stats()
-	if es.SpanDecodes != 1 || es.SpanResumes != 0 || fs.IndexedDecodes != 0 {
-		t.Fatalf("after a read of the span's front: %+v %+v", es, fs)
+	es := r.eng.Stats()
+	if es.SpanDecodes != 1 || es.SpanResumes != 0 || es.IndexedDecodes != 0 {
+		t.Fatalf("after a read of the span's front: %+v", es)
 	}
 	if es.DecodedBytes < 60_000 || es.DecodedBytes >= 60_000+deflate.MaxMatchLen {
 		t.Fatalf("decoded %d bytes for a read ending 60000 bytes into its span (of %d)", es.DecodedBytes, size)
@@ -72,9 +72,9 @@ func TestReadThroughIndexDecodesAsFarAsItReaches(t *testing.T) {
 	if _, err := r.ReadAt(buf, end-int64(len(buf))); err != nil || !bytes.Equal(buf, data[end-int64(len(buf)):end]) {
 		t.Fatalf("ReadAt at the span's end: err %v", err)
 	}
-	es, fs = r.Engine().Stats(), r.Stats()
-	if es.SpanDecodes != 1 || es.SpanResumes != 1 || fs.IndexedDecodes != 1 || es.DecodedBytes != uint64(size) {
-		t.Fatalf("after the span was completed: %+v %+v (span of %d)", es, fs, size)
+	es = r.eng.Stats()
+	if es.SpanDecodes != 1 || es.SpanResumes != 1 || es.IndexedDecodes != 1 || es.DecodedBytes != uint64(size) {
+		t.Fatalf("after the span was completed: %+v (span of %d)", es, size)
 	}
 }
 
@@ -103,22 +103,22 @@ func TestSmallSequentialReadsStillVerify(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), data[from:]) {
 			t.Fatalf("from %d: mismatch", from)
 		}
-		ix := r.Index()
+		ix := r.index()
 		first, _ := ix.Find(uint64(from))
 		spans := ix.Len() - first
-		es := r.Engine().Stats()
+		es := r.eng.Stats()
 		if es.SpanDecodes != uint64(spans) || es.DecodedBytes != uint64(len(data))-ix.Point(first).UncompressedOffset || (es.SpanResumes > 0) != (from > 0) {
 			t.Fatalf("from %d: %d spans read: %+v", from, spans, es)
 		}
 		if from > 0 {
 			continue // a pass that starts in the middle verifies nothing
 		}
-		if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+		if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 			t.Fatalf("CRC: ok=%v fails=%d", ok, fails)
 		}
-		r.codec.crcMu.Lock()
-		verified := r.codec.crcNext
-		r.codec.crcMu.Unlock()
+		r.gz().crcMu.Lock()
+		verified := r.gz().crcNext
+		r.gz().crcMu.Unlock()
 		if verified != spans {
 			t.Fatalf("%d of %d spans verified", verified, spans)
 		}
@@ -173,7 +173,7 @@ func TestImportRefusesIndexWithoutMemberMarks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewReaderFromIndex(filereader.MemoryReader(comp), ix, Config{Parallelism: 2}); !errors.Is(err, gzindex.ErrUnsupportedVersion) {
+	if _, err := newReaderFromIndex(filereader.MemoryReader(comp), ix, Config{Parallelism: 2}); !errors.Is(err, gzindex.ErrUnsupportedVersion) {
 		t.Fatalf("NewReaderFromIndex: err = %v, want ErrUnsupportedVersion", err)
 	}
 	r := open(t, comp, Config{Parallelism: 2, VerifyChecksums: true})
@@ -183,7 +183,7 @@ func TestImportRefusesIndexWithoutMemberMarks(t *testing.T) {
 	if got := readAll(t, r); !bytes.Equal(got, data) {
 		t.Fatal("the refused import disturbed the reader")
 	}
-	if ok, fails := r.CRCStatus(); !ok || fails > 0 {
+	if ok, fails := r.gz().CRCStatus(); !ok || fails > 0 {
 		t.Fatalf("CRC after the refused import: ok=%v fails=%d", ok, fails)
 	}
 }

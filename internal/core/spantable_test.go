@@ -60,9 +60,9 @@ func TestTinyChunksReadBack(t *testing.T) {
 				var out, ix bytes.Buffer
 				_, err = r.WriteTo(&out)
 				if err == nil {
-					err = r.ExportIndex(&ix)
+					err = r.exportIndex(&ix)
 				}
-				spans := r.Engine().NumSpans()
+				spans := r.eng.NumSpans()
 				r.Close()
 				if err != nil || !bytes.Equal(out.Bytes(), data) {
 					t.Fatalf("cold pass: %d of %d bytes, err %v", out.Len(), len(data), err)
@@ -80,7 +80,7 @@ func TestTinyChunksReadBack(t *testing.T) {
 				if _, err := back.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), data) {
 					t.Fatalf("through the index: %d of %d bytes, err %v", out.Len(), len(data), err)
 				}
-				if ok, fails := back.CRCStatus(); !ok || fails > 0 {
+				if ok, fails := back.gz().CRCStatus(); !ok || fails > 0 {
 					t.Fatalf("CRC through the index: %v %d", ok, fails)
 				}
 				t.Logf("%d spans: the import serves the file", spans)
@@ -110,7 +110,7 @@ func TestFailedUnitCommitsNothing(t *testing.T) {
 			t.Fatalf("pass %d: ReadAt: %v, want an error containing %q", pass, err, want)
 		}
 	}
-	if n := r.Engine().NumSpans(); n != 0 {
+	if n := r.eng.NumSpans(); n != 0 {
 		t.Fatalf("the failed unit left %d spans", n)
 	}
 }

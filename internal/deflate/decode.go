@@ -485,49 +485,6 @@ func (d *Decoder) decodeBlocks() error {
 	}
 }
 
-// memberEnd handles the gzip footer after a final block and the start
-// of the following member, if any. It reports whether the chunk ends.
-func (d *Decoder) memberEnd(cr *ChunkResult, st *chunkState, stopBeforeMember uint64) (stop bool, err error) {
-	br := d.br
-	br.AlignToByte()
-	footer, err := gzformat.ParseFooter(br)
-	if err != nil {
-		return false, err
-	}
-	ev := MemberEvent{DecompOffset: st.total(), Footer: footer}
-	if br.RemainingBits() == 0 {
-		ev.AtEOF = true
-		cr.Members = append(cr.Members, ev)
-		cr.EndIsEOF = true
-		cr.EndBit = br.BitPos()
-		return true, nil
-	}
-	endOfFooter := br.BitPos()
-	if stopBeforeMember > 0 && endOfFooter >= stopBeforeMember {
-		// The next member starts at/after the configured boundary; end
-		// the chunk here without consuming its header.
-		cr.Members = append(cr.Members, ev)
-		cr.EndBit = endOfFooter
-		return true, nil
-	}
-	hdr, err := gzformat.ParseHeader(br)
-	if err != nil {
-		// Trailing non-gzip data: stop cleanly at the footer.
-		ev.AtEOF = true
-		cr.Members = append(cr.Members, ev)
-		cr.EndIsEOF = true
-		cr.TrailingData = true
-		cr.EndBit = endOfFooter
-		return true, nil
-	}
-	ev.Header = hdr
-	ev.HeaderEndBit = br.BitPos()
-	cr.Members = append(cr.Members, ev)
-	// The back-reference window does not cross member boundaries.
-	st.histStart = int64(st.total())
-	return false, nil
-}
-
 // copyStored implements the Non-Compressed Block fast path (§3.3): the
 // raw data is copied straight into the result buffer, in single-stage
 // mode as far as the output limit allows. It reports whether bytes of

@@ -134,15 +134,15 @@ func TestReadDecodesAsFarAsItReaches(t *testing.T) {
 	defer e.Close()
 	span := int64(4 << 10)
 	readAndCheck(t, e, src, span+1000, 100)
-	if s := e.Stats(); s.SpanDecodes != 1 || s.SpanResumes != 0 || s.DecodedBytes != 1100 || s.CacheMisses != 1 {
+	if s := e.Stats(); s.SpanDecodes != 1 || s.SpanResumes != 0 || s.DecodedBytes != 1100 || s.SpanCacheMisses != 1 {
 		t.Fatalf("after the first read: %+v", s)
 	}
 	readAndCheck(t, e, src, span+10, 1090)
-	if s := e.Stats(); s.DecodedBytes != 1100 || s.CacheHits != 1 {
+	if s := e.Stats(); s.DecodedBytes != 1100 || s.SpanCacheHits != 1 {
 		t.Fatalf("a read inside the prefix: %+v", s)
 	}
 	readAndCheck(t, e, src, span+2000, 500)
-	if s := e.Stats(); s.SpanDecodes != 1 || s.SpanResumes != 1 || s.DecodedBytes != 2500 || s.CacheMisses != 2 {
+	if s := e.Stats(); s.SpanDecodes != 1 || s.SpanResumes != 1 || s.DecodedBytes != 2500 || s.SpanCacheMisses != 2 {
 		t.Fatalf("a read past the prefix: %+v", s)
 	}
 	if len(codec.accessed) != 0 {
@@ -236,7 +236,7 @@ func TestEvictedPrefixStartsOver(t *testing.T) {
 	if len(calls) != 2 || calls[0] != [2]int64{0, 100} || calls[1] != [2]int64{0, 600} {
 		t.Fatalf("decode calls for the evicted span: %v", calls)
 	}
-	if s := e.Stats(); s.SpanDecodes != 4 || s.SpanResumes != 0 || s.Evictions != 2 || s.DecodedBytes != 900 {
+	if s := e.Stats(); s.SpanDecodes != 4 || s.SpanResumes != 0 || s.SpanCacheEvictions != 2 || s.DecodedBytes != 900 {
 		t.Fatalf("%+v", s)
 	}
 }

@@ -247,7 +247,10 @@ func TestPrefetchUnusedCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Let the prefetches land, so that what is cached is known.
-			until(func() bool { s := e.Stats(); return s.SpanDecodes == s.PrefetchIssued+s.CacheMisses-s.PrefetchJoined })
+			until(func() bool {
+				s := e.Stats()
+				return s.SpanDecodes == s.PrefetchIssued+s.SpanCacheMisses-s.PrefetchJoined
+			})
 		}
 		read(2) // prefetches 3..6
 		read(3) // read from the cache; prefetches 7

@@ -197,22 +197,62 @@ func (c Config) withDefaults() Config {
 // not evicted before it reaches them.
 func (c Config) tentativeSize() int { return max(2*c.MaxPrefetch, 4) }
 
-// Stats counts engine activity. The zero-sizing-pass property of an
-// index import is observable here: SizingPasses stays exactly zero when
-// the engine was built from checkpoints.
+// Stats counts the activity of an engine and its codec: the archives of
+// every format report it as it is (rapidgzip.Stats). The sizing, span,
+// prefetch and source-read counters are the engine's and live for every
+// format; the chunk-pipeline counters on top are the gzip/BGZF codec's
+// (the only format whose chunk boundaries must be guessed), which it
+// adds through Counter. Zeros mean the machinery never ran: an index
+// import shows as SizingPasses == 0 (every format) and FinderProbes == 0
+// (gzip/BGZF).
 type Stats struct {
-	// SizingPasses counts the scans that established the span table: a
-	// codec's Scan, or the discovery a growing engine starts with (0 or 1).
+	// --- gzip/BGZF chunk pipeline ------------------------------------
+	GuessTasks       uint64
+	GuessNoBlock     uint64
+	GuessFalseStarts uint64
+	// FinderProbes counts block-finder candidate probes across all
+	// speculative tasks. It stays exactly zero when a complete index
+	// was imported: known chunk offsets make the finder unnecessary.
+	FinderProbes uint64
+	// FinderBytes counts the compressed bytes the block finder scanned,
+	// from the start of a guessed cell to the block start it found or to
+	// as far into the cell as a guess looks. Over the file size it is
+	// what speculation paid to find where chunks begin.
+	FinderBytes uint64
+	// OnDemandDecodes counts the frontier cells decoded without a guess:
+	// the first, whose block is known, and every cell whose guess was
+	// missing, failed or began elsewhere. The first cell counts once,
+	// though its first entry is confirmed ahead of the rest of it.
+	OnDemandDecodes uint64
+	IndexedDecodes  uint64
+	ChunksConsumed  uint64
+	CRCFailures     uint64
+	// MaxPastStop is the most compressed bytes a confirmed unit reached
+	// past the end of the cell it began in: a block's worth on an
+	// ordinary file, and a frontier decode pauses inside a block about
+	// half a cell past it.
+	MaxPastStop uint64
+
+	// --- span engine (all formats) -----------------------------------
+	// SizingPasses counts the scans that established the span table (0
+	// after an index import, 1 after a cold open): a codec's Scan, which
+	// reads headers or magics and decodes nothing, or the discovery a
+	// growing engine starts with. For gzip, bzip2 and unsized zstd the
+	// span table then grows as the file is first read; for BGZF the scan
+	// is the member-metadata walk.
 	SizingPasses uint64
 	// SpanDecodes counts span decodes started from a seek point after
-	// construction (on-demand and prefetch alike, to the span's end or
-	// short of it, and the decodes that size a deferred-size engine's
-	// extents). SpanResumes counts the decodes that continued a parked one
-	// instead.
+	// construction, on-demand and prefetched alike, including the first
+	// decode of a bzip2 stream or unsized zstd frame, which also sizes
+	// it. Where the codec can stop short of a span's end (PrefixDecoder:
+	// gzip and BGZF spans, LZ4 and zstd frames without a content
+	// checksum), a read decodes as far into the span as it reaches, as
+	// does the first round of a ranged write, and parks the rest;
+	// SpanResumes counts the decodes that continued a parked one.
 	SpanDecodes, SpanResumes uint64
 	// DecodedBytes counts the bytes those decodes, and the resolutions of
-	// a growing codec's primed spans, wrote. Over the bytes delivered it
-	// is what a read costs in decoding.
+	// a growing codec's primed spans (a freshly confirmed gzip chunk),
+	// wrote. Over the bytes delivered it is what a read costs in decoding.
 	DecodedBytes uint64
 	// PrefetchProposed counts the span candidates the strategy proposed
 	// across all accesses, before filtering against the cache, the
@@ -226,25 +266,32 @@ type Stats struct {
 	// PrefetchJoined counts accesses that found their span already in
 	// flight and waited for the prefetch instead of decoding.
 	PrefetchJoined uint64
-	// DemandJoined counts accesses that found another reader's on-demand
-	// decode of their span in flight and waited for it instead of
-	// decoding the span a second time.
-	DemandJoined uint64
 	// PrefetchUnused counts spans a prefetch decoded that no reader ever
 	// got: evicted, overwritten or still cached at Close without having
 	// been returned once. PrefetchUnused over PrefetchIssued is the share
 	// of speculation that was wasted.
 	PrefetchUnused uint64
-	// CacheHits / CacheMisses / Evictions mirror the span cache.
-	CacheHits, CacheMisses, Evictions uint64
+	// DemandJoined counts accesses that found another reader's on-demand
+	// decode of their span in flight and waited for it instead of
+	// decoding the span a second time.
+	DemandJoined uint64
+	// SpanCacheHits / SpanCacheMisses / SpanCacheEvictions mirror the
+	// span cache.
+	SpanCacheHits, SpanCacheMisses, SpanCacheEvictions uint64
 	// SourceReads counts positional reads issued against the compressed
 	// source (sizing-pass windows and span-extent reads alike; memory-
 	// backed sources count one logical read per zero-copy extent).
-	// SourceBytesRead is the bytes those reads returned. Together they
-	// bound the compressed bytes the engine ever made resident: for a
-	// file-backed archive, SourceBytesRead staying far below the file
-	// size is the larger-than-RAM property, measured.
+	// SourceBytesRead is the bytes those reads returned. For a
+	// file-backed archive they bound the compressed bytes ever made
+	// resident: SourceBytesRead staying far below the file size on a
+	// random-access workload is the larger-than-RAM property, measured.
 	SourceReads, SourceBytesRead uint64
+}
+
+// Counter is implemented by a codec with activity counters of its own
+// (gzip's chunk pipeline): Engine.Stats adds them to its snapshot.
+type Counter interface {
+	Count(s *Stats)
 }
 
 // ErrClosed is returned by operations on a closed engine.
@@ -489,6 +536,10 @@ func (e *Engine) NumSpans() int {
 // spans by decoding (gzip).
 func (e *Engine) ScanSpans() int { return e.scanned }
 
+// Codec returns the codec the engine decodes with, for the optional
+// interfaces it may implement beyond Codec.
+func (e *Engine) Codec() Codec { return e.codec }
+
 // Flags returns the codec capability bits recorded at scan (or import)
 // time.
 func (e *Engine) Flags() uint8 { return e.flags }
@@ -506,16 +557,19 @@ func (e *Engine) CheckpointTable() *gzindex.CheckpointTable {
 	return t
 }
 
-// Stats returns a snapshot of the engine counters.
+// Stats returns a snapshot of the engine's counters and its codec's.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := e.stats
 	cs := e.cache.Stats()
-	s.CacheHits, s.CacheMisses, s.Evictions = cs.Hits, cs.Misses, cs.Evictions
+	s.SpanCacheHits, s.SpanCacheMisses, s.SpanCacheEvictions = cs.Hits, cs.Misses, cs.Evictions
 	s.PrefetchUnused += cs.unused
 	s.SourceReads = uint64(e.src.Reads())
 	s.SourceBytesRead = uint64(e.src.BytesRead())
+	if c, ok := e.codec.(Counter); ok {
+		c.Count(&s)
+	}
 	return s
 }
 

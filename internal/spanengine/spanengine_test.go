@@ -277,7 +277,7 @@ func TestEvictionPressureMidPrefetch(t *testing.T) {
 		t.Fatalf("consumed %d of %d bytes", off, e.Size())
 	}
 	s := e.Stats()
-	if s.Evictions == 0 {
+	if s.SpanCacheEvictions == 0 {
 		t.Fatalf("no evictions under a 2-span cache with prefetch depth 8: %+v", s)
 	}
 	if s.PrefetchIssued == 0 {

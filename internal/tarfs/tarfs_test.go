@@ -121,16 +121,16 @@ func TestOverIndexedGzip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := core.NewReader(filereader.MemoryReader(comp), core.Config{Parallelism: 4, ChunkSize: 64 << 10})
+	eng, err := core.New(filereader.MemoryReader(comp), core.Config{Parallelism: 4, ChunkSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	size, err := r.Engine().TotalSize()
+	defer eng.Close()
+	size, err := eng.TotalSize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsys, err := New(r.Engine(), size)
+	fsys, err := New(eng, size)
 	if err != nil {
 		t.Fatal(err)
 	}

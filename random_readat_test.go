@@ -12,7 +12,13 @@ import (
 )
 
 // seekPoints returns the seek-point index of an open gzip archive.
-func seekPoints(a Archive) *gzindex.Index { return a.(*archive).cur.Load().gz.Index() }
+func seekPoints(a Archive) *gzindex.Index {
+	ix, err := a.(*archive).cur.Load().eng.Codec().(seekIndexer).SeekIndex()
+	if err != nil {
+		panic(err)
+	}
+	return ix
+}
 
 // indexedGzip compresses a SilesiaLike corpus with the standard library
 // and exports its index at the given chunk size; it returns the corpus,

@@ -46,95 +46,28 @@
 // There is one read stack. Open resolves the options, sniffs the format
 // and builds an archive: the source, the one sequential cursor and the
 // current span engine (internal/spanengine: span table, cache,
-// prefetcher, worker pool) over the format's codec — for gzip/BGZF
-// internal/core's, which also owns the window index, the CRC chain and
-// the speculation counters; for bzip2, LZ4 and zstd a scan and a
-// span decoder and nothing else. Read, Seek, ReadAt, WriteTo, index
-// import and export, and Stats are written once, over the engine.
+// prefetcher, worker pool) over the format's codec. Every format builds
+// it alike, cold or from an index: for bzip2, LZ4 and zstd the codec is
+// a scan and a span decoder, for gzip/BGZF internal/core's, which also
+// owns the window index, the CRC chain and the speculation counters and
+// offers them through optional interfaces on the codec. Read, Seek,
+// ReadAt, WriteTo, index import and export, CRC status and Stats are
+// written once, over the engine, with no branch on the format.
 package rapidgzip
 
 import (
 	"io"
 	"io/fs"
 
+	"repro/internal/spanengine"
 	"repro/internal/tarfs"
 )
 
-// Stats counts backend activity. Every format runs on the shared span
-// engine, so the sizing/span/prefetch/source-read counters are live for
-// all of them; the speculative-decode counters on top are specific to
-// the gzip/BGZF chunk pipeline (the only format whose chunk boundaries
-// must be guessed). Zeros mean the machinery genuinely never ran — an
-// index import is visible as FinderProbes == 0 (gzip/BGZF) or
-// SizingPasses == 0 (every format).
-type Stats struct {
-	// --- gzip/BGZF chunk pipeline ------------------------------------
-	GuessTasks       uint64
-	GuessNoBlock     uint64
-	GuessFalseStarts uint64
-	// FinderProbes counts block-finder candidate probes across all
-	// speculative tasks. It stays exactly zero when a complete index
-	// was imported: known chunk offsets make the finder unnecessary.
-	FinderProbes uint64
-	// FinderBytes counts the compressed bytes the block finder scanned,
-	// from the start of a guessed cell to the block start it found or to
-	// as far into the cell as a guess looks. Over the file size it is
-	// what speculation paid to find where chunks begin.
-	FinderBytes uint64
-	// OnDemandDecodes counts the frontier cells decoded without a guess:
-	// the first, whose block is known, and every cell whose guess was
-	// missing, failed or began elsewhere. The first cell counts once, though its
-	// first entry is confirmed ahead of the rest of it.
-	OnDemandDecodes uint64
-	IndexedDecodes  uint64
-	ChunksConsumed  uint64
-	CRCFailures     uint64
-
-	// --- span engine (all formats) -----------------------------------
-	// SizingPasses counts codec sizing scans (0 after an index import,
-	// 1 after a cold open — a header or magic scan that decodes nothing;
-	// for gzip, bzip2 and unsized zstd the span table then grows as the
-	// file is first read, for BGZF it is the member-metadata scan).
-	SizingPasses uint64
-	// SpanDecodes counts span decodes started from a seek point after
-	// construction, on-demand and prefetched alike, including the first
-	// decode of a bzip2 stream or unsized zstd frame, which also sizes
-	// it. Where the codec can stop short of a span's end (gzip and BGZF
-	// spans, LZ4 and zstd frames without a content checksum), a read
-	// decodes as far into the span as it reaches, as does the first round
-	// of a WriteTo, and parks the rest; SpanResumes counts the decodes
-	// that continued a parked one.
-	SpanDecodes, SpanResumes uint64
-	// DecodedBytes counts the bytes span decodes wrote — from a seek
-	// point, resumed, prefetched, or resolving a freshly confirmed gzip
-	// chunk. Over the bytes a workload was delivered it is the decoding
-	// a read costs.
-	DecodedBytes uint64
-	// PrefetchProposed counts strategy proposals before filtering
-	// (deterministic per access sequence); PrefetchIssued counts
-	// speculative span decodes actually dispatched; PrefetchJoined
-	// counts accesses that joined one instead of decoding.
-	PrefetchProposed, PrefetchIssued, PrefetchJoined uint64
-	// PrefetchUnused counts prefetched spans that left the cache
-	// (evicted, overwritten, or dropped at Close) without any reader
-	// having got them: against PrefetchIssued, the speculation wasted.
-	PrefetchUnused uint64
-	// DemandJoined counts accesses that joined another reader's
-	// on-demand decode of the same span instead of decoding it again.
-	DemandJoined uint64
-	// SpanCacheHits / SpanCacheMisses / SpanCacheEvictions mirror the
-	// engine's span cache.
-	SpanCacheHits, SpanCacheMisses, SpanCacheEvictions uint64
-	// SourceReads counts positional reads the span engine issued
-	// against the compressed source (sizing-pass windows and span-
-	// extent preads alike), and SourceBytesRead the bytes they
-	// returned. For a file-backed archive these bound the compressed
-	// bytes ever made resident: SourceBytesRead staying far below the
-	// file size on a random-access workload is the larger-than-RAM
-	// property, measured. Memory-backed archives count one logical
-	// read per zero-copy span extent.
-	SourceReads, SourceBytesRead uint64
-}
+// Stats counts an archive's activity: its span engine's counters, live
+// for every format, and the gzip/BGZF chunk pipeline's. The fields are
+// documented once, on spanengine.Stats, which this is. After ImportIndex
+// it counts the new engine's activity.
+type Stats = spanengine.Stats
 
 // TarFS interprets any Archive's decompressed stream as a TAR archive
 // and returns a read-only filesystem over its members. It works for
