@@ -517,6 +517,9 @@ func (c *gzipCodec) GrowNext(e *spanengine.Engine) (bool, error) {
 	c.long = pausedIn != 0 && res.EndBit >= stop+c.capBits()
 	c.frontierDecomp += total
 	eof := res.EndIsEOF
+	if res.TrailingData {
+		c.cnt.trailing.Store(uint64(fileSize) - res.EndBit/8)
+	}
 	if eof {
 		c.eof = true
 		c.index.Finalized = true
@@ -969,4 +972,5 @@ func (c *gzipCodec) Count(s *spanengine.Stats) {
 	s.ChunksConsumed = c.cnt.consumed.Load()
 	s.CRCFailures = c.cnt.crcFailures.Load()
 	s.MaxPastStop = c.cnt.maxPastStop.Load()
+	s.TrailingBytes = c.cnt.trailing.Load()
 }

@@ -79,10 +79,12 @@ func TestReadThroughIndexDecodesAsFarAsItReaches(t *testing.T) {
 }
 
 // TestSmallSequentialReadsStillVerify: a verifying reader fed through
-// Read with a 4 KiB buffer. From offset 0 it is a stream at once and
-// every span decodes whole, exactly once; after a seek into the middle
-// it decodes in pieces until it is made out as one, and still nothing
-// twice. The CRC chain sees every span whole and in order.
+// Read with a 4 KiB buffer. From offset 0 it is a stream at once: its
+// first read decodes 4 KiB of span 0 and the rest of the span is
+// continued on the pool, and every span decodes exactly once; after a
+// seek into the middle it decodes in pieces until it is made out as one,
+// and still nothing twice. Either way a span is continued, never started
+// over. The CRC chain sees every span whole and in order.
 func TestSmallSequentialReadsStillVerify(t *testing.T) {
 	data := mkText(61, 1_200_000)
 	comp, _, err := gzipw.Compress(data, gzipw.Options{Level: 6, BlockSize: 16 << 10, MemberSize: 300 << 10})
@@ -107,7 +109,7 @@ func TestSmallSequentialReadsStillVerify(t *testing.T) {
 		first, _ := ix.Find(uint64(from))
 		spans := ix.Len() - first
 		es := r.eng.Stats()
-		if es.SpanDecodes != uint64(spans) || es.DecodedBytes != uint64(len(data))-ix.Point(first).UncompressedOffset || (es.SpanResumes > 0) != (from > 0) {
+		if es.SpanDecodes != uint64(spans) || es.DecodedBytes != uint64(len(data))-ix.Point(first).UncompressedOffset || es.SpanResumes == 0 {
 			t.Fatalf("from %d: %d spans read: %+v", from, spans, es)
 		}
 		if from > 0 {

@@ -155,6 +155,7 @@ type counters struct {
 	consumed         atomic.Uint64
 	crcFailures      atomic.Uint64
 	maxPastStop      atomic.Uint64 // written by GrowNext only, which is serialised
+	trailing         atomic.Uint64 // likewise
 }
 
 // newCodec is what both constructors start with: the fingerprint and the

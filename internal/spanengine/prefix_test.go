@@ -331,9 +331,49 @@ func TestCloseDropsParkedState(t *testing.T) {
 	}
 }
 
+// TestDecodeFailingAfterCloseIsErrClosed: a resume that a reader runs
+// itself, overtaken by Close, reads from a source that may be closed
+// under it and fails with whatever that gives; the reader is told the
+// engine closed.
+func TestDecodeFailingAfterCloseIsErrClosed(t *testing.T) {
+	src := testSrc(16 << 10)
+	codec := newPrefixCodec(4<<10, true)
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec.gate <- struct{}{}
+	readAndCheck(t, e, src, 4<<10, 100) // a jump: nothing prefetched
+	codec.failResume.Store(true)
+	read := make(chan error, 1)
+	go func() {
+		_, err := e.ReadAt(make([]byte, 100), 4<<10+1000)
+		read <- err
+	}()
+	codec.await(t)
+	codec.await(t) // the resume is running on the reader
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	until(func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.closed
+	})
+	codec.gate <- struct{}{}
+	<-closed
+	if err := <-read; !errors.Is(err, ErrClosed) {
+		t.Fatalf("the read whose resume failed after Close: %v", err)
+	}
+}
+
 // TestStreamDecodesWholeSpans: a reader the strategy has made out as a
-// stream decodes its spans to the end, itself and ahead of itself, and a
-// span ahead that is cached as a prefix is continued, not started over.
+// stream has its spans decoded to the end — its own decode stops at what
+// it asked for and the rest of the span is continued on the pool, the
+// spans ahead are prefetched whole — and a span ahead that is cached as
+// a prefix is continued, not started over.
 func TestStreamDecodesWholeSpans(t *testing.T) {
 	src := testSrc(32 << 10)
 	codec := newPrefixCodec(1<<10, false)
@@ -355,7 +395,7 @@ func TestStreamDecodesWholeSpans(t *testing.T) {
 	if s := e.Stats(); s.DecodedBytes != 320 || s.PrefetchIssued != 0 {
 		t.Fatalf("before the stream is made out: %+v", s)
 	}
-	readAndCheck(t, e, src, 8<<10, 10) // two on: a stream, span 9 prefetched
+	readAndCheck(t, e, src, 8<<10, 10) // two on: a stream, span 9 prefetched, the rest of 8 continued
 	settle()
 	codec.requireChain(t, 8<<10, 1<<10)
 	codec.requireChain(t, 9<<10, 1<<10)
@@ -364,11 +404,11 @@ func TestStreamDecodesWholeSpans(t *testing.T) {
 	codec.requireChain(t, 10<<10, 1<<10)
 	codec.requireChain(t, 11<<10, 1<<10)
 	codec.mu.Lock()
-	calls := len(codec.calls[10<<10])
+	calls := [2]int{len(codec.calls[8<<10]), len(codec.calls[10<<10])}
 	codec.mu.Unlock()
 	s := e.Stats()
-	if calls != 2 || s.SpanDecodes != 6 || s.SpanResumes != 1 || s.PrefetchIssued != 3 || s.DecodedBytes != 4<<10+20 {
-		t.Fatalf("%d decode calls for span 10; %+v", calls, s)
+	if calls != [2]int{2, 2} || s.SpanDecodes != 6 || s.SpanResumes != 2 || s.PrefetchIssued != 4 || s.DecodedBytes != 4<<10+20 {
+		t.Fatalf("decode calls for spans 8 and 10: %v; %+v", calls, s)
 	}
 }
 

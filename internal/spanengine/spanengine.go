@@ -27,20 +27,22 @@
 // A cache entry is a span's content or, for a codec that can stop short
 // of a span's end and continue (PrefixDecoder: gzip, and LZ4 and zstd
 // frames without a content checksum), the front of it together with the
-// decode's parked state. A read that jumps decodes from the seek point to
-// its own last byte and caches that prefix; a request is a hit when the
-// prefix covers it, and otherwise one joinable decode continues the
-// parked one to the request's last byte in the span, so a seek costs the
-// bytes between the seek point and what was asked for, not the span. So
-// does the first round of a ranged write, even a stream's, so that its
-// first bytes wait for what they need. Prefetches, whole-span requests,
-// primed resolutions and the other reads of a reader the strategy is
-// prefetching for decode to the span's end. What holds throughout: bytes
-// once handed to a reader never change; the stores charge the bytes an
-// entry holds; a reader that joined a decode bound for less than it needs
-// claims again; the codec's access observer hears of whole spans only; a
-// continuing decode that fails takes its prefix with it; Close drops what
-// is parked.
+// decode's parked state. One rule holds for every request: the decode a
+// reader starts runs from the seek point, or from where a cached prefix
+// parked, to the reader's own last byte in the span, and caches that
+// prefix; a request is a hit when the prefix covers it, and otherwise one
+// joinable decode continues the parked one. So a seek costs the bytes
+// between the seek point and what was asked for, not the span, and a
+// first read waits for what it asked for. When the strategy calls the
+// reader a stream, the rest of the span is what it asks for next: the
+// decode that parked hands it to the pool as a prefetch, which the next
+// request joins. Prefetches, whole-span requests and primed resolutions
+// decode to the span's end. What holds throughout: bytes once handed to
+// a reader never change; the stores charge the bytes an entry holds; a
+// reader that joined a decode bound for less than it needs claims again;
+// the codec's access observer hears of whole spans only; a continuing
+// decode that fails takes its prefix with it; Close drops what is
+// parked.
 //
 // The engine operates over a positional reader (filereader.FileReader),
 // never a resident buffer: codecs size the file with bounded windowed
@@ -126,9 +128,9 @@ type Codec interface {
 // LZ4 and zstd pause at a block boundary, in frames without a content
 // checksum (one with decodes whole, so that none of its bytes go out
 // unchecked). The engine detects it like AccessObserver and then decodes
-// through it alone: a read decodes as far as it reaches into the span, as
-// does the first round of a ranged write; speculation and whole-span
-// requests decode to the end.
+// through it alone: a read decodes as far as it reaches into the span;
+// speculation, a stream's continuation and whole-span requests decode to
+// the end.
 type PrefixDecoder interface {
 	// DecodeSpanPrefix decodes span s until at least upTo bytes of its
 	// output exist (0 < upTo <= s.DecompSize): from the seek point when
@@ -232,6 +234,10 @@ type Stats struct {
 	// ordinary file, and a frontier decode pauses inside a block about
 	// half a cell past it.
 	MaxPastStop uint64
+	// TrailingBytes counts the bytes behind the last gzip member that are
+	// not one, which a read skips as gzip does: the file size minus the
+	// end of the last footer, once a first pass has confirmed it.
+	TrailingBytes uint64
 
 	// --- span engine (all formats) -----------------------------------
 	// SizingPasses counts the scans that established the span table (0
@@ -246,8 +252,8 @@ type Stats struct {
 	// decode of a bzip2 stream or unsized zstd frame, which also sizes
 	// it. Where the codec can stop short of a span's end (PrefixDecoder:
 	// gzip and BGZF spans, LZ4 and zstd frames without a content
-	// checksum), a read decodes as far into the span as it reaches, as
-	// does the first round of a ranged write, and parks the rest;
+	// checksum), a read decodes as far into the span as it reaches and
+	// parks the rest, which a stream's prefetch or a later read continues;
 	// SpanResumes counts the decodes that continued a parked one.
 	SpanDecodes, SpanResumes uint64
 	// DecodedBytes counts the bytes those decodes, and the resolutions of
@@ -261,7 +267,8 @@ type Stats struct {
 	// counter to compare strategies by.
 	PrefetchProposed uint64
 	// PrefetchIssued counts speculative span decodes dispatched to the
-	// worker pool.
+	// worker pool, the rest of a span a stream's own decode stopped short
+	// of among them.
 	PrefetchIssued uint64
 	// PrefetchJoined counts accesses that found their span already in
 	// flight and waited for the prefetch instead of decoding.
@@ -611,15 +618,16 @@ func (w *want) content(ctx context.Context) ([]byte, error) {
 // served from the cache, tells the strategy nothing it has not seen and
 // skips it.
 //
-// How far a decode started here goes is the strategy's call too, and the
-// only policy there is: a reader it proposes nothing for has jumped, and
-// its decode stops at the request's last byte; a reader it prefetches for
-// is a stream, the rest of the span is what it asks for next, and the
-// decode runs to the span's end like the prefetches beside it. A bounded
-// request (the first round of a ranged write) stops at its last byte
-// either way, so what it waits for is what it asked for; the stream's
-// next request continues the parked decode to the end. Caller holds e.mu.
-func (e *Engine) claimLocked(ws []want, bounded bool) {
+// A decode started here stops at the request's last byte in the span,
+// whoever asks: what a reader waits for is what it asked for. The
+// strategy's call decides what follows. A reader it proposes nothing for
+// has jumped, and the prefix stays parked until a request reaches past
+// it. A reader it prefetches for is a stream, and the rest of the span is
+// what it asks for next: once the prefix is cached, the rest is issued
+// to the pool as a prefetch at resolution priority, ahead of the spans
+// after it (decodeTask), and the next request joins it. Caller holds
+// e.mu.
+func (e *Engine) claimLocked(ws []want) {
 	hit := true
 	for k := range ws {
 		w := &ws[k]
@@ -634,7 +642,7 @@ func (e *Engine) claimLocked(ws []want, bounded bool) {
 		e.strategy.Access(uint64(first), uint64(last))
 		e.proposePrefetches()
 	}
-	stream := fed && len(e.cands) > 0 && !bounded
+	stream := fed && len(e.cands) > 0
 	mine := false
 	for k := range ws {
 		w := &ws[k]
@@ -644,12 +652,8 @@ func (e *Engine) claimLocked(ws []want, bounded bool) {
 		fl, ok := e.inflight[w.i]
 		switch {
 		case !ok:
-			upTo := w.need
-			if stream {
-				upTo = w.s.DecompSize
-			}
 			fl.demand = true
-			if task := e.decodeTask(w.i, w.s, w.ent, upTo); mine {
+			if task := e.decodeTask(w.i, w.s, w.ent, w.need, stream); mine {
 				fl.fut = pool.Go(e.pool, task)
 			} else {
 				fl.fut = pool.Lazy(task)
@@ -678,10 +682,12 @@ func (e *Engine) claimLocked(ws []want, bounded bool) {
 // decode until upTo bytes of the span exist, continuing from a cached
 // prefix if there is one, move the result into the cache, retire the
 // flight. Only a PrefixDecoder stops short of the span; every other
-// codec decodes it whole whatever upTo says. A task that finds the
-// engine closed does not decode: nobody is left to read what Close
-// found still queued. Caller holds e.mu.
-func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64) func() ([]byte, error) {
+// codec decodes it whole whatever upTo says. A decode that parks with
+// rest set, a stream's, then issues the decode of the rest of the span
+// to the pool (see claimLocked). A task that finds the engine closed
+// does not decode: nobody is left to read what Close found still queued.
+// Caller holds e.mu.
+func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64, rest bool) func() ([]byte, error) {
 	var parked any
 	have := 0
 	if from != nil {
@@ -711,7 +717,14 @@ func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64) func() ([]by
 			e.demand--
 		}
 		if err != nil {
-			if from != nil && !e.closed {
+			if e.closed {
+				// A decode that Close overtook, run by a reader that
+				// joined it, reads from a source closed under it, which it
+				// may report as anything: the reader is told the engine
+				// closed.
+				return nil, ErrClosed
+			}
+			if from != nil {
 				// The parked state is spent; the next reader starts over.
 				e.cache.Delete(i)
 			}
@@ -724,7 +737,15 @@ func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64) func() ([]by
 		}
 		e.stats.DecodedBytes += uint64(len(data) - have)
 		if !e.closed {
-			e.cache.Put(i, &entry{data: data, parked: parked, unused: fl.unused})
+			ent := &entry{data: data, parked: parked, unused: fl.unused}
+			e.cache.Put(i, ent)
+			if rest && parked != nil {
+				// The stream reads the rest of the span next: a prefetch
+				// of it, ahead of the spans after it and whatever
+				// MaxPrefetch says, which the stream's next request joins.
+				e.stats.PrefetchIssued++
+				e.inflight[i] = flight{fut: pool.Go(e.pool, e.decodeTask(i, s, ent, s.DecompSize, false)), unused: true}
+			}
 		} else if fl.unused {
 			e.stats.PrefetchUnused++
 		}
@@ -786,7 +807,7 @@ func (e *Engine) issuePrefetches() {
 			continue
 		}
 		e.stats.PrefetchIssued++
-		e.inflight[i] = flight{fut: pool.GoLow(e.pool, e.decodeTask(i, s, ent, s.DecompSize)), unused: true}
+		e.inflight[i] = flight{fut: pool.GoLow(e.pool, e.decodeTask(i, s, ent, s.DecompSize, false)), unused: true}
 	}
 }
 
@@ -805,11 +826,11 @@ func (e *Engine) findSpanLocked(off int64) int {
 
 // claimRange resolves the spans covering [off, off+length) of the
 // decompressed stream, as far as the table reaches, and claims them as
-// one request, bounded or not (see claimLocked). It takes at most one
-// span per decoder — the caller and each worker — so a request of any
-// length holds no more decoded spans than a prefetching reader does;
-// ReadAt and WriteRangeTo ask again for the rest.
-func (e *Engine) claimRange(ws []want, off, length int64, bounded bool) ([]want, error) {
+// one request (see claimLocked). It takes at most one span per decoder —
+// the caller and each worker — so a request of any length holds no more
+// decoded spans than a prefetching reader does; ReadAt and WriteRangeTo
+// ask again for the rest.
+func (e *Engine) claimRange(ws []want, off, length int64) ([]want, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -824,14 +845,15 @@ func (e *Engine) claimRange(ws []want, off, length int64, bounded bool) ([]want,
 			ws = append(ws, want{i: i, s: s, need: min(end-s.DecompOff, s.DecompSize)})
 		}
 	}
-	e.claimLocked(ws, bounded)
+	e.claimLocked(ws)
 	return ws, nil
 }
 
 // ReadAt implements io.ReaderAt over the decompressed stream: the span
-// walk (see walk) into p, with no bound on its first round. On a growing
-// engine it extends the confirmed table as far as the request needs;
-// io.EOF is only reported once the table is complete.
+// walk (see walk) into p, with no bound on its first round, so the
+// decodes it starts stop at p's last byte. On a growing engine it extends
+// the confirmed table as far as the request needs; io.EOF is only
+// reported once the table is complete.
 func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 	q := p
 	n, err := e.walk(context.Background(), off, int64(len(p)), math.MaxInt64, func(part []byte) (int, error) {
@@ -846,13 +868,14 @@ func (e *Engine) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // FirstRound bounds how far into a range the first round of a ranged
-// write reaches, and how far the decodes that round starts go — for a
-// stream too. A cold span is then decoded only that far before the
-// range's first bytes go out (by a PrefixDecoder; other codecs decode
-// whole spans), and the next round continues the parked decode; a cached
-// span is written whole all the same. gzip sizes a cold file's first
-// span by it too (its first entry), so that a cold stream's first round
-// is one decode of that much.
+// write reaches, and so how far the decodes that round starts go. A cold
+// span is then decoded only that far before the range's first bytes go
+// out (by a PrefixDecoder; other codecs decode whole spans), and the
+// next round continues the parked decode, or, for a stream, joins the
+// continuation already on the pool; a cached span is written whole all
+// the same. gzip sizes a cold file's first span by it too (its first
+// entry), so that a cold stream's first round is one decode of that
+// much.
 const FirstRound = 32 << 10
 
 // WriteRangeTo writes the decompressed bytes [off, off+n) to w, or those
@@ -881,9 +904,9 @@ func (e *Engine) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (i
 // reaches into them (see claimRange), so a jump into a span decodes only
 // its prefix, the strategy and the access observer hear of each request,
 // and the missing spans of a round decode side by side. The first round
-// reaches at most first bytes in and is a bounded request (claimLocked);
-// later rounds reach to the range's end. A growing table grows as the
-// walk reaches its frontier.
+// reaches at most first bytes in, and the decodes it starts stop there
+// (claimLocked); later rounds reach to the range's end. A growing table
+// grows as the walk reaches its frontier.
 //
 // ctx is checked before every span and while waiting for a decode that
 // another goroutine runs; a decode the walk runs itself finishes first.
@@ -909,7 +932,7 @@ func (e *Engine) walk(ctx context.Context, off, n, first int64, put func([]byte)
 				return done, err
 			}
 		}
-		ws, err := e.claimRange(buf[:0], off, limit-off, limit < end)
+		ws, err := e.claimRange(buf[:0], off, limit-off)
 		if err == io.EOF {
 			return done, nil
 		}
