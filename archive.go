@@ -250,16 +250,16 @@ func sourceErr(err error) error {
 	return err
 }
 
-// closedErr maps the internal closed-state errors a read can surface —
-// the engine's own gate, or a pread on a file descriptor that Close won
-// the race for — onto the public ErrClosed, so a caller racing Close
-// against ReadAt gets one typed answer regardless of which layer noticed
-// first. Other errors pass through untouched.
-func closedErr(err error) error {
+// readErr maps what a call on an open archive fails with onto the public
+// typed errors, the same way for every method: the internal closed-state
+// errors (the engine's own gate, or a pread on a descriptor that Close
+// won the race for) to ErrClosed, whichever layer noticed first, and a
+// failed read of the source to ErrSourceRead (sourceErr).
+func readErr(err error) error {
 	if errors.Is(err, spanengine.ErrClosed) || errors.Is(err, fs.ErrClosed) {
 		return fmt.Errorf("%w: %w", ErrClosed, err)
 	}
-	return err
+	return sourceErr(err)
 }
 
 // --- the per-format part -------------------------------------------------
@@ -501,7 +501,7 @@ func (a *archive) Read(p []byte) (int, error) {
 	if n > 0 && err == io.EOF {
 		err = nil
 	}
-	return n, closedErr(err)
+	return n, readErr(err)
 }
 
 // Seek only moves the cursor (§3.1: "A seek only updates the internal
@@ -520,7 +520,7 @@ func (a *archive) Seek(offset int64, whence int) (int64, error) {
 		base = a.pos
 	case io.SeekEnd:
 		if base, err = st.eng.TotalSize(); err != nil {
-			return 0, closedErr(err)
+			return 0, readErr(err)
 		}
 	default:
 		return 0, fmt.Errorf("rapidgzip: bad whence %d", whence)
@@ -541,7 +541,7 @@ func (a *archive) ReadAt(p []byte, off int64) (int, error) {
 		return 0, err
 	}
 	n, err := st.eng.ReadAt(p, off)
-	return n, closedErr(err)
+	return n, readErr(err)
 }
 
 // WriteTo streams what lies between the cursor and the end — the fast
@@ -558,7 +558,7 @@ func (a *archive) WriteTo(w io.Writer) (int64, error) {
 	a.AdviseSequentialRead()
 	n, err := st.eng.WriteTo(w, a.pos)
 	a.pos += n
-	return n, closedErr(err)
+	return n, readErr(err)
 }
 
 // WriteRangeTo writes the decompressed bytes [off, off+n), or those of
@@ -573,7 +573,7 @@ func (a *archive) WriteRangeTo(ctx context.Context, w io.Writer, off, n int64) (
 		return 0, err
 	}
 	k, err := st.eng.WriteRangeTo(ctx, w, off, n)
-	return k, closedErr(err)
+	return k, readErr(err)
 }
 
 // AdviseSequentialRead hints the OS that the compressed file is about
@@ -591,7 +591,7 @@ func (a *archive) Size() (int64, error) {
 		return 0, err
 	}
 	size, err := st.eng.TotalSize()
-	return size, closedErr(err)
+	return size, readErr(err)
 }
 
 func (a *archive) DecompressedSize() (int64, bool) {
@@ -607,7 +607,7 @@ func (a *archive) BuildIndex() error {
 	if err != nil {
 		return err
 	}
-	return closedErr(st.eng.EnsureComplete())
+	return readErr(st.eng.EnsureComplete())
 }
 
 func (a *archive) ExportIndex(w io.Writer) error {
@@ -616,7 +616,7 @@ func (a *archive) ExportIndex(w io.Writer) error {
 		return err
 	}
 	if err := st.eng.EnsureComplete(); err != nil {
-		return closedErr(err)
+		return readErr(err)
 	}
 	var ix *gzindex.Index
 	if c, ok := st.eng.Codec().(seekIndexer); ok {
@@ -627,7 +627,7 @@ func (a *archive) ExportIndex(w io.Writer) error {
 	if err == nil {
 		_, err = ix.WriteTo(w)
 	}
-	return closedErr(err)
+	return readErr(err)
 }
 
 // seekIndexer is the codec of a format that keeps a seek-point index of
@@ -641,7 +641,7 @@ type seekIndexer interface {
 func (a *archive) checkpointIndex(eng *spanengine.Engine) (*gzindex.Index, error) {
 	fp, err := gzindex.ComputeFingerprint(a.src, a.src.Size())
 	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrSourceRead, err)
+		return nil, fmt.Errorf("%w: %w", filereader.ErrIO, err)
 	}
 	ix := gzindex.New(0)
 	ix.Finalized = true

@@ -91,12 +91,7 @@ func TestFirstReadWaitsForItsBytes(t *testing.T) {
 			for _, first := range []int{1, 512} {
 				for _, loop := range []int{4 << 10, 128 << 10} {
 					t.Run(fmt.Sprintf("%s/P%d/first%d/loop%d", in.name, p, first, loop), func(t *testing.T) {
-						// The cache holds the file, so that the bytes decoded
-						// count decodes started over and nothing else: at P=2
-						// a gzip engine's span cache holds fewer spans than it
-						// prefetches, and a Read loop has prefetched spans
-						// evicted unread with this rule and without it.
-						opts := append(in.opts, WithParallelism(p), WithVerify(true), WithSharedPool(NewCachePool(64<<20)))
+						opts := append(in.opts, WithParallelism(p), WithVerify(true))
 						firstRead(t, in.path, plain, p, first, loop, opts)
 					})
 				}

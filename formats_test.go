@@ -1447,7 +1447,7 @@ func TestCursorSemantics(t *testing.T) {
 func second[T any](_ T, err error) error { return err }
 
 // TestFileBackedEvictionPressureMidPrefetch squeezes the span cache (a
-// shared pool of about three spans) under a deep prefetch (2P or 4P at
+// shared pool of about three spans) under a deep prefetch (8 spans at
 // P=4) while decodes pread a real temp file: evictions must land
 // mid-flight without corrupting content or wedging the engine.
 func TestFileBackedEvictionPressureMidPrefetch(t *testing.T) {
@@ -1676,8 +1676,7 @@ func TestLargerThanMemoryHarness(t *testing.T) {
 				}
 			}
 
-			// One worker keeps the prefetch depth shallow: 2 for LZ4 and
-			// zstd, 4 for gzip and BGZF.
+			// One worker keeps the prefetch depth shallow: 2 spans.
 			opts := []Option{WithParallelism(1)}
 			if !ti.viaIndex {
 				opts = append(opts, WithoutIndexDiscovery())
@@ -1739,9 +1738,10 @@ func TestLargerThanMemoryHarness(t *testing.T) {
 			// Every pread after the scan serves a span decode, and a span's
 			// compressed extent is its content plus per-block framing: the
 			// total source traffic must be explained by the decode count —
-			// extent-granular reads, not whole-file ones. Up to MaxPrefetch
-			// decodes may still be in flight when the counters are sampled
-			// (their preads land before their completions), hence the +2.
+			// extent-granular reads, not whole-file ones. Up to the prefetch
+			// depth's decodes (2 at one worker) may still be in flight when
+			// the counters are sampled (their preads land before their
+			// completions), hence the +2.
 			spanCompMax := uint64(ti.frameContent) + 64<<10
 			if ti.spanCompMax != 0 {
 				spanCompMax = ti.spanCompMax

@@ -155,18 +155,19 @@ const pointsPerChunk = 16
 // the fast path used for prefetches and random access once the entry
 // exists (§3.3, §4.4: "the output buffer can be allocated beforehand ...
 // marker replacement can be skipped") — as far as upTo, or continues the
-// decode that stopped short of that: parked is its *deflate.Decoder,
-// which is the state (see Decoder.Resume), positioned in a reader over
-// the file that has read as far as the decode went. It runs the custom
+// decode that stopped short of that: parked is its *spanDecode, the
+// decoder's state (see Decoder.Resume) and the reader over the file,
+// which has read as far as the decode went. It runs the custom
 // single-stage decoder: the paper delegates indexed decodes to zlib
 // (§3.3) because its marker decoder lost to zlib's inner loops, but the
 // wide-refill kernels outrun compress/flate, handle every chunk shape —
 // member boundaries included — and stop at any element, which is what
 // lets a seek cost the bytes it asked for. A whole span from its seek
 // point reads its compressed extent in one bounded read; a prefix reads
-// as far as it decodes, a window at a time. The IndexedDecodes count,
-// which needs the whole result, is taken when the span completes. Safe
-// for concurrent calls on different spans.
+// as far as it decodes, a window at a time, and its continuation to the
+// span's end reads the rest of the extent in one read. The
+// IndexedDecodes count, which needs the whole result, is taken when the
+// span completes. Safe for concurrent calls on different spans.
 func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Span, parked any, upTo int64) ([]byte, any, error) {
 	// A span's point is the last at its offset: only a span of no bytes,
 	// which nothing decodes, shares its offset with the point after it.
@@ -181,25 +182,30 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 	size := uint64(s.DecompSize)
 	var res *deflate.ChunkResult
 	var err error
-	dec, _ := parked.(*deflate.Decoder)
-	if dec != nil {
-		res, err = dec.Resume(uint64(upTo))
+	d, _ := parked.(*spanDecode)
+	if d != nil {
+		// The rest of the span is read at once: the decode's first
+		// round read only as far as its request.
+		d.rest = upTo == s.DecompSize
+		res, err = d.Resume(uint64(upTo))
+		if d.done != nil {
+			d.done()
+		}
 	} else {
+		d = new(spanDecode)
 		var window []byte
 		if window, err = c.pointWindow(i); err == nil {
-			dec = new(deflate.Decoder)
-			res, err = c.startSpan(dec, p, window, next.CompressedBitOffset, endIsEOF, size, uint64(upTo))
+			res, err = c.startSpan(d, p, window, next.CompressedBitOffset, endIsEOF, size, uint64(upTo))
 		}
 	}
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d: %w", p.CompressedBitOffset, err)
+	if err == nil && (res.TotalOut() < uint64(upTo) || res.TotalOut() > size) {
+		err = fmt.Errorf("decoded %d bytes, index says %d", res.TotalOut(), size)
 	}
-	if n := res.TotalOut(); n < uint64(upTo) || n > size {
-		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d decoded %d bytes, index says %d",
-			p.CompressedBitOffset, n, size)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: indexed chunk at bit %d: %w", p.CompressedBitOffset, d.failed(err))
 	}
 	if res.TotalOut() < size {
-		return res.Raw, dec, nil
+		return res.Raw, d, nil
 	}
 
 	c.cnt.indexed.Add(1)
@@ -300,7 +306,7 @@ func (c *gzipCodec) rebuildWindow(i int) error {
 		p, next, endIsEOF := c.spanLocked(k)
 		c.mu.Unlock()
 		size := next.UncompressedOffset - p.UncompressedOffset
-		res, err := c.startSpan(new(deflate.Decoder), p, hist, next.CompressedBitOffset, endIsEOF, size, size)
+		res, err := c.startSpan(new(spanDecode), p, hist, next.CompressedBitOffset, endIsEOF, size, size)
 		if err != nil {
 			return fmt.Errorf("span at bit %d: %w", p.CompressedBitOffset, err)
 		}
@@ -348,10 +354,10 @@ func (c *gzipCodec) rebuildWindows() error {
 	return nil
 }
 
-// startSpan begins the decode of the span of size bytes at point p,
+// startSpan begins d, the decode of the span of size bytes at point p,
 // whose window is window, which ends at endBit (at the end of the file
 // if endIsEOF), bounded by upTo bytes of output.
-func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, window []byte, endBit uint64, endIsEOF bool, size, upTo uint64) (*deflate.ChunkResult, error) {
+func (c *gzipCodec) startSpan(d *spanDecode, p gzindex.SeekPoint, window []byte, endBit uint64, endIsEOF bool, size, upTo uint64) (*deflate.ChunkResult, error) {
 	fileSize := int64(c.fileBits / 8)
 	byteStart := int64(p.CompressedBitOffset / 8)
 	// The decoder reads the next block's header fields before checking
@@ -362,6 +368,7 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, window 
 	if endIsEOF || byteEnd > fileSize {
 		byteEnd = fileSize
 	}
+	d.src = c.src
 	// Bit offsets are relative to what the reader is over: the extent's
 	// buffer for a whole span, the file for a prefix.
 	var br *bitio.BitReader
@@ -374,7 +381,8 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, window 
 		defer release()
 		br, base = bitio.NewBitReaderBytes(buf), uint64(byteStart)*8
 	} else {
-		br = bitio.NewBitReaderSize(c.src, byteEnd, prefixWindow)
+		d.end = byteEnd
+		br = bitio.NewBitReaderSize(d, byteEnd, prefixWindow)
 	}
 	stop := endBit - base
 	if endIsEOF {
@@ -385,12 +393,12 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, window 
 	// long.
 	var header *bitio.BitReader
 	if p.BlockHeaderBit != 0 {
-		header = bitio.NewBitReaderSize(c.src, fileSize, blockHeaderRead)
+		header = bitio.NewBitReaderSize(d, fileSize, blockHeaderRead)
 		if err := header.SeekBits(p.BlockHeaderBit); err != nil {
-			return nil, err
+			return nil, d.failed(err)
 		}
 	}
-	return dec.DecodeChunk(br, deflate.ChunkConfig{
+	res, err := d.DecodeChunk(br, deflate.ChunkConfig{
 		Start:              p.CompressedBitOffset - base,
 		Header:             header,
 		Stop:               stop,
@@ -403,6 +411,55 @@ func (c *gzipCodec) startSpan(dec *deflate.Decoder, p gzindex.SeekPoint, window 
 		// Fixed block); the index size bounds the decode instead.
 		StopAtOutput: upTo,
 	})
+	return res, d.failed(err)
+}
+
+// spanDecode is the decode of one span from its seek point, and what it
+// reads the file through where it does not read its extent whole. One
+// that stops short of its span is parked as it is and resumed from there
+// (DecodeSpanPrefix). A bit reader takes a read that fails for the end of
+// its input, which the decoder then reports as a cut stream: spanDecode
+// keeps the first failure, so that a decode that fails reports it as the
+// read error it is. Once rest is set, its next read takes the file up to
+// end at once and serves the windows after it.
+type spanDecode struct {
+	deflate.Decoder
+	src  filereader.FileReader
+	end  int64 // where the prefix's bit reader ends
+	rest bool
+	buf  []byte // the file from off on, as rest read it
+	off  int64
+	done func() // gives buf back
+	err  error
+}
+
+// ReadAt implements io.ReaderAt for the bit readers of the decode.
+func (d *spanDecode) ReadAt(p []byte, off int64) (int, error) {
+	if d.rest && d.buf == nil && d.err == nil && off < d.end {
+		var err error
+		if d.buf, d.done, err = filereader.Extent(d.src, off, d.end); err != nil {
+			d.err = err
+			return 0, err
+		}
+		d.off = off
+	}
+	if k := off - d.off; d.buf != nil && k >= 0 && k+int64(len(p)) <= int64(len(d.buf)) {
+		return copy(p, d.buf[k:]), nil
+	}
+	n, err := d.src.ReadAt(p, off)
+	if n < len(p) && d.err == nil {
+		d.err = fmt.Errorf("%w: [%d,%d) read short: %w", filereader.ErrIO, off, off+int64(len(p)), err)
+	}
+	return n, err
+}
+
+// failed is the error the decode ends with: the first read that failed,
+// if one did and so did the decode, else err.
+func (d *spanDecode) failed(err error) error {
+	if err != nil && d.err != nil {
+		return d.err
+	}
+	return err
 }
 
 // --- growing mode --------------------------------------------------------

@@ -664,7 +664,7 @@ func TestFrontierJoinsQueuedGuess(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	r.eng.Prime(1<<30, func() ([]byte, error) { <-release; return nil, nil })
-	buf := make([]byte, 6*chunk) // about four and a half cells of this file
+	buf := make([]byte, 5*chunk) // about four cells: two on demand, two guessed at P=1
 	done := make(chan error, 1)
 	go func() {
 		_, err := r.eng.ReadAt(buf, 0)

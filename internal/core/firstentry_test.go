@@ -112,7 +112,7 @@ func TestLongBlockUnitsPause(t *testing.T) {
 		}
 		// The guesses issued before the first unit found the block long:
 		// at most twice the prefetch depth.
-		if limit := uint64(2 * 4 * p); st.GuessTasks > limit {
+		if limit := uint64(2 * 2 * p); st.GuessTasks > limit {
 			t.Errorf("P=%d: %d guesses over one block, want <= %d", p, st.GuessTasks, limit)
 		}
 		var ix bytes.Buffer

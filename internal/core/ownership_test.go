@@ -149,7 +149,7 @@ func TestScratchOwnership(t *testing.T) {
 		}
 		stream := c.finish(t)
 
-		// One worker holds the tentative pool at twice 4P = 8 results.
+		// One worker holds the tentative pool at twice 2P = 4 results.
 		r := open(t, stream, Config{Parallelism: 1, ChunkSize: chunk})
 		if got := readAll(t, r); !bytes.Equal(got, c.plain) {
 			t.Fatal("output differs from the stored payloads")

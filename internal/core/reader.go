@@ -62,8 +62,8 @@ import (
 
 // Config tunes the engines New and NewFromIndex build.
 type Config struct {
-	// Parallelism is the worker count (values < 1 are clamped to 1). It
-	// sizes the engine too, see engine.
+	// Parallelism is the worker count (values < 1 are clamped to 1),
+	// from which spanengine sizes the engine as it does every other.
 	Parallelism int
 	// ChunkSize is the compressed bytes per work unit (paper default
 	// 4 MiB; Figure 12 sweeps this parameter).
@@ -107,35 +107,6 @@ func (c Config) withDefaults() Config {
 		c.ChunkSize = 4 << 20
 	}
 	return c
-}
-
-// maxPrefetch bounds the speculative decodes in flight: block-finder
-// guesses ahead of the frontier, and prefetched spans. The paper holds
-// 2x parallelism; this implementation holds 4x because its consumer does
-// more per-chunk work (window copies into the index, CRC bookkeeping)
-// and a deeper pipeline hides the resulting bubbles. Memory stays
-// bounded by maxPrefetch * chunk output.
-func (c Config) maxPrefetch() int { return 4 * c.Parallelism }
-
-// engine sizes a gzip engine. Confirmed chunks wait in the
-// span cache until consumption, so it is sized like the prefetch window
-// and none are evicted in flight: 2P + 4 spans, and the growing engine
-// parks up to twice maxPrefetch guesses in its tentative store. A BGZF
-// file scanned cold is exact spans, every prefetch a span of the table,
-// and takes the size that holds a sequential pass of such a table
-// (spanengine.Config's default rule): the prefetch depth plus the span
-// being read and the one being handed over.
-func (c Config) engine(coldBGZF bool) spanengine.Config {
-	ec := spanengine.Config{
-		Threads:     c.Parallelism,
-		CacheSize:   2*c.Parallelism + 4,
-		MaxPrefetch: c.maxPrefetch(),
-		Pool:        c.Pool,
-	}
-	if coldBGZF {
-		ec.CacheSize = ec.MaxPrefetch + 2
-	}
-	return ec
 }
 
 // errNoBlock marks a grid cell that contains no usable block start.
@@ -201,9 +172,10 @@ func New(src filereader.FileReader, cfg Config) (*spanengine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	ec := spanengine.Config{Threads: c.cfg.Parallelism, Pool: c.cfg.Pool}
 	var eng *spanengine.Engine
 	if c.bgzf && !cfg.SkipMetadataScan {
-		eng, err = spanengine.New(c.src, c, c.cfg.engine(true))
+		eng, err = spanengine.New(c.src, c, ec)
 		if err != nil && c.bgzfRefused(err) {
 			return nil, err
 		}
@@ -214,7 +186,7 @@ func New(src filereader.FileReader, cfg Config) (*spanengine.Engine, error) {
 		}
 	}
 	if eng == nil {
-		if eng, err = spanengine.NewGrowing(c.src, c, 0, c.cfg.engine(false)); err != nil {
+		if eng, err = spanengine.NewGrowing(c.src, c, 0, ec); err != nil {
 			return nil, err
 		}
 	}
@@ -270,7 +242,7 @@ func NewFromIndex(src filereader.FileReader, ix *gzindex.Index, cfg Config) (*sp
 		p, next, _ := c.spanLocked(i)
 		spans[i] = engineSpan(p, next)
 	}
-	eng, err := spanengine.NewFromCheckpoints(c.src, c, spans, 0, c.cfg.engine(false))
+	eng, err := spanengine.NewFromCheckpoints(c.src, c, spans, 0, spanengine.Config{Threads: c.cfg.Parallelism, Pool: c.cfg.Pool})
 	if err != nil {
 		return nil, err
 	}

@@ -181,7 +181,7 @@ func TestGuessesHaveOneOwner(t *testing.T) {
 	payloads, _ := testPayloads(10, 400)
 	src, starts := buildStreams(payloads)
 	open := func(t *testing.T, codec *streamCodec) *Engine {
-		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, MaxPrefetch: 2, Strategy: noPrefetch{}})
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, maxPrefetch: 2, strategy: noPrefetch{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestGuessesHaveOneOwner(t *testing.T) {
 		propose(e, 3)
 		propose(e, 3, 4, 5)
 		if n := running(e); n != 2 {
-			t.Fatalf("%d guesses running for three slots, one proposed twice, at MaxPrefetch 2", n)
+			t.Fatalf("%d guesses running for three slots, one proposed twice, at maxPrefetch 2", n)
 		}
 		close(hold)
 		until(idle(e))
@@ -281,7 +281,7 @@ func TestDeferredFalsePositiveMergesAway(t *testing.T) {
 	cands := slices.Insert(slices.Clone(starts), 3, falseOff)
 	for _, strategy := range []prefetch.Strategy{nil, prefetch.NewFixed(), noPrefetch{}} {
 		codec := &streamCodec{cands: cands, merge: true}
-		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, MaxPrefetch: 8, CacheSize: 16, Strategy: strategy})
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, maxPrefetch: 8, cacheSize: 16, strategy: strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +387,7 @@ func TestDeferredReadAheadAndSize(t *testing.T) {
 	src, starts := buildStreams(payloads)
 	t.Run("ReadAt", func(t *testing.T) {
 		codec := &streamCodec{cands: starts, merge: true}
-		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, CacheSize: 16})
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, cacheSize: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +446,7 @@ func TestDeferredDeclaredSizes(t *testing.T) {
 	}
 	sizes[5]++ // a header that lies: the whole table after it is off by one
 	codec := &streamCodec{cands: starts, sizes: sizes}
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, Strategy: noPrefetch{}})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, strategy: noPrefetch{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestDeferredDecodesOnceBeyondTheCache(t *testing.T) {
 	src, starts := buildStreams(payloads)
 	for _, threads := range []int{1, 2, 4} {
 		codec := &streamCodec{cands: starts, merge: true}
-		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: threads, CacheSize: 2})
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: threads, cacheSize: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@
 // (TakeGuess) — the paper's §3 robustness argument: a block-finder false
 // positive simply never matches a requested key and ages out of the
 // store, which re-arms its slot. A slot is guessed once until then, and
-// not at all while the frontier decodes it; at most MaxPrefetch guesses
+// not at all while the frontier decodes it; at most maxPrefetch guesses
 // run; and those still running when the table completes are waited for.
 //
 // It has two kinds of user. Bit-offset discovery: gzip, whose deflate
@@ -150,13 +150,13 @@ func (e *Engine) Prime(i int, decode func() ([]byte, error)) {
 
 // speculate issues a guess for a prefetch candidate beyond the confirmed
 // table, unless its slot is guessed already — parked, running, or the
-// frontier's own — or MaxPrefetch guesses are running. The guess parks
+// frontier's own — or maxPrefetch guesses are running. The guess parks
 // what it made and leaves the running set in one step, so a frontier
 // that finds it in neither place knows it made nothing. Caller holds
 // e.mu.
 func (e *Engine) speculate(cand uint64) {
 	slot, ok := e.grower.Slot(e, cand)
-	if _, guessed := e.guesses[slot]; !ok || guessed || e.guessing >= e.cfg.MaxPrefetch {
+	if _, guessed := e.guesses[slot]; !ok || guessed || e.guessing >= e.cfg.maxPrefetch {
 		return
 	}
 	run := e.grower.Guess(e, slot)
@@ -323,7 +323,7 @@ func (e *Engine) growReady(off int64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return ok && !e.complete && !e.closed &&
-		len(e.spans)-e.findSpanLocked(off) <= e.cfg.CacheSize/4 && e.tent.Contains(key)
+		len(e.spans)-e.findSpanLocked(off) <= e.cfg.cacheSize/4 && e.tent.Contains(key)
 }
 
 // EnsureComplete grows the span table to end of file.

@@ -21,21 +21,29 @@ type poolKey struct {
 	span int
 }
 
-// PoolStats is a snapshot of a CachePool's accounting.
+// PoolStats is a snapshot of a CachePool's accounting, aggregated over
+// all member engines past and present; rgzserve's /metrics serves it as
+// the JSON its tags name.
 type PoolStats struct {
-	// BudgetBytes is the configured capacity; UsedBytes the cached
-	// decompressed bytes right now; PeakBytes the high-water mark of
-	// UsedBytes over the pool's lifetime. UsedBytes <= BudgetBytes is a
-	// structural invariant (spans larger than the whole budget are
-	// simply not cached), so PeakBytes <= BudgetBytes always holds.
-	BudgetBytes, UsedBytes, PeakBytes int64
-	// Entries counts cached spans; Engines the views currently
-	// registered (one per open engine in pool mode).
-	Entries, Engines int
-	// Hits/Misses/Evictions aggregate over all member engines.
-	// Rejected counts spans that were not cached because they alone
-	// exceed the budget.
-	Hits, Misses, Evictions, Rejected uint64
+	// BudgetBytes is the configured capacity, UsedBytes the cached
+	// decompressed bytes right now, and PeakBytes the lifetime
+	// high-water mark of UsedBytes. Spans larger than the whole budget
+	// are not cached, so PeakBytes <= BudgetBytes is a structural
+	// invariant.
+	BudgetBytes int64 `json:"budget_bytes"`
+	UsedBytes   int64 `json:"used_bytes"`
+	PeakBytes   int64 `json:"peak_bytes"`
+	// Entries counts cached spans; Archives the member engines
+	// currently registered (one per open archive in pool mode).
+	Entries  int `json:"entries"`
+	Archives int `json:"archives"`
+	// Hits/Misses/Evictions aggregate span-cache activity pool-wide;
+	// Rejected counts spans not cached because they alone exceed the
+	// budget.
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
+	Rejected  uint64 `json:"rejected"`
 }
 
 // CachePool is a shared span cache with a global byte budget and
@@ -78,7 +86,7 @@ func (p *CachePool) Stats() PoolStats {
 		UsedBytes:   p.used,
 		PeakBytes:   p.peak,
 		Entries:     len(p.items),
-		Engines:     len(p.views),
+		Archives:    len(p.views),
 		Hits:        p.hits,
 		Misses:      p.misses,
 		Evictions:   p.evictions,

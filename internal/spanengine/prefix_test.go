@@ -221,7 +221,7 @@ func TestReadersOfOneColdSpanShareOneChain(t *testing.T) {
 func TestEvictedPrefixStartsOver(t *testing.T) {
 	src := testSrc(16 << 10)
 	codec := newPrefixCodec(1<<10, false)
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, CacheSize: 2})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, cacheSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestDecodeFailingAfterCloseIsErrClosed(t *testing.T) {
 func TestStreamDecodesWholeSpans(t *testing.T) {
 	src := testSrc(32 << 10)
 	codec := newPrefixCodec(1<<10, false)
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, CacheSize: 16})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, cacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestRandomPrefixReads(t *testing.T) {
 	src := testSrc(64 << 10)
 	for name, pool := range map[string]*CachePool{"local": nil, "pool": NewCachePool(20 << 10)} {
 		codec := newPrefixCodec(4<<10, false)
-		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, CacheSize: 4, Pool: pool})
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, cacheSize: 4, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}

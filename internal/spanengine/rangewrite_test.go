@@ -39,7 +39,7 @@ func writeAndCheck(t *testing.T, e *Engine, src []byte, off, n int64) {
 func TestWriteRangeToHandsOutCachedSpans(t *testing.T) {
 	src := testSrc(32 << 10)
 	codec := &fakeCodec{spanSize: 4 << 10}
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, CacheSize: 8, Strategy: noPrefetch{}})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, cacheSize: 8, strategy: noPrefetch{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,7 +130,7 @@ func TestConcurrentMissesDecodeOnce(t *testing.T) {
 func TestCloseSkipsQueuedPrefetches(t *testing.T) {
 	src := testSrc(32 << 10)
 	codec := newGateCodec(1 << 10)
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, Strategy: prefetch.NewFixed(), MaxPrefetch: 8, CacheSize: 16})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, strategy: prefetch.NewFixed(), maxPrefetch: 8, cacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestAlternatingCursorsDecodeOnce(t *testing.T) {
 	codec := &fakeCodec{spanSize: 1 << 10}
 	// The cache holds the file, so the spans a cursor's prefetch reaches
 	// past its own half are still there from the other cursor.
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, CacheSize: 64})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, cacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPrefetchUnusedCounts(t *testing.T) {
 	src := testSrc(32 << 10)
 	for name, pool := range map[string]*CachePool{"local": nil, "pool": NewCachePool(8 << 10)} {
 		codec := &fakeCodec{spanSize: 1 << 10}
-		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, Strategy: prefetch.NewFixed(), MaxPrefetch: 4, CacheSize: 8, Pool: pool})
+		e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, strategy: prefetch.NewFixed(), maxPrefetch: 4, cacheSize: 8, Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}

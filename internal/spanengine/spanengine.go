@@ -151,45 +151,43 @@ type BitAddressed interface {
 	BitAddressed()
 }
 
-// Config tunes an Engine. The zero value selects defaults, which is how
-// bzip2, LZ4 and zstd are built; gzip sets its own prefetch depth and
-// cache size (core), and tests set what they need to observe.
+// Config tunes an Engine. Every engine, whatever its format and however
+// it was opened, is sized from Threads alone, by withDefaults: a prefetch
+// depth of 2·Threads, the paper's bound (§3.2), and a span cache of that
+// depth plus 4, which holds the span being read, the one handed over and
+// every prefetch, so that none is evicted unread. A gzip depth of
+// 4·Threads under that cache decoded spans twice in a Read loop through
+// an index, and at one worker streamed an indexed file 20 % slower
+// (gzip-seq-indexed on 2 vCPUs: 584 against 732 MB/s).
 type Config struct {
 	// Threads is the prefetch worker count (min 1).
 	Threads int
-	// CacheSize is the span cache capacity in spans; zero selects
-	// MaxPrefetch + 2. Prefetched and accessed spans share the cache: a
-	// sequential pass holds the span being consumed, the one being
-	// handed over and up to MaxPrefetch decoded ahead, and with fewer
-	// slots than that an unread prefetch is evicted and decoded again.
-	CacheSize int
-	// MaxPrefetch bounds in-flight speculative span decodes and,
-	// separately, a growing engine's guesses past its table; zero
-	// selects 2*Threads (the paper's default prefetch-cache depth). A
-	// growing engine parks up to tentativeSize guesses ahead of its table.
-	MaxPrefetch int
-	// Strategy proposes spans to prefetch; nil selects
-	// prefetch.NewAdaptive(), the one strategy archives use.
-	Strategy prefetch.Strategy
 	// Pool, when non-nil, replaces the engine's private span cache with
 	// a view into a shared cross-engine CachePool: cached bytes are
 	// bounded pool-wide (in bytes, not spans) and recency is global
-	// across every member engine. CacheSize is ignored in pool mode.
+	// across every member engine.
 	Pool *CachePool
+
+	// Set by withDefaults, or by the package's tests: the span cache
+	// capacity in spans (unused with a Pool); the bound on speculative
+	// decodes in flight and, separately, on a growing engine's guesses
+	// past its table; and what proposes spans to prefetch.
+	cacheSize, maxPrefetch int
+	strategy               prefetch.Strategy
 }
 
 func (c Config) withDefaults() Config {
 	if c.Threads < 1 {
 		c.Threads = 1
 	}
-	if c.MaxPrefetch <= 0 {
-		c.MaxPrefetch = 2 * c.Threads
+	if c.maxPrefetch <= 0 {
+		c.maxPrefetch = 2 * c.Threads
 	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = c.MaxPrefetch + 2
+	if c.cacheSize <= 0 {
+		c.cacheSize = c.maxPrefetch + 4
 	}
-	if c.Strategy == nil {
-		c.Strategy = prefetch.NewAdaptive()
+	if c.strategy == nil {
+		c.strategy = prefetch.NewAdaptive()
 	}
 	return c
 }
@@ -197,7 +195,7 @@ func (c Config) withDefaults() Config {
 // tentativeSize is the capacity of a growing engine's tentative store:
 // twice the prefetch depth, so results parked ahead of the frontier are
 // not evicted before it reaches them.
-func (c Config) tentativeSize() int { return max(2*c.MaxPrefetch, 4) }
+func (c Config) tentativeSize() int { return max(2*c.maxPrefetch, 4) }
 
 // Stats counts the activity of an engine and its codec: the archives of
 // every format report it as it is (rapidgzip.Stats). The sizing, span,
@@ -262,7 +260,7 @@ type Stats struct {
 	DecodedBytes uint64
 	// PrefetchProposed counts the span candidates the strategy proposed
 	// across all accesses, before filtering against the cache, the
-	// in-flight set and the MaxPrefetch bound. Unlike PrefetchIssued it
+	// in-flight set and the prefetch depth. Unlike PrefetchIssued it
 	// is deterministic for a given access sequence, which makes it the
 	// counter to compare strategies by.
 	PrefetchProposed uint64
@@ -346,7 +344,7 @@ func (ent *entry) dropped(unused *uint64) {
 type flight struct {
 	fut *pool.Future[[]byte]
 	// demand marks a decode a reader asked for; the others (prefetches,
-	// primed resolutions) count against MaxPrefetch.
+	// primed resolutions) count against maxPrefetch.
 	demand bool
 	// unused is entry.unused in the making: set for a prefetch until a
 	// reader joins it.
@@ -471,7 +469,7 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 	if cfg.Pool != nil {
 		store = cfg.Pool.register()
 	} else {
-		store = newLocalStore(cfg.CacheSize)
+		store = newLocalStore(cfg.cacheSize)
 	}
 	e := &Engine{
 		src:      src,
@@ -483,7 +481,7 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 		complete: true,
 		cache:    store,
 		inflight: map[int]flight{},
-		strategy: cfg.Strategy,
+		strategy: cfg.strategy,
 		lastFed:  -1,
 		pool:     pool.New(cfg.Threads),
 	}
@@ -742,7 +740,7 @@ func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64, rest bool) f
 			if rest && parked != nil {
 				// The stream reads the rest of the span next: a prefetch
 				// of it, ahead of the spans after it and whatever
-				// MaxPrefetch says, which the stream's next request joins.
+				// maxPrefetch says, which the stream's next request joins.
 				e.stats.PrefetchIssued++
 				e.inflight[i] = flight{fut: pool.Go(e.pool, e.decodeTask(i, s, ent, s.DecompSize, false)), unused: true}
 			}
@@ -767,19 +765,19 @@ func (e *Engine) noteAccess(i int, data []byte) {
 func (e *Engine) proposePrefetches() {
 	e.cands = e.cands[:0]
 	if !e.closed {
-		e.cands = e.strategy.Prefetch(e.cands, e.cfg.MaxPrefetch)
+		e.cands = e.strategy.Prefetch(e.cands, e.cfg.maxPrefetch)
 		e.stats.PrefetchProposed += uint64(len(e.cands))
 	}
 }
 
 // issuePrefetches dispatches decodes for the proposed spans that are
-// neither cached whole nor in flight, bounded by MaxPrefetch (decodes a
+// neither cached whole nor in flight, bounded by maxPrefetch (decodes a
 // reader asked for do not count against it). A candidate cached as a
 // prefix is continued to its end; one that covers no bytes is skipped.
 // Caller holds e.mu.
 func (e *Engine) issuePrefetches() {
 	for _, cand := range e.cands {
-		if len(e.inflight)-e.demand >= e.cfg.MaxPrefetch {
+		if len(e.inflight)-e.demand >= e.cfg.maxPrefetch {
 			return
 		}
 		if cand >= uint64(len(e.spans)) {

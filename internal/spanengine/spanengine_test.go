@@ -217,7 +217,7 @@ func (bitCodec) BitAddressed() {}
 func TestConcurrentReadAt(t *testing.T) {
 	src := testSrc(128 << 10)
 	codec := &fakeCodec{spanSize: 4 << 10}
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 4, CacheSize: 3})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 4, cacheSize: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestConcurrentReadAt(t *testing.T) {
 func TestEvictionPressureMidPrefetch(t *testing.T) {
 	src := testSrc(256 << 10)
 	codec := &fakeCodec{spanSize: 2 << 10} // 128 spans
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 4, CacheSize: 2, MaxPrefetch: 8})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 4, cacheSize: 2, maxPrefetch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestPrefetchJoin(t *testing.T) {
 	src := testSrc(64 << 10)
 	delay := make(chan struct{})
 	codec := &fakeCodec{spanSize: 4 << 10, decodeDelay: delay}
-	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, Strategy: prefetch.NewFixed(), MaxPrefetch: 2})
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 2, strategy: prefetch.NewFixed(), maxPrefetch: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,8 @@ import (
 
 // config is the resolved configuration an Open call operates with. Zero
 // fields select defaults. The prefetch depth and the span cache are no
-// option: each engine sizes them from the parallelism, the way its format
-// needs (gzip/BGZF keep a deeper pipeline than the formats whose spans
-// need no confirming), and WithSharedPool replaces the cache with a byte
+// option: every engine sizes them from the parallelism by one rule (see
+// WithParallelism), and WithSharedPool replaces the cache with a byte
 // budget.
 type config struct {
 	parallelism int // resolve turns 0 into runtime.NumCPU()
@@ -37,8 +36,8 @@ func (c config) engine() spanengine.Config {
 	return spanengine.Config{Threads: c.parallelism, Pool: c.pool}
 }
 
-// core is the same configuration for gzip/BGZF: core adds the codec's
-// knobs and sizes its own engines.
+// core is the same configuration for gzip/BGZF, with the codec's knobs
+// added: core sizes its engines as spanengine sizes every other.
 func (c config) core() core.Config {
 	return core.Config{
 		Parallelism:     c.parallelism,
@@ -81,10 +80,9 @@ func resolve(opts []Option) (config, error) {
 
 // WithParallelism sets the number of decompression workers. Zero (the
 // default) selects runtime.NumCPU(). It also sizes what an archive holds
-// in memory: P workers keep at most 2P spans in flight ahead of the
-// reader in a cache of 2P + 2 (bzip2, LZ4, zstd), or 4P in a cache of
-// 2P + 4 (gzip; 4P + 2 for BGZF scanned cold). WithSharedPool bounds the
-// cache in bytes instead.
+// in memory, one rule for every format: P workers keep at most 2P spans
+// in flight ahead of the reader in a cache of 2P + 4. WithSharedPool
+// bounds the cache in bytes instead.
 func WithParallelism(n int) Option {
 	return func(c *config) error {
 		if n < 0 {

@@ -15,55 +15,16 @@ import "repro/internal/spanengine"
 // it; closing an archive releases its cached bytes back to the budget.
 // Spans larger than the whole budget are served by decoding and never
 // cached, so the pool's resident bytes never exceed the budget.
-type CachePool struct {
-	p *spanengine.CachePool
-}
+type CachePool = spanengine.CachePool
 
 // NewCachePool returns a pool bounding the total cached decompressed
 // bytes of all member archives to budgetBytes. A non-positive budget
 // caches nothing (every access decodes).
-func NewCachePool(budgetBytes int64) *CachePool {
-	return &CachePool{p: spanengine.NewCachePool(budgetBytes)}
-}
+func NewCachePool(budgetBytes int64) *CachePool { return spanengine.NewCachePool(budgetBytes) }
 
-// PoolStats is a snapshot of a CachePool's accounting, aggregated over
-// all member archives past and present.
-type PoolStats struct {
-	// BudgetBytes is the configured capacity, UsedBytes the cached
-	// decompressed bytes right now, and PeakBytes the lifetime
-	// high-water mark of UsedBytes. PeakBytes <= BudgetBytes is a
-	// structural invariant.
-	BudgetBytes int64 `json:"budget_bytes"`
-	UsedBytes   int64 `json:"used_bytes"`
-	PeakBytes   int64 `json:"peak_bytes"`
-	// Entries counts cached spans; Archives the member engines
-	// currently registered.
-	Entries  int `json:"entries"`
-	Archives int `json:"archives"`
-	// Hits/Misses/Evictions aggregate span-cache activity pool-wide;
-	// Rejected counts spans not cached because they alone exceed the
-	// budget.
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Rejected  uint64 `json:"rejected"`
-}
-
-// Stats returns a snapshot of the pool's accounting.
-func (p *CachePool) Stats() PoolStats {
-	s := p.p.Stats()
-	return PoolStats{
-		BudgetBytes: s.BudgetBytes,
-		UsedBytes:   s.UsedBytes,
-		PeakBytes:   s.PeakBytes,
-		Entries:     s.Entries,
-		Archives:    s.Engines,
-		Hits:        s.Hits,
-		Misses:      s.Misses,
-		Evictions:   s.Evictions,
-		Rejected:    s.Rejected,
-	}
-}
+// PoolStats is a snapshot of a CachePool's accounting (CachePool.Stats),
+// aggregated over all member archives past and present.
+type PoolStats = spanengine.PoolStats
 
 // WithSharedPool places the archive's span cache in p instead of a
 // private per-archive cache. The memory model changes accordingly: the
@@ -77,7 +38,7 @@ func WithSharedPool(p *CachePool) Option {
 		if p == nil {
 			return errOptNilPool
 		}
-		c.pool = p.p
+		c.pool = p
 		return nil
 	}
 }

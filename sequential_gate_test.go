@@ -5,6 +5,8 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/workloads"
@@ -16,7 +18,10 @@ import (
 // prefetch is evicted and decoded again (with as many slots as prefetches
 // a 16-span pass took 17.4 decodes on average, up to 24). Twenty passes
 // each, because whether a prefetch is evicted depends on which worker
-// finishes first.
+// finishes first. gzip through its index is read by Read loops, whose
+// first decode stops at its request and goes on as a continuation, so it
+// is held to one decode of every byte: a depth of 4P under a cache of
+// 2P + 4 decoded spans twice at P=4.
 func TestSequentialPassDecodesOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decodes 4 MiB a hundred and sixty times")
@@ -52,6 +57,76 @@ func TestSequentialPassDecodesOnce(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	fx := build(t, "gzip", plain, spanBytes)
+	index := fx.indexPath(t)
+	for _, p := range []int{2, 4} {
+		for _, loop := range []int{4 << 10, 128 << 10} {
+			t.Run(fmt.Sprintf("gzip-indexed/P%d/Read%dK", p, loop>>10), func(t *testing.T) {
+				for run := 0; run < 20; run++ {
+					a, err := fx.open("file", WithIndexFile(index), WithParallelism(p))
+					if err != nil {
+						t.Fatal(err)
+					}
+					check := &matchWriter{want: plain}
+					n, err := io.CopyBuffer(struct{ io.Writer }{check}, struct{ io.Reader }{a}, make([]byte, loop))
+					st := a.Stats()
+					a.Close()
+					if err != nil || n != int64(len(plain)) || check.differs {
+						t.Fatalf("run %d: %d bytes, err %v, output differs %v", run, n, err, check.differs)
+					}
+					if st.DecodedBytes != uint64(len(plain)) || st.PrefetchUnused != 0 {
+						t.Errorf("run %d: %d decodes of %d bytes, %d prefetches unused; want %d bytes, none unused",
+							run, st.SpanDecodes, st.DecodedBytes, st.PrefetchUnused, len(plain))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestReadLoopReadsEachExtentOnce: a 4 KiB Read loop through the sidecar
+// of a Create'd file reads the file once, an extent a span, and span 0's
+// in two: the window its first Read decodes from, and the rest of its
+// extent when that decode is continued to the span's end, in one read
+// rather than a window at a time. At one worker and two.
+func TestReadLoopReadsEachExtentOnce(t *testing.T) {
+	const spanBytes, spans = 512 << 10, 8
+	plain := workloads.SilesiaLike(spans*spanBytes, 3)
+	path := filepath.Join(t.TempDir(), "created.gz")
+	w, err := Create(path, WithShardSize(spanBytes), WithWriterParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{1, 2} {
+		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
+			for run := 0; run < 5; run++ {
+				a, err := Open(path, WithParallelism(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := &matchWriter{want: plain}
+				n, err := io.CopyBuffer(struct{ io.Writer }{check}, struct{ io.Reader }{a}, make([]byte, 4<<10))
+				st, have := a.Stats(), a.(*archive).cur.Load().eng.NumSpans()
+				a.Close()
+				if err != nil || n != int64(len(plain)) || check.differs {
+					t.Fatalf("run %d: %d bytes, err %v, output differs %v", run, n, err, check.differs)
+				}
+				if st.SizingPasses != 0 || have != spans {
+					t.Fatalf("run %d: %d spans, %d sizing passes; want %d spans through the sidecar", run, have, st.SizingPasses, spans)
+				}
+				if st.SourceReads > spans+1 {
+					t.Errorf("run %d: %d reads of the file for %d spans, want %d at most", run, st.SourceReads, spans, spans+1)
+				}
+			}
+		})
 	}
 }
 
