@@ -5,40 +5,29 @@ import (
 	"io"
 )
 
-// Walker parses a FileReader sequentially with bounded memory: small
-// Peek/Next requests are served from a fixed refill window, and Skip
-// advances past payloads without reading them. It is the primitive the
-// span-engine sizing passes use to walk frame and block headers of a
-// file larger than RAM — the windowed counterpart of slicing a
-// whole-file buffer.
+// Walker parses a FileReader sequentially with bounded memory: a
+// Peek/Next request the buffered bytes cannot serve reads what it asks
+// for and no more, and Skip advances past payloads without reading
+// them. It is the primitive the span-engine sizing passes use to walk
+// frame and block headers of a file larger than RAM — the windowed
+// counterpart of slicing a whole-file buffer. A walk from header to
+// header reads the headers alone, one read each, whatever the payloads
+// between them weigh.
 //
 // A Walker is not safe for concurrent use; every sizing pass owns its
 // own.
 type Walker struct {
-	src    FileReader
-	size   int64
-	window int
+	src  FileReader
+	size int64
 
 	buf    []byte // buffered bytes, absolute range [bufOff, bufOff+len(buf))
 	bufOff int64
 	pos    int64
 }
 
-// DefaultWalkerWindow is the refill pread size. It is deliberately
-// small: a sizing pass over a sparse multi-gigabyte file skips from
-// block header to block header, and every skip past the buffered window
-// costs one refill — a small window keeps the scan's total source
-// traffic a low single-digit percentage of the file even when block
-// payloads dwarf their headers.
-const DefaultWalkerWindow = 8 << 10
-
-// NewWalker returns a Walker positioned at offset 0. window <= 0
-// selects DefaultWalkerWindow.
-func NewWalker(src FileReader, window int) *Walker {
-	if window <= 0 {
-		window = DefaultWalkerWindow
-	}
-	return &Walker{src: src, size: src.Size(), window: window}
+// NewWalker returns a Walker positioned at offset 0.
+func NewWalker(src FileReader) *Walker {
+	return &Walker{src: src, size: src.Size()}
 }
 
 // Pos returns the current absolute offset.
@@ -83,32 +72,24 @@ func (w *Walker) Next(n int) ([]byte, error) {
 // negative), so callers can detect truncation where it is cheapest.
 func (w *Walker) Skip(n int64) { w.pos += n }
 
-// refill loads at least need bytes at the current position into the
-// buffer, reading up to the window size (or need, whichever is larger).
+// refill loads the need bytes at the current position into the buffer.
 func (w *Walker) refill(need int) error {
 	if w.pos < 0 || w.pos+int64(need) > w.size {
 		return fmt.Errorf("walker at offset %d: need %d bytes, %d remain: %w", w.pos, need, w.size-w.pos, io.ErrUnexpectedEOF)
 	}
-	n := w.window
-	if need > n {
-		n = need
-	}
-	if int64(n) > w.size-w.pos {
-		n = int(w.size - w.pos)
-	}
-	if cap(w.buf) < n {
-		w.buf = make([]byte, n)
+	if cap(w.buf) < need {
+		w.buf = make([]byte, need)
 	} else {
-		w.buf = w.buf[:n]
+		w.buf = w.buf[:need]
 	}
 	rn, err := w.src.ReadAt(w.buf, w.pos)
 	if rn < need {
+		w.buf = w.buf[:0]
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
 		return fmt.Errorf("%w: walker refill at offset %d: %w", ErrIO, w.pos, err)
 	}
-	w.buf = w.buf[:rn]
 	w.bufOff = w.pos
 	return nil
 }

@@ -198,15 +198,15 @@ func parseFrameHeader(data []byte) (frameHeader, error) {
 }
 
 // ScanFramesReader is ScanFrames over a positional reader: frame and
-// block headers are parsed through a small refill window and block
-// payloads are skipped without reading them, so sizing a multi-
-// gigabyte file touches only its metadata bytes. Memory-backed sources
-// take the zero-copy whole-buffer path.
+// block headers are read one read each, and block payloads are skipped
+// without reading them, so sizing a multi-gigabyte file touches only
+// its metadata bytes. Memory-backed sources take the zero-copy
+// whole-buffer path.
 func ScanFramesReader(src filereader.FileReader) ([]FrameInfo, error) {
 	if data, ok := filereader.Bytes(src); ok {
 		return ScanFrames(data)
 	}
-	w := filereader.NewWalker(src, 0)
+	w := filereader.NewWalker(src)
 	var frames []FrameInfo
 	var contentPos int64
 	for w.Remaining() > 0 {

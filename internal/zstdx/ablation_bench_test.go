@@ -9,6 +9,7 @@ package zstdx
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/workloads"
@@ -141,7 +142,11 @@ func seqBlocks(tb testing.TB, frame []byte) (full []byte, blocks []seqBlock) {
 				tb.Fatal(err)
 			}
 			if nbSeq > 0 {
-				blocks = append(blocks, seqBlock{*d, bytes.Clone(lit), seq, nbSeq, len(full)})
+				// The block's tables live in storage the next block
+				// rebuilds; its copy of the state keeps its own.
+				c := *d
+				c.ll, c.of, c.ml = cloneSeqTable(d.ll), cloneSeqTable(d.of), cloneSeqTable(d.ml)
+				blocks = append(blocks, seqBlock{c, bytes.Clone(lit), seq, nbSeq, len(full)})
 			}
 			if full, err = d.decodeBlock(frame[p:p+bsize], full); err != nil {
 				tb.Fatal(err)
@@ -150,6 +155,10 @@ func seqBlocks(tb testing.TB, frame []byte) (full []byte, blocks []seqBlock) {
 		}
 	}
 	return full, blocks
+}
+
+func cloneSeqTable(t *seqTable) *seqTable {
+	return &seqTable{log: t.log, cells: slices.Clone(t.cells)}
 }
 
 // BenchmarkSeqDecode times the sequence loop alone — literals decoded,

@@ -128,21 +128,31 @@ type bitWriter struct {
 	nbits int
 }
 
+// addBits appends the low n (≤ 32) bits of v. Whole 32-bit words go
+// out as they fill, so fewer than 32 bits are ever held back.
 func (w *bitWriter) addBits(v uint32, n int) {
 	w.acc |= uint64(v) & (1<<n - 1) << w.nbits
 	w.nbits += n
-	for w.nbits >= 8 {
-		w.out = append(w.out, byte(w.acc))
-		w.acc >>= 8
-		w.nbits -= 8
+	if w.nbits >= 32 {
+		w.out = binary.LittleEndian.AppendUint32(w.out, uint32(w.acc))
+		w.acc >>= 32
+		w.nbits -= 32
 	}
 }
 
 func (w *bitWriter) close() []byte {
 	w.addBits(1, 1)
-	if w.nbits > 0 {
+	return w.flush()
+}
+
+// flush appends the last partial byte, zero-padded and with no
+// sentinel: the end of a forward-read payload (an FSE table
+// description).
+func (w *bitWriter) flush() []byte {
+	for ; w.nbits > 0; w.nbits -= 8 {
 		w.out = append(w.out, byte(w.acc))
-		w.acc, w.nbits = 0, 0
+		w.acc >>= 8
 	}
+	w.acc, w.nbits = 0, 0
 	return w.out
 }

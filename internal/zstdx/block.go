@@ -25,13 +25,25 @@ type frameDecoder struct {
 	tailOnly bool
 	// litBuf is scratch for decoded literals, reused across blocks so
 	// each block skips a fresh make (and its zeroing) on the hot path.
-	litBuf []byte
+	// blockMax is what litBuf is first made to hold: the most content
+	// a block of the frame can carry (Block_Maximum_Size, or the
+	// content size where that is less).
+	litBuf   []byte
+	blockMax int
+	// The tables a block describes are built here, in storage every
+	// block of the frame reuses: seqBufs for the three fields (in the
+	// order ll, of, ml), huffBuf for the literals, fse and weights for a
+	// description on its way to either.
+	seqBufs [3]seqTable
+	huffBuf huffTable
+	fse     fseTable
+	weights [256]uint8
 }
 
 // litScratch returns an n-byte scratch slice backed by litBuf.
 func (d *frameDecoder) litScratch(n int) []byte {
 	if cap(d.litBuf) < n {
-		d.litBuf = make([]byte, n)
+		d.litBuf = make([]byte, n, max(n, d.blockMax))
 	}
 	return d.litBuf[:n]
 }
@@ -133,11 +145,10 @@ func (d *frameDecoder) decodeLiterals(in []byte) ([]byte, int, error) {
 	}
 	stream := body[:comp]
 	if litType == litCompressed {
-		t, n, err := readHuffTable(stream)
+		n, err := d.readHuffTable(stream)
 		if err != nil {
 			return nil, 0, err
 		}
-		d.huff = t
 		stream = stream[n:]
 	} else if d.huff == nil {
 		return nil, 0, errCorrupt("treeless literals without a previous Huffman table")
@@ -174,20 +185,20 @@ func (d *frameDecoder) seqTables(in []byte, modes byte) (int, error) {
 			if p >= len(in) {
 				return 0, errCorrupt("truncated RLE sequence symbol")
 			}
-			t, err := rleSeqTable(in[p], codes)
-			if err != nil {
+			if err := d.seqBufs[i].fillRLE(in[p], codes); err != nil {
 				return 0, err
 			}
-			*table = t
+			*table = &d.seqBufs[i]
 			p++
 		case 2:
-			t, n, err := readFSETableDesc(in[p:], maxLog, len(codes))
+			n, err := readFSETableDesc(&d.fse, in[p:], maxLog, len(codes))
 			if err != nil {
 				return 0, err
 			}
-			if *table, err = newSeqTable(t, codes); err != nil {
+			if err := d.seqBufs[i].fill(&d.fse, codes); err != nil {
 				return 0, err
 			}
+			*table = &d.seqBufs[i]
 			p += n
 		default:
 			if *table == nil {

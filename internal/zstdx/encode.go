@@ -17,9 +17,12 @@ type FrameOptions struct {
 	// BlockSize is the uncompressed bytes per block (max 128 KiB, the
 	// format ceiling); zero selects 128 KiB.
 	BlockSize int
-	// Level 0 stores raw blocks; any other value compresses with a
-	// greedy LZ matcher, Huffman-coded literals and predefined-FSE
-	// sequences — modest ratios, but fully standard frames.
+	// Level 0 stores raw blocks; any other value compresses, all with
+	// the one encoder: a greedy matcher over an 8-byte and a 5-byte
+	// hash table that tries the last offset first, Huffman-coded
+	// literals, and per block the cheapest of the predefined, RLE,
+	// block-own FSE or repeated sequence tables. On 1 MiB frames of
+	// the bench corpus it stores what the reference zstd -1 does.
 	Level int
 	// ContentChecksum appends the xxHash64 content checksum per frame.
 	ContentChecksum bool
@@ -145,13 +148,19 @@ func appendFrame(out, content []byte, opts FrameOptions) []byte {
 	return out
 }
 
-// frameEncoder compresses the blocks of one frame; the match table
-// persists across blocks so offsets may reach anywhere earlier in the
-// frame (the decoder's window covers it).
+// frameEncoder compresses the blocks of one frame. The match tables
+// and the repeat offsets persist across its blocks, as the decoder's
+// window and offset history do, so a match may reach anywhere earlier in
+// the frame; the sequence fields remember the tables the decoder holds.
 type frameEncoder struct {
 	content   []byte
 	maxOffset int
-	table     [1 << 15]int32 // hash -> position+1 of a previous 4-byte match
+	// long and short map a hash of the 8 and 5 bytes at a position to
+	// the last position with that hash; both are sized to the frame.
+	long, short           []uint32
+	longShift, shortShift uint
+	reps                  offsets
+	ll, of, ml            seqField
 	// The remaining fields are per-block scratch reused across blocks
 	// and, via frameEncPool, across frames: regrowing them per block
 	// dominated the encode path's allocation volume.
@@ -166,16 +175,37 @@ type frameEncoder struct {
 }
 
 // frameEncPool recycles frameEncoders across frames and Writers. The
-// 128 KiB match table must be cleared on reuse — findSequences only
-// validates candidates against the current content, and a stale entry
-// may point past its end (or ahead of the cursor) and corrupt a match.
-var frameEncPool = sync.Pool{New: func() any { return new(frameEncoder) }}
+// match tables must be cleared on reuse — a stale entry is only checked
+// against the current content, and one from a longer frame may point
+// past its end.
+var frameEncPool = sync.Pool{New: func() any {
+	return &frameEncoder{
+		ll: seqField{predef: llPredefEnc, maxLog: llMaxLog},
+		of: seqField{predef: ofPredefEnc, maxLog: ofMaxLog},
+		ml: seqField{predef: mlPredefEnc, maxLog: mlMaxLog},
+	}
+}}
+
+// Match table sizes: 1<<maxLongLog entries for the 8-byte hash (the
+// short table has half as many) serve frames of 1 MiB and more; smaller
+// frames get tables in proportion, an entry per eight bytes.
+const (
+	maxLongLog = 17
+	minLongLog = 8
+)
 
 func getFrameEncoder(content []byte, maxOffset int) *frameEncoder {
 	e := frameEncPool.Get().(*frameEncoder)
 	e.content = content
 	e.maxOffset = maxOffset
-	clear(e.table[:])
+	longLog := min(max(bits.Len(uint(len(content)))-3, minLongLog), maxLongLog)
+	e.long = resize(e.long, 1<<longLog)
+	e.short = resize(e.short, 1<<(longLog-1))
+	clear(e.long)
+	clear(e.short)
+	e.longShift, e.shortShift = uint(64-longLog), uint(64-longLog+1)
+	e.reps = offsets{1, 4, 8}
+	e.ll.last, e.of.last, e.ml.last = nil, nil, nil
 	return e
 }
 
@@ -184,7 +214,15 @@ func putFrameEncoder(e *frameEncoder) {
 	frameEncPool.Put(e)
 }
 
-func hash4(v uint32) uint32 { return v * 2654435761 >> 17 }
+const (
+	prime8 = 0xCF1BBCDCB7A56463
+	prime5 = 889523592379
+)
+
+// hashLong hashes the 8 bytes v holds, hashShort its low 5, into their
+// tables' indices.
+func (e *frameEncoder) hashLong(v uint64) uint32  { return uint32(v * prime8 >> e.longShift) }
+func (e *frameEncoder) hashShort(v uint64) uint32 { return uint32(v << 24 * prime5 >> e.shortShift) }
 
 func blockHeader(size, btype int, last bool) []byte {
 	bh := uint32(size)<<3 | uint32(btype)<<1
@@ -195,7 +233,9 @@ func blockHeader(size, btype int, last bool) []byte {
 }
 
 // appendBlock emits content[start:end] as one block, choosing between
-// RLE, compressed and raw encodings.
+// RLE, compressed and raw encodings. A block that does not go out
+// compressed leaves the repeat offsets and the sequence tables as the
+// decoder will still hold them.
 func (e *frameEncoder) appendBlock(out []byte, start, end int, last, compress bool) []byte {
 	src := e.content[start:end]
 	if len(src) > 1 && allEqual(src) {
@@ -203,10 +243,17 @@ func (e *frameEncoder) appendBlock(out []byte, start, end int, last, compress bo
 		return append(out, src[0])
 	}
 	if compress && len(src) >= 16 {
-		if payload := e.compressBlock(start, end); payload != nil && len(payload) < len(src) {
+		reps := e.reps
+		if payload, nbSeq := e.compressBlock(start, end); payload != nil && len(payload) < len(src) {
+			if nbSeq > 0 {
+				e.ll.commit()
+				e.of.commit()
+				e.ml.commit()
+			}
 			out = append(out, blockHeader(len(payload), 2, last)...)
 			return append(out, payload...)
 		}
+		e.reps = reps
 	}
 	out = append(out, blockHeader(len(src), 0, last)...)
 	return append(out, src...)
@@ -221,85 +268,170 @@ func allEqual(b []byte) bool {
 	return true
 }
 
-// seqRec is one LZ sequence: ll literals, then a match of length ml at
-// distance off.
+// seqRec is one LZ sequence: ll literals, then a match of length ml
+// coded by offVal, the format's Offset_Value (1–3 a repeat offset, else
+// the distance plus 3).
 type seqRec struct {
-	ll, ml, off int
+	ll, ml, offVal uint32
 }
 
-// Length caps expressible by the last LL/ML code values.
-const (
-	maxLitLen   = 65536 + 65535 // LL code 35
-	maxMatchLen = 65539 + 65535 // ML code 52
-)
+// offsets is the three-offset history the decoder keeps, most recent
+// first.
+type offsets [3]uint32
 
-// findSequences runs the greedy matcher over content[start:end],
-// returning the sequences and the concatenated literals.
+// code returns the Offset_Value of a match at distance off after ll
+// literals and moves the history as the decoder will: with literals,
+// codes 1–3 name the three offsets; without, they name the second, the
+// third and the first minus one.
+func (r *offsets) code(ll, off uint32) uint32 {
+	r0, r1, r2 := r[0], r[1], r[2]
+	if ll > 0 {
+		switch off {
+		case r0:
+			return 1
+		case r1:
+			r[0], r[1] = r1, r0
+			return 2
+		case r2:
+			r[0], r[1], r[2] = r2, r0, r1
+			return 3
+		}
+	} else {
+		switch off {
+		case r1:
+			r[0], r[1] = r1, r0
+			return 1
+		case r2:
+			r[0], r[1], r[2] = r2, r0, r1
+			return 2
+		case r0 - 1:
+			r[0], r[1], r[2] = off, r0, r1
+			return 3
+		}
+	}
+	r[0], r[1], r[2] = off, r0, r1
+	return off + 3
+}
+
+// findSequences runs the matcher over content[start:end], returning the
+// sequences and the concatenated literals. At each position it tries
+// the last offset one byte ahead, then the 8-byte table, then the
+// 5-byte table (and the 8-byte table one byte ahead, for a longer
+// match); a match grows backwards over the literals before it. After a
+// match, the second offset is tried at once with no literals between.
+// With no match the step grows with the distance from the last match,
+// so incompressible stretches go by quickly.
 func (e *frameEncoder) findSequences(start, end int) ([]seqRec, []byte) {
 	src := e.content
 	seqs := e.seqs[:0]
 	lit := e.lit[:0]
-	anchor := start
-	i := start
-	for i+4 <= end {
-		v := binary.LittleEndian.Uint32(src[i:])
-		h := hash4(v)
-		cand := int(e.table[h]) - 1
-		e.table[h] = int32(i + 1)
-		if cand < 0 || i-cand > e.maxOffset ||
-			binary.LittleEndian.Uint32(src[cand:]) != v {
+	long, short := e.long, e.short
+	maxOff := e.maxOffset
+	// A block holds at most 128 KiB, so every literal and match length
+	// is within reach of the last LL and ML codes (131071 and 131074).
+	emit := func(anchor, i, off, ml int) {
+		lit = append(lit, src[anchor:i]...)
+		ll := uint32(i - anchor)
+		seqs = append(seqs, seqRec{ll: ll, ml: uint32(ml), offVal: e.reps.code(ll, uint32(off))})
+	}
+	// Matches stop at the block's end; hashing reads 8 bytes ahead.
+	ilimit := end - 8
+	anchor, i := start, start
+	for i < ilimit {
+		v := load64(src, i)
+		hl, hs := e.hashLong(v), e.hashShort(v)
+		candL, candS := int(long[hl]), int(short[hs])
+		long[hl], short[hs] = uint32(i), uint32(i)
+
+		var off, ml int
+		switch {
+		case int(e.reps[0]) <= i && load32(src, i+1-int(e.reps[0])) == load32(src, i+1):
 			i++
+			off = int(e.reps[0])
+			ml = 4 + matchLen(src, i+4-off, i+4, end)
+		case uint(i-candL-1) < uint(maxOff) && load64(src, candL) == v:
+			off, ml = i-candL, 8+matchLen(src, candL+8, i+8, end)
+		case uint(i-candS-1) < uint(maxOff) && load32(src, candS) == uint32(v):
+			v1 := load64(src, i+1)
+			h1 := e.hashLong(v1)
+			cand1 := int(long[h1])
+			long[h1] = uint32(i + 1)
+			if uint(i-cand1) < uint(maxOff) && load64(src, cand1) == v1 {
+				i++
+				off, ml = i-cand1, 8+matchLen(src, cand1+8, i+8, end)
+			} else {
+				off, ml = i-candS, 4+matchLen(src, candS+4, i+4, end)
+			}
+		default:
+			i += (i-anchor)>>8 + 1
 			continue
 		}
-		ml := extendMatch(src, cand, i, min(end-i, maxMatchLen))
-		// ll never overflows its code range: blocks cap at 128 KiB and
-		// matches start at most blockSize-4 bytes past the anchor.
-		ll := i - anchor
-		lit = append(lit, src[anchor:i]...)
-		seqs = append(seqs, seqRec{ll: ll, ml: ml, off: i - cand})
+		for i > anchor && i > off && src[i-1] == src[i-1-off] {
+			i--
+			ml++
+		}
+		emit(anchor, i, off, ml)
+		i0 := i
 		i += ml
 		anchor = i
+		if i > ilimit {
+			break
+		}
+		long[e.hashLong(load64(src, i0+2))] = uint32(i0 + 2)
+		short[e.hashShort(load64(src, i0+2))] = uint32(i0 + 2)
+		long[e.hashLong(load64(src, i-2))] = uint32(i - 2)
+		short[e.hashShort(load64(src, i-1))] = uint32(i - 1)
+		for i <= ilimit {
+			r1 := int(e.reps[1])
+			if r1 > i || load32(src, i-r1) != load32(src, i) {
+				break
+			}
+			ml := 4 + matchLen(src, i+4-r1, i+4, end)
+			v := load64(src, i)
+			long[e.hashLong(v)], short[e.hashShort(v)] = uint32(i), uint32(i)
+			emit(anchor, i, r1, ml)
+			i += ml
+			anchor = i
+		}
 	}
 	lit = append(lit, src[anchor:end]...)
 	e.seqs, e.lit = seqs, lit
 	return seqs, lit
 }
 
-// extendMatch returns the match length at src[cand:] vs src[i:]
-// (cand < i, first four bytes already verified equal), comparing eight
-// bytes per step; the first differing byte falls out of the XOR's
-// trailing zeros. limit must not reach past len(src)-i.
-func extendMatch(src []byte, cand, i, limit int) int {
-	n := 4
-	for n+8 <= limit {
-		x := binary.LittleEndian.Uint64(src[cand+n:]) ^ binary.LittleEndian.Uint64(src[i+n:])
-		if x != 0 {
+func load32(b []byte, i int) uint32 { return binary.LittleEndian.Uint32(b[i : i+4 : i+4]) }
+
+// matchLen returns how many bytes src[a:] and src[b:] share, a < b,
+// stopping at end (b ≤ end ≤ len(src)); eight bytes per step, the first
+// differing byte falls out of the XOR's trailing zeros.
+func matchLen(src []byte, a, b, end int) int {
+	n := 0
+	for b+n+8 <= end {
+		if x := load64(src, a+n) ^ load64(src, b+n); x != 0 {
 			return n + bits.TrailingZeros64(x)>>3
 		}
 		n += 8
 	}
-	for n < limit && src[cand+n] == src[i+n] {
+	for b+n < end && src[a+n] == src[b+n] {
 		n++
 	}
 	return n
 }
 
-// compressBlock builds a compressed-block payload for
-// content[start:end], or nil when compression does not pay.
-func (e *frameEncoder) compressBlock(start, end int) []byte {
+// compressBlock builds a compressed-block payload for content[start:end]
+// and returns it with its number of sequences, or nil when compression
+// does not pay.
+func (e *frameEncoder) compressBlock(start, end int) ([]byte, int) {
 	seqs, lit := e.findSequences(start, end)
 	litSection := e.encodeLiteralsSection(lit)
 	if litSection == nil {
-		return nil
+		return nil, 0
 	}
 	seqSection := e.encodeSequencesSection(seqs)
-	if seqSection == nil {
-		return nil
-	}
 	payload := append(e.payload[:0], litSection...)
 	payload = append(payload, seqSection...)
 	e.payload = payload
-	return payload
+	return payload, len(seqs)
 }
 
 // --- literals ------------------------------------------------------------
@@ -606,18 +738,18 @@ var mlCodeLUT = func() [128]uint8 {
 	return t
 }()
 
-func llCodeOf(ll int) uint8 {
+func llCodeOf(ll uint32) uint8 {
 	if ll < 64 {
 		return llCodeLUT[ll]
 	}
-	return uint8(bits.Len32(uint32(ll)) - 1 + 19)
+	return uint8(bits.Len32(ll) - 1 + 19)
 }
 
-func mlCodeOf(mlBase int) uint8 {
+func mlCodeOf(mlBase uint32) uint8 {
 	if mlBase < 128 {
 		return mlCodeLUT[mlBase]
 	}
-	return uint8(bits.Len32(uint32(mlBase)) - 1 + 36)
+	return uint8(bits.Len32(mlBase) - 1 + 36)
 }
 
 // coded is one sequence translated to its LL/ML/OF codes and the extra
@@ -627,9 +759,10 @@ type coded struct {
 	llX, mlX, ofX          uint32
 }
 
-// encodeSequencesSection emits the sequences section with the three
-// predefined FSE tables (compression-modes byte zero). The returned
-// slice is encoder scratch, valid until the next block.
+// encodeSequencesSection emits the sequences section: each field's
+// table chosen by what the block's codes cost under it, then the
+// bitstream. The returned slice is encoder scratch, valid until the
+// next block.
 func (e *frameEncoder) encodeSequencesSection(seqs []seqRec) []byte {
 	out := e.seqOut[:0]
 	n := len(seqs)
@@ -642,141 +775,57 @@ func (e *frameEncoder) encodeSequencesSection(seqs []seqRec) []byte {
 		out = append(out, 255, byte(n-0x7F00), byte((n-0x7F00)>>8))
 	}
 	if n == 0 {
+		e.seqOut = out
 		return out
 	}
-	out = append(out, 0) // all three tables predefined
 
-	cs := e.cs
-	if cap(cs) >= n {
-		cs = cs[:n]
-	} else {
-		cs = make([]coded, n)
-		e.cs = cs
-	}
+	cs := resize(e.cs, n)
+	e.cs = cs
+	var llCount [36]uint32
+	var ofCount [32]uint32
+	var mlCount [53]uint32
 	for i, s := range seqs {
-		mlBase := s.ml - 3
-		offVal := uint32(s.off + 3)
-		ofCode := uint8(bits.Len32(offVal) - 1)
-		cs[i] = coded{
-			llCode: llCodeOf(s.ll), mlCode: mlCodeOf(mlBase), ofCode: ofCode,
-			llX: uint32(s.ll), mlX: uint32(mlBase), ofX: offVal,
+		c := coded{
+			llCode: llCodeOf(s.ll), mlCode: mlCodeOf(s.ml - 3), ofCode: uint8(bits.Len32(s.offVal) - 1),
+			llX: s.ll, mlX: s.ml - 3, ofX: s.offVal,
 		}
+		cs[i] = c
+		llCount[c.llCode]++
+		ofCount[c.ofCode]++
+		mlCount[c.mlCode]++
 	}
+	e.ll.choose(llCount[:], n)
+	e.of.choose(ofCount[:], n)
+	e.ml.choose(mlCount[:], n)
+	out = append(out, e.ll.mode<<6|e.of.mode<<4|e.ml.mode<<2)
+	out = append(out, e.ll.desc...)
+	out = append(out, e.of.desc...)
+	out = append(out, e.ml.desc...)
 
+	llEnc, ofEnc, mlEnc := &e.ll.next.enc, &e.of.next.enc, &e.ml.next.enc
 	w := bitWriter{out: e.bwBuf[:0]}
 	lastC := cs[n-1]
-	mlState := mlEncTable.init(lastC.mlCode)
-	ofState := ofEncTable.init(lastC.ofCode)
-	llState := llEncTable.init(lastC.llCode)
+	mlState := mlEnc.init(lastC.mlCode)
+	ofState := ofEnc.init(lastC.ofCode)
+	llState := llEnc.init(lastC.llCode)
 	w.addBits(lastC.llX, int(llCodeTable[lastC.llCode].bits))
 	w.addBits(lastC.mlX, int(mlCodeTable[lastC.mlCode].bits))
 	w.addBits(lastC.ofX, int(lastC.ofCode))
 	for i := n - 2; i >= 0; i-- {
 		c := cs[i]
-		ofState = ofEncTable.encode(&w, ofState, c.ofCode)
-		mlState = mlEncTable.encode(&w, mlState, c.mlCode)
-		llState = llEncTable.encode(&w, llState, c.llCode)
+		ofState = ofEnc.encode(&w, ofState, c.ofCode)
+		mlState = mlEnc.encode(&w, mlState, c.mlCode)
+		llState = llEnc.encode(&w, llState, c.llCode)
 		w.addBits(c.llX, int(llCodeTable[c.llCode].bits))
 		w.addBits(c.mlX, int(mlCodeTable[c.mlCode].bits))
 		w.addBits(c.ofX, int(c.ofCode))
 	}
-	mlEncTable.flush(&w, mlState)
-	ofEncTable.flush(&w, ofState)
-	llEncTable.flush(&w, llState)
+	mlEnc.flush(&w, mlState)
+	ofEnc.flush(&w, ofState)
+	llEnc.flush(&w, llState)
 	stream := w.close()
 	e.bwBuf = stream
 	out = append(out, stream...)
 	e.seqOut = out
 	return out
 }
-
-// --- FSE encoding tables --------------------------------------------------
-
-type fseEncSym struct {
-	deltaNbBits    uint32
-	deltaFindState int32
-}
-
-type fseEncTable struct {
-	log    int
-	states []uint16
-	syms   []fseEncSym
-}
-
-// buildFSEEncTable is the encoding-side counterpart of buildFSETable,
-// sharing its symbol spread so the state machines agree.
-func buildFSEEncTable(probs []int16, log int) *fseEncTable {
-	size := 1 << log
-	t := &fseEncTable{log: log, states: make([]uint16, size), syms: make([]fseEncSym, len(probs))}
-	symbols := make([]uint8, size)
-	cumul := make([]int, len(probs)+1)
-	high := size - 1
-	for s, p := range probs {
-		if p == -1 {
-			cumul[s+1] = cumul[s] + 1
-			symbols[high] = uint8(s)
-			high--
-		} else {
-			cumul[s+1] = cumul[s] + int(p)
-		}
-	}
-	step := size>>1 + size>>3 + 3
-	mask := size - 1
-	pos := 0
-	for s, p := range probs {
-		for i := 0; i < int(p); i++ {
-			symbols[pos] = uint8(s)
-			pos = (pos + step) & mask
-			for pos > high {
-				pos = (pos + step) & mask
-			}
-		}
-	}
-	for u := 0; u < size; u++ {
-		s := symbols[u]
-		t.states[cumul[s]] = uint16(size + u)
-		cumul[s]++
-	}
-	total := 0
-	for s, p := range probs {
-		switch {
-		case p == 0:
-			t.syms[s].deltaNbBits = uint32((log+1)<<16 - size)
-		case p == -1 || p == 1:
-			t.syms[s].deltaNbBits = uint32(log<<16 - size)
-			t.syms[s].deltaFindState = int32(total - 1)
-			total++
-		default:
-			maxBitsOut := log - (bits.Len32(uint32(p-1)) - 1)
-			minStatePlus := int(p) << maxBitsOut
-			t.syms[s].deltaNbBits = uint32(maxBitsOut<<16 - minStatePlus)
-			t.syms[s].deltaFindState = int32(total - int(p))
-			total += int(p)
-		}
-	}
-	return t
-}
-
-func (t *fseEncTable) init(sym uint8) uint16 {
-	tt := t.syms[sym]
-	nbBits := (tt.deltaNbBits + 1<<15) >> 16
-	base := (nbBits << 16) - tt.deltaNbBits
-	return t.states[int(base>>nbBits)+int(tt.deltaFindState)]
-}
-
-func (t *fseEncTable) encode(w *bitWriter, state uint16, sym uint8) uint16 {
-	tt := t.syms[sym]
-	nbBits := (uint32(state) + tt.deltaNbBits) >> 16
-	w.addBits(uint32(state), int(nbBits))
-	return t.states[int(uint32(state)>>nbBits)+int(tt.deltaFindState)]
-}
-
-func (t *fseEncTable) flush(w *bitWriter, state uint16) {
-	w.addBits(uint32(state), t.log)
-}
-
-var (
-	llEncTable = buildFSEEncTable(llPredefProbs, 6)
-	mlEncTable = buildFSEEncTable(mlPredefProbs, 6)
-	ofEncTable = buildFSEEncTable(ofPredefProbs, 5)
-)

@@ -15,19 +15,21 @@ type fseTable struct {
 	entries []fseEntry
 }
 
-// buildFSETable constructs the decoding table for normalized counts
-// (probabilities over 1<<log cells; -1 marks a less-than-one symbol
-// that gets a single cell at the high end of the table).
-func buildFSETable(probs []int16, log int) (*fseTable, error) {
+// build fills t with the decoding table for normalized counts
+// (probabilities over 1<<log cells; -1 marks a less-than-one symbol that
+// gets a single cell at the high end of the table), reusing t's storage.
+// log is at most maxSeqLog and probs has at most 256 symbols.
+func (t *fseTable) build(probs []int16, log int) error {
 	size := 1 << log
-	t := &fseTable{log: log, entries: make([]fseEntry, size)}
-	symbols := make([]uint8, size)
-	next := make([]uint16, len(probs))
+	t.log = log
+	t.entries = resize(t.entries, size)
+	var symbols [1 << maxSeqLog]uint8
+	var next [256]uint16
 	high := size - 1
 	for s, p := range probs {
 		if p == -1 {
 			if high < 0 {
-				return nil, errCorrupt("FSE low-prob symbols overflow table")
+				return errCorrupt("FSE low-prob symbols overflow table")
 			}
 			symbols[high] = uint8(s)
 			high--
@@ -49,7 +51,7 @@ func buildFSETable(probs []int16, log int) (*fseTable, error) {
 		}
 	}
 	if pos != 0 {
-		return nil, errCorrupt("FSE spread did not close")
+		return errCorrupt("FSE spread did not close")
 	}
 	for i := 0; i < size; i++ {
 		s := symbols[i]
@@ -58,7 +60,7 @@ func buildFSETable(probs []int16, log int) (*fseTable, error) {
 		nb := log - (bits.Len16(x) - 1)
 		t.entries[i] = fseEntry{symbol: s, nbBits: uint8(nb), newState: uint16(int(x)<<nb - size)}
 	}
-	return t, nil
+	return nil
 }
 
 // seqTable is an FSE decoding table specialised to one field of a
@@ -78,46 +80,56 @@ type seqTable struct {
 	cells []uint64
 }
 
-func newSeqTable(t *fseTable, codes []codeExtra) (*seqTable, error) {
-	st := &seqTable{log: t.log, cells: make([]uint64, len(t.entries))}
+// fill builds st from the decoding table t of a field with the given
+// codes, reusing st's storage.
+func (st *seqTable) fill(t *fseTable, codes []codeExtra) error {
+	st.log = t.log
+	st.cells = resize(st.cells, len(t.entries))
 	for i, e := range t.entries {
 		if int(e.symbol) >= len(codes) {
-			return nil, errCorrupt("sequence code out of range")
+			return errCorrupt("sequence code out of range")
 		}
 		c := codes[e.symbol]
 		st.cells[i] = uint64(c.baseline)<<32 | uint64(e.newState)<<16 | uint64(e.nbBits)<<8 | uint64(c.bits)
 	}
-	return st, nil
+	return nil
 }
 
-// rleSeqTable is the degenerate table the RLE compression mode selects:
-// a single zero-bit state that always emits sym.
-func rleSeqTable(sym uint8, codes []codeExtra) (*seqTable, error) {
-	return newSeqTable(&fseTable{entries: []fseEntry{{symbol: sym}}}, codes)
+// fillRLE makes st the degenerate table the RLE compression mode
+// selects: a single zero-bit state that always emits sym.
+func (st *seqTable) fillRLE(sym uint8, codes []codeExtra) error {
+	if int(sym) >= len(codes) {
+		return errCorrupt("sequence code out of range")
+	}
+	c := codes[sym]
+	st.log = 0
+	st.cells = append(st.cells[:0], uint64(c.baseline)<<32|uint64(c.bits))
+	return nil
 }
 
 // readFSETableDesc parses an FSE table description (RFC 8878 §4.1.1)
-// from the start of data, returning the table and the byte-aligned
-// length consumed.
-func readFSETableDesc(data []byte, maxLog, maxSymbols int) (*fseTable, int, error) {
+// from the start of data into t, returning the byte-aligned length
+// consumed. maxSymbols is at most 256.
+func readFSETableDesc(t *fseTable, data []byte, maxLog, maxSymbols int) (int, error) {
 	br := &fwdBitReader{data: data}
 	al, ok := br.read(4)
 	if !ok {
-		return nil, 0, errCorrupt("truncated FSE table")
+		return 0, errCorrupt("truncated FSE table")
 	}
 	log := int(al) + 5
 	if log > maxLog {
-		return nil, 0, errCorrupt("FSE accuracy log too large")
+		return 0, errCorrupt("FSE accuracy log too large")
 	}
 	cells := 1 << log
-	var probs []int16
+	var buf [256]int16
+	probs := buf[:0]
 	for cells > 0 && len(probs) < maxSymbols {
 		// Probabilities in [-1, cells] need cells+2 values; the short
 		// codes (one bit less) cover the gap up to the next power of 2.
 		nb := bits.Len32(uint32(cells + 1))
 		v, ok := br.read(nb)
 		if !ok {
-			return nil, 0, errCorrupt("truncated FSE table")
+			return 0, errCorrupt("truncated FSE table")
 		}
 		lowMask := uint32(1)<<(nb-1) - 1
 		short := uint32(1)<<nb - 1 - uint32(cells+1)
@@ -135,13 +147,16 @@ func readFSETableDesc(data []byte, maxLog, maxSymbols int) (*fseTable, int, erro
 			cells -= int(p)
 		}
 		if cells < 0 {
-			return nil, 0, errCorrupt("FSE probabilities exceed table")
+			return 0, errCorrupt("FSE probabilities exceed table")
 		}
 		if p == 0 {
 			for {
 				rep, ok := br.read(2)
 				if !ok {
-					return nil, 0, errCorrupt("truncated FSE zero run")
+					return 0, errCorrupt("truncated FSE zero run")
+				}
+				if len(probs)+int(rep) > maxSymbols {
+					return 0, errCorrupt("too many FSE symbols")
 				}
 				for i := uint32(0); i < rep; i++ {
 					probs = append(probs, 0)
@@ -153,16 +168,12 @@ func readFSETableDesc(data []byte, maxLog, maxSymbols int) (*fseTable, int, erro
 		}
 	}
 	if cells != 0 {
-		return nil, 0, errCorrupt("FSE probabilities do not fill table")
+		return 0, errCorrupt("FSE probabilities do not fill table")
 	}
-	if len(probs) > maxSymbols {
-		return nil, 0, errCorrupt("too many FSE symbols")
+	if err := t.build(probs, log); err != nil {
+		return 0, err
 	}
-	t, err := buildFSETable(probs, log)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, br.bytesConsumed(), nil
+	return br.bytesConsumed(), nil
 }
 
 // --- sequence code value tables (RFC 8878 §3.1.1.3.2.1) -------------------
@@ -231,12 +242,12 @@ const (
 
 func init() {
 	predef := func(probs []int16, log int, codes []codeExtra) *seqTable {
-		t, err := buildFSETable(probs, log)
-		if err != nil {
+		var t fseTable
+		st := new(seqTable)
+		if err := t.build(probs, log); err != nil {
 			panic(err)
 		}
-		st, err := newSeqTable(t, codes)
-		if err != nil {
+		if err := st.fill(&t, codes); err != nil {
 			panic(err)
 		}
 		return st

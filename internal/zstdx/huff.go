@@ -22,19 +22,29 @@ type huffTable struct {
 	lens    [256]uint8
 }
 
-// buildHuffTable builds the table from complete weights (the implied
-// last weight already appended). Weight w>0 means a code of
-// maxBits+1-w bits; cells are filled by ascending weight, symbols in
-// natural order within a weight — the canonical zstd assignment.
+// buildHuffTable builds a table from complete weights (the implied
+// last weight already appended).
 func buildHuffTable(weights []uint8) (*huffTable, error) {
+	t := new(huffTable)
+	if err := t.build(weights); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// build fills t from complete weights, reusing its storage. Weight w>0
+// means a code of maxBits+1-w bits; cells are filled by ascending
+// weight, symbols in natural order within a weight — the canonical zstd
+// assignment.
+func (t *huffTable) build(weights []uint8) error {
 	if len(weights) > 256 {
-		return nil, errCorrupt("more than 256 Huffman symbols")
+		return errCorrupt("more than 256 Huffman symbols")
 	}
 	total := 0
 	var rank [maxHuffBits + 2]int
 	for _, w := range weights {
 		if w > maxHuffBits {
-			return nil, errCorrupt("Huffman weight too large")
+			return errCorrupt("Huffman weight too large")
 		}
 		if w > 0 {
 			total += 1 << (w - 1)
@@ -42,16 +52,18 @@ func buildHuffTable(weights []uint8) (*huffTable, error) {
 		}
 	}
 	if total == 0 || total&(total-1) != 0 {
-		return nil, errCorrupt("Huffman weights do not sum to a power of two")
+		return errCorrupt("Huffman weights do not sum to a power of two")
 	}
 	maxBits := bits.Len(uint(total)) - 1
 	if maxBits > maxHuffBits {
-		return nil, errCorrupt("Huffman table log too large")
+		return errCorrupt("Huffman table log too large")
 	}
 	if rank[1] < 2 || rank[1]&1 != 0 {
-		return nil, errCorrupt("Huffman weight-one count must be even and at least 2")
+		return errCorrupt("Huffman weight-one count must be even and at least 2")
 	}
-	t := &huffTable{maxBits: maxBits, entries: make([]huffEntry, total)}
+	t.maxBits = maxBits
+	t.entries = resize(t.entries, total)
+	clear(t.lens[:])
 	// Starting cell for each weight: all lighter weights come first.
 	var start [maxHuffBits + 2]int
 	pos := 0
@@ -73,11 +85,11 @@ func buildHuffTable(weights []uint8) (*huffTable, error) {
 		t.lens[s] = nb
 		start[w] += span
 	}
-	return t, nil
+	return nil
 }
 
-// completeWeights reconstructs the implied last weight (§4.2.1: the
-// total must complete to a power of two) and returns the full set.
+// completeWeights appends the implied last weight to the explicit ones
+// (§4.2.1: the total must complete to a power of two).
 func completeWeights(explicit []uint8) ([]uint8, error) {
 	total := 0
 	for _, w := range explicit {
@@ -99,16 +111,15 @@ func completeWeights(explicit []uint8) ([]uint8, error) {
 	if rest&(rest-1) != 0 {
 		return nil, errCorrupt("implied Huffman weight not a power of two")
 	}
-	last := uint8(bits.Len(uint(rest)))
-	return append(append([]uint8{}, explicit...), last), nil
+	return append(explicit, uint8(bits.Len(uint(rest)))), nil
 }
 
 // readHuffTable parses a Huffman tree description (direct 4-bit
-// weights, or FSE-compressed with two interleaved states) and returns
-// the decoding table plus bytes consumed.
-func readHuffTable(data []byte) (*huffTable, int, error) {
+// weights, or FSE-compressed with two interleaved states) into d.huffBuf
+// and makes it the literals' table, returning the bytes consumed.
+func (d *frameDecoder) readHuffTable(data []byte) (int, error) {
 	if len(data) < 1 {
-		return nil, 0, errCorrupt("missing Huffman tree header")
+		return 0, errCorrupt("missing Huffman tree header")
 	}
 	hb := int(data[0])
 	var explicit []uint8
@@ -117,9 +128,9 @@ func readHuffTable(data []byte) (*huffTable, int, error) {
 		num := hb - 127
 		nBytes := (num + 1) / 2
 		if len(data) < 1+nBytes {
-			return nil, 0, errCorrupt("truncated direct Huffman weights")
+			return 0, errCorrupt("truncated direct Huffman weights")
 		}
-		explicit = make([]uint8, num)
+		explicit = d.weights[:num]
 		for i := 0; i < num; i++ {
 			v := data[1+i/2]
 			if i%2 == 0 {
@@ -131,31 +142,32 @@ func readHuffTable(data []byte) (*huffTable, int, error) {
 		consumed = 1 + nBytes
 	} else {
 		if len(data) < 1+hb {
-			return nil, 0, errCorrupt("truncated FSE Huffman weights")
+			return 0, errCorrupt("truncated FSE Huffman weights")
 		}
 		var err error
-		explicit, err = readFSEWeights(data[1 : 1+hb])
+		explicit, err = readFSEWeights(&d.fse, data[1:1+hb], d.weights[:0])
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		consumed = 1 + hb
 	}
 	weights, err := completeWeights(explicit)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	t, err := buildHuffTable(weights)
-	if err != nil {
-		return nil, 0, err
+	if err := d.huffBuf.build(weights); err != nil {
+		return 0, err
 	}
-	return t, consumed, nil
+	d.huff = &d.huffBuf
+	return consumed, nil
 }
 
-// readFSEWeights decodes FSE-compressed Huffman weights: a table
-// description followed by a backward bitstream with two interleaved
-// states, drained until the stream is exhausted (§4.2.1.2).
-func readFSEWeights(data []byte) ([]uint8, error) {
-	table, n, err := readFSETableDesc(data, 6, 256)
+// readFSEWeights decodes FSE-compressed Huffman weights, appending them
+// to dst: a table description (built into table) followed by a backward
+// bitstream with two interleaved states, drained until the stream is
+// exhausted (§4.2.1.2).
+func readFSEWeights(table *fseTable, data []byte, dst []uint8) ([]uint8, error) {
+	n, err := readFSETableDesc(table, data, 6, 256)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +180,7 @@ func readFSEWeights(data []byte) ([]uint8, error) {
 	if br.overflowed() {
 		return nil, errCorrupt("FSE weight stream too short")
 	}
-	var weights []uint8
+	weights := dst
 	for {
 		// A state whose next hop needs more bits than remain holds the
 		// second-to-last symbol; the other state holds the last.
@@ -192,11 +204,11 @@ func readFSEWeights(data []byte) ([]uint8, error) {
 		if br.overflowed() {
 			return nil, errCorrupt("FSE weight stream overrun")
 		}
-		if len(weights) > 254 {
+		if len(weights)-len(dst) > 254 {
 			return nil, errCorrupt("FSE weight stream does not terminate")
 		}
 	}
-	if len(weights) > 255 {
+	if len(weights)-len(dst) > 255 {
 		return nil, errCorrupt("too many Huffman weights")
 	}
 	return weights, nil

@@ -38,6 +38,11 @@ func FuzzPrefixVsWhole(f *testing.F) {
 		f.Add(int64(shape), shape, uint32(0))
 		f.Add(int64(shape)+100, shape, uint32(7919*int(shape)+40_000))
 	}
+	// 88,323 bytes in 22 blocks of 4 KiB, no checksum: 21 of its tables
+	// repeat the block's before, and 194 sequences code a repeat offset
+	// with no literals before them, so chains park between blocks that
+	// lean on state the blocks before them left.
+	f.Add(int64(107), uint8(1), uint32(0))
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, flip uint32) {
 		rng := rand.New(rand.NewSource(seed))
 		plain := workloads.SilesiaLike(1+rng.Intn(200<<10), uint64(seed))

@@ -188,43 +188,34 @@ type ScanResult struct {
 }
 
 // ScanFramesReader is ScanFrames over a positional reader: frame and
-// block headers are parsed through a small refill window and block
-// payloads (plus skippable frames) are skipped without reading them,
-// so sizing a multi-gigabyte file touches only its metadata bytes.
-// Memory-backed sources take the zero-copy whole-buffer path.
+// block headers are read one read each, and block payloads (plus
+// skippable frames) are skipped without reading them, so sizing a
+// multi-gigabyte file touches only its metadata bytes. Memory-backed
+// sources take the zero-copy whole-buffer path.
 func ScanFramesReader(src filereader.FileReader) (ScanResult, error) {
 	if data, ok := filereader.Bytes(src); ok {
 		return ScanFrames(data)
 	}
-	w := filereader.NewWalker(src, 0)
+	w := filereader.NewWalker(src)
 	res := ScanResult{Sized: true}
 	var contentPos int64
 	for w.Remaining() > 0 {
 		pos := w.Pos()
-		if w.Remaining() >= 8 {
-			b, err := w.Peek(8)
-			if err != nil {
-				return res, err
-			}
-			if binary.LittleEndian.Uint32(b)&^0xF == skippableMagicBase {
-				w.Skip(8 + int64(binary.LittleEndian.Uint32(b[4:])))
-				if w.Remaining() < 0 {
-					return res, errCorrupt("truncated skippable frame")
-				}
-				res.Skippable++
-				continue
-			}
-		}
 		// The fixed header is at most 18 bytes (magic, FHD, window
-		// descriptor, 4-byte dict ID, 8-byte content size); peek what
-		// the file still has and let the parser report truncation.
-		hdrLen := int64(18)
-		if hdrLen > w.Remaining() {
-			hdrLen = w.Remaining()
-		}
-		hdr, err := w.Peek(int(hdrLen))
+		// descriptor, 4-byte dict ID, 8-byte content size), and the
+		// first block header usually follows within them; peek what the
+		// file still has and let the parser report truncation.
+		hdr, err := w.Peek(int(min(18, w.Remaining())))
 		if err != nil {
 			return res, fmt.Errorf("frame %d at offset %d: %w", len(res.Frames), pos, err)
+		}
+		if len(hdr) >= 8 && binary.LittleEndian.Uint32(hdr)&^0xF == skippableMagicBase {
+			w.Skip(8 + int64(binary.LittleEndian.Uint32(hdr[4:])))
+			if w.Remaining() < 0 {
+				return res, errCorrupt("truncated skippable frame")
+			}
+			res.Skippable++
+			continue
 		}
 		h, err := parseFrameHeader(hdr)
 		if err != nil {
@@ -386,6 +377,7 @@ func startFrame(data []byte, size int64) (*frame, error) {
 		return nil, fmt.Errorf("%w: frame declares %d bytes, table says %d", ErrCorrupt, h.contentSize, size)
 	}
 	f := &frame{h: h, d: newFrameDecoder(), size: size, p: h.headerLen}
+	f.d.blockMax = int(min(h.windowSize, maxBlockSize))
 	if size >= 0 {
 		if _, hold, err := skipBlocks(data, h.headerLen); err != nil {
 			return nil, err
@@ -395,6 +387,7 @@ func startFrame(data []byte, size int64) (*frame, error) {
 		// The slack lets the last block's sequences store in place.
 		f.out = make([]byte, 0, size+copySlack)
 		f.d.limit = int(min(size, math.MaxInt))
+		f.d.blockMax = min(f.d.blockMax, f.d.limit)
 	}
 	return f, nil
 }

@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -114,6 +115,10 @@ func encoderInputs() map[string][]byte {
 		"fastq":   workloads.FASTQ(1<<20, 6),
 		"random":  workloads.Random(300000, 4),
 		"hibytes": workloads.Random(65536, 9), // symbols ≥ 128: raw-literals path
+		// Text, noise, text: at 10000-byte blocks the middle one goes raw
+		// between two compressed ones.
+		"raw-between": slices.Concat(workloads.SilesiaLike(10000, 3), workloads.Random(10000, 5), workloads.SilesiaLike(10000, 4)),
+		"silesia":     workloads.SilesiaLike(256<<10, 1),
 	}
 }
 
@@ -124,6 +129,7 @@ func encoderOptions() []FrameOptions {
 		{Level: 1, ContentChecksum: true},
 		{Level: 1, FrameSize: 256 << 10, ContentChecksum: true},
 		{Level: 1, FrameSize: 100000, BlockSize: 10000},
+		{Level: 1, BlockSize: 4 << 10, ContentChecksum: true},
 		{Level: 1, OmitContentSize: true},
 		{FrameSize: 1 << 18, OmitContentSize: true, ContentChecksum: true},
 	}
@@ -144,10 +150,95 @@ func TestEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderShapes holds the inputs and options TestEncodeRoundTrip
+// and TestEncodeInterop run to the shapes they are there to cover: each
+// sequence-table mode, repeat offsets coded with no literals before
+// them, a raw block between two compressed ones, and incompressible
+// input.
+func TestEncoderShapes(t *testing.T) {
+	inputs := encoderInputs()
+	small := FrameOptions{Level: 1, BlockSize: 4 << 10, ContentChecksum: true}
+	if !slices.Contains(encoderOptions(), small) {
+		t.Fatalf("encoderOptions lacks %+v", small)
+	}
+	count := func(name string, opts FrameOptions) (types [3]int, modes [4]int, repNoLit int) {
+		return countShapes(inputs[name], opts)
+	}
+	for _, c := range []struct {
+		input string
+		mode  byte
+	}{{"text", modeRLE}, {"fastq", modeFSE}, {"fastq", modeRepeat}, {"text", modeRepeat}} {
+		if _, modes, _ := count(c.input, small); modes[c.mode] == 0 {
+			t.Errorf("%s at 4 KiB blocks: no table in mode %d (modes used %v)", c.input, c.mode, modes)
+		}
+	}
+	for _, name := range []string{"fastq", "text", "silesia"} {
+		if _, _, rep := count(name, small); rep == 0 {
+			t.Errorf("%s at 4 KiB blocks: no repeat offset coded without literals", name)
+		}
+	}
+	shapes := encodeShapes(inputs["raw-between"], FrameOptions{Level: 1, BlockSize: 10000})
+	if len(shapes) != 3 || shapes[0].btype != 2 || shapes[1].btype != 0 || shapes[2].btype != 2 || shapes[2].nbSeq == 0 {
+		t.Errorf("raw-between at 10000-byte blocks: %+v, want compressed, raw, compressed with sequences", shapes)
+	}
+	for _, opts := range []FrameOptions{small, {Level: 1}} {
+		if types, _, _ := count("random", opts); types[1] != 0 || types[2] != 0 {
+			t.Errorf("random at %d-byte blocks: block types %v, want raw alone", opts.BlockSize, types)
+		}
+	}
+}
+
+// TestEncodeRatio is the zstd writer's size gate: level 1 on the bench
+// corpus, in 1 MiB frames with checksums, as the repository benchmark
+// and Create write it. The reference zstd at -1 stores the same frames
+// in 0.3134 of the input; predefined tables and a single 4-byte match
+// table stored 0.4343.
+func TestEncodeRatio(t *testing.T) {
+	data := workloads.SilesiaLike(16<<20, 1)
+	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: 1 << 20, ContentChecksum: true})
+	ratio := float64(len(comp)) / float64(len(data))
+	t.Logf("%d B of %d: ratio %.4f", len(comp), len(data), ratio)
+	if ratio > 0.345 {
+		t.Errorf("ratio %.4f, want at most 0.345", ratio)
+	}
+	if got, err := Decompress(comp); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip: %v", err)
+	}
+}
+
+// TestDecodeAllocationsPerFrame holds a frame's decode to allocations
+// made once per frame: the tables every block describes are built in
+// storage the frame's decoder reuses, so a frame of 32 blocks allocates
+// no more than one of 4.
+func TestDecodeAllocationsPerFrame(t *testing.T) {
+	opts := FrameOptions{Level: 1, BlockSize: 4 << 10, ContentChecksum: true}
+	allocs := func(blocks int) float64 {
+		data := workloads.SilesiaLike(blocks*opts.BlockSize, 7)
+		comp := CompressFrames(data, opts)
+		if types, modes, _ := countShapes(data, opts); types[2] < blocks-1 || modes[modeFSE] == 0 {
+			t.Fatalf("%d blocks: types %v, table modes %v; want compressed blocks with FSE tables", blocks, types, modes)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Decompress(comp); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(4), allocs(32)
+	t.Logf("allocations per decode: %.0f for 4 blocks, %.0f for 32", few, many)
+	if many > few {
+		t.Errorf("a frame of 32 blocks allocates %.0f times, one of 4 %.0f: a block allocates", many, few)
+	}
+}
+
 // TestEncodeInterop pipes our encoder's output through the reference
-// zstd CLI when present (skipped otherwise — CI has it).
+// zstd CLI. It skips where the CLI is missing, except under CI, which
+// installs it.
 func TestEncodeInterop(t *testing.T) {
 	if _, err := exec.LookPath("zstd"); err != nil {
+		if os.Getenv("CI") != "" {
+			t.Fatal("zstd binary not installed; CI must run the interop check")
+		}
 		t.Skip("zstd binary not installed")
 	}
 	dir := t.TempDir()

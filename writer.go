@@ -127,7 +127,8 @@ func WithWriterParallelism(n int) WriterOption {
 // WithLevel sets the compression level, 0–9. Level 0 stores without
 // compression; for gzip/BGZF levels 1–9 trade speed for ratio like
 // zlib's, while the zstd encoder has a single matcher and treats every
-// non-zero level the same. The default is 6.
+// non-zero level the same, storing about what the reference zstd -1
+// stores. The default is 6.
 func WithLevel(n int) WriterOption {
 	return func(c *writerConfig) error {
 		if n < 0 || n > 9 {
