@@ -416,12 +416,8 @@ func TestReaderRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// opaque hides a buffer's bytes from filereader.Bytes, so a scan over it
-// reads windows as it does from a file.
-type opaque struct{ filereader.MemoryReader }
-
-// TestFindStreamsWindows: the windowed scan finds what the whole-buffer
-// scan finds whatever the window size, and so wherever a window boundary
+// TestFindStreamsWindows: the windowed scan finds every magic, and only
+// those, whatever the window size, and so wherever a window boundary
 // falls inside a magic; a read that fails is an ErrIO.
 func TestFindStreamsWindows(t *testing.T) {
 	magic := append([]byte("BZh9"), 0x31, 0x41, 0x59, 0x26, 0x53, 0x59)
@@ -452,22 +448,22 @@ func TestFindStreamsWindows(t *testing.T) {
 	// Every window size from the smallest that holds a magic up: between
 	// them the boundaries fall at every offset into every magic.
 	for w := int64(streamMagicLen); w <= int64(len(data))+1; w++ {
-		got, err := findStreams(opaque{data}, w)
+		got, err := findStreams(filereader.MemoryReader(data), w)
 		if err != nil || !slices.Equal(got, want) {
 			t.Fatalf("window %d: %v, %v; want %v", w, got, err, want)
 		}
 	}
-	if _, err := findStreams(shortReader{opaque{data}}, 64); !errors.Is(err, filereader.ErrIO) {
+	if _, err := findStreams(shortReader{data}, 64); !errors.Is(err, filereader.ErrIO) {
 		t.Fatalf("scan over a failing source = %v, want ErrIO", err)
 	}
 }
 
 // shortReader fails every read past the first 100 bytes.
-type shortReader struct{ opaque }
+type shortReader struct{ filereader.MemoryReader }
 
 func (r shortReader) ReadAt(p []byte, off int64) (int, error) {
 	if off+int64(len(p)) > 100 {
 		return 0, errors.New("disk on fire")
 	}
-	return r.opaque.ReadAt(p, off)
+	return r.MemoryReader.ReadAt(p, off)
 }

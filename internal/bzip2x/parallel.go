@@ -48,7 +48,7 @@ const findWindow = 1 << 20
 // caller must be ready to fall back (§3: trial and error). The file is
 // scanned in findWindow-sized chunks overlapping by streamMagicLen-1
 // bytes, so peak resident source stays one window regardless of file
-// size. Memory-backed sources are one window, their whole buffer.
+// size, and a source held in memory is read the same way.
 func FindStreamsReader(src filereader.FileReader) ([]int64, error) {
 	return findStreams(src, findWindow)
 }
@@ -56,9 +56,6 @@ func FindStreamsReader(src filereader.FileReader) ([]int64, error) {
 // findStreams is FindStreamsReader with the window size as a parameter.
 func findStreams(src filereader.FileReader, window int64) ([]int64, error) {
 	offs := []int64{0}
-	if data, ok := filereader.Bytes(src); ok {
-		return scanWindow(offs, data, 0), nil
-	}
 	size := src.Size()
 	buf := make([]byte, min(window, size))
 	for base := int64(0); base+streamMagicLen <= size; {

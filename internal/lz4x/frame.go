@@ -139,25 +139,6 @@ func appendFrame(out, content []byte, opts FrameOptions) []byte {
 	return out
 }
 
-// FrameInfo locates one frame inside a multi-frame file. Fields are
-// int64: the scan also runs over positional readers, where offsets are
-// not bounded by a slice length (files can exceed 2 GiB on 32-bit
-// platforms).
-type FrameInfo struct {
-	// Offset is the byte position of the frame magic.
-	Offset int64
-	// End is the byte position just past the frame.
-	End int64
-	// ContentSize is the declared uncompressed size.
-	ContentSize int64
-	// ContentStart is the uncompressed offset of this frame's content.
-	ContentStart int64
-
-	// flg is the frame descriptor byte, kept so consumers of the scan
-	// (Reader capability reporting) need not re-parse the header.
-	flg byte
-}
-
 // frameHeader is the parsed fixed part of a frame.
 type frameHeader struct {
 	flg, bd     byte
@@ -195,120 +176,6 @@ func parseFrameHeader(data []byte) (frameHeader, error) {
 	}
 	h.headerLen = p
 	return h, nil
-}
-
-// ScanFramesReader is ScanFrames over a positional reader: frame and
-// block headers are read one read each, and block payloads are skipped
-// without reading them, so sizing a multi-gigabyte file touches only
-// its metadata bytes. Memory-backed sources take the zero-copy
-// whole-buffer path.
-func ScanFramesReader(src filereader.FileReader) ([]FrameInfo, error) {
-	if data, ok := filereader.Bytes(src); ok {
-		return ScanFrames(data)
-	}
-	w := filereader.NewWalker(src)
-	var frames []FrameInfo
-	var contentPos int64
-	for w.Remaining() > 0 {
-		pos := w.Pos()
-		// The fixed header is at most 19 bytes (magic, FLG, BD, 8-byte
-		// content size, HC); peek what the file still has and let the
-		// parser report truncation.
-		hdrLen := int64(19)
-		if hdrLen > w.Remaining() {
-			hdrLen = w.Remaining()
-		}
-		hdr, err := w.Peek(int(hdrLen))
-		if err != nil {
-			return nil, fmt.Errorf("lz4x: frame %d at offset %d: %w", len(frames), pos, err)
-		}
-		h, err := parseFrameHeader(hdr)
-		if err != nil {
-			return nil, fmt.Errorf("lz4x: frame %d at offset %d: %w", len(frames), pos, err)
-		}
-		if h.contentSize < 0 {
-			return nil, fmt.Errorf("lz4x: frame %d lacks a content size; cannot parallelize", len(frames))
-		}
-		w.Skip(int64(h.headerLen))
-		for {
-			b, err := w.Next(4)
-			if err != nil {
-				return nil, fmt.Errorf("lz4x: truncated frame %d: %w", len(frames), err)
-			}
-			bsize := binary.LittleEndian.Uint32(b)
-			if bsize == 0 {
-				break // EndMark
-			}
-			w.Skip(int64(bsize &^ (1 << 31)))
-			if h.flg&flgBlockCheck != 0 {
-				w.Skip(4)
-			}
-			if w.Remaining() < 0 {
-				return nil, fmt.Errorf("lz4x: truncated frame %d", len(frames))
-			}
-		}
-		if h.flg&flgContentCheck != 0 {
-			w.Skip(4)
-			if w.Remaining() < 0 {
-				return nil, fmt.Errorf("lz4x: truncated frame %d", len(frames))
-			}
-		}
-		frames = append(frames, FrameInfo{
-			Offset: pos, End: w.Pos(), ContentSize: int64(h.contentSize), ContentStart: contentPos,
-			flg: h.flg,
-		})
-		contentPos += int64(h.contentSize)
-	}
-	return frames, nil
-}
-
-// ScanFrames walks a multi-frame file without decompressing, using the
-// per-block size fields to skip block payloads. This is the planning
-// pass of the parallel decompressor.
-func ScanFrames(data []byte) ([]FrameInfo, error) {
-	var frames []FrameInfo
-	pos, contentPos := 0, 0
-	for pos < len(data) {
-		h, err := parseFrameHeader(data[pos:])
-		if err != nil {
-			return nil, fmt.Errorf("lz4x: frame %d at offset %d: %w", len(frames), pos, err)
-		}
-		if h.contentSize < 0 {
-			return nil, fmt.Errorf("lz4x: frame %d lacks a content size; cannot parallelize", len(frames))
-		}
-		p := pos + h.headerLen
-		for {
-			if p+4 > len(data) {
-				return nil, fmt.Errorf("lz4x: truncated frame %d", len(frames))
-			}
-			bsize := binary.LittleEndian.Uint32(data[p:])
-			p += 4
-			if bsize == 0 {
-				break // EndMark
-			}
-			n := int(bsize &^ (1 << 31))
-			p += n
-			if h.flg&flgBlockCheck != 0 {
-				p += 4
-			}
-			if p > len(data) {
-				return nil, fmt.Errorf("lz4x: truncated frame %d", len(frames))
-			}
-		}
-		if h.flg&flgContentCheck != 0 {
-			p += 4
-			if p > len(data) {
-				return nil, fmt.Errorf("lz4x: truncated frame %d", len(frames))
-			}
-		}
-		frames = append(frames, FrameInfo{
-			Offset: int64(pos), End: int64(p), ContentSize: int64(h.contentSize), ContentStart: int64(contentPos),
-			flg: h.flg,
-		})
-		contentPos += h.contentSize
-		pos = p
-	}
-	return frames, nil
 }
 
 // blockMaxes maps a frame descriptor's block-maximum class to its size
@@ -417,20 +284,22 @@ func (f *frame) decode(data []byte, off int64, upTo int) (done bool, err error) 
 	return true, nil
 }
 
-// Decompress inflates a (possibly multi-frame) LZ4 file serially.
+// Decompress inflates a (possibly multi-frame) LZ4 file serially. Its
+// frames come from the codec's scan, the header walk an Archive opens a
+// file with.
 func Decompress(data []byte) ([]byte, error) {
-	frames, err := ScanFrames(data)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(data))
 	if err != nil {
 		return nil, err
 	}
 	var total int64
-	for _, f := range frames {
-		total += f.ContentSize
+	for _, s := range scan.Spans {
+		total += s.DecompSize
 	}
 	out := make([]byte, total)
-	for _, fi := range frames {
-		data := data[fi.Offset:fi.End]
-		f, err := startFrame(data, out[fi.ContentStart:fi.ContentStart+fi.ContentSize])
+	for _, s := range scan.Spans {
+		data := data[s.CompOff:s.CompEnd]
+		f, err := startFrame(data, out[s.DecompOff:s.DecompOff+s.DecompSize])
 		if err == nil {
 			_, err = f.decode(data, 0, len(f.out))
 		}

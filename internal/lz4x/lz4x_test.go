@@ -134,26 +134,26 @@ func TestFrameEmptyInput(t *testing.T) {
 	}
 }
 
-func TestScanFrames(t *testing.T) {
+func TestScanWalksFrames(t *testing.T) {
 	data := workloads.Base64(500_000, 6)
 	comp := CompressFrames(data, FrameOptions{FrameSize: 100_000})
-	frames, err := ScanFrames(comp)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(comp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frames) != 5 {
-		t.Fatalf("got %d frames, want 5", len(frames))
+	if len(scan.Spans) != 5 {
+		t.Fatalf("got %d frames, want 5", len(scan.Spans))
 	}
 	var contentPos, prevEnd int64
-	for i, f := range frames {
-		if f.Offset != prevEnd {
-			t.Fatalf("frame %d starts at %d, previous ended at %d", i, f.Offset, prevEnd)
+	for i, f := range scan.Spans {
+		if f.CompOff != prevEnd {
+			t.Fatalf("frame %d starts at %d, previous ended at %d", i, f.CompOff, prevEnd)
 		}
-		if f.ContentStart != contentPos {
-			t.Fatalf("frame %d content start %d, want %d", i, f.ContentStart, contentPos)
+		if f.DecompOff != contentPos {
+			t.Fatalf("frame %d content start %d, want %d", i, f.DecompOff, contentPos)
 		}
-		contentPos += f.ContentSize
-		prevEnd = f.End
+		contentPos += f.DecompSize
+		prevEnd = f.CompEnd
 	}
 	if prevEnd != int64(len(comp)) || contentPos != int64(len(data)) {
 		t.Fatalf("scan covered %d/%d compressed, %d/%d content", prevEnd, len(comp), contentPos, len(data))
@@ -202,8 +202,23 @@ func TestNotLZ4(t *testing.T) {
 	if _, err := Decompress([]byte("certainly not lz4")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := ScanFrames([]byte{0x04, 0x22, 0x4D, 0x18}); err == nil {
+	if _, err := (Codec{}).Scan(filereader.MemoryReader{0x04, 0x22, 0x4D, 0x18}); err == nil {
 		t.Fatal("bare magic accepted")
+	}
+}
+
+// TestScanRefusesForgedContentSize: a frame header that declares more
+// content than the frame's bytes can hold fails the scan as corrupt, so
+// neither an open nor the serial Decompress allocates what it names.
+func TestScanRefusesForgedContentSize(t *testing.T) {
+	comp := CompressFrames(nil, FrameOptions{})
+	binary.LittleEndian.PutUint64(comp[6:], 1<<40)
+	comp[14] = byte(xxhash.Sum32(comp[4:14], 0) >> 8)
+	if _, err := (Codec{}).Scan(filereader.MemoryReader(comp)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("scan of an empty frame declaring 1 TiB = %v, want ErrCorrupt", err)
+	}
+	if _, err := Decompress(comp); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decompress of an empty frame declaring 1 TiB = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -414,9 +429,9 @@ func TestChecksummedFrameGoesOutChecked(t *testing.T) {
 	const frameSize = 256 << 10
 	data := workloads.SilesiaLike(2*frameSize, 12)
 	comp := CompressFrames(data, FrameOptions{FrameSize: frameSize, ContentChecksum: true})
-	frames, err := ScanFrames(comp)
-	if err != nil || len(frames) != 2 {
-		t.Fatalf("%d frames, %v", len(frames), err)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(comp))
+	if err != nil || len(scan.Spans) != 2 {
+		t.Fatalf("%d frames, %v", len(scan.Spans), err)
 	}
 	fields := blockFields(t, comp, 0)
 	bad := bytes.Clone(comp)

@@ -1,6 +1,7 @@
 package lz4x
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/filereader"
@@ -31,29 +32,70 @@ type Codec struct{}
 // FormatTag implements spanengine.Codec.
 func (Codec) FormatTag() string { return FormatTag }
 
-// Scan implements spanengine.Codec via ScanFramesReader (the §4.9
-// metadata planning pass, windowed: only header bytes are ever read).
-// It fails on anything the scan cannot plan — in particular frames
-// that omit the content-size field.
+// Scan implements spanengine.Codec: the §4.9 metadata planning pass, a
+// walk over frame and block headers that reads each header once, with
+// filereader.Walker, and never reads a block payload, so sizing a
+// multi-gigabyte file touches only its metadata bytes, whether the file
+// is held in memory or not. It fails on anything the walk cannot plan:
+// a frame that omits the content-size field, or declares more content
+// than its blocks can hold.
 func (Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
-	frames, err := ScanFramesReader(src)
-	if err != nil {
-		return spanengine.ScanResult{}, err
-	}
+	w := filereader.NewWalker(src)
 	res := spanengine.ScanResult{Flags: FlagBlockIndep}
-	for _, f := range frames {
-		if f.flg&flgBlockIndep == 0 {
+	var contentPos int64
+	for w.Remaining() > 0 {
+		pos := w.Pos()
+		// The fixed header is at most 19 bytes (magic, FLG, BD, 8-byte
+		// content size, HC); peek what the file still has and let the
+		// parser report truncation.
+		hdr, err := w.Peek(int(min(19, w.Remaining())))
+		if err != nil {
+			return spanengine.ScanResult{}, fmt.Errorf("lz4x: frame %d at offset %d: %w", len(res.Spans), pos, err)
+		}
+		h, err := parseFrameHeader(hdr)
+		if err != nil {
+			return spanengine.ScanResult{}, fmt.Errorf("lz4x: frame %d at offset %d: %w", len(res.Spans), pos, err)
+		}
+		if h.contentSize < 0 {
+			return spanengine.ScanResult{}, fmt.Errorf("lz4x: frame %d lacks a content size; cannot parallelize", len(res.Spans))
+		}
+		w.Skip(int64(h.headerLen))
+		for {
+			b, err := w.Next(4)
+			if err != nil {
+				return spanengine.ScanResult{}, fmt.Errorf("lz4x: truncated frame %d: %w", len(res.Spans), err)
+			}
+			bsize := binary.LittleEndian.Uint32(b)
+			if bsize == 0 {
+				break // EndMark
+			}
+			w.Skip(int64(bsize &^ (1 << 31)))
+			if h.flg&flgBlockCheck != 0 {
+				w.Skip(4)
+			}
+			if w.Remaining() < 0 {
+				return spanengine.ScanResult{}, fmt.Errorf("lz4x: truncated frame %d", len(res.Spans))
+			}
+		}
+		if h.flg&flgContentCheck != 0 {
+			w.Skip(4)
+			if w.Remaining() < 0 {
+				return spanengine.ScanResult{}, fmt.Errorf("lz4x: truncated frame %d", len(res.Spans))
+			}
+		}
+		s := spanengine.Span{CompOff: pos, CompEnd: w.Pos(), DecompOff: contentPos, DecompSize: int64(h.contentSize)}
+		if s.DecompSize > maxExpansion*(s.CompEnd-s.CompOff) {
+			return spanengine.ScanResult{}, fmt.Errorf("lz4x: frame %d at offset %d: %w: %d bytes declared for %d compressed",
+				len(res.Spans), pos, ErrCorrupt, s.DecompSize, s.CompEnd-s.CompOff)
+		}
+		if h.flg&flgBlockIndep == 0 {
 			res.Flags &^= FlagBlockIndep
 		}
-		if f.flg&(flgBlockCheck|flgContentCheck) != 0 {
+		if h.flg&(flgBlockCheck|flgContentCheck) != 0 {
 			res.Flags |= FlagChecksummed
 		}
-		res.Spans = append(res.Spans, spanengine.Span{
-			CompOff:    f.Offset,
-			CompEnd:    f.End,
-			DecompOff:  f.ContentStart,
-			DecompSize: f.ContentSize,
-		})
+		res.Spans = append(res.Spans, s)
+		contentPos += s.DecompSize
 	}
 	return res, nil
 }

@@ -108,8 +108,8 @@ type ScanResult struct {
 // concurrent DecodeSpan calls — the prefetcher runs them on a worker
 // pool — and must read src positionally with bounded windows: a span's
 // compressed extent (via filereader.Extent) for decodes, a walker for
-// sizing passes. src may be memory- or file-backed; the helpers take
-// the zero-copy path automatically for the former.
+// sizing passes. src may be memory- or file-backed; Extent slices the
+// former without copying, and a walker reads both the same way.
 type Codec interface {
 	// FormatTag is the 4-byte tag identifying this codec in persisted
 	// checkpoint tables (e.g. "bz2 ", "lz4 ", "zstd").
@@ -284,8 +284,10 @@ type Stats struct {
 	// span cache.
 	SpanCacheHits, SpanCacheMisses, SpanCacheEvictions uint64
 	// SourceReads counts positional reads issued against the compressed
-	// source (sizing-pass windows and span-extent reads alike; memory-
-	// backed sources count one logical read per zero-copy extent).
+	// source: the sizing pass's header and magic reads, which are the
+	// same reads whether the source is a file or a buffer, and span-
+	// extent reads, of which a memory-backed source counts one logical
+	// read per zero-copy extent.
 	// SourceBytesRead is the bytes those reads returned. For a
 	// file-backed archive they bound the compressed bytes ever made
 	// resident: SourceBytesRead staying far below the file size on a

@@ -3,20 +3,22 @@ package zstdx
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/filereader"
 )
 
 // decompressTailOnly is Decompress with every sequence of every block
 // read field by field through the checked reader — the definition the
 // window path of decodeSequences is held to.
 func decompressTailOnly(data []byte) ([]byte, error) {
-	scan, err := ScanFrames(data)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(data))
 	if err != nil {
 		return nil, err
 	}
 	var out []byte
-	for i, f := range scan.Frames {
-		data := data[f.Offset:f.End]
-		fr, err := startFrame(data, f.ContentSize)
+	for i, s := range scan.Spans {
+		data := data[s.CompOff:s.CompEnd]
+		fr, err := startFrame(data, s.DecompSize)
 		if err == nil {
 			fr.d.tailOnly = true
 			_, err = fr.decode(data, 0, math.MaxInt)

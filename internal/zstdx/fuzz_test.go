@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/filereader"
 	"repro/internal/workloads"
 )
 
@@ -27,14 +28,14 @@ func FuzzDecompress(f *testing.F) {
 			return
 		}
 		// Whatever decoded must round-trip through the scanner's sizes.
-		scan, serr := ScanFrames(data)
+		scan, serr := Codec{}.Scan(filereader.MemoryReader(data))
 		if serr != nil {
-			t.Fatalf("Decompress accepted what ScanFrames rejects: %v", serr)
+			t.Fatalf("Decompress accepted what Codec.Scan rejects: %v", serr)
 		}
-		if scan.Sized {
+		if scan.Flags&FlagMetadataSized != 0 {
 			var total int64
-			for _, fr := range scan.Frames {
-				total += fr.ContentSize
+			for _, s := range scan.Spans {
+				total += s.DecompSize
 			}
 			if total != int64(len(out)) {
 				t.Fatalf("declared sizes sum to %d, decoded %d bytes", total, len(out))

@@ -1,6 +1,8 @@
 package zstdx
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -36,30 +38,92 @@ type Codec struct{}
 // FormatTag implements spanengine.Codec.
 func (Codec) FormatTag() string { return FormatTag }
 
-// Scan implements spanengine.Codec via ScanFramesReader (a windowed
-// header walk that never reads block payloads).
+// Scan implements spanengine.Codec: the §4.9 metadata planning pass, a
+// walk over frame and block headers that reads each header once, with
+// filereader.Walker, and never reads a block payload or a skippable
+// frame, so sizing a multi-gigabyte file touches only its metadata
+// bytes, whether the file is held in memory or not. A skippable frame
+// leaves a gap between two spans. A frame that omits its content size
+// leaves its span's DecompSize, and the DecompOff of it and every span
+// after it, negative: the engine sizes them by decoding.
 func (Codec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
-	scan, err := ScanFramesReader(src)
-	if err != nil {
-		return spanengine.ScanResult{}, err
-	}
-	res := spanengine.ScanResult{}
-	if scan.Sized {
-		res.Flags |= FlagMetadataSized
-	}
-	if len(scan.Frames) > 0 {
-		res.Flags |= FlagChecksummed
-	}
-	for _, f := range scan.Frames {
-		if !f.HasChecksum {
+	w := filereader.NewWalker(src)
+	res := spanengine.ScanResult{Flags: FlagMetadataSized | FlagChecksummed}
+	var contentPos int64
+	for w.Remaining() > 0 {
+		pos := w.Pos()
+		// The fixed header is at most 18 bytes (magic, FHD, window
+		// descriptor, 4-byte dict ID, 8-byte content size); peek what
+		// the file still has and let the parser report truncation.
+		hdr, err := w.Peek(int(min(18, w.Remaining())))
+		if err != nil {
+			return spanengine.ScanResult{}, fmt.Errorf("frame %d at offset %d: %w", len(res.Spans), pos, err)
+		}
+		if len(hdr) >= 8 && binary.LittleEndian.Uint32(hdr)&^0xF == skippableMagicBase {
+			w.Skip(8 + int64(binary.LittleEndian.Uint32(hdr[4:])))
+			if w.Remaining() < 0 {
+				return spanengine.ScanResult{}, errCorrupt("truncated skippable frame")
+			}
+			continue
+		}
+		h, err := parseFrameHeader(hdr)
+		if err != nil {
+			return spanengine.ScanResult{}, fmt.Errorf("frame %d at offset %d: %w", len(res.Spans), pos, err)
+		}
+		w.Skip(int64(h.headerLen))
+		for {
+			bh3, err := w.Next(3)
+			if err != nil {
+				// A pread failure is a storage problem, not corrupt data:
+				// pass it through with its filereader.ErrIO mark intact and
+				// reserve ErrCorrupt for genuine truncation.
+				if errors.Is(err, filereader.ErrIO) {
+					return spanengine.ScanResult{}, fmt.Errorf("block header at offset %d: %w", w.Pos(), err)
+				}
+				return spanengine.ScanResult{}, fmt.Errorf("%w: truncated block header: %w", ErrCorrupt, err)
+			}
+			bh := uint32(bh3[0]) | uint32(bh3[1])<<8 | uint32(bh3[2])<<16
+			switch bh >> 1 & 3 {
+			case 0, 2: // raw, compressed: payload is bsize bytes
+				w.Skip(int64(bh >> 3))
+			case 1: // RLE: one byte regenerates bsize
+				w.Skip(1)
+			default:
+				return spanengine.ScanResult{}, errCorrupt("reserved block type")
+			}
+			if w.Remaining() < 0 {
+				return spanengine.ScanResult{}, errCorrupt("truncated block payload")
+			}
+			if bh&1 != 0 {
+				break
+			}
+		}
+		if h.hasChecksum {
+			w.Skip(4)
+			if w.Remaining() < 0 {
+				return spanengine.ScanResult{}, errCorrupt("truncated content checksum")
+			}
+		} else {
 			res.Flags &^= FlagChecksummed
 		}
-		res.Spans = append(res.Spans, spanengine.Span{
-			CompOff:    f.Offset,
-			CompEnd:    f.End,
-			DecompOff:  f.ContentStart,
-			DecompSize: f.ContentSize,
-		})
+		s := spanengine.Span{CompOff: pos, CompEnd: w.Pos(), DecompOff: -1, DecompSize: h.contentSize}
+		// An RLE block is the format's densest construct: 4 bytes
+		// regenerate at most 128 KiB. A declared size beyond that bound
+		// is a forged header — reject it before anyone allocates for it.
+		if s.DecompSize > (s.CompEnd-s.CompOff)*(maxBlockSize/4)+maxBlockSize {
+			return spanengine.ScanResult{}, errCorrupt("declared content size exceeds maximum expansion")
+		}
+		if h.contentSize < 0 {
+			res.Flags &^= FlagMetadataSized
+		}
+		if res.Flags&FlagMetadataSized != 0 {
+			s.DecompOff = contentPos
+			contentPos += h.contentSize
+		}
+		res.Spans = append(res.Spans, s)
+	}
+	if len(res.Spans) == 0 {
+		res.Flags &^= FlagChecksummed
 	}
 	return res, nil
 }

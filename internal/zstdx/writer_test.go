@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	rapidgzip "repro"
+	"repro/internal/filereader"
 	"repro/internal/gzindex"
 	"repro/internal/zstdx"
 )
@@ -67,8 +68,8 @@ func TestZstdWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestZstdWriterSized asserts the output is metadata-sized: ScanFrames
-// recovers the full decode plan from headers alone — one frame per
+// TestZstdWriterSized asserts the output is metadata-sized: the codec's
+// scan recovers the full decode plan from headers alone — one frame per
 // shard, tiling the output and the input — and no frame claims a
 // checksum that was not asked for. The exported index carries the same
 // frame table, flagged metadata-sized, and checksummed exactly when the
@@ -86,27 +87,29 @@ func TestZstdWriterSized(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		scan, err := zstdx.ScanFrames(out.Bytes())
+		scan, err := zstdx.Codec{}.Scan(filereader.MemoryReader(out.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !scan.Sized {
+		if scan.Flags&zstdx.FlagMetadataSized == 0 {
 			t.Fatal("output not metadata-sized: a frame omitted its content size")
 		}
 		st := w.Stats()
-		if len(scan.Frames) != int(st.Shards) || st.Shards != 4 {
-			t.Fatalf("scan found %d frames, writer encoded %d shards, want 4", len(scan.Frames), st.Shards)
+		if len(scan.Spans) != int(st.Shards) || st.Shards != 4 {
+			t.Fatalf("scan found %d frames, writer encoded %d shards, want 4", len(scan.Spans), st.Shards)
 		}
 		var comp, decomp int64
-		for i, f := range scan.Frames {
+		for i, f := range scan.Spans {
 			size := int64(min(shard, len(data)-int(decomp)))
-			if f.Offset != comp || f.ContentStart != decomp || f.ContentSize != size || f.End <= f.Offset {
+			if f.CompOff != comp || f.DecompOff != decomp || f.DecompSize != size || f.CompEnd <= f.CompOff {
 				t.Fatalf("frame %d %+v, want it at (%d,%d) holding %d bytes", i, f, comp, decomp, size)
 			}
-			if f.HasChecksum != checksum {
-				t.Fatalf("checksum=%v: frame %d has checksum %v", checksum, i, f.HasChecksum)
+			// Bit 2 of the frame header descriptor, after the 4-byte
+			// magic, is the content-checksum flag.
+			if has := out.Bytes()[f.CompOff+4]&(1<<2) != 0; has != checksum {
+				t.Fatalf("checksum=%v: frame %d has checksum %v", checksum, i, has)
 			}
-			comp, decomp = f.End, decomp+f.ContentSize
+			comp, decomp = f.CompEnd, decomp+f.DecompSize
 		}
 		if comp != int64(out.Len()) || decomp != int64(len(data)) {
 			t.Fatalf("frames cover (%d,%d), want (%d,%d)", comp, decomp, out.Len(), len(data))
@@ -134,12 +137,12 @@ func TestZstdWriterSized(t *testing.T) {
 		if ct.Flags != wantFlags {
 			t.Fatalf("checksum=%v: index flags %#x, want %#x", checksum, ct.Flags, wantFlags)
 		}
-		if len(ct.Spans) != len(scan.Frames) {
-			t.Fatalf("index holds %d spans, scan %d frames", len(ct.Spans), len(scan.Frames))
+		if len(ct.Spans) != len(scan.Spans) {
+			t.Fatalf("index holds %d spans, scan %d frames", len(ct.Spans), len(scan.Spans))
 		}
-		for i, f := range scan.Frames {
-			if cp := ct.Spans[i]; cp.CompOff != f.Offset || cp.CompEnd != f.End || cp.DecompOff != f.ContentStart || cp.DecompSize != f.ContentSize {
-				t.Fatalf("index span %d %+v, scan frame %+v", i, cp, f)
+		for i, f := range scan.Spans {
+			if ct.Spans[i] != gzindex.Checkpoint(f) {
+				t.Fatalf("index span %d %+v, scan frame %+v", i, ct.Spans[i], f)
 			}
 		}
 	}
@@ -160,8 +163,8 @@ func TestZstdWriterEmpty(t *testing.T) {
 	if err != nil || len(dec) != 0 {
 		t.Fatalf("decode = %d bytes, %v", len(dec), err)
 	}
-	scan, err := zstdx.ScanFrames(out.Bytes())
-	if err != nil || len(scan.Frames) != 1 || !scan.Sized || w.Stats().Shards != 1 {
+	scan, err := zstdx.Codec{}.Scan(filereader.MemoryReader(out.Bytes()))
+	if err != nil || len(scan.Spans) != 1 || scan.Flags&zstdx.FlagMetadataSized == 0 || w.Stats().Shards != 1 {
 		t.Fatalf("scan %+v, %v with %d shards; want one sized frame", scan, err, w.Stats().Shards)
 	}
 }

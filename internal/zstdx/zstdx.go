@@ -159,191 +159,6 @@ func skipBlocks(data []byte, p int) (end int, hold int64, err error) {
 	}
 }
 
-// FrameInfo locates one data frame inside a (possibly multi-frame,
-// possibly skippable-frame-interleaved) Zstandard file. Fields are
-// int64: the scan also runs over positional readers, where offsets are
-// not bounded by a slice length (files can exceed 2 GiB on 32-bit
-// platforms).
-type FrameInfo struct {
-	// Offset is the byte position of the frame magic; End is just past
-	// the frame (including any content checksum).
-	Offset, End int64
-	// ContentSize is the declared decompressed size, or -1 when the
-	// frame header omits it (the frame's first decode sizes it).
-	ContentSize int64
-	// ContentStart is the decompressed offset of this frame's content.
-	ContentStart int64
-	// HasChecksum reports a trailing xxHash64 content checksum.
-	HasChecksum bool
-}
-
-// ScanResult is the outcome of the planning pass over a file.
-type ScanResult struct {
-	Frames []FrameInfo
-	// Skippable counts skippable frames (they carry no content).
-	Skippable int
-	// Sized reports that every frame declares its content size, the
-	// precondition for parallel decode and metadata-only ReadAt plans.
-	Sized bool
-}
-
-// ScanFramesReader is ScanFrames over a positional reader: frame and
-// block headers are read one read each, and block payloads (plus
-// skippable frames) are skipped without reading them, so sizing a
-// multi-gigabyte file touches only its metadata bytes. Memory-backed
-// sources take the zero-copy whole-buffer path.
-func ScanFramesReader(src filereader.FileReader) (ScanResult, error) {
-	if data, ok := filereader.Bytes(src); ok {
-		return ScanFrames(data)
-	}
-	w := filereader.NewWalker(src)
-	res := ScanResult{Sized: true}
-	var contentPos int64
-	for w.Remaining() > 0 {
-		pos := w.Pos()
-		// The fixed header is at most 18 bytes (magic, FHD, window
-		// descriptor, 4-byte dict ID, 8-byte content size), and the
-		// first block header usually follows within them; peek what the
-		// file still has and let the parser report truncation.
-		hdr, err := w.Peek(int(min(18, w.Remaining())))
-		if err != nil {
-			return res, fmt.Errorf("frame %d at offset %d: %w", len(res.Frames), pos, err)
-		}
-		if len(hdr) >= 8 && binary.LittleEndian.Uint32(hdr)&^0xF == skippableMagicBase {
-			w.Skip(8 + int64(binary.LittleEndian.Uint32(hdr[4:])))
-			if w.Remaining() < 0 {
-				return res, errCorrupt("truncated skippable frame")
-			}
-			res.Skippable++
-			continue
-		}
-		h, err := parseFrameHeader(hdr)
-		if err != nil {
-			return res, fmt.Errorf("frame %d at offset %d: %w", len(res.Frames), pos, err)
-		}
-		w.Skip(int64(h.headerLen))
-		for {
-			bh3, err := w.Next(3)
-			if err != nil {
-				// A pread failure is a storage problem, not corrupt data:
-				// pass it through with its filereader.ErrIO mark intact and
-				// reserve ErrCorrupt for genuine truncation.
-				if errors.Is(err, filereader.ErrIO) {
-					return res, fmt.Errorf("block header at offset %d: %w", w.Pos(), err)
-				}
-				return res, fmt.Errorf("%w: truncated block header: %w", ErrCorrupt, err)
-			}
-			bh := uint32(bh3[0]) | uint32(bh3[1])<<8 | uint32(bh3[2])<<16
-			switch bh >> 1 & 3 {
-			case 0, 2: // raw, compressed: payload is bsize bytes
-				w.Skip(int64(bh >> 3))
-			case 1: // RLE: one byte regenerates bsize
-				w.Skip(1)
-			default:
-				return res, errCorrupt("reserved block type")
-			}
-			if w.Remaining() < 0 {
-				return res, errCorrupt("truncated block payload")
-			}
-			if bh&1 != 0 {
-				break
-			}
-		}
-		if h.hasChecksum {
-			w.Skip(4)
-			if w.Remaining() < 0 {
-				return res, errCorrupt("truncated content checksum")
-			}
-		}
-		end := w.Pos()
-		// Same forged-header bound as the in-memory scan: an RLE block
-		// is the densest construct, 4 bytes regenerating 128 KiB.
-		if h.contentSize > (end-pos)*(maxBlockSize/4)+maxBlockSize {
-			return res, errCorrupt("declared content size exceeds maximum expansion")
-		}
-		f := FrameInfo{
-			Offset:      pos,
-			End:         end,
-			ContentSize: h.contentSize,
-			HasChecksum: h.hasChecksum,
-		}
-		if h.contentSize < 0 || !res.Sized {
-			res.Sized = false
-			f.ContentStart = -1
-			if h.contentSize < 0 {
-				f.ContentSize = -1
-			}
-		} else {
-			f.ContentStart = contentPos
-			contentPos += h.contentSize
-		}
-		res.Frames = append(res.Frames, f)
-	}
-	return res, nil
-}
-
-// ScanFrames walks a Zstandard file without decompressing: frame
-// headers plus per-block size fields locate every frame boundary, and
-// frames that carry Frame_Content_Size yield their decompressed
-// extents for free — the §4.9 "trivially parallelizable" metadata.
-func ScanFrames(data []byte) (ScanResult, error) {
-	res := ScanResult{Sized: true}
-	pos, contentPos := 0, 0
-	for pos < len(data) {
-		if len(data)-pos >= 8 {
-			magic := binary.LittleEndian.Uint32(data[pos:])
-			if magic&^0xF == skippableMagicBase {
-				size := int(binary.LittleEndian.Uint32(data[pos+4:]))
-				if pos+8+size > len(data) {
-					return res, errCorrupt("truncated skippable frame")
-				}
-				pos += 8 + size
-				res.Skippable++
-				continue
-			}
-		}
-		h, err := parseFrameHeader(data[pos:])
-		if err != nil {
-			return res, fmt.Errorf("frame %d at offset %d: %w", len(res.Frames), pos, err)
-		}
-		end, _, err := skipBlocks(data[pos:], h.headerLen)
-		if err != nil {
-			return res, fmt.Errorf("frame %d at offset %d: %w", len(res.Frames), pos, err)
-		}
-		if h.hasChecksum {
-			end += 4
-			if pos+end > len(data) {
-				return res, errCorrupt("truncated content checksum")
-			}
-		}
-		// An RLE block is the format's densest construct: 4 bytes
-		// regenerate at most 128 KiB. A declared size beyond that bound
-		// is a forged header — reject it before anyone allocates for it.
-		if h.contentSize > int64(end)*(maxBlockSize/4)+maxBlockSize {
-			return res, errCorrupt("declared content size exceeds maximum expansion")
-		}
-		f := FrameInfo{
-			Offset:      int64(pos),
-			End:         int64(pos + end),
-			ContentSize: h.contentSize,
-			HasChecksum: h.hasChecksum,
-		}
-		if h.contentSize < 0 || !res.Sized {
-			res.Sized = false
-			f.ContentStart = -1
-			if h.contentSize < 0 {
-				f.ContentSize = -1
-			}
-		} else {
-			f.ContentStart = int64(contentPos)
-			contentPos += int(h.contentSize)
-		}
-		res.Frames = append(res.Frames, f)
-		pos += end
-	}
-	return res, nil
-}
-
 // frame is one frame's decode in progress: its header, the state its
 // blocks share, the content so far and the frame-relative offset of the
 // next block header. A frame without a content checksum can stop between
@@ -467,23 +282,24 @@ func (f *frame) decode(data []byte, off, upTo int) (done bool, err error) {
 }
 
 // Decompress inflates a (possibly multi-frame) Zstandard file
-// serially, concatenating frame contents like `zstd -d`.
+// serially, concatenating frame contents like `zstd -d`. Its frames come
+// from the codec's scan, the header walk an Archive opens a file with.
 func Decompress(data []byte) ([]byte, error) {
-	scan, err := ScanFrames(data)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(data))
 	if err != nil {
 		return nil, err
 	}
 	var out []byte
-	if scan.Sized {
+	if scan.Flags&FlagMetadataSized != 0 {
 		total := int64(0)
-		for _, f := range scan.Frames {
-			total += int64(f.ContentSize)
+		for _, s := range scan.Spans {
+			total += s.DecompSize
 		}
 		out = make([]byte, 0, min(total, 64<<20))
 	}
-	for i, f := range scan.Frames {
-		data := data[f.Offset:f.End]
-		fr, err := startFrame(data, f.ContentSize)
+	for i, s := range scan.Spans {
+		data := data[s.CompOff:s.CompEnd]
+		fr, err := startFrame(data, s.DecompSize)
 		if err == nil {
 			_, err = fr.decode(data, 0, math.MaxInt)
 		}

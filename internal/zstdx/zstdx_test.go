@@ -24,12 +24,12 @@ func TestDecodeRealMultiFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := workloads.Base64(262144, 77)
-	scan, err := ScanFrames(comp)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(comp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scan.Frames) != 4 || !scan.Sized {
-		t.Fatalf("scan: %d frames, sized=%v; want 4 sized frames", len(scan.Frames), scan.Sized)
+	if len(scan.Spans) != 4 || scan.Flags&FlagMetadataSized == 0 {
+		t.Fatalf("scan: %d frames, flags %#x; want 4 sized frames", len(scan.Spans), scan.Flags)
 	}
 	got, err := Decompress(comp)
 	if err != nil {
@@ -72,11 +72,11 @@ func TestDecodeRealNoContentSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := ScanFrames(comp)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(comp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan.Sized {
+	if scan.Flags&FlagMetadataSized != 0 {
 		t.Fatal("streamed fixture unexpectedly declares content sizes")
 	}
 	got, err := Decompress(comp)
@@ -268,14 +268,22 @@ func TestEncodeInterop(t *testing.T) {
 func TestSkippableFrames(t *testing.T) {
 	data := workloads.Base64(100000, 11)
 	comp := AppendSkippable(nil, []byte("index payload"))
+	head := int64(len(comp))
 	comp = append(comp, CompressFrames(data, FrameOptions{Level: 1, FrameSize: 30000})...)
+	tail := int64(len(comp))
 	comp = AppendSkippable(comp, nil)
-	scan, err := ScanFrames(comp)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(comp))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if scan.Skippable != 2 || len(scan.Frames) != 4 {
-		t.Fatalf("scan: %d skippable, %d frames; want 2 and 4", scan.Skippable, len(scan.Frames))
+	// The skippable frames are the gaps before span 0 and after span 3.
+	if len(scan.Spans) != 4 || scan.Spans[0].CompOff != head || scan.Spans[3].CompEnd != tail {
+		t.Fatalf("scan: %+v; want 4 spans over [%d,%d)", scan.Spans, head, tail)
+	}
+	for i := 1; i < len(scan.Spans); i++ {
+		if scan.Spans[i].CompOff != scan.Spans[i-1].CompEnd {
+			t.Fatalf("gap between spans %d and %d: %+v", i-1, i, scan.Spans)
+		}
 	}
 	got, err := Decompress(comp)
 	if err != nil {
@@ -430,7 +438,7 @@ func TestTruncationsAndGarbageDoNotPanic(t *testing.T) {
 		if _, err := Decompress(comp[:cut]); err == nil && cut < len(comp) {
 			// Truncation at a frame boundary legitimately decodes a
 			// prefix; anything else must error.
-			if _, serr := ScanFrames(comp[:cut]); serr == nil {
+			if _, serr := (Codec{}).Scan(filereader.MemoryReader(comp[:cut])); serr == nil {
 				continue
 			}
 			t.Fatalf("truncation at %d decoded without error", cut)
@@ -457,7 +465,7 @@ func TestDictionaryFramesRejected(t *testing.T) {
 }
 
 func TestErrNotZstd(t *testing.T) {
-	if _, err := ScanFrames([]byte("not a zstd file at all")); !errors.Is(err, ErrNotZstd) {
+	if _, err := (Codec{}).Scan(filereader.MemoryReader("not a zstd file at all")); !errors.Is(err, ErrNotZstd) {
 		t.Fatalf("got %v, want ErrNotZstd", err)
 	}
 }
@@ -527,9 +535,9 @@ func TestChecksummedFrameGoesOutChecked(t *testing.T) {
 	const frameSize = 512 << 10
 	data := workloads.SilesiaLike(2*frameSize, 12)
 	comp := CompressFrames(data, FrameOptions{Level: 1, FrameSize: frameSize, ContentChecksum: true})
-	scan, err := ScanFrames(comp)
-	if err != nil || len(scan.Frames) != 2 {
-		t.Fatalf("%d frames, %v", len(scan.Frames), err)
+	scan, err := Codec{}.Scan(filereader.MemoryReader(comp))
+	if err != nil || len(scan.Spans) != 2 {
+		t.Fatalf("%d frames, %v", len(scan.Spans), err)
 	}
 	heads := blockHeaders(t, comp, 0)
 	bad := bytes.Clone(comp)
