@@ -69,7 +69,7 @@ var outSuffixes = map[rapidgzip.Format][]string{
 
 func run() error {
 	parallel := flag.Int("P", runtime.NumCPU(), "decompression threads")
-	chunkSize := flag.Int("chunk-size", 4<<20, "compressed bytes per chunk")
+	chunkSize := flag.Int("chunk-size", 4<<20, "gzip/BGZF chunk size: compressed bytes per speculative cell, decompressed bytes per span")
 	toStdout := flag.Bool("c", false, "write to standard output")
 	outPath := flag.String("o", "", "output file (default: input minus its compression suffix)")
 	verify := flag.Bool("verify", false, "verify gzip CRC32 checksums")

@@ -13,11 +13,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"time"
 
+	"repro/internal/gzindex"
 	"repro/internal/gzipw"
 	"repro/internal/workloads"
 	"repro/internal/zstdx"
@@ -110,6 +112,65 @@ func TestCreateThenOpenCounterAsserted(t *testing.T) {
 				t.Fatal("ReadAt content mismatch")
 			}
 		})
+	}
+}
+
+// TestBGZFSidecarIsColdGeometry: a Create'd BGZF file's sidecar groups
+// its members by the rule a cold open's scan groups them by, at a gzip
+// sidecar's spacing: it holds the seek points and member marks that an
+// export after a cold open at a ChunkSize of 1 MiB does, for an empty
+// input, one short member and many members.
+func TestBGZFSidecarIsColdGeometry(t *testing.T) {
+	for _, n := range []int{0, 1000, 3_500_000} {
+		path := filepath.Join(t.TempDir(), "archive.bgz")
+		w, err := Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(writerCorpus(n, 3)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path + IndexSuffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sidecar, err := gzindex.Read(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := Open(path, WithoutIndexDiscovery(), WithChunkSize(1<<20))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = a.ExportIndex(&buf)
+		a.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := gzindex.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sidecar.Len() != cold.Len() || sidecar.UncompressedSize != cold.UncompressedSize || sidecar.CompressedSize != cold.CompressedSize {
+			t.Fatalf("%d B: the sidecar has %d points over %d/%d B, a cold export %d over %d/%d B",
+				n, sidecar.Len(), sidecar.UncompressedSize, sidecar.CompressedSize, cold.Len(), cold.UncompressedSize, cold.CompressedSize)
+		}
+		for i := range sidecar.Len() {
+			p, q := sidecar.Point(i), cold.Point(i)
+			if p != q {
+				t.Fatalf("%d B: point %d is %+v in the sidecar, %+v in a cold export", n, i, p, q)
+			}
+			if pm, qm := sidecar.MemberEnds(p.CompressedBitOffset), cold.MemberEnds(q.CompressedBitOffset); !slices.Equal(pm, qm) {
+				t.Fatalf("%d B: point %d has member marks %v in the sidecar, %v in a cold export", n, i, pm, qm)
+			}
+		}
+		if n > 2<<20 && sidecar.Len() < 3 {
+			t.Fatalf("%d B in %d groups, want one about every MiB of output", n, sidecar.Len())
+		}
 	}
 }
 

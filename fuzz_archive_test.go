@@ -118,53 +118,57 @@ func TestUnsizedZstdArchiveDifferential(t *testing.T) {
 // FuzzGzipArchive picks its compressor from.
 var gzipRows = []string{"gzip", "bgzf", "gzip-stdlib", "gzip-single-block", "gzip-multimember"}
 
-// FuzzGzipArchive compresses data of a seeded kind with one of the
-// gzip rows, damages some, and reads it cold through the archive at a
-// chunk size from 64 B to 4 MiB, verifying, against compress/gzip over
-// the whole file: equal bytes with the checksums intact, or a failure on
-// both sides — a read error or a checksum mismatch. compress/gzip also
-// checks framing that no byte depends on (a member whose final-block bit
-// is cleared, where BGZF declares its size), so where it fails the
-// archive may instead serve the original bytes, every member's checksum
-// verified; or, where bytes that do not begin as a member follow a
-// footer, skip them as trailing data, which the archive counts, and
-// serve the members before them, which compress/gzip decodes alone. A
-// second read after a read error fails with the same error:
-// a unit that failed committed nothing. A pass that succeeds exports an
-// index that imports and serves the same bytes, however finely the
-// chunk size cut the file.
+// FuzzGzipArchive compresses up to 256 KiB of data of a seeded kind with
+// one of the gzip rows, damages some, and reads it cold through the
+// archive at a chunk size from 64 B to 4 MiB, verifying, against
+// compress/gzip over the whole file: equal bytes with the checksums
+// intact, or a failure on both sides — a read error or a checksum
+// mismatch. compress/gzip also checks framing that no byte depends on (a
+// member whose final-block bit is cleared, where BGZF declares its
+// size), so where it fails the archive may instead serve the original
+// bytes, every member's checksum verified; or, where bytes that do not
+// begin as a member follow a footer, skip them as trailing data, which
+// the archive counts, and serve the members before them, which
+// compress/gzip decodes alone. A second read after a read error fails
+// with the same error: a unit that failed committed nothing. A pass that
+// succeeds exports an index that imports and serves the same bytes,
+// however finely the chunk size cut the file.
 func FuzzGzipArchive(f *testing.F) {
-	f.Add(uint64(1), uint8(0), uint8(0), uint16(40000), uint32(1<<20), uint8(0), uint32(0))
-	f.Add(uint64(2), uint8(1), uint8(1), uint16(30000), uint32(4000), uint8(0), uint32(0))
-	f.Add(uint64(3), uint8(4), uint8(2), uint16(60000), uint32(0), uint8(0), uint32(0))       // zeros in 64 B chunks
-	f.Add(uint64(4), uint8(2), uint8(3), uint16(50000), uint32(8000), uint8(0), uint32(0))    // one block in small chunks
-	f.Add(uint64(5), uint8(0), uint8(0), uint16(20000), uint32(300), uint8(1), uint32(5000))  // truncated
-	f.Add(uint64(6), uint8(3), uint8(1), uint16(20000), uint32(700), uint8(2), uint32(3000))  // a bit flipped
-	f.Add(uint64(7), uint8(1), uint8(0), uint16(20000), uint32(2000), uint8(2), uint32(9000)) // in a payload
-	f.Add(uint64(8), uint8(0), uint8(0), uint16(0), uint32(0), uint8(0), uint32(0))           // empty input
+	f.Add(uint64(1), uint8(0), uint8(0), uint32(40000), uint32(1<<20), uint8(0), uint32(0))
+	f.Add(uint64(2), uint8(1), uint8(1), uint32(30000), uint32(4000), uint8(0), uint32(0))
+	f.Add(uint64(3), uint8(4), uint8(2), uint32(60000), uint32(0), uint8(0), uint32(0))       // zeros in 64 B chunks
+	f.Add(uint64(4), uint8(2), uint8(3), uint32(50000), uint32(8000), uint8(0), uint32(0))    // one block in small chunks
+	f.Add(uint64(5), uint8(0), uint8(0), uint32(20000), uint32(300), uint8(1), uint32(5000))  // truncated
+	f.Add(uint64(6), uint8(3), uint8(1), uint32(20000), uint32(700), uint8(2), uint32(3000))  // a bit flipped
+	f.Add(uint64(7), uint8(1), uint8(0), uint32(20000), uint32(2000), uint8(2), uint32(9000)) // in a payload
+	f.Add(uint64(8), uint8(0), uint8(0), uint32(0), uint32(0), uint8(0), uint32(0))           // empty input
 	// The flipped bit leaves an empty block behind the last byte, so the
 	// member ends in a span of no bytes.
-	f.Add(uint64(328), uint8(0), uint8(2), uint16(85), uint32(50), uint8(2), uint32(78))
+	f.Add(uint64(328), uint8(0), uint8(2), uint32(85), uint32(50), uint8(2), uint32(78))
 	// A BGZF member's ISIZE flipped to 0: the member's span has no bytes.
-	f.Add(uint64(1), uint8(0), uint8(1), uint16(1), uint32(86), uint8(2), uint32(25))
+	f.Add(uint64(1), uint8(0), uint8(1), uint32(1), uint32(86), uint8(2), uint32(25))
 	// 39,939 zeros in BGZF with a bit of the first member's size field
 	// flipped: the chain of sizes breaks at byte 82, and the file is read
 	// as gzip is.
-	f.Add(uint64(1), uint8(4), uint8(1), uint16(39939), uint32(1<<20), uint8(2), uint32(16))
+	f.Add(uint64(1), uint8(4), uint8(1), uint32(39939), uint32(1<<20), uint8(2), uint32(16))
 	// 65,535 zeros in BGZF with bit 0 of the second member's ID1 flipped:
 	// the chain of sizes breaks at a header that does not parse, where
 	// the member before ends. compress/gzip fails; read as gzip is, the
 	// file would end there, the first member's checksum intact.
-	f.Add(uint64(1), uint8(4), uint8(1), uint16(65535), uint32(1<<20), uint8(2), uint32(105))
+	f.Add(uint64(1), uint8(4), uint8(1), uint32(65535), uint32(1<<20), uint8(2), uint32(105))
 	// Two compress/gzip members with the second cut 5 bytes into its
 	// header: the file does not end behind the first member.
-	f.Add(uint64(9), uint8(0), uint8(4), uint16(60000), uint32(1<<20), uint8(1), uint32(9330))
+	f.Add(uint64(9), uint8(0), uint8(4), uint32(60000), uint32(1<<20), uint8(1), uint32(9330))
 	// The same two members with bit 0 of the second member's ID1 flipped:
 	// what follows the first member does not begin as a member, which the
 	// archive skips as trailing data and compress/gzip refuses.
-	f.Add(uint64(9), uint8(0), uint8(4), uint16(60000), uint32(1<<20), uint8(2), uint32(9325))
-	f.Fuzz(func(t *testing.T, seed uint64, kind, preset uint8, size uint16, chunk uint32, how uint8, where uint32) {
-		n := int(size)
+	f.Add(uint64(9), uint8(0), uint8(4), uint32(60000), uint32(1<<20), uint8(2), uint32(9325))
+	// 200,000 zeros in BGZF, 389 bytes, with bit 7 of byte 360, the top
+	// of the last data member's ISIZE, flipped: the member declares 2 GiB
+	// more output than BGZF holds, and the pass must not allocate it.
+	f.Add(uint64(1), uint8(4), uint8(1), uint32(200_000), uint32(1<<20), uint8(2), uint32(7<<24+115))
+	f.Fuzz(func(t *testing.T, seed uint64, kind, preset uint8, size uint32, chunk uint32, how uint8, where uint32) {
+		n := int(size % (256 << 10))
 		var plain []byte
 		switch kind % 5 {
 		case 0:

@@ -9,122 +9,104 @@ import (
 	"io"
 
 	"repro/internal/bitio"
+	"repro/internal/filereader"
 	"repro/internal/gzformat"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
-	"repro/internal/spanengine"
 )
 
-// scanBGZF builds the full span table of a BGZF file from metadata
+// scanBGZF builds the complete index of a BGZF file from metadata
 // alone — the trivially parallel fast path of §3.4.4: every member
 // header carries the compressed member size (BSIZE) and every footer
 // the uncompressed size (ISIZE), so span boundaries, sizes, and the
 // index are known without decompressing or searching anything.
 //
-// A member's footer and the next member's header are adjacent, so one
-// read into one reused window (a few hundred bytes) serves both: the
-// sizing pass reads each member once, and over a larger-than-RAM file it
-// touches only metadata bytes.
+// It is a walk over member headers with filereader.Walker, as the frame
+// formats' scans are: the first header is one read, and a member's
+// footer and the next member's header, which are adjacent, are one read
+// of 26 bytes together; the body between is skipped. Over a
+// larger-than-RAM file it touches only metadata bytes.
 //
-// Members are grouped into spans of about ChunkSize decompressed bytes,
-// the size the generic path cuts its spans to (splitPoints), so a BGZF
-// file of a given length is as many tasks as a gzip file of that length.
-// A group closes at the first member with output past that size: a
-// member without output (the EOF marker, an empty member) joins the
-// group before it, so no span is empty but the one of an empty file.
-func (c *gzipCodec) scanBGZF() (spanengine.ScanResult, error) {
-	fileSize := int64(c.fileBits / 8)
-
-	var spans []spanengine.Span
-	var pos int64
+// Members are grouped by gzindex.AddMember into spans of about
+// ChunkSize decompressed bytes, the size the generic path cuts its spans
+// to (splitPoints), so a BGZF file of a given length is as many tasks as
+// a gzip file of that length.
+//
+// An ISIZE past what a BGZF member holds, or past what deflate makes of
+// its member, fails the walk, as any break of the member chain does: no
+// declared size reaches an allocation unchecked.
+func (c *gzipCodec) scanBGZF(src filereader.FileReader) (*gzindex.Index, error) {
+	ix := newIndex(c.cfg, src.Size(), c.index.SourceFP)
+	w := filereader.NewWalker(src)
 	var decomp uint64
-	groupStart := int64(0)
-	groupDecomp := uint64(0)
-	var groupMarks []gzindex.MemberEnd
-
-	flush := func(end int64, endDecomp uint64) error {
-		bit := uint64(groupStart) * 8
-		if err := c.index.Add(gzindex.SeekPoint{
-			CompressedBitOffset: bit,
-			UncompressedOffset:  groupDecomp,
-			AtMemberStart:       true,
-		}, nil); err != nil {
-			return err
-		}
-		for _, m := range groupMarks {
-			c.index.AddMemberEnd(bit, m)
-		}
-		groupMarks = nil
-		spans = append(spans, spanengine.Span{
-			CompOff:    groupStart,
-			CompEnd:    end,
-			DecompOff:  int64(groupDecomp),
-			DecompSize: int64(endDecomp - groupDecomp),
-		})
-		groupStart = end
-		groupDecomp = endDecomp
-		return nil
-	}
-
-	// buf holds a footer (CRC32 then ISIZE) and the header window behind
-	// it; win is the part that starts at pos.
-	buf := make([]byte, 8+headerWindow)
-	win, err := c.readWindow(buf[8:], 0, fileSize)
-	if err != nil {
-		return spanengine.ScanResult{}, err
-	}
 	prev := int64(-1) // where the member before pos starts
-	for pos < fileSize {
-		hdr, err := gzformat.ParseHeader(bitio.NewBitReaderBytes(win))
-		if err != nil && int64(len(win)) < fileSize-pos {
-			hdr, err = c.parseHeaderAt(pos, fileSize) // spills past the window
-		}
+	for w.Remaining() > 0 {
+		pos := w.Pos()
+		hdr, err := memberHeader(w)
 		if err != nil {
 			err = fmt.Errorf("core: BGZF member scan at %d: %w", pos, err)
 			if prev >= 0 && c.memberEndsAt(prev, pos) {
 				err = fmt.Errorf("%w: %w", errBadHeader, err)
 			}
-			return spanengine.ScanResult{}, err
+			return nil, err
 		}
-		if hdr.BGZFBlockSize <= 0 {
-			return spanengine.ScanResult{}, fmt.Errorf("core: member at %d lacks BGZF metadata", pos)
+		size := int64(hdr.BGZFBlockSize)
+		switch {
+		case size <= 0:
+			return nil, fmt.Errorf("core: member at %d lacks BGZF metadata", pos)
+		case size > w.Remaining():
+			return nil, fmt.Errorf("core: BGZF member at %d %w", pos, errOverrun)
+		case size < int64(hdr.HeaderSz)+8:
+			return nil, fmt.Errorf("core: BGZF member at %d of %d bytes cannot hold its header and footer", pos, size)
 		}
-		memberEnd := pos + int64(hdr.BGZFBlockSize)
-		if memberEnd > fileSize {
-			return spanengine.ScanResult{}, fmt.Errorf("core: BGZF member at %d %w", pos, errOverrun)
+		w.Skip(size - 8)
+		footer, err := w.Peek(int(min(8+bgzfHeaderLen, w.Remaining())))
+		if err != nil {
+			return nil, fmt.Errorf("core: BGZF member footer at %d: %w", w.Pos(), err)
+		}
+		w.Skip(8)
+		isize := uint64(binary.LittleEndian.Uint32(footer[4:]))
+		if isize > bgzfMaxISize || isize > deflateMaxExpansion*uint64(size) {
+			return nil, fmt.Errorf("core: BGZF member at %d declares %d bytes of output for %d compressed", pos, isize, size)
 		}
 		// The footer's CRC goes into the member marks, which enable
 		// architecture-level CRC verification too.
-		footer, err := c.readWindow(buf, memberEnd-8, fileSize)
-		if err != nil {
-			return spanengine.ScanResult{}, err
-		}
-		win = footer[8:]
-		isize := uint64(binary.LittleEndian.Uint32(footer[4:]))
-		if isize > 0 && decomp-groupDecomp >= uint64(c.cfg.ChunkSize) {
-			if err := flush(pos, decomp); err != nil {
-				return spanengine.ScanResult{}, err
-			}
+		if err := ix.AddMember(uint64(pos), isize, binary.LittleEndian.Uint32(footer), uint64(c.cfg.ChunkSize)); err != nil {
+			return nil, err
 		}
 		decomp += isize
-		groupMarks = append(groupMarks, gzindex.MemberEnd{
-			RelEnd: decomp - groupDecomp,
-			CRC32:  binary.LittleEndian.Uint32(footer[:4]),
-		})
-		prev, pos = pos, memberEnd
+		prev = pos
 	}
-	if pos != fileSize {
-		return spanengine.ScanResult{}, fmt.Errorf("core: BGZF members end at %d, file has %d bytes", pos, fileSize)
+	ix.Finalized = true
+	ix.UncompressedSize = decomp
+	return ix, nil
+}
+
+// bgzfHeaderLen is a BGZF member header without optional fields: the
+// fixed gzip header, XLEN and the BC subfield.
+const bgzfHeaderLen = 18
+
+// bgzfMaxISize is the most output one BGZF member holds.
+const bgzfMaxISize = 1 << 16
+
+// deflateMaxExpansion bounds what deflate makes of its input: a match of
+// 258 bytes costs at least two bits.
+const deflateMaxExpansion = 1032
+
+// memberHeader parses the gzip member header at w's position, without
+// moving past it: it peeks the bytes of a BGZF header without optional
+// fields, and more only where the header's flags and XLEN ask for them.
+func memberHeader(w *filereader.Walker) (gzformat.Header, error) {
+	for n := int64(bgzfHeaderLen); ; n *= 8 {
+		b, err := w.Peek(int(min(n, w.Remaining())))
+		if err != nil {
+			return gzformat.Header{}, err
+		}
+		hdr, err := gzformat.ParseHeader(bitio.NewBitReaderBytes(b))
+		if !errors.Is(err, io.ErrUnexpectedEOF) || int64(len(b)) >= w.Remaining() {
+			return hdr, err
+		}
 	}
-	if err := flush(pos, decomp); err != nil {
-		return spanengine.ScanResult{}, err
-	}
-	c.eof = true
-	c.frontierBit = uint64(fileSize) * 8
-	c.frontierDecomp = decomp
-	c.index.Finalized = true
-	c.index.UncompressedSize = decomp
-	return spanengine.ScanResult{Spans: spans}, nil
 }
 
 // errOverrun is a BGZF member whose size field reaches past the end of
@@ -141,9 +123,9 @@ var errBadHeader = errors.New("a damaged member header")
 // BGZF member header, as it does in what every BGZF writer ends with,
 // the EOF marker — or a member header is damaged, which the generic path
 // would take, where the damage is in its magic, for trailing data and
-// end the file there. Any other break
-// of the member chain is a size field that does not lead to the next
-// member, in a file whose every byte may still decode.
+// end the file there. Any other break of the member chain is a size
+// field that does not lead to the next member, or a size past what a
+// member holds, in a file whose every byte may still decode.
 func (c *gzipCodec) bgzfRefused(err error) bool {
 	if errors.Is(err, errBadHeader) {
 		return true
@@ -151,12 +133,9 @@ func (c *gzipCodec) bgzfRefused(err error) bool {
 	if !errors.Is(err, errOverrun) {
 		return false
 	}
-	fileSize := int64(c.fileBits / 8)
-	tail, err := c.readWindow(make([]byte, len(gzipw.BGZFEOFMarker)), max(fileSize-int64(len(gzipw.BGZFEOFMarker)), 0), fileSize)
-	if err != nil {
-		return true
-	}
-	hdr, err := gzformat.ParseHeader(bitio.NewBitReaderBytes(tail))
+	w := filereader.NewWalker(c.src)
+	w.Skip(max(w.Size()-int64(len(gzipw.BGZFEOFMarker)), 0))
+	hdr, err := memberHeader(w)
 	return err != nil || hdr.BGZFBlockSize <= 0
 }
 
@@ -179,40 +158,4 @@ func (c *gzipCodec) memberEndsAt(start, end int64) bool {
 		return false
 	}
 	return rest.Len() == 8
-}
-
-// headerWindow is the first window a member header is parsed through.
-const headerWindow = 512
-
-// readWindow fills buf from byte offset pos, or with what the file has
-// from there on when that is less, and returns the filled part.
-func (c *gzipCodec) readWindow(buf []byte, pos, fileSize int64) ([]byte, error) {
-	if int64(len(buf)) > fileSize-pos {
-		buf = buf[:max(fileSize-pos, 0)]
-	}
-	if n, err := c.src.ReadAt(buf, pos); err != nil && n < len(buf) {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// parseHeaderAt parses one gzip member header through a bounded window
-// read at byte offset pos, growing the window geometrically when a
-// header (with its optional fields) spills past it.
-func (c *gzipCodec) parseHeaderAt(pos, fileSize int64) (gzformat.Header, error) {
-	win := int64(headerWindow)
-	for {
-		if win > fileSize-pos {
-			win = fileSize - pos
-		}
-		buf := make([]byte, win)
-		if n, err := c.src.ReadAt(buf, pos); err != nil && int64(n) < win {
-			return gzformat.Header{}, err
-		}
-		hdr, err := gzformat.ParseHeader(bitio.NewBitReaderBytes(buf))
-		if err == nil || win >= fileSize-pos {
-			return hdr, err
-		}
-		win *= 8
-	}
 }

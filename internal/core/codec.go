@@ -75,24 +75,30 @@ type gzipCodec struct {
 // newGzipCodec returns a codec over src, whose fingerprint is fp, with
 // the empty index a first pass starts from.
 func newGzipCodec(cfg Config, src *filereader.SharedFileReader, bgzf bool, fp *gzindex.Fingerprint) *gzipCodec {
-	c := &gzipCodec{
+	return &gzipCodec{
 		cfg:      cfg,
 		src:      src,
 		fileBits: uint64(src.Size()) * 8,
 		bgzf:     bgzf,
-		index:    gzindex.New(cfg.ChunkSize),
+		index:    newIndex(cfg, src.Size(), fp),
 		consumed: map[int]bool{},
 		// The first entry is what a stream's first round asks for, or a
 		// quarter chunk where that is less: a reader that streams has the
 		// rest of the cell confirmed while it writes those bytes.
 		firstEntry: uint64(max(min(cfg.ChunkSize/4, spanengine.FirstRound), 1)),
 	}
-	c.index.CompressedSize = uint64(src.Size())
-	c.index.SourceFP = fp
-	// First-pass confirmation observes every footer, so the index it
-	// builds carries the complete set of member marks.
-	c.index.MemberMarksComplete = true
-	return c
+}
+
+// newIndex returns the empty index a first pass over a file of size
+// bytes, whose fingerprint is fp, starts from.
+func newIndex(cfg Config, size int64, fp *gzindex.Fingerprint) *gzindex.Index {
+	ix := gzindex.New(cfg.ChunkSize)
+	ix.CompressedSize = uint64(size)
+	ix.SourceFP = fp
+	// A first pass observes every footer, so the index it builds carries
+	// the complete set of member marks.
+	ix.MemberMarksComplete = true
+	return ix
 }
 
 func (c *gzipCodec) chunkBits() uint64 { return uint64(c.cfg.ChunkSize) * 8 }
@@ -121,12 +127,33 @@ func (c *gzipCodec) BitAddressed() {}
 
 // Scan is the sizing pass. Only the BGZF metadata walk implements it
 // (see bgzf.go); generic gzip runs in growing mode, where Scan is never
-// called.
+// called. A walk that fails leaves the codec as it found it, for the
+// growing engine to start from.
 func (c *gzipCodec) Scan(src filereader.FileReader) (spanengine.ScanResult, error) {
-	if c.bgzf {
-		return c.scanBGZF()
+	if !c.bgzf {
+		return spanengine.ScanResult{}, errors.New("core: gzip has no metadata sizing pass (growing mode only)")
 	}
-	return spanengine.ScanResult{}, errors.New("core: gzip has no metadata sizing pass (growing mode only)")
+	ix, err := c.scanBGZF(src)
+	if err != nil {
+		return spanengine.ScanResult{}, err
+	}
+	return spanengine.ScanResult{Spans: c.install(ix)}, nil
+}
+
+// install makes ix, an index of the whole file, the codec's table, its
+// frontier the end of the file, and returns the engine's spans: span i
+// is point i.
+func (c *gzipCodec) install(ix *gzindex.Index) []spanengine.Span {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.index, c.eof = ix, true
+	c.frontierBit, c.frontierDecomp = ix.CompressedSize*8, ix.UncompressedSize
+	spans := make([]spanengine.Span, ix.Len())
+	for i := range spans {
+		p, next, _ := c.spanLocked(i)
+		spans[i] = engineSpan(p, next)
+	}
+	return spans
 }
 
 // DecodeSpan decodes one confirmed span whole. The engine asks through
@@ -187,7 +214,7 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 		// The rest of the span is read at once: the decode's first
 		// round read only as far as its request.
 		d.rest = upTo == s.DecompSize
-		res, err = d.Resume(uint64(upTo))
+		res, err = d.Resume(stopAt(next, endIsEOF, size, uint64(upTo)))
 		if d.done != nil {
 			d.done()
 		}
@@ -195,7 +222,7 @@ func (c *gzipCodec) DecodeSpanPrefix(src filereader.FileReader, s spanengine.Spa
 		d = new(spanDecode)
 		var window []byte
 		if window, err = c.pointWindow(i); err == nil {
-			res, err = c.startSpan(d, p, window, next.CompressedBitOffset, endIsEOF, size, uint64(upTo))
+			res, err = c.startSpan(d, p, window, next, endIsEOF, size, uint64(upTo))
 		}
 	}
 	if err == nil && (res.TotalOut() < uint64(upTo) || res.TotalOut() > size) {
@@ -306,7 +333,7 @@ func (c *gzipCodec) rebuildWindow(i int) error {
 		p, next, endIsEOF := c.spanLocked(k)
 		c.mu.Unlock()
 		size := next.UncompressedOffset - p.UncompressedOffset
-		res, err := c.startSpan(new(spanDecode), p, hist, next.CompressedBitOffset, endIsEOF, size, size)
+		res, err := c.startSpan(new(spanDecode), p, hist, next, endIsEOF, size, size)
 		if err != nil {
 			return fmt.Errorf("span at bit %d: %w", p.CompressedBitOffset, err)
 		}
@@ -355,10 +382,11 @@ func (c *gzipCodec) rebuildWindows() error {
 }
 
 // startSpan begins d, the decode of the span of size bytes at point p,
-// whose window is window, which ends at endBit (at the end of the file
-// if endIsEOF), bounded by upTo bytes of output.
-func (c *gzipCodec) startSpan(d *spanDecode, p gzindex.SeekPoint, window []byte, endBit uint64, endIsEOF bool, size, upTo uint64) (*deflate.ChunkResult, error) {
+// whose window is window, which ends at point next (at the end of the
+// file if endIsEOF), bounded by upTo bytes of output.
+func (c *gzipCodec) startSpan(d *spanDecode, p gzindex.SeekPoint, window []byte, next gzindex.SeekPoint, endIsEOF bool, size, upTo uint64) (*deflate.ChunkResult, error) {
 	fileSize := int64(c.fileBits / 8)
+	endBit := next.CompressedBitOffset
 	byteStart := int64(p.CompressedBitOffset / 8)
 	// The decoder reads the next block's header fields before checking
 	// the stop condition (up to ~6 bytes past the entry for a stored
@@ -406,12 +434,25 @@ func (c *gzipCodec) startSpan(d *spanDecode, p gzindex.SeekPoint, window []byte,
 		Window:             window,
 		StartsAtGzipHeader: p.AtMemberStart,
 		SizeHint:           int(size),
-		// The block at the entry's end bit need not be stop-eligible
-		// (sharded writers can open the next shard with a final or
-		// Fixed block); the index size bounds the decode instead.
-		StopAtOutput: upTo,
+		StopAtOutput:       stopAt(next, endIsEOF, size, upTo),
 	})
 	return res, d.failed(err)
+}
+
+// stopAt is the output limit of a decode, to make upTo bytes, of a span
+// of size bytes that ends at point next (at the end of the file if
+// endIsEOF). A span that ends inside a member, at a point a sharded
+// writer recorded, stops at its size: the block at its end bit need not
+// be stop-eligible (a shard can open with a final or Fixed block). A
+// whole span that ends where a member starts, or at the end of the file,
+// is decoded on to that end, and fails (DecodeSpanPrefix) unless it made
+// size bytes: a size the table got wrong is an error, not the bytes of
+// a member the span does not reach.
+func stopAt(next gzindex.SeekPoint, endIsEOF bool, size, upTo uint64) uint64 {
+	if upTo == size && (next.AtMemberStart || endIsEOF) {
+		return 0
+	}
+	return upTo
 }
 
 // spanDecode is the decode of one span from its seek point, and what it
@@ -660,9 +701,11 @@ func (c *gzipCodec) decodeFrontier(E, header, stop uint64, atMember bool, window
 		Stop:               stop,
 		Window:             window,
 		StartsAtGzipHeader: atMember,
-		SizeHint:           4 * c.cfg.ChunkSize,
-		PointEvery:         c.pointEvery(),
-		PauseAtPointPast:   stop + c.capBits(),
+		// A unit makes about four times the cell it reads, or what is
+		// left of the file where that is less.
+		SizeHint:         4 * int(min(int64(c.cfg.ChunkSize), fileSize-int64(E/8))),
+		PointEvery:       c.pointEvery(),
+		PauseAtPointPast: stop + c.capBits(),
 	}
 	if atMember {
 		cfg.StopAtOutput = c.firstEntry

@@ -65,8 +65,11 @@ type Config struct {
 	// Parallelism is the worker count (values < 1 are clamped to 1),
 	// from which spanengine sizes the engine as it does every other.
 	Parallelism int
-	// ChunkSize is the compressed bytes per work unit (paper default
-	// 4 MiB; Figure 12 sweeps this parameter).
+	// ChunkSize has two meanings (paper default 4 MiB; Figure 12 sweeps
+	// this parameter): the compressed bytes of one speculative cell
+	// (chunkBits), the grid guesses and frontier units are laid on, and
+	// the decompressed bytes a span is cut to, by splitPoints inside a
+	// unit and by gzindex.AddMember grouping BGZF members.
 	ChunkSize int
 	// VerifyChecksums enables gzip CRC32 verification during sequential
 	// consumption, combined across chunks with crc32x — the checksum
@@ -179,11 +182,6 @@ func New(src filereader.FileReader, cfg Config) (*spanengine.Engine, error) {
 		if err != nil && c.bgzfRefused(err) {
 			return nil, err
 		}
-		if err != nil {
-			// The scan added points before it failed: the generic path
-			// starts over with an empty index.
-			c = newGzipCodec(c.cfg, c.src, c.bgzf, c.index.SourceFP)
-		}
 	}
 	if eng == nil {
 		if eng, err = spanengine.NewGrowing(c.src, c, 0, ec); err != nil {
@@ -232,17 +230,7 @@ func NewFromIndex(src filereader.FileReader, ix *gzindex.Index, cfg Config) (*sp
 	// The points are the span table; a checkpoint section that older
 	// exports carry repeats it and is dropped.
 	ix.Checkpoints = nil
-	c.index = ix
-	c.eof = true
-	c.frontierBit = ix.CompressedSize * 8
-	c.frontierDecomp = ix.UncompressedSize
-
-	spans := make([]spanengine.Span, ix.Len())
-	for i := range spans {
-		p, next, _ := c.spanLocked(i)
-		spans[i] = engineSpan(p, next)
-	}
-	eng, err := spanengine.NewFromCheckpoints(c.src, c, spans, 0, spanengine.Config{Threads: c.cfg.Parallelism, Pool: c.cfg.Pool})
+	eng, err := spanengine.NewFromCheckpoints(c.src, c, c.install(ix), 0, spanengine.Config{Threads: c.cfg.Parallelism, Pool: c.cfg.Pool})
 	if err != nil {
 		return nil, err
 	}

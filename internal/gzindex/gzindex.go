@@ -417,6 +417,34 @@ func (ix *Index) AddMemberEnd(compressedBitOffset uint64, m MemberEnd) {
 	ix.memberEnds[compressedBitOffset] = append(ix.memberEnds[compressedBitOffset], m)
 }
 
+// AddMember records the next member of a file whose members are sized
+// by their metadata, as BGZF's are, without a decode: the member whose
+// header is at byte off, which decodes to size bytes and whose footer
+// holds crc. Members are grouped under member-start seek points, the
+// first member opening the first group. A group closes before the first
+// member with output once it holds target bytes of output or more: a
+// member without output (the EOF marker, an empty member) joins the
+// group before it, so that no point covers no bytes but an empty file's.
+func (ix *Index) AddMember(off, size uint64, crc uint32, target uint64) error {
+	var p SeekPoint // the open group's
+	var held uint64 // the output it holds
+	if n := len(ix.points); n > 0 {
+		p = ix.points[n-1]
+		if m := ix.memberEnds[p.CompressedBitOffset]; len(m) > 0 {
+			held = m[len(m)-1].RelEnd
+		}
+	}
+	if len(ix.points) == 0 || size > 0 && held >= target {
+		p = SeekPoint{CompressedBitOffset: off * 8, UncompressedOffset: p.UncompressedOffset + held, AtMemberStart: true}
+		if err := ix.Add(p, nil); err != nil {
+			return err
+		}
+		held = 0
+	}
+	ix.AddMemberEnd(p.CompressedBitOffset, MemberEnd{RelEnd: held + size, CRC32: crc})
+	return nil
+}
+
 // MemberEnds returns the member boundaries recorded for a seek point.
 func (ix *Index) MemberEnds(compressedBitOffset uint64) []MemberEnd {
 	return ix.memberEnds[compressedBitOffset]

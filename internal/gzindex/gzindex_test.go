@@ -3,6 +3,7 @@ package gzindex
 import (
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -81,6 +82,33 @@ func TestTruncate(t *testing.T) {
 	ix.Truncate(2)
 	if err := ix.Add(SeekPoint{CompressedBitOffset: 1700, UncompressedOffset: 7000, BlockHeaderBit: 1000}, nil); err == nil {
 		t.Fatal("a header before the last kept point was accepted")
+	}
+}
+
+// TestAddMemberGroups: a group closes before the first member with
+// output once it holds the target, and members without output join the
+// group before them, the first member's group included.
+func TestAddMemberGroups(t *testing.T) {
+	ix := New(0)
+	for i, size := range []uint64{0, 60, 40, 0, 50, 70, 0} {
+		if err := ix.AddMember(uint64(100*i), size, uint32(i), 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []struct {
+		p     SeekPoint
+		marks []MemberEnd
+	}{
+		{SeekPoint{CompressedBitOffset: 0, UncompressedOffset: 0, AtMemberStart: true}, []MemberEnd{{0, 0}, {60, 1}, {100, 2}, {100, 3}}},
+		{SeekPoint{CompressedBitOffset: 400 * 8, UncompressedOffset: 100, AtMemberStart: true}, []MemberEnd{{50, 4}, {120, 5}, {120, 6}}},
+	}
+	if ix.Len() != len(want) {
+		t.Fatalf("%d points, want %d", ix.Len(), len(want))
+	}
+	for i, w := range want {
+		if p, marks := ix.Point(i), ix.MemberEnds(w.p.CompressedBitOffset); p != w.p || !slices.Equal(marks, w.marks) {
+			t.Errorf("point %d is %+v with marks %v, want %+v with %v", i, p, marks, w.p, w.marks)
+		}
 	}
 }
 

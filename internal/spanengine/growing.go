@@ -126,7 +126,9 @@ func (e *Engine) AppendSpans(spans ...Span) int {
 // the worker pool (at resolution priority, ahead of speculation) and
 // its result lands in the span cache. Accesses arriving before it
 // finishes join the future exactly like a prefetch in flight. No-op if
-// the span is already cached or in flight.
+// the span is already cached or in flight. A prime that finds the engine
+// closed does not decode, as a queued decodeTask does not, and one that
+// Close overtook counts nothing in Stats: nobody reads what it made.
 func (e *Engine) Prime(i int, decode func() ([]byte, error)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -134,13 +136,17 @@ func (e *Engine) Prime(i int, decode func() ([]byte, error)) {
 		return
 	}
 	e.inflight[i] = flight{fut: pool.Go(e.pool, func() ([]byte, error) {
-		data, err := decode()
+		e.mu.Lock()
+		closed := e.closed
+		e.mu.Unlock()
+		data, err := []byte(nil), error(ErrClosed)
+		if !closed {
+			data, err = decode()
+		}
 		e.mu.Lock()
 		delete(e.inflight, i)
-		if err == nil {
-			e.stats.DecodedBytes += uint64(len(data))
-		}
 		if err == nil && !e.closed {
+			e.stats.DecodedBytes += uint64(len(data))
 			e.cache.Put(i, &entry{data: data})
 		}
 		e.mu.Unlock()

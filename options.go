@@ -93,7 +93,10 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithChunkSize sets the compressed bytes handed to one worker task.
+// WithChunkSize sets the chunk size of gzip and BGZF, which has two
+// meanings: the compressed bytes of one speculative cell a worker
+// guesses a block start in, and the decompressed bytes a span is cut to
+// (at a block of a gzip file, by grouping members of a BGZF file).
 // Zero selects the paper's 4 MiB default.
 func WithChunkSize(n int) Option {
 	return func(c *config) error {

@@ -6,13 +6,6 @@ import (
 	"repro/internal/zstdx"
 )
 
-// bgzfGroupTarget is the compressed bytes grouped under one seek point
-// in a BGZF sidecar, so one decode task amortises header parsing over
-// many small members. The read side's metadata scan groups members
-// differently, by ChunkSize decompressed bytes; both geometries are
-// valid indexes of the same file.
-const bgzfGroupTarget = 512 << 10
-
 // buildIndex assembles the RGZIDX05 index from the checkpoints the
 // shard loop recorded: the file's seek points, written from knowledge
 // instead of discovery.
@@ -54,44 +47,21 @@ func (w *writer) fillGzipIndex(ix *gzindex.Index) error {
 }
 
 // fillBGZFIndex emits the member-per-chunk geometry: members grouped
-// into spans of about bgzfGroupTarget compressed bytes, one
-// member-start seek point per group, and a member-end mark (footer
-// CRC32) per member — plus the trailing EOF member's zero mark. A group
-// closes at the first member with output past the target; a member
-// without output, the EOF marker among them, joins the group before it,
-// as in the read side's scan. Only an empty input has a point of its
-// own for the EOF member.
+// by gzindex.AddMember, the rule a cold open's scan groups them by, into
+// spans of about defaultShardSize bytes of output (the spacing of a
+// gzip sidecar's points), one member-start seek point per group, and a
+// member-end mark (footer CRC32) per member — plus the trailing EOF
+// member's zero mark. The sidecar is then the index a cold open exports
+// at a ChunkSize of defaultShardSize.
 func (w *writer) fillBGZFIndex(ix *gzindex.Index) error {
-	total := ix.UncompressedSize
 	ix.MemberMarksComplete = true
-	groupBit, groupDecomp := uint64(0), uint64(0)
-	open := func(bit, decomp uint64) error {
-		groupBit, groupDecomp = bit, decomp
-		return ix.Add(gzindex.SeekPoint{
-			CompressedBitOffset: bit,
-			UncompressedOffset:  decomp,
-			AtMemberStart:       true,
-		}, nil)
-	}
-	for i, cp := range w.cps {
-		if i == 0 || cp.decompSize > 0 && uint64(cp.compOff)-groupBit/8 >= bgzfGroupTarget {
-			if err := open(uint64(cp.compOff)*8, uint64(cp.decompOff)); err != nil {
-				return err
-			}
-		}
-		ix.AddMemberEnd(groupBit, gzindex.MemberEnd{
-			RelEnd: uint64(cp.decompOff+cp.decompSize) - groupDecomp,
-			CRC32:  cp.crc,
-		})
-	}
-	if len(w.cps) == 0 {
-		if err := open((ix.CompressedSize-uint64(len(gzipw.BGZFEOFMarker)))*8, total); err != nil {
+	for _, cp := range w.cps {
+		if err := ix.AddMember(uint64(cp.compOff), uint64(cp.decompSize), cp.crc, defaultShardSize); err != nil {
 			return err
 		}
 	}
 	// The canonical EOF marker is itself a member: ISIZE 0, CRC 0.
-	ix.AddMemberEnd(groupBit, gzindex.MemberEnd{RelEnd: total - groupDecomp, CRC32: 0})
-	return nil
+	return ix.AddMember(ix.CompressedSize-uint64(len(gzipw.BGZFEOFMarker)), 0, 0, defaultShardSize)
 }
 
 // fillZstdIndex persists the per-frame checkpoint table — the same
