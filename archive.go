@@ -298,8 +298,8 @@ type backend struct {
 var backends = map[Format]backend{
 	FormatGzip: gzipBackend,
 	FormatBGZF: gzipBackend,
-	// The stdlib bzip2 decoder verifies block CRCs on every decode, so
-	// Verify holds unconditionally.
+	// Every bzip2 decode checks the CRCs of its blocks, and reads in order
+	// the CRC of their stream, so Verify holds unconditionally.
 	FormatBzip2: codecBackend(bzip2x.Codec{}, func(_ uint8, spans int, _ bool) Capabilities {
 		return spanCaps(spans > 1, true)
 	}),

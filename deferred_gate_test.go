@@ -1,6 +1,10 @@
 package rapidgzip
 
 import (
+	"bytes"
+	"compress/bzip2"
+	"errors"
+	"io"
 	"runtime"
 	"sort"
 	"testing"
@@ -32,7 +36,7 @@ func TestDeferredSizeProxyGates(t *testing.T) {
 		// against, and wasRead the source B per compressed B at 39f0c11.
 		maxAlloc, wasAlloc, wasRead float64
 	}{
-		{"bzip2", 2 << 20, 256 << 10, 8, 1.5, 6.45, 3.00},
+		{"bzip2", 2 << 20, 256 << 10, 24, 1.5, 6.45, 3.00}, // eight streams of three level-1 blocks
 		{"zstd-unsized", 8 << 20, 1 << 20, 8, 1.1 * 6.57, 6.57, 2.39},
 	}
 	for _, tc := range cases {
@@ -78,4 +82,73 @@ func TestDeferredSizeProxyGates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSingleStreamBzip2IsParallel holds a bzip2 file of one stream, as the
+// bzip2 CLI writes one — 8 MiB at level 9, ten blocks — to what a span a
+// block promises, without a clock: parallel decode and random access at
+// Open; a cold WriteTo that decodes each block once, all of them, to the
+// bytes compress/bzip2 makes of the file, and whose first Write waits for
+// the first block alone; and, reopened through its export, no sizing pass
+// and a read at the end that decodes no more than two blocks.
+func TestSingleStreamBzip2IsParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compresses 8 MiB at level 9")
+	}
+	fx := build(t, "bzip2-9", workloads.SilesiaLike(8<<20, 1), 0)
+	want, err := io.ReadAll(bzip2.NewReader(bytes.NewReader(fx.comp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, _ := bzip2Magics(fx.comp)
+	if len(blocks) != 10 {
+		t.Fatalf("fixture has %d blocks, want 10", len(blocks))
+	}
+	open := func() Archive {
+		a, err := fx.open("file", WithoutIndexDiscovery(), WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { a.Close() })
+		return a
+	}
+
+	a := open()
+	if c := a.Capabilities(); !c.Parallel || !c.RandomAccess {
+		t.Fatalf("capabilities at Open: %+v", c)
+	}
+	var first firstWrite
+	if _, err := a.WriteTo(&first); !errors.Is(err, errFirstWrite) {
+		t.Fatalf("WriteTo = %v, want the writer's failure", err)
+	}
+	span0 := a.(*archive).cur.Load().eng.CheckpointTable().Spans[0]
+	if n := len(first.p); n != int(span0.DecompSize) || !bytes.Equal(first.p, want[:n]) {
+		t.Fatalf("first Write of %d bytes, want the first block's %d", n, span0.DecompSize)
+	}
+
+	a = open()
+	check := &matchWriter{want: want}
+	if n, err := a.WriteTo(check); err != nil || n != int64(len(want)) || check.differs {
+		t.Fatalf("cold WriteTo: %d bytes, %v, output differs %v", n, err, check.differs)
+	}
+	st := a.Stats()
+	if st.SpanDecodes != uint64(len(blocks)) || st.DecodedBytes != uint64(len(want)) || st.SpanResumes != 0 {
+		t.Fatalf("cold WriteTo: %d decodes (%d resumed) of %d bytes; want %d of %d", st.SpanDecodes, st.SpanResumes, st.DecodedBytes, len(blocks), len(want))
+	}
+	var index bytes.Buffer
+	if err := a.ExportIndex(&index); err != nil {
+		t.Fatal(err)
+	}
+
+	b := open()
+	if err := b.ImportIndex(&index); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkReadAt(b, want, int64(len(want))-64<<10, 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	if st := b.Stats(); st.SizingPasses != 0 || st.SpanDecodes > 2 {
+		t.Fatalf("a 64 KiB read at the end through the export: %d sizing passes, %d decodes; want 0 and at most 2", st.SizingPasses, st.SpanDecodes)
+	}
+	t.Logf("%d blocks; first Write %d bytes; cold pass %d decodes; through the export a read at the end decoded %d", len(blocks), len(first.p), st.SpanDecodes, b.Stats().SpanDecodes)
 }

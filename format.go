@@ -21,8 +21,9 @@ const (
 	// carry their compressed size in a "BC" extra subfield, enabling
 	// the metadata fast path of §3.4.4.
 	FormatBGZF
-	// FormatBzip2 is bzip2, decompressed with lbzip2-style stream-level
-	// parallelism and checkpointed per-stream random access.
+	// FormatBzip2 is bzip2, decompressed with lbzip2-style block-level
+	// parallelism and checkpointed per-block random access, within a
+	// stream as across streams.
 	FormatBzip2
 	// FormatLZ4 is the LZ4 frame format, with frame-level parallelism
 	// and checkpointed per-frame random access.
@@ -133,7 +134,8 @@ type Capabilities struct {
 	// RandomAccess reports sub-linear seeking: the archive reaches an
 	// arbitrary offset via checkpoints or an index without decoding
 	// everything before it. Seek without RandomAccess means a seek may
-	// cost a full decode (e.g. single-stream bzip2).
+	// cost a full decode (e.g. a single-frame LZ4 file, or bzip2 of one
+	// block).
 	RandomAccess bool
 	// Parallel reports multi-core decompression for this archive.
 	Parallel bool

@@ -28,7 +28,6 @@ import (
 	"testing"
 
 	"repro/internal/bzip2x"
-	"repro/internal/filereader"
 	"repro/internal/gzformat"
 	"repro/internal/gzindex"
 	"repro/internal/gzipw"
@@ -61,9 +60,7 @@ var formats = []formatRow{
 		comp, _, err := gzipw.Compress(p, gzipw.Options{Level: 6, BGZF: true})
 		return comp, err
 	}},
-	{"bzip2", "data.bz2", FormatBzip2, func(p []byte, span int) ([]byte, error) {
-		return bzip2x.Compress(p, bzip2x.WriterOptions{Level: 1, StreamSize: span})
-	}},
+	{"bzip2", "data.bz2", FormatBzip2, bzip2Streams(1)},
 	{"lz4", "data.lz4", FormatLZ4, lz4Frames(true)},
 	{"zstd", "data.zst", FormatZstd, zstdFrames(zstdx.FrameOptions{Level: 1, ContentChecksum: true})},
 
@@ -81,6 +78,8 @@ var formats = []formatRow{
 	}},
 	{"lz4-nochecksum", "data-nochecksum.lz4", FormatLZ4, lz4Frames(false)},
 	{"zstd-nochecksum", "data-nochecksum.zst", FormatZstd, zstdFrames(zstdx.FrameOptions{Level: 1})},
+	// bzip2 -9, the CLI's default: blocks of 900 kB.
+	{"bzip2-9", "data-9.bz2", FormatBzip2, bzip2Streams(9)},
 	// Frames without a content size: only decoding sizes them.
 	{"zstd-unsized", "data-unsized.zst", FormatZstd, zstdFrames(zstdx.FrameOptions{Level: 1, OmitContentSize: true})},
 	{"zstd-unsized-checksum", "data-unsized-checksum.zst", FormatZstd,
@@ -116,6 +115,12 @@ func stdlibMembers(size int) func([]byte, int) ([]byte, error) {
 			p = p[n:]
 		}
 		return buf.Bytes(), nil
+	}
+}
+
+func bzip2Streams(level int) func([]byte, int) ([]byte, error) {
+	return func(p []byte, span int) ([]byte, error) {
+		return bzip2x.Compress(p, bzip2x.WriterOptions{Level: level, StreamSize: span})
 	}
 }
 
@@ -1207,7 +1212,7 @@ var capabilityCases = map[string][]struct {
 		{"no-checksum", "zstd-nochecksum", 100 << 10, nil, true, false},
 	},
 	"TestCapabilitiesNonSeekableCases": {
-		{"bzip2-single-stream", "bzip2", 0, nil, false, true},
+		{"bzip2-single-stream", "bzip2", 0, nil, true, true}, // two level-1 blocks
 		{"lz4-single-frame", "lz4-nochecksum", 0, []Option{WithFormat(FormatLZ4)}, false, false},
 		{"bzip2-multi-stream", "bzip2", 50 << 10, nil, true, true},
 		{"lz4-multi-frame", "lz4", 50 << 10, nil, true, true},
@@ -1493,33 +1498,56 @@ func TestEvictionPressureThroughArchive(t *testing.T) {
 }
 
 // TestBzip2GrownTableIsTheSizingPassTable: the table a bzip2 archive grows
-// by reading is the one a pass that decodes every stream to size it finds
-// — built here that way, from the stream magics and compress/bzip2 — so
-// its index is what the commit before the growing table exported for the
-// same file, and imports. The file is multiformat-seq's corpus.bz2 of the
-// repo benchmark (seed 1).
+// by reading has a span a block, sized as compress/bzip2 decodes the block
+// alone — found here bzip2recover's way, apart from the archive's scan:
+// the 48-bit block magics at every bit of the file, each block's bits up
+// to the next block or footer magic rewrapped as a stream of its own — so
+// its index lists the blocks, with the file's level as its flags, and
+// imports. The table an index written before spans were blocks holds, one
+// span a stream, still imports and serves the file. The file is
+// multiformat-seq's corpus.bz2 of the repo benchmark (seed 1).
 func TestBzip2GrownTableIsTheSizingPassTable(t *testing.T) {
 	fx := build(t, "bzip2", workloads.SilesiaLike(1<<20, 1), 1<<18)
 	plain, comp := fx.plain, fx.comp
-	var want []gzindex.Checkpoint
-	starts, err := bzip2x.FindStreamsReader(filereader.MemoryReader(comp))
-	if err != nil {
-		t.Fatal(err)
+	bitAt := func(i int) uint64 { return uint64(comp[i/8] >> (7 - i%8) & 1) }
+	read := func(i, n int) (v uint64) {
+		for j := i; j < i+n; j++ {
+			v = v<<1 | bitAt(j)
+		}
+		return v
 	}
-	for i, off := range starts {
-		end := int64(len(comp))
-		if i+1 < len(starts) {
-			end = starts[i+1]
+	blocks, footers := bzip2Magics(comp)
+	magics := slices.Sorted(slices.Values(append(slices.Clone(blocks), footers...)))
+	var want []gzindex.Checkpoint
+	for k, at := range magics {
+		if !slices.Contains(blocks, at) {
+			continue
 		}
-		out, err := io.ReadAll(bzip2.NewReader(bytes.NewReader(comp[off:end])))
+		// The block as a stream: header, its bits, a footer whose CRC is the
+		// block's.
+		var w bitAppender
+		w.put('B'<<16|'Z'<<8|'h', 24)
+		w.put(uint64(comp[3]), 8)
+		for i := at; i < magics[k+1]; i++ {
+			w.put(bitAt(i), 1)
+		}
+		w.put(bzip2FooterMagic, 48)
+		w.put(read(at+48, 32), 32)
+		out, err := io.ReadAll(bzip2.NewReader(bytes.NewReader(w.bytes())))
 		if err != nil {
-			t.Fatalf("fixture has a false-positive magic at %d: %v", off, err)
+			t.Fatalf("the block at bit %d: %v", at, err)
 		}
-		c := gzindex.Checkpoint{CompOff: off, CompEnd: end, DecompSize: int64(len(out))}
-		if i > 0 {
-			c.DecompOff = want[i-1].DecompOff + want[i-1].DecompSize
+		c := gzindex.Checkpoint{CompOff: int64(at / 8), CompEnd: int64(len(comp)), DecompSize: int64(len(out))}
+		if n := len(want); n == 0 {
+			c.CompOff = 0
+		} else {
+			c.DecompOff = want[n-1].DecompOff + want[n-1].DecompSize
+			want[n-1].CompEnd = c.CompOff
 		}
 		want = append(want, c)
+	}
+	if len(want) != 12 { // four streams of three level-1 blocks
+		t.Fatalf("fixture has %d blocks", len(want))
 	}
 
 	a, err := fx.open("file", WithParallelism(2), WithoutIndexDiscovery())
@@ -1539,30 +1567,221 @@ func TestBzip2GrownTableIsTheSizingPassTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct := ix.Checkpoints; ct == nil || ct.Format != bzip2x.FormatTag || ct.Flags != 0 || !slices.Equal(ct.Spans, want) ||
+	if ct := ix.Checkpoints; ct == nil || ct.Format != bzip2x.FormatTag || ct.Flags != 1 || !slices.Equal(ct.Spans, want) ||
 		ix.UncompressedSize != uint64(len(plain)) || ix.CompressedSize != uint64(len(comp)) {
 		t.Fatalf("exported table %+v, want spans %+v", ix.Checkpoints, want)
 	}
 
-	b, err := fx.open("file", WithParallelism(2), WithoutIndexDiscovery())
+	// The same index with a span a stream, as the table was before: each
+	// stream's three blocks merged, from its header on.
+	streams := &gzindex.CheckpointTable{Format: bzip2x.FormatTag}
+	for i, c := range want {
+		if i%3 != 0 {
+			last := &streams.Spans[len(streams.Spans)-1]
+			last.CompEnd, last.DecompSize = c.CompEnd, last.DecompSize+c.DecompSize
+			continue
+		}
+		if i > 0 {
+			if c.CompOff -= 4; string(comp[c.CompOff:c.CompOff+4]) != "BZh1" {
+				t.Fatalf("no stream header before the block at byte %d", c.CompOff+4)
+			}
+			streams.Spans[len(streams.Spans)-1].CompEnd = c.CompOff
+		}
+		streams.Spans = append(streams.Spans, c)
+	}
+	ix.Checkpoints = streams
+	var streamIndex bytes.Buffer
+	if _, err := ix.WriteTo(&streamIndex); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		index *bytes.Buffer
+		spans int
+	}{{"blocks", &ixBytes, len(want)}, {"streams", &streamIndex, len(streams.Spans)}} {
+		b, err := fx.open("file", WithParallelism(2), WithoutIndexDiscovery())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Close()
+		if err := b.ImportIndex(tc.index); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if size, ok := b.DecompressedSize(); !ok || size != int64(len(plain)) {
+			t.Fatalf("%s: DecompressedSize through the index = %d, %v", tc.name, size, ok)
+		}
+		var out bytes.Buffer
+		if _, err := b.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), plain) {
+			t.Fatalf("%s: WriteTo through the index: %d bytes, %v", tc.name, out.Len(), err)
+		}
+		if s := b.Stats(); s.SizingPasses != 0 || s.SpanDecodes != uint64(tc.spans) || s.DecodedBytes != uint64(len(plain)) {
+			t.Fatalf("%s: through the index: %+v", tc.name, s)
+		}
+		if err := checkReadAt(b, plain, 900_000, 5000); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// TestBzip2ReferenceFile opens a file the reference bzip2 wrote, one
+// stream of four blocks — `bzip2 -1` of workloads.SilesiaLike(320_000, 47),
+// kept in internal/bzip2x/testdata — from its bytes and from its file: it
+// reports parallel decode and random access at Open, decodes each block
+// once to the bytes compress/bzip2 makes of it, which are the corpus's,
+// and its exported table reimports without a sizing pass.
+func TestBzip2ReferenceFile(t *testing.T) {
+	const path = "internal/bzip2x/testdata/silesia-320k-seed47.bz2"
+	comp, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer b.Close()
-	if err := b.ImportIndex(&ixBytes); err != nil {
-		t.Fatal(err)
+	want, err := io.ReadAll(bzip2.NewReader(bytes.NewReader(comp)))
+	if err != nil || !bytes.Equal(want, workloads.SilesiaLike(320_000, 47)) {
+		t.Fatalf("compress/bzip2 makes %d bytes of the file, %v; want the corpus", len(want), err)
 	}
-	if size, ok := b.DecompressedSize(); !ok || size != int64(len(plain)) {
-		t.Fatalf("DecompressedSize through the index = %d, %v", size, ok)
+	if blocks, footers := bzip2Magics(comp); len(blocks) != 4 || len(footers) != 1 {
+		t.Fatalf("the file has %d blocks in %d streams, want 4 in 1", len(blocks), len(footers))
 	}
-	var out bytes.Buffer
-	if _, err := b.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), plain) {
-		t.Fatalf("WriteTo through the index: %d bytes, %v", out.Len(), err)
-	}
-	if s := b.Stats(); s.SizingPasses != 0 || s.DecodedBytes != uint64(len(plain)) {
-		t.Fatalf("through the index: %+v", s)
+	for _, backing := range []string{"bytes", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			open := func() Archive {
+				a, err := OpenBytes(comp, WithParallelism(2))
+				if backing == "file" {
+					a, err = Open(path, WithParallelism(2), WithoutIndexDiscovery())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { a.Close() })
+				return a
+			}
+			a := open()
+			if c := a.Capabilities(); !c.Parallel || !c.RandomAccess || !c.Verify {
+				t.Fatalf("capabilities %+v", c)
+			}
+			var out bytes.Buffer
+			if _, err := a.WriteTo(&out); err != nil || !bytes.Equal(out.Bytes(), want) {
+				t.Fatalf("WriteTo: %d bytes, %v", out.Len(), err)
+			}
+			if st := a.Stats(); st.SpanDecodes != 4 || st.DecodedBytes != uint64(len(want)) {
+				t.Fatalf("a cold pass: %+v", st)
+			}
+			var index bytes.Buffer
+			if err := a.ExportIndex(&index); err != nil {
+				t.Fatal(err)
+			}
+			b := open()
+			if err := b.ImportIndex(&index); err != nil {
+				t.Fatal(err)
+			}
+			if err := checkReadAt(b, want, 250_000, 60_000); err != nil {
+				t.Fatal(err)
+			}
+			if st := b.Stats(); st.SizingPasses != 0 {
+				t.Fatalf("through the export: %+v", st)
+			}
+		})
 	}
 }
+
+// TestBzip2DamageFailsARead flips one bit of a two-stream file of seven
+// blocks — in each block's payload, in each block's CRC, in each stream's
+// CRC — and reads it whole, cold and through the index the sound file
+// exported: every flip fails the read, after bytes of the file only. A
+// stream CRC is checked across the spans of its blocks, in order. A flip in
+// the first or the last 4 KiB of the file, where its fingerprint is taken,
+// fails the import instead.
+func TestBzip2DamageFailsARead(t *testing.T) {
+	fx := build(t, "bzip2", workloads.SilesiaLike(600_000, 5), 300_000)
+	blocks, footers := bzip2Magics(fx.comp)
+	if len(blocks) != 7 || len(footers) != 2 {
+		t.Fatalf("the file has %d blocks in %d streams, want 7 in 2", len(blocks), len(footers))
+	}
+	a, err := OpenBytes(fx.comp, WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	var index bytes.Buffer
+	if err := a.ExportIndex(&index); err != nil {
+		t.Fatal(err)
+	}
+	sites := map[string]int{}
+	for k, at := range blocks {
+		end := slices.Min(slices.DeleteFunc(append(slices.Clone(blocks), footers...), func(b int) bool { return b <= at }))
+		sites[fmt.Sprintf("block %d payload", k)] = (at + end) / 2
+		sites[fmt.Sprintf("block %d CRC", k)] = at + 48 + 13
+	}
+	for k, at := range footers {
+		sites[fmt.Sprintf("stream %d CRC", k)] = at + 48 + 29
+	}
+	for name, bit := range sites {
+		comp := slices.Clone(fx.comp)
+		comp[bit/8] ^= 0x80 >> (bit % 8)
+		for _, mode := range []string{"cold", "indexed"} {
+			b, err := OpenBytes(comp, WithParallelism(2))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, mode, err)
+			}
+			defer b.Close()
+			if mode == "indexed" {
+				err := b.ImportIndex(bytes.NewReader(index.Bytes()))
+				if at := bit / 8; at < gzindex.FingerprintSpan || at >= len(comp)-gzindex.FingerprintSpan {
+					if err == nil {
+						t.Fatalf("%s: an index for the sound file imports", name)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+			}
+			var out bytes.Buffer
+			if _, err := b.WriteTo(&out); err == nil || !bytes.HasPrefix(fx.plain, out.Bytes()) {
+				t.Fatalf("%s, %s: WriteTo = %d bytes, %v; want the file's first bytes and an error", name, mode, out.Len(), err)
+			}
+		}
+	}
+}
+
+// The 48-bit magics a bzip2 block and a stream footer begin with.
+const bzip2BlockMagic, bzip2FooterMagic = 0x314159265359, 0x177245385090
+
+// bzip2Magics returns the bits of comp at which a block magic and a
+// stream footer magic begin, as bzip2recover finds them.
+func bzip2Magics(comp []byte) (blocks, footers []int) {
+	var v uint64
+	for i := range len(comp) * 8 {
+		v = (v<<1 | uint64(comp[i/8]>>(7-i%8)&1)) & (1<<48 - 1)
+		switch at := i - 47; {
+		case at < 0:
+		case v == bzip2BlockMagic:
+			blocks = append(blocks, at)
+		case v == bzip2FooterMagic:
+			footers = append(footers, at)
+		}
+	}
+	return blocks, footers
+}
+
+// bitAppender appends bits, most significant first, as bzip2 writes them.
+type bitAppender struct {
+	buf   []byte
+	nbits int
+}
+
+func (w *bitAppender) put(v uint64, n int) {
+	for i := n - 1; i >= 0; i-- {
+		if w.nbits%8 == 0 {
+			w.buf = append(w.buf, 0)
+		}
+		w.buf[len(w.buf)-1] |= byte(v>>i&1) << (7 - w.nbits%8)
+		w.nbits++
+	}
+}
+
+func (w *bitAppender) bytes() []byte { return w.buf }
 
 // sparseWorks probes whether dir's filesystem keeps unwritten regions
 // as holes: a 64 MiB truncated file with 4 KiB of real data must

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/workloads"
@@ -75,24 +76,68 @@ func damage(comp []byte, how uint8, where uint32) []byte {
 	return comp
 }
 
-// FuzzBzip2Archive builds multi-stream bzip2 files of seeded shape,
-// damages some, and reads them through the archive against compress/bzip2
-// over the whole file: equal bytes, or an error on both sides.
+// FuzzBzip2Archive builds bzip2 files of seeded shape — up to seven
+// streams of up to 12,000 bytes, or, with the high bit of streams set, one
+// stream of two level-1 blocks — damages some, and reads them through the
+// archive against compress/bzip2 over the whole file: equal bytes, or an
+// error on both sides. how%4 picks a cut at byte where, a flipped bit, or
+// no damage; a bit flipped lands at byte where of the file, or, by how/4,
+// in a block magic, a block CRC or a stream footer (its magic and CRC),
+// the one and the bit that where picks.
 func FuzzBzip2Archive(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint16(3000), uint8(0), uint32(0))
 	f.Add(uint64(2), uint8(1), uint16(9000), uint8(0), uint32(0))
-	f.Add(uint64(3), uint8(5), uint16(2000), uint8(1), uint32(700))   // truncated
-	f.Add(uint64(4), uint8(3), uint16(4000), uint8(2), uint32(1500))  // a bit flipped in a payload
-	f.Add(uint64(5), uint8(3), uint16(4000), uint8(2), uint32(2<<24)) // in the first magic
-	f.Add(uint64(6), uint8(0), uint16(0), uint8(0), uint32(0))        // empty input: one empty stream
+	f.Add(uint64(3), uint8(5), uint16(2000), uint8(1), uint32(700))             // truncated
+	f.Add(uint64(4), uint8(3), uint16(4000), uint8(2), uint32(1500))            // a bit flipped in a payload
+	f.Add(uint64(5), uint8(3), uint16(4000), uint8(2), uint32(2<<24))           // in the first magic
+	f.Add(uint64(6), uint8(0), uint16(0), uint8(0), uint32(0))                  // empty input: one empty stream
+	f.Add(uint64(7), uint8(0x80), uint16(20000), uint8(0), uint32(0))           // one stream, two blocks
+	f.Add(uint64(8), uint8(0x80), uint16(50000), uint8(2|1<<2), uint32(1<<8|1)) // a flip in the second block's magic
+	f.Add(uint64(9), uint8(0x80), uint16(30000), uint8(2|2<<2), uint32(5<<8|1)) // in its CRC
+	f.Add(uint64(10), uint8(0x80), uint16(40000), uint8(2|3<<2), uint32(60<<8)) // in the stream CRC
+	f.Add(uint64(11), uint8(0x80), uint16(65000), uint8(2|3<<2), uint32(7<<8))  // in the footer magic
+	f.Add(uint64(12), uint8(3), uint16(6000), uint8(2|3<<2), uint32(55<<8|1))   // in a stream CRC of three
 	f.Fuzz(func(t *testing.T, seed uint64, streams uint8, streamSize uint16, how uint8, where uint32) {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		size := int(streamSize)%12000 + 1
-		plain := workloads.SilesiaLike(max(int(streams%8)*size-rng.Intn(size), 0), seed)
-		comp := damage(compress(t, "bzip2", plain, size), how, where)
+		var plain, comp []byte
+		if streams&0x80 != 0 {
+			plain = workloads.SilesiaLike(100_000+int(streamSize), seed)
+			comp = compress(t, "bzip2", plain, 0)
+		} else {
+			size := int(streamSize)%12000 + 1
+			plain = workloads.SilesiaLike(max(int(streams%8)*size-rng.Intn(size), 0), seed)
+			comp = compress(t, "bzip2", plain, size)
+		}
+		blocks, footers := bzip2Magics(comp)
+		if at, ok := bzip2Bit(blocks, footers, how>>2&3, where); ok && how%4 == 2 {
+			comp = slices.Clone(comp)
+			comp[at/8] ^= 0x80 >> (at % 8)
+		} else {
+			comp = damage(comp, how, where)
+		}
 		refOut, refErr := io.ReadAll(bzip2.NewReader(bytes.NewReader(comp)))
 		archiveDifferential(t, comp, plain, refOut, refErr, rng)
 	})
+}
+
+// bzip2Bit returns the bit that where picks of what picks: a bit of a
+// block magic (1), of a block CRC (2) or of a stream footer, its magic
+// and CRC (3), where%256 choosing the block or footer and where>>8 the
+// bit; ok is false for 0, or where the file has none.
+func bzip2Bit(blocks, footers []int, what uint8, where uint32) (at int, ok bool) {
+	at, bits, in := 0, 80, footers
+	switch what {
+	case 0:
+		return 0, false
+	case 1:
+		bits, in = 48, blocks
+	case 2:
+		at, bits, in = 48, 32, blocks
+	}
+	if len(in) == 0 {
+		return 0, false
+	}
+	return in[int(where%256)%len(in)] + at + int(where>>8)%bits, true
 }
 
 // TestUnsizedZstdArchiveDifferential runs the same harness over a

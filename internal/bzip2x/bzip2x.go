@@ -2,25 +2,30 @@
 // bzip2 compressor (RLE1 → BWT → MTF/RLE2 → Huffman, validated against
 // the standard library's decompressor), a block decoder of its own
 // (decode.go: Huffman → MTF/RLE2 → inverse BWT → RLE1, held to
-// compress/bzip2 by differential tests), and Codec, which splits
-// multi-stream files at stream magics so that the shared span engine
-// decodes the streams concurrently — the lbzip2 scheme. The package has
-// no reader of its own: the root package opens a bzip2 file as
-// spanengine.New(src, Codec{}, cfg).
+// compress/bzip2 by differential tests), and Codec, which splits a file
+// at its block magics so that the shared span engine decodes the blocks
+// concurrently — the scheme of the paper's Bzip2BlockFetcher and of
+// lbzip2, which a single stream, as the bzip2 CLI writes one, gains from
+// as much as many. The package has no reader of its own: the root
+// package opens a bzip2 file as spanengine.New(src, Codec{}, cfg).
 //
 // The paper's Figure 5 notes that the rapidgzip chunk-fetcher
 // architecture had already been instantiated for bzip2
 // (Bzip2BlockFetcher), and Table 4 benchmarks lbzip2 as the bzip2
 // analog of parallel gzip decompression. bzip2 is a far easier target
 // than gzip: blocks are self-contained (no LZ window crosses a block
-// boundary), so no two-stage decoding or marker replacement is needed —
-// which is precisely why the gzip problem required the paper.
+// boundary) and begin with a 48-bit magic, at any bit, so no two-stage
+// decoding or marker replacement is needed — which is precisely why the
+// gzip problem required the paper.
 //
 // Random access runs on the shared span engine in its growing mode:
-// opening a file scans it for stream magics and decodes nothing,
-// the span table grows as streams are first decoded — a false-positive
-// magic is merged away when the stream it cut short fails to decode — and
-// a first pass over the file therefore decodes it exactly once.
+// opening a file scans it for block magics and decodes nothing, the span
+// table grows as blocks are first decoded — a false-positive magic is
+// merged away when the block it cut short fails to decode — and a first
+// pass over the file therefore decodes it exactly once. Every block CRC
+// is checked by the decode that serves the block, and a stream's CRC,
+// chained from the CRCs of its blocks, as a read is handed the blocks in
+// order (spanengine.Chained).
 package bzip2x
 
 import (

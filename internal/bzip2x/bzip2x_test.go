@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -95,9 +96,9 @@ func TestMultiStream(t *testing.T) {
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("multi-stream serial decode failed: %v", err)
 	}
-	offs, err := FindStreamsReader(filereader.MemoryReader(comp))
-	if err != nil || len(offs) != 5 {
-		t.Fatalf("found %d stream candidates, want 5", len(offs))
+	blocks, levels, err := scan(filereader.MemoryReader(comp), findWindow)
+	if want := magicBits(comp, blockMagic); err != nil || len(blocks) != len(want) || levels != 1<<1 {
+		t.Fatalf("scan found %d block magics and levels %b, %v; want %d and level 1", len(blocks), levels, err, len(want))
 	}
 }
 
@@ -227,6 +228,57 @@ func TestBWTRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBWTSortsRotations holds bwt to a plain sort of the rotations:
+// the same last column, and a row that holds the text itself. Rotations
+// equal to one another (periodic text) may come in any order, and the row
+// of the text with them.
+func TestBWTSortsRotations(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	inputs := [][]byte{
+		bytes.Repeat([]byte("ab"), 40), bytes.Repeat([]byte("abcabd"), 30), make([]byte, 50),
+		append(bytes.Repeat([]byte("xy"), 200), 'x'), []byte("mississippi"), {7},
+	}
+	for range 300 {
+		in := make([]byte, 1+rng.Intn(300))
+		for i := range in {
+			in[i] = byte('a' + rng.Intn(1+rng.Intn(4)))
+		}
+		inputs = append(inputs, in)
+	}
+	for _, in := range inputs {
+		n := len(in)
+		rot := func(i int) string { return string(in[i:]) + string(in[:i]) }
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return strings.Compare(rot(a), rot(b)) })
+		want := make([]byte, n)
+		for i, r := range order {
+			want[i] = in[(r+n-1)%n]
+		}
+		last, ptr := bwt(in)
+		if !bytes.Equal(last, want) || ptr < 0 || ptr >= n || rot(order[ptr]) != string(in) {
+			t.Fatalf("bwt(%q) = %q, %d; want %q and a row of the text", in, last, ptr, want)
+		}
+	}
+}
+
+// TestCompressPeriodicBlocks: text of one byte, of two and of a longer
+// period, over several level-1 blocks, round-trips through compress/bzip2.
+// Every rotation of such a block has equals, which no byte tells apart.
+func TestCompressPeriodicBlocks(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"one-byte": bytes.Repeat([]byte{'z'}, 6_000_000), // two blocks after RLE1
+		"abab":     bytes.Repeat([]byte("ab"), 160_000),
+		"period-7": bytes.Repeat([]byte("abcdefg"), 50_000),
+	} {
+		t.Run(name, func(t *testing.T) {
+			stdlibRoundTrip(t, data, WriterOptions{Level: 1})
+		})
+	}
+}
+
 func TestBWTKnownVector(t *testing.T) {
 	// The classic example: BWT("banana") = "nnbaaa", row 3 (rotations
 	// sorted: abanan, anaban, ananab, banana, nabana, nanaba).
@@ -317,17 +369,19 @@ func TestReaderReadAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := openEngine(t, comp, 4)
-	// Nothing is decoded to open a file: the scan counts candidates, and
-	// the table is there once something has asked for the size.
-	if st := r.Stats(); st.DecodedBytes != 0 || r.NumSpans() != 0 || r.ScanSpans() != 5 {
+	// Nothing is decoded to open a file: the scan counts candidates, one a
+	// block — six, as RLE1 leaves one of the five 100,000-byte streams
+	// longer than a level-1 block holds — and the table is there once
+	// something has asked for the size.
+	if st := r.Stats(); st.DecodedBytes != 0 || r.NumSpans() != 0 || r.ScanSpans() != 6 {
 		t.Fatalf("after open: %d spans, %d candidates, %+v", r.NumSpans(), r.ScanSpans(), st)
 	}
 	size, err := r.TotalSize()
 	if err != nil || size != int64(len(data)) {
 		t.Fatalf("TotalSize = %d, %v, want %d", size, err, len(data))
 	}
-	if r.NumSpans() != 5 {
-		t.Fatalf("NumSpans = %d, want 5", r.NumSpans())
+	if r.NumSpans() != 6 {
+		t.Fatalf("NumSpans = %d, want 6", r.NumSpans())
 	}
 	offs := []int64{0, 1, 99_999, 100_000, 100_001, 333_333, int64(len(data)) - 1}
 	for _, off := range offs {
@@ -356,8 +410,8 @@ func TestReaderSingleStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := openEngine(t, comp, 4)
-	if r.ScanSpans() != 1 {
-		t.Fatalf("ScanSpans = %d, want 1", r.ScanSpans())
+	if r.ScanSpans() != 3 { // a span a block
+		t.Fatalf("ScanSpans = %d, want 3", r.ScanSpans())
 	}
 	buf := make([]byte, 1000)
 	if _, err := r.ReadAt(buf, 150_000); err != nil && err != io.EOF {
@@ -416,46 +470,79 @@ func TestReaderRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// TestFindStreamsWindows: the windowed scan finds every magic, and only
-// those, whatever the window size, and so wherever a window boundary
+// TestDamagedBlockIsNotExtended: a block damaged before the next block
+// magic fails as it is, without being decoded again over every candidate
+// after it — which would read the rest of the file once a candidate, five
+// and a half times the file for ten blocks. A read of a file of ten
+// blocks, the first damaged, reads less than the file twice: once for the
+// scan, then the first block's extent and those speculation reads ahead.
+func TestDamagedBlockIsNotExtended(t *testing.T) {
+	comp, err := Compress(workloads.Base64(1_000_000, 25), WriterOptions{Level: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp[2000] ^= 0x10
+	r := openEngine(t, comp, 1)
+	if r.ScanSpans() != 11 {
+		t.Fatalf("ScanSpans = %d, want 11", r.ScanSpans())
+	}
+	if _, err := r.ReadAt(make([]byte, 100), 0); !errors.Is(err, spanengine.ErrCorrupt) {
+		t.Fatalf("ReadAt of a damaged first block = %v, want ErrCorrupt", err)
+	}
+	if st := r.Stats(); st.SourceBytesRead >= 2*uint64(len(comp)) {
+		t.Fatalf("%d reads of %d bytes of a %d-byte file; want less than twice the file", st.SourceReads, st.SourceBytesRead, len(comp))
+	}
+}
+
+// TestScanWindows: the windowed scan finds every block magic, at every
+// bit of its first byte, and only those, and the level of every stream
+// header, whatever the window size, and so wherever a window boundary
 // falls inside a magic; a read that fails is an ErrIO.
-func TestFindStreamsWindows(t *testing.T) {
-	magic := append([]byte("BZh9"), 0x31, 0x41, 0x59, 0x26, 0x53, 0x59)
-	footer := append([]byte("BZh1"), 0x17, 0x72, 0x45, 0x38, 0x50, 0x90)
-	var data []byte
-	for i, gap := range []int{0, 3, 17, 1, 40, 9, 10, 11, 25} {
-		data = append(data, bytes.Repeat([]byte("BZ"), gap)...) // near misses between the magics
-		data = append(data, "BZh0BZhx"...)
-		if i%2 == 0 {
-			data = append(data, magic...)
-		} else {
-			data = append(data, footer...)
+func TestScanWindows(t *testing.T) {
+	header := func(level byte) []byte {
+		return append([]byte("BZh"), level, 0x31, 0x41, 0x59, 0x26, 0x53, 0x59)
+	}
+	var w msbWriter
+	for i, gap := range []int{0, 3, 17, 1, 40, 9, 10, 11, 25, 7, 8, 6} {
+		for range gap { // near misses: the magic's first 40 bits
+			w.writeBits(blockMagic>>8, 40)
+		}
+		w.writeBits(blockMagic, 48)
+		w.writeBits(uint64(i), uint(i%8)) // the next magic at another bit
+	}
+	data := append(header('9'), w.bytes()...)
+	data = append(data, "BZh0BZhxBZ"...)
+	data = append(data, header('3')...)
+	data = append(data, header('3')[:9]...) // cut short by the end of the file
+	var want []int64
+	for _, bit := range magicBits(data, blockMagic) {
+		want = append(want, int64(bit/8))
+	}
+	if len(want) != 12+2 { // the magics written, and the two whole headers'
+		t.Fatalf("fixture holds %d block magics", len(want))
+	}
+	for window := int64(streamMagicLen); window <= int64(len(data))+1; window++ {
+		blocks, levels, err := scan(filereader.MemoryReader(data), window)
+		if err != nil || !slices.Equal(blocks, want) || levels != 1<<9|1<<3 {
+			t.Fatalf("window %d: %v, levels %b, %v; want %v, levels 9 and 3", window, blocks, levels, err, want)
 		}
 	}
-	data = append(data, magic[:9]...) // cut short by the end of the file
-	want := []int64{0}
-	for i := 1; i+streamMagicLen <= len(data); i++ {
-		if streamMagicAt(data[i:]) {
-			want = append(want, int64(i))
-		}
-	}
-	if len(want) != 10 { // offset 0 and nine magics
-		t.Fatalf("fixture holds %d magics", len(want))
-	}
-	if got, err := FindStreamsReader(filereader.MemoryReader(data)); err != nil || !slices.Equal(got, want) {
-		t.Fatalf("FindStreamsReader = %v, %v; want %v", got, err, want)
-	}
-	// Every window size from the smallest that holds a magic up: between
-	// them the boundaries fall at every offset into every magic.
-	for w := int64(streamMagicLen); w <= int64(len(data))+1; w++ {
-		got, err := findStreams(filereader.MemoryReader(data), w)
-		if err != nil || !slices.Equal(got, want) {
-			t.Fatalf("window %d: %v, %v; want %v", w, got, err, want)
-		}
-	}
-	if _, err := findStreams(shortReader{data}, 64); !errors.Is(err, filereader.ErrIO) {
+	if _, _, err := scan(shortReader{data}, 64); !errors.Is(err, filereader.ErrIO) {
 		t.Fatalf("scan over a failing source = %v, want ErrIO", err)
 	}
+}
+
+// magicBits returns every bit of data at which the 48-bit magic begins,
+// found a bit at a time, apart from the scan.
+func magicBits(data []byte, magic uint64) (bits []int) {
+	var v uint64
+	for i := range len(data) * 8 {
+		v = (v<<1 | uint64(data[i/8]>>(7-i%8)&1)) & (1<<48 - 1)
+		if i >= 47 && v == magic {
+			bits = append(bits, i-47)
+		}
+	}
+	return bits
 }
 
 // shortReader fails every read past the first 100 bytes.

@@ -7,6 +7,8 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+
+	"repro/internal/spanengine"
 )
 
 // The decoder. A block goes through the encoder's stages backwards, each
@@ -100,75 +102,180 @@ type decoder struct {
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
 
 // decode decompresses src, one or more whole bzip2 streams back to back,
-// checking every block and stream CRC. Blocks decode into the decoder's
-// own buffer, and the output is copied out of it once its size is known:
-// with the pool warm, a decode allocates its output and nothing else.
+// checking every block and stream CRC.
 func decode(src []byte) ([]byte, error) {
+	out, _, err := decodeExtent(src, len(src), true)
+	return out, err
+}
+
+// decodeExtent decodes the first end bytes of src, the extent of a span,
+// which begins with a stream header if header is set and else in the byte
+// that holds a block magic's first bit. A span that ends inside a stream
+// ends in the byte where the next span's block magic begins, so src may
+// run on past end by the bytes that magic touches; the decode must end
+// exactly at it, or, between streams, at end, or at the end of src. It
+// checks every block CRC and the CRC of every stream it holds whole, and
+// returns with the output the extent's marks, for the checks that span
+// extents. Blocks decode into the decoder's own buffer, and the output is
+// copied out of it once its size is known: with the pool warm, a decode
+// allocates its output and its marks.
+func decodeExtent(src []byte, end int, header bool) ([]byte, []mark, error) {
 	d := decoders.Get().(*decoder)
 	defer decoders.Put(d)
-	out, err := d.decode(src)
+	out, marks, err := d.extent(src, end, header)
 	if cap(out) <= maxPooledOut {
 		d.out = out[:0]
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return bytes.Clone(out), nil
+	return bytes.Clone(out), marks, nil
 }
 
-// decode is decode into d.out, which it returns grown, on error too.
-func (d *decoder) decode(src []byte) ([]byte, error) {
+// extent is decodeExtent into d.out, which it returns grown, on error too.
+// An error on bits before end is spanengine.ErrDamaged: the extent did
+// not run on past where it was cut.
+func (d *decoder) extent(src []byte, end int, header bool) (_ []byte, _ []mark, err error) {
 	br := newBitReader(src, 0)
+	defer func() {
+		if err != nil && br.bitPos() < end*8 {
+			err = damaged{err}
+		}
+	}()
 	out := d.out[:0]
-	for first := true; ; first = false {
-		if br.read(16) != 'B'<<8|'Z' {
-			if first {
-				return out, br.fail(errStreamMagic)
+	var marks []mark
+	// The stream the decode is in, if any, and whether its header, and so
+	// its level, is in the extent: then the decode checks its CRC.
+	open, whole := false, false
+	level := 9 // a stream begun before the extent may be of any level
+	var streamCRC uint32
+	if !header {
+		s := magicShift(src)
+		if s < 0 {
+			return out, nil, errBlockMagic
+		}
+		br, open = newBitReader(src, s), true
+	}
+	for {
+		if !open {
+			if at := br.bitPos(); len(marks) > 0 && at >= end*8 {
+				if at > end*8 {
+					return out, marks, br.fail(errTrailing)
+				}
+				return out, marks, nil
 			}
-			return out, br.fail(errTrailing)
-		}
-		if br.read(8) != 'h' {
-			return out, br.fail(errStreamMagic)
-		}
-		level := int(br.read(8)) - '0'
-		if level < 1 || level > 9 {
-			return out, br.fail(errLevel)
-		}
-		var streamCRC uint32
-		for {
-			magic := br.read(48)
-			if magic == footerMagic {
-				break
+			if br.read(16) != 'B'<<8|'Z' {
+				if len(marks) == 0 {
+					return out, marks, br.fail(errStreamMagic)
+				}
+				return out, marks, br.fail(errTrailing)
 			}
-			if magic != blockMagic {
-				return out, br.fail(errBlockMagic)
+			if br.read(8) != 'h' {
+				return out, marks, br.fail(errStreamMagic)
+			}
+			if level = int(br.read(8)) - '0'; level < 1 || level > 9 {
+				return out, marks, br.fail(errLevel)
+			}
+			marks = append(marks, mark{kind: markHeader, n: level})
+			open, whole, streamCRC = true, true, 0
+		}
+		at := br.bitPos()
+		switch br.read(48) {
+		case blockMagic:
+			if at >= end*8 {
+				// The next span's magic: the extent ends inside a stream.
+				if at/8 != end || end == len(src) {
+					return out, marks, br.fail(errBlockMagic)
+				}
+				return out, marks, nil
 			}
 			blk, err := d.readBlock(&br, level*100_000)
 			if err != nil {
-				return out, err
+				return out, marks, err
 			}
 			n := len(blk.ll)
 			if cap(d.tt) < n {
-				d.tt, d.lf = make([]uint32, level*100_000), make([]uint32, level*100_000)
+				size := (n + 99_999) / 100_000 * 100_000
+				d.tt, d.lf = make([]uint32, size), make([]uint32, size)
 			}
 			start := len(out)
 			out = unBWT(out, d.tt[:n], d.lf[:n], &blk)
 			if blockCRC(out[start:]) != blk.crc {
-				return out, errBlockCRC
+				return out, marks, errBlockCRC
 			}
+			marks = append(marks, mark{kind: markBlock, crc: blk.crc, n: n})
 			streamCRC = combineCRC(streamCRC, blk.crc)
-		}
-		if uint32(br.read(32)) != streamCRC {
-			return out, br.fail(errStreamCRC)
-		}
-		br.align()
-		if br.overrun() {
-			return out, errTruncated
-		}
-		if br.bitPos() == len(src)*8 {
-			return out, nil
+		case footerMagic:
+			if at >= end*8 {
+				return out, marks, br.fail(errBlockMagic)
+			}
+			crc := uint32(br.read(32))
+			if whole && crc != streamCRC {
+				return out, marks, br.fail(errStreamCRC)
+			}
+			marks = append(marks, mark{kind: markFooter, crc: crc})
+			br.align()
+			if br.overrun() {
+				return out, marks, errTruncated
+			}
+			open = false
+		default:
+			return out, marks, br.fail(errBlockMagic)
 		}
 	}
+}
+
+// damaged is a decode failure on the bits of an extent before its end.
+type damaged struct{ error }
+
+func (e damaged) Unwrap() error { return e.error }
+
+func (damaged) Is(target error) bool { return target == spanengine.ErrDamaged }
+
+// The kinds of mark.
+const (
+	markHeader = iota
+	markBlock
+	markFooter
+)
+
+// A mark is what a span's decode met that the stream check replays in
+// file order: a stream header with its level (n), a block with its CRC
+// and length before the inverse BWT (n), or a footer with the stream CRC
+// it declares.
+type mark struct {
+	kind uint8
+	crc  uint32
+	n    int
+}
+
+// streamCheck is the stream check between two marks: the level of the
+// stream it is in (0 between streams) and the stream's CRC so far.
+type streamCheck struct {
+	level int
+	crc   uint32
+}
+
+// replay takes the check over marks: every block in a stream and no
+// longer than its level allows, every stream's CRC what its footer says.
+func (c streamCheck) replay(marks []mark) (streamCheck, error) {
+	for _, m := range marks {
+		switch {
+		case m.kind == markHeader:
+			c = streamCheck{level: m.n}
+		case c.level == 0:
+			return c, errStreamMagic
+		case m.kind == markBlock && m.n > c.level*100_000:
+			return c, errPastBlock
+		case m.kind == markBlock:
+			c.crc = combineCRC(c.crc, m.crc)
+		case m.crc != c.crc:
+			return c, errStreamCRC
+		default:
+			c = streamCheck{}
+		}
+	}
+	return c, nil
 }
 
 // block is one block's symbols decoded into bytes, with what the inverse

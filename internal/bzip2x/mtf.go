@@ -1,5 +1,7 @@
 package bzip2x
 
+import "slices"
+
 // mtfRLE2 performs bzip2's second pipeline stage on the BWT output:
 // move-to-front over the block's used-symbol alphabet, with zero runs
 // encoded in bijective base 2 over the RUNA/RUNB symbols, terminated by
@@ -11,12 +13,7 @@ func mtfRLE2(bwtOut []byte, used []byte) []uint16 {
 	eob := uint16(len(used) + 1)
 	out := make([]uint16, 0, len(bwtOut)/2+8)
 
-	mtf := make([]byte, len(used))
-	copy(mtf, used)
-	pos := make([]int, 256) // current MTF position of each byte value
-	for i, b := range mtf {
-		pos[b] = i
-	}
+	mtf := slices.Clone(used)
 
 	zeroRun := 0
 	flushRun := func() {
@@ -33,19 +30,19 @@ func mtfRLE2(bwtOut []byte, used []byte) []uint16 {
 	}
 
 	for _, b := range bwtOut {
-		p := pos[b]
-		if p == 0 {
+		if mtf[0] == b {
 			zeroRun++
 			continue
 		}
 		flushRun()
-		// Move b to the front.
-		for i := p; i > 0; i-- {
-			mtf[i] = mtf[i-1]
-			pos[mtf[i]] = i
-		}
+		// Move b to the front, shifting what was before it back by one
+		// on the way to where it was, p.
+		p, prev := 0, mtf[0]
 		mtf[0] = b
-		pos[b] = 0
+		for prev != b {
+			p++
+			prev, mtf[p] = mtf[p], prev
+		}
 		out = append(out, uint16(p)+1)
 	}
 	flushRun()

@@ -169,6 +169,13 @@ func (f *Future[T]) JoinContext(ctx context.Context) (T, error) {
 	}
 }
 
+// Started reports whether a goroutine has begun the task.
+func (f *Future[T]) Started() bool { return f.started.Load() }
+
+// Help runs the task on this goroutine if none has begun it, and reports
+// whether it did; unlike Join, it never waits for one that runs elsewhere.
+func (f *Future[T]) Help() bool { return f.start() }
+
 // start runs the task on this goroutine unless another has begun it, and
 // reports whether it did.
 func (f *Future[T]) start() bool {

@@ -23,20 +23,32 @@ import (
 // decode at its frontier. The spans before it stay readable.
 var ErrCorrupt = errors.New("spanengine: corrupt compressed data")
 
+// ErrDamaged is what a codec's decode failure is, by errors.Is, when the
+// data it failed on lies inside the extent it was given, before the
+// extent's end: no candidate start cut the extent short, so the grower
+// does not extend it over the next candidate, which would fail the same
+// way again, having read more.
+var ErrDamaged = errors.New("spanengine: damaged inside the extent")
+
 // newDeferred returns a growing engine over the extents of a scan that
 // left sizes open (see ScanResult).
 func newDeferred(src *filereader.SharedFileReader, codec Codec, scan ScanResult, cfg Config) (*Engine, error) {
 	e, err := NewGrowing(src, &deferred{Codec: codec, exts: scan.Spans, merge: scan.Candidates}, scan.Flags, cfg)
-	if err == nil {
-		e.scanned = len(scan.Spans)
+	if err != nil {
+		return nil, err
 	}
-	return e, err
+	e.scanned = len(scan.Spans)
+	if c, ok := codec.(Chained); ok {
+		e.chained, e.links = c, map[int]any{}
+	}
+	return e, nil
 }
 
 // sized is a guess at one extent, parked in the tentative store: its
-// output or why there is none.
+// output, and a Chained codec's link, or why there is none.
 type sized struct {
 	data []byte
+	link any
 	err  error
 }
 
@@ -55,15 +67,21 @@ type deferred struct {
 }
 
 // decode decodes [off, end) of the source as one span of unknown size.
-func (d *deferred) decode(e *Engine, off, end int64) ([]byte, error) {
-	data, err := d.DecodeSpan(e.src, Span{CompOff: off, CompEnd: end, DecompSize: -1})
-	if err == nil {
+func (d *deferred) decode(e *Engine, off, end int64) sized {
+	var got sized
+	s := Span{CompOff: off, CompEnd: end, DecompSize: -1}
+	if e.chained != nil {
+		got.data, got.link, got.err = e.chained.DecodeLinked(e.src, s)
+	} else {
+		got.data, got.err = d.DecodeSpan(e.src, s)
+	}
+	if got.err == nil {
 		e.mu.Lock()
 		e.stats.SpanDecodes++
-		e.stats.DecodedBytes += uint64(len(data))
+		e.stats.DecodedBytes += uint64(len(got.data))
 		e.mu.Unlock()
 	}
-	return data, err
+	return got
 }
 
 // Slot implements Grower: candidate cand lies cand-len(table) extents past
@@ -79,8 +97,7 @@ func (d *deferred) Guess(e *Engine, k uint64) func() (uint64, any, error) {
 	e.stats.PrefetchIssued++
 	x := d.exts[k]
 	return func() (uint64, any, error) {
-		data, err := d.decode(e, x.CompOff, x.CompEnd)
-		return uint64(x.CompOff), sized{data, err}, nil
+		return uint64(x.CompOff), d.decode(e, x.CompOff, x.CompEnd), nil
 	}
 }
 
@@ -100,7 +117,10 @@ func (d *deferred) GrowNext(e *Engine) (bool, error) {
 	x := d.exts[k]
 
 	// The extent's own decode: guessed, or made here — unless nobody made
-	// one and its size is declared.
+	// one and its size is declared. While a worker makes it, the frontier
+	// makes the next one's guess if no worker has begun that, so that with
+	// one worker two extents decode at a time.
+	e.helpGuess(uint64(k), uint64(k+1))
 	v, guessed, err := e.TakeGuess(uint64(x.CompOff), uint64(k))
 	got, decoded := sized{err: err}, true
 	switch g, ok := v.(sized); {
@@ -108,15 +128,15 @@ func (d *deferred) GrowNext(e *Engine) (bool, error) {
 		got = g
 	case guessed: // the engine closed before the guess ran, says err
 	case x.DecompSize < 0:
-		got.data, got.err = d.decode(e, x.CompOff, x.CompEnd)
+		got = d.decode(e, x.CompOff, x.CompEnd)
 	default:
 		decoded = false
 	}
-	for got.err != nil && d.merge && k+1 < len(d.exts) && !transient(got.err) {
+	for got.err != nil && d.merge && k+1 < len(d.exts) && !transient(got.err) && !errors.Is(got.err, ErrDamaged) {
 		// Cut short by a candidate that starts nothing, if the data is
 		// sound: decode on to the next one.
 		k++
-		got.data, got.err = d.decode(e, x.CompOff, d.exts[k].CompEnd)
+		got = d.decode(e, x.CompOff, d.exts[k].CompEnd)
 	}
 	if x.DecompSize >= 0 && (got.err != nil || int64(len(got.data)) != x.DecompSize) {
 		// A declared size stands, as in a table that came from metadata
@@ -146,6 +166,7 @@ func (d *deferred) GrowNext(e *Engine) (bool, error) {
 	e.size += size
 	if decoded && !e.closed {
 		e.cache.Put(i, &entry{data: got.data})
+		e.link(i, got.link)
 	}
 	d.next = k + 1
 	return d.next == len(d.exts), nil

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/filereader"
 	"repro/internal/prefetch"
@@ -553,5 +554,155 @@ func TestDeferredConcurrentReadersAndClose(t *testing.T) {
 		if _, err := e.ReadAt(make([]byte, 1), 0); !errors.Is(err, ErrClosed) {
 			t.Errorf("ReadAt after Close = %v", err)
 		}
+	}
+}
+
+var errChain = errors.New("chaincodec: the check across spans fails")
+
+// chainCodec is streamCodec with a check across its spans (Chained): the
+// link of a span is the index of the stream it starts with, and the check
+// fails at stream bad, and at a stream that comes out of order.
+type chainCodec struct {
+	*streamCodec
+	bad int
+}
+
+func (c chainCodec) DecodeLinked(src filereader.FileReader, s Span) ([]byte, any, error) {
+	data, err := c.DecodeSpan(src, s)
+	return data, slices.Index(c.cands, s.CompOff), err
+}
+
+func (c chainCodec) Chain(state, link any) (any, error) {
+	next, _ := state.(int)
+	if link.(int) != next {
+		return nil, errors.New("chaincodec: a span out of order")
+	}
+	if next == c.bad {
+		return nil, errChain
+	}
+	return next + 1, nil
+}
+
+// TestChainedCheckRunsInTableOrder: a Chained codec's check runs over the
+// spans as reads are handed them in table order, from a growing table and
+// from a complete one alike. A pass fails at the span whose link fails the
+// check, having served the spans before it, and fails there again; a read
+// that jumps past the spans the check has reached is not checked.
+func TestChainedCheckRunsInTableOrder(t *testing.T) {
+	payloads, whole := testPayloads(6, 700)
+	src, starts := buildStreams(payloads)
+	const bad = 3
+	var sound int64
+	for _, p := range payloads[:bad] {
+		sound += int64(len(p))
+	}
+	var table []Span
+	for i, p := range payloads {
+		s := Span{CompOff: starts[i], CompEnd: int64(len(src)), DecompSize: int64(len(p))}
+		if i+1 < len(starts) {
+			s.CompEnd = starts[i+1]
+		}
+		if i > 0 {
+			s.DecompOff = table[i-1].DecompOff + table[i-1].DecompSize
+		}
+		table = append(table, s)
+	}
+	for _, mode := range []string{"growing", "complete"} {
+		t.Run(mode, func(t *testing.T) {
+			codec := chainCodec{&streamCodec{cands: starts, merge: true}, bad}
+			open := func() *Engine {
+				var e *Engine
+				var err error
+				if mode == "growing" {
+					e, err = New(filereader.MemoryReader(src), codec, Config{Threads: 2})
+				} else {
+					e, err = NewFromCheckpoints(filereader.MemoryReader(src), codec, table, 0, Config{Threads: 2})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { e.Close() })
+				return e
+			}
+			e := open()
+			for range 2 {
+				out, err := readAll(e)
+				if !errors.Is(err, ErrCorrupt) || !errors.Is(err, errChain) || !bytes.Equal(out, whole[:sound]) {
+					t.Fatalf("a pass served %d bytes, %v; want %d and the check's failure", len(out), err, sound)
+				}
+			}
+			e = open()
+			last := table[len(table)-1]
+			buf := make([]byte, 100)
+			if n, err := e.ReadAt(buf, last.DecompOff); n != len(buf) || err != nil || !bytes.Equal(buf, whole[last.DecompOff:][:n]) {
+				t.Fatalf("a jump to the last span = %d, %v", n, err)
+			}
+			if n, err := e.ReadAt(buf, table[bad].DecompOff); n != len(buf) || err != nil {
+				t.Fatalf("a jump to span %d = %d, %v", bad, n, err)
+			}
+			// Reads in order from the start reach the span and fail there.
+			var off int64
+			for off < table[bad].DecompOff {
+				n, err := e.ReadAt(buf[:min(int64(len(buf)), table[bad].DecompOff-off)], off)
+				if err != nil {
+					t.Fatalf("ReadAt(%d) = %v", off, err)
+				}
+				off += int64(n)
+			}
+			if _, err := e.ReadAt(buf, off); !errors.Is(err, errChain) {
+				t.Fatalf("ReadAt(%d) into span %d = %v, want the check's failure", off, bad, err)
+			}
+		})
+	}
+}
+
+// TestDeferredFrontierHelpsOneWorker: at one worker, the frontier that
+// finds its extent's guess running on the worker decodes the next
+// extent's queued guess itself rather than wait idle, so that two extents
+// decode at a time; and nothing is decoded twice for it.
+func TestDeferredFrontierHelpsOneWorker(t *testing.T) {
+	payloads, whole := testPayloads(6, 400)
+	src, starts := buildStreams(payloads)
+	hold := make(chan struct{})
+	codec := &streamCodec{cands: starts, started: make(chan int64, len(starts)), hold: map[int64]chan struct{}{starts[1]: hold}}
+	e, err := New(filereader.MemoryReader(src), codec, Config{Threads: 1, maxPrefetch: 2, strategy: noPrefetch{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	buf := make([]byte, 10)
+	if _, err := e.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if off := <-codec.started; off != starts[0] {
+		t.Fatalf("the first decode began at %d", off)
+	}
+	propose(e, 1, 2) // extent 1 runs on the worker, held; extent 2 waits behind it
+	if off := <-codec.started; off != starts[1] {
+		t.Fatalf("the worker began at %d, want extent 1", off)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.ReadAt(buf, int64(len(payloads[0])))
+		done <- err
+	}()
+	select {
+	case off := <-codec.started:
+		if off != starts[2] {
+			t.Fatalf("the frontier began at %d, want extent 2", off)
+		}
+	case <-time.After(10 * time.Second):
+		close(hold)
+		t.Fatal("the frontier waited for the worker with extent 2 queued behind it")
+	}
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if out, err := readAll(e); err != nil || !bytes.Equal(out, whole) {
+		t.Fatalf("%d bytes, %v", len(out), err)
+	}
+	if n := codec.total(); n != len(starts) {
+		t.Fatalf("%d decodes of %d extents", n, len(starts))
 	}
 }

@@ -220,6 +220,19 @@ func (e *Engine) TakeGuess(key, slot uint64) (v any, ok bool, err error) {
 	return v, true, err
 }
 
+// helpGuess runs the guess at slot next on the calling goroutine, the
+// frontier's, when the guess at slot runs on a worker and none has begun
+// the one at next: the frontier would only wait for slot's, and decodes
+// next beside it instead.
+func (e *Engine) helpGuess(slot, next uint64) {
+	e.mu.Lock()
+	cur, ahead := e.guesses[slot], e.guesses[next]
+	e.mu.Unlock()
+	if cur != nil && ahead != nil && cur.Started() {
+		ahead.Help()
+	}
+}
+
 // settleGuesses waits for the guesses still running once the table is
 // complete. Nobody will ask for them, but what they count (a cell with no
 // block start in it, a decode nobody used) is settled by the time the

@@ -143,6 +143,20 @@ type PrefixDecoder interface {
 	DecodeSpanPrefix(src filereader.FileReader, s Span, parked any, upTo int64) (data []byte, next any, err error)
 }
 
+// Chained is implemented by a codec whose spans carry a check that runs
+// over several of them: bzip2's stream CRC, chained from the CRCs of the
+// stream's blocks, each a span of its own. The engine decodes its spans
+// through DecodeLinked, which returns with a span's output what the check
+// needs of it, and folds that into the check with Chain as reads are
+// handed whole spans in table order, each span once, from the first; the
+// read handed the span whose link fails the check fails with ErrCorrupt.
+// So a pass over the file checks it whole, and a read that jumps checks
+// what it passes through once the spans before it have been read.
+type Chained interface {
+	DecodeLinked(src filereader.FileReader, s Span) (data []byte, link any, err error)
+	Chain(state, link any) (any, error)
+}
+
 // BitAddressed is implemented by a codec whose spans start at bit
 // offsets, which its spans' byte extents round down: where two spans
 // start in one compressed byte, the extent of the first is empty.
@@ -390,6 +404,14 @@ type Engine struct {
 	observer AccessObserver
 	prefix   PrefixDecoder // the codec, if it can stop short of a span's end
 
+	// The check across spans of a Chained codec, guarded by mu: the links
+	// of the spans decoded from chainNext on, and the check's state before
+	// span chainNext.
+	chained    Chained
+	links      map[int]any
+	chainNext  int
+	chainState any
+
 	// Growing-mode state (nil/unused for complete-table engines), guarded
 	// by mu but for growMu: the slots guessed and not re-armed since, each
 	// with its future while the guess runs; how many run; and what they
@@ -492,6 +514,9 @@ func newEngine(src *filereader.SharedFileReader, codec Codec, spans []Span, flag
 	}
 	if d, ok := codec.(PrefixDecoder); ok {
 		e.prefix = d
+	}
+	if c, ok := codec.(Chained); ok {
+		e.chained, e.links = c, map[int]any{}
 	}
 	for _, s := range spans {
 		e.size += s.DecompSize
@@ -698,12 +723,16 @@ func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64, rest bool) f
 		closed := e.closed
 		e.mu.Unlock()
 		var data []byte
+		var link any
 		err := ErrClosed
 		if !closed {
-			if e.prefix == nil {
-				data, err = e.codec.DecodeSpan(e.src, s)
-			} else {
+			switch {
+			case e.prefix != nil:
 				data, parked, err = e.prefix.DecodeSpanPrefix(e.src, s, parked, upTo)
+			case e.chained != nil:
+				data, link, err = e.chained.DecodeLinked(e.src, s)
+			default:
+				data, err = e.codec.DecodeSpan(e.src, s)
 			}
 			if n := int64(len(data)); err == nil && (parked == nil && n != s.DecompSize || parked != nil && (n < upTo || n >= s.DecompSize)) {
 				data, err = nil, fmt.Errorf("spanengine: span %d decoded %d bytes, table says %d", i, n, s.DecompSize)
@@ -736,6 +765,7 @@ func (e *Engine) decodeTask(i int, s Span, from *entry, upTo int64, rest bool) f
 			e.stats.SpanDecodes++
 		}
 		e.stats.DecodedBytes += uint64(len(data) - have)
+		e.link(i, link)
 		if !e.closed {
 			ent := &entry{data: data, parked: parked, unused: fl.unused}
 			e.cache.Put(i, ent)
@@ -759,6 +789,38 @@ func (e *Engine) noteAccess(i int, data []byte) {
 	if e.observer != nil {
 		e.observer.SpanAccessed(i, data)
 	}
+}
+
+// link keeps what the decode of span i returned for a Chained codec's
+// check until the check reaches the span. Caller holds e.mu.
+func (e *Engine) link(i int, link any) {
+	if e.chained != nil && i >= e.chainNext {
+		e.links[i] = link
+	}
+}
+
+// chainTo takes a Chained codec's check over span i, handed whole to a
+// read, if the check has reached it: over the spans before it that cover
+// no bytes, which no read is handed, and then over i. A check that fails
+// stays where it was, and fails the next read of the span too.
+func (e *Engine) chainTo(i int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for e.chainNext < i && e.spans[e.chainNext].DecompSize == 0 {
+		delete(e.links, e.chainNext)
+		e.chainNext++
+	}
+	link, ok := e.links[i]
+	if i != e.chainNext || !ok {
+		return nil
+	}
+	state, err := e.chained.Chain(e.chainState, link)
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	delete(e.links, i)
+	e.chainState, e.chainNext = state, i+1
+	return nil
 }
 
 // proposePrefetches asks the strategy which spans the latest access
@@ -957,6 +1019,11 @@ func (e *Engine) walk(ctx context.Context, off, n, first int64, put func([]byte)
 				continue
 			}
 			if int64(len(data)) == sp.s.DecompSize {
+				if e.chained != nil {
+					if err = e.chainTo(sp.i); err != nil {
+						continue
+					}
+				}
 				e.noteAccess(sp.i, data)
 			}
 			if rel := off - sp.s.DecompOff; rel < int64(len(data)) {
